@@ -19,7 +19,7 @@ from typing import Iterable, Mapping
 
 from .combinatorics import Profile, aut_count, make_profile, profiles_with_sum
 from .errors import ConstraintError
-from .exact import XiPolynomial, solve_linear
+from .exact import XiPolynomial
 from .trees import (
     MarkedTree,
     codim,
@@ -215,8 +215,9 @@ def product_expansion(m: int) -> ClassExpr:
 def psi_decomposition(m: int) -> tuple[Fraction, ...]:
     """Coefficients c_{m,0..m} with psi^m = sum_j c_{m,j} xi^{m-j} prod_{r=1}^j (r psi - xi).
 
-    Found by expanding both sides in the two commuting formal symbols and
-    solving the (triangular) linear system exactly.
+    Comparing psi^t coefficients gives a triangular system: the j-th product
+    has degree j in psi with leading coefficient j!, so c_{m,m} = 1/m! and
+    each lower c_{m,t} follows from the ones above it.
     """
     if m < 0:
         raise ConstraintError("m must be nonnegative")
@@ -229,15 +230,11 @@ def psi_decomposition(m: int) -> tuple[Fraction, ...]:
             cur[t + 1] += j * c
             cur[t] -= c
         products.append(cur)
-    matrix = [
-        [products[j][t] if t <= j else Fraction(0) for j in range(m + 1)]
-        for t in range(m + 1)
-    ]
-    rhs = [Fraction(1) if t == m else Fraction(0) for t in range(m + 1)]
-    sol = solve_linear(matrix, rhs)
-    if sol.status != "unique":
-        raise ConstraintError(f"psi decomposition system was {sol.status}")
-    return sol.solution
+    coeffs = [Fraction(0)] * (m + 1)
+    for t in range(m, -1, -1):
+        rest = sum(coeffs[j] * products[j][t] for j in range(t + 1, m + 1))
+        coeffs[t] = ((1 if t == m else 0) - rest) / products[t][t]
+    return tuple(coeffs)
 
 
 @lru_cache(maxsize=None)

@@ -46,22 +46,12 @@ def _check_depth(n: int):
         )
 
 
-def _print_class(e, fmt: str):
-    if fmt == "json":
-        print(grammar.class_to_json(e))
-    elif fmt == "latex":
-        print(grammar.render_class_latex(e))
-    else:
-        print(grammar.render_class(e))
+# grammar's emitter for each format, spelled for kind "class", "cycles" or "xpoly"
+_EMITTERS = {"text": "render_{}", "latex": "render_{}_latex", "json": "{}_to_json"}
 
 
-def _print_cycles(c, fmt: str):
-    if fmt == "json":
-        print(grammar.cycles_to_json(c))
-    elif fmt == "latex":
-        print(grammar.render_cycles_latex(c))
-    else:
-        print(grammar.render_cycles(c))
+def _print_expr(kind: str, value, fmt: str):
+    print(getattr(grammar, _EMITTERS[fmt].format(kind))(value))
 
 
 def _print_value(value, fmt: str):
@@ -136,7 +126,7 @@ def _cmd_product(args) -> int:
     if args.m < 1:
         raise ConstraintError("m must be >= 1")
     _check_depth(args.m)
-    _print_class(classes.product_expansion(args.m), args.format)
+    _print_expr("class", classes.product_expansion(args.m), args.format)
     return EXIT_OK
 
 
@@ -144,7 +134,7 @@ def _cmd_psi(args) -> int:
     if args.m < 0:
         raise ConstraintError("m must be nonnegative")
     _check_depth(args.m)
-    _print_class(classes.psi_power_sing(args.m), args.format)
+    _print_expr("class", classes.psi_power_sing(args.m), args.format)
     return EXIT_OK
 
 
@@ -156,7 +146,7 @@ def _cmd_convert(args, target: str) -> int:
         out = classes.basic_to_sing(expr) if expr.basis == BASIC else expr
     else:
         out = classes.sing_to_basic(expr) if expr.basis == SINGULARITY else expr
-    _print_class(out, args.format)
+    _print_expr("class", out, args.format)
     return EXIT_OK
 
 
@@ -167,7 +157,7 @@ def _cmd_completed_cycle(args) -> int:
     element = cycles.completed_cycle(args.m)
     if args.genus0:
         element = cycles.genus0_part(element, args.m)
-    _print_cycles(element, args.format)
+    _print_expr("cycles", element, args.format)
     return EXIT_OK
 
 
@@ -175,13 +165,7 @@ def _cmd_x_poly(args) -> int:
     if args.m < 0:
         raise ConstraintError("m must be nonnegative")
     _check_depth(args.m)
-    poly = cycles.x_polynomial(args.m, normalized=not args.raw)
-    if args.format == "json":
-        print(grammar.xpoly_to_json(poly))
-    elif args.format == "latex":
-        print(grammar.render_xpoly_latex(poly))
-    else:
-        print(grammar.render_xpoly(poly))
+    _print_expr("xpoly", cycles.x_polynomial(args.m, normalized=not args.raw), args.format)
     return EXIT_OK
 
 
@@ -189,7 +173,7 @@ def _cmd_multiply_cycles(args) -> int:
     p1 = grammar.parse_profile(args.p1)
     p2 = grammar.parse_profile(args.p2)
     product = cycles.multiply_central(p1, p2)
-    _print_cycles(product, args.format)
+    _print_expr("cycles", product, args.format)
     if args.verify_at is not None:
         ok = cycles.verify_in_group_algebra(p1, p2, product, args.verify_at)
         print(f"group-algebra check at N={args.verify_at}: {'PASS' if ok else 'FAIL'}")
@@ -211,7 +195,10 @@ def _cmd_coeff(args) -> int:
     if args.which == "psi":
         if len(args.args) != 2:
             raise ConstraintError("coeff psi expects: M PROFILE")
-        m = int(args.args[0])
+        try:
+            m = int(args.args[0])
+        except ValueError:
+            raise ParseError(f"bad integer M: {args.args[0]!r}") from None
         profile = grammar.parse_profile(args.args[1])
         value = classes.point_coefficient_psi(m, profile, raw=args.raw)
     else:
@@ -246,7 +233,7 @@ def _cmd_local_model(args) -> int:
             "K": constants.lcm,
             "r": list(constants.exponents),
             "d": constants.components,
-            "function": local_models.format_rational_function(f),
+            "function": grammar.format_rational_function(f),
             "constant": format_rational(coords.constant),
             "branches": [
                 {
@@ -262,7 +249,7 @@ def _cmd_local_model(args) -> int:
     else:
         print(f"profile: {grammar.format_profile(profile)}")
         print(f"K = {constants.lcm}, r = {constants.exponents}, d = {constants.components}")
-        print(f"f = {local_models.format_rational_function(f)}")
+        print(f"f = {grammar.format_rational_function(f)}")
         for b in coords.branches:
             tail = ", ".join(format_rational(a) for a in b.tail) or "-"
             print(f"pole {format_rational(b.pole)}: k = {b.order}, u = {format_rational(b.u)}, a = {tail}")

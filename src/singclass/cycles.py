@@ -58,10 +58,24 @@ def _sorted_profile_items(
 
 
 @dataclass(frozen=True)
-class CycleExpr:
-    """Finite rational combination of stable central elements."""
+class _ProfileTerms:
+    """Profile -> nonzero rational map, sorted by descending order, then length."""
 
     terms: tuple[tuple[Profile, Fraction], ...]
+
+    def coefficient(self, p: Profile) -> Fraction:
+        p = make_profile(p)
+        for p2, c in self.terms:
+            if p2 == p:
+                return c
+        return Fraction(0)
+
+
+class CycleExpr(_ProfileTerms):
+    """Finite rational combination of stable central elements.
+
+    Products of central elements are not monomial products; they go through
+    :func:`multiply_central`."""
 
     @staticmethod
     def from_terms(mapping: Mapping[Profile, Fraction]) -> "CycleExpr":
@@ -74,13 +88,6 @@ class CycleExpr:
     @staticmethod
     def identity() -> "CycleExpr":
         return CycleExpr((((), Fraction(1)),))
-
-    def coefficient(self, p: Profile) -> Fraction:
-        p = make_profile(p)
-        for p2, c in self.terms:
-            if p2 == p:
-                return c
-        return Fraction(0)
 
     def profiles(self) -> list[Profile]:
         return [p for p, _ in self.terms]
@@ -99,22 +106,12 @@ class CycleExpr:
         return CycleExpr.from_terms({p: a * c for p, a in self.terms})
 
 
-@dataclass(frozen=True)
-class XPolynomial:
+class XPolynomial(_ProfileTerms):
     """Polynomial in the variables x_k, one monomial per multiset of indices."""
-
-    terms: tuple[tuple[Profile, Fraction], ...]
 
     @staticmethod
     def from_terms(mapping: Mapping[Profile, Fraction]) -> "XPolynomial":
         return XPolynomial(_sorted_profile_items(mapping))
-
-    def coefficient(self, p: Profile) -> Fraction:
-        p = make_profile(p)
-        for p2, c in self.terms:
-            if p2 == p:
-                return c
-        return Fraction(0)
 
     def __mul__(self, other: "XPolynomial") -> "XPolynomial":
         acc: dict[Profile, Fraction] = {}

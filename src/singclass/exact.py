@@ -1,7 +1,7 @@
 """Exact arithmetic kernel.
 
-Big rationals (backed by :class:`fractions.Fraction`), polynomials in the
-single formal symbol xi, truncated one-variable power series, and dense
+Big rationals (backed by :class:`fractions.Fraction`), the one dense
+univariate polynomial type, truncated one-variable power series, and dense
 linear solving, all over the rationals.  Everything here is immutable and
 pure, so values can be shared freely between tasks.
 """
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from typing import Iterable, Sequence
 
 from .errors import ParseError, TruncationError
@@ -56,10 +56,13 @@ def _strip(coeffs: Iterable[Fraction]) -> tuple[Fraction, ...]:
 
 @dataclass(frozen=True)
 class XiPolynomial:
-    """Polynomial in the formal symbol xi with rational coefficients.
+    """Dense univariate polynomial with rational coefficients.
 
-    ``coeffs[k]`` is the coefficient of xi^k; trailing zeros are stripped, so
-    the zero polynomial is the empty tuple and its degree is None.
+    On the class side the variable is the formal symbol xi (the coefficients
+    of class expressions); the local models use the same type for
+    polynomials in z.  ``coeffs[k]`` is the coefficient of the k-th power;
+    trailing zeros are stripped, so the zero polynomial is the empty tuple
+    and its degree is None.
     """
 
     coeffs: tuple[Fraction, ...]
@@ -86,12 +89,30 @@ class XiPolynomial:
             raise ValueError("xi exponent must be nonnegative")
         return XiPolynomial.from_coeffs([Fraction(0)] * k + [Fraction(coeff)])
 
+    @staticmethod
+    def linear_root(root: Fraction | int) -> "XiPolynomial":
+        """z - root."""
+        return XiPolynomial((Fraction(-root), Fraction(1)))
+
+    @staticmethod
+    def from_roots(pairs: Iterable[tuple[Fraction | int, int]]) -> "XiPolynomial":
+        """prod (z - root)^mult over the (root, mult) pairs."""
+        out = XiPolynomial.one()
+        for root, mult in pairs:
+            out = out * XiPolynomial.linear_root(root).pow(mult)
+        return out
+
     @property
     def degree(self) -> int | None:
         return len(self.coeffs) - 1 if self.coeffs else None
 
     def is_zero(self) -> bool:
         return not self.coeffs
+
+    def leading(self) -> Fraction:
+        if not self.coeffs:
+            raise ValueError("zero polynomial has no leading coefficient")
+        return self.coeffs[-1]
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -143,6 +164,78 @@ class XiPolynomial:
             return self
         return XiPolynomial((Fraction(0),) * k + self.coeffs)
 
+    def pow(self, exponent: int) -> "XiPolynomial":
+        return _power(self, exponent, XiPolynomial.one())
+
+    def divmod(self, other: "XiPolynomial") -> tuple["XiPolynomial", "XiPolynomial"]:
+        if other.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        rem = list(self.coeffs)
+        dlead = other.leading()
+        ddeg = other.degree
+        quot = [Fraction(0)] * max(len(self.coeffs) - len(other.coeffs) + 1, 0)
+        while len(rem) - 1 >= ddeg and any(c != 0 for c in rem):
+            while rem and rem[-1] == 0:
+                rem.pop()
+            if len(rem) - 1 < ddeg:
+                break
+            shift = len(rem) - 1 - ddeg
+            factor = rem[-1] / dlead
+            quot[shift] = factor
+            for i, c in enumerate(other.coeffs):
+                rem[shift + i] -= factor * c
+            rem.pop()
+        return XiPolynomial.from_coeffs(quot), XiPolynomial.from_coeffs(rem)
+
+    def monic(self) -> "XiPolynomial":
+        if self.is_zero():
+            return self
+        return self.scale(1 / self.leading())
+
+    def gcd(self, other: "XiPolynomial") -> "XiPolynomial":
+        a, b = self, other
+        while not b.is_zero():
+            a, b = b, a.divmod(b)[1]
+        return a.monic() if not a.is_zero() else a
+
+    def derivative(self) -> "XiPolynomial":
+        return XiPolynomial.from_coeffs(
+            k * c for k, c in enumerate(self.coeffs) if k >= 1
+        )
+
+    def __call__(self, x: Fraction | int) -> Fraction:
+        x = Fraction(x)
+        acc = Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    def taylor(self, at: Fraction | int, order: int) -> "PowerSeries":
+        """Coefficients of p(at + t) as a series in t, truncated at t^order."""
+        a = Fraction(at)
+        out = [Fraction(0)] * (order + 1)
+        for i, c in enumerate(self.coeffs):
+            if c == 0:
+                continue
+            for j in range(0, min(i, order) + 1):
+                out[j] += c * comb(i, j) * a ** (i - j)
+        return PowerSeries(tuple(out), order)
+
+
+def _power(base, exponent: int, one):
+    """base**exponent by binary exponentiation, starting from ``one``."""
+    if exponent < 0:
+        raise ValueError("exponent must be nonnegative")
+    result = one
+    e = exponent
+    while e:
+        if e & 1:
+            result = result * base
+        e >>= 1
+        if e:
+            base = base * base
+    return result
+
 
 @dataclass(frozen=True)
 class PowerSeries:
@@ -151,7 +244,8 @@ class PowerSeries:
     The truncation order is explicit state: coefficients of z^n are known
     exactly for n <= truncation_order and reading beyond that is an error,
     never a silent zero.  Arithmetic results carry the minimum truncation
-    order of the operands.
+    order of the operands.  Only what truncation changes lives here; exact
+    polynomials are :class:`XiPolynomial`.
     """
 
     coeffs: tuple[Fraction, ...]
@@ -196,23 +290,8 @@ class PowerSeries:
                     out[i + j] += a * b
         return PowerSeries(tuple(out), order)
 
-    def scale(self, c: Fraction | int) -> "PowerSeries":
-        c = Fraction(c)
-        return PowerSeries(tuple(a * c for a in self.coeffs), self.truncation_order)
-
     def pow(self, exponent: int) -> "PowerSeries":
-        if exponent < 0:
-            raise ValueError("exponent must be nonnegative")
-        result = PowerSeries.one(self.truncation_order)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return _power(self, exponent, PowerSeries.one(self.truncation_order))
 
     def inverse(self) -> "PowerSeries":
         """Multiplicative inverse; requires a nonzero constant term."""

@@ -1,5 +1,6 @@
 """Concrete text grammar: parsing and rendering of class expressions,
-cycle expressions, profiles and partitions, with LaTeX and JSON emitters.
+cycle expressions, x-polynomials, profiles and partitions, with LaTeX and
+JSON emitters, and the text form of polynomials and rational functions in z.
 
 Class-expression atoms: ``a_m``, ``i[k1,...,kl]``, ``d[m1,...,ms]``, ``psi``,
 ``xi``, ``T{tree}@sing`` / ``T{tree}@basic``; terms are joined by ``+``/``-``,
@@ -10,13 +11,16 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, Iterable
 
 from .classes import BASIC, SINGULARITY, ClassExpr
 from .combinatorics import Partition, Profile, make_partition, make_profile
 from .cycles import CycleExpr, XPolynomial
 from .errors import ConstraintError, ParseError, TreeStructureError
 from .exact import XiPolynomial, format_rational
+from .local_models import RationalFunction
 from .trees import MarkedTree, encoding, parse_tree, star, stick, tree, vanishes, weight
 
 __all__ = [
@@ -32,6 +36,8 @@ __all__ = [
     "render_xpoly",
     "render_xpoly_latex",
     "xpoly_to_json",
+    "format_polynomial",
+    "format_rational_function",
     "format_profile",
     "parse_profile",
     "format_partition",
@@ -40,7 +46,66 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# class expressions: rendering
+# rendering: one signed-term joiner, spelled by a text or LaTeX style
+
+@dataclass(frozen=True)
+class _Style:
+    """How one output form spells a term: the coefficient, the separator
+    between factors, and a ``str.format`` template per atom kind (``^`` is
+    the power template)."""
+
+    coeff: Callable[[Fraction], str]
+    sep: str
+    spell: dict[str, str]
+
+    def atom(self, kind: str, *args) -> str:
+        return self.spell[kind].format(*args)
+
+    def power(self, kind: str, k: int, *args) -> str:
+        base = self.spell[kind].format(*args)
+        return base if k == 1 else self.spell["^"].format(base, k)
+
+
+def _frac(c: Fraction) -> str:
+    if c.denominator == 1:
+        return str(c)
+    return f"\\frac{{{c.numerator}}}{{{c.denominator}}}"
+
+
+_TEXT = _Style(format_rational, "*", {
+    "^": "{}^{}", "xi": "xi", "psi": "psi", "z": "z", "a": "a_{}", "x": "x{}",
+    "i": "i[{}]", "d": "d[{}]", "C": "C[{}]", "tree": "T{{{}}}@{}",
+    SINGULARITY: "sing", BASIC: "basic",
+})
+_LATEX = _Style(_frac, " ", {
+    "^": "{}^{{{}}}", "xi": "\\xi", "psi": "\\psi", "a": "a_{{{}}}",
+    "x": "x_{{{}}}", "i": "i_{{{}}}", "d": "\\delta_{{{}}}", "C": "C_{{{}}}",
+    "tree": "\\left[{}\\right]_{{{}}}",
+    SINGULARITY: "\\mathrm{sing}", BASIC: "\\mathrm{basic}",
+})
+
+
+def _join(terms: Iterable[tuple[Fraction, list[str]]], style: _Style) -> str:
+    """The signed sum ``a - b + c`` of coefficient-times-factors terms.
+
+    A coefficient of magnitude 1 is left out unless the term has no other
+    factor; the empty sum is ``0``."""
+    text = ""
+    for coeff, factors in terms:
+        magnitude = abs(coeff)
+        if magnitude != 1 or not factors:
+            factors = [style.coeff(magnitude), *factors]
+        body = style.sep.join(factors)
+        if text:
+            text += (" - " if coeff < 0 else " + ") + body
+        else:
+            text = "-" + body if coeff < 0 else body
+    return text or "0"
+
+
+def _joined_ints(values) -> str:
+    return ",".join(str(v) for v in values)
+
 
 def ordered_monomials(e: ClassExpr) -> list[tuple[MarkedTree, int, Fraction]]:
     """Monomials ordered for display: ascending xi-degree, then descending
@@ -50,104 +115,43 @@ def ordered_monomials(e: ClassExpr) -> list[tuple[MarkedTree, int, Fraction]]:
     )
 
 
-def _is_star(t: MarkedTree) -> bool:
-    return bool(t.children) and all(not c.children for c in t.children)
-
-
-def _atom_text(t: MarkedTree, basis: str) -> str | None:
+def _class_atom(t: MarkedTree, basis: str, style: _Style) -> list[str]:
+    """The factors naming a tree: none for the unit, one for a stick, a tree
+    literal or a star, plus a psi power for a star's marked vertex."""
     if not t.children:
-        m = t.marking
-        if m == 0:
-            return None
+        if t.marking == 0:
+            return []
         if basis == SINGULARITY:
-            return f"a_{m}"
-        return "psi" if m == 1 else f"psi^{m}"
-    if _is_star(t):
-        marks = sorted(c.marking for c in t.children)
-        if basis == SINGULARITY:
-            inner = "i[" + ",".join(str(m + 1) for m in marks) + "]"
-        else:
-            inner = "d[" + ",".join(str(m) for m in marks) + "]"
-        p = t.marking
-        if p == 0:
-            return inner
-        return ("psi*" if p == 1 else f"psi^{p}*") + inner
-    tag = "sing" if basis == SINGULARITY else "basic"
-    return f"T{{{encoding(t)}}}@{tag}"
+            return [style.atom("a", t.marking)]
+        return [style.power("psi", t.marking)]
+    if any(c.children for c in t.children):
+        return [style.atom("tree", encoding(t), style.spell[basis])]
+    marks = sorted(c.marking for c in t.children)
+    if basis == SINGULARITY:
+        star_atom = style.atom("i", _joined_ints(m + 1 for m in marks))
+    else:
+        star_atom = style.atom("d", _joined_ints(marks))
+    if t.marking == 0:
+        return [star_atom]
+    return [style.power("psi", t.marking), star_atom]
+
+
+def _render_class(e: ClassExpr, style: _Style) -> str:
+    return _join(
+        (
+            (coeff, ([style.power("xi", q)] if q else []) + _class_atom(t, e.basis, style))
+            for t, q, coeff in ordered_monomials(e)
+        ),
+        style,
+    )
 
 
 def render_class(e: ClassExpr) -> str:
-    if e.is_zero():
-        return "0"
-    parts = []
-    for t, q, coeff in ordered_monomials(e):
-        pieces = []
-        atom = _atom_text(t, e.basis)
-        xi = None if q == 0 else ("xi" if q == 1 else f"xi^{q}")
-        magnitude = abs(coeff)
-        if magnitude != 1 or (atom is None and xi is None):
-            pieces.append(format_rational(magnitude))
-        if xi:
-            pieces.append(xi)
-        if atom:
-            pieces.append(atom)
-        parts.append(("-" if coeff < 0 else "+", "*".join(pieces)))
-    sign, body = parts[0]
-    text = ("-" if sign == "-" else "") + body
-    for sign, body in parts[1:]:
-        text += f" {sign} {body}"
-    return text
-
-
-def _coeff_latex(c: Fraction) -> str:
-    if c.denominator == 1:
-        return str(c)
-    return f"\\frac{{{c.numerator}}}{{{c.denominator}}}"
-
-
-def _atom_latex(t: MarkedTree, basis: str) -> str | None:
-    if not t.children:
-        m = t.marking
-        if m == 0:
-            return None
-        if basis == SINGULARITY:
-            return f"a_{{{m}}}"
-        return "\\psi" if m == 1 else f"\\psi^{{{m}}}"
-    if _is_star(t):
-        marks = sorted(c.marking for c in t.children)
-        if basis == SINGULARITY:
-            inner = "i_{" + ",".join(str(m + 1) for m in marks) + "}"
-        else:
-            inner = "\\delta_{" + ",".join(str(m) for m in marks) + "}"
-        p = t.marking
-        if p == 0:
-            return inner
-        return ("\\psi " if p == 1 else f"\\psi^{{{p}}} ") + inner
-    tag = "\\mathrm{sing}" if basis == SINGULARITY else "\\mathrm{basic}"
-    return f"\\left[{encoding(t)}\\right]_{{{tag}}}"
+    return _render_class(e, _TEXT)
 
 
 def render_class_latex(e: ClassExpr) -> str:
-    if e.is_zero():
-        return "0"
-    parts = []
-    for t, q, coeff in ordered_monomials(e):
-        pieces = []
-        atom = _atom_latex(t, e.basis)
-        xi = None if q == 0 else ("\\xi" if q == 1 else f"\\xi^{{{q}}}")
-        magnitude = abs(coeff)
-        if magnitude != 1 or (atom is None and xi is None):
-            pieces.append(_coeff_latex(magnitude))
-        if xi:
-            pieces.append(xi)
-        if atom:
-            pieces.append(atom)
-        parts.append(("-" if coeff < 0 else "+", " ".join(pieces)))
-    sign, body = parts[0]
-    text = ("-" if sign == "-" else "") + body
-    for sign, body in parts[1:]:
-        text += f" {sign} {body}"
-    return text
+    return _render_class(e, _LATEX)
 
 
 def class_to_json(e: ClassExpr) -> str:
@@ -167,7 +171,7 @@ def class_to_json(e: ClassExpr) -> str:
 
 
 # ---------------------------------------------------------------------------
-# class expressions: parsing
+# parsing: one tokenizer, one coefficient literal, one signed-sum loop
 
 _TOKEN_RE = re.compile(
     r"(?P<WS>\s+)"
@@ -194,9 +198,12 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-class _ClassParser:
+class _Parser:
+    """Reads ``expr := ['-'] term (('+'|'-') term)*`` with
+    ``term := factor ('*' factor)*`` over the token stream; rational literals
+    ``p`` and ``p/q`` are shared, every other factor is the caller's."""
+
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
 
@@ -208,173 +215,122 @@ class _ClassParser:
         self.index += 1
         return token
 
+    def accept_op(self, op: str) -> bool:
+        kind, value, _ = self.tokens[self.index]
+        if kind == "OP" and value == op:
+            self.index += 1
+            return True
+        return False
+
     def expect_op(self, op: str):
+        if not self.accept_op(op):
+            raise ParseError(f"expected {op!r}", self.peek()[2])
+
+    def parse_int(self, what: str) -> int:
         kind, value, pos = self.peek()
-        if kind != "OP" or value != op:
-            raise ParseError(f"expected {op!r}", pos)
-        return self.advance()
+        if kind != "NUMBER":
+            raise ParseError(f"expected {what}", pos)
+        self.index += 1
+        return int(value)
 
     def parse_int_list(self) -> list[int]:
         self.expect_op("[")
-        values = []
-        while True:
-            kind, value, pos = self.peek()
-            if kind != "NUMBER":
-                raise ParseError("expected an integer", pos)
-            self.advance()
-            values.append(int(value))
-            kind, value, pos = self.peek()
-            if kind == "OP" and value == ",":
-                self.advance()
-                continue
-            break
+        values = [self.parse_int("an integer")]
+        while self.accept_op(","):
+            values.append(self.parse_int("an integer"))
         self.expect_op("]")
         return values
 
     def parse_exponent(self) -> int:
-        kind, value, _ = self.peek()
-        if kind == "OP" and value == "^":
-            self.advance()
-            kind, value, pos = self.peek()
-            if kind != "NUMBER":
-                raise ParseError("expected an integer exponent", pos)
-            self.advance()
-            return int(value)
-        return 1
+        return self.parse_int("an integer exponent") if self.accept_op("^") else 1
 
-    def parse_term(self):
-        coeff = Fraction(1)
-        xi_power = 0
-        psi_power = 0
-        atom = None  # (kind, payload, position)
+    def parse_coefficient(self) -> Fraction:
+        numerator = self.parse_int("a number")
+        if not self.accept_op("/"):
+            return Fraction(numerator)
+        pos = self.peek()[2]
+        denominator = self.parse_int("a denominator")
+        if denominator == 0:
+            raise ParseError("zero denominator", pos)
+        return Fraction(numerator, denominator)
+
+    def parse_sum(self, parse_factor) -> list[tuple[Fraction, list]]:
+        """Every term as (signed coefficient, other factors); a factor that is
+        not a rational literal is read by ``parse_factor(self, kind, value, pos)``."""
+        terms = []
+        sign = -1 if self.accept_op("-") else 1
         while True:
-            kind, value, pos = self.peek()
-            if kind == "NUMBER":
-                self.advance()
-                numerator = int(value)
-                k2, v2, _ = self.peek()
-                if k2 == "OP" and v2 == "/":
-                    self.advance()
-                    k3, v3, p3 = self.peek()
-                    if k3 != "NUMBER":
-                        raise ParseError("expected a denominator", p3)
-                    self.advance()
-                    if int(v3) == 0:
-                        raise ParseError("zero denominator", p3)
-                    coeff *= Fraction(numerator, int(v3))
+            coeff, factors = Fraction(sign), []
+            while True:
+                kind, value, pos = self.peek()
+                if kind == "NUMBER":
+                    coeff *= self.parse_coefficient()
                 else:
-                    coeff *= numerator
-            elif kind == "NAME" and value == "xi":
-                self.advance()
-                xi_power += self.parse_exponent()
-            elif kind == "NAME" and value == "psi":
-                self.advance()
-                psi_power += self.parse_exponent()
-            elif kind == "ATOM_A":
-                self.advance()
-                if atom is not None:
-                    raise ParseError("a term may contain at most one class atom", pos)
-                atom = ("a", int(value[2:]), pos)
-            elif kind == "NAME" and value in ("i", "d"):
-                self.advance()
-                if atom is not None:
-                    raise ParseError("a term may contain at most one class atom", pos)
-                atom = (value, self.parse_int_list(), pos)
-            elif kind == "TREE":
-                self.advance()
-                if atom is not None:
-                    raise ParseError("a term may contain at most one class atom", pos)
-                inner = value[2:-1]
-                kind2, value2, pos2 = self.peek()
-                if not (kind2 == "OP" and value2 == "@"):
-                    raise ParseError("tree atom needs a basis tag @sing or @basic", pos2)
-                self.advance()
-                kind3, value3, pos3 = self.peek()
-                if kind3 != "NAME" or value3 not in ("sing", "basic"):
-                    raise ParseError("basis tag must be sing or basic", pos3)
-                self.advance()
-                try:
-                    parsed = parse_tree(inner)
-                except (ParseError, TreeStructureError) as exc:
-                    raise ParseError(f"bad tree literal: {exc}", pos) from None
-                tag = SINGULARITY if value3 == "sing" else BASIC
-                atom = ("tree", (parsed, tag), pos)
-            else:
-                raise ParseError("expected a factor", pos)
-            kind, value, _ = self.peek()
-            if kind == "OP" and value == "*":
-                self.advance()
-                continue
-            break
-        return coeff, xi_power, psi_power, atom
-
-    def build_term(self, coeff, xi_power, psi_power, atom):
-        """Resolve a parsed term to (tree, xi_power, coeff, basis constraint)."""
-        if atom is None:
-            if psi_power > 0:
-                return stick(psi_power), xi_power, coeff, BASIC
-            return stick(0), xi_power, coeff, None
-        kind, payload, pos = atom
-        if kind == "a":
-            if psi_power:
-                raise ParseError("psi * a_m is not a class atom", pos)
-            constraint = SINGULARITY if payload > 0 else None
-            return stick(payload), xi_power, coeff, constraint
-        if kind == "i":
-            if len(payload) < 2 or any(k < 1 for k in payload):
-                raise ParseError(
-                    "i[...] needs at least two ramification orders >= 1", pos
-                )
-            return (
-                star(psi_power, [k - 1 for k in payload]),
-                xi_power,
-                coeff,
-                SINGULARITY,
-            )
-        if kind == "d":
-            if len(payload) < 2:
-                raise ParseError("d[...] needs at least two exponents", pos)
-            return star(psi_power, payload), xi_power, coeff, BASIC
-        parsed, tag = payload
-        if psi_power:
-            if not parsed.children and tag == SINGULARITY:
-                raise ParseError("psi * a_m is not a class atom", pos)
-            parsed = tree(parsed.marking + psi_power, parsed.children)
-        return parsed, xi_power, coeff, tag
-
-    def parse(self, default_basis: str) -> ClassExpr:
-        acc: dict[MarkedTree, XiPolynomial] = {}
-        constraints: set[str] = set()
-        sign = 1
-        kind, value, _ = self.peek()
-        if kind == "OP" and value == "-":
-            self.advance()
-            sign = -1
-        while True:
-            term = self.parse_term()
-            t, q, coeff, constraint = self.build_term(*term)
-            if constraint:
-                constraints.add(constraint)
-            if coeff != 0 and not vanishes(t):
-                poly = XiPolynomial.xi_power(q, sign * coeff)
-                acc[t] = acc[t] + poly if t in acc else poly
-            kind, value, pos = self.peek()
-            if kind == "OP" and value in ("+", "-"):
-                self.advance()
-                sign = 1 if value == "+" else -1
-                continue
+                    factors.append(parse_factor(self, kind, value, pos))
+                if not self.accept_op("*"):
+                    break
+            terms.append((coeff, factors))
+            kind, value, pos = self.advance()
             if kind == "END":
-                break
-            raise ParseError("expected '+', '-' or end of expression", pos)
-        if len(constraints) > 1:
-            raise ParseError(
-                "expression mixes singularity-basis and basic-basis atoms"
-            )
-        basis = constraints.pop() if constraints else default_basis
+                return terms
+            if kind != "OP" or value not in ("+", "-"):
+                raise ParseError("expected '+', '-' or end of expression", pos)
+            sign = 1 if value == "+" else -1
+
+
+def _class_factor(parser: _Parser, kind: str, value: str, pos: int):
+    """One non-rational factor of a class term as (kind, payload, position)."""
+    parser.advance()
+    if kind == "NAME" and value in ("xi", "psi"):
+        return value, parser.parse_exponent(), pos
+    if kind == "ATOM_A":
+        return "a", int(value[2:]), pos
+    if kind == "NAME" and value in ("i", "d"):
+        return value, parser.parse_int_list(), pos
+    if kind == "TREE":
+        if not parser.accept_op("@"):
+            raise ParseError("tree atom needs a basis tag @sing or @basic", parser.peek()[2])
+        kind2, tag, pos2 = parser.advance()
+        if kind2 != "NAME" or tag not in ("sing", "basic"):
+            raise ParseError("basis tag must be sing or basic", pos2)
         try:
-            return ClassExpr.from_terms(basis, acc)
-        except ConstraintError as exc:
-            raise ParseError(str(exc)) from None
+            parsed = parse_tree(value[2:-1])
+        except (ParseError, TreeStructureError) as exc:
+            raise ParseError(f"bad tree literal: {exc}", pos) from None
+        return "tree", (parsed, SINGULARITY if tag == "sing" else BASIC), pos
+    raise ParseError("expected a factor", pos)
+
+
+def _class_term(factors) -> tuple[MarkedTree, int, str | None]:
+    """Resolve a term's factors to (tree, xi power, basis constraint)."""
+    xi_power = sum(payload for kind, payload, _ in factors if kind == "xi")
+    psi_power = sum(payload for kind, payload, _ in factors if kind == "psi")
+    atoms = [f for f in factors if f[0] not in ("xi", "psi")]
+    if len(atoms) > 1:
+        raise ParseError("a term may contain at most one class atom", atoms[1][2])
+    if not atoms:
+        if psi_power > 0:
+            return stick(psi_power), xi_power, BASIC
+        return stick(0), xi_power, None
+    kind, payload, pos = atoms[0]
+    if kind == "a":
+        if psi_power:
+            raise ParseError("psi * a_m is not a class atom", pos)
+        return stick(payload), xi_power, SINGULARITY if payload > 0 else None
+    if kind == "i":
+        if len(payload) < 2 or any(k < 1 for k in payload):
+            raise ParseError("i[...] needs at least two ramification orders >= 1", pos)
+        return star(psi_power, [k - 1 for k in payload]), xi_power, SINGULARITY
+    if kind == "d":
+        if len(payload) < 2:
+            raise ParseError("d[...] needs at least two exponents", pos)
+        return star(psi_power, payload), xi_power, BASIC
+    parsed, tag = payload
+    if psi_power:
+        if not parsed.children and tag == SINGULARITY:
+            raise ParseError("psi * a_m is not a class atom", pos)
+        parsed = tree(parsed.marking + psi_power, parsed.children)
+    return parsed, xi_power, tag
 
 
 def parse_class(text: str, default_basis: str = SINGULARITY) -> ClassExpr:
@@ -389,48 +345,41 @@ def parse_class(text: str, default_basis: str = SINGULARITY) -> ClassExpr:
         raise ParseError("empty expression", 0)
     if text.strip() == "0":
         return ClassExpr.zero(default_basis)
-    return _ClassParser(text).parse(default_basis)
+    parser = _Parser(text)
+    acc: dict[MarkedTree, XiPolynomial] = {}
+    constraints: set[str] = set()
+    for coeff, factors in parser.parse_sum(_class_factor):
+        t, q, constraint = _class_term(factors)
+        if constraint:
+            constraints.add(constraint)
+        if coeff != 0 and not vanishes(t):
+            poly = XiPolynomial.xi_power(q, coeff)
+            acc[t] = acc[t] + poly if t in acc else poly
+    if len(constraints) > 1:
+        raise ParseError("expression mixes singularity-basis and basic-basis atoms")
+    basis = constraints.pop() if constraints else default_basis
+    try:
+        return ClassExpr.from_terms(basis, acc)
+    except ConstraintError as exc:
+        raise ParseError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
-# cycle expressions
+# cycle expressions and x-polynomials
+
+def _render_cycles(c: CycleExpr, style: _Style) -> str:
+    return _join(
+        ((coeff, [style.atom("C", _joined_ints(p))] if p else []) for p, coeff in c.terms),
+        style,
+    )
+
 
 def render_cycles(c: CycleExpr) -> str:
-    if c.is_zero():
-        return "0"
-    parts = []
-    for p, coeff in c.terms:
-        magnitude = abs(coeff)
-        if not p:
-            body = format_rational(magnitude)
-        else:
-            atom = "C[" + ",".join(str(k) for k in p) + "]"
-            body = atom if magnitude == 1 else f"{format_rational(magnitude)}*{atom}"
-        parts.append(("-" if coeff < 0 else "+", body))
-    sign, body = parts[0]
-    text = ("-" if sign == "-" else "") + body
-    for sign, body in parts[1:]:
-        text += f" {sign} {body}"
-    return text
+    return _render_cycles(c, _TEXT)
 
 
 def render_cycles_latex(c: CycleExpr) -> str:
-    if c.is_zero():
-        return "0"
-    parts = []
-    for p, coeff in c.terms:
-        magnitude = abs(coeff)
-        if not p:
-            body = _coeff_latex(magnitude)
-        else:
-            atom = "C_{" + ",".join(str(k) for k in p) + "}"
-            body = atom if magnitude == 1 else f"{_coeff_latex(magnitude)} {atom}"
-        parts.append(("-" if coeff < 0 else "+", body))
-    sign, body = parts[0]
-    text = ("-" if sign == "-" else "") + body
-    for sign, body in parts[1:]:
-        text += f" {sign} {body}"
-    return text
+    return _render_cycles(c, _LATEX)
 
 
 def cycles_to_json(c: CycleExpr) -> str:
@@ -443,106 +392,45 @@ def cycles_to_json(c: CycleExpr) -> str:
     return json.dumps(payload, indent=2)
 
 
+def _cycle_factor(parser: _Parser, kind: str, value: str, pos: int) -> tuple[Profile, int]:
+    if kind != "NAME" or value != "C":
+        raise ParseError("expected a factor", pos)
+    parser.advance()
+    try:
+        return make_profile(parser.parse_int_list()), pos
+    except ConstraintError as exc:
+        raise ParseError(str(exc), pos) from None
+
+
 def parse_cycles(text: str) -> CycleExpr:
     """Parse ``1/2*C[3] + 1/4*C[1,1] + 1/24*C[1]``; a bare rational is the identity."""
     if not text.strip():
         raise ParseError("empty expression", 0)
     if text.strip() == "0":
         return CycleExpr.zero()
-    parser = _ClassParser(text)
+    parser = _Parser(text)
     acc: dict[Profile, Fraction] = {}
-    sign = 1
-    kind, value, _ = parser.peek()
-    if kind == "OP" and value == "-":
-        parser.advance()
-        sign = -1
-    while True:
-        coeff = Fraction(1)
-        profile = None
-        while True:
-            kind, value, pos = parser.peek()
-            if kind == "NUMBER":
-                parser.advance()
-                numerator = int(value)
-                k2, v2, _ = parser.peek()
-                if k2 == "OP" and v2 == "/":
-                    parser.advance()
-                    k3, v3, p3 = parser.peek()
-                    if k3 != "NUMBER":
-                        raise ParseError("expected a denominator", p3)
-                    parser.advance()
-                    coeff *= Fraction(numerator, int(v3))
-                else:
-                    coeff *= numerator
-            elif kind == "NAME" and value == "C":
-                parser.advance()
-                if profile is not None:
-                    raise ParseError("a term may contain at most one C atom", pos)
-                profile = make_profile(parser.parse_int_list())
-            else:
-                raise ParseError("expected a factor", pos)
-            kind, value, _ = parser.peek()
-            if kind == "OP" and value == "*":
-                parser.advance()
-                continue
-            break
-        key = profile if profile is not None else ()
-        acc[key] = acc.get(key, Fraction(0)) + sign * coeff
-        kind, value, pos = parser.peek()
-        if kind == "OP" and value in ("+", "-"):
-            parser.advance()
-            sign = 1 if value == "+" else -1
-            continue
-        if kind == "END":
-            break
-        raise ParseError("expected '+', '-' or end of expression", pos)
+    for coeff, factors in parser.parse_sum(_cycle_factor):
+        if len(factors) > 1:
+            raise ParseError("a term may contain at most one C atom", factors[1][1])
+        key = factors[0][0] if factors else ()
+        acc[key] = acc.get(key, Fraction(0)) + coeff
     return CycleExpr.from_terms(acc)
 
 
-# ---------------------------------------------------------------------------
-# x-polynomials (output only)
+def _render_xpoly(x: XPolynomial, style: _Style) -> str:
+    def factors(p: Profile) -> list[str]:
+        return [style.power("x", p.count(k), k) for k in sorted(set(p))]
+
+    return _join(((coeff, factors(p)) for p, coeff in x.terms), style)
+
 
 def render_xpoly(x: XPolynomial) -> str:
-    if not x.terms:
-        return "0"
-    parts = []
-    for p, coeff in x.terms:
-        powers: dict[int, int] = {}
-        for k in p:
-            powers[k] = powers.get(k, 0) + 1
-        body_atoms = [
-            f"x{k}" if e == 1 else f"x{k}^{e}" for k, e in sorted(powers.items())
-        ]
-        magnitude = abs(coeff)
-        pieces = ([format_rational(magnitude)] if magnitude != 1 or not body_atoms else []) + body_atoms
-        parts.append(("-" if coeff < 0 else "+", "*".join(pieces)))
-    sign, body = parts[0]
-    text = ("-" if sign == "-" else "") + body
-    for sign, body in parts[1:]:
-        text += f" {sign} {body}"
-    return text
+    return _render_xpoly(x, _TEXT)
 
 
 def render_xpoly_latex(x: XPolynomial) -> str:
-    if not x.terms:
-        return "0"
-    parts = []
-    for p, coeff in x.terms:
-        powers: dict[int, int] = {}
-        for k in p:
-            powers[k] = powers.get(k, 0) + 1
-        body_atoms = [
-            f"x_{{{k}}}" if e == 1 else f"x_{{{k}}}^{{{e}}}"
-            for k, e in sorted(powers.items())
-        ]
-        magnitude = abs(coeff)
-        pieces = ([_coeff_latex(magnitude)] if magnitude != 1 or not body_atoms else []) + body_atoms
-        parts.append(("-" if coeff < 0 else "+", " ".join(pieces)))
-    sign, body = parts[0]
-    text = ("-" if sign == "-" else "") + body
-    for sign, body in parts[1:]:
-        text += f" {sign} {body}"
-    return text
+    return _render_xpoly(x, _LATEX)
 
 
 def xpoly_to_json(x: XPolynomial) -> str:
@@ -553,6 +441,21 @@ def xpoly_to_json(x: XPolynomial) -> str:
         ]
     }
     return json.dumps(payload, indent=2)
+
+
+# ---------------------------------------------------------------------------
+# polynomials and rational functions in z (text only)
+
+def format_polynomial(poly: XiPolynomial) -> str:
+    """Low-to-high text form: 'c_0 + c_1*z + ...' with zero terms omitted."""
+    return _join(
+        ((c, [_TEXT.power("z", k)] if k else []) for k, c in poly.monomials()),
+        _TEXT,
+    )
+
+
+def format_rational_function(f: RationalFunction) -> str:
+    return f"({format_polynomial(f.numerator)}) / ({format_polynomial(f.denominator)})"
 
 
 # ---------------------------------------------------------------------------

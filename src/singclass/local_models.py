@@ -8,15 +8,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm, prod
-from typing import Iterable, Sequence
+from math import lcm, prod
+from typing import Sequence
 
 from .combinatorics import Profile
-from .errors import ConstraintError
-from .exact import PowerSeries
+from .errors import ConstraintError, SingclassError
+from .exact import XiPolynomial
 
 __all__ = [
-    "Polynomial",
     "RationalFunction",
     "BranchCoordinates",
     "HurwitzCoordinates",
@@ -26,181 +25,22 @@ __all__ = [
     "canonical_function",
     "hurwitz_coordinates",
     "reassemble",
-    "format_polynomial",
-    "format_rational_function",
 ]
-
-
-def _strip(coeffs: Iterable[Fraction]) -> tuple[Fraction, ...]:
-    out = [Fraction(c) for c in coeffs]
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-@dataclass(frozen=True)
-class Polynomial:
-    """Dense univariate polynomial over the rationals; coeffs[k] is the z^k coefficient."""
-
-    coeffs: tuple[Fraction, ...]
-
-    @staticmethod
-    def from_coeffs(coeffs: Iterable[Fraction | int]) -> "Polynomial":
-        return Polynomial(_strip(coeffs))
-
-    @staticmethod
-    def zero() -> "Polynomial":
-        return Polynomial(())
-
-    @staticmethod
-    def one() -> "Polynomial":
-        return Polynomial((Fraction(1),))
-
-    @staticmethod
-    def constant(c: Fraction | int) -> "Polynomial":
-        return Polynomial.from_coeffs([Fraction(c)])
-
-    @staticmethod
-    def linear_root(root: Fraction | int) -> "Polynomial":
-        """z - root."""
-        return Polynomial((Fraction(-root), Fraction(1)))
-
-    @staticmethod
-    def from_roots(pairs: Iterable[tuple[Fraction | int, int]]) -> "Polynomial":
-        out = Polynomial.one()
-        for root, mult in pairs:
-            out = out * Polynomial.linear_root(root).pow(mult)
-        return out
-
-    @property
-    def degree(self) -> int | None:
-        return len(self.coeffs) - 1 if self.coeffs else None
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def leading(self) -> Fraction:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def coefficient(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial.from_coeffs(
-            self.coefficient(k) + other.coefficient(k) for k in range(n)
-        )
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial.from_coeffs(
-            self.coefficient(k) - other.coefficient(k) for k in range(n)
-        )
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-c for c in self.coeffs))
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if not self.coeffs or not other.coeffs:
-            return Polynomial.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial.from_coeffs(out)
-
-    def scale(self, c: Fraction | int) -> "Polynomial":
-        c = Fraction(c)
-        if c == 0:
-            return Polynomial.zero()
-        return Polynomial(tuple(a * c for a in self.coeffs))
-
-    def pow(self, exponent: int) -> "Polynomial":
-        if exponent < 0:
-            raise ValueError("exponent must be nonnegative")
-        result = Polynomial.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
-
-    def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dlead = other.leading()
-        ddeg = other.degree
-        quot = [Fraction(0)] * max(len(self.coeffs) - len(other.coeffs) + 1, 0)
-        while len(rem) - 1 >= ddeg and any(c != 0 for c in rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < ddeg:
-                break
-            shift = len(rem) - 1 - ddeg
-            factor = rem[-1] / dlead
-            quot[shift] = factor
-            for i, c in enumerate(other.coeffs):
-                rem[shift + i] -= factor * c
-            rem.pop()
-        return Polynomial.from_coeffs(quot), Polynomial.from_coeffs(rem)
-
-    def monic(self) -> "Polynomial":
-        if self.is_zero():
-            return self
-        return self.scale(1 / self.leading())
-
-    def gcd(self, other: "Polynomial") -> "Polynomial":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a.divmod(b)[1]
-        return a.monic() if not a.is_zero() else a
-
-    def derivative(self) -> "Polynomial":
-        return Polynomial.from_coeffs(
-            k * c for k, c in enumerate(self.coeffs) if k >= 1
-        )
-
-    def __call__(self, x: Fraction | int) -> Fraction:
-        x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def taylor(self, at: Fraction | int, order: int) -> PowerSeries:
-        """Coefficients of p(at + t) as a series in t, truncated at t^order."""
-        a = Fraction(at)
-        out = [Fraction(0)] * (order + 1)
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            for j in range(0, min(i, order) + 1):
-                out[j] += c * comb(i, j) * a ** (i - j)
-        return PowerSeries(tuple(out), order)
 
 
 @dataclass(frozen=True)
 class RationalFunction:
     """Quotient of two polynomials, stored reduced with a monic denominator."""
 
-    numerator: Polynomial
-    denominator: Polynomial
+    numerator: XiPolynomial
+    denominator: XiPolynomial
 
     @staticmethod
-    def make(numerator: Polynomial, denominator: Polynomial) -> "RationalFunction":
+    def make(numerator: XiPolynomial, denominator: XiPolynomial) -> "RationalFunction":
         if denominator.is_zero():
             raise ZeroDivisionError("zero denominator")
         if numerator.is_zero():
-            return RationalFunction(Polynomial.zero(), Polynomial.one())
+            return RationalFunction(XiPolynomial.zero(), XiPolynomial.one())
         common = numerator.gcd(denominator)
         if common.degree and common.degree > 0:
             numerator = numerator.divmod(common)[0]
@@ -291,8 +131,8 @@ def canonical_function(
     if len(set(points)) != len(points) or x in points:
         raise ConstraintError("poles must be pairwise distinct and different from x")
     m = sum(orders)
-    numerator = Polynomial.linear_root(x).pow(m)
-    denominator = Polynomial.from_roots(zip(points, orders))
+    numerator = XiPolynomial.linear_root(x).pow(m)
+    denominator = XiPolynomial.from_roots(zip(points, orders))
     return RationalFunction.make(numerator, denominator)
 
 
@@ -302,13 +142,17 @@ def _integer_kth_root(value: int, k: int) -> int | None:
             return None
         flipped = _integer_kth_root(-value, k)
         return -flipped if flipped is not None else None
-    if value in (0, 1) or k == 1:
+    if value < 2 or k == 1:
         return value
-    guess = round(value ** (1.0 / k))
-    for candidate in range(max(guess - 2, 0), guess + 3):
-        if candidate**k == value:
-            return candidate
-    return None
+    # integer Newton iteration from 2^ceil(bits/k), which is above the root;
+    # it decreases to floor(value^(1/k)) and stops there
+    root = 1 << -(-value.bit_length() // k)
+    while True:
+        step = ((k - 1) * root + value // root ** (k - 1)) // k
+        if step >= root:
+            break
+        root = step
+    return root if root**k == value else None
 
 
 def _rational_kth_root(value: Fraction, k: int) -> Fraction | None:
@@ -334,7 +178,7 @@ def hurwitz_coordinates(
     points = [Fraction(z) for z in poles]
     if len(points) != len(orders) or len(set(points)) != len(points):
         raise ConstraintError("need pairwise distinct poles, one per branch")
-    expected_den = Polynomial.from_roots(zip(points, orders))
+    expected_den = XiPolynomial.from_roots(zip(points, orders))
     if f.denominator != expected_den:
         raise ConstraintError(
             "pole-order mismatch: denominator is not the prescribed pole divisor"
@@ -347,7 +191,7 @@ def hurwitz_coordinates(
 
     branches = []
     for i, (z_i, k) in enumerate(zip(points, orders)):
-        others = Polynomial.from_roots(
+        others = XiPolynomial.from_roots(
             (z_j, k_j) for j, (z_j, k_j) in enumerate(zip(points, orders)) if j != i
         )
         series = f.numerator.taylor(z_i, k - 1) * others.taylor(z_i, k - 1).inverse()
@@ -367,52 +211,27 @@ def hurwitz_coordinates(
 
     coords = HurwitzCoordinates(tuple(branches), constant)
     if reassemble(coords) != f:
-        raise AssertionError("reassembly identity failed; decomposition is broken")
+        raise SingclassError("reassembly identity failed; decomposition is broken")
     return coords
 
 
 def reassemble(coords: HurwitzCoordinates) -> RationalFunction:
     """Rebuild the rational function from its Hurwitz coordinates."""
-    denominator = Polynomial.from_roots(
+    denominator = XiPolynomial.from_roots(
         (b.pole, b.order) for b in coords.branches
     )
     numerator = denominator.scale(coords.constant)
     for i, b in enumerate(coords.branches):
-        others = Polynomial.from_roots(
+        others = XiPolynomial.from_roots(
             (b2.pole, b2.order)
             for j, b2 in enumerate(coords.branches)
             if j != i
         )
-        principal = Polynomial.zero()
+        principal = XiPolynomial.zero()
         factors = [Fraction(1), *b.tail]  # a_0 .. a_{k-1}
         for j, a in enumerate(factors):
             # a_j (u/(z-z_i))^{k-j} contributes a_j u^{k-j} (z-z_i)^j over (z-z_i)^k
-            term = Polynomial.linear_root(b.pole).pow(j).scale(a * b.u ** (b.order - j))
+            term = XiPolynomial.linear_root(b.pole).pow(j).scale(a * b.u ** (b.order - j))
             principal = principal + term
         numerator = numerator + principal * others
     return RationalFunction.make(numerator, denominator)
-
-
-def format_polynomial(poly: Polynomial) -> str:
-    """Low-to-high text form: 'c_0 + c_1*z + ...' with zero terms omitted."""
-    if poly.is_zero():
-        return "0"
-    pieces = []
-    for k, c in enumerate(poly.coeffs):
-        if c == 0:
-            continue
-        if k == 0:
-            body = str(abs(c))
-        else:
-            z = "z" if k == 1 else f"z^{k}"
-            body = z if abs(c) == 1 else f"{abs(c)}*{z}"
-        pieces.append(("-" if c < 0 else "+", body))
-    sign, first = pieces[0]
-    text = ("-" if sign == "-" else "") + first
-    for sign, body in pieces[1:]:
-        text += f" {sign} {body}"
-    return text
-
-
-def format_rational_function(f: RationalFunction) -> str:
-    return f"({format_polynomial(f.numerator)}) / ({format_polynomial(f.denominator)})"

@@ -33,12 +33,10 @@ from .errors import ConstraintError, ParseError, TreeStructureError
 __all__ = [
     "MarkedTree",
     "tree",
-    "leaf",
     "stick",
     "star",
     "canonicalize",
     "encoding",
-    "format_tree",
     "parse_tree",
     "codim",
     "weight",
@@ -82,10 +80,6 @@ def tree(marking: int, children: Sequence[MarkedTree] = ()) -> MarkedTree:
     return MarkedTree(marking, kids)
 
 
-def leaf(marking: int) -> MarkedTree:
-    return tree(marking)
-
-
 def stick(marking: int) -> MarkedTree:
     """The one-leaf tree: a_m in the singularity basis, psi^m in the basic one."""
     return tree(marking)
@@ -93,7 +87,7 @@ def stick(marking: int) -> MarkedTree:
 
 def star(marking: int, leaf_marks: Sequence[int]) -> MarkedTree:
     """Single internal vertex with the given marking over plain leaves."""
-    return tree(marking, tuple(leaf(m) for m in leaf_marks))
+    return tree(marking, tuple(stick(m) for m in leaf_marks))
 
 
 def canonicalize(raw) -> MarkedTree:
@@ -101,7 +95,7 @@ def canonicalize(raw) -> MarkedTree:
     if isinstance(raw, MarkedTree):
         return tree(raw.marking, tuple(canonicalize(c) for c in raw.children))
     if isinstance(raw, int):
-        return leaf(raw)
+        return stick(raw)
     marking, children = raw
     return tree(int(marking), tuple(canonicalize(c) for c in children))
 
@@ -112,10 +106,6 @@ def encoding(t: MarkedTree) -> str:
     if not t.children:
         return str(t.marking)
     return f"({t.marking};{','.join(encoding(c) for c in t.children)})"
-
-
-def format_tree(t: MarkedTree) -> str:
-    return encoding(t)
 
 
 def is_stick(t: MarkedTree) -> bool:
@@ -283,7 +273,7 @@ def _parse_tree_at(s: str, pos: int) -> tuple[MarkedTree, int]:
             raise ParseError("internal vertex needs at least two children", open_pos)
         return tree(marking, tuple(children)), pos + 1
     marking, pos = _parse_int_at(s, pos)
-    return leaf(marking), pos
+    return stick(marking), pos
 
 
 @lru_cache(maxsize=None)
@@ -291,7 +281,7 @@ def _branch_options(cost: int) -> tuple[MarkedTree, ...]:
     """All canonical branches whose contribution to the parent codim is exactly ``cost``."""
     out: set[MarkedTree] = set()
     if cost >= 1:
-        out.add(leaf(cost - 1))
+        out.add(stick(cost - 1))
     # internal branch: marking q, t >= 2 children, contribution q + 1 + sum(child costs)
     for t_children in range(2, cost):
         budget = cost - 1 - t_children  # left for the marking once each child costs >= 1

@@ -268,7 +268,7 @@ def check_roundtrip(max_codim: int = 6) -> list[CheckResult]:
         CheckResult(
             f"sing_to_basic(basic_to_sing) identity on {len(generators)} generators (codim <= {max_codim})",
             bad_basic is None,
-            "" if bad_basic is None else f"failed on tree {trees.format_tree(bad_basic)}",
+            "" if bad_basic is None else f"failed on tree {trees.encoding(bad_basic)}",
         )
     )
     bad_sing = None
@@ -281,7 +281,7 @@ def check_roundtrip(max_codim: int = 6) -> list[CheckResult]:
         CheckResult(
             f"basic_to_sing(sing_to_basic) identity on {len(generators)} generators (codim <= {max_codim})",
             bad_sing is None,
-            "" if bad_sing is None else f"failed on tree {trees.format_tree(bad_sing)}",
+            "" if bad_sing is None else f"failed on tree {trees.encoding(bad_sing)}",
         )
     )
     return out

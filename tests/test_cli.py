@@ -144,6 +144,11 @@ class TestExitCodes:
         assert code == 3
         assert "constraint violation" in err
 
+    def test_bad_integer_argument_is_exit_2(self, capsys):
+        code, _, err = run(capsys, "coeff", "psi", "x", "{1,1}")
+        assert code == 2
+        assert "parse error" in err
+
     def test_unknown_flag_is_exit_2(self, capsys):
         code, _, _ = run(capsys, "psi", "2", "--bogus")
         assert code == 2

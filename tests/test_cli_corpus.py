@@ -25,14 +25,15 @@ def test_cli_output_is_unchanged(case, capsys):
     assert (capsys.readouterr().out, code) == (case["stdout"], case["exit"])
 
 
-def test_corpus_covers_every_verb_and_format():
-    from singclass.cli import build_parser
+VERBS = (
+    "product", "psi", "to-sing", "to-basic", "completed-cycle", "x-poly",
+    "multiply-cycles", "char", "coeff", "local-model",
+)
 
-    verbs = set(build_parser()._subparsers._group_actions[0].choices)
+
+def test_corpus_covers_every_verb_and_format():
     seen = {(c["argv"][0], c["argv"][-1]) for c in CORPUS if c["exit"] == 0}
-    for verb in verbs - {"verify"}:
-        for fmt in ("text", "json", "latex"):
-            assert (verb, fmt) in seen
+    assert seen >= {(verb, fmt) for verb in VERBS for fmt in ("text", "json", "latex")}
     assert {c["argv"][1] for c in CORPUS if c["argv"][0] == "verify"} == {
         "appendix", "ko", "equality", "cycles", "roundtrip"
     }

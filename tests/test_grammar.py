@@ -7,6 +7,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from singclass.classes import (
     BASIC,
@@ -15,7 +17,7 @@ from singclass.classes import (
     basic_to_sing,
     psi_power_sing,
 )
-from singclass.cycles import completed_cycle
+from singclass.cycles import CycleExpr, completed_cycle
 from singclass.errors import ParseError
 from singclass.exact import XiPolynomial
 from singclass.grammar import (
@@ -33,7 +35,7 @@ from singclass.grammar import (
     render_cycles_latex,
     render_xpoly,
 )
-from singclass.trees import codim, enumerate_trees, star, stick, tree, leaf
+from singclass.trees import codim, enumerate_trees, star, stick, tree
 
 
 class TestRenderClass:
@@ -92,7 +94,7 @@ class TestParseClass:
 
     def test_tree_atom_in_basic_basis(self):
         e = parse_class("T{(0;1,2)}@basic")
-        assert e == ClassExpr.single(BASIC, tree(0, [leaf(1), leaf(2)]))
+        assert e == ClassExpr.single(BASIC, tree(0, [stick(1), stick(2)]))
         assert e.basis == BASIC
 
     def test_unordered_index_lists_are_sorted(self):
@@ -158,6 +160,46 @@ class TestCycleGrammar:
     def test_negative_coefficients(self):
         e = parse_cycles("C[2] - 1/2*C[1,1]")
         assert e.coefficient((1, 1)) == Fraction(-1, 2)
+
+    @pytest.mark.parametrize("text", ["1/0*C[2]", "1/2*C[0]", "C[2]*C[3]", "C[2] +", "xi*C[2]"])
+    def test_bad_cycle_literals_are_parse_errors(self, text):
+        with pytest.raises(ParseError):
+            parse_cycles(text)
+
+
+_COEFFS = st.fractions(min_value=-50, max_value=50, max_denominator=30).filter(bool)
+
+
+@st.composite
+def class_exprs(draw):
+    """Random homogeneous sums over the trees of codim <= 6 in either basis,
+    each tree carrying xi^(total - codim) with a nonzero rational coefficient."""
+    basis = draw(st.sampled_from([SINGULARITY, BASIC]))
+    total = draw(st.integers(min_value=0, max_value=8))
+    pool = [t for t in enumerate_trees(6) if codim(t) <= total]
+    picks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6, unique=True))
+    return ClassExpr.from_terms(
+        basis,
+        {t: XiPolynomial.xi_power(total - codim(t), draw(_COEFFS)) for t in picks},
+    )
+
+
+_PROFILES = st.lists(st.integers(min_value=1, max_value=6), max_size=4).map(
+    lambda parts: tuple(sorted(parts))
+)
+
+
+class TestParseRenderProperties:
+    @settings(deadline=None)
+    @given(class_exprs())
+    def test_parse_inverts_render_on_classes(self, e):
+        assert parse_class(render_class(e), default_basis=e.basis) == e
+
+    @settings(deadline=None)
+    @given(st.dictionaries(_PROFILES, _COEFFS, max_size=6))
+    def test_parse_inverts_render_on_cycles(self, mapping):
+        c = CycleExpr.from_terms(mapping)
+        assert parse_cycles(render_cycles(c)) == c
 
 
 class TestProfilesAndPartitions:

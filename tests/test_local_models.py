@@ -10,15 +10,15 @@ from math import prod
 import pytest
 
 from singclass.combinatorics import profiles_with_sum
-from singclass.errors import ConstraintError
+from singclass import local_models
+from singclass.errors import ConstraintError, SingclassError
+from singclass.exact import XiPolynomial
+from singclass.grammar import format_polynomial, format_rational_function
 from singclass.local_models import (
     BranchCoordinates,
     HurwitzCoordinates,
-    Polynomial,
     RationalFunction,
     canonical_function,
-    format_polynomial,
-    format_rational_function,
     hurwitz_coordinates,
     orbit_count,
     profile_constants,
@@ -54,39 +54,39 @@ class TestProfileConstants:
 
 class TestPolynomial:
     def test_divmod(self):
-        p = Polynomial.from_roots([(1, 2), (2, 1)])
-        q, r = p.divmod(Polynomial.linear_root(1))
+        p = XiPolynomial.from_roots([(1, 2), (2, 1)])
+        q, r = p.divmod(XiPolynomial.linear_root(1))
         assert r.is_zero()
-        assert q == Polynomial.from_roots([(1, 1), (2, 1)])
+        assert q == XiPolynomial.from_roots([(1, 1), (2, 1)])
 
     def test_gcd(self):
-        a = Polynomial.from_roots([(1, 2), (3, 1)])
-        b = Polynomial.from_roots([(1, 1), (2, 1)])
-        assert a.gcd(b) == Polynomial.linear_root(1)
+        a = XiPolynomial.from_roots([(1, 2), (3, 1)])
+        b = XiPolynomial.from_roots([(1, 1), (2, 1)])
+        assert a.gcd(b) == XiPolynomial.linear_root(1)
 
     def test_taylor_shift(self):
-        p = Polynomial.from_coeffs([1, 0, 1])  # 1 + z^2
+        p = XiPolynomial.from_coeffs([1, 0, 1])  # 1 + z^2
         series = p.taylor(Fraction(2), 2)
         # 1 + (2+t)^2 = 5 + 4t + t^2
         assert [series.coefficient(j) for j in range(3)] == [5, 4, 1]
 
     def test_format(self):
-        p = Polynomial.from_coeffs([Fraction(-1), 0, 1])
+        p = XiPolynomial.from_coeffs([Fraction(-1), 0, 1])
         assert format_polynomial(p) == "-1 + z^2"
-        assert format_polynomial(Polynomial.zero()) == "0"
-        assert format_polynomial(Polynomial.from_coeffs([0, Fraction(3, 2)])) == "3/2*z"
+        assert format_polynomial(XiPolynomial.zero()) == "0"
+        assert format_polynomial(XiPolynomial.from_coeffs([0, Fraction(3, 2)])) == "3/2*z"
 
 
 class TestCanonicalFunction:
     def test_single_simple_pole(self):
         f = canonical_function((1,), 0, (1,))
-        assert f.numerator == Polynomial.from_coeffs([0, 1])
-        assert f.denominator == Polynomial.from_coeffs([-1, 1])
+        assert f.numerator == XiPolynomial.from_coeffs([0, 1])
+        assert f.denominator == XiPolynomial.from_coeffs([-1, 1])
 
     def test_two_simple_poles(self):
         f = canonical_function((1, 1), 0, (1, -1))
-        assert f.numerator == Polynomial.from_coeffs([0, 0, 1])
-        assert f.denominator == Polynomial.from_coeffs([-1, 0, 1])
+        assert f.numerator == XiPolynomial.from_coeffs([0, 0, 1])
+        assert f.denominator == XiPolynomial.from_coeffs([-1, 0, 1])
         assert format_rational_function(f) == "(z^2) / (-1 + z^2)"
 
     def test_derivative_vanishing_orders(self):
@@ -151,10 +151,24 @@ class TestHurwitzCoordinates:
 
     def test_irrational_root_is_reported(self):
         f = RationalFunction.make(
-            Polynomial.constant(2), Polynomial.from_roots([(1, 2)])
+            XiPolynomial.constant(2), XiPolynomial.from_roots([(1, 2)])
         )
         with pytest.raises(ConstraintError):
             hurwitz_coordinates(f, (2,), (1,))
+
+    @pytest.mark.parametrize("k,u", [(3, 3**70), (4, 10**100), (3, Fraction(-(7**40), 2**90))])
+    def test_huge_leading_coefficients_have_exact_roots(self, k, u):
+        # u^k is far beyond float precision (or float range): the k-th root
+        # of the leading Laurent coefficient must still be found exactly
+        branch = BranchCoordinates(Fraction(1), k, Fraction(u), (Fraction(0),) * (k - 1))
+        coords = HurwitzCoordinates((branch,), Fraction(0))
+        assert hurwitz_coordinates(reassemble(coords), (k,), (1,)) == coords
+
+    def test_reassembly_failure_is_a_singclass_error(self, monkeypatch):
+        f = canonical_function((1, 1), 0, (1, -1))
+        monkeypatch.setattr(local_models, "reassemble", lambda coords: f.derivative())
+        with pytest.raises(SingclassError):
+            hurwitz_coordinates(f, (1, 1), (1, -1))
 
     def test_even_order_sign_normalization(self):
         # build from u = -3/2 at an order-2 pole; the decomposition returns

@@ -16,9 +16,7 @@ from singclass.trees import (
     codim,
     encoding,
     enumerate_trees,
-    format_tree,
     graft,
-    leaf,
     leaf_markings,
     parse_tree,
     star,
@@ -32,11 +30,11 @@ from singclass.trees import (
 
 class TestCanonicalForm:
     def test_child_order_is_immaterial(self):
-        assert tree(0, [leaf(1), leaf(2)]) == tree(0, [leaf(2), leaf(1)])
+        assert tree(0, [stick(1), stick(2)]) == tree(0, [stick(2), stick(1)])
 
     def test_stick_is_itself(self):
         assert canonicalize(stick(3)) == stick(3)
-        assert format_tree(stick(3)) == "3"
+        assert encoding(stick(3)) == "3"
 
     def test_idempotent(self):
         for t in enumerate_trees(6):
@@ -60,7 +58,7 @@ class TestCanonicalForm:
 
     def test_single_child_is_a_valency_violation(self):
         with pytest.raises(TreeStructureError):
-            tree(0, [leaf(1)])
+            tree(0, [stick(1)])
 
     def test_distinct_shapes_with_equal_leaf_multisets(self):
         a = canonicalize((0, [0, 1, (0, [0, 0])]))
@@ -77,17 +75,17 @@ class TestCanonicalForm:
 
     def test_four_leaf_nested_tree_stays_nested(self):
         t = canonicalize((0, [0, 0, (0, [0, 0])]))
-        assert t == MarkedTree(0, (tree(0, [leaf(0), leaf(0)]), leaf(0), leaf(0)))
+        assert t == MarkedTree(0, (tree(0, [stick(0), stick(0)]), stick(0), stick(0)))
         assert any(c.children for c in t.children)
 
 
 class TestGrammar:
     def test_parse_render_round_trip(self):
         for t in enumerate_trees(6):
-            assert parse_tree(format_tree(t)) == t
+            assert parse_tree(encoding(t)) == t
 
     def test_whitespace_is_insignificant(self):
-        assert parse_tree(" ( 0 ; 1 , 2 ) ") == tree(0, [leaf(1), leaf(2)])
+        assert parse_tree(" ( 0 ; 1 , 2 ) ") == tree(0, [stick(1), stick(2)])
 
     def test_bare_integer_is_the_stick(self):
         assert parse_tree("4") == stick(4)
@@ -134,7 +132,7 @@ class TestVanishing:
             assert not vanishes(stick(m))
 
     def test_deep_violations_are_found(self):
-        t = MarkedTree(0, (leaf(0), leaf(0), MarkedTree(2, (leaf(0), leaf(0)))))
+        t = MarkedTree(0, (stick(0), stick(0), MarkedTree(2, (stick(0), stick(0)))))
         assert vanishes(t)
 
     def test_no_operation_emits_vanishing_terms(self):
