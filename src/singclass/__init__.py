@@ -37,7 +37,6 @@ from .exact import (
     XiPolynomial,
     s_series,
     series_scale_arg,
-    solve_linear,
 )
 from .grammar import parse_class, parse_cycles, render_class, render_cycles
 from .local_models import (
@@ -92,7 +91,6 @@ __all__ = [
     "series_scale_arg",
     "shifted_power_sum",
     "sing_to_basic",
-    "solve_linear",
     "substitute",
     "product_expansion",
     "tree",

@@ -3,7 +3,7 @@
 One verb per invocation; output format is text (default), json or latex.
 Exit codes: 0 success, 1 verification failure, 2 parse error, 3 constraint
 violation.  The environment variable SINGCLASS_MAX_CODIM (default 8) caps
-the expansion depth of class-producing commands.
+the expansion depth of class-producing commands and of verify --max-m.
 """
 
 from __future__ import annotations
@@ -258,6 +258,8 @@ def _cmd_local_model(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.max_m is not None:
+        _check_depth(args.max_m)
     results = verification.run_suite(args.suite, args.max_m)
     for result in results:
         print(result.line())

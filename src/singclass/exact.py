@@ -1,9 +1,9 @@
 """Exact arithmetic kernel.
 
 Big rationals (backed by :class:`fractions.Fraction`), the one dense
-univariate polynomial type, truncated one-variable power series, and dense
-linear solving, all over the rationals.  Everything here is immutable and
-pure, so values can be shared freely between tasks.
+univariate polynomial type and truncated one-variable power series, all over
+the rationals.  Everything here is immutable and pure, so values can be
+shared freely between tasks.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ __all__ = [
     "PowerSeries",
     "s_series",
     "series_scale_arg",
-    "LinearSolution",
-    "solve_linear",
 ]
 
 
@@ -325,65 +323,3 @@ def series_scale_arg(s: PowerSeries, k: int) -> PowerSeries:
     return PowerSeries(
         tuple(c * k**n for n, c in enumerate(s.coeffs)), s.truncation_order
     )
-
-
-@dataclass(frozen=True)
-class LinearSolution:
-    """Outcome of an exact linear solve.
-
-    status is one of "unique", "underdetermined", "inconsistent"; the
-    solution tuple is present only in the unique case.
-    """
-
-    status: str
-    solution: tuple[Fraction, ...] | None = None
-
-
-def solve_linear(
-    system: Sequence[Sequence[Fraction | int]], rhs: Sequence[Fraction | int]
-) -> LinearSolution:
-    """Exact Gaussian elimination for a (rows >= columns) rational system.
-
-    Underdetermined and inconsistent systems are reported as first-class
-    outcomes rather than raised.
-    """
-    rows = len(system)
-    if rows != len(rhs):
-        raise ValueError("system and right-hand side sizes differ")
-    if rows == 0:
-        return LinearSolution("unique", ())
-    cols = len(system[0])
-    if any(len(r) != cols for r in system):
-        raise ValueError("ragged matrix")
-    if rows < cols:
-        raise ValueError("need at least as many rows as columns")
-
-    a = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(system, rhs)]
-    pivot_row = 0
-    pivot_cols: list[int] = []
-    for col in range(cols):
-        pivot = next((r for r in range(pivot_row, rows) if a[r][col] != 0), None)
-        if pivot is None:
-            continue
-        a[pivot_row], a[pivot] = a[pivot], a[pivot_row]
-        inv = 1 / a[pivot_row][col]
-        a[pivot_row] = [x * inv for x in a[pivot_row]]
-        for r in range(rows):
-            if r != pivot_row and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[pivot_row])]
-        pivot_cols.append(col)
-        pivot_row += 1
-        if pivot_row == rows:
-            break
-
-    for r in range(pivot_row, rows):
-        if a[r][cols] != 0:
-            return LinearSolution("inconsistent")
-    if len(pivot_cols) < cols:
-        return LinearSolution("underdetermined")
-
-    solution = [Fraction(0)] * cols
-    for r, col in enumerate(pivot_cols):
-        solution[col] = a[r][cols]
-    return LinearSolution("unique", tuple(solution))

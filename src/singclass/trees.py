@@ -249,9 +249,16 @@ def _parse_int_at(s: str, pos: int) -> tuple[int, int]:
     return int(s[start:pos]), pos
 
 
-def _parse_tree_at(s: str, pos: int) -> tuple[MarkedTree, int]:
+# Deepest nesting parse_tree accepts: each level adds at least 2 to the codim,
+# so no expandable tree comes near it, and deep input cannot exhaust the stack.
+_MAX_TREE_DEPTH = 100
+
+
+def _parse_tree_at(s: str, pos: int, depth: int = 0) -> tuple[MarkedTree, int]:
     pos = _skip_ws(s, pos)
     if pos < len(s) and s[pos] == "(":
+        if depth == _MAX_TREE_DEPTH:
+            raise ParseError(f"tree nested deeper than {_MAX_TREE_DEPTH} levels", pos)
         open_pos = pos
         marking, pos = _parse_int_at(s, pos + 1)
         pos = _skip_ws(s, pos)
@@ -260,7 +267,7 @@ def _parse_tree_at(s: str, pos: int) -> tuple[MarkedTree, int]:
         children = []
         pos += 1
         while True:
-            child, pos = _parse_tree_at(s, pos)
+            child, pos = _parse_tree_at(s, pos, depth + 1)
             children.append(child)
             pos = _skip_ws(s, pos)
             if pos < len(s) and s[pos] == ",":

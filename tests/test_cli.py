@@ -162,6 +162,29 @@ class TestExitCodes:
         code, out, _ = run(capsys, "psi", "5")
         assert code == 0
 
+    def test_verify_max_m_obeys_the_codim_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("SINGCLASS_MAX_CODIM", "2")
+        code, out, err = run(capsys, "verify", "roundtrip", "--max-m", "3")
+        assert code == 3
+        assert out == ""
+        assert "SINGCLASS_MAX_CODIM" in err
+
+    def test_product_over_the_tuple_budget_is_exit_3(self, capsys):
+        code, out, err = run(
+            capsys, "multiply-cycles", "{1,1,1,1,1,1}", "{1,1,1,1,1,1}"
+        )
+        assert code == 3
+        assert out == ""
+        assert "budget" in err
+
+    def test_deeply_nested_tree_literal_is_exit_2(self, capsys):
+        literal = "1"
+        for _ in range(3000):
+            literal = f"(0;{literal},1)"
+        code, _, err = run(capsys, "to-sing", f"T{{{literal}}}@sing")
+        assert code == 2
+        assert "nested deeper" in err
+
     def test_verification_failure_is_exit_1(self, capsys):
         code, out, _ = run(
             capsys, "multiply-cycles", "{2}", "{2}", "--verify-at", "3"

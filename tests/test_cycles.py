@@ -6,9 +6,12 @@ from fractions import Fraction
 from math import factorial, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from singclass.combinatorics import (
     aut_count,
+    central_character,
     partitions_of,
     profiles_with_sum,
     shifted_power_sum,
@@ -27,6 +30,24 @@ from singclass.cycles import (
 )
 from singclass.errors import ConstraintError
 from singclass.grammar import parse_cycles
+
+
+def _profiles_of_order_up_to(limit: int) -> list[tuple[int, ...]]:
+    return [
+        p
+        for total in range(1, limit)
+        for p in profiles_with_sum(total)
+        if profile_order(p) <= limit
+    ]
+
+
+# every ordered pair of nonempty profiles with order(p1) + order(p2) <= 9
+_PRODUCT_PAIRS = [
+    (a, b)
+    for a in _profiles_of_order_up_to(7)
+    for b in _profiles_of_order_up_to(7)
+    if profile_order(a) + profile_order(b) <= 9
+]
 
 
 class TestXPolynomial:
@@ -139,7 +160,10 @@ class TestMultiplyCentral:
         assert multiply_central((), (1, 2)) == parse_cycles("C[1,2]")
         assert multiply_central((2, 2), ()) == parse_cycles("C[2,2]")
 
-    @pytest.mark.parametrize("p1,p2", [((2,), (3,)), ((1, 2), (2,)), ((1,), (1, 1))])
+    @pytest.mark.parametrize(
+        "p1,p2",
+        [((2,), (3,)), ((1, 2), (2,)), ((1,), (1, 1)), ((2, 2), (2, 2)), ((1, 2), (3,))],
+    )
     def test_leading_term_is_the_concatenation(self, p1, p2):
         product = multiply_central(p1, p2)
         concat = tuple(sorted(p1 + p2))
@@ -151,11 +175,45 @@ class TestMultiplyCentral:
                 assert p == concat
 
     @pytest.mark.parametrize(
-        "p1,p2,sizes", [((2,), (2,), (4, 5)), ((1,), (2,), (3, 4))]
+        "p1,p2,sizes",
+        [
+            ((2,), (2,), (4, 5)),
+            ((1,), (2,), (3, 4)),
+            ((1, 1, 1), (2,), (5, 6)),
+            ((1, 2), (3,), (6,)),
+            ((3,), (3,), (6,)),
+        ],
     )
     def test_products_verify_in_two_group_algebras(self, p1, p2, sizes):
         product = multiply_central(p1, p2)
         for n in sizes:
+            assert verify_in_group_algebra(p1, p2, product, n)
+
+    def test_over_the_tuple_budget_is_refused(self):
+        with pytest.raises(ConstraintError, match="budget"):
+            multiply_central((1,) * 6, (1,) * 6)
+
+    def test_square_of_three_three_matches_the_characters(self):
+        # 73 920 cycle tuples, within PRODUCT_TUPLE_BUDGET; S_12 is out of
+        # the oracle's reach, so the check is by characters
+        product = multiply_central((3, 3), (3, 3))
+        for size in range(0, 13):
+            for lam in partitions_of(size):
+                assert evaluate(product, lam) == central_character((3, 3), lam) ** 2
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.sampled_from(_PRODUCT_PAIRS))
+    def test_commutative_multiplicative_and_confirmed_in_the_group_algebra(self, pair):
+        p1, p2 = pair
+        product = multiply_central(p1, p2)
+        assert product == multiply_central(p2, p1)
+        n = sum(p1) + sum(p2)
+        for size in range(0, n + 3):
+            for lam in partitions_of(size):
+                assert evaluate(product, lam) == (
+                    central_character(p1, lam) * central_character(p2, lam)
+                )
+        if n <= 6:
             assert verify_in_group_algebra(p1, p2, product, n)
 
 

@@ -1,4 +1,4 @@
-"""Exact kernel: rationals, xi-polynomials, truncated series, linear solver."""
+"""Exact kernel: rationals, xi-polynomials, truncated series."""
 
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ from singclass.exact import (
     parse_rational,
     s_series,
     series_scale_arg,
-    solve_linear,
 )
 
 
@@ -153,34 +152,3 @@ class TestPowerSeries:
         s = s_series(6)
         assert s.pow(3) == s * s * s
         assert s.pow(0) == PowerSeries.one(6)
-
-
-class TestSolveLinear:
-    def test_identity_system(self):
-        sol = solve_linear([[1, 0], [0, 1]], [Fraction(5, 3), Fraction(-2)])
-        assert sol.status == "unique"
-        assert sol.solution == (Fraction(5, 3), Fraction(-2))
-
-    def test_two_by_two(self):
-        sol = solve_linear([[1, 1], [1, -1]], [2, 0])
-        assert sol.status == "unique"
-        assert sol.solution == (Fraction(1), Fraction(1))
-
-    def test_consistent_overdetermined(self):
-        # rank-2 system with one redundant row; residual on the extra row is zero
-        sol = solve_linear([[1, 0], [0, 1], [1, 1]], [2, 3, 5])
-        assert sol.status == "unique"
-        assert sol.solution == (Fraction(2), Fraction(3))
-
-    def test_inconsistent(self):
-        sol = solve_linear([[1, 0], [0, 1], [1, 1]], [2, 3, 6])
-        assert sol.status == "inconsistent"
-        assert sol.solution is None
-
-    def test_underdetermined(self):
-        sol = solve_linear([[1, 1], [2, 2]], [2, 4])
-        assert sol.status == "underdetermined"
-
-    def test_requires_enough_rows(self):
-        with pytest.raises(ValueError):
-            solve_linear([[1, 2]], [1])

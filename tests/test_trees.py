@@ -100,6 +100,20 @@ class TestGrammar:
         with pytest.raises(ParseError):
             parse_tree("(0;1)")  # single child
 
+    def test_nesting_depth_is_limited(self):
+        from singclass.errors import ParseError
+
+        def nested(depth):
+            literal = "1"
+            for _ in range(depth):
+                literal = f"(0;{literal},1)"
+            return literal
+
+        assert codim(parse_tree(nested(100))) == 301
+        with pytest.raises(ParseError, match="nested deeper") as info:
+            parse_tree(nested(3000))
+        assert info.value.position == 300
+
 
 class TestGrading:
     def test_stick_codim_is_its_marking(self):
