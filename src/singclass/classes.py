@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .combinatorics import Profile, aut_count, make_profile, profiles_with_sum
 from .errors import ConstraintError
@@ -66,14 +66,15 @@ class ClassExpr:
 
     @staticmethod
     def from_terms(
-        basis: str, mapping: Mapping[MarkedTree, XiPolynomial]
+        basis: str, pairs: Iterable[tuple[MarkedTree, XiPolynomial]]
     ) -> "ClassExpr":
+        """The sum of the (tree, coefficient) pairs: repeated trees add up,
+        and zero coefficients and vanishing trees are dropped."""
         _check_basis(basis)
-        items = [
-            (t, poly)
-            for t, poly in mapping.items()
-            if poly and not vanishes(t)
-        ]
+        acc: dict[MarkedTree, XiPolynomial] = {}
+        for t, poly in pairs:
+            acc[t] = acc[t] + poly if t in acc else poly
+        items = [(t, poly) for t, poly in acc.items() if poly and not vanishes(t)]
         degrees = {
             codim(t) + q for t, poly in items for q, c in poly.monomials()
         }
@@ -97,7 +98,7 @@ class ClassExpr:
         basis: str, t: MarkedTree, poly: XiPolynomial | None = None
     ) -> "ClassExpr":
         poly = XiPolynomial.one() if poly is None else poly
-        return ClassExpr.from_terms(basis, {t: poly})
+        return ClassExpr.from_terms(basis, [(t, poly)])
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -124,9 +125,6 @@ class ClassExpr:
             (t, q, c) for t, poly in self.terms for q, c in poly.monomials()
         ]
 
-    def _as_dict(self) -> dict[MarkedTree, XiPolynomial]:
-        return dict(self.terms)
-
     def _require_same_basis(self, other: "ClassExpr"):
         if self.basis != other.basis:
             raise ConstraintError(
@@ -135,10 +133,7 @@ class ClassExpr:
 
     def __add__(self, other: "ClassExpr") -> "ClassExpr":
         self._require_same_basis(other)
-        acc = self._as_dict()
-        for t, poly in other.terms:
-            acc[t] = acc[t] + poly if t in acc else poly
-        return ClassExpr.from_terms(self.basis, acc)
+        return ClassExpr.from_terms(self.basis, self.terms + other.terms)
 
     def __sub__(self, other: "ClassExpr") -> "ClassExpr":
         return self + other.scale(Fraction(-1))
@@ -149,13 +144,6 @@ class ClassExpr:
             return ClassExpr.zero(self.basis)
         return ClassExpr(
             self.basis, tuple((t, poly.scale(c)) for t, poly in self.terms)
-        )
-
-    def scale_poly(self, p: XiPolynomial) -> "ClassExpr":
-        if not p:
-            return ClassExpr.zero(self.basis)
-        return ClassExpr.from_terms(
-            self.basis, {t: poly * p for t, poly in self.terms}
         )
 
     def mul_xi(self, k: int = 1) -> "ClassExpr":
@@ -169,24 +157,26 @@ class ClassExpr:
         Defined only for trees with at least two leaves; terms whose bumped
         vertex exceeds the vanishing bound are dropped.
         """
-        acc: dict[MarkedTree, XiPolynomial] = {}
-        for t, poly in self.terms:
-            if not t.children:
-                raise ConstraintError("psi-multiplication is not defined on sticks")
-            bumped = tree(t.marking + 1, t.children)
-            if vanishes(bumped):
-                continue
-            acc[bumped] = acc[bumped] + poly if bumped in acc else poly
-        return ClassExpr.from_terms(self.basis, acc)
+        if any(not t.children for t, _ in self.terms):
+            raise ConstraintError("psi-multiplication is not defined on sticks")
+        return ClassExpr.from_terms(
+            self.basis,
+            ((tree(t.marking + 1, t.children), poly) for t, poly in self.terms),
+        )
 
 
 def _new_profile_layer(m: int) -> ClassExpr:
     """Sum over profiles with total m and >= 2 parts of (prod k / |Aut|) i_{k...}."""
-    acc: dict[MarkedTree, XiPolynomial] = {}
-    for p in profiles_with_sum(m, 2):
-        t = star(0, [k - 1 for k in p])
-        acc[t] = XiPolynomial.constant(Fraction(prod(p), aut_count(p)))
-    return ClassExpr.from_terms(SINGULARITY, acc)
+    return ClassExpr.from_terms(
+        SINGULARITY,
+        (
+            (
+                star(0, [k - 1 for k in p]),
+                XiPolynomial.constant(Fraction(prod(p), aut_count(p))),
+            )
+            for p in profiles_with_sum(m, 2)
+        ),
+    )
 
 
 @lru_cache(maxsize=None)
@@ -242,12 +232,15 @@ def psi_power_sing(m: int) -> ClassExpr:
     """psi^m expanded in the singularity basis; homogeneous of codimension m."""
     if m < 0:
         raise ConstraintError("m must be nonnegative")
-    coeffs = psi_decomposition(m)
-    out = ClassExpr.zero(SINGULARITY)
-    for j, c in enumerate(coeffs):
-        piece = ClassExpr.unit(SINGULARITY) if j == 0 else product_expansion(j)
-        out = out + piece.scale(c).mul_xi(m - j)
-    return out
+    pieces = [ClassExpr.unit(SINGULARITY)] + [product_expansion(j) for j in range(1, m + 1)]
+    return ClassExpr.from_terms(
+        SINGULARITY,
+        (
+            (t, poly.scale(c).shift(m - j))
+            for j, (c, piece) in enumerate(zip(psi_decomposition(m), pieces))
+            for t, poly in piece.terms
+        ),
+    )
 
 
 @lru_cache(maxsize=None)
@@ -267,10 +260,14 @@ def basic_to_sing(e: ClassExpr) -> ClassExpr:
     """
     if e.basis != BASIC:
         raise ConstraintError("basic_to_sing expects a basic-basis expression")
-    out = ClassExpr.zero(SINGULARITY)
-    for t, poly in e.terms:
-        out = out + _tree_basic_expansion(t).scale_poly(poly)
-    return out
+    return ClassExpr.from_terms(
+        SINGULARITY,
+        (
+            (t2, poly2 * poly)
+            for t, poly in e.terms
+            for t2, poly2 in _tree_basic_expansion(t).terms
+        ),
+    )
 
 
 def sing_to_basic(e: ClassExpr) -> ClassExpr:
@@ -282,23 +279,18 @@ def sing_to_basic(e: ClassExpr) -> ClassExpr:
     """
     if e.basis != SINGULARITY:
         raise ConstraintError("sing_to_basic expects a singularity-basis expression")
-    residue = e._as_dict()
-    out: dict[MarkedTree, XiPolynomial] = {}
+    residue = dict(e.terms)
+    out: list[tuple[MarkedTree, XiPolynomial]] = []
     while residue:
         t = max(residue, key=lambda t: (weight(t), encoding(t)))
-        poly = residue.pop(t)
-        if not poly:
-            continue
-        lead = poly.scale(prod(factorial(m) for m in leaf_markings(t)))
-        out[t] = out[t] + lead if t in out else lead
-        for t2, poly2 in _tree_basic_expansion(t).scale_poly(lead).terms:
+        lead = residue.pop(t).scale(prod(factorial(m) for m in leaf_markings(t)))
+        out.append((t, lead))
+        for t2, poly2 in _tree_basic_expansion(t).terms:
             if t2 == t:
                 continue
-            updated = residue.get(t2, XiPolynomial.zero()) - poly2
+            updated = residue.pop(t2, XiPolynomial.zero()) - poly2 * lead
             if updated:
                 residue[t2] = updated
-            else:
-                residue.pop(t2, None)
     return ClassExpr.from_terms(BASIC, out)
 
 

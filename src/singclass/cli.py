@@ -123,16 +123,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_product(args) -> int:
-    if args.m < 1:
-        raise ConstraintError("m must be >= 1")
     _check_depth(args.m)
     _print_expr("class", classes.product_expansion(args.m), args.format)
     return EXIT_OK
 
 
 def _cmd_psi(args) -> int:
-    if args.m < 0:
-        raise ConstraintError("m must be nonnegative")
     _check_depth(args.m)
     _print_expr("class", classes.psi_power_sing(args.m), args.format)
     return EXIT_OK
@@ -151,8 +147,6 @@ def _cmd_convert(args, target: str) -> int:
 
 
 def _cmd_completed_cycle(args) -> int:
-    if args.m < 0:
-        raise ConstraintError("m must be nonnegative")
     _check_depth(args.m)
     element = cycles.completed_cycle(args.m)
     if args.genus0:
@@ -162,8 +156,6 @@ def _cmd_completed_cycle(args) -> int:
 
 
 def _cmd_x_poly(args) -> int:
-    if args.m < 0:
-        raise ConstraintError("m must be nonnegative")
     _check_depth(args.m)
     _print_expr("xpoly", cycles.x_polynomial(args.m, normalized=not args.raw), args.format)
     return EXIT_OK
@@ -218,12 +210,17 @@ def _cmd_coeff(args) -> int:
 
 
 def _cmd_local_model(args) -> int:
-    profile = grammar.parse_profile(args.profile)
+    orders = grammar.parse_orders(args.profile)
     try:
         x = Fraction(args.x)
         poles = [Fraction(z) for z in args.poles.split(",")]
     except (ValueError, ZeroDivisionError):
         raise ParseError("x and poles must be rationals like 2, -1, or 3/2")
+    # each pole belongs to the order typed at its position; the branches are
+    # then listed by order (a count mismatch is left to canonical_function)
+    if len(orders) == len(poles):
+        orders, poles = zip(*sorted(zip(orders, poles), key=lambda branch: branch[0]))
+    profile = tuple(sorted(orders))
     constants = local_models.profile_constants(profile)
     f = local_models.canonical_function(profile, x, poles)
     coords = local_models.hurwitz_coordinates(f, profile, poles)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator
 
 from .combinatorics import (
     Partition,
@@ -49,19 +49,22 @@ def profile_order(p: Profile) -> int:
     return len(p) + sum(p)
 
 
-def _sorted_profile_items(
-    mapping: Mapping[Profile, Fraction]
-) -> tuple[tuple[Profile, Fraction], ...]:
-    items = [(p, Fraction(c)) for p, c in mapping.items() if c != 0]
-    items.sort(key=lambda item: (-profile_order(item[0]), len(item[0]), item[0]))
-    return tuple(items)
-
-
 @dataclass(frozen=True)
 class _ProfileTerms:
     """Profile -> nonzero rational map, sorted by descending order, then length."""
 
     terms: tuple[tuple[Profile, Fraction], ...]
+
+    @classmethod
+    def from_terms(cls, pairs: Iterable[tuple[Profile, Fraction]]):
+        """The sum of the (profile, coefficient) pairs: repeated profiles add
+        up, and zero coefficients are dropped."""
+        acc: dict[Profile, Fraction] = {}
+        for p, c in pairs:
+            acc[p] = acc.get(p, 0) + c
+        items = [(p, Fraction(c)) for p, c in acc.items() if c != 0]
+        items.sort(key=lambda item: (-profile_order(item[0]), len(item[0]), item[0]))
+        return cls(tuple(items))
 
     def coefficient(self, p: Profile) -> Fraction:
         p = make_profile(p)
@@ -78,10 +81,6 @@ class CycleExpr(_ProfileTerms):
     :func:`multiply_central`."""
 
     @staticmethod
-    def from_terms(mapping: Mapping[Profile, Fraction]) -> "CycleExpr":
-        return CycleExpr(_sorted_profile_items(mapping))
-
-    @staticmethod
     def zero() -> "CycleExpr":
         return CycleExpr(())
 
@@ -96,30 +95,22 @@ class CycleExpr(_ProfileTerms):
         return not self.terms
 
     def __add__(self, other: "CycleExpr") -> "CycleExpr":
-        acc = dict(self.terms)
-        for p, c in other.terms:
-            acc[p] = acc.get(p, Fraction(0)) + c
-        return CycleExpr.from_terms(acc)
+        return CycleExpr.from_terms(self.terms + other.terms)
 
     def scale(self, c: Fraction | int) -> "CycleExpr":
         c = Fraction(c)
-        return CycleExpr.from_terms({p: a * c for p, a in self.terms})
+        return CycleExpr.from_terms((p, a * c) for p, a in self.terms)
 
 
 class XPolynomial(_ProfileTerms):
     """Polynomial in the variables x_k, one monomial per multiset of indices."""
 
-    @staticmethod
-    def from_terms(mapping: Mapping[Profile, Fraction]) -> "XPolynomial":
-        return XPolynomial(_sorted_profile_items(mapping))
-
     def __mul__(self, other: "XPolynomial") -> "XPolynomial":
-        acc: dict[Profile, Fraction] = {}
-        for p1, c1 in self.terms:
-            for p2, c2 in other.terms:
-                key = tuple(sorted(p1 + p2))
-                acc[key] = acc.get(key, Fraction(0)) + c1 * c2
-        return XPolynomial.from_terms(acc)
+        return XPolynomial.from_terms(
+            (tuple(sorted(p1 + p2)), c1 * c2)
+            for p1, c1 in self.terms
+            for p2, c2 in other.terms
+        )
 
 
 def x_polynomial(m: int, normalized: bool = True) -> XPolynomial:
@@ -128,13 +119,12 @@ def x_polynomial(m: int, normalized: bool = True) -> XPolynomial:
     and matches the genus-0 completed-cycle coefficients."""
     if m < 0:
         raise ConstraintError("m must be nonnegative")
-    acc: dict[Profile, Fraction] = {}
-    for length in range(1, (m + 2) // 2 + 1):
-        total = m - length + 2
-        for p in profiles_with_sum_and_length(total, length):
-            coeff = Fraction(factorial(m) * prod(p), factorial(total) * aut_count(p))
-            acc[p] = coeff / factorial(m) if normalized else coeff
-    return XPolynomial.from_terms(acc)
+    norm = factorial(m) if normalized else 1
+    return XPolynomial.from_terms(
+        (p, Fraction(factorial(m) * prod(p), factorial(sum(p)) * aut_count(p) * norm))
+        for length in range(1, (m + 2) // 2 + 1)
+        for p in profiles_with_sum_and_length(m + 2 - length, length)
+    )
 
 
 def rho(g: int, p: Profile) -> Fraction:
@@ -163,22 +153,18 @@ def completed_cycle(m: int) -> CycleExpr:
     """
     if m < 0:
         raise ConstraintError("m must be nonnegative")
-    acc: dict[Profile, Fraction] = {}
-    for length in range(1, m + 2):
-        for total in range(length, m + 3 - length):
-            spare = m + 2 - length - total
-            if spare < 0 or spare % 2:
-                continue
-            g = spare // 2
-            for p in profiles_with_sum_and_length(total, length):
-                acc[p] = rho(g, p) / aut_count(p)
-    return CycleExpr.from_terms(acc)
+    return CycleExpr.from_terms(
+        (p, rho((m + 2 - length - total) // 2, p) / aut_count(p))
+        for length in range(1, m + 2)
+        for total in range(m + 2 - length, length - 1, -2)
+        for p in profiles_with_sum_and_length(total, length)
+    )
 
 
 def genus0_part(c: CycleExpr, m: int) -> CycleExpr:
     """Restriction to the maximal-order terms, those with l + sum(p) = m + 2."""
     return CycleExpr.from_terms(
-        {p: coeff for p, coeff in c.terms if profile_order(p) == m + 2}
+        (p, coeff) for p, coeff in c.terms if profile_order(p) == m + 2
     )
 
 
@@ -252,7 +238,7 @@ def multiply_central(p1: Profile, p2: Profile) -> CycleExpr:
     tally = Counter(_product_type(first, b) for b in _cycle_tuples(p2, tuple(range(n))))
     scale = factorial(n - sum(p1)) * prod(p1)
     return CycleExpr.from_terms(
-        {r: Fraction(t * factorial(n - sum(r)) * prod(r), scale) for r, t in tally.items()}
+        (r, Fraction(t * factorial(n - sum(r)) * prod(r), scale)) for r, t in tally.items()
     )
 
 

@@ -11,10 +11,12 @@ class ParseError(SingclassError):
     """Syntax error in an expression, tree, profile or partition literal.
 
     Carries the character position at which scanning or parsing failed so
-    callers can point at the offending spot.
+    callers can point at the offending spot, and the message without that
+    position as ``reason``.
     """
 
     def __init__(self, message: str, position: int | None = None):
+        self.reason = message
         self.position = position
         if position is not None:
             message = f"{message} (at position {position})"

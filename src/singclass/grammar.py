@@ -21,7 +21,7 @@ from .cycles import CycleExpr, XPolynomial
 from .errors import ConstraintError, ParseError, TreeStructureError
 from .exact import XiPolynomial, format_rational
 from .local_models import RationalFunction
-from .trees import MarkedTree, encoding, parse_tree, star, stick, tree, vanishes, weight
+from .trees import MarkedTree, encoding, parse_tree, star, stick, tree, weight
 
 __all__ = [
     "ordered_monomials",
@@ -39,6 +39,7 @@ __all__ = [
     "format_polynomial",
     "format_rational_function",
     "format_profile",
+    "parse_orders",
     "parse_profile",
     "format_partition",
     "parse_partition",
@@ -295,7 +296,10 @@ def _class_factor(parser: _Parser, kind: str, value: str, pos: int):
             raise ParseError("basis tag must be sing or basic", pos2)
         try:
             parsed = parse_tree(value[2:-1])
-        except (ParseError, TreeStructureError) as exc:
+        except ParseError as exc:
+            # the tree text starts two characters into the atom, after "T{"
+            raise ParseError(f"bad tree literal: {exc.reason}", pos + 2 + exc.position) from None
+        except TreeStructureError as exc:
             raise ParseError(f"bad tree literal: {exc}", pos) from None
         return "tree", (parsed, SINGULARITY if tag == "sing" else BASIC), pos
     raise ParseError("expected a factor", pos)
@@ -346,20 +350,18 @@ def parse_class(text: str, default_basis: str = SINGULARITY) -> ClassExpr:
     if text.strip() == "0":
         return ClassExpr.zero(default_basis)
     parser = _Parser(text)
-    acc: dict[MarkedTree, XiPolynomial] = {}
+    pairs: list[tuple[MarkedTree, XiPolynomial]] = []
     constraints: set[str] = set()
     for coeff, factors in parser.parse_sum(_class_factor):
         t, q, constraint = _class_term(factors)
         if constraint:
             constraints.add(constraint)
-        if coeff != 0 and not vanishes(t):
-            poly = XiPolynomial.xi_power(q, coeff)
-            acc[t] = acc[t] + poly if t in acc else poly
+        pairs.append((t, XiPolynomial.xi_power(q, coeff)))
     if len(constraints) > 1:
         raise ParseError("expression mixes singularity-basis and basic-basis atoms")
     basis = constraints.pop() if constraints else default_basis
     try:
-        return ClassExpr.from_terms(basis, acc)
+        return ClassExpr.from_terms(basis, pairs)
     except ConstraintError as exc:
         raise ParseError(str(exc)) from None
 
@@ -408,14 +410,13 @@ def parse_cycles(text: str) -> CycleExpr:
         raise ParseError("empty expression", 0)
     if text.strip() == "0":
         return CycleExpr.zero()
-    parser = _Parser(text)
-    acc: dict[Profile, Fraction] = {}
-    for coeff, factors in parser.parse_sum(_cycle_factor):
+    terms = _Parser(text).parse_sum(_cycle_factor)
+    for _, factors in terms:
         if len(factors) > 1:
             raise ParseError("a term may contain at most one C atom", factors[1][1])
-        key = factors[0][0] if factors else ()
-        acc[key] = acc.get(key, Fraction(0)) + coeff
-    return CycleExpr.from_terms(acc)
+    return CycleExpr.from_terms(
+        (factors[0][0] if factors else (), coeff) for coeff, factors in terms
+    )
 
 
 def _render_xpoly(x: XPolynomial, style: _Style) -> str:
@@ -465,20 +466,24 @@ def format_profile(p: Profile) -> str:
     return "{" + ",".join(str(k) for k in p) + "}"
 
 
-def parse_profile(text: str) -> Profile:
+def parse_orders(text: str) -> tuple[int, ...]:
+    """The parts of a profile literal ``{k1,...,kl}`` in the order typed."""
     s = text.strip()
     if s.startswith("{") and s.endswith("}"):
         s = s[1:-1]
     if not s.strip():
         return ()
     try:
-        parts = [int(x) for x in s.split(",")]
+        parts = tuple(int(x) for x in s.split(","))
     except ValueError as exc:
         raise ParseError(f"bad profile literal: {text!r}") from exc
-    try:
-        return make_profile(parts)
-    except ConstraintError as exc:
-        raise ParseError(str(exc)) from None
+    if any(k < 1 for k in parts):
+        raise ParseError("profile parts must be positive integers")
+    return parts
+
+
+def parse_profile(text: str) -> Profile:
+    return make_profile(parse_orders(text))
 
 
 def format_partition(lam: Partition) -> str:

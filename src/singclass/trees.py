@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import mul
 from typing import Sequence
 
 from .errors import ConstraintError, ParseError, TreeStructureError
@@ -208,16 +209,13 @@ def substitute(outer: MarkedTree, grafts):
         if g.basis != classes.SINGULARITY:
             raise ConstraintError("grafts must be in the singularity basis")
 
-    acc: dict[MarkedTree, object] = {}
-    for combo in itertools.product(*(g.terms for g in grafts)):
-        glued = graft(outer, [t for t, _ in combo])
-        if vanishes(glued):
-            continue
-        poly = combo[0][1]
-        for _, q in combo[1:]:
-            poly = poly * q
-        acc[glued] = acc[glued] + poly if glued in acc else poly
-    return classes.ClassExpr.from_terms(classes.SINGULARITY, acc)
+    return classes.ClassExpr.from_terms(
+        classes.SINGULARITY,
+        (
+            (graft(outer, [t for t, _ in combo]), reduce(mul, [poly for _, poly in combo]))
+            for combo in itertools.product(*(g.terms for g in grafts))
+        ),
+    )
 
 
 def parse_tree(text: str) -> MarkedTree:

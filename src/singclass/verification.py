@@ -64,36 +64,41 @@ def _diff(expected: str, computed: str) -> str:
     return f"expected: {expected}\n      computed: {computed}"
 
 
-def check_product_expansions() -> list[CheckResult]:
+def _check_rows(fixture: str, label: str, compute, parse, render) -> list[CheckResult]:
+    """One check per golden row ``key :: expected``: ``compute(key)`` must equal
+    ``parse(expected)``; ``label`` names the row, formatted with its key."""
     out = []
-    for m_text, expr_text in load_fixture_rows("product_expansions.txt"):
-        m = int(m_text)
-        expected = grammar.parse_class(expr_text)
-        computed = classes.product_expansion(m)
+    for key, expected_text in load_fixture_rows(fixture):
+        expected = parse(expected_text)
+        computed = compute(key)
         out.append(
             CheckResult(
-                f"product expansion m={m}",
+                label.format(key),
                 computed == expected,
-                _diff(grammar.render_class(expected), grammar.render_class(computed)),
+                _diff(render(expected), render(computed)),
             )
         )
     return out
+
+
+def check_product_expansions() -> list[CheckResult]:
+    return _check_rows(
+        "product_expansions.txt",
+        "product expansion m={}",
+        lambda m: classes.product_expansion(int(m)),
+        grammar.parse_class,
+        grammar.render_class,
+    )
 
 
 def check_psi_powers() -> list[CheckResult]:
-    out = []
-    for m_text, expr_text in load_fixture_rows("psi_powers.txt"):
-        m = int(m_text)
-        expected = grammar.parse_class(expr_text)
-        computed = classes.psi_power_sing(m)
-        out.append(
-            CheckResult(
-                f"psi^{m} expansion",
-                computed == expected,
-                _diff(grammar.render_class(expected), grammar.render_class(computed)),
-            )
-        )
-    return out
+    return _check_rows(
+        "psi_powers.txt",
+        "psi^{} expansion",
+        lambda m: classes.psi_power_sing(int(m)),
+        grammar.parse_class,
+        grammar.render_class,
+    )
 
 
 def _is_nested(t: trees.MarkedTree) -> bool:
@@ -116,13 +121,13 @@ def check_basic_to_sing() -> list[CheckResult]:
         lhs = grammar.parse_class(lhs_text, default_basis=BASIC)
         computed = basic_to_sing(lhs)
         expected_scalar = grammar.parse_class(rhs_text)
-        scalar_part: dict[trees.MarkedTree, XiPolynomial] = {}
+        scalar_part: list[tuple[trees.MarkedTree, XiPolynomial]] = []
         nested_monomials: list[tuple[Fraction, int]] = []
         for t, poly in computed.terms:
             if _is_nested(t):
                 nested_monomials.extend((c, q) for q, c in poly.monomials())
             else:
-                scalar_part[t] = poly
+                scalar_part.append((t, poly))
         scalar_expr = ClassExpr.from_terms(SINGULARITY, scalar_part)
         ok = scalar_expr == expected_scalar and (
             sorted((c, q) for c, q in nested_monomials)
@@ -146,35 +151,23 @@ def check_basic_to_sing() -> list[CheckResult]:
 
 
 def check_sing_to_basic() -> list[CheckResult]:
-    out = []
-    for lhs_text, rhs_text in load_fixture_rows("sing_to_basic.txt"):
-        lhs = grammar.parse_class(lhs_text)
-        expected = grammar.parse_class(rhs_text, default_basis=BASIC)
-        computed = sing_to_basic(lhs)
-        out.append(
-            CheckResult(
-                f"sing->basic {lhs_text}",
-                computed == expected,
-                _diff(grammar.render_class(expected), grammar.render_class(computed)),
-            )
-        )
-    return out
+    return _check_rows(
+        "sing_to_basic.txt",
+        "sing->basic {}",
+        lambda lhs: sing_to_basic(grammar.parse_class(lhs)),
+        lambda text: grammar.parse_class(text, default_basis=BASIC),
+        grammar.render_class,
+    )
 
 
 def check_completed_cycles() -> list[CheckResult]:
-    out = []
-    for m_text, expr_text in load_fixture_rows("completed_cycles.txt"):
-        m = int(m_text)
-        expected = grammar.parse_cycles(expr_text)
-        computed = cycles.completed_cycle(m)
-        out.append(
-            CheckResult(
-                f"completed cycle m={m}",
-                computed == expected,
-                _diff(grammar.render_cycles(expected), grammar.render_cycles(computed)),
-            )
-        )
-    return out
+    return _check_rows(
+        "completed_cycles.txt",
+        "completed cycle m={}",
+        lambda m: cycles.completed_cycle(int(m)),
+        grammar.parse_cycles,
+        grammar.render_cycles,
+    )
 
 
 def check_appendix() -> list[CheckResult]:
@@ -258,32 +251,23 @@ def check_cycle_products() -> list[CheckResult]:
 def check_roundtrip(max_codim: int = 6) -> list[CheckResult]:
     out = []
     generators = trees.enumerate_trees(max_codim)
-    bad_basic = None
-    for t in generators:
-        e = ClassExpr.single(BASIC, t)
-        if sing_to_basic(basic_to_sing(e)) != e:
-            bad_basic = t
-            break
-    out.append(
-        CheckResult(
-            f"sing_to_basic(basic_to_sing) identity on {len(generators)} generators (codim <= {max_codim})",
-            bad_basic is None,
-            "" if bad_basic is None else f"failed on tree {trees.encoding(bad_basic)}",
+    for name, basis, there, back in (
+        ("sing_to_basic(basic_to_sing)", BASIC, basic_to_sing, sing_to_basic),
+        ("basic_to_sing(sing_to_basic)", SINGULARITY, sing_to_basic, basic_to_sing),
+    ):
+        bad = None
+        for t in generators:
+            e = ClassExpr.single(basis, t)
+            if back(there(e)) != e:
+                bad = t
+                break
+        out.append(
+            CheckResult(
+                f"{name} identity on {len(generators)} generators (codim <= {max_codim})",
+                bad is None,
+                "" if bad is None else f"failed on tree {trees.encoding(bad)}",
+            )
         )
-    )
-    bad_sing = None
-    for t in generators:
-        e = ClassExpr.single(SINGULARITY, t)
-        if basic_to_sing(sing_to_basic(e)) != e:
-            bad_sing = t
-            break
-    out.append(
-        CheckResult(
-            f"basic_to_sing(sing_to_basic) identity on {len(generators)} generators (codim <= {max_codim})",
-            bad_sing is None,
-            "" if bad_sing is None else f"failed on tree {trees.encoding(bad_sing)}",
-        )
-    )
     return out
 
 

@@ -74,7 +74,7 @@ class TestProductExpansion:
             correction = product_expansion(m - 1) - a_prev
             rebuilt = (
                 a_m
-                + ClassExpr.from_terms(SINGULARITY, layer)
+                + ClassExpr.from_terms(SINGULARITY, layer.items())
                 + correction.mul_psi_top().scale(m)
                 - correction.mul_xi(1)
             )
@@ -247,7 +247,7 @@ class TestClassExpr:
         with pytest.raises(ConstraintError):
             ClassExpr.from_terms(
                 SINGULARITY,
-                {stick(1): XiPolynomial.one(), stick(2): XiPolynomial.one()},
+                [(stick(1), XiPolynomial.one()), (stick(2), XiPolynomial.one())],
             )
 
     def test_basis_mismatch_on_addition(self):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from singclass.cli import main
 
 
@@ -111,6 +113,13 @@ class TestScalarCommands:
         assert payload["branches"][0]["u"] == "1"
         assert payload["branches"][0]["a"] == ["2"]
 
+    def test_local_model_pairs_each_pole_with_the_order_typed_beside_it(self, capsys):
+        typed = run(capsys, "local-model", "{2,1}", "0", "1,-3")
+        sorted_first = run(capsys, "local-model", "{1,2}", "0", "--", "-3,1")
+        assert typed[0] == sorted_first[0] == 0
+        assert typed[1] == sorted_first[1]
+        assert "pole 1: k = 2" in typed[1]
+
 
 class TestVerify:
     def test_appendix_suite_passes(self, capsys):
@@ -184,6 +193,26 @@ class TestExitCodes:
         code, _, err = run(capsys, "to-sing", f"T{{{literal}}}@sing")
         assert code == 2
         assert "nested deeper" in err
+
+    def test_bad_tree_literal_reports_one_position_in_the_expression(self, capsys):
+        code, out, err = run(capsys, "to-sing", "T{(0;0,(0;0;0))}@sing")
+        assert (code, out) == (2, "")
+        assert err == "parse error: bad tree literal: expected ')' (at position 11)\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("product", "-1"), "m must be >= 1"),
+            (("product", "0"), "m must be >= 1"),
+            (("psi", "-1"), "m must be nonnegative"),
+            (("completed-cycle", "-1"), "m must be nonnegative"),
+            (("x-poly", "-1"), "m must be nonnegative"),
+        ],
+    )
+    def test_out_of_range_m_is_exit_3(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == f"constraint violation: {message}\n"
 
     def test_verification_failure_is_exit_1(self, capsys):
         code, out, _ = run(

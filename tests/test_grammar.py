@@ -26,6 +26,7 @@ from singclass.grammar import (
     format_partition,
     format_profile,
     parse_class,
+    parse_orders,
     parse_cycles,
     parse_partition,
     parse_profile,
@@ -79,7 +80,7 @@ class TestParseClass:
                 if coeff == 0:
                     continue
                 mapping[t] = XiPolynomial.xi_power(total - codim(t), coeff)
-            e = ClassExpr.from_terms(basis, mapping)
+            e = ClassExpr.from_terms(basis, mapping.items())
             if e.is_zero():
                 continue
             assert parse_class(render_class(e), default_basis=basis) == e
@@ -133,6 +134,16 @@ class TestParseClass:
             parse_class("i[1,2] + @")
         assert info.value.position is not None
 
+    def test_bad_tree_literal_position_is_absolute(self):
+        with pytest.raises(ParseError) as info:
+            parse_class("T{(0;0,(0;0;0))}@sing")
+        assert info.value.position == 11
+        assert str(info.value) == "bad tree literal: expected ')' (at position 11)"
+        text = "xi*a_1 + T{(0;0,1 x)}@sing"
+        with pytest.raises(ParseError) as info:
+            parse_class(text)
+        assert text[info.value.position] == "x"
+
     def test_zero_literal(self):
         assert parse_class("0").is_zero()
 
@@ -180,7 +191,7 @@ def class_exprs(draw):
     picks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6, unique=True))
     return ClassExpr.from_terms(
         basis,
-        {t: XiPolynomial.xi_power(total - codim(t), draw(_COEFFS)) for t in picks},
+        {t: XiPolynomial.xi_power(total - codim(t), draw(_COEFFS)) for t in picks}.items(),
     )
 
 
@@ -198,7 +209,7 @@ class TestParseRenderProperties:
     @settings(deadline=None)
     @given(st.dictionaries(_PROFILES, _COEFFS, max_size=6))
     def test_parse_inverts_render_on_cycles(self, mapping):
-        c = CycleExpr.from_terms(mapping)
+        c = CycleExpr.from_terms(mapping.items())
         assert parse_cycles(render_cycles(c)) == c
 
 
@@ -208,6 +219,8 @@ class TestProfilesAndPartitions:
         assert parse_profile("2,1,2") == (1, 2, 2)
         assert format_profile((1, 2, 2)) == "{1,2,2}"
         assert parse_profile("{}") == ()
+        assert parse_orders("{2,1,2}") == (2, 1, 2)
+        assert parse_orders("{}") == ()
 
     def test_partition_forms(self):
         assert parse_partition("[3,1,1]") == (3, 1, 1)
@@ -219,6 +232,8 @@ class TestProfilesAndPartitions:
             parse_profile("{1,a}")
         with pytest.raises(ParseError):
             parse_profile("{0,1}")
+        with pytest.raises(ParseError):
+            parse_orders("{2,0}")
 
 
 class TestLatex:
