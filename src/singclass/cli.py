@@ -165,13 +165,12 @@ def _cmd_multiply_cycles(args) -> int:
     p1 = grammar.parse_profile(args.p1)
     p2 = grammar.parse_profile(args.p2)
     product = cycles.multiply_central(p1, p2)
+    # check before printing, so that a refused check leaves stdout empty
+    ok = args.verify_at is None or cycles.verify_in_group_algebra(p1, p2, product, args.verify_at)
     _print_expr("cycles", product, args.format)
     if args.verify_at is not None:
-        ok = cycles.verify_in_group_algebra(p1, p2, product, args.verify_at)
         print(f"group-algebra check at N={args.verify_at}: {'PASS' if ok else 'FAIL'}")
-        if not ok:
-            return EXIT_VERIFY
-    return EXIT_OK
+    return EXIT_OK if ok else EXIT_VERIFY
 
 
 def _cmd_char(args) -> int:
@@ -196,13 +195,7 @@ def _cmd_coeff(args) -> int:
     else:
         if len(args.args) != 2:
             raise ConstraintError("coeff delta expects: MS PROFILE")
-        ms_text = args.args[0].strip()
-        if ms_text.startswith("[") and ms_text.endswith("]"):
-            ms_text = ms_text[1:-1]
-        try:
-            ms = [int(x) for x in ms_text.split(",")] if ms_text else []
-        except ValueError:
-            raise ParseError(f"bad exponent list: {args.args[0]!r}")
+        ms = grammar.parse_exponents(args.args[0])
         profile = grammar.parse_profile(args.args[1])
         value = classes.point_coefficient_delta(ms, profile)
     _print_value(format_rational(value), args.format)

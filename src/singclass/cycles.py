@@ -182,6 +182,11 @@ def evaluate(c: CycleExpr, lam: Partition) -> Fraction:
 PRODUCT_TUPLE_BUDGET = 200_000
 
 
+def _placements(p: Profile, n: int) -> int:
+    """Number of ordered tuples of disjoint cycles with lengths p on n points."""
+    return factorial(n) // (factorial(n - sum(p)) * prod(p))
+
+
 def _cycle_tuples(lengths: Profile, points: tuple[int, ...]) -> Iterator[dict[int, int]]:
     """Every ordered tuple of disjoint cycles with the given lengths on the
     points, as a map point -> image; each cycle starts at its smallest point."""
@@ -225,14 +230,10 @@ def multiply_central(p1: Profile, p2: Profile) -> CycleExpr:
     """
     p1, p2 = make_profile(p1), make_profile(p2)
     n = sum(p1) + sum(p2)
-
-    def tuple_count(p: Profile) -> int:
-        return factorial(n) // (factorial(n - sum(p)) * prod(p))
-
-    p1, p2 = sorted((p1, p2), key=tuple_count, reverse=True)  # p2 has fewer tuples
-    if tuple_count(p2) > PRODUCT_TUPLE_BUDGET:
+    p1, p2 = sorted((p1, p2), key=lambda p: _placements(p, n), reverse=True)  # p2 has fewer tuples
+    if _placements(p2, n) > PRODUCT_TUPLE_BUDGET:
         raise ConstraintError(
-            f"product needs {tuple_count(p2)} cycle tuples, over the budget of {PRODUCT_TUPLE_BUDGET}"
+            f"product needs {_placements(p2, n)} cycle tuples, over the budget of {PRODUCT_TUPLE_BUDGET}"
         )
     first = next(_cycle_tuples(p1, tuple(range(sum(p1)))))
     tally = Counter(_product_type(first, b) for b in _cycle_tuples(p2, tuple(range(n))))
@@ -283,12 +284,19 @@ def verify_in_group_algebra(
     """Brute-force check of a product identity inside the group algebra of S_n.
 
     Both sides are constructed as explicit functions permutation -> rational
-    (summing over numbered-cycle placements) and compared pointwise.
+    (summing over numbered-cycle placements) and compared pointwise.  More
+    than PRODUCT_TUPLE_BUDGET compositions raise ConstraintError.
     """
     p1, p2 = make_profile(p1), make_profile(p2)
     if n < sum(p1) + sum(p2):
         raise ConstraintError(
             f"need n >= {sum(p1) + sum(p2)} to realize both factors in S_n"
+        )
+    compositions = _placements(p1, n) * _placements(p2, n)
+    if compositions > PRODUCT_TUPLE_BUDGET:
+        raise ConstraintError(
+            f"the check in S_{n} needs {compositions} compositions,"
+            f" over the budget of {PRODUCT_TUPLE_BUDGET}"
         )
     left: dict[tuple[int, ...], Fraction] = {}
     v1 = _central_vector(p1, n)

@@ -1,6 +1,7 @@
 """Concrete text grammar: parsing and rendering of class expressions,
-cycle expressions, x-polynomials, profiles and partitions, with LaTeX and
-JSON emitters, and the text form of polynomials and rational functions in z.
+cycle expressions, x-polynomials, tree literals, profiles, partitions and
+exponent lists, with LaTeX and JSON emitters, and the text form of
+polynomials and rational functions in z.  One token parser reads them all.
 
 Class-expression atoms: ``a_m``, ``i[k1,...,kl]``, ``d[m1,...,ms]``, ``psi``,
 ``xi``, ``T{tree}@sing`` / ``T{tree}@basic``; terms are joined by ``+``/``-``,
@@ -18,10 +19,10 @@ from typing import Callable, Iterable
 from .classes import BASIC, SINGULARITY, ClassExpr
 from .combinatorics import Partition, Profile, make_partition, make_profile
 from .cycles import CycleExpr, XPolynomial
-from .errors import ConstraintError, ParseError, TreeStructureError
+from .errors import ConstraintError, ParseError
 from .exact import XiPolynomial, format_rational
 from .local_models import RationalFunction
-from .trees import MarkedTree, encoding, parse_tree, star, stick, tree, weight
+from .trees import MarkedTree, encoding, star, stick, tree, weight
 
 __all__ = [
     "ordered_monomials",
@@ -43,6 +44,8 @@ __all__ = [
     "parse_profile",
     "format_partition",
     "parse_partition",
+    "parse_exponents",
+    "parse_tree",
 ]
 
 
@@ -176,11 +179,10 @@ def class_to_json(e: ClassExpr) -> str:
 
 _TOKEN_RE = re.compile(
     r"(?P<WS>\s+)"
-    r"|(?P<TREE>T\{[^{}]*\})"
     r"|(?P<ATOM_A>a_\d+)"
     r"|(?P<NUMBER>\d+)"
     r"|(?P<NAME>[A-Za-z]+)"
-    r"|(?P<OP>[-+*/^\[\],@])"
+    r"|(?P<OP>[-+*/^\[\]{}();,@])"
 )
 
 
@@ -199,10 +201,17 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# Deepest nesting a tree literal may have: each level adds at least 2 to the
+# codim, so no expandable tree comes near it, and deep input cannot exhaust
+# the stack.
+_MAX_TREE_DEPTH = 100
+
+
 class _Parser:
     """Reads ``expr := ['-'] term (('+'|'-') term)*`` with
     ``term := factor ('*' factor)*`` over the token stream; rational literals
-    ``p`` and ``p/q`` are shared, every other factor is the caller's."""
+    ``p`` and ``p/q``, tree literals and integer lists are shared, every other
+    factor is the caller's."""
 
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
@@ -227,20 +236,54 @@ class _Parser:
         if not self.accept_op(op):
             raise ParseError(f"expected {op!r}", self.peek()[2])
 
-    def parse_int(self, what: str) -> int:
+    def accept_close(self, close: str | None) -> bool:
+        """Consume the ``close`` operator; None stands for the end of input."""
+        return self.peek()[0] == "END" if close is None else self.accept_op(close)
+
+    def expect_end(self, what: str):
+        if not self.accept_close(None):
+            raise ParseError(f"trailing input after {what}", self.peek()[2])
+
+    def parse_int(self, what: str, signed: bool = False) -> int:
         kind, value, pos = self.peek()
+        # as for int(), a sign binds only to the digits right after it
+        if signed and value in ("+", "-") and self.tokens[self.index + 1][2] == pos + 1:
+            self.index += 1
+            return (-1 if value == "-" else 1) * self.parse_int(what)
         if kind != "NUMBER":
             raise ParseError(f"expected {what}", pos)
         self.index += 1
         return int(value)
 
-    def parse_int_list(self) -> list[int]:
-        self.expect_op("[")
-        values = [self.parse_int("an integer")]
+    def parse_int_list(self, close: str | None = "]", signed: bool = False) -> list[int]:
+        """``INT (',' INT)*`` and then the ``close`` operator, or the end of
+        input when ``close`` is None; each INT may carry a sign if ``signed``."""
+        values = [self.parse_int("an integer", signed)]
         while self.accept_op(","):
-            values.append(self.parse_int("an integer"))
-        self.expect_op("]")
+            values.append(self.parse_int("an integer", signed))
+        if not self.accept_close(close):
+            closer = repr(close) if close else "end of input"
+            raise ParseError(f"expected ',' or {closer}", self.peek()[2])
         return values
+
+    def parse_tree(self, depth: int = 0) -> MarkedTree:
+        """``TREE := INT | '(' INT ';' TREE (',' TREE)+ ')'``; a bare integer is
+        the stick with that marking."""
+        pos = self.peek()[2]
+        if not self.accept_op("("):
+            return stick(self.parse_int("an integer"))
+        if depth == _MAX_TREE_DEPTH:
+            raise ParseError(f"tree nested deeper than {_MAX_TREE_DEPTH} levels", pos)
+        marking = self.parse_int("an integer")
+        if not self.accept_op(";"):
+            raise ParseError("expected ';' after vertex marking", self.peek()[2])
+        children = [self.parse_tree(depth + 1)]
+        while self.accept_op(","):
+            children.append(self.parse_tree(depth + 1))
+        self.expect_op(")")
+        if len(children) < 2:
+            raise ParseError("internal vertex needs at least two children", pos)
+        return tree(marking, children)
 
     def parse_exponent(self) -> int:
         return self.parse_int("an integer exponent") if self.accept_op("^") else 1
@@ -279,6 +322,15 @@ class _Parser:
             sign = 1 if value == "+" else -1
 
 
+def parse_tree(text: str) -> MarkedTree:
+    """Parse a tree literal (see ``_Parser.parse_tree``); whitespace is
+    insignificant, and nesting deeper than 100 levels is refused."""
+    parser = _Parser(text)
+    t = parser.parse_tree()
+    parser.expect_end("tree")
+    return t
+
+
 def _class_factor(parser: _Parser, kind: str, value: str, pos: int):
     """One non-rational factor of a class term as (kind, payload, position)."""
     parser.advance()
@@ -287,20 +339,20 @@ def _class_factor(parser: _Parser, kind: str, value: str, pos: int):
     if kind == "ATOM_A":
         return "a", int(value[2:]), pos
     if kind == "NAME" and value in ("i", "d"):
+        parser.expect_op("[")
         return value, parser.parse_int_list(), pos
-    if kind == "TREE":
+    if kind == "NAME" and value == "T":
+        parser.expect_op("{")
+        try:
+            parsed = parser.parse_tree()
+            parser.expect_op("}")
+        except ParseError as exc:
+            raise ParseError(f"bad tree literal: {exc.reason}", exc.position) from None
         if not parser.accept_op("@"):
             raise ParseError("tree atom needs a basis tag @sing or @basic", parser.peek()[2])
         kind2, tag, pos2 = parser.advance()
         if kind2 != "NAME" or tag not in ("sing", "basic"):
             raise ParseError("basis tag must be sing or basic", pos2)
-        try:
-            parsed = parse_tree(value[2:-1])
-        except ParseError as exc:
-            # the tree text starts two characters into the atom, after "T{"
-            raise ParseError(f"bad tree literal: {exc.reason}", pos + 2 + exc.position) from None
-        except TreeStructureError as exc:
-            raise ParseError(f"bad tree literal: {exc}", pos) from None
         return "tree", (parsed, SINGULARITY if tag == "sing" else BASIC), pos
     raise ParseError("expected a factor", pos)
 
@@ -398,6 +450,7 @@ def _cycle_factor(parser: _Parser, kind: str, value: str, pos: int) -> tuple[Pro
     if kind != "NAME" or value != "C":
         raise ParseError("expected a factor", pos)
     parser.advance()
+    parser.expect_op("[")
     try:
         return make_profile(parser.parse_int_list()), pos
     except ConstraintError as exc:
@@ -466,17 +519,22 @@ def format_profile(p: Profile) -> str:
     return "{" + ",".join(str(k) for k in p) + "}"
 
 
+def _int_literal(text: str, brackets: str, what: str) -> list[int]:
+    """The integers of a list literal such as ``{1,2,2}``, each with an
+    optional sign: the brackets are optional, and a blank list is empty."""
+    try:
+        parser = _Parser(text)
+        close = brackets[1] if parser.accept_op(brackets[0]) else None
+        values = [] if parser.accept_close(close) else parser.parse_int_list(close, signed=True)
+        parser.expect_end("the list")
+    except ParseError as exc:
+        raise ParseError(f"bad {what}: {exc.reason}", exc.position) from None
+    return values
+
+
 def parse_orders(text: str) -> tuple[int, ...]:
     """The parts of a profile literal ``{k1,...,kl}`` in the order typed."""
-    s = text.strip()
-    if s.startswith("{") and s.endswith("}"):
-        s = s[1:-1]
-    if not s.strip():
-        return ()
-    try:
-        parts = tuple(int(x) for x in s.split(","))
-    except ValueError as exc:
-        raise ParseError(f"bad profile literal: {text!r}") from exc
+    parts = tuple(_int_literal(text, "{}", "profile literal"))
     if any(k < 1 for k in parts):
         raise ParseError("profile parts must be positive integers")
     return parts
@@ -491,16 +549,12 @@ def format_partition(lam: Partition) -> str:
 
 
 def parse_partition(text: str) -> Partition:
-    s = text.strip()
-    if s.startswith("[") and s.endswith("]"):
-        s = s[1:-1]
-    if not s.strip():
-        return ()
     try:
-        rows = [int(x) for x in s.split(",")]
-    except ValueError as exc:
-        raise ParseError(f"bad partition literal: {text!r}") from exc
-    try:
-        return make_partition(rows)
+        return make_partition(_int_literal(text, "[]", "partition literal"))
     except ConstraintError as exc:
         raise ParseError(str(exc)) from None
+
+
+def parse_exponents(text: str) -> list[int]:
+    """The cotangent exponents ``[m1,...,ms]`` of a point-class delta expression."""
+    return _int_literal(text, "[]", "exponent list")

@@ -29,7 +29,7 @@ from functools import lru_cache, reduce
 from operator import mul
 from typing import Sequence
 
-from .errors import ConstraintError, ParseError, TreeStructureError
+from .errors import ConstraintError, TreeStructureError
 
 __all__ = [
     "MarkedTree",
@@ -38,7 +38,6 @@ __all__ = [
     "star",
     "canonicalize",
     "encoding",
-    "parse_tree",
     "codim",
     "weight",
     "vanishes",
@@ -114,14 +113,6 @@ def is_stick(t: MarkedTree) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _branch_codim(t: MarkedTree) -> int:
-    # contribution of a non-top vertex: marking, plus 1 for its parent edge
-    # (a leaf edge counts towards the ramification order, an internal edge
-    # towards the boundary-stratum codimension), plus its subtrees.
-    return t.marking + 1 + sum(_branch_codim(c) for c in t.children)
-
-
-@lru_cache(maxsize=None)
 def codim(t: MarkedTree) -> int:
     """Codimension of the class the tree denotes (same in both bases).
 
@@ -131,7 +122,8 @@ def codim(t: MarkedTree) -> int:
     """
     if not t.children:
         return t.marking
-    return t.marking + sum(_branch_codim(c) for c in t.children)
+    # each child branch also counts the edge up to its parent
+    return t.marking + sum(codim(c) + 1 for c in t.children)
 
 
 @lru_cache(maxsize=None)
@@ -218,69 +210,6 @@ def substitute(outer: MarkedTree, grafts):
     )
 
 
-def parse_tree(text: str) -> MarkedTree:
-    """Parse the tree grammar: TREE := INT | '(' INT ';' TREE (',' TREE)+ ')'.
-
-    A top-level bare integer denotes the stick with that marking; whitespace
-    is insignificant.
-    """
-    t, pos = _parse_tree_at(text, 0)
-    pos = _skip_ws(text, pos)
-    if pos != len(text):
-        raise ParseError("trailing input after tree", pos)
-    return t
-
-
-def _skip_ws(s: str, pos: int) -> int:
-    while pos < len(s) and s[pos].isspace():
-        pos += 1
-    return pos
-
-
-def _parse_int_at(s: str, pos: int) -> tuple[int, int]:
-    pos = _skip_ws(s, pos)
-    start = pos
-    while pos < len(s) and s[pos].isdigit():
-        pos += 1
-    if start == pos:
-        raise ParseError("expected an integer", start)
-    return int(s[start:pos]), pos
-
-
-# Deepest nesting parse_tree accepts: each level adds at least 2 to the codim,
-# so no expandable tree comes near it, and deep input cannot exhaust the stack.
-_MAX_TREE_DEPTH = 100
-
-
-def _parse_tree_at(s: str, pos: int, depth: int = 0) -> tuple[MarkedTree, int]:
-    pos = _skip_ws(s, pos)
-    if pos < len(s) and s[pos] == "(":
-        if depth == _MAX_TREE_DEPTH:
-            raise ParseError(f"tree nested deeper than {_MAX_TREE_DEPTH} levels", pos)
-        open_pos = pos
-        marking, pos = _parse_int_at(s, pos + 1)
-        pos = _skip_ws(s, pos)
-        if pos >= len(s) or s[pos] != ";":
-            raise ParseError("expected ';' after vertex marking", pos)
-        children = []
-        pos += 1
-        while True:
-            child, pos = _parse_tree_at(s, pos, depth + 1)
-            children.append(child)
-            pos = _skip_ws(s, pos)
-            if pos < len(s) and s[pos] == ",":
-                pos += 1
-                continue
-            break
-        if pos >= len(s) or s[pos] != ")":
-            raise ParseError("expected ')'", pos)
-        if len(children) < 2:
-            raise ParseError("internal vertex needs at least two children", open_pos)
-        return tree(marking, tuple(children)), pos + 1
-    marking, pos = _parse_int_at(s, pos)
-    return stick(marking), pos
-
-
 @lru_cache(maxsize=None)
 def _branch_options(cost: int) -> tuple[MarkedTree, ...]:
     """All canonical branches whose contribution to the parent codim is exactly ``cost``."""
@@ -293,7 +222,7 @@ def _branch_options(cost: int) -> tuple[MarkedTree, ...]:
         for q in range(0, min(t_children - 2, budget) + 1):
             for combo in _branch_combos(cost - 1 - q, t_children):
                 candidate = tree(q, combo)
-                if not vanishes(candidate) and _branch_codim(candidate) == cost:
+                if not vanishes(candidate) and codim(candidate) + 1 == cost:
                     out.add(candidate)
     return tuple(sorted(out, key=encoding))
 
@@ -326,14 +255,5 @@ def enumerate_trees(max_codim: int) -> list[MarkedTree]:
     Includes the sticks (codimension = marking).  Deterministic order:
     by codimension, then canonical encoding.
     """
-    found: set[MarkedTree] = set()
-    for m in range(0, max_codim + 1):
-        found.add(stick(m))
-    for total in range(2, max_codim + 1):
-        for t_children in range(2, total + 1):
-            for q in range(0, min(t_children - 2, total - t_children) + 1):
-                for combo in _branch_combos(total - q, t_children):
-                    candidate = tree(q, combo)
-                    if not vanishes(candidate) and codim(candidate) <= max_codim:
-                        found.add(candidate)
+    found = {t for k in range(max_codim + 1) for t in _branch_options(k + 1)}
     return sorted(found, key=lambda t: (codim(t), encoding(t)))

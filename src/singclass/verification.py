@@ -14,7 +14,7 @@ from importlib import resources
 from . import classes, cycles, grammar, trees
 from .classes import BASIC, SINGULARITY, ClassExpr, basic_to_sing, sing_to_basic
 from .combinatorics import partitions_of, shifted_power_sum
-from .errors import ParseError
+from .errors import ConstraintError, ParseError
 from .exact import XiPolynomial, format_rational, parse_rational
 
 __all__ = [
@@ -271,16 +271,29 @@ def check_roundtrip(max_codim: int = 6) -> list[CheckResult]:
     return out
 
 
+# suite -> (checks, smallest max_m under which it compares something, or
+# None when it takes no max_m)
 SUITES = {
-    "appendix": lambda max_m: check_appendix(),
-    "ko": lambda max_m: check_shifted_power_sums(max_m if max_m is not None else 5),
-    "equality": lambda max_m: check_genus0_equality(max_m if max_m is not None else 6),
-    "cycles": lambda max_m: check_cycle_products(),
-    "roundtrip": lambda max_m: check_roundtrip(max_m if max_m is not None else 6),
+    "appendix": (check_appendix, None),
+    "ko": (check_shifted_power_sums, 0),
+    "equality": (check_genus0_equality, 1),
+    "cycles": (check_cycle_products, None),
+    "roundtrip": (check_roundtrip, 0),
 }
 
 
 def run_suite(name: str, max_m: int | None = None) -> list[CheckResult]:
+    """Run one suite; a ``max_m`` under which it would compare nothing, or
+    one given to a suite that takes none, raises ConstraintError."""
     if name not in SUITES:
         raise ParseError(f"unknown verify suite {name!r}")
-    return SUITES[name](max_m)
+    checks, smallest = SUITES[name]
+    if max_m is None:
+        return checks()
+    if smallest is None:
+        raise ConstraintError(f"verify {name} takes no --max-m")
+    if max_m < smallest:
+        raise ConstraintError(
+            f"verify {name} needs --max-m >= {smallest}, got {max_m}: it would compare nothing"
+        )
+    return checks(max_m)

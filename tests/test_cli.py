@@ -214,6 +214,39 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert err == f"constraint violation: {message}\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("multiply-cycles", "{1,,2}", "{2}"),
+            ("char", "[2,,1]", "[3]"),
+            ("coeff", "delta", "[1,,2]", "{1,3}"),
+        ],
+    )
+    def test_bad_list_literal_reports_its_position(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.endswith(": expected an integer (at position 3)\n")
+
+    @pytest.mark.parametrize(
+        "suite, max_m, message",
+        [
+            ("roundtrip", "-1", "verify roundtrip needs --max-m >= 0"),
+            ("ko", "-1", "verify ko needs --max-m >= 0"),
+            ("equality", "0", "verify equality needs --max-m >= 1"),
+            ("appendix", "3", "verify appendix takes no --max-m"),
+            ("cycles", "3", "verify cycles takes no --max-m"),
+        ],
+    )
+    def test_a_suite_that_would_compare_nothing_is_exit_3(self, capsys, suite, max_m, message):
+        code, out, err = run(capsys, "verify", suite, "--max-m", max_m)
+        assert (code, out) == (3, "")
+        assert message in err
+
+    def test_group_algebra_check_over_the_budget_is_exit_3(self, capsys):
+        code, out, err = run(capsys, "multiply-cycles", "{2,2}", "{2}", "--verify-at", "14")
+        assert (code, out) == (3, "")
+        assert "546546 compositions, over the budget" in err
+
     def test_verification_failure_is_exit_1(self, capsys):
         code, out, _ = run(
             capsys, "multiply-cycles", "{2}", "{2}", "--verify-at", "3"

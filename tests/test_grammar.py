@@ -26,17 +26,19 @@ from singclass.grammar import (
     format_partition,
     format_profile,
     parse_class,
-    parse_orders,
     parse_cycles,
+    parse_exponents,
+    parse_orders,
     parse_partition,
     parse_profile,
+    parse_tree,
     render_class,
     render_class_latex,
     render_cycles,
     render_cycles_latex,
     render_xpoly,
 )
-from singclass.trees import codim, enumerate_trees, star, stick, tree
+from singclass.trees import canonicalize, codim, encoding, enumerate_trees, star, stick, tree
 
 
 class TestRenderClass:
@@ -234,6 +236,91 @@ class TestProfilesAndPartitions:
             parse_profile("{0,1}")
         with pytest.raises(ParseError):
             parse_orders("{2,0}")
+
+
+_RAW_TREES = st.recursive(
+    st.integers(min_value=0, max_value=12),
+    lambda kids: st.tuples(
+        st.integers(min_value=0, max_value=3), st.lists(kids, min_size=2, max_size=3)
+    ),
+    max_leaves=8,
+)
+
+
+def _spaced(data, text: str) -> str:
+    """``text`` with random whitespace wherever it does not split a number."""
+    out = []
+    for i, ch in enumerate(text):
+        if i == 0 or not (ch.isdigit() and text[i - 1].isdigit()):
+            out.append(data.draw(st.sampled_from(["", "", " ", "\t", "\n  "])))
+        out.append(ch)
+    return "".join(out) + data.draw(st.sampled_from(["", " "]))
+
+
+class TestLiteralReader:
+    @settings(max_examples=40, deadline=None)
+    @given(_RAW_TREES.map(canonicalize), st.data())
+    def test_parse_inverts_render_on_trees(self, t, data):
+        assert parse_tree(_spaced(data, encoding(t))) == t
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(min_value=1, max_value=30), max_size=6), st.data())
+    def test_parse_inverts_render_on_profiles_and_partitions(self, parts, data):
+        p, lam = tuple(sorted(parts)), tuple(sorted(parts, reverse=True))
+        assert parse_profile(_spaced(data, format_profile(p))) == p
+        assert parse_partition(_spaced(data, format_partition(lam))) == lam
+
+    @pytest.mark.parametrize(
+        "parse, text, expected",
+        [
+            (parse_profile, "{1,2,2}", (1, 2, 2)),
+            (parse_profile, "2,1,2", (1, 2, 2)),
+            (parse_profile, "{}", ()),
+            (parse_profile, "", ()),
+            (parse_profile, "  ", ()),
+            (parse_profile, "{ }", ()),
+            (parse_profile, " { 1 , 2 } ", (1, 2)),
+            (parse_profile, "\t{+1,02}\n", (1, 2)),
+            (parse_orders, "{2,1,2}", (2, 1, 2)),
+            (parse_orders, "3, 1", (3, 1)),
+            (parse_partition, "[3,1,1]", (3, 1, 1)),
+            (parse_partition, "1,3,1", (3, 1, 1)),
+            (parse_partition, "[]", ()),
+            (parse_partition, " [ 2 , 1 ] ", (2, 1)),
+            (parse_exponents, "[0,2]", [0, 2]),
+            (parse_exponents, "0, 2", [0, 2]),
+            (parse_exponents, "[]", []),
+            (parse_exponents, "", []),
+            (parse_exponents, "[-1,+2]", [-1, 2]),
+        ],
+    )
+    def test_accepted_spellings(self, parse, text, expected):
+        assert parse(text) == expected
+
+    @pytest.mark.parametrize(
+        "parse, text, position",
+        [
+            (parse_profile, "{1,,2}", 3),
+            (parse_partition, "[2,,1]", 3),
+            (parse_exponents, "[1,,2]", 3),
+            (parse_profile, "{1,2", 4),
+            (parse_profile, "{1,2}}", 5),
+            (parse_profile, "[1,2]", 0),
+            (parse_exponents, "1 2", 2),
+            (parse_exponents, "- 1", 0),
+            (parse_profile, "{1_0}", 2),
+        ],
+    )
+    def test_bad_lists_carry_positions(self, parse, text, position):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert info.value.position == position
+
+    def test_range_checks_follow_the_reader(self):
+        with pytest.raises(ParseError, match="positive"):
+            parse_profile("{-1}")
+        with pytest.raises(ParseError, match="positive"):
+            parse_partition("[2,-1]")
 
 
 class TestLatex:

@@ -10,6 +10,7 @@ import pytest
 from singclass.classes import BASIC, SINGULARITY, ClassExpr, psi_power_sing
 from singclass.errors import ConstraintError, TreeStructureError
 from singclass.exact import XiPolynomial
+from singclass.grammar import parse_tree
 from singclass.trees import (
     MarkedTree,
     canonicalize,
@@ -18,7 +19,6 @@ from singclass.trees import (
     enumerate_trees,
     graft,
     leaf_markings,
-    parse_tree,
     star,
     stick,
     substitute,
