@@ -30,7 +30,6 @@ from .trees import (
     substitute,
     tree,
     vanishes,
-    weight,
 )
 
 SINGULARITY = "singularity"
@@ -76,7 +75,7 @@ class ClassExpr:
             acc[t] = acc[t] + poly if t in acc else poly
         items = [(t, poly) for t, poly in acc.items() if poly and not vanishes(t)]
         degrees = {
-            codim(t) + q for t, poly in items for q, c in poly.monomials()
+            t.codim + q for t, poly in items for q, c in poly.monomials()
         }
         if len(degrees) > 1:
             raise ConstraintError(
@@ -275,22 +274,32 @@ def sing_to_basic(e: ClassExpr) -> ClassExpr:
 
     Inversion by descending weight: the basic class of a tree T equals
     1/(m_1! ... m_l!) [T]_sing plus strictly lower-weight terms, so peeling
-    the highest-weight tree at each step terminates and is exact.
+    the residue one weight at a time, highest first, terminates and is
+    exact; within one weight the order of peeling does not matter.
     """
     if e.basis != SINGULARITY:
         raise ConstraintError("sing_to_basic expects a singularity-basis expression")
-    residue = dict(e.terms)
+    # residue[w]: the not yet peeled terms whose tree has weight w
+    residue: dict[int, dict[MarkedTree, XiPolynomial]] = {}
+    for t, poly in e.terms:
+        residue.setdefault(t.weight, {})[t] = poly
     out: list[tuple[MarkedTree, XiPolynomial]] = []
-    while residue:
-        t = max(residue, key=lambda t: (weight(t), encoding(t)))
-        lead = residue.pop(t).scale(prod(factorial(m) for m in leaf_markings(t)))
-        out.append((t, lead))
-        for t2, poly2 in _tree_basic_expansion(t).terms:
-            if t2 == t:
-                continue
-            updated = residue.pop(t2, XiPolynomial.zero()) - poly2 * lead
-            if updated:
-                residue[t2] = updated
+    for w in range(max(residue, default=-1), -1, -1):
+        for t, poly in residue.pop(w, {}).items():
+            lead = poly.scale(prod(factorial(m) for m in leaf_markings(t)))
+            out.append((t, lead))
+            for t2, poly2 in _tree_basic_expansion(t).terms:
+                if t2 == t:
+                    continue
+                if t2.weight >= w:  # would land in a bucket already peeled
+                    raise RuntimeError(
+                        f"basic expansion of {encoding(t)} has a term of weight "
+                        f"{t2.weight} >= {w}"
+                    )
+                bucket = residue.setdefault(t2.weight, {})
+                updated = bucket.pop(t2, XiPolynomial.zero()) - poly2 * lead
+                if updated:
+                    bucket[t2] = updated
     return ClassExpr.from_terms(BASIC, out)
 
 

@@ -2,7 +2,9 @@
 
 One verb per invocation; output format is text (default), json or latex.
 Exit codes: 0 success, 1 verification failure, 2 parse error, 3 constraint
-violation.  The environment variable SINGCLASS_MAX_CODIM (default 8) caps
+violation, 4 internal error (an exception that is not a SingclassError, so a
+defect of singclass, reported on stderr as ``internal error: ...`` followed by
+the traceback).  The environment variable SINGCLASS_MAX_CODIM (default 8) caps
 the expansion depth of class-producing commands and of verify --max-m.
 """
 
@@ -12,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import classes, cycles, grammar, local_models, verification
 from .classes import BASIC, SINGULARITY
@@ -23,6 +24,7 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_PARSE = 2
 EXIT_CONSTRAINT = 3
+EXIT_INTERNAL = 4
 
 _FORMATS = ("text", "json", "latex")
 
@@ -204,11 +206,8 @@ def _cmd_coeff(args) -> int:
 
 def _cmd_local_model(args) -> int:
     orders = grammar.parse_orders(args.profile)
-    try:
-        x = Fraction(args.x)
-        poles = [Fraction(z) for z in args.poles.split(",")]
-    except (ValueError, ZeroDivisionError):
-        raise ParseError("x and poles must be rationals like 2, -1, or 3/2")
+    x = grammar.parse_rational_value(args.x, "x value")
+    poles = grammar.parse_rational_list(args.poles, "pole list")
     # each pole belongs to the order typed at its position; the branches are
     # then listed by order (a count mismatch is left to canonical_function)
     if len(orders) == len(poles):
@@ -288,6 +287,12 @@ def main(argv=None) -> int:
     except SingclassError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONSTRAINT
+    except Exception as exc:  # a defect of singclass, never a verification failure
+        import traceback  # imported here: it would add to every call's start-up
+
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -45,9 +45,12 @@ def parse_rational(text: str) -> Fraction:
         raise ParseError(f"not a rational literal: {text!r}") from exc
 
 
-def _strip(coeffs: Iterable[Fraction]) -> tuple[Fraction, ...]:
-    out = [Fraction(c) for c in coeffs]
-    while out and out[-1] == 0:
+_ZERO = Fraction(0)
+
+
+def _strip(coeffs: Iterable[Fraction | int]) -> tuple[Fraction, ...]:
+    out = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
+    while out and not out[-1]:
         out.pop()
     return tuple(out)
 
@@ -118,23 +121,30 @@ class XiPolynomial:
     def coefficient(self, k: int) -> Fraction:
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
-        return Fraction(0)
+        return _ZERO
 
     def monomials(self) -> list[tuple[int, Fraction]]:
         """Nonzero (exponent, coefficient) pairs, ascending in the exponent."""
-        return [(k, c) for k, c in enumerate(self.coeffs) if c != 0]
+        return [(k, c) for k, c in enumerate(self.coeffs) if c]
+
+    # Class-side coefficients are single monomials c*xi^q stored densely, so
+    # the arithmetic below skips zero coefficients instead of adding them.
 
     def __add__(self, other: "XiPolynomial") -> "XiPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return XiPolynomial.from_coeffs(
-            self.coefficient(k) + other.coefficient(k) for k in range(n)
-        )
+        out = list(self.coeffs)
+        out += [_ZERO] * (len(other.coeffs) - len(out))
+        for k, c in enumerate(other.coeffs):
+            if c:
+                out[k] = out[k] + c if out[k] else c
+        return XiPolynomial.from_coeffs(out)
 
     def __sub__(self, other: "XiPolynomial") -> "XiPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return XiPolynomial.from_coeffs(
-            self.coefficient(k) - other.coefficient(k) for k in range(n)
-        )
+        out = list(self.coeffs)
+        out += [_ZERO] * (len(other.coeffs) - len(out))
+        for k, c in enumerate(other.coeffs):
+            if c:
+                out[k] = out[k] - c if out[k] else -c
+        return XiPolynomial.from_coeffs(out)
 
     def __neg__(self) -> "XiPolynomial":
         return XiPolynomial(tuple(-c for c in self.coeffs))
@@ -142,25 +152,26 @@ class XiPolynomial:
     def __mul__(self, other: "XiPolynomial") -> "XiPolynomial":
         if not self.coeffs or not other.coeffs:
             return XiPolynomial.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
+        right = [(j, b) for j, b in enumerate(other.coeffs) if b]
         for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
+            if a:
+                for j, b in right:
+                    k = i + j
+                    out[k] = out[k] + a * b if out[k] else a * b
         return XiPolynomial.from_coeffs(out)
 
     def scale(self, c: Fraction | int) -> "XiPolynomial":
         c = Fraction(c)
         if c == 0:
             return XiPolynomial.zero()
-        return XiPolynomial(tuple(a * c for a in self.coeffs))
+        return XiPolynomial(tuple(a * c if a else a for a in self.coeffs))
 
     def shift(self, k: int) -> "XiPolynomial":
         """Multiply by xi^k."""
         if not self.coeffs:
             return self
-        return XiPolynomial((Fraction(0),) * k + self.coeffs)
+        return XiPolynomial((_ZERO,) * k + self.coeffs)
 
     def pow(self, exponent: int) -> "XiPolynomial":
         return _power(self, exponent, XiPolynomial.one())
@@ -253,7 +264,7 @@ class PowerSeries:
     def from_coeffs(coeffs: Sequence[Fraction | int], order: int) -> "PowerSeries":
         if order < 0:
             raise ValueError("truncation order must be nonnegative")
-        dense = [Fraction(c) for c in coeffs[: order + 1]]
+        dense = [c if type(c) is Fraction else Fraction(c) for c in coeffs[: order + 1]]
         dense += [Fraction(0)] * (order + 1 - len(dense))
         return PowerSeries(tuple(dense), order)
 

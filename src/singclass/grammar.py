@@ -45,6 +45,8 @@ __all__ = [
     "format_partition",
     "parse_partition",
     "parse_exponents",
+    "parse_rational_value",
+    "parse_rational_list",
     "parse_tree",
 ]
 
@@ -252,19 +254,27 @@ class _Parser:
             return (-1 if value == "-" else 1) * self.parse_int(what)
         if kind != "NUMBER":
             raise ParseError(f"expected {what}", pos)
+        try:
+            number = int(value)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise ParseError("integer literal too long", pos) from None
         self.index += 1
-        return int(value)
+        return number
 
-    def parse_int_list(self, close: str | None = "]", signed: bool = False) -> list[int]:
-        """``INT (',' INT)*`` and then the ``close`` operator, or the end of
-        input when ``close`` is None; each INT may carry a sign if ``signed``."""
-        values = [self.parse_int("an integer", signed)]
+    def parse_list(self, parse_item: Callable[[], object], close: str | None) -> list:
+        """``ITEM (',' ITEM)*`` and then the ``close`` operator, or the end of
+        input when ``close`` is None; ``parse_item()`` reads each ITEM."""
+        values = [parse_item()]
         while self.accept_op(","):
-            values.append(self.parse_int("an integer", signed))
+            values.append(parse_item())
         if not self.accept_close(close):
             closer = repr(close) if close else "end of input"
             raise ParseError(f"expected ',' or {closer}", self.peek()[2])
         return values
+
+    def parse_int_list(self, close: str | None = "]", signed: bool = False) -> list[int]:
+        """A list of integers; each may carry a sign if ``signed``."""
+        return self.parse_list(lambda: self.parse_int("an integer", signed), close)
 
     def parse_tree(self, depth: int = 0) -> MarkedTree:
         """``TREE := INT | '(' INT ';' TREE (',' TREE)+ ')'``; a bare integer is
@@ -288,8 +298,9 @@ class _Parser:
     def parse_exponent(self) -> int:
         return self.parse_int("an integer exponent") if self.accept_op("^") else 1
 
-    def parse_coefficient(self) -> Fraction:
-        numerator = self.parse_int("a number")
+    def parse_coefficient(self, signed: bool = False) -> Fraction:
+        """A rational literal ``p`` or ``p/q``; ``p`` may carry a sign if ``signed``."""
+        numerator = self.parse_int("a number", signed)
         if not self.accept_op("/"):
             return Fraction(numerator)
         pos = self.peek()[2]
@@ -558,3 +569,31 @@ def parse_partition(text: str) -> Partition:
 def parse_exponents(text: str) -> list[int]:
     """The cotangent exponents ``[m1,...,ms]`` of a point-class delta expression."""
     return _int_literal(text, "[]", "exponent list")
+
+
+# ---------------------------------------------------------------------------
+# rational values: the point and the poles of a local model
+
+def _rational_literal(text: str, what: str, many: bool) -> list[Fraction]:
+    try:
+        parser = _Parser(text)
+
+        def item() -> Fraction:
+            return parser.parse_coefficient(signed=True)
+
+        values = parser.parse_list(item, None) if many else [item()]
+        parser.expect_end("the value")
+    except ParseError as exc:
+        raise ParseError(f"bad {what}: {exc.reason}", exc.position) from None
+    return values
+
+
+def parse_rational_value(text: str, what: str) -> Fraction:
+    """One signed rational ``p`` or ``p/q``; decimals such as ``1.5`` are refused,
+    and errors read ``bad <what>: ...`` with the position."""
+    return _rational_literal(text, what, many=False)[0]
+
+
+def parse_rational_list(text: str, what: str) -> list[Fraction]:
+    """Comma-separated signed rationals such as ``1/2,-3``; no brackets."""
+    return _rational_literal(text, what, many=True)

@@ -19,12 +19,20 @@ so the contraction identifies equal classes; it is also what makes the
 expansion tables come out in the psi * i_{...} form.  Contractions are
 applied bottom-up (descendants first), which makes the normal form
 deterministic.
+
+Interning
+---------
+Canonical trees are hash-consed: :func:`tree` (and so every constructor
+built on it) returns the one stored instance of each canonical tree, so
+equality of canonical trees is identity.  Each instance computes its hash,
+codimension, weight and vanishing flag once, from its children, when it is
+built.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from operator import mul
 from typing import Sequence
@@ -50,23 +58,75 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class MarkedTree:
     """One vertex of a marked tree with its (canonically ordered) subtrees.
 
     Always build instances through :func:`tree` / :func:`canonicalize`;
-    direct construction skips sorting, contraction and valency checks.
+    direct construction skips sorting, contraction, valency checks and
+    interning, though the instance still equals and hashes like its
+    interned twin.  ``codim``, ``weight`` and ``vanishing`` are computed
+    from the children on construction.
     """
 
     marking: int
     children: tuple["MarkedTree", ...] = ()
+    codim: int = field(init=False, repr=False)
+    weight: int = field(init=False, repr=False)
+    vanishing: bool = field(init=False, repr=False)
+    _hash: int = field(init=False, repr=False)
+
+    def __post_init__(self):
+        marking, kids = self.marking, self.children
+        if kids:
+            # each child branch also counts the edge up to its parent
+            codim = marking + sum(c.codim + 1 for c in kids)
+            weight = sum(c.weight for c in kids)
+            vanishing = marking > len(kids) - 2 or any(c.vanishing for c in kids)
+        else:
+            codim = weight = marking
+            vanishing = False
+        object.__setattr__(self, "codim", codim)
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "vanishing", vanishing)
+        object.__setattr__(self, "_hash", hash((marking, kids)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, MarkedTree):
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and self.marking == other.marking
+            and self.children == other.children
+        )
+
+
+# (marking, children) as passed to tree() -> the canonical instance.  Both the
+# raw keys and the canonical ones are stored; a canonical tree is a fixed
+# point of tree(), so every key maps to the tree that tree() would build.
+_INTERNED: dict[tuple[int, tuple[MarkedTree, ...]], MarkedTree] = {}
 
 
 def tree(marking: int, children: Sequence[MarkedTree] = ()) -> MarkedTree:
-    """Canonical constructor: validates, sorts children, contracts 3-valent pairs."""
+    """Canonical constructor: validates, sorts children, contracts 3-valent pairs.
+
+    Returns the interned instance of the canonical tree.
+    """
+    key = (marking, tuple(children))
+    found = _INTERNED.get(key)
+    if found is None:
+        found = _INTERNED[key] = _canonical(*key)
+    return found
+
+
+def _canonical(marking: int, kids: tuple[MarkedTree, ...]) -> MarkedTree:
     if marking < 0:
         raise TreeStructureError("markings must be nonnegative")
-    kids = tuple(children)
     if len(kids) == 1:
         raise TreeStructureError(
             "internal vertex with a single child (valency 2) is not allowed"
@@ -77,7 +137,7 @@ def tree(marking: int, children: Sequence[MarkedTree] = ()) -> MarkedTree:
             if child.marking == 0 and len(child.children) == 2:
                 other = kids[1 - idx]
                 return tree(1, (other,) + child.children)
-    return MarkedTree(marking, kids)
+    return _INTERNED.setdefault((marking, kids), MarkedTree(marking, kids))
 
 
 def stick(marking: int) -> MarkedTree:
@@ -112,7 +172,6 @@ def is_stick(t: MarkedTree) -> bool:
     return not t.children
 
 
-@lru_cache(maxsize=None)
 def codim(t: MarkedTree) -> int:
     """Codimension of the class the tree denotes (same in both bases).
 
@@ -120,27 +179,17 @@ def codim(t: MarkedTree) -> int:
     contribute marking+1 each, internal vertices their marking, and every
     edge between two internal vertices contributes 1.
     """
-    if not t.children:
-        return t.marking
-    # each child branch also counts the edge up to its parent
-    return t.marking + sum(codim(c) + 1 for c in t.children)
+    return t.codim
 
 
-@lru_cache(maxsize=None)
 def weight(t: MarkedTree) -> int:
     """Sum of the leaf markings; the grading that makes the basis change triangular."""
-    if not t.children:
-        return t.marking
-    return sum(weight(c) for c in t.children)
+    return t.weight
 
 
 def vanishes(t: MarkedTree) -> bool:
     """True iff some vertex with children is marked beyond valency - 3."""
-    if t.children:
-        if t.marking > len(t.children) - 2:
-            return True
-        return any(vanishes(c) for c in t.children)
-    return False
+    return t.vanishing
 
 
 def leaf_markings(t: MarkedTree) -> tuple[int, ...]:
@@ -256,4 +305,4 @@ def enumerate_trees(max_codim: int) -> list[MarkedTree]:
     by codimension, then canonical encoding.
     """
     found = {t for k in range(max_codim + 1) for t in _branch_options(k + 1)}
-    return sorted(found, key=lambda t: (codim(t), encoding(t)))
+    return sorted(found, key=lambda t: (t.codim, encoding(t)))

@@ -97,9 +97,9 @@ def test_criterion_4_sing_to_basic_rows():
 
 def test_criterion_5_round_trip():
     with _Criterion(
-        5, "both basis changes compose to the identity up to codim 6", 30.0
+        5, "both basis changes compose to the identity up to codim 8", 30.0
     ):
-        _assert_all(verification.check_roundtrip(6))
+        _assert_all(verification.check_roundtrip(8))
 
 
 def test_criterion_6_completed_cycles():

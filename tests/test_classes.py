@@ -21,12 +21,13 @@ from singclass.classes import (
     psi_power_sing,
     sing_to_basic,
     product_expansion,
+    _tree_basic_expansion,
 )
 from singclass.combinatorics import aut_count, profiles_with_sum
 from singclass.errors import ConstraintError
 from singclass.exact import XiPolynomial
 from singclass.grammar import parse_class
-from singclass.trees import enumerate_trees, star, stick
+from singclass.trees import enumerate_trees, leaf_markings, star, stick
 
 
 def sing(text: str) -> ClassExpr:
@@ -190,6 +191,21 @@ class TestRoundTrips:
     def test_linearity_of_the_round_trip(self):
         e = basic("d[0,2] - 3*xi*d[0,1] + xi^2*d[0,0]")
         assert sing_to_basic(basic_to_sing(e)) == e
+
+
+class TestTriangularity:
+    def test_basic_expansion_terms_below_the_tree_have_smaller_weight(self):
+        # sing_to_basic peels one weight at a time, so no other term of the
+        # expansion may sit at the tree's own weight or above it
+        for t in enumerate_trees(8):
+            for t2, _ in _tree_basic_expansion(t).terms:
+                assert t2 is t or t2.weight < t.weight, (t, t2)
+
+    def test_the_tree_itself_has_the_factorial_coefficient(self):
+        for t in enumerate_trees(8):
+            poly = _tree_basic_expansion(t).coefficient(t)
+            marks = leaf_markings(t)
+            assert poly.coeffs == (Fraction(1, prod(factorial(m) for m in marks)),)
 
 
 class TestPointCoefficients:

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from singclass import cli
 from singclass.cli import main
 
 
@@ -253,3 +258,97 @@ class TestExitCodes:
         )
         # N=3 cannot host both factors: constraint violation, not a FAIL
         assert code == 3
+
+
+class TestLocalModelLiterals:
+    @pytest.mark.parametrize("poles", ["1/2,3", "-3,1"])
+    def test_signed_integers_and_fractions_are_accepted(self, capsys, poles):
+        code, out, _ = run(capsys, "local-model", "{1,1}", "0", "--", poles)
+        assert code == 0
+        assert out.startswith("profile: {1,1}\n")
+
+    def test_a_fractional_point_is_accepted(self, capsys):
+        code, out, _ = run(capsys, "local-model", "{2}", "3/4", "1")
+        assert code == 0
+        assert "pole 1: k = 2" in out
+
+    def test_a_fractional_pole_is_accepted(self, capsys):
+        code, out, _ = run(capsys, "local-model", "{1}", "0", "3/4")
+        assert code == 0
+        assert "pole 3/4: k = 1, u = 3/4" in out
+
+    @pytest.mark.parametrize(
+        "poles, message",
+        [
+            ("1.5", "bad pole list: unexpected character '.' (at position 1)"),
+            ("1e3", "bad pole list: expected ',' or end of input (at position 1)"),
+            ("1/0", "bad pole list: zero denominator (at position 2)"),
+        ],
+    )
+    def test_decimals_and_zero_denominators_are_parse_errors(self, capsys, poles, message):
+        code, out, err = run(capsys, "local-model", "{2}", "0", poles)
+        assert (code, out) == (2, "")
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "x, message",
+        [
+            ("1.5", "bad x value: unexpected character '.' (at position 1)"),
+            ("1e3", "bad x value: trailing input after the value (at position 1)"),
+            ("1/0", "bad x value: zero denominator (at position 2)"),
+        ],
+    )
+    def test_a_decimal_point_is_a_parse_error(self, capsys, x, message):
+        code, out, err = run(capsys, "local-model", "{2}", x, "1")
+        assert (code, out) == (2, "")
+        assert message in err
+
+    def test_an_overlong_integer_is_a_parse_error(self, capsys):
+        code, out, err = run(capsys, "char", "[" + "1" * 5000 + "]", "[1]")
+        assert (code, out) == (2, "")
+        assert "integer literal too long (at position 1)" in err
+
+
+class TestInternalErrors:
+    def test_a_defect_is_exit_4_not_a_verification_failure(self, capsys, monkeypatch):
+        def broken(m):
+            raise KeyError("boom")
+
+        monkeypatch.setattr(cli.classes, "product_expansion", broken)
+        code, out, err = run(capsys, "product", "2")
+        assert (code, out) == (4, "")
+        assert err.startswith("internal error: KeyError: 'boom'\nTraceback (most recent call last):\n")
+
+
+# Fragments that argv is drawn from: small integers and pieces of every
+# literal the verbs read, well-formed or not.
+_FRAGMENTS = [
+    str(n) for n in range(-2, 9)
+] + [
+    "{1,1}", "{2}", "{1,2}", "{3}", "{}", "{0}", "{1,,2}", "{2,1", "[2,1]", "[1]",
+    "[]", "[0,1]", "[-1]", "[1,,2]", "1,-1", "1/2,3", "3/4", "1/0", "1.5", "-1/2",
+    "a_2", "a_1*psi", "psi*a_1", "i[1,1]", "d[0,1]", "d[]", "xi^2", "psi^3",
+    "T{(0;0,0)}@sing", "T{(0;0,0)}@basic", "T{(0;1)}@sing", "a_1 + i[0,0]",
+    "2*a_2 - xi*a_1", "a_2 + a_1", "C[1] + 1/2*C[]", "psi", "delta", "(", "@", "",
+    "--raw", "--genus0", "--format", "json", "latex", "text", "--",
+]
+_VERBS = [
+    "product", "psi", "to-sing", "to-basic", "completed-cycle", "x-poly",
+    "multiply-cycles", "char", "coeff", "local-model",
+]
+
+
+class TestArgvFuzz:
+    @settings(deadline=None, max_examples=60)
+    @given(
+        verb=st.sampled_from(_VERBS),
+        rest=st.lists(st.sampled_from(_FRAGMENTS), max_size=4),
+    )
+    def test_every_argv_ends_in_a_documented_exit_code(self, verb, rest):
+        # verify and --verify-at are covered by the explicit tests above
+        sink = io.StringIO()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("SINGCLASS_MAX_CODIM", "4")
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                code = main([verb, *rest])
+        assert code in (0, 1, 2, 3), sink.getvalue()

@@ -7,6 +7,8 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from singclass.errors import ParseError, TruncationError
 from singclass.exact import (
@@ -77,6 +79,85 @@ class TestXiPolynomial:
     def test_monomials(self):
         p = XiPolynomial.from_coeffs([Fraction(1, 2), 0, Fraction(-3)])
         assert p.monomials() == [(0, Fraction(1, 2)), (2, Fraction(-3))]
+
+
+# Coefficient lists as the class side makes them (a monomial above zeros) and
+# general ones; ints are mixed in, since from_coeffs must convert them.
+_COEFF = st.one_of(
+    st.just(0),
+    st.integers(-5, 5),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+)
+_COEFFS = st.lists(_COEFF, max_size=5)
+
+
+def _reference_mul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _values(coeffs):
+    out = [Fraction(c) for c in coeffs]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def _all_fractions(coeffs) -> bool:
+    return all(type(c) is Fraction for c in coeffs)
+
+
+class TestCoefficientsStayFractions:
+    @settings(deadline=None, max_examples=40)
+    @given(_COEFFS, _COEFFS, st.integers(0, 3), _COEFF)
+    def test_xi_polynomial_operations(self, a, b, k, c):
+        p, q = XiPolynomial.from_coeffs(a), XiPolynomial.from_coeffs(b)
+        pa, qa = list(_values(a)), list(_values(b))
+        n = max(len(pa), len(qa))
+
+        def pad(v):
+            return v + [Fraction(0)] * (n - len(v))
+
+        results = {
+            "+": (p + q, [x + y for x, y in zip(pad(pa), pad(qa))]),
+            "-": (p - q, [x - y for x, y in zip(pad(pa), pad(qa))]),
+            "*": (p * q, _reference_mul(pa, qa)),
+            "scale": (p.scale(c), [x * c for x in pa]),
+            "shift": (p.shift(k), [Fraction(0)] * k + pa if pa else []),
+            "derivative": (p.derivative(), [i * x for i, x in enumerate(pa)][1:]),
+        }
+        if q:
+            quot, rem = p.divmod(q)
+            results["divmod"] = (quot * q + rem, pa)
+            assert rem.is_zero() or rem.degree < q.degree
+            assert _all_fractions(quot.coeffs) and _all_fractions(rem.coeffs)
+        for name, (got, want) in results.items():
+            assert got.coeffs == _values(want), name
+            assert _all_fractions(got.coeffs), name
+
+    @settings(deadline=None, max_examples=40)
+    @given(_COEFFS, _COEFFS, st.integers(0, 4))
+    def test_power_series_operations(self, a, b, order):
+        s, t = PowerSeries.from_coeffs(a, order), PowerSeries.from_coeffs(b, order)
+
+        def dense(v):
+            v = [Fraction(x) for x in v[: order + 1]]
+            return v + [Fraction(0)] * (order + 1 - len(v))
+
+        assert _all_fractions(s.coeffs) and list(s.coeffs) == dense(a)
+        total = s + t
+        assert _all_fractions(total.coeffs)
+        assert list(total.coeffs) == [x + y for x, y in zip(dense(a), dense(b))]
+        product = s * t
+        assert _all_fractions(product.coeffs)
+        assert list(product.coeffs) == _reference_mul(dense(a), dense(b))[: order + 1]
+        if s.coeffs[0] != 0:
+            assert _all_fractions(s.inverse().coeffs)
+        taylor = XiPolynomial.from_coeffs(a).taylor(1, order)
+        assert _all_fractions(taylor.coeffs)
 
 
 class TestSSeries:

@@ -155,6 +155,64 @@ class TestVanishing:
                 assert not vanishes(t)
 
 
+def _reference_codim(t: MarkedTree) -> int:
+    if not t.children:
+        return t.marking
+    return t.marking + sum(_reference_codim(c) + 1 for c in t.children)
+
+
+def _reference_weight(t: MarkedTree) -> int:
+    if not t.children:
+        return t.marking
+    return sum(_reference_weight(c) for c in t.children)
+
+
+def _reference_vanishes(t: MarkedTree) -> bool:
+    if t.children:
+        if t.marking > len(t.children) - 2:
+            return True
+        return any(_reference_vanishes(c) for c in t.children)
+    return False
+
+
+def _direct(t: MarkedTree) -> MarkedTree:
+    """A structural copy built without tree(), so it is not interned."""
+    return MarkedTree(t.marking, tuple(_direct(c) for c in t.children))
+
+
+class TestInterning:
+    def test_equal_input_gives_the_same_instance(self):
+        assert tree(0, [stick(1), stick(2)]) is tree(0, [stick(2), stick(1)])
+        assert canonicalize((0, [0, (0, [0, 0])])) is star(1, [0, 0, 0])
+        for t in enumerate_trees(6):
+            assert tree(t.marking, t.children) is t
+            assert canonicalize(t) is t
+            assert canonicalize(_direct(t)) is t
+            assert parse_tree(encoding(t)) is t
+
+    def test_a_direct_instance_equals_its_interned_twin(self):
+        for t in enumerate_trees(6):
+            twin = _direct(t)
+            assert twin is not t
+            assert twin == t and t == twin
+            assert hash(twin) == hash(t)
+            assert {t: 1}[twin] == 1
+        assert stick(1) != stick(2)
+        assert star(0, [0, 1]) != star(0, [0, 2])
+        assert stick(0) != 0
+
+    def test_grading_and_vanishing_match_the_recursive_definitions(self):
+        vanishing = MarkedTree(0, (stick(0), stick(0), MarkedTree(2, (stick(0), stick(0)))))
+        # bumping the top marking reaches vanishing trees as well
+        bumped = [tree(t.marking + k, t.children) for t in enumerate_trees(6) for k in (1, 2)]
+        candidates = enumerate_trees(8) + bumped + [vanishing, _direct(vanishing)]
+        assert any(_reference_vanishes(t) for t in candidates)
+        for t in candidates:
+            assert codim(t) == t.codim == _reference_codim(t)
+            assert weight(t) == t.weight == _reference_weight(t)
+            assert vanishes(t) == t.vanishing == _reference_vanishes(t)
+
+
 class TestGraft:
     def test_sticks_graft_as_leaf_relabeling(self):
         assert graft(star(0, [0, 0]), [stick(1), stick(2)]) == star(0, [1, 2])
