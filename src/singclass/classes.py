@@ -5,8 +5,9 @@ trees.  In the singularity basis a stick with marking m denotes a_m and a
 tree denotes the pushforward of its boundary-stratum class over the
 corresponding ramification locus; in the basic basis a stick denotes psi^m
 and leaf markings denote cotangent powers at the branch points.  A
-ClassExpr is a finite sum of trees with xi-polynomial coefficients, always
-homogeneous: xi-degree plus tree codimension is one fixed integer.
+ClassExpr is a homogeneous finite sum of trees: xi-degree plus tree
+codimension is one fixed integer, its degree, stored once, so each tree
+carries a single rational coefficient.
 """
 
 from __future__ import annotations
@@ -22,14 +23,12 @@ from .errors import ConstraintError
 from .exact import XiPolynomial
 from .trees import (
     MarkedTree,
-    codim,
     encoding,
     leaf_markings,
     star,
     stick,
     substitute,
     tree,
-    vanishes,
 )
 
 SINGULARITY = "singularity"
@@ -58,46 +57,50 @@ def _check_basis(basis: str) -> str:
 
 @dataclass(frozen=True)
 class ClassExpr:
-    """Graded linear combination of marked trees with xi-polynomial coefficients."""
+    """Homogeneous linear combination of marked trees.
+
+    ``degree`` is the total degree (xi-degree plus tree codimension) shared by
+    every term, or None for the zero expression.  A term ``(t, c)`` stands for
+    ``c * xi^(degree - codim t) * t``, so each tree carries one rational.
+    """
 
     basis: str
-    terms: tuple[tuple[MarkedTree, XiPolynomial], ...]
+    degree: int | None
+    terms: tuple[tuple[MarkedTree, Fraction], ...]
 
     @staticmethod
     def from_terms(
-        basis: str, pairs: Iterable[tuple[MarkedTree, XiPolynomial]]
+        basis: str, degree: int | None, pairs: Iterable[tuple[MarkedTree, Fraction]]
     ) -> "ClassExpr":
-        """The sum of the (tree, coefficient) pairs: repeated trees add up,
-        and zero coefficients and vanishing trees are dropped."""
+        """The degree-``degree`` sum of the (tree, coefficient) pairs: repeated
+        trees add up, and zero coefficients and vanishing trees are dropped."""
         _check_basis(basis)
-        acc: dict[MarkedTree, XiPolynomial] = {}
-        for t, poly in pairs:
-            acc[t] = acc[t] + poly if t in acc else poly
-        items = [(t, poly) for t, poly in acc.items() if poly and not vanishes(t)]
-        degrees = {
-            t.codim + q for t, poly in items for q, c in poly.monomials()
-        }
-        if len(degrees) > 1:
+        acc: dict[MarkedTree, Fraction] = {}
+        for t, c in pairs:
+            acc[t] = acc[t] + c if t in acc else c
+        items = [(t, c) for t, c in acc.items() if c and not t.vanishing]
+        if not items:
+            return ClassExpr(basis, None, ())
+        top = max(t.codim for t, _ in items)
+        if degree is None or top > degree:
             raise ConstraintError(
-                f"inhomogeneous class expression: total degrees {sorted(degrees)}"
+                f"a tree of codim {top} in a class expression of degree {degree}"
             )
         items.sort(key=lambda item: encoding(item[0]))
-        return ClassExpr(basis, tuple(items))
+        return ClassExpr(basis, degree, tuple(items))
 
     @staticmethod
     def zero(basis: str) -> "ClassExpr":
-        return ClassExpr(_check_basis(basis), ())
+        return ClassExpr(_check_basis(basis), None, ())
 
     @staticmethod
     def unit(basis: str) -> "ClassExpr":
         return ClassExpr.single(basis, stick(0))
 
     @staticmethod
-    def single(
-        basis: str, t: MarkedTree, poly: XiPolynomial | None = None
-    ) -> "ClassExpr":
-        poly = XiPolynomial.one() if poly is None else poly
-        return ClassExpr.from_terms(basis, [(t, poly)])
+    def single(basis: str, t: MarkedTree) -> "ClassExpr":
+        """The class of one tree, with coefficient 1 and no xi power."""
+        return ClassExpr.from_terms(basis, t.codim, [(t, Fraction(1))])
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -105,50 +108,54 @@ class ClassExpr:
     @property
     def total_codim(self) -> int | None:
         """xi-degree + tree codimension, the same for every monomial; None when zero."""
-        for t, poly in self.terms:
-            q, _ = poly.monomials()[0]
-            return codim(t) + q
-        return None
+        return self.degree
 
     def coefficient(self, t: MarkedTree) -> XiPolynomial:
-        for t2, poly in self.terms:
+        for t2, c in self.terms:
             if t2 == t:
-                return poly
+                return XiPolynomial.xi_power(self.degree - t.codim, c)
         return XiPolynomial.zero()
 
     def coefficient_at(self, t: MarkedTree, xi_power: int) -> Fraction:
         return self.coefficient(t).coefficient(xi_power)
 
     def monomials(self) -> list[tuple[MarkedTree, int, Fraction]]:
-        return [
-            (t, q, c) for t, poly in self.terms for q, c in poly.monomials()
-        ]
+        """(tree, xi power, coefficient) for every term."""
+        return [(t, self.degree - t.codim, c) for t, c in self.terms]
 
-    def _require_same_basis(self, other: "ClassExpr"):
+    def __add__(self, other: "ClassExpr") -> "ClassExpr":
         if self.basis != other.basis:
             raise ConstraintError(
                 f"basis mismatch: {self.basis} vs {other.basis}"
             )
-
-    def __add__(self, other: "ClassExpr") -> "ClassExpr":
-        self._require_same_basis(other)
-        return ClassExpr.from_terms(self.basis, self.terms + other.terms)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
+        if self.degree != other.degree:
+            raise ConstraintError(
+                "inhomogeneous class expression: total degrees "
+                f"{sorted((self.degree, other.degree))}"
+            )
+        return ClassExpr.from_terms(self.basis, self.degree, self.terms + other.terms)
 
     def __sub__(self, other: "ClassExpr") -> "ClassExpr":
-        return self + other.scale(Fraction(-1))
+        return self + other.scale(-1)
 
     def scale(self, c: Fraction | int) -> "ClassExpr":
         c = Fraction(c)
         if c == 0:
             return ClassExpr.zero(self.basis)
         return ClassExpr(
-            self.basis, tuple((t, poly.scale(c)) for t, poly in self.terms)
+            self.basis, self.degree, tuple((t, a * c) for t, a in self.terms)
         )
 
     def mul_xi(self, k: int = 1) -> "ClassExpr":
-        return ClassExpr(
-            self.basis, tuple((t, poly.shift(k)) for t, poly in self.terms)
-        )
+        if k < 0:
+            raise ConstraintError("xi exponent must be nonnegative")
+        if not self.terms:
+            return self
+        return ClassExpr(self.basis, self.degree + k, self.terms)
 
     def mul_psi_top(self) -> "ClassExpr":
         """Increment the marking of the root-adjacent vertex of every term.
@@ -158,9 +165,12 @@ class ClassExpr:
         """
         if any(not t.children for t, _ in self.terms):
             raise ConstraintError("psi-multiplication is not defined on sticks")
+        if not self.terms:
+            return self
         return ClassExpr.from_terms(
             self.basis,
-            ((tree(t.marking + 1, t.children), poly) for t, poly in self.terms),
+            self.degree + 1,
+            ((tree(t.marking + 1, t.children), c) for t, c in self.terms),
         )
 
 
@@ -168,11 +178,9 @@ def _new_profile_layer(m: int) -> ClassExpr:
     """Sum over profiles with total m and >= 2 parts of (prod k / |Aut|) i_{k...}."""
     return ClassExpr.from_terms(
         SINGULARITY,
+        m,
         (
-            (
-                star(0, [k - 1 for k in p]),
-                XiPolynomial.constant(Fraction(prod(p), aut_count(p))),
-            )
+            (star(0, [k - 1 for k in p]), Fraction(prod(p), aut_count(p)))
             for p in profiles_with_sum(m, 2)
         ),
     )
@@ -234,10 +242,11 @@ def psi_power_sing(m: int) -> ClassExpr:
     pieces = [ClassExpr.unit(SINGULARITY)] + [product_expansion(j) for j in range(1, m + 1)]
     return ClassExpr.from_terms(
         SINGULARITY,
+        m,
         (
-            (t, poly.scale(c).shift(m - j))
-            for j, (c, piece) in enumerate(zip(psi_decomposition(m), pieces))
-            for t, poly in piece.terms
+            (t, c * a)
+            for c, piece in zip(psi_decomposition(m), pieces)
+            for t, a in piece.terms
         ),
     )
 
@@ -261,10 +270,11 @@ def basic_to_sing(e: ClassExpr) -> ClassExpr:
         raise ConstraintError("basic_to_sing expects a basic-basis expression")
     return ClassExpr.from_terms(
         SINGULARITY,
+        e.degree,
         (
-            (t2, poly2 * poly)
-            for t, poly in e.terms
-            for t2, poly2 in _tree_basic_expansion(t).terms
+            (t2, c2 * c)
+            for t, c in e.terms
+            for t2, c2 in _tree_basic_expansion(t).terms
         ),
     )
 
@@ -280,15 +290,15 @@ def sing_to_basic(e: ClassExpr) -> ClassExpr:
     if e.basis != SINGULARITY:
         raise ConstraintError("sing_to_basic expects a singularity-basis expression")
     # residue[w]: the not yet peeled terms whose tree has weight w
-    residue: dict[int, dict[MarkedTree, XiPolynomial]] = {}
-    for t, poly in e.terms:
-        residue.setdefault(t.weight, {})[t] = poly
-    out: list[tuple[MarkedTree, XiPolynomial]] = []
+    residue: dict[int, dict[MarkedTree, Fraction]] = {}
+    for t, c in e.terms:
+        residue.setdefault(t.weight, {})[t] = c
+    out: list[tuple[MarkedTree, Fraction]] = []
     for w in range(max(residue, default=-1), -1, -1):
-        for t, poly in residue.pop(w, {}).items():
-            lead = poly.scale(prod(factorial(m) for m in leaf_markings(t)))
+        for t, c in residue.pop(w, {}).items():
+            lead = c * prod(factorial(m) for m in leaf_markings(t))
             out.append((t, lead))
-            for t2, poly2 in _tree_basic_expansion(t).terms:
+            for t2, c2 in _tree_basic_expansion(t).terms:
                 if t2 == t:
                     continue
                 if t2.weight >= w:  # would land in a bucket already peeled
@@ -297,10 +307,10 @@ def sing_to_basic(e: ClassExpr) -> ClassExpr:
                         f"{t2.weight} >= {w}"
                     )
                 bucket = residue.setdefault(t2.weight, {})
-                updated = bucket.pop(t2, XiPolynomial.zero()) - poly2 * lead
+                updated = bucket.pop(t2, 0) - c2 * lead
                 if updated:
                     bucket[t2] = updated
-    return ClassExpr.from_terms(BASIC, out)
+    return ClassExpr.from_terms(BASIC, e.degree, out)
 
 
 def point_class_tree(p: Profile) -> MarkedTree:

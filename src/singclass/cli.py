@@ -11,6 +11,7 @@ the expansion depth of class-producing commands and of verify --max-m.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -257,10 +258,38 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if failed == 0 else EXIT_VERIFY
 
 
+# Verbs whose values may start with "-": a negated class expression, a
+# negative point or pole.  argparse reads such a token as an option, but
+# singclass has no single-dash option besides -h, so every other token after
+# the verb that is not a "--" option (or the value of --format) is a value.
+_SIGNED_VALUE_VERBS = ("to-sing", "to-basic", "local-model")
+
+
+def _values_after_dashes(argv: list[str]) -> list[str]:
+    """Reorder a signed-value verb's arguments as ``VERB OPTIONS -- VALUES``,
+    keeping the values in the order typed, so argparse reads every value as
+    a positional and --format still works before or after them."""
+    if not argv or argv[0] not in _SIGNED_VALUE_VERBS:
+        return argv
+    options, values = [], []
+    rest = iter(argv[1:])
+    for token in rest:
+        if token == "--":
+            values.extend(rest)
+        elif token.startswith("--") or token == "-h":
+            options.append(token)
+            if len(token) > 2 and "--format".startswith(token):  # its value follows
+                options.extend(itertools.islice(rest, 1))
+        else:
+            values.append(token)
+    return [argv[0], *options, "--", *values]
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_values_after_dashes(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_PARSE
     handlers = {

@@ -13,14 +13,13 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Iterable, Sequence
 
-from .errors import ParseError, TruncationError
+from .errors import TruncationError
 
 Rational = Fraction
 
 __all__ = [
     "Rational",
     "format_rational",
-    "parse_rational",
     "XiPolynomial",
     "PowerSeries",
     "s_series",
@@ -31,18 +30,6 @@ __all__ = [
 def format_rational(q: Fraction) -> str:
     """Serialize as ``p/q``, or ``p`` when the denominator is 1."""
     return str(q)
-
-
-def parse_rational(text: str) -> Fraction:
-    """Inverse of :func:`format_rational`; rejects anything but ``p`` / ``p/q``."""
-    s = text.strip()
-    try:
-        if "/" in s:
-            num, den = s.split("/")
-            return Fraction(int(num), int(den))
-        return Fraction(int(s))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"not a rational literal: {text!r}") from exc
 
 
 _ZERO = Fraction(0)
@@ -59,9 +46,9 @@ def _strip(coeffs: Iterable[Fraction | int]) -> tuple[Fraction, ...]:
 class XiPolynomial:
     """Dense univariate polynomial with rational coefficients.
 
-    On the class side the variable is the formal symbol xi (the coefficients
-    of class expressions); the local models use the same type for
-    polynomials in z.  ``coeffs[k]`` is the coefficient of the k-th power;
+    The local models use it for polynomials in z; on the class side it is
+    only the read form of one tree's coefficient, a monomial in the formal
+    symbol xi (``ClassExpr.coefficient``).  ``coeffs[k]`` is the coefficient of the k-th power;
     trailing zeros are stripped, so the zero polynomial is the empty tuple
     and its degree is None.
     """
@@ -127,8 +114,8 @@ class XiPolynomial:
         """Nonzero (exponent, coefficient) pairs, ascending in the exponent."""
         return [(k, c) for k, c in enumerate(self.coeffs) if c]
 
-    # Class-side coefficients are single monomials c*xi^q stored densely, so
-    # the arithmetic below skips zero coefficients instead of adding them.
+    # Sparse operands such as c*xi^q are stored densely, so the arithmetic
+    # below skips zero coefficients instead of adding them.
 
     def __add__(self, other: "XiPolynomial") -> "XiPolynomial":
         out = list(self.coeffs)

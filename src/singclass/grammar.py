@@ -299,11 +299,16 @@ class _Parser:
         return self.parse_int("an integer exponent") if self.accept_op("^") else 1
 
     def parse_coefficient(self, signed: bool = False) -> Fraction:
-        """A rational literal ``p`` or ``p/q``; ``p`` may carry a sign if ``signed``."""
+        """A rational literal ``p`` or ``p/q`` with no spaces inside; ``p`` may
+        carry a sign if ``signed``."""
         numerator = self.parse_int("a number", signed)
         if not self.accept_op("/"):
             return Fraction(numerator)
+        _, digits, start = self.tokens[self.index - 2]
+        slash = self.tokens[self.index - 1][2]
         pos = self.peek()[2]
+        if slash != start + len(digits) or pos != slash + 1:
+            raise ParseError("no spaces allowed inside a rational literal p/q", slash)
         denominator = self.parse_int("a denominator")
         if denominator == 0:
             raise ParseError("zero denominator", pos)
@@ -413,20 +418,24 @@ def parse_class(text: str, default_basis: str = SINGULARITY) -> ClassExpr:
     if text.strip() == "0":
         return ClassExpr.zero(default_basis)
     parser = _Parser(text)
-    pairs: list[tuple[MarkedTree, XiPolynomial]] = []
+    acc: dict[tuple[MarkedTree, int], Fraction] = {}
     constraints: set[str] = set()
     for coeff, factors in parser.parse_sum(_class_factor):
         t, q, constraint = _class_term(factors)
         if constraint:
             constraints.add(constraint)
-        pairs.append((t, XiPolynomial.xi_power(q, coeff)))
+        acc[t, q] = acc.get((t, q), 0) + coeff
     if len(constraints) > 1:
         raise ParseError("expression mixes singularity-basis and basic-basis atoms")
     basis = constraints.pop() if constraints else default_basis
-    try:
-        return ClassExpr.from_terms(basis, pairs)
-    except ConstraintError as exc:
-        raise ParseError(str(exc)) from None
+    # the only place that reads per-term xi powers: the monomials that survive
+    # summing must share one total degree, which the expression then stores
+    kept = [(t, q, c) for (t, q), c in acc.items() if c and not t.vanishing]
+    degrees = sorted({t.codim + q for t, q, _ in kept})
+    if len(degrees) > 1:
+        raise ParseError(f"inhomogeneous class expression: total degrees {degrees}")
+    degree = degrees[0] if degrees else None
+    return ClassExpr.from_terms(basis, degree, ((t, c) for t, _, c in kept))
 
 
 # ---------------------------------------------------------------------------

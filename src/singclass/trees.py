@@ -33,8 +33,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
-from operator import mul
+from functools import lru_cache
+from math import prod
 from typing import Sequence
 
 from .errors import ConstraintError, TreeStructureError
@@ -235,7 +235,9 @@ def substitute(outer: MarkedTree, grafts):
 
     Every choice of one term per graft produces a glued tree; vanishing trees
     are dropped and coefficients (including xi powers) multiply.  Returns a
-    singularity-basis ClassExpr.
+    singularity-basis ClassExpr of degree codim(outer) - (sum of its leaf
+    markings) + (sum of the graft degrees): a leaf marked m adds m + 1 to the
+    codim, and a glued tree t adds codim(t) + 1.
     """
     from . import classes
 
@@ -250,10 +252,13 @@ def substitute(outer: MarkedTree, grafts):
         if g.basis != classes.SINGULARITY:
             raise ConstraintError("grafts must be in the singularity basis")
 
+    if any(not g.terms for g in grafts):
+        return classes.ClassExpr.zero(classes.SINGULARITY)
     return classes.ClassExpr.from_terms(
         classes.SINGULARITY,
+        outer.codim - outer.weight + sum(g.degree for g in grafts),
         (
-            (graft(outer, [t for t, _ in combo]), reduce(mul, [poly for _, poly in combo]))
+            (graft(outer, [t for t, _ in combo]), prod(c for _, c in combo))
             for combo in itertools.product(*(g.terms for g in grafts))
         ),
     )

@@ -15,7 +15,7 @@ from . import classes, cycles, grammar, trees
 from .classes import BASIC, SINGULARITY, ClassExpr, basic_to_sing, sing_to_basic
 from .combinatorics import partitions_of, shifted_power_sum
 from .errors import ConstraintError, ParseError
-from .exact import XiPolynomial, format_rational, parse_rational
+from .exact import format_rational
 
 __all__ = [
     "CheckResult",
@@ -109,7 +109,8 @@ def _parse_nested_specs(field: str) -> list[tuple[Fraction, int]]:
     specs = []
     for chunk in field.split(";"):
         coeff_text, power_text = chunk.strip().split("@")
-        specs.append((parse_rational(coeff_text), int(power_text)))
+        coeff = grammar.parse_rational_value(coeff_text, "nested coefficient")
+        specs.append((coeff, int(power_text)))
     return sorted(specs)
 
 
@@ -121,14 +122,14 @@ def check_basic_to_sing() -> list[CheckResult]:
         lhs = grammar.parse_class(lhs_text, default_basis=BASIC)
         computed = basic_to_sing(lhs)
         expected_scalar = grammar.parse_class(rhs_text)
-        scalar_part: list[tuple[trees.MarkedTree, XiPolynomial]] = []
+        scalar_part: list[tuple[trees.MarkedTree, Fraction]] = []
         nested_monomials: list[tuple[Fraction, int]] = []
-        for t, poly in computed.terms:
+        for t, q, c in computed.monomials():
             if _is_nested(t):
-                nested_monomials.extend((c, q) for q, c in poly.monomials())
+                nested_monomials.append((c, q))
             else:
-                scalar_part.append((t, poly))
-        scalar_expr = ClassExpr.from_terms(SINGULARITY, scalar_part)
+                scalar_part.append((t, c))
+        scalar_expr = ClassExpr.from_terms(SINGULARITY, computed.degree, scalar_part)
         ok = scalar_expr == expected_scalar and (
             sorted((c, q) for c, q in nested_monomials)
             == [(c, q) for c, q in nested_specs]

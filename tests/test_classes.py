@@ -25,7 +25,6 @@ from singclass.classes import (
 )
 from singclass.combinatorics import aut_count, profiles_with_sum
 from singclass.errors import ConstraintError
-from singclass.exact import XiPolynomial
 from singclass.grammar import parse_class
 from singclass.trees import enumerate_trees, leaf_markings, star, stick
 
@@ -67,15 +66,13 @@ class TestProductExpansion:
                     if sum(combo) != m:
                         continue
                     t = star(0, [k - 1 for k in combo])
-                    layer[t] = XiPolynomial.constant(
-                        Fraction(prod(combo), aut_count(combo))
-                    )
+                    layer[t] = Fraction(prod(combo), aut_count(combo))
             a_m = ClassExpr.single(SINGULARITY, stick(m))
             a_prev = ClassExpr.single(SINGULARITY, stick(m - 1))
             correction = product_expansion(m - 1) - a_prev
             rebuilt = (
                 a_m
-                + ClassExpr.from_terms(SINGULARITY, layer.items())
+                + ClassExpr.from_terms(SINGULARITY, m, layer.items())
                 + correction.mul_psi_top().scale(m)
                 - correction.mul_xi(1)
             )
@@ -262,9 +259,10 @@ class TestClassExpr:
     def test_rejects_inhomogeneous_terms(self):
         with pytest.raises(ConstraintError):
             ClassExpr.from_terms(
-                SINGULARITY,
-                [(stick(1), XiPolynomial.one()), (stick(2), XiPolynomial.one())],
+                SINGULARITY, 1, [(stick(1), Fraction(1)), (stick(2), Fraction(1))]
             )
+        with pytest.raises(ConstraintError, match=r"total degrees \[1, 2\]"):
+            ClassExpr.single(SINGULARITY, stick(1)) + ClassExpr.single(SINGULARITY, stick(2))
 
     def test_basis_mismatch_on_addition(self):
         with pytest.raises(ConstraintError):

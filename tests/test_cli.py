@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -191,6 +192,13 @@ class TestExitCodes:
         assert out == ""
         assert "budget" in err
 
+    def test_local_model_over_the_order_budget_is_exit_3(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "local-model", "{200}", "0", "1")
+        assert time.perf_counter() - start < 2.0  # refused before any polynomial work
+        assert (code, out) == (3, "")
+        assert "budget" in err
+
     def test_deeply_nested_tree_literal_is_exit_2(self, capsys):
         literal = "1"
         for _ in range(3000):
@@ -307,6 +315,26 @@ class TestLocalModelLiterals:
         code, out, err = run(capsys, "char", "[" + "1" * 5000 + "]", "[1]")
         assert (code, out) == (2, "")
         assert "integer literal too long (at position 1)" in err
+
+
+class TestValuesWithALeadingMinus:
+    @pytest.mark.parametrize(
+        "argv, with_dashes",
+        [
+            (["to-sing", "-a_2"], ["to-sing", "--", "-a_2"]),
+            (["to-basic", "-i[1,3]", "--format", "latex"],
+             ["to-basic", "--format", "latex", "--", "-i[1,3]"]),
+            (["to-sing", "--format", "json", "-d[0,1] + xi*d[0,0]"],
+             ["to-sing", "--format", "json", "--", "-d[0,1] + xi*d[0,0]"]),
+            (["local-model", "{1,1}", "0", "-1,2"], ["local-model", "{1,1}", "0", "--", "-1,2"]),
+            (["local-model", "{2}", "-1/2", "1", "--format", "json"],
+             ["local-model", "--format", "json", "{2}", "--", "-1/2", "1"]),
+        ],
+    )
+    def test_same_stdout_with_and_without_double_dash(self, capsys, argv, with_dashes):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "") and out
+        assert run(capsys, *with_dashes) == (0, out, "")
 
 
 class TestInternalErrors:

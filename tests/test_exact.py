@@ -10,12 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singclass.errors import ParseError, TruncationError
+from singclass.errors import TruncationError
 from singclass.exact import (
     PowerSeries,
     XiPolynomial,
     format_rational,
-    parse_rational,
     s_series,
     series_scale_arg,
 )
@@ -30,14 +29,6 @@ class TestRational:
         assert format_rational(Fraction(11, 48)) == "11/48"
         assert format_rational(Fraction(-3, 2)) == "-3/2"
         assert format_rational(Fraction(7)) == "7"
-        assert parse_rational("11/48") == Fraction(11, 48)
-        assert parse_rational("-5") == Fraction(-5)
-
-    def test_parse_rejects_garbage(self):
-        with pytest.raises(ParseError):
-            parse_rational("1.5")
-        with pytest.raises(ParseError):
-            parse_rational("1/0")
 
     def test_field_laws_on_random_triples(self):
         rng = random.Random(20240308)

@@ -19,7 +19,7 @@ from singclass.classes import (
 )
 from singclass.cycles import CycleExpr, completed_cycle
 from singclass.errors import ParseError
-from singclass.exact import XiPolynomial
+from singclass.exact import format_rational
 from singclass.grammar import (
     class_to_json,
     cycles_to_json,
@@ -31,6 +31,7 @@ from singclass.grammar import (
     parse_orders,
     parse_partition,
     parse_profile,
+    parse_rational_value,
     parse_tree,
     render_class,
     render_class_latex,
@@ -81,8 +82,8 @@ class TestParseClass:
                 coeff = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
                 if coeff == 0:
                     continue
-                mapping[t] = XiPolynomial.xi_power(total - codim(t), coeff)
-            e = ClassExpr.from_terms(basis, mapping.items())
+                mapping[t] = coeff
+            e = ClassExpr.from_terms(basis, total, mapping.items())
             if e.is_zero():
                 continue
             assert parse_class(render_class(e), default_basis=basis) == e
@@ -191,10 +192,7 @@ def class_exprs(draw):
     total = draw(st.integers(min_value=0, max_value=8))
     pool = [t for t in enumerate_trees(6) if codim(t) <= total]
     picks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6, unique=True))
-    return ClassExpr.from_terms(
-        basis,
-        {t: XiPolynomial.xi_power(total - codim(t), draw(_COEFFS)) for t in picks}.items(),
-    )
+    return ClassExpr.from_terms(basis, total, [(t, draw(_COEFFS)) for t in picks])
 
 
 _PROFILES = st.lists(st.integers(min_value=1, max_value=6), max_size=4).map(
@@ -321,6 +319,19 @@ class TestLiteralReader:
             parse_profile("{-1}")
         with pytest.raises(ParseError, match="positive"):
             parse_partition("[2,-1]")
+
+
+class TestRationalValue:
+    def test_parse_inverts_format(self):
+        assert parse_rational_value("11/48", "value") == Fraction(11, 48)
+        assert parse_rational_value("-5", "value") == Fraction(-5)
+        for q in (Fraction(11, 48), Fraction(-3, 2), Fraction(7)):
+            assert parse_rational_value(format_rational(q), "value") == q
+
+    def test_parse_rejects_garbage(self):
+        for text in ("1.5", "1/0", "1_0", " 1 / 2"):
+            with pytest.raises(ParseError):
+                parse_rational_value(text, "value")
 
 
 class TestLatex:

@@ -110,6 +110,26 @@ class TestCanonicalFunction:
         with pytest.raises(ConstraintError):
             canonical_function((1,), 1, (1,))
 
+    def test_is_built_reduced(self):
+        for profile, x, poles in [((1, 1), 0, (1, -1)), ((2, 3), Fraction(1, 3), (2, Fraction(-5, 7)))]:
+            f = canonical_function(profile, x, poles)
+            assert RationalFunction.make(f.numerator, f.denominator) == f
+
+
+class TestOrderSumBudget:
+    def test_over_the_budget_is_refused(self):
+        over = (local_models.ORDER_SUM_BUDGET // 2 + 1, local_models.ORDER_SUM_BUDGET // 2)
+        with pytest.raises(ConstraintError, match="budget"):
+            canonical_function(over, 0, (1, 2))
+        f = canonical_function((1, 1), 0, (1, 2))
+        with pytest.raises(ConstraintError, match="budget"):
+            hurwitz_coordinates(f, over, (1, 2))
+
+    def test_order_sixty_runs(self):
+        f = canonical_function((60,), 0, (1,))
+        coords = hurwitz_coordinates(f, (60,), (1,))
+        assert (coords.branches[0].order, coords.branches[0].u) == (60, 1)
+
 
 class TestHurwitzCoordinates:
     def test_two_simple_poles(self):
@@ -138,6 +158,15 @@ class TestHurwitzCoordinates:
         coords = hurwitz_coordinates(f, (1, 2), (3, 4))
         assert coords.branches[1].u == 8
         assert reassemble(coords) == f
+
+    def test_reassembly_reduces_a_branch_with_zero_u(self):
+        # u = 0 cancels the whole principal part, so the pole divisor must be
+        # divided out again
+        branch = BranchCoordinates(Fraction(1), 2, Fraction(0), (Fraction(5),))
+        coords = HurwitzCoordinates((branch,), Fraction(3))
+        assert reassemble(coords) == RationalFunction(
+            XiPolynomial.constant(3), XiPolynomial.one()
+        )
 
     def test_irrational_canonical_coordinates_are_reported(self):
         f = canonical_function((1, 2), 0, (1, 3))

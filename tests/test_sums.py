@@ -1,12 +1,17 @@
-"""Property tests for the summing constructors and the basis change on sums."""
+"""Property tests for the summing constructors, the degree of class
+expressions and the basis change on sums."""
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singclass.classes import BASIC, ClassExpr, basic_to_sing, sing_to_basic
 from singclass.cycles import CycleExpr, XPolynomial
+from singclass.errors import ConstraintError
+from singclass.exact import XiPolynomial
+from singclass.trees import codim
 from test_grammar import _COEFFS, _PROFILES, class_exprs
 
 _SETTINGS = settings(deadline=None, max_examples=30)
@@ -48,9 +53,9 @@ class TestFromTerms:
     @given(st.data(), class_exprs())
     def test_class_terms_sum(self, data, e):
         pairs = data.draw(_repeated(e.terms))
-        assert ClassExpr.from_terms(e.basis, pairs) == e
+        assert ClassExpr.from_terms(e.basis, e.degree, pairs) == e
         cancelled = data.draw(st.permutations(pairs + [(t, -p) for t, p in pairs]))
-        assert ClassExpr.from_terms(e.basis, cancelled) == ClassExpr.zero(e.basis)
+        assert ClassExpr.from_terms(e.basis, e.degree, cancelled) == ClassExpr.zero(e.basis)
 
     @_SETTINGS
     @given(st.data(), st.sampled_from([CycleExpr, XPolynomial]),
@@ -61,3 +66,40 @@ class TestFromTerms:
         assert kind.from_terms(data.draw(_repeated(mapping.items()))) == expected
         cancelled = list(mapping.items()) + [(p, -c) for p, c in mapping.items()]
         assert kind.from_terms(data.draw(st.permutations(cancelled))) == kind(())
+
+
+class TestDegree:
+    @_SETTINGS
+    @given(class_exprs())
+    def test_each_tree_carries_one_monomial(self, e):
+        for t, c in e.terms:
+            assert e.coefficient(t) == XiPolynomial.xi_power(e.degree - codim(t), c)
+            assert e.coefficient_at(t, e.degree - codim(t)) == c
+        assert e.monomials() == [(t, e.degree - codim(t), c) for t, c in e.terms]
+        assert e.total_codim == e.degree
+
+    @_SETTINGS
+    @given(class_exprs(), _COEFFS, st.integers(min_value=0, max_value=3))
+    def test_operations_keep_or_shift_the_degree(self, e, c, k):
+        assert e.scale(c).degree == e.degree
+        assert e.scale(0).degree is None
+        assert e.mul_xi(k).degree == e.degree + k
+        assert (e + e.scale(c)).degree == (None if c == -1 else e.degree)
+        there = basic_to_sing if e.basis == BASIC else sing_to_basic
+        assert there(e).degree == e.degree
+
+    @_SETTINGS
+    @given(class_exprs(), st.integers(min_value=1, max_value=3))
+    def test_inhomogeneous_sum_is_refused(self, e, k):
+        with pytest.raises(ConstraintError, match="inhomogeneous class expression"):
+            e + e.mul_xi(k)
+        with pytest.raises(ConstraintError):
+            e.mul_xi(-k)
+
+    @_SETTINGS
+    @given(class_exprs(), st.integers(min_value=1, max_value=3))
+    def test_from_terms_refuses_a_tree_above_the_degree(self, e, k):
+        top = max(codim(t) for t, _ in e.terms)
+        assert ClassExpr.from_terms(e.basis, e.degree, e.terms) == e
+        with pytest.raises(ConstraintError):
+            ClassExpr.from_terms(e.basis, top - k, e.terms)

@@ -9,7 +9,6 @@ import pytest
 
 from singclass.classes import BASIC, SINGULARITY, ClassExpr, psi_power_sing
 from singclass.errors import ConstraintError, TreeStructureError
-from singclass.exact import XiPolynomial
 from singclass.grammar import parse_tree
 from singclass.trees import (
     MarkedTree,
@@ -246,20 +245,19 @@ class TestSubstitute:
         result = substitute(
             outer, [psi_power_sing(0), psi_power_sing(1), psi_power_sing(2)]
         )
+        # tree -> (xi power, coefficient)
         expected = {
-            star(0, [0, 1, 2]): XiPolynomial.from_coeffs([Fraction(1, 2)]),
-            star(0, [0, 1, 1]): XiPolynomial.from_coeffs([0, Fraction(3, 2)]),
-            star(0, [0, 0, 2]): XiPolynomial.from_coeffs([0, Fraction(1, 2)]),
-            star(0, [0, 0, 1]): XiPolynomial.from_coeffs([0, 0, Fraction(5, 2)]),
-            star(0, [0, 0, 0]): XiPolynomial.from_coeffs([0, 0, 0, 1]),
-            canonicalize((0, [0, 1, (0, [0, 0])])): XiPolynomial.from_coeffs(
-                [Fraction(1, 4)]
-            ),
-            canonicalize((0, [0, 0, (0, [0, 0])])): XiPolynomial.from_coeffs(
-                [0, Fraction(1, 4)]
-            ),
+            star(0, [0, 1, 2]): (0, Fraction(1, 2)),
+            star(0, [0, 1, 1]): (1, Fraction(3, 2)),
+            star(0, [0, 0, 2]): (1, Fraction(1, 2)),
+            star(0, [0, 0, 1]): (2, Fraction(5, 2)),
+            star(0, [0, 0, 0]): (3, Fraction(1)),
+            canonicalize((0, [0, 1, (0, [0, 0])])): (0, Fraction(1, 4)),
+            canonicalize((0, [0, 0, (0, [0, 0])])): (1, Fraction(1, 4)),
         }
-        assert dict(result.terms) == expected
+        assert result.degree == codim(outer) == 6
+        assert {t: (q, c) for t, q, c in result.monomials()} == expected
+        assert dict(result.terms) == {t: c for t, (_, c) in expected.items()}
 
     def test_multilinearity(self):
         outer = star(0, [0, 1])
