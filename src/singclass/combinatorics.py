@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
+from math import factorial, perm, prod
 
 from .errors import ConstraintError
 
@@ -136,9 +136,23 @@ def mn_character(lam: Partition, cycle_type: Partition) -> int:
     return _mn(lam, mu)
 
 
+@lru_cache(maxsize=None)
+def _dimension(lam: Partition) -> int:
+    return _mn(lam, (1,) * sum(lam))
+
+
 def character_dimension(lam: Partition) -> int:
     """Dimension of the irreducible representation: chi at the identity class."""
-    return mn_character(lam, (1,) * sum(lam))
+    return _dimension(make_partition(lam))
+
+
+def _central_numerator(p: Profile, lam: Partition, n: int) -> int:
+    """N!/(N-K)! * chi(mu) for a canonical profile p and a partition lam of N:
+    the central character times prod(p) * dim(lam)."""
+    k = sum(p)
+    if k > n:
+        return 0
+    return perm(n, k) * _mn(lam, p[::-1] + (1,) * (n - k))
 
 
 def central_character(p: Profile, lam: Partition) -> Fraction:
@@ -146,16 +160,10 @@ def central_character(p: Profile, lam: Partition) -> Fraction:
 
     Equals N!/((N-K)! prod k_i) * chi(mu)/chi(1^N) with K = sum of the profile
     and mu the profile padded with fixed points; vanishes when K exceeds N.
+    A part below 1 in either argument raises ConstraintError.
     """
-    n = sum(lam)
-    k = sum(p)
-    if k > n:
-        return Fraction(0)
-    mu = tuple(sorted(list(p) + [1] * (n - k), reverse=True))
-    count = Fraction(factorial(n), factorial(n - k) * prod(p)) if p else Fraction(1)
-    if n == 0:
-        return count
-    return count * Fraction(mn_character(lam, mu), character_dimension(lam))
+    p, lam = make_profile(p), make_partition(lam)
+    return Fraction(_central_numerator(p, lam, sum(lam)), prod(p) * _dimension(lam))
 
 
 def shifted_power_sum(lam: Partition, m: int) -> Fraction:

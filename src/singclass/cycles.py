@@ -15,19 +15,21 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
+from math import factorial, lcm, prod
 from typing import Iterable, Iterator
 
 from .combinatorics import (
     Partition,
     Profile,
+    _central_numerator,
+    _dimension,
     aut_count,
-    central_character,
+    make_partition,
     make_profile,
     profiles_with_sum_and_length,
 )
 from .errors import ConstraintError
-from .exact import s_series, series_scale_arg
+from .exact import PowerSeries, s_series, series_scale_arg
 
 __all__ = [
     "CycleExpr",
@@ -127,6 +129,16 @@ def x_polynomial(m: int, normalized: bool = True) -> XPolynomial:
     )
 
 
+@lru_cache(maxsize=None)
+def _s_power(order: int, e: int) -> PowerSeries:
+    return s_series(order).pow(e)
+
+
+@lru_cache(maxsize=None)
+def _s_scaled(order: int, k: int) -> PowerSeries:
+    return series_scale_arg(s_series(order), k)
+
+
 def rho(g: int, p: Profile) -> Fraction:
     """Coefficient of z^{2g} in (prod k_i / K!) S(z)^{K-1} prod S(k_i z), K = sum k_i."""
     if g < 0:
@@ -136,10 +148,9 @@ def rho(g: int, p: Profile) -> Fraction:
         raise ConstraintError("profile must be nonempty")
     total = sum(p)
     order = max(2 * g, 1)
-    base = s_series(order)
-    series = base.pow(total - 1)
+    series = _s_power(order, total - 1)
     for k in p:
-        series = series * series_scale_arg(base, k)
+        series = series * _s_scaled(order, k)
     return Fraction(prod(p), factorial(total)) * series.coefficient(2 * g)
 
 
@@ -169,11 +180,21 @@ def genus0_part(c: CycleExpr, m: int) -> CycleExpr:
 
 
 def evaluate(c: CycleExpr, lam: Partition) -> Fraction:
-    """Value of the central element on the irreducible representation lam."""
-    return sum(
-        (coeff * central_character(p, lam) for p, coeff in c.terms),
-        Fraction(0),
+    """Value of the central element on the irreducible representation lam.
+
+    The sum of coeff * central_character(p, lam) over the terms, taken in
+    integers over the common denominator D = lcm(den(coeff) * prod(p)) and
+    divided by D * dim(lam) once at the end.  The terms' profiles are
+    canonical (ascending, positive), as every CycleExpr builder makes them."""
+    lam = make_partition(lam)
+    n = sum(lam)
+    scales = [coeff.denominator * prod(p) for p, coeff in c.terms]
+    common = lcm(*scales)
+    total = sum(
+        coeff.numerator * (common // scale) * _central_numerator(p, lam, n)
+        for (p, coeff), scale in zip(c.terms, scales)
     )
+    return Fraction(total, common * _dimension(lam))
 
 
 # Most cycle tuples one product may enumerate.  At about 8 us a tuple on

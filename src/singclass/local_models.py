@@ -215,6 +215,8 @@ def hurwitz_coordinates(
         laurent = [series.coefficient(k - s) for s in range(1, k + 1)]
         # laurent[s-1] is the coefficient of (z - z_i)^{-s}
         lead = laurent[k - 1]
+        if lead == 0:
+            raise ConstraintError(f"pole at {z_i} has lower order than {k}")
         root = _rational_kth_root(lead, k)
         if root is None:
             raise ConstraintError(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
@@ -90,6 +90,17 @@ class TestMnCharacter:
         assert character_dimension((2, 1)) == 2
         assert character_dimension((3, 2)) == 5
 
+    def test_dimension_is_the_hook_length_formula_up_to_s12(self):
+        for n in range(0, 13):
+            for lam in partitions_of(n):
+                columns = [sum(1 for row in lam if row > j) for j in range(lam[0] if lam else 0)]
+                hooks = prod(
+                    (row - j) + (columns[j] - i) - 1
+                    for i, row in enumerate(lam)
+                    for j in range(row)
+                )
+                assert character_dimension(lam) == factorial(n) // hooks
+
 
 class TestCentralCharacter:
     def test_two_marked_fixed_points(self):
@@ -108,6 +119,15 @@ class TestCentralCharacter:
 
     def test_empty_profile_is_the_identity(self):
         assert central_character((), (3, 1)) == 1
+
+    @pytest.mark.parametrize("p,lam", [((0,), (2, 1)), ((-1,), (3,)), ((2, 0), (4,))])
+    def test_nonpositive_profile_parts_are_refused(self, p, lam):
+        with pytest.raises(ConstraintError):
+            central_character(p, lam)
+
+    def test_unsorted_partition_is_canonicalised(self):
+        assert central_character((2,), (1, 2)) == central_character((2,), (2, 1)) == 0
+        assert central_character((1,), (1, 3)) == central_character((1,), (3, 1)) == 4
 
 
 class TestShiftedPowerSum:

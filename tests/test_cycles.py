@@ -29,6 +29,7 @@ from singclass.cycles import (
     x_polynomial,
 )
 from singclass.errors import ConstraintError
+from singclass.exact import PowerSeries
 from singclass.grammar import parse_cycles
 
 
@@ -145,6 +146,53 @@ class TestEvaluate:
 
     def test_constant_term_survives_on_the_point(self):
         assert evaluate(completed_cycle(2), (1,)) == Fraction(1, 24)
+
+
+def _rho_reference(g: int, p: tuple[int, ...]) -> Fraction:
+    """rho(g, p) from its definition, every series built afresh."""
+    order = max(2 * g, 1)
+    s = [Fraction(1, 4 ** (i // 2) * factorial(i + 1)) if i % 2 == 0 else Fraction(0)
+         for i in range(order + 1)]
+
+    def scaled(k: int) -> PowerSeries:
+        return PowerSeries.from_coeffs([c * k**i for i, c in enumerate(s)], order)
+
+    series = PowerSeries.one(order)
+    for k in (1,) * (sum(p) - 1) + p:
+        series = series * scaled(k)
+    return Fraction(prod(p), factorial(sum(p))) * series.coefficient(2 * g)
+
+
+class TestCharacterKernel:
+    """evaluate and rho against plain references: one Fraction per term, and
+    the S-series rebuilt on every call."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.lists(
+        st.tuples(
+            st.sampled_from([()] + _profiles_of_order_up_to(8)),
+            st.fractions(min_value=-20, max_value=20, max_denominator=30),
+        ),
+        max_size=6,
+    ))
+    def test_evaluate_is_the_sum_of_central_characters(self, pairs):
+        element = CycleExpr.from_terms(pairs)
+        for n in range(0, 9):
+            for lam in partitions_of(n):
+                want = sum(
+                    (coeff * central_character(p, lam) for p, coeff in element.terms),
+                    Fraction(0),
+                )
+                assert evaluate(element, lam) == want
+                assert evaluate(element, lam[::-1]) == want
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        st.integers(min_value=0, max_value=5),
+        st.sampled_from([p for total in range(1, 9) for p in profiles_with_sum(total)]),
+    )
+    def test_rho_matches_an_unmemoised_series(self, g, p):
+        assert rho(g, p) == _rho_reference(g, p)
 
 
 class TestMultiplyCentral:

@@ -178,6 +178,13 @@ class TestHurwitzCoordinates:
         with pytest.raises(ConstraintError):
             hurwitz_coordinates(f, (2,), (1,))
 
+    def test_pole_of_lower_order_than_stated_is_refused(self):
+        # an unreduced function built directly: (z-1)/(z-1)^2 has a simple pole
+        z = XiPolynomial.linear_root(1)
+        f = RationalFunction(z, z.pow(2))
+        with pytest.raises(ConstraintError, match="lower order than 2"):
+            hurwitz_coordinates(f, (2,), (1,))
+
     def test_irrational_root_is_reported(self):
         f = RationalFunction.make(
             XiPolynomial.constant(2), XiPolynomial.from_roots([(1, 2)])
@@ -242,3 +249,38 @@ class TestRandomizedReassembly:
             recovered = hurwitz_coordinates(f, profile, poles)
             assert recovered == coords
             assert reassemble(recovered) == f
+
+
+class TestSympyOracle:
+    """sympy (test-only) as a second oracle for the local models."""
+
+    def test_reassemble_matches_apart_and_the_reduced_quotient(self):
+        sympy = pytest.importorskip("sympy")
+        z = sympy.Symbol("z")
+
+        def q(x: Fraction):
+            return sympy.Rational(x.numerator, x.denominator)
+
+        def coeffs(p: XiPolynomial):
+            return [q(c) for c in reversed(p.coeffs)]
+
+        rng = random.Random(20261018)
+        for _ in range(12):
+            coords = _random_coordinates(rng)
+            f = reassemble(coords)
+            principal = sympy.Add(q(coords.constant), *(
+                q(a * b.u ** (b.order - j)) / (z - q(b.pole)) ** (b.order - j)
+                for b in coords.branches
+                for j, a in enumerate([Fraction(1), *b.tail])
+            ))
+            # partial fractions of the reassembled quotient are the coordinates' terms
+            quotient = sympy.Poly(coeffs(f.numerator), z).as_expr() / sympy.Poly(coeffs(f.denominator), z).as_expr()
+            apart = sympy.apart(quotient, z)
+            assert set(sympy.Add.make_args(apart)) == set(sympy.Add.make_args(principal))
+            # sympy's reduced form of the terms' sum is the stored numerator over
+            # the monic denominator
+            num, den = (sympy.Poly(e, z) for e in sympy.fraction(sympy.together(principal)))
+            scale, num, den = num.cancel(den)
+            lead = den.LC()
+            assert [scale * c / lead for c in num.all_coeffs()] == coeffs(f.numerator)
+            assert [c / lead for c in den.all_coeffs()] == coeffs(f.denominator)
