@@ -6,12 +6,12 @@ from .classes import (
     SINGULARITY,
     ClassExpr,
     basic_to_sing,
-    point_coefficient_delta,
     point_coefficient_psi,
     psi_decomposition,
     psi_power_sing,
     sing_to_basic,
     product_expansion,
+    substitute,
 )
 from .combinatorics import (
     aut_count,
@@ -23,10 +23,10 @@ from .combinatorics import (
 from .cycles import (
     CycleExpr,
     completed_cycle,
-    genus0_equality_check,
     evaluate,
     genus0_part,
     multiply_central,
+    point_coefficient_delta,
     rho,
     verify_in_group_algebra,
     x_polynomial,
@@ -47,7 +47,7 @@ from .local_models import (
     profile_constants,
     reassemble,
 )
-from .trees import MarkedTree, canonicalize, codim, substitute, tree, vanishes
+from .trees import MarkedTree, canonicalize, codim, tree, vanishes
 
 __version__ = "0.1.0"
 
@@ -69,7 +69,6 @@ __all__ = [
     "central_character",
     "codim",
     "completed_cycle",
-    "genus0_equality_check",
     "evaluate",
     "genus0_part",
     "hurwitz_coordinates",

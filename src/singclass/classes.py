@@ -12,6 +12,7 @@ carries a single rational coefficient.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -21,15 +22,7 @@ from typing import Iterable
 from .combinatorics import Profile, aut_count, make_profile, profiles_with_sum
 from .errors import ConstraintError
 from .exact import XiPolynomial
-from .trees import (
-    MarkedTree,
-    encoding,
-    leaf_markings,
-    star,
-    stick,
-    substitute,
-    tree,
-)
+from .trees import MarkedTree, encoding, graft, leaf_markings, star, stick, tree
 
 SINGULARITY = "singularity"
 BASIC = "basic"
@@ -38,6 +31,7 @@ __all__ = [
     "SINGULARITY",
     "BASIC",
     "ClassExpr",
+    "substitute",
     "product_expansion",
     "psi_decomposition",
     "psi_power_sing",
@@ -45,7 +39,6 @@ __all__ = [
     "sing_to_basic",
     "point_class_tree",
     "point_coefficient_psi",
-    "point_coefficient_delta",
 ]
 
 
@@ -251,6 +244,38 @@ def psi_power_sing(m: int) -> ClassExpr:
     )
 
 
+def substitute(outer: MarkedTree, grafts: Iterable[ClassExpr]) -> ClassExpr:
+    """Multilinear substitution of singularity-basis expansions into the leaves.
+
+    Every choice of one term per graft produces a glued tree; vanishing trees
+    are dropped and coefficients (including xi powers) multiply.  Returns a
+    singularity-basis ClassExpr of degree codim(outer) - (sum of its leaf
+    markings) + (sum of the graft degrees): a leaf marked m adds m + 1 to the
+    codim, and a glued tree t adds codim(t) + 1.
+    """
+    if not outer.children:
+        raise ConstraintError("substitution target must have at least two leaves")
+    grafts = list(grafts)
+    if len(grafts) != len(leaf_markings(outer)):
+        raise ConstraintError(
+            f"need one graft per leaf: tree has {len(leaf_markings(outer))} leaves, got {len(grafts)}"
+        )
+    for g in grafts:
+        if g.basis != SINGULARITY:
+            raise ConstraintError("grafts must be in the singularity basis")
+
+    if any(not g.terms for g in grafts):
+        return ClassExpr.zero(SINGULARITY)
+    return ClassExpr.from_terms(
+        SINGULARITY,
+        outer.codim - outer.weight + sum(g.degree for g in grafts),
+        (
+            (graft(outer, [t for t, _ in combo]), prod(c for _, c in combo))
+            for combo in itertools.product(*(g.terms for g in grafts))
+        ),
+    )
+
+
 @lru_cache(maxsize=None)
 def _tree_basic_expansion(t: MarkedTree) -> ClassExpr:
     """The basic class of a single canonical tree, expanded in the singularity basis."""
@@ -344,29 +369,3 @@ def point_coefficient_psi(m: int, p: Profile, raw: bool = False) -> Fraction:
         )
     value = Fraction(prod(p), aut_count(p) * factorial(sum(p)))
     return value * factorial(m) if raw else value
-
-
-def point_coefficient_delta(ms: Iterable[int], p: Profile) -> Fraction:
-    """Coefficient of the point class over the profile-p locus in the
-    point-class delta expression with cotangent exponents ms.
-
-    Requires 2 s + sum(ms) = l + sum(p); equals the coefficient of the
-    monomial prod x_{k_i} in the product of normalized one-exponent
-    polynomials.
-    """
-    from .cycles import x_polynomial
-
-    ms = [int(v) for v in ms]
-    if any(v < 0 for v in ms):
-        raise ConstraintError("exponents must be nonnegative")
-    p = make_profile(p)
-    if 2 * len(ms) + sum(ms) != len(p) + sum(p):
-        raise ConstraintError(
-            f"need 2 s + sum(ms) = l + sum(profile); got ms={ms}, profile={p}"
-        )
-    poly = x_polynomial(ms[0], normalized=True) if ms else None
-    if poly is None:
-        raise ConstraintError("need at least one exponent")
-    for v in ms[1:]:
-        poly = poly * x_polynomial(v, normalized=True)
-    return poly.coefficient(p)

@@ -5,7 +5,9 @@ Exit codes: 0 success, 1 verification failure, 2 parse error, 3 constraint
 violation, 4 internal error (an exception that is not a SingclassError, so a
 defect of singclass, reported on stderr as ``internal error: ...`` followed by
 the traceback).  The environment variable SINGCLASS_MAX_CODIM (default 8) caps
-the expansion depth of class-producing commands and of verify --max-m.
+the expansion depth of class-producing commands, of coeff and of verify --max-m;
+char over 48 boxes and multiply-cycles over 2 400 000 point steps (a cycle tuple
+or composition on N points is N steps) exit 3 as well.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import sys
 
 from . import classes, cycles, grammar, local_models, verification
 from .classes import BASIC, SINGULARITY
+from .combinatorics import mn_character
 from .errors import ConstraintError, ParseError, SingclassError
 from .exact import format_rational
 
@@ -179,8 +182,6 @@ def _cmd_multiply_cycles(args) -> int:
 def _cmd_char(args) -> int:
     lam = grammar.parse_partition(args.partition)
     mu = grammar.parse_partition(args.cycle_type)
-    from .combinatorics import mn_character
-
     _print_value(mn_character(lam, mu), args.format)
     return EXIT_OK
 
@@ -193,14 +194,16 @@ def _cmd_coeff(args) -> int:
             m = int(args.args[0])
         except ValueError:
             raise ParseError(f"bad integer M: {args.args[0]!r}") from None
+        _check_depth(m)
         profile = grammar.parse_profile(args.args[1])
         value = classes.point_coefficient_psi(m, profile, raw=args.raw)
     else:
         if len(args.args) != 2:
             raise ConstraintError("coeff delta expects: MS PROFILE")
         ms = grammar.parse_exponents(args.args[0])
+        _check_depth(2 * len(ms) + sum(ms) - 2)  # the codim of psi^(s-2) d[ms], as M of psi^M
         profile = grammar.parse_profile(args.args[1])
-        value = classes.point_coefficient_delta(ms, profile)
+        value = cycles.point_coefficient_delta(ms, profile)
     _print_value(format_rational(value), args.format)
     return EXIT_OK
 

@@ -22,9 +22,9 @@ from .combinatorics import (
     Partition,
     Profile,
     _central_numerator,
+    _character_partition,
     _dimension,
     aut_count,
-    make_partition,
     make_profile,
     profiles_with_sum_and_length,
 )
@@ -42,7 +42,7 @@ __all__ = [
     "profile_order",
     "multiply_central",
     "verify_in_group_algebra",
-    "genus0_equality_check",
+    "point_coefficient_delta",
 ]
 
 
@@ -59,10 +59,11 @@ class _ProfileTerms:
 
     @classmethod
     def from_terms(cls, pairs: Iterable[tuple[Profile, Fraction]]):
-        """The sum of the (profile, coefficient) pairs: repeated profiles add
-        up, and zero coefficients are dropped."""
+        """The sum of the pairs, each profile made canonical by make_profile:
+        repeated profiles add up, and zero coefficients are dropped."""
         acc: dict[Profile, Fraction] = {}
         for p, c in pairs:
+            p = make_profile(p)
             acc[p] = acc.get(p, 0) + c
         items = [(p, Fraction(c)) for p, c in acc.items() if c != 0]
         items.sort(key=lambda item: (-profile_order(item[0]), len(item[0]), item[0]))
@@ -109,7 +110,7 @@ class XPolynomial(_ProfileTerms):
 
     def __mul__(self, other: "XPolynomial") -> "XPolynomial":
         return XPolynomial.from_terms(
-            (tuple(sorted(p1 + p2)), c1 * c2)
+            (p1 + p2, c1 * c2)
             for p1, c1 in self.terms
             for p2, c2 in other.terms
         )
@@ -127,6 +128,30 @@ def x_polynomial(m: int, normalized: bool = True) -> XPolynomial:
         for length in range(1, (m + 2) // 2 + 1)
         for p in profiles_with_sum_and_length(m + 2 - length, length)
     )
+
+
+def point_coefficient_delta(ms: Iterable[int], p: Profile) -> Fraction:
+    """Coefficient of the point class over the profile-p locus in the
+    point-class delta expression with cotangent exponents ms.
+
+    Requires 2 s + sum(ms) = l + sum(p); equals the coefficient of the
+    monomial prod x_{k_i} in the product of normalized one-exponent
+    polynomials.
+    """
+    ms = [int(v) for v in ms]
+    if any(v < 0 for v in ms):
+        raise ConstraintError("exponents must be nonnegative")
+    p = make_profile(p)
+    if 2 * len(ms) + sum(ms) != len(p) + sum(p):
+        raise ConstraintError(
+            f"need 2 s + sum(ms) = l + sum(profile); got ms={ms}, profile={p}"
+        )
+    if not ms:
+        raise ConstraintError("need at least one exponent")
+    poly = x_polynomial(ms[0], normalized=True)
+    for v in ms[1:]:
+        poly = poly * x_polynomial(v, normalized=True)
+    return poly.coefficient(p)
 
 
 @lru_cache(maxsize=None)
@@ -185,8 +210,9 @@ def evaluate(c: CycleExpr, lam: Partition) -> Fraction:
     The sum of coeff * central_character(p, lam) over the terms, taken in
     integers over the common denominator D = lcm(den(coeff) * prod(p)) and
     divided by D * dim(lam) once at the end.  The terms' profiles are
-    canonical (ascending, positive), as every CycleExpr builder makes them."""
-    lam = make_partition(lam)
+    canonical (ascending, positive), as every CycleExpr builder makes them.
+    A partition over CHARACTER_SIZE_BUDGET boxes raises ConstraintError."""
+    lam = _character_partition(lam)
     n = sum(lam)
     scales = [coeff.denominator * prod(p) for p, coeff in c.terms]
     common = lcm(*scales)
@@ -197,15 +223,24 @@ def evaluate(c: CycleExpr, lam: Partition) -> Fraction:
     return Fraction(total, common * _dimension(lam))
 
 
-# Most cycle tuples one product may enumerate.  At about 8 us a tuple on
-# CPython 3.11, an admitted product ends within 2 s: {3,3}*{3,3} (73 920 tuples)
-# and {6}*{6} (110 880) run; {1,1,1,1,1,1}*{1,1,1,1,1,1} (665 280) is refused.
-PRODUCT_TUPLE_BUDGET = 200_000
+# Most point steps a product or a group-algebra check may take: a cycle tuple or
+# composition on n points is n steps, about 1 us each on CPython 3.11; {6}*{6}
+# (110 880 tuples on 12 points) takes 1.3 s, and {1,1,1,1,1,1}^2 is refused.
+PRODUCT_STEP_BUDGET = 2_400_000
 
 
-def _placements(p: Profile, n: int) -> int:
-    """Number of ordered tuples of disjoint cycles with lengths p on n points."""
-    return factorial(n) // (factorial(n - sum(p)) * prod(p))
+def _placements(p: Profile, n: int, cap: int) -> int:
+    """Number of ordered tuples of disjoint cycles with lengths p on n >= sum(p)
+    points, or cap + 1 if over cap: built point by point, it stops once over."""
+    count = 1
+    for k in p:
+        for j in range(k):  # the k-cycles on the n points left: n (n-1) ... (n-k+1) / k
+            count *= n - j
+            if count > cap * k:
+                return cap + 1
+        count //= k
+        n -= k
+    return min(count, cap + 1)
 
 
 def _cycle_tuples(lengths: Profile, points: tuple[int, ...]) -> Iterator[dict[int, int]]:
@@ -246,17 +281,20 @@ def multiply_central(p1: Profile, p2: Profile) -> CycleExpr:
     points 0..K1-1 (K1 = sum(p1), n = K1 + sum(p2)) and compose them with every
     tuple of p2-cycles on n points; if t_r tuples give type r, C_r has the
     coefficient t_r (n-|r|)! prod(r) / ((n-K1)! prod(p1)).  The factor with
-    fewer tuples is enumerated; more than PRODUCT_TUPLE_BUDGET raise
-    ConstraintError.
+    fewer tuples is enumerated; more than PRODUCT_STEP_BUDGET / n of them
+    raise ConstraintError.
     """
     p1, p2 = make_profile(p1), make_profile(p2)
     n = sum(p1) + sum(p2)
-    p1, p2 = sorted((p1, p2), key=lambda p: _placements(p, n), reverse=True)  # p2 has fewer tuples
-    if _placements(p2, n) > PRODUCT_TUPLE_BUDGET:
+    cap = PRODUCT_STEP_BUDGET // max(n, 1)
+    p1, p2 = sorted((p1, p2), key=lambda p: _placements(p, n, cap), reverse=True)  # p2 has fewer tuples
+    if _placements(p2, n, cap) > cap:
         raise ConstraintError(
-            f"product needs {_placements(p2, n)} cycle tuples, over the budget of {PRODUCT_TUPLE_BUDGET}"
+            f"product needs more than {cap} cycle tuples on {n} points, over the step budget"
         )
-    first = next(_cycle_tuples(p1, tuple(range(sum(p1)))))
+    # one tuple of p1-cycles on consecutive points: x -> x + 1, a cycle's last point to its first
+    ends = list(itertools.accumulate(p1))
+    first = {x: x + 1 for x in range(sum(p1))} | {end - 1: end - k for end, k in zip(ends, p1)}
     tally = Counter(_product_type(first, b) for b in _cycle_tuples(p2, tuple(range(n))))
     scale = factorial(n - sum(p1)) * prod(p1)
     return CycleExpr.from_terms(
@@ -306,18 +344,19 @@ def verify_in_group_algebra(
 
     Both sides are constructed as explicit functions permutation -> rational
     (summing over numbered-cycle placements) and compared pointwise.  More
-    than PRODUCT_TUPLE_BUDGET compositions raise ConstraintError.
+    than PRODUCT_STEP_BUDGET / n compositions raise ConstraintError.
     """
     p1, p2 = make_profile(p1), make_profile(p2)
     if n < sum(p1) + sum(p2):
         raise ConstraintError(
             f"need n >= {sum(p1) + sum(p2)} to realize both factors in S_n"
         )
-    compositions = _placements(p1, n) * _placements(p2, n)
-    if compositions > PRODUCT_TUPLE_BUDGET:
+    cap = PRODUCT_STEP_BUDGET // max(n, 1)
+    c1, c2 = _placements(p1, n, cap), _placements(p2, n, cap)
+    if c1 * c2 > cap:
+        count = c1 * c2 if max(c1, c2) <= cap else f"more than {cap}"
         raise ConstraintError(
-            f"the check in S_{n} needs {compositions} compositions,"
-            f" over the budget of {PRODUCT_TUPLE_BUDGET}"
+            f"the check in S_{n} needs {count} compositions, over the budget of {cap} on {n} points"
         )
     left: dict[tuple[int, ...], Fraction] = {}
     v1 = _central_vector(p1, n)
@@ -333,39 +372,3 @@ def verify_in_group_algebra(
     left = {k: v for k, v in left.items() if v != 0}
     right = {k: v for k, v in right.items() if v != 0}
     return left == right
-
-
-def _genus0_profiles(m: int) -> list[Profile]:
-    out: list[Profile] = []
-    for length in range(1, m + 2):
-        total = m + 2 - length
-        if total < length:
-            break
-        out.extend(profiles_with_sum_and_length(total, length))
-    return out
-
-
-def genus0_equality_check(m: int) -> bool:
-    """Genus-0 completed-cycle coefficients against the psi-power expansion.
-
-    For every profile of maximal order m+2, the coefficient in the completed
-    (m+1)-cycle must equal both the closed-form point coefficient and the
-    coefficient actually extracted from the expansion of psi^m at the
-    point-class tree (the stick, for one-part profiles).
-    """
-    from .classes import point_class_tree, point_coefficient_psi, psi_power_sing
-
-    if m < 1:
-        raise ConstraintError("m must be >= 1")
-    g0 = genus0_part(completed_cycle(m), m)
-    expansion = psi_power_sing(m)
-    profiles = _genus0_profiles(m)
-    if sorted(g0.profiles()) != sorted(profiles):
-        return False
-    for p in profiles:
-        from_cycle = g0.coefficient(p)
-        closed_form = point_coefficient_psi(m, p)
-        extracted = expansion.coefficient_at(point_class_tree(p), 0)
-        if not (from_cycle == closed_form == extracted):
-            return False
-    return True

@@ -31,10 +31,8 @@ built.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import prod
 from typing import Sequence
 
 from .errors import ConstraintError, TreeStructureError
@@ -49,11 +47,8 @@ __all__ = [
     "codim",
     "weight",
     "vanishes",
-    "is_stick",
     "leaf_markings",
-    "leaf_count",
     "graft",
-    "substitute",
     "enumerate_trees",
 ]
 
@@ -168,10 +163,6 @@ def encoding(t: MarkedTree) -> str:
     return f"({t.marking};{','.join(encoding(c) for c in t.children)})"
 
 
-def is_stick(t: MarkedTree) -> bool:
-    return not t.children
-
-
 def codim(t: MarkedTree) -> int:
     """Codimension of the class the tree denotes (same in both bases).
 
@@ -202,10 +193,6 @@ def leaf_markings(t: MarkedTree) -> tuple[int, ...]:
     return tuple(out)
 
 
-def leaf_count(t: MarkedTree) -> int:
-    return len(leaf_markings(t))
-
-
 def graft(outer: MarkedTree, replacements: Sequence[MarkedTree]) -> MarkedTree:
     """Erase the leaves of ``outer`` and glue the given trees in their place.
 
@@ -216,9 +203,9 @@ def graft(outer: MarkedTree, replacements: Sequence[MarkedTree]) -> MarkedTree:
     if not outer.children:
         raise ConstraintError("cannot graft into a stick")
     reps = list(replacements)
-    if len(reps) != leaf_count(outer):
+    if len(reps) != len(leaf_markings(outer)):
         raise ConstraintError(
-            f"need one graft per leaf: tree has {leaf_count(outer)} leaves, got {len(reps)}"
+            f"need one graft per leaf: tree has {len(leaf_markings(outer))} leaves, got {len(reps)}"
         )
     it = iter(reps)
 
@@ -228,40 +215,6 @@ def graft(outer: MarkedTree, replacements: Sequence[MarkedTree]) -> MarkedTree:
         return tree(node.marking, tuple(rebuild(c) for c in node.children))
 
     return tree(outer.marking, tuple(rebuild(c) for c in outer.children))
-
-
-def substitute(outer: MarkedTree, grafts):
-    """Multilinear substitution of singularity-basis expansions into the leaves.
-
-    Every choice of one term per graft produces a glued tree; vanishing trees
-    are dropped and coefficients (including xi powers) multiply.  Returns a
-    singularity-basis ClassExpr of degree codim(outer) - (sum of its leaf
-    markings) + (sum of the graft degrees): a leaf marked m adds m + 1 to the
-    codim, and a glued tree t adds codim(t) + 1.
-    """
-    from . import classes
-
-    if not outer.children:
-        raise ConstraintError("substitution target must have at least two leaves")
-    grafts = list(grafts)
-    if len(grafts) != leaf_count(outer):
-        raise ConstraintError(
-            f"need one graft per leaf: tree has {leaf_count(outer)} leaves, got {len(grafts)}"
-        )
-    for g in grafts:
-        if g.basis != classes.SINGULARITY:
-            raise ConstraintError("grafts must be in the singularity basis")
-
-    if any(not g.terms for g in grafts):
-        return classes.ClassExpr.zero(classes.SINGULARITY)
-    return classes.ClassExpr.from_terms(
-        classes.SINGULARITY,
-        outer.codim - outer.weight + sum(g.degree for g in grafts),
-        (
-            (graft(outer, [t for t, _ in combo]), prod(c for _, c in combo))
-            for combo in itertools.product(*(g.terms for g in grafts))
-        ),
-    )
 
 
 @lru_cache(maxsize=None)

@@ -27,6 +27,7 @@ __all__ = [
     "check_completed_cycles",
     "check_appendix",
     "check_shifted_power_sums",
+    "genus0_equality_check",
     "check_genus0_equality",
     "check_cycle_products",
     "check_roundtrip",
@@ -211,9 +212,33 @@ def check_shifted_power_sums(max_m: int = 5, max_size: int = 8) -> list[CheckRes
     return out
 
 
+def genus0_equality_check(m: int) -> bool:
+    """Genus-0 completed-cycle coefficients against the psi-power expansion.
+
+    For every profile of maximal order m+2 (a monomial of x_polynomial(m)), the
+    coefficient in the completed (m+1)-cycle must equal both the closed-form
+    point coefficient and the coefficient actually extracted from the expansion
+    of psi^m at the point-class tree (the stick, for one-part profiles).
+    """
+    if m < 1:
+        raise ConstraintError("m must be >= 1")
+    g0 = cycles.genus0_part(cycles.completed_cycle(m), m)
+    expansion = classes.psi_power_sing(m)
+    profiles = [p for p, _ in cycles.x_polynomial(m).terms]
+    if sorted(g0.profiles()) != sorted(profiles):
+        return False
+    for p in profiles:
+        from_cycle = g0.coefficient(p)
+        closed_form = classes.point_coefficient_psi(m, p)
+        extracted = expansion.coefficient_at(classes.point_class_tree(p), 0)
+        if not (from_cycle == closed_form == extracted):
+            return False
+    return True
+
+
 def check_genus0_equality(max_m: int = 6) -> list[CheckResult]:
     return [
-        CheckResult(f"genus-0 coefficients match psi^{m}", cycles.genus0_equality_check(m))
+        CheckResult(f"genus-0 coefficients match psi^{m}", genus0_equality_check(m))
         for m in range(1, max_m + 1)
     ]
 

@@ -17,10 +17,10 @@ from singclass.classes import (
     BASIC,
     basic_to_sing,
     point_class_tree,
-    point_coefficient_delta,
     sing_to_basic,
 )
 from singclass.combinatorics import partitions_of, profiles_with_sum, shifted_power_sum
+from singclass.cycles import point_coefficient_delta
 
 
 class _Criterion:
@@ -144,7 +144,7 @@ def test_criterion_9_genus0_equality():
         9, "genus-0 cycle coefficients equal psi-power point coefficients, m<=6", 5.0
     ):
         for m in range(1, 7):
-            assert cycles.genus0_equality_check(m)
+            assert verification.genus0_equality_check(m)
 
 
 def test_criterion_10_delta_point_coefficients():

@@ -15,7 +15,6 @@ from singclass.classes import (
     ClassExpr,
     basic_to_sing,
     point_class_tree,
-    point_coefficient_delta,
     point_coefficient_psi,
     psi_decomposition,
     psi_power_sing,
@@ -24,6 +23,7 @@ from singclass.classes import (
     _tree_basic_expansion,
 )
 from singclass.combinatorics import aut_count, profiles_with_sum
+from singclass.cycles import point_coefficient_delta
 from singclass.errors import ConstraintError
 from singclass.grammar import parse_class
 from singclass.trees import enumerate_trees, leaf_markings, star, stick

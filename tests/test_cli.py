@@ -255,6 +255,47 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert message in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # characters: over CHARACTER_SIZE_BUDGET boxes (the staircases of
+            # 66 and 78 boxes took 9.5 s and 37.6 s; [1200] overflowed the stack)
+            ("char", "[" + ",".join(map(str, range(11, 0, -1))) + "]", "[" + ",".join(["1"] * 66) + "]"),
+            ("char", "[" + ",".join(map(str, range(12, 0, -1))) + "]", "[" + ",".join(["1"] * 78) + "]"),
+            ("char", "[1200]", "[" + ",".join(["1"] * 1200) + "]"),
+            # coeff: over SINGCLASS_MAX_CODIM (a 4300-digit ValueError, 4.5 s, over 30 s)
+            ("coeff", "psi", "2000", "{2001}"),
+            ("coeff", "delta", "[60]", "{1,59}"),
+            ("coeff", "delta", "[80]", "{1,79}"),
+            ("coeff", "delta", "[" + ",".join(["8"] * 10) + "]", "{99}"),
+            # products: over the step budget (each ran for over 30 s)
+            ("multiply-cycles", "{20000}", "{1}"),
+            ("multiply-cycles", "{1000000}", "{1}"),
+            ("multiply-cycles", "{2}", "{2}", "--verify-at", "1000000"),
+        ],
+        ids=lambda argv: " ".join(a if len(a) < 12 else a[:10] + "..." for a in argv),
+    )
+    def test_over_a_cost_budget_is_exit_3_at_once(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert "budget" in err or "SINGCLASS_MAX_CODIM" in err
+
+    def test_coeff_delta_depth_is_the_point_class_codimension(self, capsys, monkeypatch):
+        # psi^(s-2) d[1,1,2] has codimension 2*3 + 4 - 2 = 8
+        monkeypatch.setenv("SINGCLASS_MAX_CODIM", "8")
+        assert run(capsys, "coeff", "delta", "[1,1,2]", "{1,1,2,2}")[:2] == (0, "1/4\n")
+        monkeypatch.setenv("SINGCLASS_MAX_CODIM", "7")
+        code, out, err = run(capsys, "coeff", "delta", "[1,1,2]", "{1,1,2,2}")
+        assert (code, out) == (3, "")
+        assert "expansion depth 8 exceeds the cap 7" in err
+
+    def test_a_long_first_factor_is_no_recursion_error(self, capsys):
+        ones = "{" + ",".join(["1"] * 2000) + "}"
+        code, out, _ = run(capsys, "multiply-cycles", ones, "{}")
+        assert (code, out) == (0, "C[" + ",".join(["1"] * 2000) + "]\n")
+
     def test_group_algebra_check_over_the_budget_is_exit_3(self, capsys):
         code, out, err = run(capsys, "multiply-cycles", "{2,2}", "{2}", "--verify-at", "14")
         assert (code, out) == (3, "")

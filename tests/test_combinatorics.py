@@ -9,6 +9,7 @@ from math import factorial, prod
 import pytest
 
 from singclass.combinatorics import (
+    CHARACTER_SIZE_BUDGET,
     aut_count,
     central_character,
     character_dimension,
@@ -18,6 +19,7 @@ from singclass.combinatorics import (
     profiles_with_sum,
     shifted_power_sum,
 )
+from singclass.cycles import CycleExpr, evaluate
 from singclass.errors import ConstraintError
 
 
@@ -128,6 +130,32 @@ class TestCentralCharacter:
     def test_unsorted_partition_is_canonicalised(self):
         assert central_character((2,), (1, 2)) == central_character((2,), (2, 1)) == 0
         assert central_character((1,), (1, 3)) == central_character((1,), (3, 1)) == 4
+
+
+class TestCharacterBudget:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda lam: mn_character(lam, lam),
+            lambda lam: mn_character(lam, (1,) * sum(lam)),
+            character_dimension,
+            lambda lam: central_character((2,), lam),
+            lambda lam: evaluate(CycleExpr.identity(), lam),
+        ],
+    )
+    def test_a_partition_over_the_budget_is_refused(self, call):
+        # one row: its characters are cheap, so only the size check refuses it
+        with pytest.raises(ConstraintError, match="character budget"):
+            call((CHARACTER_SIZE_BUDGET + 1,))
+        with pytest.raises(ConstraintError, match="character budget"):
+            call((1,) * 1200)  # one recursion level per part: was a RecursionError
+
+    def test_the_budget_itself_is_admitted(self):
+        lam = (CHARACTER_SIZE_BUDGET,)
+        n = CHARACTER_SIZE_BUDGET
+        assert mn_character(lam, (1,) * n) == character_dimension(lam) == 1
+        assert central_character((2,), lam) == n * (n - 1) // 2
+        assert evaluate(CycleExpr.identity(), lam) == 1
 
 
 class TestShiftedPowerSum:

@@ -17,9 +17,10 @@ from singclass.combinatorics import (
     shifted_power_sum,
 )
 from singclass.cycles import (
+    PRODUCT_STEP_BUDGET,
     CycleExpr,
+    _placements,
     completed_cycle,
-    genus0_equality_check,
     evaluate,
     genus0_part,
     multiply_central,
@@ -31,6 +32,7 @@ from singclass.cycles import (
 from singclass.errors import ConstraintError
 from singclass.exact import PowerSeries
 from singclass.grammar import parse_cycles
+from singclass.verification import genus0_equality_check
 
 
 def _profiles_of_order_up_to(limit: int) -> list[tuple[int, ...]]:
@@ -241,8 +243,41 @@ class TestMultiplyCentral:
         with pytest.raises(ConstraintError, match="budget"):
             multiply_central((1,) * 6, (1,) * 6)
 
+    def test_placements_stop_once_over_the_cap(self):
+        def reference(p, n):
+            return factorial(n) // (factorial(n - sum(p)) * prod(p))
+
+        for total in range(0, 9):
+            for p in profiles_with_sum(total) if total else [()]:
+                for n in range(total, total + 6):
+                    for cap in (0, 1, 7, 100, 10**9):
+                        want = reference(p, n)
+                        assert _placements(p, n, cap) == (want if want <= cap else cap + 1)
+
+    def test_the_step_budget_admits_and_refuses_the_documented_products(self):
+        def steps(p1, p2):
+            n = sum(p1) + sum(p2)
+            tuples = min(factorial(n) // (factorial(n - sum(p)) * prod(p)) for p in (p1, p2))
+            return tuples * n
+
+        assert steps((6,), (6,)) <= PRODUCT_STEP_BUDGET
+        assert steps((3, 3), (3, 3)) <= PRODUCT_STEP_BUDGET
+        assert steps((1,) * 6, (1,) * 6) > PRODUCT_STEP_BUDGET
+        assert all(steps(a, b) <= PRODUCT_STEP_BUDGET for a, b in _PRODUCT_PAIRS)
+
+    def test_work_over_the_budget_is_refused_at_once(self):
+        with pytest.raises(ConstraintError, match="budget"):
+            multiply_central((20000,), (1,))  # 20 001 tuples of 20 001 points
+        with pytest.raises(ConstraintError, match="budget"):
+            multiply_central((10**6,), (1,))  # was factorial(10**6), several times
+        with pytest.raises(ConstraintError, match="budget"):
+            verify_in_group_algebra((2,), (2,), multiply_central((2,), (2,)), 10**6)
+
+    def test_a_long_factor_times_the_identity(self):
+        assert multiply_central((1,) * 2000, ()) == CycleExpr.from_terms([((1,) * 2000, 1)])
+
     def test_square_of_three_three_matches_the_characters(self):
-        # 73 920 cycle tuples, within PRODUCT_TUPLE_BUDGET; S_12 is out of
+        # 73 920 cycle tuples, within PRODUCT_STEP_BUDGET; S_12 is out of
         # the oracle's reach, so the check is by characters
         product = multiply_central((3, 3), (3, 3))
         for size in range(0, 13):
@@ -303,3 +338,15 @@ class TestCycleExpr:
     def test_profiles_with_sum_reused_for_enumeration(self):
         # the m=4 new-profile layer matches the displayed i-classes
         assert profiles_with_sum(4, 2) == [(1, 3), (2, 2), (1, 1, 2), (1, 1, 1, 1)]
+
+    def test_unsorted_profiles_are_put_in_canonical_form(self):
+        e = CycleExpr.from_terms([((2, 1), 1)])
+        assert e.coefficient((2, 1)) == e.coefficient((1, 2)) == 1
+        assert e == CycleExpr.from_terms([((1, 2), 1)])
+        assert CycleExpr.from_terms([((2, 1), 1), ((1, 2), -1)]).is_zero()
+
+    def test_a_part_below_one_is_refused(self):
+        with pytest.raises(ConstraintError, match="positive"):
+            CycleExpr.from_terms([((2, 0), 1)])
+        with pytest.raises(ConstraintError):
+            evaluate(CycleExpr.from_terms([((2, 0), 1)]), (3,))

@@ -1,0 +1,118 @@
+"""The module graph of the package, read from the source with ``ast``.
+
+The class side (trees, classes) and the cycle side (cycles) rest on a shared
+bottom layer and never import each other; grammar renders and parses both,
+verification is the only other module that uses both, and cli is on top.
+Every import sits in a module's import block, so that block says what the
+module depends on.
+"""
+
+from __future__ import annotations
+
+import ast
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+MODULES = sorted((SRC / "singclass").glob("*.py"))
+
+_BOTTOM = {"errors", "exact", "combinatorics"}
+_SIDES = _BOTTOM | {"trees", "classes", "cycles", "local_models"}
+
+# module -> the singclass modules it may import
+ALLOWED = {
+    "errors": set(),
+    "exact": {"errors"},
+    "combinatorics": {"errors"},
+    "trees": {"errors"},
+    "classes": _BOTTOM | {"trees"},
+    "cycles": _BOTTOM,
+    "local_models": _BOTTOM,
+    "grammar": _SIDES,
+    "verification": _SIDES | {"grammar"},
+    "cli": _SIDES | {"grammar", "verification"},
+    "__init__": _SIDES | {"grammar"},
+}
+
+# module -> the (function, import) pairs allowed inside function bodies: the
+# CLI loads traceback only when it reports an internal error, to keep start-up short
+DEFERRED = {"cli": {("main", "traceback")}}
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _imported_names(node: ast.Import | ast.ImportFrom) -> set[str]:
+    if isinstance(node, ast.Import):
+        return {alias.name for alias in node.names}
+    if node.level and not node.module:  # from . import a, b
+        return {"." + alias.name for alias in node.names}
+    return {"." * node.level + (node.module or "")}
+
+
+def _singclass_imports(path: Path) -> set[str]:
+    """Every singclass module the file imports, wherever the import stands."""
+    out = set()
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for name in _imported_names(node):
+                if name.startswith("."):
+                    out.add(name.lstrip(".").split(".")[0])
+                elif name.startswith("singclass."):
+                    out.add(name.split(".")[1])
+    return out
+
+
+def _function_imports(path: Path) -> set[tuple[str, str]]:
+    """(function, imported name) for every import inside a function body."""
+    out = set()
+    for fn in ast.walk(_tree(path)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    out.update((fn.name, name) for name in _imported_names(node))
+    return out
+
+
+def test_every_module_is_in_the_layer_map():
+    assert {path.stem for path in MODULES} == set(ALLOWED)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_import_inside_a_function_body(path):
+    assert _function_imports(path) - DEFERRED.get(path.stem, set()) == set()
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_imports_follow_the_layers(path):
+    assert _singclass_imports(path) - ALLOWED[path.stem] == set()
+
+
+def test_the_two_sides_never_import_each_other():
+    imports = {path.stem: _singclass_imports(path) for path in MODULES}
+    for module in ("trees", "classes"):
+        assert "cycles" not in imports[module]
+    assert "classes" not in imports["trees"]
+    for module in ("cycles", "combinatorics"):
+        assert imports[module].isdisjoint({"classes", "trees", "grammar"})
+
+
+def test_the_package_root_loads_no_verification():
+    # the golden-table reader needs importlib.resources, which costs every
+    # `import singclass` its load time; only verify suites should pay it
+    code = (
+        "import sys, singclass; "
+        "print(' '.join(sorted(m for m in sys.modules "
+        "if m.startswith(('singclass', 'importlib.resources')))))"
+    )
+    loaded = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        cwd=SRC, capture_output=True, text=True, check=True,
+    ).stdout.split()
+    assert "singclass.classes" in loaded and "singclass.cycles" in loaded
+    assert "singclass.verification" not in loaded
+    assert not any(m.startswith("importlib.resources") for m in loaded)

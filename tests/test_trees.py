@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from singclass.classes import BASIC, SINGULARITY, ClassExpr, psi_power_sing
+from singclass.classes import BASIC, SINGULARITY, ClassExpr, psi_power_sing, substitute
 from singclass.errors import ConstraintError, TreeStructureError
 from singclass.grammar import parse_tree
 from singclass.trees import (
@@ -20,7 +20,6 @@ from singclass.trees import (
     leaf_markings,
     star,
     stick,
-    substitute,
     tree,
     vanishes,
     weight,
