@@ -31,13 +31,7 @@ from .cycles import (
     verify_in_group_algebra,
     x_polynomial,
 )
-from .exact import (
-    PowerSeries,
-    Rational,
-    XiPolynomial,
-    s_series,
-    series_scale_arg,
-)
+from .exact import PowerSeries, s_series, series_scale_arg
 from .grammar import parse_class, parse_cycles, render_class, render_cycles
 from .local_models import (
     HurwitzCoordinates,
@@ -47,7 +41,7 @@ from .local_models import (
     profile_constants,
     reassemble,
 )
-from .trees import MarkedTree, canonicalize, codim, tree, vanishes
+from .trees import MarkedTree, canonicalize, tree
 
 __version__ = "0.1.0"
 
@@ -59,15 +53,12 @@ __all__ = [
     "HurwitzCoordinates",
     "MarkedTree",
     "PowerSeries",
-    "Rational",
     "RationalFunction",
-    "XiPolynomial",
     "aut_count",
     "basic_to_sing",
     "canonical_function",
     "canonicalize",
     "central_character",
-    "codim",
     "completed_cycle",
     "evaluate",
     "genus0_part",
@@ -93,7 +84,6 @@ __all__ = [
     "substitute",
     "product_expansion",
     "tree",
-    "vanishes",
     "verify_in_group_algebra",
     "x_polynomial",
 ]

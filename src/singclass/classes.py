@@ -21,7 +21,6 @@ from typing import Iterable
 
 from .combinatorics import Profile, aut_count, make_profile, profiles_with_sum
 from .errors import ConstraintError
-from .exact import XiPolynomial
 from .trees import MarkedTree, encoding, graft, leaf_markings, star, stick, tree
 
 SINGULARITY = "singularity"
@@ -98,19 +97,13 @@ class ClassExpr:
     def is_zero(self) -> bool:
         return not self.terms
 
-    @property
-    def total_codim(self) -> int | None:
-        """xi-degree + tree codimension, the same for every monomial; None when zero."""
-        return self.degree
-
-    def coefficient(self, t: MarkedTree) -> XiPolynomial:
+    def coefficient_at(self, t: MarkedTree, q: int) -> Fraction:
+        """The coefficient of xi^q * t: the term's rational when q is the xi
+        power t carries here, and 0 otherwise."""
         for t2, c in self.terms:
             if t2 == t:
-                return XiPolynomial.xi_power(self.degree - t.codim, c)
-        return XiPolynomial.zero()
-
-    def coefficient_at(self, t: MarkedTree, xi_power: int) -> Fraction:
-        return self.coefficient(t).coefficient(xi_power)
+                return c if self.degree - t.codim == q else Fraction(0)
+        return Fraction(0)
 
     def monomials(self) -> list[tuple[MarkedTree, int, Fraction]]:
         """(tree, xi power, coefficient) for every term."""
@@ -249,9 +242,9 @@ def substitute(outer: MarkedTree, grafts: Iterable[ClassExpr]) -> ClassExpr:
 
     Every choice of one term per graft produces a glued tree; vanishing trees
     are dropped and coefficients (including xi powers) multiply.  Returns a
-    singularity-basis ClassExpr of degree codim(outer) - (sum of its leaf
+    singularity-basis ClassExpr of degree outer.codim - (sum of its leaf
     markings) + (sum of the graft degrees): a leaf marked m adds m + 1 to the
-    codim, and a glued tree t adds codim(t) + 1.
+    codim, and a glued tree t adds t.codim + 1.
     """
     if not outer.children:
         raise ConstraintError("substitution target must have at least two leaves")

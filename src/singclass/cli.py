@@ -22,7 +22,6 @@ from . import classes, cycles, grammar, local_models, verification
 from .classes import BASIC, SINGULARITY
 from .combinatorics import mn_character
 from .errors import ConstraintError, ParseError, SingclassError
-from .exact import format_rational
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -142,8 +141,8 @@ def _cmd_psi(args) -> int:
 
 def _cmd_convert(args, target: str) -> int:
     expr = grammar.parse_class(args.expression, default_basis=target)
-    if expr.total_codim is not None:
-        _check_depth(expr.total_codim)
+    if expr.degree is not None:
+        _check_depth(expr.degree)
     if target == SINGULARITY:
         out = classes.basic_to_sing(expr) if expr.basis == BASIC else expr
     else:
@@ -204,7 +203,7 @@ def _cmd_coeff(args) -> int:
         _check_depth(2 * len(ms) + sum(ms) - 2)  # the codim of psi^(s-2) d[ms], as M of psi^M
         profile = grammar.parse_profile(args.args[1])
         value = cycles.point_coefficient_delta(ms, profile)
-    _print_value(format_rational(value), args.format)
+    _print_value(str(value), args.format)
     return EXIT_OK
 
 
@@ -226,14 +225,14 @@ def _cmd_local_model(args) -> int:
             "K": constants.lcm,
             "r": list(constants.exponents),
             "d": constants.components,
-            "function": grammar.format_rational_function(f),
-            "constant": format_rational(coords.constant),
+            "function": grammar.format_function(f),
+            "constant": str(coords.constant),
             "branches": [
                 {
-                    "pole": format_rational(b.pole),
+                    "pole": str(b.pole),
                     "order": b.order,
-                    "u": format_rational(b.u),
-                    "a": [format_rational(a) for a in b.tail],
+                    "u": str(b.u),
+                    "a": [str(a) for a in b.tail],
                 }
                 for b in coords.branches
             ],
@@ -242,11 +241,11 @@ def _cmd_local_model(args) -> int:
     else:
         print(f"profile: {grammar.format_profile(profile)}")
         print(f"K = {constants.lcm}, r = {constants.exponents}, d = {constants.components}")
-        print(f"f = {grammar.format_rational_function(f)}")
+        print(f"f = {grammar.format_function(f)}")
         for b in coords.branches:
-            tail = ", ".join(format_rational(a) for a in b.tail) or "-"
-            print(f"pole {format_rational(b.pole)}: k = {b.order}, u = {format_rational(b.u)}, a = {tail}")
-        print(f"constant = {format_rational(coords.constant)}")
+            tail = ", ".join(str(a) for a in b.tail) or "-"
+            print(f"pole {b.pole}: k = {b.order}, u = {b.u}, a = {tail}")
+        print(f"constant = {coords.constant}")
     return EXIT_OK
 
 

@@ -344,7 +344,8 @@ def verify_in_group_algebra(
 
     Both sides are constructed as explicit functions permutation -> rational
     (summing over numbered-cycle placements) and compared pointwise.  More
-    than PRODUCT_STEP_BUDGET / n compositions raise ConstraintError.
+    than PRODUCT_STEP_BUDGET / n compositions, together with the placements
+    of the claimed terms, raise ConstraintError.
     """
     p1, p2 = make_profile(p1), make_profile(p2)
     if n < sum(p1) + sum(p2):
@@ -357,6 +358,12 @@ def verify_in_group_algebra(
         count = c1 * c2 if max(c1, c2) <= cap else f"more than {cap}"
         raise ConstraintError(
             f"the check in S_{n} needs {count} compositions, over the budget of {cap} on {n} points"
+        )
+    placed = sum(_placements(p, n, cap) for p, _ in claimed.terms)
+    if c1 * c2 + placed > cap:
+        raise ConstraintError(
+            f"the check in S_{n} needs {c1 * c2} compositions and more than {cap - c1 * c2} "
+            f"placements of the claimed terms, over the budget of {cap} on {n} points"
         )
     left: dict[tuple[int, ...], Fraction] = {}
     v1 = _central_vector(p1, n)

@@ -20,9 +20,8 @@ from .classes import BASIC, SINGULARITY, ClassExpr
 from .combinatorics import Partition, Profile, make_partition, make_profile
 from .cycles import CycleExpr, XPolynomial
 from .errors import ConstraintError, ParseError
-from .exact import XiPolynomial, format_rational
-from .local_models import RationalFunction
-from .trees import MarkedTree, encoding, star, stick, tree, weight
+from .local_models import Polynomial, RationalFunction
+from .trees import MarkedTree, encoding, star, stick, tree
 
 __all__ = [
     "ordered_monomials",
@@ -38,7 +37,7 @@ __all__ = [
     "render_xpoly_latex",
     "xpoly_to_json",
     "format_polynomial",
-    "format_rational_function",
+    "format_function",
     "format_profile",
     "parse_orders",
     "parse_profile",
@@ -78,7 +77,7 @@ def _frac(c: Fraction) -> str:
     return f"\\frac{{{c.numerator}}}{{{c.denominator}}}"
 
 
-_TEXT = _Style(format_rational, "*", {
+_TEXT = _Style(str, "*", {
     "^": "{}^{}", "xi": "xi", "psi": "psi", "z": "z", "a": "a_{}", "x": "x{}",
     "i": "i[{}]", "d": "d[{}]", "C": "C[{}]", "tree": "T{{{}}}@{}",
     SINGULARITY: "sing", BASIC: "basic",
@@ -117,7 +116,7 @@ def ordered_monomials(e: ClassExpr) -> list[tuple[MarkedTree, int, Fraction]]:
     """Monomials ordered for display: ascending xi-degree, then descending
     tree weight, then canonical encoding."""
     return sorted(
-        e.monomials(), key=lambda m: (m[1], -weight(m[0]), encoding(m[0]))
+        e.monomials(), key=lambda m: (m[1], -m[0].weight, encoding(m[0]))
     )
 
 
@@ -163,10 +162,10 @@ def render_class_latex(e: ClassExpr) -> str:
 def class_to_json(e: ClassExpr) -> str:
     payload = {
         "basis": e.basis,
-        "codim": e.total_codim,
+        "codim": e.degree,
         "terms": [
             {
-                "coeff": format_rational(coeff),
+                "coeff": str(coeff),
                 "xi_power": q,
                 "tree": encoding(t),
             }
@@ -185,20 +184,18 @@ _TOKEN_RE = re.compile(
     r"|(?P<NUMBER>\d+)"
     r"|(?P<NAME>[A-Za-z]+)"
     r"|(?P<OP>[-+*/^\[\]{}();,@])"
+    r"|(?P<BAD>.)"  # any other character; a newline is whitespace
 )
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+    for match in _TOKEN_RE.finditer(text):
         kind = match.lastgroup
+        if kind == "BAD":
+            raise ParseError(f"unexpected character {match.group()!r}", match.start())
         if kind != "WS":
-            tokens.append((kind, match.group(), pos))
-        pos = match.end()
+            tokens.append((kind, match.group(), match.start()))
     tokens.append(("END", "", len(text)))
     return tokens
 
@@ -375,34 +372,34 @@ def _class_factor(parser: _Parser, kind: str, value: str, pos: int):
 
 def _class_term(factors) -> tuple[MarkedTree, int, str | None]:
     """Resolve a term's factors to (tree, xi power, basis constraint)."""
-    xi_power = sum(payload for kind, payload, _ in factors if kind == "xi")
+    xi_degree = sum(payload for kind, payload, _ in factors if kind == "xi")
     psi_power = sum(payload for kind, payload, _ in factors if kind == "psi")
     atoms = [f for f in factors if f[0] not in ("xi", "psi")]
     if len(atoms) > 1:
         raise ParseError("a term may contain at most one class atom", atoms[1][2])
     if not atoms:
         if psi_power > 0:
-            return stick(psi_power), xi_power, BASIC
-        return stick(0), xi_power, None
+            return stick(psi_power), xi_degree, BASIC
+        return stick(0), xi_degree, None
     kind, payload, pos = atoms[0]
     if kind == "a":
         if psi_power:
             raise ParseError("psi * a_m is not a class atom", pos)
-        return stick(payload), xi_power, SINGULARITY if payload > 0 else None
+        return stick(payload), xi_degree, SINGULARITY if payload > 0 else None
     if kind == "i":
         if len(payload) < 2 or any(k < 1 for k in payload):
             raise ParseError("i[...] needs at least two ramification orders >= 1", pos)
-        return star(psi_power, [k - 1 for k in payload]), xi_power, SINGULARITY
+        return star(psi_power, [k - 1 for k in payload]), xi_degree, SINGULARITY
     if kind == "d":
         if len(payload) < 2:
             raise ParseError("d[...] needs at least two exponents", pos)
-        return star(psi_power, payload), xi_power, BASIC
+        return star(psi_power, payload), xi_degree, BASIC
     parsed, tag = payload
     if psi_power:
         if not parsed.children and tag == SINGULARITY:
             raise ParseError("psi * a_m is not a class atom", pos)
         parsed = tree(parsed.marking + psi_power, parsed.children)
-    return parsed, xi_power, tag
+    return parsed, xi_degree, tag
 
 
 def parse_class(text: str, default_basis: str = SINGULARITY) -> ClassExpr:
@@ -459,7 +456,7 @@ def render_cycles_latex(c: CycleExpr) -> str:
 def cycles_to_json(c: CycleExpr) -> str:
     payload = {
         "terms": [
-            {"coeff": format_rational(coeff), "profile": list(p)}
+            {"coeff": str(coeff), "profile": list(p)}
             for p, coeff in c.terms
         ]
     }
@@ -510,7 +507,7 @@ def render_xpoly_latex(x: XPolynomial) -> str:
 def xpoly_to_json(x: XPolynomial) -> str:
     payload = {
         "terms": [
-            {"coeff": format_rational(coeff), "monomial": list(p)}
+            {"coeff": str(coeff), "monomial": list(p)}
             for p, coeff in x.terms
         ]
     }
@@ -520,7 +517,7 @@ def xpoly_to_json(x: XPolynomial) -> str:
 # ---------------------------------------------------------------------------
 # polynomials and rational functions in z (text only)
 
-def format_polynomial(poly: XiPolynomial) -> str:
+def format_polynomial(poly: Polynomial) -> str:
     """Low-to-high text form: 'c_0 + c_1*z + ...' with zero terms omitted."""
     return _join(
         ((c, [_TEXT.power("z", k)] if k else []) for k, c in poly.monomials()),
@@ -528,7 +525,7 @@ def format_polynomial(poly: XiPolynomial) -> str:
     )
 
 
-def format_rational_function(f: RationalFunction) -> str:
+def format_function(f: RationalFunction) -> str:
     return f"({format_polynomial(f.numerator)}) / ({format_polynomial(f.denominator)})"
 
 

@@ -1,21 +1,23 @@
 """Local models of pole profiles: the canonical rational
 function with prescribed poles, its partial-fraction (Hurwitz) coordinates,
 and the numeric constants attached to a ramification profile (LCM, the
-per-branch exponents, and the stratum component count)."""
+per-branch exponents, and the stratum component count).  Polynomials in z
+are dense :class:`Polynomial` values over the rationals."""
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
-from typing import Sequence
+from math import comb, lcm, prod
+from typing import Iterable, Sequence
 
 from .combinatorics import Profile
 from .errors import ConstraintError, SingclassError
-from .exact import XiPolynomial
+from .exact import PowerSeries
 
 __all__ = [
+    "Polynomial",
     "RationalFunction",
     "BranchCoordinates",
     "HurwitzCoordinates",
@@ -28,19 +30,157 @@ __all__ = [
 ]
 
 
+_ZERO = Fraction(0)
+
+
+@dataclass(frozen=True)
+class Polynomial:
+    """Dense polynomial in z with rational coefficients.
+
+    ``coeffs[k]`` is the coefficient of z^k; trailing zeros are stripped, so
+    the zero polynomial is the empty tuple and its degree is None.
+    """
+
+    coeffs: tuple[Fraction, ...]
+
+    @staticmethod
+    def from_coeffs(coeffs: Iterable[Fraction | int]) -> "Polynomial":
+        out = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
+        while out and not out[-1]:
+            out.pop()
+        return Polynomial(tuple(out))
+
+    @staticmethod
+    def zero() -> "Polynomial":
+        return Polynomial(())
+
+    @staticmethod
+    def one() -> "Polynomial":
+        return Polynomial((Fraction(1),))
+
+    @staticmethod
+    def from_roots(pairs: Iterable[tuple[Fraction | int, int]]) -> "Polynomial":
+        """prod (z - root)^mult over the (root, mult) pairs, built one linear
+        factor at a time; the result is monic.
+
+        With root = p/q the factor is (q z - p) / q, so the product is an
+        integer polynomial over the product of the q's, divided out once."""
+        coeffs, scale = [1], 1
+        for root, mult in pairs:
+            root = Fraction(root)
+            p, q = root.numerator, root.denominator
+            for _ in range(mult):
+                # times (q z - p): c_k becomes q c_{k-1} - p c_k
+                coeffs = [q * a - p * b for a, b in zip([0, *coeffs], [*coeffs, 0])]
+            scale *= q**mult
+        return Polynomial(tuple(Fraction(c, scale) for c in coeffs))
+
+    @property
+    def degree(self) -> int | None:
+        return len(self.coeffs) - 1 if self.coeffs else None
+
+    def leading(self) -> Fraction:
+        if not self.coeffs:
+            raise ValueError("zero polynomial has no leading coefficient")
+        return self.coeffs[-1]
+
+    def coefficient(self, k: int) -> Fraction:
+        if 0 <= k < len(self.coeffs):
+            return self.coeffs[k]
+        return _ZERO
+
+    def monomials(self) -> list[tuple[int, Fraction]]:
+        """Nonzero (exponent, coefficient) pairs, ascending in the exponent."""
+        return [(k, c) for k, c in enumerate(self.coeffs) if c]
+
+    def __add__(self, other: "Polynomial") -> "Polynomial":
+        pairs = itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=_ZERO)
+        return Polynomial.from_coeffs(a + b for a, b in pairs)
+
+    def __sub__(self, other: "Polynomial") -> "Polynomial":
+        pairs = itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=_ZERO)
+        return Polynomial.from_coeffs(a - b for a, b in pairs)
+
+    def __mul__(self, other: "Polynomial") -> "Polynomial":
+        if not self.coeffs or not other.coeffs:
+            return Polynomial.zero()
+        out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return Polynomial.from_coeffs(out)
+
+    def scale(self, c: Fraction | int) -> "Polynomial":
+        c = Fraction(c)
+        if c == 0:
+            return Polynomial.zero()
+        return Polynomial(tuple(a * c if a else a for a in self.coeffs))
+
+    def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
+        if not other.coeffs:
+            raise ZeroDivisionError("polynomial division by zero")
+        rem = list(self.coeffs)
+        dlead = other.leading()
+        ddeg = other.degree
+        quot = [Fraction(0)] * max(len(self.coeffs) - len(other.coeffs) + 1, 0)
+        while len(rem) - 1 >= ddeg and any(c != 0 for c in rem):
+            while rem and rem[-1] == 0:
+                rem.pop()
+            if len(rem) - 1 < ddeg:
+                break
+            shift = len(rem) - 1 - ddeg
+            factor = rem[-1] / dlead
+            quot[shift] = factor
+            for i, c in enumerate(other.coeffs):
+                rem[shift + i] -= factor * c
+            rem.pop()
+        return Polynomial.from_coeffs(quot), Polynomial.from_coeffs(rem)
+
+    def gcd(self, other: "Polynomial") -> "Polynomial":
+        """A greatest common divisor, up to a rational factor: the last
+        nonzero remainder of Euclid's algorithm."""
+        a, b = self, other
+        while b.coeffs:
+            a, b = b, a.divmod(b)[1]
+        return a
+
+    def derivative(self) -> "Polynomial":
+        return Polynomial.from_coeffs(
+            k * c for k, c in enumerate(self.coeffs) if k >= 1
+        )
+
+    def __call__(self, x: Fraction | int) -> Fraction:
+        x = Fraction(x)
+        acc = Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    def taylor(self, at: Fraction | int, order: int) -> PowerSeries:
+        """Coefficients of p(at + t) as a series in t, truncated at t^order."""
+        a = Fraction(at)
+        out = [Fraction(0)] * (order + 1)
+        for i, c in enumerate(self.coeffs):
+            if c == 0:
+                continue
+            for j in range(0, min(i, order) + 1):
+                out[j] += c * comb(i, j) * a ** (i - j)
+        return PowerSeries(tuple(out), order)
+
+
 @dataclass(frozen=True)
 class RationalFunction:
     """Quotient of two polynomials, stored reduced with a monic denominator."""
 
-    numerator: XiPolynomial
-    denominator: XiPolynomial
+    numerator: Polynomial
+    denominator: Polynomial
 
     @staticmethod
-    def make(numerator: XiPolynomial, denominator: XiPolynomial) -> "RationalFunction":
-        if denominator.is_zero():
+    def make(numerator: Polynomial, denominator: Polynomial) -> "RationalFunction":
+        if not denominator.coeffs:
             raise ZeroDivisionError("zero denominator")
-        if numerator.is_zero():
-            return RationalFunction(XiPolynomial.zero(), XiPolynomial.one())
+        if not numerator.coeffs:
+            return RationalFunction(Polynomial.zero(), Polynomial.one())
         common = numerator.gcd(denominator)
         if common.degree and common.degree > 0:
             numerator = numerator.divmod(common)[0]
@@ -118,8 +258,9 @@ def orbit_count(p: Profile) -> int:
 
 # Largest order sum (the degree of the pole divisor) that canonical_function
 # and hurwitz_coordinates accept.  The work grows about with the cube of the
-# order sum.  At the budget the two calls together take about 0.4 s on
-# CPython 3.11, for {64} as for 64 simple poles; {200} would take seconds.
+# order sum.  At the budget the two calls together take about 0.25 s on
+# CPython 3.11 for 64 simple poles (0.04 s for {64}); 200 simple poles take
+# about 5 s.
 ORDER_SUM_BUDGET = 64
 
 
@@ -147,8 +288,8 @@ def canonical_function(
     if len(set(points)) != len(points) or x in points:
         raise ConstraintError("poles must be pairwise distinct and different from x")
     m = sum(orders)
-    numerator = XiPolynomial.linear_root(x).pow(m)
-    denominator = XiPolynomial.from_roots(zip(points, orders))
+    numerator = Polynomial.from_roots([(x, m)])
+    denominator = Polynomial.from_roots(zip(points, orders))
     # already reduced: x is no pole, and a product of monic factors is monic
     return RationalFunction(numerator, denominator)
 
@@ -197,7 +338,8 @@ def hurwitz_coordinates(
     points = [Fraction(z) for z in poles]
     if len(points) != len(orders) or len(set(points)) != len(points):
         raise ConstraintError("need pairwise distinct poles, one per branch")
-    expected_den = XiPolynomial.from_roots(zip(points, orders))
+    pairs = list(zip(points, orders))
+    expected_den = Polynomial.from_roots(pairs)
     if f.denominator != expected_den:
         raise ConstraintError(
             "pole-order mismatch: denominator is not the prescribed pole divisor"
@@ -209,8 +351,8 @@ def hurwitz_coordinates(
     constant = f.numerator.coefficient(den_deg)
 
     branches = []
-    for z_i, k in zip(points, orders):
-        others = expected_den.divmod(XiPolynomial.linear_root(z_i).pow(k))[0]
+    for i, (z_i, k) in enumerate(pairs):
+        others = Polynomial.from_roots(pairs[:i] + pairs[i + 1:])
         series = f.numerator.taylor(z_i, k - 1) * others.taylor(z_i, k - 1).inverse()
         laurent = [series.coefficient(k - s) for s in range(1, k + 1)]
         # laurent[s-1] is the coefficient of (z - z_i)^{-s}
@@ -236,17 +378,16 @@ def hurwitz_coordinates(
 
 def reassemble(coords: HurwitzCoordinates) -> RationalFunction:
     """Rebuild the rational function from its Hurwitz coordinates."""
-    denominator = XiPolynomial.from_roots(
-        (b.pole, b.order) for b in coords.branches
-    )
+    pairs = [(b.pole, b.order) for b in coords.branches]
+    denominator = Polynomial.from_roots(pairs)
     numerator = denominator.scale(coords.constant)
-    for b in coords.branches:
-        others = denominator.divmod(XiPolynomial.linear_root(b.pole).pow(b.order))[0]
-        principal = XiPolynomial.zero()
+    for i, b in enumerate(coords.branches):
+        others = Polynomial.from_roots(pairs[:i] + pairs[i + 1:])
+        principal = Polynomial.zero()
         factors = [Fraction(1), *b.tail]  # a_0 .. a_{k-1}
         for j, a in enumerate(factors):
             # a_j (u/(z-z_i))^{k-j} contributes a_j u^{k-j} (z-z_i)^j over (z-z_i)^k
-            term = XiPolynomial.linear_root(b.pole).pow(j).scale(a * b.u ** (b.order - j))
+            term = Polynomial.from_roots([(b.pole, j)]).scale(a * b.u ** (b.order - j))
             principal = principal + term
         numerator = numerator + principal * others
     poles = {b.pole for b in coords.branches}

@@ -44,9 +44,6 @@ __all__ = [
     "star",
     "canonicalize",
     "encoding",
-    "codim",
-    "weight",
-    "vanishes",
     "leaf_markings",
     "graft",
     "enumerate_trees",
@@ -60,8 +57,17 @@ class MarkedTree:
     Always build instances through :func:`tree` / :func:`canonicalize`;
     direct construction skips sorting, contraction, valency checks and
     interning, though the instance still equals and hashes like its
-    interned twin.  ``codim``, ``weight`` and ``vanishing`` are computed
-    from the children on construction.
+    interned twin.  Three attributes are computed from the children on
+    construction:
+
+    - ``codim``, the codimension of the class the tree denotes (the same in
+      both bases).  A stick has its marking as codimension; otherwise the
+      leaves contribute marking + 1 each, internal vertices their marking,
+      and every edge between two internal vertices contributes 1.
+    - ``weight``, the sum of the leaf markings: the grading that makes the
+      basis change triangular.
+    - ``vanishing``, true iff some vertex with children is marked beyond
+      valency - 3.
     """
 
     marking: int
@@ -163,26 +169,6 @@ def encoding(t: MarkedTree) -> str:
     return f"({t.marking};{','.join(encoding(c) for c in t.children)})"
 
 
-def codim(t: MarkedTree) -> int:
-    """Codimension of the class the tree denotes (same in both bases).
-
-    Sticks have codimension equal to their marking; otherwise the leaves
-    contribute marking+1 each, internal vertices their marking, and every
-    edge between two internal vertices contributes 1.
-    """
-    return t.codim
-
-
-def weight(t: MarkedTree) -> int:
-    """Sum of the leaf markings; the grading that makes the basis change triangular."""
-    return t.weight
-
-
-def vanishes(t: MarkedTree) -> bool:
-    """True iff some vertex with children is marked beyond valency - 3."""
-    return t.vanishing
-
-
 def leaf_markings(t: MarkedTree) -> tuple[int, ...]:
     """Markings of the childless vertices, in canonical depth-first order."""
     if not t.children:
@@ -229,7 +215,7 @@ def _branch_options(cost: int) -> tuple[MarkedTree, ...]:
         for q in range(0, min(t_children - 2, budget) + 1):
             for combo in _branch_combos(cost - 1 - q, t_children):
                 candidate = tree(q, combo)
-                if not vanishes(candidate) and codim(candidate) + 1 == cost:
+                if not candidate.vanishing and candidate.codim + 1 == cost:
                     out.add(candidate)
     return tuple(sorted(out, key=encoding))
 

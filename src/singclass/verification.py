@@ -15,7 +15,6 @@ from . import classes, cycles, grammar, trees
 from .classes import BASIC, SINGULARITY, ClassExpr, basic_to_sing, sing_to_basic
 from .combinatorics import partitions_of, shifted_power_sum
 from .errors import ConstraintError, ParseError
-from .exact import format_rational
 
 __all__ = [
     "CheckResult",
@@ -136,7 +135,7 @@ def check_basic_to_sing() -> list[CheckResult]:
             == [(c, q) for c, q in nested_specs]
         )
         nested_text = "; ".join(
-            f"{format_rational(c)}@{q}" for c, q in sorted(nested_monomials, key=lambda x: x[1])
+            f"{c}@{q}" for c, q in sorted(nested_monomials, key=lambda x: x[1])
         )
         out.append(
             CheckResult(

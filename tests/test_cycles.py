@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 from math import factorial, prod
 
@@ -316,6 +317,14 @@ class TestGroupAlgebraOracle:
     def test_too_small_symmetric_group(self):
         with pytest.raises(ConstraintError):
             verify_in_group_algebra((2,), (2,), CycleExpr.zero(), 3)
+
+    def test_placements_of_the_claimed_terms_count_against_the_budget(self):
+        # 100 compositions, but C[1^9] in S_10 has 3 628 800 placements
+        claimed = CycleExpr.from_terms([((1,) * 9, 1)])
+        start = time.perf_counter()
+        with pytest.raises(ConstraintError, match="placements of the claimed terms"):
+            verify_in_group_algebra((1,), (1,), claimed, 10)
+        assert time.perf_counter() - start < 1
 
 
 class TestEquality1:

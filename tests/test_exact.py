@@ -1,4 +1,5 @@
-"""Exact kernel: rationals, xi-polynomials, truncated series."""
+"""Exact kernel: rationals and truncated series; the coefficients of series
+and of the local models' polynomials in z stay Fractions."""
 
 from __future__ import annotations
 
@@ -11,13 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singclass.errors import TruncationError
-from singclass.exact import (
-    PowerSeries,
-    XiPolynomial,
-    format_rational,
-    s_series,
-    series_scale_arg,
-)
+from singclass.exact import PowerSeries, s_series, series_scale_arg
+from singclass.local_models import Polynomial
 
 
 def rnd_fraction(rng: random.Random) -> Fraction:
@@ -26,9 +22,9 @@ def rnd_fraction(rng: random.Random) -> Fraction:
 
 class TestRational:
     def test_serialization(self):
-        assert format_rational(Fraction(11, 48)) == "11/48"
-        assert format_rational(Fraction(-3, 2)) == "-3/2"
-        assert format_rational(Fraction(7)) == "7"
+        assert str(Fraction(11, 48)) == "11/48"
+        assert str(Fraction(-3, 2)) == "-3/2"
+        assert str(Fraction(7)) == "7"
 
     def test_field_laws_on_random_triples(self):
         rng = random.Random(20240308)
@@ -51,35 +47,16 @@ class TestRational:
             Fraction(1) / Fraction(0)
 
 
-class TestXiPolynomial:
-    def test_trailing_zeros_stripped(self):
-        p = XiPolynomial.from_coeffs([Fraction(1), Fraction(0), Fraction(0)])
-        assert p.coeffs == (Fraction(1),)
-        assert p.degree == 0
-        assert XiPolynomial.zero().degree is None
-
-    def test_arithmetic(self):
-        p = XiPolynomial.from_coeffs([1, 2])  # 1 + 2 xi
-        q = XiPolynomial.from_coeffs([0, 1])  # xi
-        assert (p * q).coeffs == (Fraction(0), Fraction(1), Fraction(2))
-        assert (p + q).coeffs == (Fraction(1), Fraction(3))
-        assert (p - p).is_zero()
-        assert p.shift(2).coeffs == (Fraction(0), Fraction(0), Fraction(1), Fraction(2))
-        assert p.scale(Fraction(1, 2)).coefficient(1) == 1
-
-    def test_monomials(self):
-        p = XiPolynomial.from_coeffs([Fraction(1, 2), 0, Fraction(-3)])
-        assert p.monomials() == [(0, Fraction(1, 2)), (2, Fraction(-3))]
-
-
-# Coefficient lists as the class side makes them (a monomial above zeros) and
-# general ones; ints are mixed in, since from_coeffs must convert them.
+# Coefficient lists with zeros inside and general ones; ints are mixed in,
+# since from_coeffs must convert them.
 _COEFF = st.one_of(
     st.just(0),
     st.integers(-5, 5),
     st.fractions(min_value=-4, max_value=4, max_denominator=6),
 )
 _COEFFS = st.lists(_COEFF, max_size=5)
+# (root, multiplicity) pairs, repeated roots allowed
+_ROOTS = st.lists(st.tuples(_COEFF, st.integers(0, 3)), min_size=1, max_size=4)
 
 
 def _reference_mul(a, b):
@@ -103,9 +80,9 @@ def _all_fractions(coeffs) -> bool:
 
 class TestCoefficientsStayFractions:
     @settings(deadline=None, max_examples=40)
-    @given(_COEFFS, _COEFFS, st.integers(0, 3), _COEFF)
-    def test_xi_polynomial_operations(self, a, b, k, c):
-        p, q = XiPolynomial.from_coeffs(a), XiPolynomial.from_coeffs(b)
+    @given(_COEFFS, _COEFFS, _COEFF)
+    def test_xi_polynomial_operations(self, a, b, c):
+        p, q = Polynomial.from_coeffs(a), Polynomial.from_coeffs(b)
         pa, qa = list(_values(a)), list(_values(b))
         n = max(len(pa), len(qa))
 
@@ -117,17 +94,30 @@ class TestCoefficientsStayFractions:
             "-": (p - q, [x - y for x, y in zip(pad(pa), pad(qa))]),
             "*": (p * q, _reference_mul(pa, qa)),
             "scale": (p.scale(c), [x * c for x in pa]),
-            "shift": (p.shift(k), [Fraction(0)] * k + pa if pa else []),
             "derivative": (p.derivative(), [i * x for i, x in enumerate(pa)][1:]),
         }
-        if q:
+        if q.coeffs:
             quot, rem = p.divmod(q)
             results["divmod"] = (quot * q + rem, pa)
-            assert rem.is_zero() or rem.degree < q.degree
+            assert not rem.coeffs or rem.degree < q.degree
             assert _all_fractions(quot.coeffs) and _all_fractions(rem.coeffs)
         for name, (got, want) in results.items():
             assert got.coeffs == _values(want), name
             assert _all_fractions(got.coeffs), name
+
+    @settings(deadline=None, max_examples=25)
+    @given(_ROOTS, st.data())
+    def test_from_roots_splits_off_one_pole(self, pairs, data):
+        i = data.draw(st.integers(0, len(pairs) - 1))
+        whole = Polynomial.from_roots(pairs)
+        others = Polynomial.from_roots(pairs[:i] + pairs[i + 1:])
+        assert whole == Polynomial.from_roots([pairs[i]]) * others
+        assert _all_fractions(whole.coeffs)
+        reference = [Fraction(1)]
+        for root, mult in pairs:
+            for _ in range(mult):
+                reference = _reference_mul(reference, [-Fraction(root), Fraction(1)])
+        assert whole.coeffs == _values(reference)
 
     @settings(deadline=None, max_examples=40)
     @given(_COEFFS, _COEFFS, st.integers(0, 4))
@@ -147,7 +137,7 @@ class TestCoefficientsStayFractions:
         assert list(product.coeffs) == _reference_mul(dense(a), dense(b))[: order + 1]
         if s.coeffs[0] != 0:
             assert _all_fractions(s.inverse().coeffs)
-        taylor = XiPolynomial.from_coeffs(a).taylor(1, order)
+        taylor = Polynomial.from_coeffs(a).taylor(1, order)
         assert _all_fractions(taylor.coeffs)
 
 

@@ -19,7 +19,6 @@ from singclass.classes import (
 )
 from singclass.cycles import CycleExpr, completed_cycle
 from singclass.errors import ParseError
-from singclass.exact import format_rational
 from singclass.grammar import (
     class_to_json,
     cycles_to_json,
@@ -39,7 +38,7 @@ from singclass.grammar import (
     render_cycles_latex,
     render_xpoly,
 )
-from singclass.trees import canonicalize, codim, encoding, enumerate_trees, star, stick, tree
+from singclass.trees import canonicalize, encoding, enumerate_trees, star, stick, tree
 
 
 class TestRenderClass:
@@ -76,7 +75,7 @@ class TestParseClass:
         for _ in range(40):
             total = rng.randint(0, 6)
             basis = rng.choice([SINGULARITY, BASIC])
-            picks = [t for t in trees_pool if codim(t) <= total]
+            picks = [t for t in trees_pool if t.codim <= total]
             mapping = {}
             for t in rng.sample(picks, min(len(picks), rng.randint(1, 5))):
                 coeff = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
@@ -190,7 +189,7 @@ def class_exprs(draw):
     each tree carrying xi^(total - codim) with a nonzero rational coefficient."""
     basis = draw(st.sampled_from([SINGULARITY, BASIC]))
     total = draw(st.integers(min_value=0, max_value=8))
-    pool = [t for t in enumerate_trees(6) if codim(t) <= total]
+    pool = [t for t in enumerate_trees(6) if t.codim <= total]
     picks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6, unique=True))
     return ClassExpr.from_terms(basis, total, [(t, draw(_COEFFS)) for t in picks])
 
@@ -326,7 +325,7 @@ class TestRationalValue:
         assert parse_rational_value("11/48", "value") == Fraction(11, 48)
         assert parse_rational_value("-5", "value") == Fraction(-5)
         for q in (Fraction(11, 48), Fraction(-3, 2), Fraction(7)):
-            assert parse_rational_value(format_rational(q), "value") == q
+            assert parse_rational_value(str(q), "value") == q
 
     def test_parse_rejects_garbage(self):
         for text in ("1.5", "1/0", "1_0", " 1 / 2"):

@@ -12,11 +12,11 @@ import pytest
 from singclass.combinatorics import profiles_with_sum
 from singclass import local_models
 from singclass.errors import ConstraintError, SingclassError
-from singclass.exact import XiPolynomial
-from singclass.grammar import format_polynomial, format_rational_function
+from singclass.grammar import format_function, format_polynomial
 from singclass.local_models import (
     BranchCoordinates,
     HurwitzCoordinates,
+    Polynomial,
     RationalFunction,
     canonical_function,
     hurwitz_coordinates,
@@ -53,41 +53,62 @@ class TestProfileConstants:
 
 
 class TestPolynomial:
+    def test_trailing_zeros_stripped(self):
+        p = Polynomial.from_coeffs([Fraction(1), Fraction(0), Fraction(0)])
+        assert p.coeffs == (Fraction(1),)
+        assert p.degree == 0
+        assert Polynomial.zero().degree is None
+
+    def test_arithmetic(self):
+        p = Polynomial.from_coeffs([1, 2])  # 1 + 2 z
+        q = Polynomial.from_coeffs([0, 1])  # z
+        assert (p * q).coeffs == (Fraction(0), Fraction(1), Fraction(2))
+        assert (p + q).coeffs == (Fraction(1), Fraction(3))
+        assert (p - p) == Polynomial.zero()
+        assert p.scale(Fraction(1, 2)).coefficient(1) == 1
+
+    def test_monomials(self):
+        p = Polynomial.from_coeffs([Fraction(1, 2), 0, Fraction(-3)])
+        assert p.monomials() == [(0, Fraction(1, 2)), (2, Fraction(-3))]
+
     def test_divmod(self):
-        p = XiPolynomial.from_roots([(1, 2), (2, 1)])
-        q, r = p.divmod(XiPolynomial.linear_root(1))
-        assert r.is_zero()
-        assert q == XiPolynomial.from_roots([(1, 1), (2, 1)])
+        p = Polynomial.from_roots([(1, 2), (2, 1)])
+        q, r = p.divmod(Polynomial.from_roots([(1, 1)]))
+        assert r == Polynomial.zero()
+        assert q == Polynomial.from_roots([(1, 1), (2, 1)])
 
     def test_gcd(self):
-        a = XiPolynomial.from_roots([(1, 2), (3, 1)])
-        b = XiPolynomial.from_roots([(1, 1), (2, 1)])
-        assert a.gcd(b) == XiPolynomial.linear_root(1)
+        # the gcd is determined up to a rational factor; RationalFunction.make
+        # normalises by the denominator, so gcd returns it unscaled
+        a = Polynomial.from_roots([(1, 2), (3, 1)])
+        b = Polynomial.from_roots([(1, 1), (2, 1)])
+        g = a.gcd(b)
+        assert g.scale(1 / g.leading()) == Polynomial.from_roots([(1, 1)])
 
     def test_taylor_shift(self):
-        p = XiPolynomial.from_coeffs([1, 0, 1])  # 1 + z^2
+        p = Polynomial.from_coeffs([1, 0, 1])  # 1 + z^2
         series = p.taylor(Fraction(2), 2)
         # 1 + (2+t)^2 = 5 + 4t + t^2
         assert [series.coefficient(j) for j in range(3)] == [5, 4, 1]
 
     def test_format(self):
-        p = XiPolynomial.from_coeffs([Fraction(-1), 0, 1])
+        p = Polynomial.from_coeffs([Fraction(-1), 0, 1])
         assert format_polynomial(p) == "-1 + z^2"
-        assert format_polynomial(XiPolynomial.zero()) == "0"
-        assert format_polynomial(XiPolynomial.from_coeffs([0, Fraction(3, 2)])) == "3/2*z"
+        assert format_polynomial(Polynomial.zero()) == "0"
+        assert format_polynomial(Polynomial.from_coeffs([0, Fraction(3, 2)])) == "3/2*z"
 
 
 class TestCanonicalFunction:
     def test_single_simple_pole(self):
         f = canonical_function((1,), 0, (1,))
-        assert f.numerator == XiPolynomial.from_coeffs([0, 1])
-        assert f.denominator == XiPolynomial.from_coeffs([-1, 1])
+        assert f.numerator == Polynomial.from_coeffs([0, 1])
+        assert f.denominator == Polynomial.from_coeffs([-1, 1])
 
     def test_two_simple_poles(self):
         f = canonical_function((1, 1), 0, (1, -1))
-        assert f.numerator == XiPolynomial.from_coeffs([0, 0, 1])
-        assert f.denominator == XiPolynomial.from_coeffs([-1, 0, 1])
-        assert format_rational_function(f) == "(z^2) / (-1 + z^2)"
+        assert f.numerator == Polynomial.from_coeffs([0, 0, 1])
+        assert f.denominator == Polynomial.from_coeffs([-1, 0, 1])
+        assert format_function(f) == "(z^2) / (-1 + z^2)"
 
     def test_derivative_vanishing_orders(self):
         # first m-1 derivatives vanish at x, the m-th does not, for the
@@ -165,7 +186,7 @@ class TestHurwitzCoordinates:
         branch = BranchCoordinates(Fraction(1), 2, Fraction(0), (Fraction(5),))
         coords = HurwitzCoordinates((branch,), Fraction(3))
         assert reassemble(coords) == RationalFunction(
-            XiPolynomial.constant(3), XiPolynomial.one()
+            Polynomial.from_coeffs([3]), Polynomial.one()
         )
 
     def test_irrational_canonical_coordinates_are_reported(self):
@@ -180,14 +201,13 @@ class TestHurwitzCoordinates:
 
     def test_pole_of_lower_order_than_stated_is_refused(self):
         # an unreduced function built directly: (z-1)/(z-1)^2 has a simple pole
-        z = XiPolynomial.linear_root(1)
-        f = RationalFunction(z, z.pow(2))
+        f = RationalFunction(Polynomial.from_roots([(1, 1)]), Polynomial.from_roots([(1, 2)]))
         with pytest.raises(ConstraintError, match="lower order than 2"):
             hurwitz_coordinates(f, (2,), (1,))
 
     def test_irrational_root_is_reported(self):
         f = RationalFunction.make(
-            XiPolynomial.constant(2), XiPolynomial.from_roots([(1, 2)])
+            Polynomial.from_coeffs([2]), Polynomial.from_roots([(1, 2)])
         )
         with pytest.raises(ConstraintError):
             hurwitz_coordinates(f, (2,), (1,))
@@ -261,7 +281,7 @@ class TestSympyOracle:
         def q(x: Fraction):
             return sympy.Rational(x.numerator, x.denominator)
 
-        def coeffs(p: XiPolynomial):
+        def coeffs(p: Polynomial):
             return [q(c) for c in reversed(p.coeffs)]
 
         rng = random.Random(20261018)
@@ -284,3 +304,35 @@ class TestSympyOracle:
             lead = den.LC()
             assert [scale * c / lead for c in num.all_coeffs()] == coeffs(f.numerator)
             assert [c / lead for c in den.all_coeffs()] == coeffs(f.denominator)
+
+    def test_polynomial_operations_match_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        z = sympy.Symbol("z")
+
+        def q(x: Fraction):
+            return sympy.Rational(x.numerator, x.denominator)
+
+        def poly(p: Polynomial):
+            return sympy.Poly([q(c) for c in reversed(p.coeffs)] or [0], z, domain="QQ")
+
+        rng = random.Random(20261019)
+
+        def value() -> Fraction:
+            return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+
+        def roots():
+            return [(value(), rng.randint(0, 3)) for _ in range(rng.randint(1, 4))]
+
+        for _ in range(15):
+            pairs = roots()
+            expected = sympy.prod([(z - q(r)) ** k for r, k in pairs])
+            assert poly(Polynomial.from_roots(pairs)) == sympy.Poly(expected, z, domain="QQ")
+            a = Polynomial.from_coeffs([value() for _ in range(rng.randint(0, 7))])
+            b = Polynomial.from_coeffs([value() for _ in range(rng.randint(0, 3))] + [value() or 1])
+            quot, rem = a.divmod(b)
+            assert (poly(quot), poly(rem)) == sympy.div(poly(a), poly(b))
+            assert poly(a.derivative()) == poly(a).diff(z)
+            # a shared factor b makes the gcd nontrivial; sympy's gcd over QQ is monic
+            left, right = Polynomial.from_roots(roots()) * b, Polynomial.from_roots(roots()) * b
+            g = left.gcd(right)
+            assert poly(g.scale(1 / g.leading())) == sympy.gcd(poly(left), poly(right))

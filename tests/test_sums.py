@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 from singclass.classes import BASIC, ClassExpr, basic_to_sing, sing_to_basic
 from singclass.cycles import CycleExpr, XPolynomial
 from singclass.errors import ConstraintError
-from singclass.exact import XiPolynomial
-from singclass.trees import codim
 from test_grammar import _COEFFS, _PROFILES, class_exprs
 
 _SETTINGS = settings(deadline=None, max_examples=30)
@@ -43,8 +41,8 @@ class TestBasisChangeOnSums:
     @_SETTINGS
     @given(class_exprs(), class_exprs())
     def test_basic_to_sing_is_additive(self, a, b):
-        a, b = sorted((_as_basic(a), _as_basic(b)), key=lambda e: e.total_codim)
-        a = a.mul_xi(b.total_codim - a.total_codim)
+        a, b = sorted((_as_basic(a), _as_basic(b)), key=lambda e: e.degree)
+        a = a.mul_xi(b.degree - a.degree)
         assert basic_to_sing(a + b) == basic_to_sing(a) + basic_to_sing(b)
 
 
@@ -73,10 +71,10 @@ class TestDegree:
     @given(class_exprs())
     def test_each_tree_carries_one_monomial(self, e):
         for t, c in e.terms:
-            assert e.coefficient(t) == XiPolynomial.xi_power(e.degree - codim(t), c)
-            assert e.coefficient_at(t, e.degree - codim(t)) == c
-        assert e.monomials() == [(t, e.degree - codim(t), c) for t, c in e.terms]
-        assert e.total_codim == e.degree
+            q = e.degree - t.codim
+            assert e.coefficient_at(t, q) == c
+            assert e.coefficient_at(t, q + 1) == e.coefficient_at(t, q - 1) == 0
+        assert e.monomials() == [(t, e.degree - t.codim, c) for t, c in e.terms]
 
     @_SETTINGS
     @given(class_exprs(), _COEFFS, st.integers(min_value=0, max_value=3))
@@ -99,7 +97,7 @@ class TestDegree:
     @_SETTINGS
     @given(class_exprs(), st.integers(min_value=1, max_value=3))
     def test_from_terms_refuses_a_tree_above_the_degree(self, e, k):
-        top = max(codim(t) for t, _ in e.terms)
+        top = max(t.codim for t, _ in e.terms)
         assert ClassExpr.from_terms(e.basis, e.degree, e.terms) == e
         with pytest.raises(ConstraintError):
             ClassExpr.from_terms(e.basis, top - k, e.terms)

@@ -13,7 +13,6 @@ from singclass.grammar import parse_tree
 from singclass.trees import (
     MarkedTree,
     canonicalize,
-    codim,
     encoding,
     enumerate_trees,
     graft,
@@ -21,8 +20,6 @@ from singclass.trees import (
     star,
     stick,
     tree,
-    vanishes,
-    weight,
 )
 
 
@@ -107,7 +104,7 @@ class TestGrammar:
                 literal = f"(0;{literal},1)"
             return literal
 
-        assert codim(parse_tree(nested(100))) == 301
+        assert parse_tree(nested(100)).codim == 301
         with pytest.raises(ParseError, match="nested deeper") as info:
             parse_tree(nested(3000))
         assert info.value.position == 300
@@ -115,42 +112,42 @@ class TestGrammar:
 
 class TestGrading:
     def test_stick_codim_is_its_marking(self):
-        assert codim(stick(2)) == 2
-        assert codim(stick(0)) == 0
+        assert stick(2).codim == 2
+        assert stick(0).codim == 0
 
     def test_node_locus(self):
-        assert codim(star(0, [0, 0])) == 2
+        assert star(0, [0, 0]).codim == 2
 
     def test_psi_marked_star(self):
-        assert codim(star(1, [0, 0, 0])) == 4
+        assert star(1, [0, 0, 0]).codim == 4
 
     def test_nested_tree_counts_its_internal_edge(self):
-        assert codim(canonicalize((0, [0, 0, (0, [0, 0])]))) == 5
+        assert canonicalize((0, [0, 0, (0, [0, 0])])).codim == 5
 
     def test_weight_is_the_leaf_marking_sum(self):
-        assert weight(stick(3)) == 3
-        assert weight(star(1, [0, 2, 1])) == 3
+        assert stick(3).weight == 3
+        assert star(1, [0, 2, 1]).weight == 3
 
 
 class TestVanishing:
     def test_marked_two_leaf_vertex_vanishes(self):
-        assert vanishes(star(1, [0, 0]))
+        assert star(1, [0, 0]).vanishing
 
     def test_marked_three_leaf_vertex_survives(self):
-        assert not vanishes(star(1, [0, 0, 0]))
+        assert not star(1, [0, 0, 0]).vanishing
 
     def test_sticks_never_vanish(self):
         for m in range(8):
-            assert not vanishes(stick(m))
+            assert not stick(m).vanishing
 
     def test_deep_violations_are_found(self):
         t = MarkedTree(0, (stick(0), stick(0), MarkedTree(2, (stick(0), stick(0)))))
-        assert vanishes(t)
+        assert t.vanishing
 
     def test_no_operation_emits_vanishing_terms(self):
         for m in range(7):
             for t, _ in psi_power_sing(m).terms:
-                assert not vanishes(t)
+                assert not t.vanishing
 
 
 def _reference_codim(t: MarkedTree) -> int:
@@ -206,9 +203,9 @@ class TestInterning:
         candidates = enumerate_trees(8) + bumped + [vanishing, _direct(vanishing)]
         assert any(_reference_vanishes(t) for t in candidates)
         for t in candidates:
-            assert codim(t) == t.codim == _reference_codim(t)
-            assert weight(t) == t.weight == _reference_weight(t)
-            assert vanishes(t) == t.vanishing == _reference_vanishes(t)
+            assert t.codim == _reference_codim(t)
+            assert t.weight == _reference_weight(t)
+            assert t.vanishing == _reference_vanishes(t)
 
 
 class TestGraft:
@@ -254,7 +251,7 @@ class TestSubstitute:
             canonicalize((0, [0, 1, (0, [0, 0])])): (0, Fraction(1, 4)),
             canonicalize((0, [0, 0, (0, [0, 0])])): (1, Fraction(1, 4)),
         }
-        assert result.degree == codim(outer) == 6
+        assert result.degree == outer.codim == 6
         assert {t: (q, c) for t, q, c in result.monomials()} == expected
         assert dict(result.terms) == {t: c for t, (_, c) in expected.items()}
 
@@ -275,7 +272,7 @@ class TestSubstitute:
             result = substitute(
                 outer, [psi_power_sing(m) for m in leaf_markings(outer)]
             )
-            assert result.total_codim == codim(outer)
+            assert result.degree == outer.codim
 
     def test_length_mismatch(self):
         with pytest.raises(ConstraintError):
@@ -294,8 +291,8 @@ class TestEnumeration:
         out = enumerate_trees(6)
         assert len(out) == len(set(out))
         for t in out:
-            assert not vanishes(t)
-            assert codim(t) <= 6
+            assert not t.vanishing
+            assert t.codim <= 6
             assert canonicalize(t) == t
 
     def test_contains_the_expected_small_trees(self):
