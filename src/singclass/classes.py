@@ -13,14 +13,13 @@ carries a single rational coefficient.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
-from typing import Iterable
 
 from .combinatorics import Profile, aut_count, make_profile, profiles_with_sum
-from .errors import ConstraintError
+from .errors import ConstraintError, Record
 from .trees import MarkedTree, encoding, graft, leaf_markings, star, stick, tree
 
 SINGULARITY = "singularity"
@@ -47,8 +46,7 @@ def _check_basis(basis: str) -> str:
     return basis
 
 
-@dataclass(frozen=True)
-class ClassExpr:
+class ClassExpr(Record):
     """Homogeneous linear combination of marked trees.
 
     ``degree`` is the total degree (xi-degree plus tree codimension) shared by
@@ -56,9 +54,22 @@ class ClassExpr:
     ``c * xi^(degree - codim t) * t``, so each tree carries one rational.
     """
 
-    basis: str
-    degree: int | None
-    terms: tuple[tuple[MarkedTree, Fraction], ...]
+    __slots__ = _fields = ("basis", "degree", "terms")
+
+    def __init__(
+        self, basis: str, degree: int | None, terms: tuple[tuple[MarkedTree, Fraction], ...]
+    ):
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "terms", terms)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.basis, self.degree, self.terms) == (other.basis, other.degree, other.terms)
+
+    def __hash__(self) -> int:
+        return hash((self.basis, self.degree, self.terms))
 
     @staticmethod
     def from_terms(

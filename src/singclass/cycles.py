@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm, prod
-from typing import Iterable, Iterator
 
 from .combinatorics import (
     Partition,
@@ -28,7 +27,7 @@ from .combinatorics import (
     make_profile,
     profiles_with_sum_and_length,
 )
-from .errors import ConstraintError
+from .errors import ConstraintError, Record
 from .exact import PowerSeries, s_series, series_scale_arg
 
 __all__ = [
@@ -51,11 +50,13 @@ def profile_order(p: Profile) -> int:
     return len(p) + sum(p)
 
 
-@dataclass(frozen=True)
-class _ProfileTerms:
+class _ProfileTerms(Record):
     """Profile -> nonzero rational map, sorted by descending order, then length."""
 
-    terms: tuple[tuple[Profile, Fraction], ...]
+    __slots__ = _fields = ("terms",)
+
+    def __init__(self, terms: tuple[tuple[Profile, Fraction], ...]):
+        object.__setattr__(self, "terms", terms)
 
     @classmethod
     def from_terms(cls, pairs: Iterable[tuple[Profile, Fraction]]):
@@ -83,6 +84,8 @@ class CycleExpr(_ProfileTerms):
     Products of central elements are not monomial products; they go through
     :func:`multiply_central`."""
 
+    __slots__ = ()
+
     @staticmethod
     def zero() -> "CycleExpr":
         return CycleExpr(())
@@ -107,6 +110,8 @@ class CycleExpr(_ProfileTerms):
 
 class XPolynomial(_ProfileTerms):
     """Polynomial in the variables x_k, one monomial per multiset of indices."""
+
+    __slots__ = ()
 
     def __mul__(self, other: "XPolynomial") -> "XPolynomial":
         return XPolynomial.from_terms(

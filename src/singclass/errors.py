@@ -1,6 +1,45 @@
-"""Exception hierarchy shared by all singclass modules."""
+"""Exception hierarchy and the immutable record base shared by all
+singclass modules."""
 
 from __future__ import annotations
+
+
+class Record:
+    """Base of singclass's immutable value classes.
+
+    A subclass names its fields in ``_fields``, holds them in ``__slots__``
+    and sets them in ``__init__`` through ``object.__setattr__``.  An instance
+    then equals only an instance of its own class with equal fields (never a
+    tuple), hashes like the tuple of its fields, shows its fields in its repr,
+    copies and pickles through its constructor, and refuses every write.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class SingclassError(Exception):

@@ -8,12 +8,11 @@ pure, so values can be shared freely between tasks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from math import factorial
-from typing import Sequence
 
-from .errors import TruncationError
+from .errors import Record, TruncationError
 
 __all__ = [
     "PowerSeries",
@@ -22,8 +21,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PowerSeries:
+class PowerSeries(Record):
     """Truncated power series in one variable z over the rationals.
 
     The truncation order is explicit state: coefficients of z^n are known
@@ -33,8 +31,19 @@ class PowerSeries:
     polynomials in z are ``local_models.Polynomial``.
     """
 
-    coeffs: tuple[Fraction, ...]
-    truncation_order: int
+    __slots__ = _fields = ("coeffs", "truncation_order")
+
+    def __init__(self, coeffs: tuple[Fraction, ...], truncation_order: int):
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "truncation_order", truncation_order)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.coeffs, self.truncation_order) == (other.coeffs, other.truncation_order)
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs, self.truncation_order))
 
     @staticmethod
     def from_coeffs(coeffs: Sequence[Fraction | int], order: int) -> "PowerSeries":

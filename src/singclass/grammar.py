@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable
 from fractions import Fraction
-from typing import Callable, Iterable
 
 from .classes import BASIC, SINGULARITY, ClassExpr
 from .combinatorics import Partition, Profile, make_partition, make_profile
 from .cycles import CycleExpr, XPolynomial
-from .errors import ConstraintError, ParseError
+from .errors import ConstraintError, ParseError, Record
 from .local_models import Polynomial, RationalFunction
 from .trees import MarkedTree, encoding, star, stick, tree
 
@@ -53,15 +52,17 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # rendering: one signed-term joiner, spelled by a text or LaTeX style
 
-@dataclass(frozen=True)
-class _Style:
+class _Style(Record):
     """How one output form spells a term: the coefficient, the separator
     between factors, and a ``str.format`` template per atom kind (``^`` is
     the power template)."""
 
-    coeff: Callable[[Fraction], str]
-    sep: str
-    spell: dict[str, str]
+    __slots__ = _fields = ("coeff", "sep", "spell")
+
+    def __init__(self, coeff: Callable[[Fraction], str], sep: str, spell: dict[str, str]):
+        object.__setattr__(self, "coeff", coeff)
+        object.__setattr__(self, "sep", sep)
+        object.__setattr__(self, "spell", spell)
 
     def atom(self, kind: str, *args) -> str:
         return self.spell[kind].format(*args)

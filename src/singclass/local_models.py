@@ -7,13 +7,12 @@ are dense :class:`Polynomial` values over the rationals."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import comb, lcm, prod
-from typing import Iterable, Sequence
 
 from .combinatorics import Profile
-from .errors import ConstraintError, SingclassError
+from .errors import ConstraintError, Record, SingclassError
 from .exact import PowerSeries
 
 __all__ = [
@@ -33,15 +32,25 @@ __all__ = [
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(Record):
     """Dense polynomial in z with rational coefficients.
 
     ``coeffs[k]`` is the coefficient of z^k; trailing zeros are stripped, so
     the zero polynomial is the empty tuple and its degree is None.
     """
 
-    coeffs: tuple[Fraction, ...]
+    __slots__ = _fields = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[Fraction, ...]):
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
 
     @staticmethod
     def from_coeffs(coeffs: Iterable[Fraction | int]) -> "Polynomial":
@@ -168,12 +177,14 @@ class Polynomial:
         return PowerSeries(tuple(out), order)
 
 
-@dataclass(frozen=True)
-class RationalFunction:
+class RationalFunction(Record):
     """Quotient of two polynomials, stored reduced with a monic denominator."""
 
-    numerator: Polynomial
-    denominator: Polynomial
+    __slots__ = _fields = ("numerator", "denominator")
+
+    def __init__(self, numerator: Polynomial, denominator: Polynomial):
+        object.__setattr__(self, "numerator", numerator)
+        object.__setattr__(self, "denominator", denominator)
 
     @staticmethod
     def make(numerator: Polynomial, denominator: Polynomial) -> "RationalFunction":
@@ -201,28 +212,34 @@ class RationalFunction:
         )
 
 
-@dataclass(frozen=True)
-class BranchCoordinates:
+class BranchCoordinates(Record):
     """Per-branch data: the pole, its order k, the chosen k-th root u of the
     leading Laurent coefficient, and the tail a_1 .. a_{k-1} (a_0 is 1)."""
 
-    pole: Fraction
-    order: int
-    u: Fraction
-    tail: tuple[Fraction, ...]
+    __slots__ = _fields = ("pole", "order", "u", "tail")
+
+    def __init__(self, pole: Fraction, order: int, u: Fraction, tail: tuple[Fraction, ...]):
+        object.__setattr__(self, "pole", pole)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "tail", tail)
 
 
-@dataclass(frozen=True)
-class HurwitzCoordinates:
-    branches: tuple[BranchCoordinates, ...]
-    constant: Fraction
+class HurwitzCoordinates(Record):
+    __slots__ = _fields = ("branches", "constant")
+
+    def __init__(self, branches: tuple[BranchCoordinates, ...], constant: Fraction):
+        object.__setattr__(self, "branches", branches)
+        object.__setattr__(self, "constant", constant)
 
 
-@dataclass(frozen=True)
-class ProfileConstants:
-    lcm: int
-    exponents: tuple[int, ...]
-    components: int
+class ProfileConstants(Record):
+    __slots__ = _fields = ("lcm", "exponents", "components")
+
+    def __init__(self, lcm: int, exponents: tuple[int, ...], components: int):
+        object.__setattr__(self, "lcm", lcm)
+        object.__setattr__(self, "exponents", exponents)
+        object.__setattr__(self, "components", components)
 
 
 def profile_constants(p: Profile) -> ProfileConstants:
@@ -258,9 +275,9 @@ def orbit_count(p: Profile) -> int:
 
 # Largest order sum (the degree of the pole divisor) that canonical_function
 # and hurwitz_coordinates accept.  The work grows about with the cube of the
-# order sum.  At the budget the two calls together take about 0.25 s on
-# CPython 3.11 for 64 simple poles (0.04 s for {64}); 200 simple poles take
-# about 5 s.
+# order sum.  At the budget the two calls together take about 0.14 s on
+# CPython 3.11 (2 vCPUs) for 64 simple poles (0.03 s for {64}); 200 simple
+# poles take about 3 s, most of it in the reassembly check.
 ORDER_SUM_BUDGET = 64
 
 
@@ -321,6 +338,26 @@ def _rational_kth_root(value: Fraction, k: int) -> Fraction | None:
     return Fraction(num, den)
 
 
+def _cofactor_series(pairs: list[tuple[Fraction, int]], i: int, order: int) -> PowerSeries:
+    """prod_{j != i} (z_i - z_j + t)^{k_j}, the other poles' factors at
+    z = z_i + t, as a series in t truncated at t^order.
+
+    With z_i - z_j = p/q the factor is (p + q t) / q, so the product is an
+    integer series over the product of the q's, divided out once."""
+    z_i = pairs[i][0]
+    coeffs, scale = [1] + [0] * order, 1
+    for j, (z_j, k_j) in enumerate(pairs):
+        if j == i:
+            continue
+        diff = z_i - z_j
+        p, q = diff.numerator, diff.denominator
+        for _ in range(k_j):
+            # times (p + q t): c_n becomes p c_n + q c_{n-1}
+            coeffs = [p * c + q * b for c, b in zip(coeffs, [0, *coeffs])]
+        scale *= q**k_j
+    return PowerSeries(tuple(Fraction(c, scale) for c in coeffs), order)
+
+
 def hurwitz_coordinates(
     f: RationalFunction, p: Sequence[int], poles: Sequence[Fraction | int]
 ) -> HurwitzCoordinates:
@@ -352,8 +389,8 @@ def hurwitz_coordinates(
 
     branches = []
     for i, (z_i, k) in enumerate(pairs):
-        others = Polynomial.from_roots(pairs[:i] + pairs[i + 1:])
-        series = f.numerator.taylor(z_i, k - 1) * others.taylor(z_i, k - 1).inverse()
+        others = _cofactor_series(pairs, i, k - 1)
+        series = f.numerator.taylor(z_i, k - 1) * others.inverse()
         laurent = [series.coefficient(k - s) for s in range(1, k + 1)]
         # laurent[s-1] is the coefficient of (z - z_i)^{-s}
         lead = laurent[k - 1]

@@ -31,11 +31,10 @@ built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 from functools import lru_cache
-from typing import Sequence
 
-from .errors import ConstraintError, TreeStructureError
+from .errors import ConstraintError, Record, TreeStructureError
 
 __all__ = [
     "MarkedTree",
@@ -50,8 +49,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class MarkedTree:
+class MarkedTree(Record):
     """One vertex of a marked tree with its (canonically ordered) subtrees.
 
     Always build instances through :func:`tree` / :func:`canonicalize`;
@@ -70,27 +68,25 @@ class MarkedTree:
       valency - 3.
     """
 
-    marking: int
-    children: tuple["MarkedTree", ...] = ()
-    codim: int = field(init=False, repr=False)
-    weight: int = field(init=False, repr=False)
-    vanishing: bool = field(init=False, repr=False)
-    _hash: int = field(init=False, repr=False)
+    __slots__ = ("marking", "children", "codim", "weight", "vanishing", "_hash")
+    _fields = ("marking", "children")
 
-    def __post_init__(self):
-        marking, kids = self.marking, self.children
-        if kids:
+    def __init__(self, marking: int, children: tuple[MarkedTree, ...] = ()):
+        if children:
             # each child branch also counts the edge up to its parent
-            codim = marking + sum(c.codim + 1 for c in kids)
-            weight = sum(c.weight for c in kids)
-            vanishing = marking > len(kids) - 2 or any(c.vanishing for c in kids)
+            codim = marking + sum(c.codim + 1 for c in children)
+            weight = sum(c.weight for c in children)
+            vanishing = marking > len(children) - 2 or any(c.vanishing for c in children)
         else:
             codim = weight = marking
             vanishing = False
-        object.__setattr__(self, "codim", codim)
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "vanishing", vanishing)
-        object.__setattr__(self, "_hash", hash((marking, kids)))
+        put = object.__setattr__
+        put(self, "marking", marking)
+        put(self, "children", children)
+        put(self, "codim", codim)
+        put(self, "weight", weight)
+        put(self, "vanishing", vanishing)
+        put(self, "_hash", hash((marking, children)))
 
     def __hash__(self) -> int:
         return self._hash

@@ -7,14 +7,13 @@ reuse them directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import os
 from fractions import Fraction
-from importlib import resources
 
 from . import classes, cycles, grammar, trees
 from .classes import BASIC, SINGULARITY, ClassExpr, basic_to_sing, sing_to_basic
 from .combinatorics import partitions_of, shifted_power_sum
-from .errors import ConstraintError, ParseError
+from .errors import ConstraintError, ParseError, Record
 
 __all__ = [
     "CheckResult",
@@ -35,11 +34,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+class CheckResult(Record):
+    __slots__ = _fields = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str = ""):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -49,8 +50,12 @@ class CheckResult:
         return text
 
 
+_GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
 def load_fixture_rows(name: str) -> list[list[str]]:
-    source = resources.files("singclass").joinpath("golden", name).read_text()
+    with open(os.path.join(_GOLDEN, name), encoding="utf-8") as f:
+        source = f.read()
     rows = []
     for line in source.splitlines():
         line = line.strip()

@@ -102,8 +102,8 @@ def test_the_two_sides_never_import_each_other():
 
 
 def test_the_package_root_loads_no_verification():
-    # the golden-table reader needs importlib.resources, which costs every
-    # `import singclass` its load time; only verify suites should pay it
+    # `import singclass` pays for neither the verify suites, which only the
+    # CLI loads, nor importlib.resources: the golden tables are read with open()
     code = (
         "import sys, singclass; "
         "print(' '.join(sorted(m for m in sys.modules "

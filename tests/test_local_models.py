@@ -271,6 +271,38 @@ class TestRandomizedReassembly:
             assert reassemble(recovered) == f
 
 
+def _rational_pairs(rng: random.Random) -> list[tuple[Fraction, int]]:
+    values = sorted({Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(20)})
+    return [(z, rng.randint(1, 4)) for z in rng.sample(values, rng.randint(2, 5))]
+
+
+class TestCofactorSeries:
+    def test_matches_the_taylor_series_of_the_full_cofactor(self):
+        rng = random.Random(20261020)
+        for _ in range(40):
+            pairs = _rational_pairs(rng)
+            for i, (z_i, k) in enumerate(pairs):
+                full = Polynomial.from_roots(pairs[:i] + pairs[i + 1:])
+                series = local_models._cofactor_series(pairs, i, k - 1)
+                assert series == full.taylor(z_i, k - 1)
+
+    def test_rational_poles_round_trip(self):
+        rng = random.Random(20261021)
+        for _ in range(20):
+            pairs = _rational_pairs(rng)
+            branches = tuple(
+                BranchCoordinates(
+                    z, k, Fraction(rng.randint(1, 6), rng.randint(1, 4)),
+                    tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(k - 1)),
+                )
+                for z, k in pairs
+            )
+            coords = HurwitzCoordinates(branches, Fraction(rng.randint(-4, 4)))
+            f = reassemble(coords)
+            poles, orders = zip(*pairs)
+            assert hurwitz_coordinates(f, orders, poles) == coords
+
+
 class TestSympyOracle:
     """sympy (test-only) as a second oracle for the local models."""
 
