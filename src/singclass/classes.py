@@ -63,14 +63,6 @@ class ClassExpr(Record):
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "terms", terms)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.basis, self.degree, self.terms) == (other.basis, other.degree, other.terms)
-
-    def __hash__(self) -> int:
-        return hash((self.basis, self.degree, self.terms))
-
     @staticmethod
     def from_terms(
         basis: str, degree: int | None, pairs: Iterable[tuple[MarkedTree, Fraction]]

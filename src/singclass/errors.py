@@ -1,5 +1,9 @@
 """Exception hierarchy and the immutable record base shared by all
-singclass modules."""
+singclass modules.
+
+Both live in this leaf module because every other module imports it already:
+the record base adds no module to the import graph.
+"""
 
 from __future__ import annotations
 

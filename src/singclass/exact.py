@@ -37,14 +37,6 @@ class PowerSeries(Record):
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "truncation_order", truncation_order)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.coeffs, self.truncation_order) == (other.coeffs, other.truncation_order)
-
-    def __hash__(self) -> int:
-        return hash((self.coeffs, self.truncation_order))
-
     @staticmethod
     def from_coeffs(coeffs: Sequence[Fraction | int], order: int) -> "PowerSeries":
         if order < 0:

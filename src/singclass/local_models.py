@@ -44,14 +44,6 @@ class Polynomial(Record):
     def __init__(self, coeffs: tuple[Fraction, ...]):
         object.__setattr__(self, "coeffs", coeffs)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.coeffs,))
-
     @staticmethod
     def from_coeffs(coeffs: Iterable[Fraction | int]) -> "Polynomial":
         out = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
