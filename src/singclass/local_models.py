@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from math import comb, lcm, prod
+from math import lcm, prod
 
 from .combinatorics import Profile
 from .errors import ConstraintError, Record, SingclassError
@@ -61,19 +61,8 @@ class Polynomial(Record):
 
     @staticmethod
     def from_roots(pairs: Iterable[tuple[Fraction | int, int]]) -> "Polynomial":
-        """prod (z - root)^mult over the (root, mult) pairs, built one linear
-        factor at a time; the result is monic.
-
-        With root = p/q the factor is (q z - p) / q, so the product is an
-        integer polynomial over the product of the q's, divided out once."""
-        coeffs, scale = [1], 1
-        for root, mult in pairs:
-            root = Fraction(root)
-            p, q = root.numerator, root.denominator
-            for _ in range(mult):
-                # times (q z - p): c_k becomes q c_{k-1} - p c_k
-                coeffs = [q * a - p * b for a, b in zip([0, *coeffs], [*coeffs, 0])]
-            scale *= q**mult
+        """prod (z - root)^mult over the (root, mult) pairs; the result is monic."""
+        coeffs, scale = _linear_product(pairs)
         return Polynomial(tuple(Fraction(c, scale) for c in coeffs))
 
     @property
@@ -158,15 +147,49 @@ class Polynomial(Record):
         return acc
 
     def taylor(self, at: Fraction | int, order: int) -> PowerSeries:
-        """Coefficients of p(at + t) as a series in t, truncated at t^order."""
+        """Coefficients of p(at + t) as a series in t, truncated at t^order.
+
+        With at = r/s and c_i = n_i / L over the common denominator L,
+        L s^deg p(at + t) = sum n_i s^(deg-i) (r + s t)^i is an integer
+        polynomial in t, summed by Horner's rule and divided out once."""
         a = Fraction(at)
-        out = [Fraction(0)] * (order + 1)
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            for j in range(0, min(i, order) + 1):
-                out[j] += c * comb(i, j) * a ** (i - j)
-        return PowerSeries(tuple(out), order)
+        r, s = a.numerator, a.denominator
+        common = lcm(*(c.denominator for c in self.coeffs))
+        out, s_power = [0] * (order + 1), 1
+        for c in reversed(self.coeffs):
+            # out(t) becomes out(t) (r + s t) + n_i s^(deg-i), truncated at t^order
+            for j in range(order, 0, -1):
+                out[j] = out[j] * r + out[j - 1] * s
+            out[0] = out[0] * r + c.numerator * (common // c.denominator) * s_power
+            s_power *= s
+        scale = common * s ** max(len(self.coeffs) - 1, 0)
+        return PowerSeries(tuple(Fraction(v, scale) for v in out), order)
+
+
+def _linear_product(pairs: Iterable[tuple[Fraction | int, int]]) -> tuple[list[int], int]:
+    """prod (z - root)^mult as an integer polynomial over a positive integer.
+
+    With root = p/q the factor is (q z - p) / q, so the product is the
+    integer polynomial prod (q z - p)^mult over prod q^mult, its leading
+    coefficient."""
+    coeffs, scale = [1], 1
+    for root, mult in pairs:
+        root = Fraction(root)
+        p, q = root.numerator, root.denominator
+        for _ in range(mult):
+            # times (q z - p): c_k becomes q c_{k-1} - p c_k
+            coeffs = [q * a - p * b for a, b in zip([0, *coeffs], [*coeffs, 0])]
+        scale *= q**mult
+    return coeffs, scale
+
+
+def _divide_linear(coeffs: list[int], p: int, q: int) -> list[int]:
+    """The integer polynomial coeffs / (q z - p), which must divide exactly:
+    from the top, r_{k-1} = (c_k + p r_k) / q."""
+    out, carry = [0] * (len(coeffs) - 1), 0
+    for k in range(len(coeffs) - 1, 0, -1):
+        carry = out[k - 1] = (coeffs[k] + p * carry) // q
+    return out
 
 
 class RationalFunction(Record):
@@ -266,10 +289,10 @@ def orbit_count(p: Profile) -> int:
 
 
 # Largest order sum (the degree of the pole divisor) that canonical_function
-# and hurwitz_coordinates accept.  The work grows about with the cube of the
-# order sum.  At the budget the two calls together take about 0.14 s on
-# CPython 3.11 (2 vCPUs) for 64 simple poles (0.03 s for {64}); 200 simple
-# poles take about 3 s, most of it in the reassembly check.
+# and hurwitz_coordinates accept.  The work grows faster than the square of
+# the order sum.  At the budget the two calls together take about 0.02 s on
+# CPython 3.11 (2 vCPUs) for 64 simple poles (0.01 s for {64}); 200 simple
+# poles take about 0.3 s.
 ORDER_SUM_BUDGET = 64
 
 
@@ -406,19 +429,34 @@ def hurwitz_coordinates(
 
 
 def reassemble(coords: HurwitzCoordinates) -> RationalFunction:
-    """Rebuild the rational function from its Hurwitz coordinates."""
+    """Rebuild the rational function from its Hurwitz coordinates.
+
+    Over D = prod (q_i z - p_i)^{k_i}, the poles z_i = p_i/q_i as integer
+    linear factors, (z - z_i)^{-m} is q_i^m E_{i,m} / D with E_{i,m} =
+    D / (q_i z - p_i)^m, an exact integer division.  So the numerator is one
+    integer polynomial over one common denominator (the layout of FLINT's
+    fmpq_poly), and every Fraction is made once, at the end."""
     pairs = [(b.pole, b.order) for b in coords.branches]
-    denominator = Polynomial.from_roots(pairs)
-    numerator = denominator.scale(coords.constant)
-    for i, b in enumerate(coords.branches):
-        others = Polynomial.from_roots(pairs[:i] + pairs[i + 1:])
-        principal = Polynomial.zero()
+    product, scale = _linear_product(pairs)
+    # (scalar, integer polynomial) pairs whose sum is the numerator times scale
+    parts = [(coords.constant, product)]
+    for b in coords.branches:
+        p, q = b.pole.numerator, b.pole.denominator
         factors = [Fraction(1), *b.tail]  # a_0 .. a_{k-1}
-        for j, a in enumerate(factors):
-            # a_j (u/(z-z_i))^{k-j} contributes a_j u^{k-j} (z-z_i)^j over (z-z_i)^k
-            term = Polynomial.from_roots([(b.pole, j)]).scale(a * b.u ** (b.order - j))
-            principal = principal + term
-        numerator = numerator + principal * others
+        cofactor = product
+        for m in range(1, b.order + 1):
+            # a_{k-m} (u/(z-z_i))^m is a_{k-m} (q u)^m E_{i,m} / D
+            cofactor = _divide_linear(cofactor, p, q)
+            parts.append((factors[b.order - m] * (q * b.u) ** m, cofactor))
+    common = lcm(*(c.denominator for c, _ in parts))
+    total = [0] * len(product)
+    for c, poly in parts:
+        if c:
+            times = c.numerator * (common // c.denominator)
+            for k, v in enumerate(poly):
+                total[k] += times * v
+    numerator = Polynomial.from_coeffs(Fraction(v, scale * common) for v in total)
+    denominator = Polynomial(tuple(Fraction(v, scale) for v in product))
     poles = {b.pole for b in coords.branches}
     if len(poles) == len(coords.branches) and all(b.u for b in coords.branches):
         # the numerator is u^k * others != 0 at each pole, so nothing cancels

@@ -357,6 +357,16 @@ class TestLocalModelLiterals:
         assert (code, out) == (2, "")
         assert "integer literal too long (at position 1)" in err
 
+    @pytest.mark.parametrize(
+        "expression, position",
+        [("a_" + "9" * 5000, 2), ("xi*a_" + "9" * 5000, 5)],
+        ids=["a_m", "xi*a_m"],
+    )
+    def test_an_overlong_a_literal_is_a_parse_error(self, capsys, expression, position):
+        code, out, err = run(capsys, "to-basic", expression)
+        assert (code, out) == (2, "")
+        assert f"integer literal too long (at position {position})" in err
+
 
 class TestValuesWithALeadingMinus:
     @pytest.mark.parametrize(
