@@ -16,7 +16,8 @@ import itertools
 from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
+from math import factorial, lcm, prod
+from operator import itemgetter
 
 from .combinatorics import Profile, aut_count, make_profile, profiles_with_sum
 from .errors import ConstraintError, Record
@@ -68,21 +69,16 @@ class ClassExpr(Record):
         basis: str, degree: int | None, pairs: Iterable[tuple[MarkedTree, Fraction]]
     ) -> "ClassExpr":
         """The degree-``degree`` sum of the (tree, coefficient) pairs: repeated
-        trees add up, and zero coefficients and vanishing trees are dropped."""
+        trees add up, and zero coefficients and vanishing trees are dropped.
+        Coefficients must be ints or Fractions."""
         _check_basis(basis)
+        pairs = list(pairs)
+        if not _EXACT.issuperset(map(type, map(itemgetter(1), pairs))):
+            raise ConstraintError("class coefficients must be int or Fraction")
         acc: dict[MarkedTree, Fraction] = {}
         for t, c in pairs:
             acc[t] = acc[t] + c if t in acc else c
-        items = [(t, c) for t, c in acc.items() if c and not t.vanishing]
-        if not items:
-            return ClassExpr(basis, None, ())
-        top = max(t.codim for t, _ in items)
-        if degree is None or top > degree:
-            raise ConstraintError(
-                f"a tree of codim {top} in a class expression of degree {degree}"
-            )
-        items.sort(key=lambda item: encoding(item[0]))
-        return ClassExpr(basis, degree, tuple(items))
+        return _finish(basis, degree, acc.items())
 
     @staticmethod
     def zero(basis: str) -> "ClassExpr":
@@ -132,12 +128,12 @@ class ClassExpr(Record):
         return self + other.scale(-1)
 
     def scale(self, c: Fraction | int) -> "ClassExpr":
+        if type(c) not in _EXACT:
+            raise ConstraintError("class coefficients must be int or Fraction")
         c = Fraction(c)
         if c == 0:
             return ClassExpr.zero(self.basis)
-        return ClassExpr(
-            self.basis, self.degree, tuple((t, a * c) for t, a in self.terms)
-        )
+        return ClassExpr(self.basis, self.degree, tuple((t, a * c) for t, a in self.terms))
 
     def mul_xi(self, k: int = 1) -> "ClassExpr":
         if k < 0:
@@ -161,6 +157,45 @@ class ClassExpr(Record):
             self.degree + 1,
             ((tree(t.marking + 1, t.children), c) for t, c in self.terms),
         )
+
+
+_EXACT = frozenset((int, Fraction))  # coefficient types; bool, float and the rest are refused
+
+
+def _finish(basis: str, degree: int | None, items) -> ClassExpr:
+    """The expression of the (tree, coefficient) items, each tree once: drop zero
+    coefficients and vanishing trees, check the degree, sort by encoding."""
+    items = [(t, c) for t, c in items if c and not t.vanishing]
+    if not items:
+        return ClassExpr(basis, None, ())
+    top = max(t.codim for t, _ in items)
+    if degree is None or top > degree:
+        raise ConstraintError(f"a tree of codim {top} in a class expression of degree {degree}")
+    items.sort(key=lambda item: encoding(item[0]))
+    return ClassExpr(basis, degree, tuple(items))
+
+
+# The kernels below add and multiply integer numerators over one common
+# denominator and build a single Fraction per output term.  The integer form
+# of an expression is (den, ((tree, numerator), ...)).
+
+def _ints(e: ClassExpr) -> tuple[int, tuple[tuple[MarkedTree, int], ...]]:
+    """The terms of e as integer numerators over the lcm of their denominators."""
+    den = lcm(*(c.denominator for _, c in e.terms))
+    return den, tuple((t, c.numerator * (den // c.denominator)) for t, c in e.terms)
+
+
+def _combination(degree: int, parts: Iterable[tuple[Fraction | int, tuple]]) -> ClassExpr:
+    """The singularity-basis sum of c * e over the (c, integer form of e) parts,
+    added up over the lcm of the products c.denominator * den."""
+    parts = list(parts)
+    den = lcm(*(c.denominator * d for c, (d, _) in parts))
+    acc: dict[MarkedTree, int] = {}
+    for c, (d, terms) in parts:
+        factor = c.numerator * (den // (c.denominator * d))
+        for t, n in terms:
+            acc[t] = acc.get(t, 0) + n * factor
+    return _finish(SINGULARITY, degree, ((t, Fraction(n, den)) for t, n in acc.items() if n))
 
 
 def _new_profile_layer(m: int) -> ClassExpr:
@@ -229,15 +264,7 @@ def psi_power_sing(m: int) -> ClassExpr:
     if m < 0:
         raise ConstraintError("m must be nonnegative")
     pieces = [ClassExpr.unit(SINGULARITY)] + [product_expansion(j) for j in range(1, m + 1)]
-    return ClassExpr.from_terms(
-        SINGULARITY,
-        m,
-        (
-            (t, c * a)
-            for c, piece in zip(psi_decomposition(m), pieces)
-            for t, a in piece.terms
-        ),
-    )
+    return _combination(m, zip(psi_decomposition(m), map(_ints, pieces)))
 
 
 def substitute(outer: MarkedTree, grafts: Iterable[ClassExpr]) -> ClassExpr:
@@ -262,22 +289,25 @@ def substitute(outer: MarkedTree, grafts: Iterable[ClassExpr]) -> ClassExpr:
 
     if any(not g.terms for g in grafts):
         return ClassExpr.zero(SINGULARITY)
-    return ClassExpr.from_terms(
-        SINGULARITY,
-        outer.codim - outer.weight + sum(g.degree for g in grafts),
-        (
-            (graft(outer, [t for t, _ in combo]), prod(c for _, c in combo))
-            for combo in itertools.product(*(g.terms for g in grafts))
-        ),
-    )
+    # one part: the glued trees, numerators multiplied, over the product of the dens
+    forms = [_ints(g) for g in grafts]
+    combos = (zip(*combo) for combo in itertools.product(*(terms for _, terms in forms)))
+    glued = ((graft(outer, trees), prod(nums)) for trees, nums in combos)
+    degree = outer.codim - outer.weight + sum(g.degree for g in grafts)
+    return _combination(degree, [(1, (prod(den for den, _ in forms), glued))])
 
 
-@lru_cache(maxsize=None)
 def _tree_basic_expansion(t: MarkedTree) -> ClassExpr:
     """The basic class of a single canonical tree, expanded in the singularity basis."""
     if not t.children:
         return psi_power_sing(t.marking)
     return substitute(t, [psi_power_sing(m) for m in leaf_markings(t)])
+
+
+@lru_cache(maxsize=None)
+def _basic_ints(t: MarkedTree) -> tuple[int, tuple[tuple[MarkedTree, int], ...]]:
+    """The integer form of _tree_basic_expansion(t): the only copy the kernels keep."""
+    return _ints(_tree_basic_expansion(t))
 
 
 def basic_to_sing(e: ClassExpr) -> ClassExpr:
@@ -289,15 +319,7 @@ def basic_to_sing(e: ClassExpr) -> ClassExpr:
     """
     if e.basis != BASIC:
         raise ConstraintError("basic_to_sing expects a basic-basis expression")
-    return ClassExpr.from_terms(
-        SINGULARITY,
-        e.degree,
-        (
-            (t2, c2 * c)
-            for t, c in e.terms
-            for t2, c2 in _tree_basic_expansion(t).terms
-        ),
-    )
+    return _combination(e.degree, ((c, _basic_ints(t)) for t, c in e.terms))
 
 
 def sing_to_basic(e: ClassExpr) -> ClassExpr:
@@ -310,16 +332,23 @@ def sing_to_basic(e: ClassExpr) -> ClassExpr:
     """
     if e.basis != SINGULARITY:
         raise ConstraintError("sing_to_basic expects a singularity-basis expression")
-    # residue[w]: the not yet peeled terms whose tree has weight w
-    residue: dict[int, dict[MarkedTree, Fraction]] = {}
-    for t, c in e.terms:
-        residue.setdefault(t.weight, {})[t] = c
+    # residue[w]: the numerators, over d, of the not yet peeled terms of weight w
+    d, terms = _ints(e)
+    residue: dict[int, dict[MarkedTree, int]] = {}
+    for t, n in terms:
+        residue.setdefault(t.weight, {})[t] = n
     out: list[tuple[MarkedTree, Fraction]] = []
     for w in range(max(residue, default=-1), -1, -1):
-        for t, c in residue.pop(w, {}).items():
-            lead = c * prod(factorial(m) for m in leaf_markings(t))
-            out.append((t, lead))
-            for t2, c2 in _tree_basic_expansion(t).terms:
+        bucket = residue.pop(w, {})
+        forms = [(t, n, *_basic_ints(t)) for t, n in bucket.items()]
+        # bring the lower weights over d * k, a multiple of d * den for every den
+        k = lcm(*(den for _, _, den, _ in forms))
+        residue = {v: {t2: n2 * k for t2, n2 in lower.items()} for v, lower in residue.items()}
+        for t, n, den, expansion in forms:
+            lead = n * prod(factorial(m) for m in leaf_markings(t))
+            out.append((t, Fraction(lead, d)))
+            factor = lead * (k // den)
+            for t2, n2 in expansion:
                 if t2 == t:
                     continue
                 if t2.weight >= w:  # would land in a bucket already peeled
@@ -327,11 +356,12 @@ def sing_to_basic(e: ClassExpr) -> ClassExpr:
                         f"basic expansion of {encoding(t)} has a term of weight "
                         f"{t2.weight} >= {w}"
                     )
-                bucket = residue.setdefault(t2.weight, {})
-                updated = bucket.pop(t2, 0) - c2 * lead
+                lower = residue.setdefault(t2.weight, {})
+                updated = lower.pop(t2, 0) - n2 * factor
                 if updated:
-                    bucket[t2] = updated
-    return ClassExpr.from_terms(BASIC, e.degree, out)
+                    lower[t2] = updated
+        d *= k
+    return _finish(BASIC, e.degree, out)
 
 
 def point_class_tree(p: Profile) -> MarkedTree:

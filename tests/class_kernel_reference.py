@@ -1,0 +1,119 @@
+"""The class-engine kernels as they stood before they moved to integer
+numerators over one common denominator: a test-only reference.
+``tests/test_class_kernel_reference.py`` checks that ``singclass.classes``
+returns the same expressions.  Every coefficient here is a ``Fraction`` and
+every product and sum is a ``Fraction`` operation.  The code below is kept as
+it was, but for the imports and for ``_tree_basic_expansion``, which calls
+this module's ``substitute`` and ``psi_power_sing``.
+"""
+
+from __future__ import annotations
+
+import itertools
+from collections.abc import Iterable
+from fractions import Fraction
+from functools import lru_cache
+from math import factorial, prod
+
+from singclass.classes import (
+    BASIC,
+    SINGULARITY,
+    ClassExpr,
+    product_expansion,
+    psi_decomposition,
+)
+from singclass.errors import ConstraintError
+from singclass.trees import MarkedTree, encoding, graft, leaf_markings
+
+
+@lru_cache(maxsize=None)
+def psi_power_sing(m: int) -> ClassExpr:
+    """psi^m expanded in the singularity basis; homogeneous of codimension m."""
+    if m < 0:
+        raise ConstraintError("m must be nonnegative")
+    pieces = [ClassExpr.unit(SINGULARITY)] + [product_expansion(j) for j in range(1, m + 1)]
+    return ClassExpr.from_terms(
+        SINGULARITY,
+        m,
+        (
+            (t, c * a)
+            for c, piece in zip(psi_decomposition(m), pieces)
+            for t, a in piece.terms
+        ),
+    )
+
+
+def substitute(outer: MarkedTree, grafts: Iterable[ClassExpr]) -> ClassExpr:
+    """Multilinear substitution of singularity-basis expansions into the leaves."""
+    if not outer.children:
+        raise ConstraintError("substitution target must have at least two leaves")
+    grafts = list(grafts)
+    if len(grafts) != len(leaf_markings(outer)):
+        raise ConstraintError(
+            f"need one graft per leaf: tree has {len(leaf_markings(outer))} leaves, got {len(grafts)}"
+        )
+    for g in grafts:
+        if g.basis != SINGULARITY:
+            raise ConstraintError("grafts must be in the singularity basis")
+
+    if any(not g.terms for g in grafts):
+        return ClassExpr.zero(SINGULARITY)
+    return ClassExpr.from_terms(
+        SINGULARITY,
+        outer.codim - outer.weight + sum(g.degree for g in grafts),
+        (
+            (graft(outer, [t for t, _ in combo]), prod(c for _, c in combo))
+            for combo in itertools.product(*(g.terms for g in grafts))
+        ),
+    )
+
+
+@lru_cache(maxsize=None)
+def _tree_basic_expansion(t: MarkedTree) -> ClassExpr:
+    """The basic class of a single canonical tree, expanded in the singularity basis."""
+    if not t.children:
+        return psi_power_sing(t.marking)
+    return substitute(t, [psi_power_sing(m) for m in leaf_markings(t)])
+
+
+def basic_to_sing(e: ClassExpr) -> ClassExpr:
+    """Convert a basic-basis expression to the singularity basis."""
+    if e.basis != BASIC:
+        raise ConstraintError("basic_to_sing expects a basic-basis expression")
+    return ClassExpr.from_terms(
+        SINGULARITY,
+        e.degree,
+        (
+            (t2, c2 * c)
+            for t, c in e.terms
+            for t2, c2 in _tree_basic_expansion(t).terms
+        ),
+    )
+
+
+def sing_to_basic(e: ClassExpr) -> ClassExpr:
+    """Convert a singularity-basis expression to the basic basis, peeling by weight."""
+    if e.basis != SINGULARITY:
+        raise ConstraintError("sing_to_basic expects a singularity-basis expression")
+    # residue[w]: the not yet peeled terms whose tree has weight w
+    residue: dict[int, dict[MarkedTree, Fraction]] = {}
+    for t, c in e.terms:
+        residue.setdefault(t.weight, {})[t] = c
+    out: list[tuple[MarkedTree, Fraction]] = []
+    for w in range(max(residue, default=-1), -1, -1):
+        for t, c in residue.pop(w, {}).items():
+            lead = c * prod(factorial(m) for m in leaf_markings(t))
+            out.append((t, lead))
+            for t2, c2 in _tree_basic_expansion(t).terms:
+                if t2 == t:
+                    continue
+                if t2.weight >= w:  # would land in a bucket already peeled
+                    raise RuntimeError(
+                        f"basic expansion of {encoding(t)} has a term of weight "
+                        f"{t2.weight} >= {w}"
+                    )
+                bucket = residue.setdefault(t2.weight, {})
+                updated = bucket.pop(t2, 0) - c2 * lead
+                if updated:
+                    bucket[t2] = updated
+    return ClassExpr.from_terms(BASIC, e.degree, out)

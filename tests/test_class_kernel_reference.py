@@ -1,0 +1,109 @@
+"""The integer kernels of the class engine against their ``Fraction``
+reference, ``class_kernel_reference``.
+
+``substitute``, ``psi_power_sing`` and both basis changes must return equal
+expressions, rendered to the same text, on every tree of codim <= 8 in both
+bases, on random sums of trees, and on grafts that carry xi powers.  The
+coefficients are negative, non-unit and have large denominators, so a lost
+common factor or a wrong rescaling of the running denominator shows.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import class_kernel_reference as reference
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from singclass import classes
+from singclass.classes import BASIC, SINGULARITY, ClassExpr, psi_power_sing
+from singclass.grammar import render_class
+from singclass.trees import canonicalize, enumerate_trees, leaf_markings, star, stick
+
+TREES = enumerate_trees(8)
+
+
+def coefficient(i: int) -> Fraction:
+    """A negative or positive coefficient with a large, odd denominator."""
+    return Fraction((-1) ** i * (2**61 - 1 + 7 * i), 3 ** (i % 40) * 10**12 + 7)
+
+
+def assert_same(got: ClassExpr, want: ClassExpr):
+    assert got == want
+    assert render_class(got) == render_class(want)
+
+
+@pytest.mark.parametrize("m", range(13))
+def test_psi_powers(m):
+    assert_same(psi_power_sing(m), reference.psi_power_sing(m))
+
+
+def test_tree_basic_expansions():
+    for t in TREES:
+        assert_same(classes._tree_basic_expansion(t), reference._tree_basic_expansion(t))
+
+
+@pytest.mark.parametrize("basis", [BASIC, SINGULARITY])
+def test_every_tree_with_a_scaled_coefficient(basis):
+    convert, convert_ref = {
+        BASIC: (classes.basic_to_sing, reference.basic_to_sing),
+        SINGULARITY: (classes.sing_to_basic, reference.sing_to_basic),
+    }[basis]
+    for i, t in enumerate(TREES):
+        e = ClassExpr.single(basis, t).mul_xi(i % 3).scale(coefficient(i))
+        assert_same(convert(e), convert_ref(e))
+
+
+@st.composite
+def tree_sums(draw, basis: str) -> ClassExpr:
+    """Up to 6 trees of one degree <= 8, each with a random rational."""
+    degree = draw(st.integers(0, 8))
+    fits = [t for t in TREES if t.codim <= degree]
+    chosen = draw(st.lists(st.sampled_from(fits), min_size=1, max_size=6))
+    numerators = st.integers(-(10**12), 10**12)
+    denominators = st.integers(1, 10**15)
+    return ClassExpr.from_terms(
+        basis,
+        degree,
+        [(t, Fraction(draw(numerators), draw(denominators))) for t in chosen],
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(tree_sums(BASIC))
+def test_basic_sums(e):
+    assert_same(classes.basic_to_sing(e), reference.basic_to_sing(e))
+
+
+@settings(max_examples=40, deadline=None)
+@given(tree_sums(SINGULARITY))
+def test_singularity_sums(e):
+    assert_same(classes.sing_to_basic(e), reference.sing_to_basic(e))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([(0, [0, 1]), (0, [0, 1, 2]), (1, [0, 0, 1]), (0, [1, (0, [0, 0, 1])])]),
+    st.data(),
+)
+def test_substitute_with_xi_powers(raw, data):
+    outer = canonicalize(raw)
+    grafts = []
+    for _ in leaf_markings(outer):
+        m = data.draw(st.integers(0, 3))
+        k = data.draw(st.integers(0, 2))
+        c = Fraction(data.draw(st.integers(-999, 999)), data.draw(st.integers(1, 10**9)))
+        g = psi_power_sing(m).mul_xi(k).scale(c)
+        if data.draw(st.booleans()):
+            g = g + ClassExpr.single(SINGULARITY, stick(m + k)).scale(coefficient(m))
+        grafts.append(g)
+    assert_same(classes.substitute(outer, grafts), reference.substitute(outer, grafts))
+
+
+def test_substitute_of_the_worked_example_with_xi_powers():
+    outer = star(0, [0, 1])
+    u = ClassExpr.single(SINGULARITY, stick(0))
+    grafts = [u.scale(Fraction(-3, 7)), psi_power_sing(1).mul_xi(1) + psi_power_sing(2).scale(3)]
+    assert_same(classes.substitute(outer, grafts), reference.substitute(outer, grafts))

@@ -281,3 +281,23 @@ class TestClassExpr:
         assert z.degree is None
         assert (z + z).is_zero()
         assert sing_to_basic(z).is_zero()
+
+    @pytest.mark.parametrize("c", [0.1, 0.5, True, False, "1/2", None, 1 + 0j])
+    def test_scale_takes_only_exact_coefficients(self, c):
+        e = ClassExpr.single(SINGULARITY, stick(2))
+        with pytest.raises(ConstraintError, match="must be int or Fraction"):
+            e.scale(c)
+
+    @pytest.mark.parametrize("c", [0.5, True, "1/2", None, 1 + 0j])
+    def test_from_terms_takes_only_exact_coefficients(self, c):
+        with pytest.raises(ConstraintError, match="must be int or Fraction"):
+            ClassExpr.from_terms(SINGULARITY, 2, [(stick(2), c)])
+        # also beside an exact coefficient of the same tree
+        with pytest.raises(ConstraintError, match="must be int or Fraction"):
+            ClassExpr.from_terms(SINGULARITY, 2, [(stick(2), Fraction(1, 3)), (stick(2), c)])
+
+    def test_exact_coefficients_stay_exact(self):
+        e = ClassExpr.single(SINGULARITY, stick(2))
+        assert e.scale(Fraction(1, 10)).terms == ((stick(2), Fraction(1, 10)),)
+        assert e.scale(3).terms == ((stick(2), Fraction(3)),)
+        assert ClassExpr.from_terms(SINGULARITY, 2, [(stick(2), 2)]) == e.scale(2)

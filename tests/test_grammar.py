@@ -17,11 +17,12 @@ from singclass.classes import (
     basic_to_sing,
     psi_power_sing,
 )
-from singclass.cycles import CycleExpr, completed_cycle
+from singclass.cycles import CycleExpr, XPolynomial, completed_cycle
 from singclass.errors import ParseError
 from singclass.grammar import (
     class_to_json,
     cycles_to_json,
+    ordered_monomials,
     format_partition,
     format_profile,
     parse_class,
@@ -37,6 +38,7 @@ from singclass.grammar import (
     render_cycles,
     render_cycles_latex,
     render_xpoly,
+    xpoly_to_json,
 )
 from singclass.trees import canonicalize, encoding, enumerate_trees, star, stick, tree
 
@@ -367,6 +369,62 @@ class TestJson:
     def test_cycles_schema(self):
         payload = json.loads(cycles_to_json(completed_cycle(2)))
         assert {"coeff": "1/4", "profile": [1, 1]} in payload["terms"]
+
+
+# The JSON writers must match json.dumps(payload, indent=2) byte for byte; the
+# payloads below are the reference.
+_JSON_COEFFS = st.one_of(
+    st.integers(min_value=-10**6, max_value=10**6),
+    st.fractions(max_denominator=10**9),
+).map(Fraction)
+_JSON_PROFILES = st.lists(st.integers(min_value=1, max_value=9), max_size=5).map(
+    lambda parts: tuple(sorted(parts))
+)
+
+
+@st.composite
+def json_class_exprs(draw):
+    """Zero, unit or a random sum over the trees of codim <= 6, in either basis."""
+    basis = draw(st.sampled_from([SINGULARITY, BASIC]))
+    kind = draw(st.sampled_from(["zero", "unit", "sum", "sum", "sum"]))
+    if kind != "sum":
+        return getattr(ClassExpr, kind)(basis)
+    degree = draw(st.integers(min_value=0, max_value=8))
+    pool = [t for t in enumerate_trees(6) if t.codim <= degree]
+    picks = draw(st.lists(st.sampled_from(pool), max_size=8, unique=True))
+    return ClassExpr.from_terms(basis, degree, [(t, draw(_JSON_COEFFS)) for t in picks])
+
+
+class TestJsonLayout:
+    @settings(max_examples=40, deadline=None)
+    @given(json_class_exprs())
+    def test_class_json_is_the_indent_2_dump(self, e):
+        terms = [
+            {"coeff": str(coeff), "xi_power": q, "tree": encoding(t)}
+            for t, q, coeff in ordered_monomials(e)
+        ]
+        payload = {"basis": e.basis, "codim": e.degree, "terms": terms}
+        assert class_to_json(e) == json.dumps(payload, indent=2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(_JSON_PROFILES, _JSON_COEFFS), max_size=6))
+    def test_cycle_and_x_polynomial_json_is_the_indent_2_dump(self, pairs):
+        c = CycleExpr.from_terms(pairs)
+        x = XPolynomial.from_terms(pairs)
+        cycles = {"terms": [{"coeff": str(coeff), "profile": list(p)} for p, coeff in c.terms]}
+        xpoly = {"terms": [{"coeff": str(coeff), "monomial": list(p)} for p, coeff in x.terms]}
+        assert cycles_to_json(c) == json.dumps(cycles, indent=2)
+        assert xpoly_to_json(x) == json.dumps(xpoly, indent=2)
+
+    def test_the_empty_cases(self):
+        assert class_to_json(ClassExpr.zero(BASIC)) == (
+            '{\n  "basis": "basic",\n  "codim": null,\n  "terms": []\n}'
+        )
+        unit = CycleExpr.from_terms([((), Fraction(1, 2))])
+        assert cycles_to_json(unit) == (
+            '{\n  "terms": [\n    {\n      "coeff": "1/2",\n      "profile": []\n    }\n  ]\n}'
+        )
+        assert xpoly_to_json(XPolynomial.from_terms([])) == '{\n  "terms": []\n}'
 
 
 class TestXPolyRendering:
