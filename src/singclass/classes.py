@@ -21,7 +21,7 @@ from operator import itemgetter
 
 from .combinatorics import Profile, aut_count, make_profile, profiles_with_sum
 from .errors import ConstraintError, Record
-from .trees import MarkedTree, encoding, graft, leaf_markings, star, stick, tree
+from .trees import MarkedTree, encoding, graft, star, stick, tree
 
 SINGULARITY = "singularity"
 BASIC = "basic"
@@ -279,9 +279,9 @@ def substitute(outer: MarkedTree, grafts: Iterable[ClassExpr]) -> ClassExpr:
     if not outer.children:
         raise ConstraintError("substitution target must have at least two leaves")
     grafts = list(grafts)
-    if len(grafts) != len(leaf_markings(outer)):
+    if len(grafts) != len(outer.leaves):
         raise ConstraintError(
-            f"need one graft per leaf: tree has {len(leaf_markings(outer))} leaves, got {len(grafts)}"
+            f"need one graft per leaf: tree has {len(outer.leaves)} leaves, got {len(grafts)}"
         )
     for g in grafts:
         if g.basis != SINGULARITY:
@@ -301,7 +301,7 @@ def _tree_basic_expansion(t: MarkedTree) -> ClassExpr:
     """The basic class of a single canonical tree, expanded in the singularity basis."""
     if not t.children:
         return psi_power_sing(t.marking)
-    return substitute(t, [psi_power_sing(m) for m in leaf_markings(t)])
+    return substitute(t, [psi_power_sing(m) for m in t.leaves])
 
 
 @lru_cache(maxsize=None)
@@ -345,7 +345,7 @@ def sing_to_basic(e: ClassExpr) -> ClassExpr:
         k = lcm(*(den for _, _, den, _ in forms))
         residue = {v: {t2: n2 * k for t2, n2 in lower.items()} for v, lower in residue.items()}
         for t, n, den, expansion in forms:
-            lead = n * prod(factorial(m) for m in leaf_markings(t))
+            lead = n * prod(factorial(m) for m in t.leaves)
             out.append((t, Fraction(lead, d)))
             factor = lead * (k // den)
             for t2, n2 in expansion:

@@ -16,6 +16,8 @@ class Record:
     then equals only an instance of its own class with equal fields (never a
     tuple), hashes like the tuple of its fields, shows its fields in its repr,
     copies and pickles through its constructor, and refuses every write.
+    ``trees.MarkedTree`` is the exception: it interns its instances in
+    ``__new__``, so equal fields give one object, compared and hashed by identity.
     """
 
     __slots__ = ()

@@ -22,11 +22,13 @@ deterministic.
 
 Interning
 ---------
-Canonical trees are hash-consed: :func:`tree` (and so every constructor
-built on it) returns the one stored instance of each canonical tree, so
-equality of canonical trees is identity.  Each instance computes its hash,
-codimension, weight and vanishing flag once, from its children, when it is
-built.
+Trees are hash-consed in :class:`MarkedTree` itself: it keeps one table of
+nodes keyed by ``(marking, children)`` and returns the stored node for equal
+fields, so equal trees are the same object, and equality and hash are
+identity.  Each node computes its codimension, weight, vanishing flag and
+leaf markings once, from its children, when it is first built.  Sets of trees
+therefore iterate in address order: anything shown or compared across runs
+is sorted by :func:`encoding` first.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ __all__ = [
     "star",
     "canonicalize",
     "encoding",
-    "leaf_markings",
     "graft",
     "enumerate_trees",
 ]
@@ -52,11 +53,11 @@ __all__ = [
 class MarkedTree(Record):
     """One vertex of a marked tree with its (canonically ordered) subtrees.
 
-    Always build instances through :func:`tree` / :func:`canonicalize`;
-    direct construction skips sorting, contraction, valency checks and
-    interning, though the instance still equals and hashes like its
-    interned twin.  Three attributes are computed from the children on
-    construction:
+    ``MarkedTree(marking, children)`` returns the one node with these fields,
+    checking only that the marking is an ``int`` and the children a tuple of
+    trees; :func:`tree` / :func:`canonicalize` also sort, contract and check
+    valencies.  Equality and hash are identity.  Four attributes are
+    computed from the children when a node is built:
 
     - ``codim``, the codimension of the class the tree denotes (the same in
       both bases).  A stick has its marking as codimension; otherwise the
@@ -66,64 +67,66 @@ class MarkedTree(Record):
       basis change triangular.
     - ``vanishing``, true iff some vertex with children is marked beyond
       valency - 3.
+    - ``leaves``, the markings of the childless vertices, depth first.
     """
 
-    __slots__ = ("marking", "children", "codim", "weight", "vanishing", "_hash")
+    __slots__ = ("marking", "children", "codim", "weight", "vanishing", "leaves")
     _fields = ("marking", "children")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __init__(self, marking: int, children: tuple[MarkedTree, ...] = ()):
+    def __new__(cls, marking: int, children: tuple[MarkedTree, ...] = ()):
+        if type(marking) is not int:
+            raise TreeStructureError(f"a marking must be an int, not {marking!r}")
+        try:
+            return _NODES[marking, children]
+        except (KeyError, TypeError):
+            pass
+        if type(children) is not tuple or not all(isinstance(c, MarkedTree) for c in children):
+            raise TreeStructureError(f"children must be a tuple of marked trees, not {children!r}")
         if children:
             # each child branch also counts the edge up to its parent
             codim = marking + sum(c.codim + 1 for c in children)
             weight = sum(c.weight for c in children)
             vanishing = marking > len(children) - 2 or any(c.vanishing for c in children)
+            leaves = tuple(m for c in children for m in c.leaves)
         else:
             codim = weight = marking
             vanishing = False
-        put = object.__setattr__
-        put(self, "marking", marking)
-        put(self, "children", children)
-        put(self, "codim", codim)
-        put(self, "weight", weight)
-        put(self, "vanishing", vanishing)
-        put(self, "_hash", hash((marking, children)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, MarkedTree):
-            return NotImplemented
-        return (
-            self._hash == other._hash
-            and self.marking == other.marking
-            and self.children == other.children
-        )
+            leaves = (marking,)
+        self = _NODES[marking, children] = object.__new__(cls)
+        for name, value in zip(self.__slots__, (marking, children, codim, weight, vanishing, leaves)):
+            object.__setattr__(self, name, value)
+        return self
 
 
-# (marking, children) as passed to tree() -> the canonical instance.  Both the
-# raw keys and the canonical ones are stored; a canonical tree is a fixed
-# point of tree(), so every key maps to the tree that tree() would build.
-_INTERNED: dict[tuple[int, tuple[MarkedTree, ...]], MarkedTree] = {}
+_NODES: dict = {}  # (marking, children) -> the one MarkedTree with these fields
+_CANONICAL: dict = {}  # (marking, children) as passed to tree() -> the canonical tree
 
 
 def tree(marking: int, children: Sequence[MarkedTree] = ()) -> MarkedTree:
     """Canonical constructor: validates, sorts children, contracts 3-valent pairs.
 
-    Returns the interned instance of the canonical tree.
+    Returns the one instance of the canonical tree.
     """
-    key = (marking, tuple(children))
-    found = _INTERNED.get(key)
-    if found is None:
-        found = _INTERNED[key] = _canonical(*key)
+    if type(marking) is not int:
+        raise TreeStructureError(f"a marking must be an int, not {marking!r}")
+    try:
+        key = (marking, tuple(children))
+        return _CANONICAL[key]
+    except KeyError:
+        pass
+    except TypeError:
+        raise TreeStructureError(f"children must be marked trees, not {children!r}") from None
+    found = _CANONICAL[key] = _canonical(*key)
     return found
 
 
 def _canonical(marking: int, kids: tuple[MarkedTree, ...]) -> MarkedTree:
     if marking < 0:
         raise TreeStructureError("markings must be nonnegative")
+    if not all(isinstance(c, MarkedTree) for c in kids):
+        raise TreeStructureError(f"children must be marked trees, not {kids!r}")
     if len(kids) == 1:
         raise TreeStructureError(
             "internal vertex with a single child (valency 2) is not allowed"
@@ -134,7 +137,7 @@ def _canonical(marking: int, kids: tuple[MarkedTree, ...]) -> MarkedTree:
             if child.marking == 0 and len(child.children) == 2:
                 other = kids[1 - idx]
                 return tree(1, (other,) + child.children)
-    return _INTERNED.setdefault((marking, kids), MarkedTree(marking, kids))
+    return MarkedTree(marking, kids)
 
 
 def stick(marking: int) -> MarkedTree:
@@ -151,10 +154,14 @@ def canonicalize(raw) -> MarkedTree:
     """Rebuild a tree (MarkedTree or nested (marking, children) data) in canonical form."""
     if isinstance(raw, MarkedTree):
         return tree(raw.marking, tuple(canonicalize(c) for c in raw.children))
-    if isinstance(raw, int):
+    if type(raw) is int:
         return stick(raw)
-    marking, children = raw
-    return tree(int(marking), tuple(canonicalize(c) for c in children))
+    try:
+        marking, children = raw
+        kids = tuple(canonicalize(c) for c in children)
+    except (TypeError, ValueError):
+        raise TreeStructureError(f"not a tree: {raw!r}") from None
+    return tree(marking, kids)
 
 
 @lru_cache(maxsize=None)
@@ -163,16 +170,6 @@ def encoding(t: MarkedTree) -> str:
     if not t.children:
         return str(t.marking)
     return f"({t.marking};{','.join(encoding(c) for c in t.children)})"
-
-
-def leaf_markings(t: MarkedTree) -> tuple[int, ...]:
-    """Markings of the childless vertices, in canonical depth-first order."""
-    if not t.children:
-        return (t.marking,)
-    out: list[int] = []
-    for c in t.children:
-        out.extend(leaf_markings(c))
-    return tuple(out)
 
 
 def graft(outer: MarkedTree, replacements: Sequence[MarkedTree]) -> MarkedTree:
@@ -185,9 +182,9 @@ def graft(outer: MarkedTree, replacements: Sequence[MarkedTree]) -> MarkedTree:
     if not outer.children:
         raise ConstraintError("cannot graft into a stick")
     reps = list(replacements)
-    if len(reps) != len(leaf_markings(outer)):
+    if len(reps) != len(outer.leaves):
         raise ConstraintError(
-            f"need one graft per leaf: tree has {len(leaf_markings(outer))} leaves, got {len(reps)}"
+            f"need one graft per leaf: tree has {len(outer.leaves)} leaves, got {len(reps)}"
         )
     it = iter(reps)
 

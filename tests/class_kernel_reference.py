@@ -23,7 +23,7 @@ from singclass.classes import (
     psi_decomposition,
 )
 from singclass.errors import ConstraintError
-from singclass.trees import MarkedTree, encoding, graft, leaf_markings
+from singclass.trees import MarkedTree, encoding, graft
 
 
 @lru_cache(maxsize=None)
@@ -48,9 +48,9 @@ def substitute(outer: MarkedTree, grafts: Iterable[ClassExpr]) -> ClassExpr:
     if not outer.children:
         raise ConstraintError("substitution target must have at least two leaves")
     grafts = list(grafts)
-    if len(grafts) != len(leaf_markings(outer)):
+    if len(grafts) != len(outer.leaves):
         raise ConstraintError(
-            f"need one graft per leaf: tree has {len(leaf_markings(outer))} leaves, got {len(grafts)}"
+            f"need one graft per leaf: tree has {len(outer.leaves)} leaves, got {len(grafts)}"
         )
     for g in grafts:
         if g.basis != SINGULARITY:
@@ -73,7 +73,7 @@ def _tree_basic_expansion(t: MarkedTree) -> ClassExpr:
     """The basic class of a single canonical tree, expanded in the singularity basis."""
     if not t.children:
         return psi_power_sing(t.marking)
-    return substitute(t, [psi_power_sing(m) for m in leaf_markings(t)])
+    return substitute(t, [psi_power_sing(m) for m in t.leaves])
 
 
 def basic_to_sing(e: ClassExpr) -> ClassExpr:
@@ -102,7 +102,7 @@ def sing_to_basic(e: ClassExpr) -> ClassExpr:
     out: list[tuple[MarkedTree, Fraction]] = []
     for w in range(max(residue, default=-1), -1, -1):
         for t, c in residue.pop(w, {}).items():
-            lead = c * prod(factorial(m) for m in leaf_markings(t))
+            lead = c * prod(factorial(m) for m in t.leaves)
             out.append((t, lead))
             for t2, c2 in _tree_basic_expansion(t).terms:
                 if t2 == t:

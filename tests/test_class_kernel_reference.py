@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from singclass import classes
 from singclass.classes import BASIC, SINGULARITY, ClassExpr, psi_power_sing
 from singclass.grammar import render_class
-from singclass.trees import canonicalize, enumerate_trees, leaf_markings, star, stick
+from singclass.trees import canonicalize, enumerate_trees, star, stick
 
 TREES = enumerate_trees(8)
 
@@ -91,7 +91,7 @@ def test_singularity_sums(e):
 def test_substitute_with_xi_powers(raw, data):
     outer = canonicalize(raw)
     grafts = []
-    for _ in leaf_markings(outer):
+    for _ in outer.leaves:
         m = data.draw(st.integers(0, 3))
         k = data.draw(st.integers(0, 2))
         c = Fraction(data.draw(st.integers(-999, 999)), data.draw(st.integers(1, 10**9)))

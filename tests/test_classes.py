@@ -26,7 +26,7 @@ from singclass.combinatorics import aut_count, profiles_with_sum
 from singclass.cycles import point_coefficient_delta
 from singclass.errors import ConstraintError
 from singclass.grammar import parse_class
-from singclass.trees import enumerate_trees, leaf_markings, star, stick
+from singclass.trees import enumerate_trees, star, stick
 
 
 def sing(text: str) -> ClassExpr:
@@ -200,7 +200,7 @@ class TestTriangularity:
 
     def test_the_tree_itself_has_the_factorial_coefficient(self):
         for t in enumerate_trees(8):
-            marks = leaf_markings(t)
+            marks = t.leaves
             expected = Fraction(1, prod(factorial(m) for m in marks))
             assert _tree_basic_expansion(t).coefficient_at(t, 0) == expected
 

@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+import copy
+import os
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from singclass.classes import BASIC, SINGULARITY, ClassExpr, psi_power_sing, substitute
 from singclass.errors import ConstraintError, TreeStructureError
@@ -16,7 +24,6 @@ from singclass.trees import (
     encoding,
     enumerate_trees,
     graft,
-    leaf_markings,
     star,
     stick,
     tree,
@@ -58,7 +65,7 @@ class TestCanonicalForm:
     def test_distinct_shapes_with_equal_leaf_multisets(self):
         a = canonicalize((0, [0, 1, (0, [0, 0])]))
         b = canonicalize((0, [0, 0, (0, [0, 1])]))
-        assert sorted(leaf_markings(a)) == sorted(leaf_markings(b))
+        assert sorted(a.leaves) == sorted(b.leaves)
         assert a != b
         assert encoding(a) != encoding(b)
 
@@ -170,8 +177,14 @@ def _reference_vanishes(t: MarkedTree) -> bool:
     return False
 
 
+def _reference_leaves(t: MarkedTree) -> tuple[int, ...]:
+    if not t.children:
+        return (t.marking,)
+    return tuple(m for c in t.children for m in _reference_leaves(c))
+
+
 def _direct(t: MarkedTree) -> MarkedTree:
-    """A structural copy built without tree(), so it is not interned."""
+    """A structural copy built with MarkedTree() alone, without tree()."""
     return MarkedTree(t.marking, tuple(_direct(c) for c in t.children))
 
 
@@ -188,7 +201,7 @@ class TestInterning:
     def test_a_direct_instance_equals_its_interned_twin(self):
         for t in enumerate_trees(6):
             twin = _direct(t)
-            assert twin is not t
+            assert twin is t
             assert twin == t and t == twin
             assert hash(twin) == hash(t)
             assert {t: 1}[twin] == 1
@@ -206,6 +219,104 @@ class TestInterning:
             assert t.codim == _reference_codim(t)
             assert t.weight == _reference_weight(t)
             assert t.vanishing == _reference_vanishes(t)
+            assert t.leaves == _reference_leaves(t)
+
+    def test_direct_construction_returns_the_canonical_tree(self):
+        assert MarkedTree.__eq__ is object.__eq__
+        assert MarkedTree.__hash__ is object.__hash__
+        for t in enumerate_trees(8):
+            assert MarkedTree(t.marking, t.children) is tree(t.marking, t.children) is t
+
+    def test_copies_and_pickles_are_the_same_tree(self):
+        for t in enumerate_trees(6):
+            assert copy.copy(t) is t
+            assert copy.deepcopy(t) is t
+            assert pickle.loads(pickle.dumps(t)) is t
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# each bad construction, then what it must not change, in a fresh process:
+# inside this test session stick(1) and stick(2) are interned already
+POISONING = [
+    ("tree(2.0)", "render_class(psi_power_sing(2))", "1/2*a_2 + 1/4*i[1,1] + 3/2*xi*a_1 + xi^2"),
+    ("tree(True)", "encoding(stick(1))", "1"),
+    ("MarkedTree(2.0)", "encoding(stick(2))", "2"),
+    ("MarkedTree(True, ())", "encoding(tree(1))", "1"),
+    ("canonicalize((True, [0, 0]))", "encoding(star(1, [0, 0]))", "(1;0,0)"),
+    ("tree(0, (1, 2))", "encoding(star(0, [1, 2]))", "(0;1,2)"),
+]
+
+_FRESH = """
+from singclass import psi_power_sing, render_class
+from singclass.errors import TreeStructureError
+from singclass.trees import MarkedTree, canonicalize, encoding, star, stick, tree
+try:
+    {bad}
+except TreeStructureError:
+    print("refused")
+print({check})
+"""
+
+
+# markings and children of every kind: ints, bools, floats, Fractions,
+# strings, None, trees, and lists and tuples of them
+_junk = st.recursive(
+    st.one_of(
+        st.integers(-2, 4), st.booleans(), st.floats(-3, 3), st.fractions(max_denominator=3),
+        st.text(max_size=2), st.none(), st.sampled_from(enumerate_trees(3)),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.tuples(inner, inner), st.tuples(inner, st.lists(inner, max_size=3)),
+    ),
+    max_leaves=8,
+)
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("bad,check,expected", POISONING, ids=[p[0] for p in POISONING])
+    def test_a_refused_marking_or_child_leaves_the_tables_clean(self, bad, check, expected):
+        result = subprocess.run(
+            [sys.executable, "-c", _FRESH.format(bad=bad, check=check)],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == ["refused", expected]
+
+    @pytest.mark.parametrize(
+        "raw", ["x", None, (0,), (0, 5), (0, [0, "a"]), 1.5, True, (True, [0, 0]), (0.7, [0, 0])],
+    )
+    def test_canonicalize_refuses_malformed_data(self, raw):
+        with pytest.raises(TreeStructureError):
+            canonicalize(raw)
+
+    def test_unhashable_children_are_refused(self):
+        for build in (tree, MarkedTree):
+            with pytest.raises(TreeStructureError):
+                build(0, ([1], stick(0)))
+            with pytest.raises(TreeStructureError):
+                build(0, 5)
+        with pytest.raises(TreeStructureError):
+            MarkedTree(0, [stick(0), stick(1)])
+
+    @settings(max_examples=150, deadline=None)
+    @given(marking=_junk, children=_junk)
+    def test_only_a_tree_or_a_tree_structure_error(self, marking, children):
+        calls = [
+            lambda: tree(marking, children),
+            lambda: MarkedTree(marking, children),
+            lambda: canonicalize(marking),
+            lambda: canonicalize((marking, children)),
+            lambda: stick(marking),
+        ]
+        for call in calls:
+            try:
+                out = call()
+            except TreeStructureError:
+                continue
+            assert isinstance(out, MarkedTree)
+        assert [encoding(stick(m)) for m in range(4)] == ["0", "1", "2", "3"]
 
 
 class TestGraft:
@@ -270,7 +381,7 @@ class TestSubstitute:
         for raw in [(0, [0, 2]), (1, [0, 0, 1]), (0, [1, (0, [0, 0, 1])])]:
             outer = canonicalize(raw)
             result = substitute(
-                outer, [psi_power_sing(m) for m in leaf_markings(outer)]
+                outer, [psi_power_sing(m) for m in outer.leaves]
             )
             assert result.degree == outer.codim
 
