@@ -5,7 +5,8 @@ lengths, remaining points fixed) and identified with functions on the set
 of all partitions through their eigenvalues on irreducible representations.
 The completed (m+1)-cycle is the unique combination of stable central
 elements evaluating to the normalized shifted power sum of exponent m+1,
-and its coefficients come from the series sinh(z/2)/(z/2).
+and its coefficients come from the series S(z) = sinh(z/2)/(z/2), through
+the coefficients L_j = B_{2j} / (2j (2j)!) of log S (B the Bernoulli numbers).
 """
 
 from __future__ import annotations
@@ -15,20 +16,20 @@ from collections import Counter
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm, prod
+from math import factorial, lcm, perm, prod
 
 from .combinatorics import (
     Partition,
     Profile,
-    _central_numerator,
     _character_partition,
     _dimension,
+    _ints,
+    _mn,
     aut_count,
     make_profile,
     profiles_with_sum_and_length,
 )
-from .errors import ConstraintError, Record
-from .exact import PowerSeries, s_series, series_scale_arg
+from .errors import ConstraintError, Record, _integer
 
 __all__ = [
     "CycleExpr",
@@ -82,9 +83,10 @@ class CycleExpr(_ProfileTerms):
     """Finite rational combination of stable central elements.
 
     Products of central elements are not monomial products; they go through
-    :func:`multiply_central`."""
+    :func:`multiply_central`.  The slot ``_row`` caches :func:`evaluate`'s
+    integer row; it is no field, so equality, hash, repr and pickle ignore it."""
 
-    __slots__ = ()
+    __slots__ = ("_row",)
 
     @staticmethod
     def zero() -> "CycleExpr":
@@ -125,7 +127,7 @@ def x_polynomial(m: int, normalized: bool = True) -> XPolynomial:
     """The degree-tracking polynomial whose monomial prod x_{k_i} carries
     (1/|Aut|) (m!/(m-l+2)!) prod k_i; the normalized variant divides by m!
     and matches the genus-0 completed-cycle coefficients."""
-    if m < 0:
+    if _integer(m, "m") < 0:
         raise ConstraintError("m must be nonnegative")
     norm = factorial(m) if normalized else 1
     return XPolynomial.from_terms(
@@ -143,7 +145,7 @@ def point_coefficient_delta(ms: Iterable[int], p: Profile) -> Fraction:
     monomial prod x_{k_i} in the product of normalized one-exponent
     polynomials.
     """
-    ms = [int(v) for v in ms]
+    ms = _ints(ms, "an exponent")
     if any(v < 0 for v in ms):
         raise ConstraintError("exponents must be nonnegative")
     p = make_profile(p)
@@ -160,40 +162,55 @@ def point_coefficient_delta(ms: Iterable[int], p: Profile) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _s_power(order: int, e: int) -> PowerSeries:
-    return s_series(order).pow(e)
-
-
-@lru_cache(maxsize=None)
-def _s_scaled(order: int, k: int) -> PowerSeries:
-    return series_scale_arg(s_series(order), k)
+def _log_s(g: int) -> tuple[int, tuple[int, ...]]:
+    """(D, (A_1..A_g)) with j L_j = A_j / D, log S(z) = sum_j L_j z^{2j}: from
+    S = sum_n s_n z^{2n}, s_n = 1/(4^n (2n+1)!), by n s_n = sum_j j L_j s_{n-j}."""
+    s = [Fraction(1, 4**n * factorial(2 * n + 1)) for n in range(g + 1)]
+    a: list[Fraction] = []
+    for n in range(1, g + 1):
+        a.append(n * s[n] - sum(a[j - 1] * s[n - j] for j in range(1, n)))
+    d = lcm(*(x.denominator for x in a))
+    return d, tuple(x.numerator * (d // x.denominator) for x in a)
 
 
 def rho(g: int, p: Profile) -> Fraction:
-    """Coefficient of z^{2g} in (prod k_i / K!) S(z)^{K-1} prod S(k_i z), K = sum k_i."""
-    if g < 0:
+    """Coefficient of z^{2g} in (prod k_i / K!) S(z)^{K-1} prod S(k_i z), K = sum k_i.
+
+    The product is exp(sum_j L_j P_j z^{2j}), P_j = K - 1 + sum_i k_i^{2j}, so
+    its z^{2n} coefficient E_n obeys n E_n = sum_j j L_j P_j E_{n-j}; with
+    j L_j = A_j / D, E_n = e_n / (n! D^n) and
+    e_n = sum_j A_j P_j e_{n-j} (n-1)!/(n-j)! D^{j-1}, e_0 = 1.
+    """
+    if _integer(g, "the genus") < 0:
         raise ConstraintError("genus must be nonnegative")
     p = make_profile(p)
     if not p:
         raise ConstraintError("profile must be nonempty")
     total = sum(p)
-    order = max(2 * g, 1)
-    series = _s_power(order, total - 1)
-    for k in p:
-        series = series * _s_scaled(order, k)
-    return Fraction(prod(p), factorial(total)) * series.coefficient(2 * g)
+    d, a = _log_s(g)
+    weights = [a_j * (total - 1 + sum(k ** (2 * j) for k in p)) for j, a_j in enumerate(a, 1)]
+    e = [1]
+    for n in range(1, g + 1):
+        e.append(sum(
+            weights[j - 1] * e[n - j] * perm(n - 1, j - 1) * d ** (j - 1) for j in range(1, n + 1)
+        ))
+    return Fraction(prod(p) * e[g], factorial(total) * factorial(g) * d**g)
 
 
-@lru_cache(maxsize=None)
 def completed_cycle(m: int) -> CycleExpr:
     """The completed (m+1)-cycle as a combination of stable central elements.
 
     A profile with l parts and total K contributes at genus g whenever
     K + l + 2g - 2 = m; the ordered-tuple sum collapses on multisets to the
-    coefficient rho(g, p) / |Aut(p)|.
+    coefficient rho(g, p) / |Aut(p)|.  Memoised per m.
     """
-    if m < 0:
+    if _integer(m, "m") < 0:
         raise ConstraintError("m must be nonnegative")
+    return _completed_cycle(m)
+
+
+@lru_cache(maxsize=None)
+def _completed_cycle(m: int) -> CycleExpr:
     return CycleExpr.from_terms(
         (p, rho((m + 2 - length - total) // 2, p) / aut_count(p))
         for length in range(1, m + 2)
@@ -209,22 +226,36 @@ def genus0_part(c: CycleExpr, m: int) -> CycleExpr:
     )
 
 
+def _integer_row(c: CycleExpr) -> tuple[int, tuple[tuple[int, int, Partition], ...]]:
+    """(D, ((coeff * D / prod(p), sum(p), parts of p above 1, descending), ...)),
+    D = lcm(den(coeff) * prod(p)), stored in c._row."""
+    scales = [coeff.denominator * prod(p) for p, coeff in c.terms]
+    common = lcm(*scales)
+    row = tuple(
+        (coeff.numerator * (common // scale), sum(p), tuple(k for k in reversed(p) if k > 1))
+        for (p, coeff), scale in zip(c.terms, scales)
+    )
+    object.__setattr__(c, "_row", (common, row))
+    return common, row
+
+
 def evaluate(c: CycleExpr, lam: Partition) -> Fraction:
     """Value of the central element on the irreducible representation lam.
 
-    The sum of coeff * central_character(p, lam) over the terms, taken in
-    integers over the common denominator D = lcm(den(coeff) * prod(p)) and
-    divided by D * dim(lam) once at the end.  The terms' profiles are
-    canonical (ascending, positive), as every CycleExpr builder makes them.
-    A partition over CHARACTER_SIZE_BUDGET boxes raises ConstraintError."""
+    The sum of coeff * central_character(p, lam) over the terms: one integer
+    sum over the row of c (see _integer_row) of weight * N!/(N-K)! * chi(mu),
+    divided by D * dim(lam).  Profiles are canonical, as every CycleExpr
+    builder makes them.  A partition over CHARACTER_SIZE_BUDGET boxes, or a
+    c that is no CycleExpr, raises ConstraintError."""
+    try:
+        common, row = c._row
+    except AttributeError:
+        if not isinstance(c, CycleExpr):
+            raise ConstraintError(f"evaluate needs a CycleExpr, not {c!r}") from None
+        common, row = _integer_row(c)
     lam = _character_partition(lam)
     n = sum(lam)
-    scales = [coeff.denominator * prod(p) for p, coeff in c.terms]
-    common = lcm(*scales)
-    total = sum(
-        coeff.numerator * (common // scale) * _central_numerator(p, lam, n)
-        for (p, coeff), scale in zip(c.terms, scales)
-    )
+    total = sum(weight * perm(n, k) * _mn(lam, mu) for weight, k, mu in row if k <= n)
     return Fraction(total, common * _dimension(lam))
 
 
@@ -353,7 +384,9 @@ def verify_in_group_algebra(
     of the claimed terms, raise ConstraintError.
     """
     p1, p2 = make_profile(p1), make_profile(p2)
-    if n < sum(p1) + sum(p2):
+    if not isinstance(claimed, CycleExpr):
+        raise ConstraintError(f"the claimed product must be a CycleExpr, not {claimed!r}")
+    if _integer(n, "n") < sum(p1) + sum(p2):
         raise ConstraintError(
             f"need n >= {sum(p1) + sum(p2)} to realize both factors in S_n"
         )

@@ -1,8 +1,8 @@
-"""Exception hierarchy and the immutable record base shared by all
-singclass modules.
+"""Exception hierarchy, the immutable record base and the integer argument
+gate shared by all singclass modules.
 
-Both live in this leaf module because every other module imports it already:
-the record base adds no module to the import graph.
+They live in this leaf module because every other module imports it already:
+none of them adds a module to the import graph.
 """
 
 from __future__ import annotations
@@ -79,3 +79,10 @@ class TreeStructureError(ConstraintError):
 
 class TruncationError(SingclassError):
     """A power-series coefficient beyond the truncation order was requested."""
+
+
+def _integer(value, what: str) -> int:
+    """value if it is exactly an int (no bool); else ConstraintError."""
+    if type(value) is int:
+        return value
+    raise ConstraintError(f"{what} must be an integer, not {value!r}")

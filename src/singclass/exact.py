@@ -1,9 +1,9 @@
 """Truncated power series in one variable over the rationals.
 
-Coefficients are :class:`fractions.Fraction`.  The cycle side builds the
-series factors of ``rho`` from :func:`s_series`; the local models read
-Laurent coefficients from Taylor series.  Everything here is immutable and
-pure, so values can be shared freely between tasks.
+Coefficients are :class:`fractions.Fraction`.  ``rho`` of the cycle side is
+defined by products of :func:`s_series`; the local models read Laurent
+coefficients from Taylor series.  Everything here is immutable and pure, so values can be
+shared freely between tasks.
 """
 
 from __future__ import annotations

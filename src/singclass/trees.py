@@ -36,7 +36,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from functools import lru_cache
 
-from .errors import ConstraintError, Record, TreeStructureError
+from .errors import ConstraintError, Record, TreeStructureError, _integer
 
 __all__ = [
     "MarkedTree",
@@ -147,7 +147,11 @@ def stick(marking: int) -> MarkedTree:
 
 def star(marking: int, leaf_marks: Sequence[int]) -> MarkedTree:
     """Single internal vertex with the given marking over plain leaves."""
-    return tree(marking, tuple(stick(m) for m in leaf_marks))
+    try:
+        leaves = tuple(stick(m) for m in leaf_marks)
+    except TypeError:
+        raise TreeStructureError(f"leaf markings must be a sequence of ints, not {leaf_marks!r}") from None
+    return tree(marking, leaves)
 
 
 def canonicalize(raw) -> MarkedTree:
@@ -179,9 +183,14 @@ def graft(outer: MarkedTree, replacements: Sequence[MarkedTree]) -> MarkedTree:
     root of the i-th replacement is glued onto the vertex that carried the
     i-th leaf, so sticks graft as plain marked leaves.
     """
+    if not isinstance(outer, MarkedTree):
+        raise TreeStructureError(f"can only graft into a marked tree, not {outer!r}")
     if not outer.children:
         raise ConstraintError("cannot graft into a stick")
-    reps = list(replacements)
+    try:
+        reps = list(replacements)
+    except TypeError:
+        raise TreeStructureError(f"replacements must be a sequence of marked trees, not {replacements!r}") from None
     if len(reps) != len(outer.leaves):
         raise ConstraintError(
             f"need one graft per leaf: tree has {len(outer.leaves)} leaves, got {len(reps)}"
@@ -241,5 +250,5 @@ def enumerate_trees(max_codim: int) -> list[MarkedTree]:
     Includes the sticks (codimension = marking).  Deterministic order:
     by codimension, then canonical encoding.
     """
-    found = {t for k in range(max_codim + 1) for t in _branch_options(k + 1)}
+    found = {t for k in range(_integer(max_codim, "max_codim") + 1) for t in _branch_options(k + 1)}
     return sorted(found, key=lambda t: (t.codim, encoding(t)))

@@ -1,0 +1,156 @@
+"""The integer argument gate of the cycle side and the tree enumeration.
+
+Every count (m, g, n, a profile part, a partition row) must be exactly an
+``int``: a bool, a float, a Fraction, a string or None raises
+``ConstraintError``.  Before the gate, ``int()`` truncated floats into a
+silently wrong answer and ``True`` hashed like ``1`` into the memo of
+``completed_cycle``.  The fuzz test calls each entry point with such values
+and accepts only a result or a ``SingclassError``; ``TestArgvFuzz`` in
+``test_cli.py`` does the same for the CLI.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from singclass import combinatorics, cycles, trees
+from singclass.combinatorics import (
+    central_character,
+    character_dimension,
+    make_partition,
+    make_profile,
+    mn_character,
+    profiles_with_sum,
+    shifted_power_sum,
+)
+from singclass.cycles import (
+    CycleExpr,
+    completed_cycle,
+    evaluate,
+    multiply_central,
+    point_coefficient_delta,
+    rho,
+    verify_in_group_algebra,
+    x_polynomial,
+)
+from singclass.errors import ConstraintError, SingclassError
+
+_NOT_INTS = [True, False, 2.0, 2.5, float("nan"), Fraction(2), Fraction(5, 2), "2", None, (2,)]
+
+
+class TestTheGate:
+    @pytest.mark.parametrize("bad", _NOT_INTS, ids=repr)
+    @pytest.mark.parametrize(
+        "call",
+        [
+            completed_cycle,
+            x_polynomial,
+            lambda v: rho(v, (2,)),
+            lambda v: shifted_power_sum((2, 1), v),
+            lambda v: verify_in_group_algebra((2,), (2,), multiply_central((2,), (2,)), v),
+            lambda v: make_profile([v]),
+            lambda v: make_partition([v]),
+            lambda v: multiply_central((v,), (2,)),
+            lambda v: rho(1, (v,)),
+            lambda v: central_character((v,), (3,)),
+            lambda v: evaluate(CycleExpr.identity(), (v,)),
+            lambda v: mn_character((2,), (v,)),
+            lambda v: point_coefficient_delta([v], (1,)),
+        ],
+    )
+    def test_anything_but_an_int_is_refused(self, call, bad):
+        with pytest.raises(ConstraintError, match="must be an integer"):
+            call(bad)
+
+    def test_the_truncated_answers_are_gone(self):
+        with pytest.raises(ConstraintError):
+            multiply_central((2.5,), (2,))  # was the {2}*{2} product
+        with pytest.raises(ConstraintError):
+            rho(1, (2.5,))  # was rho(1, (2,)) = 5/24
+        with pytest.raises(ConstraintError):
+            make_profile(["2"])  # was (2,)
+
+    def test_true_does_not_read_the_memo_of_one(self):
+        assert completed_cycle(1) == CycleExpr.from_terms([((2,), 1)])  # now memoised
+        with pytest.raises(ConstraintError):
+            completed_cycle(True)  # was the element for m = 1
+
+    def test_shifted_power_sum_takes_only_a_partition(self):
+        with pytest.raises(ConstraintError, match="positive"):
+            shifted_power_sum((2, -1), 1)  # was 3
+        assert shifted_power_sum((1, 2), 1) == shifted_power_sum((2, 1), 1)
+
+    @pytest.mark.parametrize("bad", [5, None, 2.5])
+    def test_a_non_sequence_is_refused(self, bad):
+        for call in (make_profile, make_partition, lambda v: multiply_central(v, (2,))):
+            with pytest.raises(ConstraintError, match="sequence"):
+                call(bad)
+
+    def test_evaluate_and_the_oracle_take_only_a_cycle_expr(self):
+        with pytest.raises(ConstraintError, match="CycleExpr"):
+            evaluate(cycles.x_polynomial(2), (2,))
+        with pytest.raises(ConstraintError, match="CycleExpr"):
+            verify_in_group_algebra((2,), (2,), "C[2,2]", 4)
+
+    def test_ints_still_pass(self):
+        assert make_profile([3, 1]) == (1, 3)
+        assert make_partition((1, 3)) == (3, 1)
+        assert x_polynomial(0).terms == (((1,), 1),)
+        assert rho(0, (1,)) == 1
+
+
+_SCALARS = st.one_of(
+    st.integers(min_value=-2, max_value=4),
+    st.booleans(),
+    st.floats(min_value=-2, max_value=4),
+    st.sampled_from([float("nan"), float("inf")]),
+    st.fractions(min_value=-2, max_value=4, max_denominator=3),
+    st.sampled_from(["", "2", "x", "{1,2}"]),
+    st.none(),
+)
+_VALUES = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=4).map(tuple), max_leaves=6)
+_ELEMENTS = st.lists(
+    st.tuples(st.lists(st.integers(1, 4), max_size=3), st.integers(-3, 3)), max_size=3
+).map(CycleExpr.from_terms)
+
+# name -> (callable, one strategy per argument)
+CALLS = {
+    "make_profile": (make_profile, (_VALUES,)),
+    "make_partition": (make_partition, (_VALUES,)),
+    "profiles_with_sum": (profiles_with_sum, (_VALUES, _VALUES)),
+    "character_dimension": (character_dimension, (_VALUES,)),
+    "mn_character": (mn_character, (_VALUES, _VALUES)),
+    "central_character": (central_character, (_VALUES, _VALUES)),
+    "shifted_power_sum": (shifted_power_sum, (_VALUES, _VALUES)),
+    "completed_cycle": (completed_cycle, (_VALUES,)),
+    "rho": (rho, (_VALUES, _VALUES)),
+    "x_polynomial": (x_polynomial, (_VALUES,)),
+    "point_coefficient_delta": (point_coefficient_delta, (_VALUES, _VALUES)),
+    "evaluate": (evaluate, (_ELEMENTS | _VALUES, _VALUES)),
+    "multiply_central": (multiply_central, (_VALUES, _VALUES)),
+    "verify_in_group_algebra": (
+        verify_in_group_algebra, (_VALUES, _VALUES, _ELEMENTS | _VALUES, _VALUES),
+    ),
+    "star": (trees.star, (_VALUES, _VALUES)),
+    "enumerate_trees": (trees.enumerate_trees, (_VALUES,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_every_argument_ends_in_a_result_or_a_singclass_error(name, data):
+    function, strategies = CALLS[name]
+    args = [data.draw(strategy, label=f"argument {i}") for i, strategy in enumerate(strategies)]
+    # small budgets: a product or an oracle check stays under 20 000 point steps
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cycles, "PRODUCT_STEP_BUDGET", 20_000)
+        mp.setattr(combinatorics, "CHARACTER_SIZE_BUDGET", 16)
+        try:
+            function(*args)
+        except SingclassError:
+            pass

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, prod
 
 import pytest
 
 from singclass.combinatorics import (
     CHARACTER_SIZE_BUDGET,
+    _mn,
     aut_count,
     central_character,
     character_dimension,
@@ -102,6 +104,71 @@ class TestMnCharacter:
                     for j in range(row)
                 )
                 assert character_dimension(lam) == factorial(n) // hooks
+
+
+@lru_cache(maxsize=None)
+def _full_tail_mn(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
+    """The Murnaghan-Nakayama recursion over the whole cycle type, ones
+    included, down to the empty shape: the route characters took before the
+    hook-length formula ended it."""
+    if not mu:
+        return 1
+    t = mu[0]
+    rest = mu[1:]
+    length = len(lam)
+    beta = [lam[i] + length - 1 - i for i in range(length)]
+    beta_set = set(beta)
+    total = 0
+    for b in beta:
+        b2 = b - t
+        if b2 < 0 or b2 in beta_set:
+            continue
+        height = sum(1 for x in beta if b2 < x < b)
+        new_beta = sorted((beta_set - {b}) | {b2}, reverse=True)
+        new_lam = tuple(
+            x - (length - 1 - i) for i, x in enumerate(new_beta) if x - (length - 1 - i) > 0
+        )
+        total += (-1) ** height * _full_tail_mn(new_lam, rest)
+    return total
+
+
+# the costliest dimension of 48 boxes that the full-tail recursion was sized on
+_WORST_48 = (13, 9, 6, 5, 4, 3, 2, 2, 1, 1, 1, 1)
+
+
+class TestCharactersWithoutTheOnesTail:
+    def test_every_dimension_up_to_s14_matches_the_full_tail_recursion(self):
+        for n in range(0, 15):
+            for lam in partitions_of(n):
+                assert character_dimension(lam) == _full_tail_mn(lam, (1,) * n), lam
+
+    def test_every_character_up_to_s12_matches_the_full_tail_recursion(self):
+        for n in range(0, 13):
+            for lam in partitions_of(n):
+                for mu in partitions_of(n):
+                    assert mn_character(lam, mu) == _full_tail_mn(lam, mu), (lam, mu)
+
+    def test_central_characters_match_the_full_tail_recursion(self):
+        for n in range(0, 10):
+            for lam in partitions_of(n):
+                for p in [p for total in range(1, n + 1) for p in profiles_with_sum(total)]:
+                    mu = tuple(sorted(p, reverse=True)) + (1,) * (n - sum(p))
+                    want = Fraction(
+                        factorial(n) // factorial(n - sum(p)) * _full_tail_mn(lam, mu),
+                        prod(p) * _full_tail_mn(lam, (1,) * n),
+                    )
+                    assert central_character(p, lam) == want, (p, lam)
+
+    def test_the_worst_48_box_dimension_adds_no_memo_entries(self):
+        before = _mn.cache_info().currsize
+        assert character_dimension(_WORST_48) == 64322758460211876073912320000
+        assert _mn.cache_info().currsize == before
+
+    def test_the_ones_of_a_cycle_type_take_no_recursion(self):
+        # chi at 1^48 is the one memo entry (lam, ()): the dimension itself
+        before = _mn.cache_info().currsize
+        assert mn_character(_WORST_48, (1,) * 48) == character_dimension(_WORST_48)
+        assert _mn.cache_info().currsize <= before + 1
 
 
 class TestCentralCharacter:

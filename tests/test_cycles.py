@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, prod
 
 import pytest
@@ -31,7 +32,7 @@ from singclass.cycles import (
     x_polynomial,
 )
 from singclass.errors import ConstraintError
-from singclass.exact import PowerSeries
+from singclass.exact import PowerSeries, s_series, series_scale_arg
 from singclass.grammar import parse_cycles
 from singclass.verification import genus0_equality_check
 
@@ -196,6 +197,39 @@ class TestCharacterKernel:
     )
     def test_rho_matches_an_unmemoised_series(self, g, p):
         assert rho(g, p) == _rho_reference(g, p)
+
+
+@lru_cache(maxsize=None)
+def _s_power(order: int, e: int) -> PowerSeries:
+    return s_series(order).pow(e)
+
+
+def _rho_from_series(g: int, p: tuple[int, ...]) -> Fraction:
+    """rho(g, p) by series products: S(z)^(K-1) prod S(k_i z), truncated at z^2g."""
+    order = max(2 * g, 1)
+    series = _s_power(order, sum(p) - 1)
+    for k in p:
+        series = series * series_scale_arg(s_series(order), k)
+    return Fraction(prod(p), factorial(sum(p))) * series.coefficient(2 * g)
+
+
+class TestAgainstTheSeriesRoute:
+    """rho runs the exponential recursion over integers; the series products it
+    replaced stay here as the reference, and the completed cycles built from it
+    must still evaluate to shifted power sums."""
+
+    def test_rho_equals_the_series_products(self):
+        for g in range(0, 7):
+            for total in range(1, 13):
+                for p in profiles_with_sum(total):
+                    assert rho(g, p) == _rho_from_series(g, p), (g, p)
+
+    def test_completed_cycles_evaluate_to_shifted_power_sums(self):
+        for m in range(0, 11):
+            element = completed_cycle(m)
+            for n in range(0, 13):
+                for lam in partitions_of(n):
+                    assert evaluate(element, lam) == shifted_power_sum(lam, m), (m, lam)
 
 
 class TestMultiplyCentral:

@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 from singclass.classes import ClassExpr
-from singclass.cycles import CycleExpr, XPolynomial, _ProfileTerms
+from singclass.cycles import CycleExpr, XPolynomial, _ProfileTerms, evaluate
 from singclass.exact import PowerSeries
 from singclass.grammar import _Style
 from singclass.local_models import (
@@ -164,6 +164,21 @@ def test_copy_and_pickle_keep_the_value(cls, names, values, text):
     assert copy.copy(record) == record
     assert copy.deepcopy(record) == record
     assert pickle.loads(pickle.dumps(record)) == record
+
+
+def test_a_cycle_expr_keeps_no_trace_of_evaluate():
+    # evaluate stores an integer row in a private slot; it is no field
+    terms = (((1, 2), _F(-1, 4)), ((3,), _F(2, 3)))
+    evaluated, fresh = CycleExpr(terms), CycleExpr(terms)
+    assert evaluate(evaluated, (3, 1)) == evaluate(CycleExpr(terms), (3, 1))
+    assert hasattr(evaluated, "_row") and not hasattr(fresh, "_row")
+    assert evaluated == fresh and hash(evaluated) == hash(fresh)
+    assert repr(evaluated) == repr(fresh)
+    assert pickle.dumps(evaluated) == pickle.dumps(fresh)
+    for twin in (copy.copy(evaluated), copy.deepcopy(evaluated), pickle.loads(pickle.dumps(evaluated))):
+        assert twin == fresh and not hasattr(twin, "_row")
+    with pytest.raises(AttributeError):
+        evaluated._row = None
 
 
 def test_defaults():

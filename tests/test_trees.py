@@ -318,6 +318,25 @@ class TestMalformedInput:
             assert isinstance(out, MarkedTree)
         assert [encoding(stick(m)) for m in range(4)] == ["0", "1", "2", "3"]
 
+    def test_star_refuses_leaf_markings_that_are_no_sequence(self):
+        with pytest.raises(TreeStructureError, match="leaf markings"):
+            star(0, 5)
+        with pytest.raises(TreeStructureError):
+            star(0, [0, 0.5])
+
+    def test_graft_refuses_replacements_that_are_no_sequence(self):
+        with pytest.raises(TreeStructureError, match="replacements"):
+            graft(star(0, [0, 0]), 5)
+        with pytest.raises(TreeStructureError):
+            graft((0, [0, 0]), [stick(0), stick(0)])
+        with pytest.raises(TreeStructureError):
+            graft(star(0, [0, 0]), [stick(0), 5])
+
+    @pytest.mark.parametrize("bad", [2.5, True, "3", None, (3,)])
+    def test_enumerate_trees_takes_only_an_int(self, bad):
+        with pytest.raises(ConstraintError, match="max_codim must be an integer"):
+            enumerate_trees(bad)
+
 
 class TestGraft:
     def test_sticks_graft_as_leaf_relabeling(self):
