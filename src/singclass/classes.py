@@ -20,7 +20,7 @@ from math import factorial, lcm, prod
 from operator import itemgetter
 
 from .combinatorics import Profile, aut_count, make_profile, profiles_with_sum
-from .errors import ConstraintError, Record
+from .errors import ConstraintError, Record, _exact, _integer
 from .trees import MarkedTree, encoding, graft, star, stick, tree
 
 SINGULARITY = "singularity"
@@ -73,8 +73,7 @@ class ClassExpr(Record):
         Coefficients must be ints or Fractions."""
         _check_basis(basis)
         pairs = list(pairs)
-        if not _EXACT.issuperset(map(type, map(itemgetter(1), pairs))):
-            raise ConstraintError("class coefficients must be int or Fraction")
+        _exact(map(itemgetter(1), pairs), "class coefficients")
         acc: dict[MarkedTree, Fraction] = {}
         for t, c in pairs:
             acc[t] = acc[t] + c if t in acc else c
@@ -128,8 +127,7 @@ class ClassExpr(Record):
         return self + other.scale(-1)
 
     def scale(self, c: Fraction | int) -> "ClassExpr":
-        if type(c) not in _EXACT:
-            raise ConstraintError("class coefficients must be int or Fraction")
+        _exact((c,), "class coefficients")
         c = Fraction(c)
         if c == 0:
             return ClassExpr.zero(self.basis)
@@ -157,9 +155,6 @@ class ClassExpr(Record):
             self.degree + 1,
             ((tree(t.marking + 1, t.children), c) for t, c in self.terms),
         )
-
-
-_EXACT = frozenset((int, Fraction))  # coefficient types; bool, float and the rest are refused
 
 
 def _finish(basis: str, degree: int | None, items) -> ClassExpr:
@@ -224,24 +219,32 @@ def _correction_part(m: int) -> ClassExpr:
     )
 
 
-@lru_cache(maxsize=None)
 def product_expansion(m: int) -> ClassExpr:
-    """Expansion of prod_{r=1}^m (r psi - xi) as a_m plus tree terms."""
-    if m < 1:
+    """Expansion of prod_{r=1}^m (r psi - xi) as a_m plus tree terms.  Memoised per m."""
+    if _integer(m, "m") < 1:
         raise ConstraintError("m must be >= 1")
+    return _product_expansion(m)
+
+
+@lru_cache(maxsize=None)
+def _product_expansion(m: int) -> ClassExpr:
     return ClassExpr.single(SINGULARITY, stick(m)) + _correction_part(m)
 
 
-@lru_cache(maxsize=None)
 def psi_decomposition(m: int) -> tuple[Fraction, ...]:
     """Coefficients c_{m,0..m} with psi^m = sum_j c_{m,j} xi^{m-j} prod_{r=1}^j (r psi - xi).
 
     Comparing psi^t coefficients gives a triangular system: the j-th product
     has degree j in psi with leading coefficient j!, so c_{m,m} = 1/m! and
-    each lower c_{m,t} follows from the ones above it.
+    each lower c_{m,t} follows from the ones above it.  Memoised per m.
     """
-    if m < 0:
+    if _integer(m, "m") < 0:
         raise ConstraintError("m must be nonnegative")
+    return _psi_decomposition(m)
+
+
+@lru_cache(maxsize=None)
+def _psi_decomposition(m: int) -> tuple[Fraction, ...]:
     # products[j][t] = coefficient of psi^t (with xi^(j-t) implied) in prod_{r<=j}(r psi - xi)
     products: list[list[Fraction]] = [[Fraction(1)]]
     for j in range(1, m + 1):
@@ -258,11 +261,16 @@ def psi_decomposition(m: int) -> tuple[Fraction, ...]:
     return tuple(coeffs)
 
 
-@lru_cache(maxsize=None)
 def psi_power_sing(m: int) -> ClassExpr:
-    """psi^m expanded in the singularity basis; homogeneous of codimension m."""
-    if m < 0:
+    """psi^m expanded in the singularity basis; homogeneous of codimension m.
+    Memoised per m."""
+    if _integer(m, "m") < 0:
         raise ConstraintError("m must be nonnegative")
+    return _psi_power_sing(m)
+
+
+@lru_cache(maxsize=None)
+def _psi_power_sing(m: int) -> ClassExpr:
     pieces = [ClassExpr.unit(SINGULARITY)] + [product_expansion(j) for j in range(1, m + 1)]
     return _combination(m, zip(psi_decomposition(m), map(_ints, pieces)))
 
@@ -389,7 +397,7 @@ def point_coefficient_psi(m: int, p: Profile, raw: bool = False) -> Fraction:
     p = make_profile(p)
     if not p:
         raise ConstraintError("profile must be nonempty")
-    if m + 2 != len(p) + sum(p):
+    if _integer(m, "m") + 2 != len(p) + sum(p):
         raise ConstraintError(
             f"need m + 2 = l + sum(profile); got m={m}, profile={p}"
         )

@@ -8,6 +8,12 @@ the traceback).  The environment variable SINGCLASS_MAX_CODIM (default 8) caps
 the expansion depth of class-producing commands, of coeff and of verify --max-m;
 char over 48 boxes and multiply-cycles over 2 400 000 point steps (a cycle tuple
 or composition on N points is N steps) exit 3 as well.
+
+Each call is a fresh process, and with no bytecode cache every module it
+imports is compiled from source.  So the module top imports only grammar (and
+through it the class side's basis names), and each verb's handler imports the
+engine module it runs: only verify loads verification, only local-model loads
+local_models and exact, and the class verbs and char load no cycles.
 """
 
 from __future__ import annotations
@@ -18,9 +24,8 @@ import json
 import os
 import sys
 
-from . import classes, cycles, grammar, local_models, verification
+from . import grammar
 from .classes import BASIC, SINGULARITY
-from .combinatorics import mn_character
 from .errors import ConstraintError, ParseError, SingclassError
 
 EXIT_OK = 0
@@ -30,6 +35,10 @@ EXIT_CONSTRAINT = 3
 EXIT_INTERNAL = 4
 
 _FORMATS = ("text", "json", "latex")
+
+# the names of verification.SUITES, sorted; a literal, so that parsing the
+# arguments loads no verification module
+_SUITES = ("appendix", "cycles", "equality", "ko", "roundtrip")
 
 
 def _codim_cap() -> int:
@@ -121,25 +130,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("poles", help="comma-separated pole locations, one per branch")
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=sorted(verification.SUITES))
+    p.add_argument("suite", choices=_SUITES)
     p.add_argument("--max-m", type=int, default=None)
 
     return parser
 
 
 def _cmd_product(args) -> int:
+    from . import classes
+
     _check_depth(args.m)
     _print_expr("class", classes.product_expansion(args.m), args.format)
     return EXIT_OK
 
 
 def _cmd_psi(args) -> int:
+    from . import classes
+
     _check_depth(args.m)
     _print_expr("class", classes.psi_power_sing(args.m), args.format)
     return EXIT_OK
 
 
 def _cmd_convert(args, target: str) -> int:
+    from . import classes
+
     expr = grammar.parse_class(args.expression, default_basis=target)
     if expr.degree is not None:
         _check_depth(expr.degree)
@@ -152,6 +167,8 @@ def _cmd_convert(args, target: str) -> int:
 
 
 def _cmd_completed_cycle(args) -> int:
+    from . import cycles
+
     _check_depth(args.m)
     element = cycles.completed_cycle(args.m)
     if args.genus0:
@@ -161,12 +178,16 @@ def _cmd_completed_cycle(args) -> int:
 
 
 def _cmd_x_poly(args) -> int:
+    from . import cycles
+
     _check_depth(args.m)
     _print_expr("xpoly", cycles.x_polynomial(args.m, normalized=not args.raw), args.format)
     return EXIT_OK
 
 
 def _cmd_multiply_cycles(args) -> int:
+    from . import cycles
+
     p1 = grammar.parse_profile(args.p1)
     p2 = grammar.parse_profile(args.p2)
     product = cycles.multiply_central(p1, p2)
@@ -179,6 +200,8 @@ def _cmd_multiply_cycles(args) -> int:
 
 
 def _cmd_char(args) -> int:
+    from .combinatorics import mn_character
+
     lam = grammar.parse_partition(args.partition)
     mu = grammar.parse_partition(args.cycle_type)
     _print_value(mn_character(lam, mu), args.format)
@@ -189,6 +212,8 @@ def _cmd_coeff(args) -> int:
     if args.which == "psi":
         if len(args.args) != 2:
             raise ConstraintError("coeff psi expects: M PROFILE")
+        from . import classes
+
         try:
             m = int(args.args[0])
         except ValueError:
@@ -199,6 +224,8 @@ def _cmd_coeff(args) -> int:
     else:
         if len(args.args) != 2:
             raise ConstraintError("coeff delta expects: MS PROFILE")
+        from . import cycles
+
         ms = grammar.parse_exponents(args.args[0])
         _check_depth(2 * len(ms) + sum(ms) - 2)  # the codim of psi^(s-2) d[ms], as M of psi^M
         profile = grammar.parse_profile(args.args[1])
@@ -208,6 +235,8 @@ def _cmd_coeff(args) -> int:
 
 
 def _cmd_local_model(args) -> int:
+    from . import local_models
+
     orders = grammar.parse_orders(args.profile)
     x = grammar.parse_rational_value(args.x, "x value")
     poles = grammar.parse_rational_list(args.poles, "pole list")
@@ -250,6 +279,8 @@ def _cmd_local_model(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verification
+
     if args.max_m is not None:
         _check_depth(args.max_m)
     results = verification.run_suite(args.suite, args.max_m)

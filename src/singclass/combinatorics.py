@@ -1,4 +1,5 @@
-"""Partitions, multiset profiles, and symmetric-group characters.
+"""Partitions, multiset profiles, symmetric-group characters, and the value
+types keyed by profiles: CycleExpr and XPolynomial.
 
 Profiles are multisets of positive integers stored as ascending tuples;
 partitions are weakly decreasing tuples; every part is exactly an int.
@@ -11,12 +12,14 @@ keyed on the partition and the parts above 1 of the cycle type.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import factorial, perm, prod
+from operator import itemgetter
 
-from .errors import ConstraintError, _integer
+from .errors import ConstraintError, Record, _exact, _integer
 
 Profile = tuple[int, ...]
 Partition = tuple[int, ...]
@@ -34,6 +37,9 @@ __all__ = [
     "character_dimension",
     "central_character",
     "shifted_power_sum",
+    "profile_order",
+    "CycleExpr",
+    "XPolynomial",
 ]
 
 
@@ -207,3 +213,87 @@ def shifted_power_sum(lam: Partition, m: int) -> Fraction:
         (2 * row - 2 * i + 1) ** e - (1 - 2 * i) ** e for i, row in enumerate(lam, start=1)
     )
     return Fraction(total, 2**e * factorial(e))
+
+
+# ---------------------------------------------------------------------------
+# profile-keyed value types; the algorithms on them live in cycles
+
+def profile_order(p: Profile) -> int:
+    """Order of a stable central element: number of cycles plus their total length."""
+    return len(p) + sum(p)
+
+
+class _ProfileTerms(Record):
+    """Profile -> nonzero rational map, sorted by descending order, then length."""
+
+    __slots__ = _fields = ("terms",)
+
+    def __init__(self, terms: tuple[tuple[Profile, Fraction], ...]):
+        object.__setattr__(self, "terms", terms)
+
+    @classmethod
+    def from_terms(cls, pairs: Iterable[tuple[Profile, Fraction]]):
+        """The sum of the pairs, each profile made canonical by make_profile:
+        repeated profiles add up, and zero coefficients are dropped.
+        Coefficients must be ints or Fractions."""
+        pairs = list(pairs)
+        _exact(map(itemgetter(1), pairs), "cycle coefficients")
+        acc: dict[Profile, Fraction] = {}
+        for p, c in pairs:
+            p = make_profile(p)
+            acc[p] = acc.get(p, 0) + c
+        items = [(p, Fraction(c)) for p, c in acc.items() if c != 0]
+        items.sort(key=lambda item: (-profile_order(item[0]), len(item[0]), item[0]))
+        return cls(tuple(items))
+
+    def coefficient(self, p: Profile) -> Fraction:
+        p = make_profile(p)
+        for p2, c in self.terms:
+            if p2 == p:
+                return c
+        return Fraction(0)
+
+
+class CycleExpr(_ProfileTerms):
+    """Finite rational combination of stable central elements.
+
+    Products of central elements are not monomial products; they go through
+    ``cycles.multiply_central``.  The slot ``_row`` caches ``cycles.evaluate``'s
+    integer row; it is no field, so equality, hash, repr and pickle ignore it."""
+
+    __slots__ = ("_row",)
+
+    @staticmethod
+    def zero() -> "CycleExpr":
+        return CycleExpr(())
+
+    @staticmethod
+    def identity() -> "CycleExpr":
+        return CycleExpr((((), Fraction(1)),))
+
+    def profiles(self) -> list[Profile]:
+        return [p for p, _ in self.terms]
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other: "CycleExpr") -> "CycleExpr":
+        return CycleExpr.from_terms(self.terms + other.terms)
+
+    def scale(self, c: Fraction | int) -> "CycleExpr":
+        _exact((c,), "cycle coefficients")
+        c = Fraction(c)
+        return CycleExpr.from_terms((p, a * c) for p, a in self.terms)
+
+
+class XPolynomial(_ProfileTerms):
+    """Polynomial in the variables x_k, one monomial per multiset of indices."""
+
+    __slots__ = ()
+
+    def __mul__(self, other: "XPolynomial") -> "XPolynomial":
+        return XPolynomial.from_terms(
+            (p1 + p2, c1 * c2)
+            for p1, c1 in self.terms
+            for p2, c2 in other.terms
+        )

@@ -18,109 +18,33 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm, perm, prod
 
-from .combinatorics import (
+from .combinatorics import (  # the value types are defined beside the profiles
+    CycleExpr,
     Partition,
     Profile,
+    XPolynomial,
     _character_partition,
     _dimension,
     _ints,
     _mn,
+    _ProfileTerms,
     aut_count,
     make_profile,
+    profile_order,
     profiles_with_sum_and_length,
 )
-from .errors import ConstraintError, Record, _integer
+from .errors import ConstraintError, _integer
 
 __all__ = [
-    "CycleExpr",
-    "XPolynomial",
     "x_polynomial",
     "rho",
     "completed_cycle",
     "genus0_part",
     "evaluate",
-    "profile_order",
     "multiply_central",
     "verify_in_group_algebra",
     "point_coefficient_delta",
 ]
-
-
-def profile_order(p: Profile) -> int:
-    """Order of a stable central element: number of cycles plus their total length."""
-    return len(p) + sum(p)
-
-
-class _ProfileTerms(Record):
-    """Profile -> nonzero rational map, sorted by descending order, then length."""
-
-    __slots__ = _fields = ("terms",)
-
-    def __init__(self, terms: tuple[tuple[Profile, Fraction], ...]):
-        object.__setattr__(self, "terms", terms)
-
-    @classmethod
-    def from_terms(cls, pairs: Iterable[tuple[Profile, Fraction]]):
-        """The sum of the pairs, each profile made canonical by make_profile:
-        repeated profiles add up, and zero coefficients are dropped."""
-        acc: dict[Profile, Fraction] = {}
-        for p, c in pairs:
-            p = make_profile(p)
-            acc[p] = acc.get(p, 0) + c
-        items = [(p, Fraction(c)) for p, c in acc.items() if c != 0]
-        items.sort(key=lambda item: (-profile_order(item[0]), len(item[0]), item[0]))
-        return cls(tuple(items))
-
-    def coefficient(self, p: Profile) -> Fraction:
-        p = make_profile(p)
-        for p2, c in self.terms:
-            if p2 == p:
-                return c
-        return Fraction(0)
-
-
-class CycleExpr(_ProfileTerms):
-    """Finite rational combination of stable central elements.
-
-    Products of central elements are not monomial products; they go through
-    :func:`multiply_central`.  The slot ``_row`` caches :func:`evaluate`'s
-    integer row; it is no field, so equality, hash, repr and pickle ignore it."""
-
-    __slots__ = ("_row",)
-
-    @staticmethod
-    def zero() -> "CycleExpr":
-        return CycleExpr(())
-
-    @staticmethod
-    def identity() -> "CycleExpr":
-        return CycleExpr((((), Fraction(1)),))
-
-    def profiles(self) -> list[Profile]:
-        return [p for p, _ in self.terms]
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "CycleExpr") -> "CycleExpr":
-        return CycleExpr.from_terms(self.terms + other.terms)
-
-    def scale(self, c: Fraction | int) -> "CycleExpr":
-        c = Fraction(c)
-        return CycleExpr.from_terms((p, a * c) for p, a in self.terms)
-
-
-class XPolynomial(_ProfileTerms):
-    """Polynomial in the variables x_k, one monomial per multiset of indices."""
-
-    __slots__ = ()
-
-    def __mul__(self, other: "XPolynomial") -> "XPolynomial":
-        return XPolynomial.from_terms(
-            (p1 + p2, c1 * c2)
-            for p1, c1 in self.terms
-            for p2, c2 in other.terms
-        )
 
 
 def x_polynomial(m: int, normalized: bool = True) -> XPolynomial:

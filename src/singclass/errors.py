@@ -1,11 +1,13 @@
-"""Exception hierarchy, the immutable record base and the integer argument
-gate shared by all singclass modules.
+"""Exception hierarchy, the immutable record base and the argument gates
+(integers, exact coefficients) shared by all singclass modules.
 
 They live in this leaf module because every other module imports it already:
 none of them adds a module to the import graph.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 
 class Record:
@@ -86,3 +88,13 @@ def _integer(value, what: str) -> int:
     if type(value) is int:
         return value
     raise ConstraintError(f"{what} must be an integer, not {value!r}")
+
+
+_EXACT = frozenset((int, Fraction))  # coefficient types; bool, float, str and the rest are refused
+
+
+def _exact(values, what: str) -> None:
+    """Nothing if every value is exactly an int or a Fraction; else
+    ConstraintError, saying that what must be int or Fraction."""
+    if not _EXACT.issuperset(map(type, values)):
+        raise ConstraintError(f"{what} must be int or Fraction")

@@ -17,10 +17,8 @@ from functools import partial
 from json.encoder import encode_basestring_ascii as _json_str
 
 from .classes import BASIC, SINGULARITY, ClassExpr
-from .combinatorics import Partition, Profile, make_partition, make_profile
-from .cycles import CycleExpr, XPolynomial
+from .combinatorics import CycleExpr, Partition, Profile, XPolynomial, make_partition, make_profile
 from .errors import ConstraintError, ParseError, Record
-from .local_models import Polynomial, RationalFunction
 from .trees import MarkedTree, encoding, star, stick, tree
 
 __all__ = [
@@ -539,7 +537,8 @@ def xpoly_to_json(x: XPolynomial) -> str:
 
 
 # ---------------------------------------------------------------------------
-# polynomials and rational functions in z (text only)
+# polynomials and rational functions in z (text only): local_models' types,
+# named in the annotations but not imported, since only their fields are read
 
 def format_polynomial(poly: Polynomial) -> str:
     """Low-to-high text form: 'c_0 + c_1*z + ...' with zero terms omitted."""

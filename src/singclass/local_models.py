@@ -11,8 +11,8 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import lcm, prod
 
-from .combinatorics import Profile
-from .errors import ConstraintError, Record, SingclassError
+from .combinatorics import Profile, _ints
+from .errors import ConstraintError, Record, SingclassError, _exact
 from .exact import PowerSeries
 
 __all__ = [
@@ -257,10 +257,29 @@ class ProfileConstants(Record):
         object.__setattr__(self, "components", components)
 
 
+def _orders(p: Sequence[int]) -> list[int]:
+    """The orders as a nonempty list of positive ints; else ConstraintError."""
+    orders = _ints(p, "an order")
+    if not orders:
+        raise ConstraintError("profile must be nonempty")
+    if any(k < 1 for k in orders):
+        raise ConstraintError("orders must be positive")
+    return orders
+
+
+def _points(values: Sequence[Fraction | int], what: str) -> list[Fraction]:
+    """The values as Fractions, each an int or a Fraction; else ConstraintError."""
+    try:
+        values = list(values)
+    except TypeError:
+        raise ConstraintError(f"{what} must come as a sequence, not {values!r}") from None
+    _exact(values, what)
+    return [Fraction(v) for v in values]
+
+
 def profile_constants(p: Profile) -> ProfileConstants:
     """K = lcm of the orders, r_i = K/k_i, and d = prod k_i / K components."""
-    if not p:
-        raise ConstraintError("profile must be nonempty")
+    p = _orders(p)
     big = lcm(*p)
     d, rem = divmod(prod(p), big)
     if rem:
@@ -271,6 +290,7 @@ def profile_constants(p: Profile) -> ProfileConstants:
 def orbit_count(p: Profile) -> int:
     """Orbits of the cyclic group of order lcm(p) acting on the product of
     cyclic groups of orders k_i, the generator adding (lcm/k_i) in slot i."""
+    p = _orders(p)
     constants = profile_constants(p)
     seen: set[tuple[int, ...]] = set()
     count = 0
@@ -296,13 +316,14 @@ def orbit_count(p: Profile) -> int:
 ORDER_SUM_BUDGET = 64
 
 
-def _check_orders(orders: Sequence[int]):
-    if not orders or any(k < 1 for k in orders):
-        raise ConstraintError("orders must be positive")
+def _budgeted_orders(p: Sequence[int]) -> list[int]:
+    """_orders(p), refusing an order sum over ORDER_SUM_BUDGET."""
+    orders = _orders(p)
     if sum(orders) > ORDER_SUM_BUDGET:
         raise ConstraintError(
             f"order sum {sum(orders)} is over the budget of {ORDER_SUM_BUDGET}"
         )
+    return orders
 
 
 def canonical_function(
@@ -311,12 +332,11 @@ def canonical_function(
     """(z-x)^m / prod (z-z_i)^{k_i} with m = sum k_i: the unique function (up
     to cf+b) with the prescribed poles whose first m-1 derivatives vanish at x.
     An order sum over ORDER_SUM_BUDGET raises ConstraintError."""
-    orders = [int(k) for k in p]
-    _check_orders(orders)
-    points = [Fraction(z) for z in poles]
+    orders = _budgeted_orders(p)
+    points = _points(poles, "poles")
     if len(points) != len(orders):
         raise ConstraintError("need exactly one pole per branch")
-    x = Fraction(x)
+    (x,) = _points((x,), "the point x")
     if len(set(points)) != len(points) or x in points:
         raise ConstraintError("poles must be pairwise distinct and different from x")
     m = sum(orders)
@@ -385,9 +405,10 @@ def hurwitz_coordinates(
     reproduces the input exactly.  An order sum over ORDER_SUM_BUDGET raises
     ConstraintError.
     """
-    orders = [int(k) for k in p]
-    _check_orders(orders)
-    points = [Fraction(z) for z in poles]
+    if not isinstance(f, RationalFunction):
+        raise ConstraintError(f"hurwitz_coordinates needs a RationalFunction, not {f!r}")
+    orders = _budgeted_orders(p)
+    points = _points(poles, "poles")
     if len(points) != len(orders) or len(set(points)) != len(points):
         raise ConstraintError("need pairwise distinct poles, one per branch")
     pairs = list(zip(points, orders))

@@ -1,10 +1,11 @@
-"""The integer argument gate of the cycle side and the tree enumeration.
+"""The argument gates of the public API: integers and exact coefficients.
 
-Every count (m, g, n, a profile part, a partition row) must be exactly an
-``int``: a bool, a float, a Fraction, a string or None raises
+Every count (m, g, n, a profile part, a partition row, a pole order) must be
+exactly an ``int``: a bool, a float, a Fraction, a string or None raises
 ``ConstraintError``.  Before the gate, ``int()`` truncated floats into a
-silently wrong answer and ``True`` hashed like ``1`` into the memo of
-``completed_cycle``.  The fuzz test calls each entry point with such values
+silently wrong answer, and ``True`` hashed like ``1`` into the memos of
+``completed_cycle`` and ``psi_power_sing``.  Coefficients, points and poles
+must be exactly an ``int`` or a ``Fraction``, as ``ClassExpr`` already asks.  The fuzz test calls each entry point with such values
 and accepts only a result or a ``SingclassError``; ``TestArgvFuzz`` in
 ``test_cli.py`` does the same for the CLI.
 """
@@ -17,7 +18,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singclass import combinatorics, cycles, trees
+from singclass import combinatorics, cycles, local_models, trees
+from singclass.classes import (
+    point_coefficient_psi,
+    product_expansion,
+    psi_decomposition,
+    psi_power_sing,
+)
 from singclass.combinatorics import (
     central_character,
     character_dimension,
@@ -37,7 +44,9 @@ from singclass.cycles import (
     verify_in_group_algebra,
     x_polynomial,
 )
+from singclass.combinatorics import XPolynomial
 from singclass.errors import ConstraintError, SingclassError
+from singclass.local_models import canonical_function, hurwitz_coordinates, profile_constants
 
 _NOT_INTS = [True, False, 2.0, 2.5, float("nan"), Fraction(2), Fraction(5, 2), "2", None, (2,)]
 
@@ -60,6 +69,14 @@ class TestTheGate:
             lambda v: evaluate(CycleExpr.identity(), (v,)),
             lambda v: mn_character((2,), (v,)),
             lambda v: point_coefficient_delta([v], (1,)),
+            product_expansion,
+            psi_power_sing,
+            psi_decomposition,
+            lambda v: point_coefficient_psi(v, (1,)),
+            lambda v: profile_constants((v, 2)),
+            lambda v: local_models.orbit_count((2, v)),
+            lambda v: canonical_function((v,), 0, (1,)),
+            lambda v: hurwitz_coordinates(canonical_function((2,), 0, (1,)), (v,), (1,)),
         ],
     )
     def test_anything_but_an_int_is_refused(self, call, bad):
@@ -78,6 +95,17 @@ class TestTheGate:
         assert completed_cycle(1) == CycleExpr.from_terms([((2,), 1)])  # now memoised
         with pytest.raises(ConstraintError):
             completed_cycle(True)  # was the element for m = 1
+        assert psi_power_sing(1).degree == 1
+        with pytest.raises(ConstraintError):
+            psi_power_sing(True)  # was a ClassExpr of degree True
+
+    def test_the_class_side_type_errors_are_gone(self):
+        with pytest.raises(ConstraintError):
+            psi_power_sing(2.0)  # was a TypeError
+        with pytest.raises(ConstraintError):
+            product_expansion("3")  # was a TypeError from a comparison
+        with pytest.raises(ConstraintError):
+            profile_constants((2.5, 1))  # was a TypeError from lcm
 
     def test_shifted_power_sum_takes_only_a_partition(self):
         with pytest.raises(ConstraintError, match="positive"):
@@ -96,11 +124,46 @@ class TestTheGate:
         with pytest.raises(ConstraintError, match="CycleExpr"):
             verify_in_group_algebra((2,), (2,), "C[2,2]", 4)
 
+    def test_points_and_poles_are_exact(self):
+        with pytest.raises(ConstraintError, match="int or Fraction"):
+            canonical_function((1,), 0.5, (1,))
+        with pytest.raises(ConstraintError, match="int or Fraction"):
+            canonical_function((1,), 0, ("1/2",))
+        with pytest.raises(ConstraintError, match="RationalFunction"):
+            hurwitz_coordinates("1/z", (1,), (0,))
+
     def test_ints_still_pass(self):
         assert make_profile([3, 1]) == (1, 3)
         assert make_partition((1, 3)) == (3, 1)
         assert x_polynomial(0).terms == (((1,), 1),)
         assert rho(0, (1,)) == 1
+        assert psi_decomposition(1) == (1, 1)  # psi = xi + (psi - xi)
+        assert profile_constants((2, 3)).lcm == 6
+
+
+class TestExactCoefficients:
+    """Cycle expressions and x-polynomials, like ClassExpr, hold only ints and
+    Fractions: a float once stored its binary value, and a string raised a bare
+    TypeError."""
+
+    @pytest.mark.parametrize("c", [0.1, 0.5, True, False, "1/2", None, 1 + 0j])
+    @pytest.mark.parametrize("cls", [CycleExpr, XPolynomial], ids=lambda c: c.__name__)
+    def test_from_terms_takes_only_exact_coefficients(self, cls, c):
+        with pytest.raises(ConstraintError, match="must be int or Fraction"):
+            cls.from_terms([((2,), c)])
+        # also beside an exact coefficient of the same profile
+        with pytest.raises(ConstraintError, match="must be int or Fraction"):
+            cls.from_terms([((2,), Fraction(1, 3)), ((2,), c)])
+
+    @pytest.mark.parametrize("c", [0.1, True, "1/2", None])
+    def test_scale_takes_only_exact_coefficients(self, c):
+        with pytest.raises(ConstraintError, match="must be int or Fraction"):
+            completed_cycle(1).scale(c)
+
+    def test_exact_coefficients_stay_exact(self):
+        e = CycleExpr.from_terms([((2,), Fraction(1, 10)), ((1,), 3)])
+        assert e.terms == (((2,), Fraction(1, 10)), ((1,), Fraction(3)))
+        assert e.scale(2) == CycleExpr.from_terms([((2,), Fraction(1, 5)), ((1,), 6)])
 
 
 _SCALARS = st.one_of(
@@ -116,6 +179,12 @@ _VALUES = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=4).map(t
 _ELEMENTS = st.lists(
     st.tuples(st.lists(st.integers(1, 4), max_size=3), st.integers(-3, 3)), max_size=3
 ).map(CycleExpr.from_terms)
+
+_FUNCTIONS = st.sampled_from([
+    canonical_function((1,), 0, (1,)),
+    canonical_function((1, 2), 0, (1, 3)),
+    canonical_function((2,), Fraction(1, 2), (-1,)),
+])
 
 # name -> (callable, one strategy per argument)
 CALLS = {
@@ -135,6 +204,13 @@ CALLS = {
     "verify_in_group_algebra": (
         verify_in_group_algebra, (_VALUES, _VALUES, _ELEMENTS | _VALUES, _VALUES),
     ),
+    "product_expansion": (product_expansion, (_VALUES,)),
+    "psi_power_sing": (psi_power_sing, (_VALUES,)),
+    "psi_decomposition": (psi_decomposition, (_VALUES,)),
+    "point_coefficient_psi": (point_coefficient_psi, (_VALUES, _VALUES)),
+    "profile_constants": (profile_constants, (_VALUES,)),
+    "canonical_function": (canonical_function, (_VALUES, _VALUES, _VALUES)),
+    "hurwitz_coordinates": (hurwitz_coordinates, (_FUNCTIONS | _VALUES, _VALUES, _VALUES)),
     "star": (trees.star, (_VALUES, _VALUES)),
     "enumerate_trees": (trees.enumerate_trees, (_VALUES,)),
 }

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singclass import cli
+from singclass import classes, cli
 from singclass.cli import main
 
 
@@ -393,7 +393,7 @@ class TestInternalErrors:
         def broken(m):
             raise KeyError("boom")
 
-        monkeypatch.setattr(cli.classes, "product_expansion", broken)
+        monkeypatch.setattr(classes, "product_expansion", broken)  # the handler imports it per call
         code, out, err = run(capsys, "product", "2")
         assert (code, out) == (4, "")
         assert err.startswith("internal error: KeyError: 'boom'\nTraceback (most recent call last):\n")

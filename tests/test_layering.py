@@ -3,8 +3,12 @@
 The class side (trees, classes) and the cycle side (cycles) rest on a shared
 bottom layer and never import each other; grammar renders and parses both,
 verification is the only other module that uses both, and cli is on top.
-Every import sits in a module's import block, so that block says what the
-module depends on.
+Every import of a library module sits in its import block, so that block
+says what the module depends on.  Only the two entry points defer imports,
+so that a CLI call loads just what its verb runs: each of cli's verb handlers
+imports its engine module, and the package root imports the home module of a
+public name on first access.  A library module that deferred an import would
+pay for it inside every timed call.
 """
 
 from __future__ import annotations
@@ -38,8 +42,26 @@ ALLOWED = {
 }
 
 # module -> the (function, import) pairs allowed inside function bodies: the
-# CLI loads traceback only when it reports an internal error, to keep start-up short
-DEFERRED = {"cli": {("main", "traceback")}}
+# CLI loads traceback only when it reports an internal error and each engine
+# module only in the verbs that run it, to keep start-up short; the package
+# root loads a name's home module on first access
+DEFERRED = {
+    "cli": {
+        ("main", "traceback"),
+        ("_cmd_product", ".classes"),
+        ("_cmd_psi", ".classes"),
+        ("_cmd_convert", ".classes"),
+        ("_cmd_completed_cycle", ".cycles"),
+        ("_cmd_x_poly", ".cycles"),
+        ("_cmd_multiply_cycles", ".cycles"),
+        ("_cmd_char", ".combinatorics"),
+        ("_cmd_coeff", ".classes"),
+        ("_cmd_coeff", ".cycles"),
+        ("_cmd_local_model", ".local_models"),
+        ("_cmd_verify", ".verification"),
+    },
+    "__init__": {("__getattr__", "importlib")},
+}
 
 
 def _tree(path: Path) -> ast.Module:
@@ -82,6 +104,10 @@ def test_every_module_is_in_the_layer_map():
     assert {path.stem for path in MODULES} == set(ALLOWED)
 
 
+def test_only_the_entry_points_defer_imports():
+    assert set(DEFERRED) <= {"cli", "__init__"}
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_import_inside_a_function_body(path):
     assert _function_imports(path) - DEFERRED.get(path.stem, set()) == set()
@@ -101,9 +127,9 @@ def test_the_two_sides_never_import_each_other():
         assert imports[module].isdisjoint({"classes", "trees", "grammar"})
 
 
-def test_the_package_root_loads_no_verification():
-    # `import singclass` pays for neither the verify suites, which only the
-    # CLI loads, nor importlib.resources: the golden tables are read with open()
+def test_the_package_root_loads_no_submodule():
+    # `import singclass` loads no singclass module (the root is lazy), nor
+    # importlib.resources: the golden tables are read with open()
     code = (
         "import sys, singclass; "
         "print(' '.join(sorted(m for m in sys.modules "
@@ -113,6 +139,4 @@ def test_the_package_root_loads_no_verification():
         [sys.executable, "-S", "-c", code],
         cwd=SRC, capture_output=True, text=True, check=True,
     ).stdout.split()
-    assert "singclass.classes" in loaded and "singclass.cycles" in loaded
-    assert "singclass.verification" not in loaded
-    assert not any(m.startswith("importlib.resources") for m in loaded)
+    assert loaded == ["singclass"]

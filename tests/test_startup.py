@@ -1,9 +1,12 @@
-"""What a CLI call imports: only the stdlib modules the engine uses.
+"""What a CLI call imports: only the stdlib modules the engine uses, and
+only the singclass modules its verb runs.
 
 Every CLI call is a fresh process, so each module its import graph pulls in
-is start-up time paid on every call.  ``dataclasses`` brings ``inspect``,
-``ast`` and ``dis``; ``importlib.resources`` brings ``pathlib`` and
-``tempfile``; none of them is needed at run time.
+is start-up time paid on every call, and without a bytecode cache each
+singclass module is compiled from source.  ``dataclasses`` brings
+``inspect``, ``ast`` and ``dis``; ``importlib.resources`` brings ``pathlib``
+and ``tempfile``; none of them is needed at run time.  The package root is
+lazy and cli imports each engine module in the verbs that run it.
 """
 
 from __future__ import annotations
@@ -12,6 +15,11 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+import singclass
+from singclass import cli, verification
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -51,3 +59,61 @@ def test_verify_reads_the_golden_tables_without_importlib_resources():
         "assert cli.main(['verify', 'appendix']) == 0"
     )
     assert _loaded(code, {"importlib.resources", "pathlib"}) == []
+
+
+# the modules every call loads: cli, grammar and what grammar imports
+_BASE = {"cli", "grammar", "classes", "combinatorics", "trees", "errors"}
+
+# argv of one call -> the singclass modules it loads beyond _BASE
+VERB_MODULES = [
+    (["product", "3"], set()),
+    (["psi", "2"], set()),
+    (["to-sing", "d[0,1]"], set()),
+    (["to-basic", "i[1,3]"], set()),
+    (["char", "[2,1]", "[3]"], set()),
+    (["coeff", "psi", "2", "{1,1}"], set()),
+    (["completed-cycle", "3"], {"cycles"}),
+    (["x-poly", "3"], {"cycles"}),
+    (["multiply-cycles", "{2}", "{2}"], {"cycles"}),
+    (["coeff", "delta", "[1]", "{2}"], {"cycles"}),
+    (["local-model", "{2}", "0", "1"], {"local_models", "exact"}),
+    (["verify", "appendix"], {"verification", "cycles"}),
+    (["verify", "nosuch"], set()),
+]
+
+_SUBMODULES = {path.stem for path in (SRC / "singclass").glob("*.py")} - {"__init__"}
+
+
+@pytest.mark.parametrize("argv, extra", VERB_MODULES, ids=[" ".join(a) for a, _ in VERB_MODULES])
+def test_a_verb_loads_only_the_modules_it_runs(argv, extra):
+    code = f"from singclass import cli\ncli.main({argv!r})"
+    names = {f"singclass.{m}" for m in _SUBMODULES}
+    assert set(_loaded(code, names)) == {f"singclass.{m}" for m in _BASE | extra}
+
+
+def test_an_unknown_suite_exits_2_with_empty_stdout(capsys):
+    assert cli.main(["verify", "nosuch"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid choice: 'nosuch'" in captured.err
+
+
+def test_the_suite_choices_are_the_suites():
+    # cli spells them as a literal, so that parsing the arguments loads no verification
+    assert cli._SUITES == tuple(sorted(verification.SUITES))
+
+
+def test_star_import_binds_every_public_name():
+    namespace: dict = {}
+    exec("from singclass import *", namespace)
+    assert set(singclass.__all__) <= set(namespace)
+    for name in singclass.__all__:
+        home = sys.modules[f"singclass.{singclass._HOMES[name]}"]
+        assert namespace[name] is getattr(home, name)
+    assert set(singclass.__all__) <= set(dir(singclass))
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="nope"):
+        singclass.nope
+    assert not hasattr(singclass, "nope")
