@@ -16,7 +16,7 @@ import itertools
 from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm, prod
+from math import factorial, gcd, lcm, prod
 from operator import itemgetter
 
 from .combinatorics import Profile, aut_count, make_profile, profiles_with_sum
@@ -41,10 +41,31 @@ __all__ = [
 ]
 
 
-def _check_basis(basis: str) -> str:
+def _check(basis: str, degree: int | None, terms: tuple) -> None:
+    """Nothing if basis names a basis, degree is an int or None and terms is a
+    tuple of (MarkedTree, int or Fraction) pairs; else ConstraintError."""
     if basis not in (SINGULARITY, BASIC):
         raise ConstraintError(f"unknown basis {basis!r}")
-    return basis
+    if degree is not None:
+        _integer(degree, "a class degree")
+    if not (
+        type(terms) is tuple
+        and {tuple}.issuperset(map(type, terms))
+        and {2}.issuperset(map(len, terms))
+        and {MarkedTree}.issuperset(map(type, map(itemgetter(0), terms)))
+    ):
+        raise ConstraintError("class terms must be (MarkedTree, coefficient) pairs")
+    _exact(map(itemgetter(1), terms), "class coefficients")
+
+
+def _check_degree(degree: int | None, terms) -> None:
+    """Nothing if no tree of the (tree, coefficient) terms lies above degree."""
+    if terms:
+        top = max(t.codim for t, _ in terms)
+        if degree is None or top > degree:
+            raise ConstraintError(
+                f"a tree of codim {top} in a class expression of degree {degree}"
+            )
 
 
 class ClassExpr(Record):
@@ -53,6 +74,9 @@ class ClassExpr(Record):
     ``degree`` is the total degree (xi-degree plus tree codimension) shared by
     every term, or None for the zero expression.  A term ``(t, c)`` stands for
     ``c * xi^(degree - codim t) * t``, so each tree carries one rational.
+    The constructor refuses an unknown basis, a degree that is not an int or
+    None, a term that is not a (MarkedTree, int or Fraction) pair and a tree
+    above the degree; it does not merge, sort or drop terms (``from_terms`` does).
     """
 
     __slots__ = _fields = ("basis", "degree", "terms")
@@ -60,6 +84,8 @@ class ClassExpr(Record):
     def __init__(
         self, basis: str, degree: int | None, terms: tuple[tuple[MarkedTree, Fraction], ...]
     ):
+        _check(basis, degree, terms)
+        _check_degree(degree, terms)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "terms", terms)
@@ -71,17 +97,16 @@ class ClassExpr(Record):
         """The degree-``degree`` sum of the (tree, coefficient) pairs: repeated
         trees add up, and zero coefficients and vanishing trees are dropped.
         Coefficients must be ints or Fractions."""
-        _check_basis(basis)
-        pairs = list(pairs)
-        _exact(map(itemgetter(1), pairs), "class coefficients")
-        acc: dict[MarkedTree, Fraction] = {}
-        for t, c in pairs:
-            acc[t] = acc[t] + c if t in acc else c
-        return _finish(basis, degree, acc.items())
+        try:
+            pairs = tuple(pairs)
+        except TypeError:
+            raise ConstraintError("class terms must be (MarkedTree, coefficient) pairs") from None
+        _check(basis, degree, pairs)
+        return _merge(basis, degree, pairs)
 
     @staticmethod
     def zero(basis: str) -> "ClassExpr":
-        return ClassExpr(_check_basis(basis), None, ())
+        return ClassExpr(basis, None, ())
 
     @staticmethod
     def unit(basis: str) -> "ClassExpr":
@@ -90,6 +115,8 @@ class ClassExpr(Record):
     @staticmethod
     def single(basis: str, t: MarkedTree) -> "ClassExpr":
         """The class of one tree, with coefficient 1 and no xi power."""
+        if not isinstance(t, MarkedTree):
+            raise ConstraintError(f"a class is built from a marked tree, not {t!r}")
         return ClassExpr.from_terms(basis, t.codim, [(t, Fraction(1))])
 
     def is_zero(self) -> bool:
@@ -121,7 +148,7 @@ class ClassExpr(Record):
                 "inhomogeneous class expression: total degrees "
                 f"{sorted((self.degree, other.degree))}"
             )
-        return ClassExpr.from_terms(self.basis, self.degree, self.terms + other.terms)
+        return _merge(self.basis, self.degree, self.terms + other.terms)
 
     def __sub__(self, other: "ClassExpr") -> "ClassExpr":
         return self + other.scale(-1)
@@ -131,14 +158,14 @@ class ClassExpr(Record):
         c = Fraction(c)
         if c == 0:
             return ClassExpr.zero(self.basis)
-        return ClassExpr(self.basis, self.degree, tuple((t, a * c) for t, a in self.terms))
+        return _build(self.basis, self.degree, tuple((t, a * c) for t, a in self.terms))
 
     def mul_xi(self, k: int = 1) -> "ClassExpr":
-        if k < 0:
+        if _integer(k, "xi exponent") < 0:
             raise ConstraintError("xi exponent must be nonnegative")
         if not self.terms:
             return self
-        return ClassExpr(self.basis, self.degree + k, self.terms)
+        return _build(self.basis, self.degree + k, self.terms)
 
     def mul_psi_top(self) -> "ClassExpr":
         """Increment the marking of the root-adjacent vertex of every term.
@@ -150,11 +177,19 @@ class ClassExpr(Record):
             raise ConstraintError("psi-multiplication is not defined on sticks")
         if not self.terms:
             return self
-        return ClassExpr.from_terms(
+        return _merge(
             self.basis,
             self.degree + 1,
             ((tree(t.marking + 1, t.children), c) for t, c in self.terms),
         )
+
+
+def _merge(basis: str, degree: int | None, pairs) -> ClassExpr:
+    """from_terms of pairs already checked: repeated trees add up, then _finish."""
+    acc: dict[MarkedTree, Fraction] = {}
+    for t, c in pairs:
+        acc[t] = acc[t] + c if t in acc else c
+    return _finish(basis, degree, acc.items())
 
 
 def _finish(basis: str, degree: int | None, items) -> ClassExpr:
@@ -163,16 +198,27 @@ def _finish(basis: str, degree: int | None, items) -> ClassExpr:
     items = [(t, c) for t, c in items if c and not t.vanishing]
     if not items:
         return ClassExpr(basis, None, ())
-    top = max(t.codim for t, _ in items)
-    if degree is None or top > degree:
-        raise ConstraintError(f"a tree of codim {top} in a class expression of degree {degree}")
+    _check_degree(degree, items)
     items.sort(key=lambda item: encoding(item[0]))
-    return ClassExpr(basis, degree, tuple(items))
+    return _build(basis, degree, tuple(items))
+
+
+def _build(basis: str, degree: int | None, terms: tuple) -> ClassExpr:
+    """The ClassExpr of these fields without the constructor's checks, for
+    fields made from checked pairs or checked expressions only: from_terms,
+    the arithmetic methods and the kernels."""
+    e = object.__new__(ClassExpr)
+    for name, value in zip(ClassExpr._fields, (basis, degree, terms)):
+        object.__setattr__(e, name, value)
+    return e
 
 
 # The kernels below add and multiply integer numerators over one common
 # denominator and build a single Fraction per output term.  The integer form
-# of an expression is (den, ((tree, numerator), ...)).
+# of an expression is (den, ((tree, numerator), ...)), with den the lcm of
+# the reduced denominators.  Two memoised per-tree tables in this form hold
+# the basis change: _basic_ints(t) is [t]_basic in the singularity basis and
+# _sing_ints(t) is [t]_sing in the basic basis.
 
 def _ints(e: ClassExpr) -> tuple[int, tuple[tuple[MarkedTree, int], ...]]:
     """The terms of e as integer numerators over the lcm of their denominators."""
@@ -180,9 +226,10 @@ def _ints(e: ClassExpr) -> tuple[int, tuple[tuple[MarkedTree, int], ...]]:
     return den, tuple((t, c.numerator * (den // c.denominator)) for t, c in e.terms)
 
 
-def _combination(degree: int, parts: Iterable[tuple[Fraction | int, tuple]]) -> ClassExpr:
-    """The singularity-basis sum of c * e over the (c, integer form of e) parts,
-    added up over the lcm of the products c.denominator * den."""
+def _sum(parts: Iterable[tuple[Fraction | int, tuple]]) -> tuple[int, tuple]:
+    """The integer form of the sum of c * e over the (c, integer form of e)
+    parts: numerators added up over the lcm of the products c.denominator *
+    den, then divided by their gcd with it."""
     parts = list(parts)
     den = lcm(*(c.denominator * d for c, (d, _) in parts))
     acc: dict[MarkedTree, int] = {}
@@ -190,7 +237,15 @@ def _combination(degree: int, parts: Iterable[tuple[Fraction | int, tuple]]) -> 
         factor = c.numerator * (den // (c.denominator * d))
         for t, n in terms:
             acc[t] = acc.get(t, 0) + n * factor
-    return _finish(SINGULARITY, degree, ((t, Fraction(n, den)) for t, n in acc.items() if n))
+    g = gcd(den, *acc.values())
+    return den // g, tuple((t, n // g) for t, n in acc.items() if n)
+
+
+def _combination(basis: str, degree: int, parts: Iterable[tuple]) -> ClassExpr:
+    """The _sum of the (c, integer form of e) parts as the expression of the
+    given degree in ``basis``, the output basis: one Fraction per tree."""
+    den, terms = _sum(parts)
+    return _finish(basis, degree, ((t, Fraction(n, den)) for t, n in terms))
 
 
 def _new_profile_layer(m: int) -> ClassExpr:
@@ -272,7 +327,13 @@ def psi_power_sing(m: int) -> ClassExpr:
 @lru_cache(maxsize=None)
 def _psi_power_sing(m: int) -> ClassExpr:
     pieces = [ClassExpr.unit(SINGULARITY)] + [product_expansion(j) for j in range(1, m + 1)]
-    return _combination(m, zip(psi_decomposition(m), map(_ints, pieces)))
+    return _combination(SINGULARITY, m, zip(psi_decomposition(m), map(_ints, pieces)))
+
+
+def _expect(e: ClassExpr, basis: str, message: str) -> None:
+    """Nothing if e is a ClassExpr in the given basis; else ConstraintError."""
+    if not isinstance(e, ClassExpr) or e.basis != basis:
+        raise ConstraintError(message)
 
 
 def substitute(outer: MarkedTree, grafts: Iterable[ClassExpr]) -> ClassExpr:
@@ -284,16 +345,20 @@ def substitute(outer: MarkedTree, grafts: Iterable[ClassExpr]) -> ClassExpr:
     markings) + (sum of the graft degrees): a leaf marked m adds m + 1 to the
     codim, and a glued tree t adds t.codim + 1.
     """
+    if not isinstance(outer, MarkedTree):
+        raise ConstraintError(f"substitution target must be a marked tree, not {outer!r}")
     if not outer.children:
         raise ConstraintError("substitution target must have at least two leaves")
-    grafts = list(grafts)
+    try:
+        grafts = list(grafts)
+    except TypeError:
+        raise ConstraintError(f"grafts must come as a sequence, not {grafts!r}") from None
     if len(grafts) != len(outer.leaves):
         raise ConstraintError(
             f"need one graft per leaf: tree has {len(outer.leaves)} leaves, got {len(grafts)}"
         )
     for g in grafts:
-        if g.basis != SINGULARITY:
-            raise ConstraintError("grafts must be in the singularity basis")
+        _expect(g, SINGULARITY, "grafts must be in the singularity basis")
 
     if any(not g.terms for g in grafts):
         return ClassExpr.zero(SINGULARITY)
@@ -302,74 +367,50 @@ def substitute(outer: MarkedTree, grafts: Iterable[ClassExpr]) -> ClassExpr:
     combos = (zip(*combo) for combo in itertools.product(*(terms for _, terms in forms)))
     glued = ((graft(outer, trees), prod(nums)) for trees, nums in combos)
     degree = outer.codim - outer.weight + sum(g.degree for g in grafts)
-    return _combination(degree, [(1, (prod(den for den, _ in forms), glued))])
-
-
-def _tree_basic_expansion(t: MarkedTree) -> ClassExpr:
-    """The basic class of a single canonical tree, expanded in the singularity basis."""
-    if not t.children:
-        return psi_power_sing(t.marking)
-    return substitute(t, [psi_power_sing(m) for m in t.leaves])
+    return _combination(SINGULARITY, degree, [(1, (prod(den for den, _ in forms), glued))])
 
 
 @lru_cache(maxsize=None)
 def _basic_ints(t: MarkedTree) -> tuple[int, tuple[tuple[MarkedTree, int], ...]]:
-    """The integer form of _tree_basic_expansion(t): the only copy the kernels keep."""
-    return _ints(_tree_basic_expansion(t))
+    """[t]_basic in the singularity basis: psi^m for a stick marked m, else
+    psi^m grafted into each leaf marked m, the internal markings unchanged."""
+    if not t.children:
+        return _ints(psi_power_sing(t.marking))
+    return _ints(substitute(t, [psi_power_sing(m) for m in t.leaves]))
+
+
+@lru_cache(maxsize=None)
+def _sing_ints(t: MarkedTree) -> tuple[int, tuple[tuple[MarkedTree, int], ...]]:
+    """[t]_sing in the basic basis.  [t]_basic is [t]_sing / (m_1! ... m_l!)
+    plus lower-weight terms c * [t2]_sing, so [t]_sing is m_1! ... m_l! times
+    [t]_basic minus each c * [t2]_sing, read from this table; the weight
+    falls at each step, which ends the recursion."""
+    den, terms = _basic_ints(t)
+    lead = prod(factorial(m) for m in t.leaves)
+    parts = [(lead, (1, ((t, 1),)))]
+    for t2, n in terms:
+        if t2 is not t:
+            if t2.weight >= t.weight:
+                raise RuntimeError(
+                    f"basic expansion of {encoding(t)} has a term of weight "
+                    f"{t2.weight} >= {t.weight}"
+                )
+            parts.append((Fraction(-lead * n, den), _sing_ints(t2)))
+    return _sum(parts)
 
 
 def basic_to_sing(e: ClassExpr) -> ClassExpr:
-    """Convert a basic-basis expression to the singularity basis.
-
-    Each leaf marked m is replaced by the expansion of psi^m via grafting;
-    sticks map through psi_power_sing directly; internal markings pass
-    through unchanged.
-    """
-    if e.basis != BASIC:
-        raise ConstraintError("basic_to_sing expects a basic-basis expression")
-    return _combination(e.degree, ((c, _basic_ints(t)) for t, c in e.terms))
+    """Convert a basic-basis expression to the singularity basis: the sum of
+    each term's coefficient times the memoised singularity-basis form of its tree."""
+    _expect(e, BASIC, "basic_to_sing expects a basic-basis expression")
+    return _combination(SINGULARITY, e.degree, ((c, _basic_ints(t)) for t, c in e.terms))
 
 
 def sing_to_basic(e: ClassExpr) -> ClassExpr:
-    """Convert a singularity-basis expression to the basic basis.
-
-    Inversion by descending weight: the basic class of a tree T equals
-    1/(m_1! ... m_l!) [T]_sing plus strictly lower-weight terms, so peeling
-    the residue one weight at a time, highest first, terminates and is
-    exact; within one weight the order of peeling does not matter.
-    """
-    if e.basis != SINGULARITY:
-        raise ConstraintError("sing_to_basic expects a singularity-basis expression")
-    # residue[w]: the numerators, over d, of the not yet peeled terms of weight w
-    d, terms = _ints(e)
-    residue: dict[int, dict[MarkedTree, int]] = {}
-    for t, n in terms:
-        residue.setdefault(t.weight, {})[t] = n
-    out: list[tuple[MarkedTree, Fraction]] = []
-    for w in range(max(residue, default=-1), -1, -1):
-        bucket = residue.pop(w, {})
-        forms = [(t, n, *_basic_ints(t)) for t, n in bucket.items()]
-        # bring the lower weights over d * k, a multiple of d * den for every den
-        k = lcm(*(den for _, _, den, _ in forms))
-        residue = {v: {t2: n2 * k for t2, n2 in lower.items()} for v, lower in residue.items()}
-        for t, n, den, expansion in forms:
-            lead = n * prod(factorial(m) for m in t.leaves)
-            out.append((t, Fraction(lead, d)))
-            factor = lead * (k // den)
-            for t2, n2 in expansion:
-                if t2 == t:
-                    continue
-                if t2.weight >= w:  # would land in a bucket already peeled
-                    raise RuntimeError(
-                        f"basic expansion of {encoding(t)} has a term of weight "
-                        f"{t2.weight} >= {w}"
-                    )
-                lower = residue.setdefault(t2.weight, {})
-                updated = lower.pop(t2, 0) - n2 * factor
-                if updated:
-                    lower[t2] = updated
-        d *= k
-    return _finish(BASIC, e.degree, out)
+    """Convert a singularity-basis expression to the basic basis: the sum of
+    each term's coefficient times the memoised basic-basis form of its tree."""
+    _expect(e, SINGULARITY, "sing_to_basic expects a singularity-basis expression")
+    return _combination(BASIC, e.degree, ((c, _sing_ints(t)) for t, c in e.terms))
 
 
 def point_class_tree(p: Profile) -> MarkedTree:

@@ -5,9 +5,12 @@ exactly an ``int``: a bool, a float, a Fraction, a string or None raises
 ``ConstraintError``.  Before the gate, ``int()`` truncated floats into a
 silently wrong answer, and ``True`` hashed like ``1`` into the memos of
 ``completed_cycle`` and ``psi_power_sing``.  Coefficients, points and poles
-must be exactly an ``int`` or a ``Fraction``, as ``ClassExpr`` already asks.  The fuzz test calls each entry point with such values
-and accepts only a result or a ``SingclassError``; ``TestArgvFuzz`` in
-``test_cli.py`` does the same for the CLI.
+must be exactly an ``int`` or a ``Fraction``, as ``ClassExpr`` already asks.
+A class expression must be a ``ClassExpr`` built from marked trees, and its
+constructor checks its basis, degree and terms.  The fuzz test calls each
+entry point with such values and accepts only a result or a
+``SingclassError``; ``TestArgvFuzz`` in ``test_cli.py`` does the same for the
+CLI.
 """
 
 from __future__ import annotations
@@ -20,10 +23,16 @@ from hypothesis import strategies as st
 
 from singclass import combinatorics, cycles, local_models, trees
 from singclass.classes import (
+    BASIC,
+    SINGULARITY,
+    ClassExpr,
+    basic_to_sing,
     point_coefficient_psi,
     product_expansion,
     psi_decomposition,
     psi_power_sing,
+    sing_to_basic,
+    substitute,
 )
 from singclass.combinatorics import (
     central_character,
@@ -47,6 +56,7 @@ from singclass.cycles import (
 from singclass.combinatorics import XPolynomial
 from singclass.errors import ConstraintError, SingclassError
 from singclass.local_models import canonical_function, hurwitz_coordinates, profile_constants
+from singclass.trees import star, stick
 
 _NOT_INTS = [True, False, 2.0, 2.5, float("nan"), Fraction(2), Fraction(5, 2), "2", None, (2,)]
 
@@ -166,6 +176,49 @@ class TestExactCoefficients:
         assert e.scale(2) == CycleExpr.from_terms([((2,), Fraction(1, 5)), ((1,), 6)])
 
 
+class TestClassSide:
+    """Every one of these raised AttributeError, or returned a ClassExpr of a
+    float degree, before the constructor and the entry points checked their
+    arguments."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: sing_to_basic(5),
+            lambda: basic_to_sing(None),
+            lambda: substitute(star(0, [0, 0]), [1, 2]),
+            lambda: substitute(star(0, [0, 0]), 5),
+            lambda: substitute(5, []),
+            lambda: sing_to_basic(ClassExpr(SINGULARITY, 2, ((stick(2), 0.5),))),
+            lambda: ClassExpr("nope", 2, ()),
+            lambda: ClassExpr(BASIC, 2.0, ()),
+            lambda: ClassExpr(BASIC, True, ((stick(1), 1),)),
+            lambda: ClassExpr(BASIC, 2, [(stick(2), 1)]),
+            lambda: ClassExpr(BASIC, 2, ((2, 1),)),
+            lambda: ClassExpr(BASIC, 1, ((stick(2), 1),)),
+            lambda: ClassExpr(BASIC, None, ((stick(2), 1),)),
+            lambda: ClassExpr.single(BASIC, 3),
+            lambda: ClassExpr.from_terms(BASIC, 2, [(2.0, 1)]),
+            lambda: ClassExpr.from_terms(BASIC, 2, 5),
+            lambda: ClassExpr.from_terms(BASIC, 2, [(stick(2),)]),
+            lambda: ClassExpr.from_terms(BASIC, 2.0, [(stick(2), 1)]),
+            lambda: ClassExpr.from_terms(BASIC, 2.0, []),
+            lambda: ClassExpr.single(BASIC, stick(2)).mul_xi(2.5),
+            lambda: ClassExpr.single(BASIC, stick(2)).mul_xi(True),
+        ],
+    )
+    def test_is_refused(self, call):
+        with pytest.raises(ConstraintError):
+            call()
+
+    def test_good_arguments_still_pass(self):
+        e = ClassExpr(SINGULARITY, 3, ((stick(2), Fraction(1, 2)), (stick(0), 3)))
+        assert e.terms == ((stick(2), Fraction(1, 2)), (stick(0), 3))
+        assert ClassExpr.single(BASIC, stick(2)).mul_xi(2).degree == 4
+        assert ClassExpr.from_terms(BASIC, 2, []) == ClassExpr.zero(BASIC)
+        assert sing_to_basic(ClassExpr.zero(SINGULARITY)) == ClassExpr.zero(BASIC)
+
+
 _SCALARS = st.one_of(
     st.integers(min_value=-2, max_value=4),
     st.booleans(),
@@ -179,6 +232,16 @@ _VALUES = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=4).map(t
 _ELEMENTS = st.lists(
     st.tuples(st.lists(st.integers(1, 4), max_size=3), st.integers(-3, 3)), max_size=3
 ).map(CycleExpr.from_terms)
+
+_BASES = st.sampled_from([BASIC, SINGULARITY])
+_TREES = st.sampled_from(trees.enumerate_trees(3))
+_PAIRS = st.lists(st.tuples(_TREES, _SCALARS), max_size=3)
+_CLASSES = st.builds(
+    ClassExpr.from_terms,
+    _BASES,
+    st.integers(3, 4),
+    st.lists(st.tuples(_TREES, st.integers(-3, 3)), max_size=3),
+)
 
 _FUNCTIONS = st.sampled_from([
     canonical_function((1,), 0, (1,)),
@@ -213,6 +276,13 @@ CALLS = {
     "hurwitz_coordinates": (hurwitz_coordinates, (_FUNCTIONS | _VALUES, _VALUES, _VALUES)),
     "star": (trees.star, (_VALUES, _VALUES)),
     "enumerate_trees": (trees.enumerate_trees, (_VALUES,)),
+    "basic_to_sing": (basic_to_sing, (_CLASSES | _VALUES,)),
+    "sing_to_basic": (sing_to_basic, (_CLASSES | _VALUES,)),
+    "substitute": (substitute, (_TREES | _VALUES, st.lists(_CLASSES | _VALUES, max_size=3) | _VALUES)),
+    "ClassExpr": (ClassExpr, (_BASES | _VALUES, _VALUES, _PAIRS.map(tuple) | _VALUES)),
+    "ClassExpr.from_terms": (ClassExpr.from_terms, (_BASES | _VALUES, _VALUES, _PAIRS | _VALUES)),
+    "ClassExpr.single": (ClassExpr.single, (_BASES | _VALUES, _TREES | _VALUES)),
+    "mul_xi": (ClassExpr.mul_xi, (_CLASSES, _VALUES)),
 }
 
 

@@ -3,14 +3,16 @@ reference, ``class_kernel_reference``.
 
 ``substitute``, ``psi_power_sing`` and both basis changes must return equal
 expressions, rendered to the same text, on every tree of codim <= 8 in both
-bases, on random sums of trees, and on grafts that carry xi powers.  The
-coefficients are negative, non-unit and have large denominators, so a lost
-common factor or a wrong rescaling of the running denominator shows.
+bases (and, for ``sing_to_basic``, of codim <= 10), on random sums of trees,
+and on grafts that carry xi powers.  The coefficients are negative, non-unit
+and have large denominators, so a lost common factor or a wrong rescaling of
+a common denominator shows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 import class_kernel_reference as reference
 import pytest
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 from singclass import classes
 from singclass.classes import BASIC, SINGULARITY, ClassExpr, psi_power_sing
 from singclass.grammar import render_class
-from singclass.trees import canonicalize, enumerate_trees, star, stick
+from singclass.trees import MarkedTree, canonicalize, enumerate_trees, star, stick
 
 TREES = enumerate_trees(8)
 
@@ -40,9 +42,35 @@ def test_psi_powers(m):
     assert_same(psi_power_sing(m), reference.psi_power_sing(m))
 
 
+def from_ints(basis: str, t: MarkedTree, form: tuple) -> ClassExpr:
+    """The expression of degree t.codim whose integer form is ``form``."""
+    den, terms = form
+    return ClassExpr.from_terms(basis, t.codim, ((t2, Fraction(n, den)) for t2, n in terms))
+
+
 def test_tree_basic_expansions():
     for t in TREES:
-        assert_same(classes._tree_basic_expansion(t), reference._tree_basic_expansion(t))
+        got = from_ints(SINGULARITY, t, classes._basic_ints(t))
+        assert_same(got, reference._tree_basic_expansion(t))
+
+
+def test_every_tree_to_codim_10_to_the_basic_basis():
+    """Highest codim first from an empty table, so each tall tree fills in
+    the entries of the lower trees it needs."""
+    classes._sing_ints.cache_clear()
+    for t in sorted(enumerate_trees(10), key=lambda t: -t.codim):
+        e = ClassExpr.single(SINGULARITY, t)
+        assert_same(classes.sing_to_basic(e), reference.sing_to_basic(e))
+
+
+def test_the_table_keeps_each_denominator_reduced():
+    """Each entry of the sing -> basic table is held over the lcm of its
+    conversion's reduced denominators, never a product of denominators."""
+    for t in enumerate_trees(10):
+        den, terms = classes._sing_ints(t)
+        out = classes.sing_to_basic(ClassExpr.single(SINGULARITY, t))
+        assert den == lcm(*(c.denominator for _, c in out.terms)), t
+        assert from_ints(BASIC, t, (den, terms)) == out
 
 
 @pytest.mark.parametrize("basis", [BASIC, SINGULARITY])

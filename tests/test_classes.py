@@ -9,6 +9,7 @@ from math import factorial, prod
 
 import pytest
 
+from singclass import classes
 from singclass.classes import (
     BASIC,
     SINGULARITY,
@@ -20,7 +21,7 @@ from singclass.classes import (
     psi_power_sing,
     sing_to_basic,
     product_expansion,
-    _tree_basic_expansion,
+    _basic_ints,
 )
 from singclass.combinatorics import aut_count, profiles_with_sum
 from singclass.cycles import point_coefficient_delta
@@ -192,17 +193,30 @@ class TestRoundTrips:
 
 class TestTriangularity:
     def test_basic_expansion_terms_below_the_tree_have_smaller_weight(self):
-        # sing_to_basic peels one weight at a time, so no other term of the
-        # expansion may sit at the tree's own weight or above it
+        # _sing_ints recurses into every other term of the expansion, so none
+        # may sit at the tree's own weight or above it
         for t in enumerate_trees(8):
-            for t2, _ in _tree_basic_expansion(t).terms:
+            for t2, _ in _basic_ints(t)[1]:
                 assert t2 is t or t2.weight < t.weight, (t, t2)
 
     def test_the_tree_itself_has_the_factorial_coefficient(self):
         for t in enumerate_trees(8):
-            marks = t.leaves
-            expected = Fraction(1, prod(factorial(m) for m in marks))
-            assert _tree_basic_expansion(t).coefficient_at(t, 0) == expected
+            den, terms = _basic_ints(t)
+            expected = Fraction(1, prod(factorial(m) for m in t.leaves))
+            assert Fraction(dict(terms)[t], den) == expected
+
+    def test_a_term_at_the_tree_s_own_weight_is_refused(self, monkeypatch):
+        # two trees of weight 3 whose rows name each other: without the guard,
+        # _sing_ints would recurse from one to the other without end
+        a, b = star(0, [1, 2]), star(0, [0, 3])
+        rows = {a: (1, ((a, 1), (b, 1))), b: (1, ((b, 1), (a, 1)))}
+        monkeypatch.setattr(classes, "_basic_ints", rows.__getitem__)
+        classes._sing_ints.cache_clear()
+        try:
+            with pytest.raises(RuntimeError, match="weight 3 >= 3"):
+                sing_to_basic(ClassExpr.single(SINGULARITY, a))
+        finally:
+            classes._sing_ints.cache_clear()
 
 
 class TestPointCoefficients:
