@@ -20,7 +20,7 @@ from math import factorial, gcd, lcm, prod
 from operator import itemgetter
 
 from .combinatorics import Profile, aut_count, make_profile, profiles_with_sum
-from .errors import ConstraintError, Record, _exact, _integer
+from .errors import ConstraintError, Record, _exact, _integer, _pairs
 from .trees import MarkedTree, encoding, graft, star, stick, tree
 
 SINGULARITY = "singularity"
@@ -41,31 +41,15 @@ __all__ = [
 ]
 
 
-def _check(basis: str, degree: int | None, terms: tuple) -> None:
-    """Nothing if basis names a basis, degree is an int or None and terms is a
-    tuple of (MarkedTree, int or Fraction) pairs; else ConstraintError."""
+_ONE = Fraction(1)
+_PAIRS = "class terms must be (MarkedTree, coefficient) pairs"
+
+
+def _basis(basis: str) -> str:
+    """basis if it names a basis; else ConstraintError."""
     if basis not in (SINGULARITY, BASIC):
         raise ConstraintError(f"unknown basis {basis!r}")
-    if degree is not None:
-        _integer(degree, "a class degree")
-    if not (
-        type(terms) is tuple
-        and {tuple}.issuperset(map(type, terms))
-        and {2}.issuperset(map(len, terms))
-        and {MarkedTree}.issuperset(map(type, map(itemgetter(0), terms)))
-    ):
-        raise ConstraintError("class terms must be (MarkedTree, coefficient) pairs")
-    _exact(map(itemgetter(1), terms), "class coefficients")
-
-
-def _check_degree(degree: int | None, terms) -> None:
-    """Nothing if no tree of the (tree, coefficient) terms lies above degree."""
-    if terms:
-        top = max(t.codim for t, _ in terms)
-        if degree is None or top > degree:
-            raise ConstraintError(
-                f"a tree of codim {top} in a class expression of degree {degree}"
-            )
+    return basis
 
 
 class ClassExpr(Record):
@@ -74,39 +58,37 @@ class ClassExpr(Record):
     ``degree`` is the total degree (xi-degree plus tree codimension) shared by
     every term, or None for the zero expression.  A term ``(t, c)`` stands for
     ``c * xi^(degree - codim t) * t``, so each tree carries one rational.
-    The constructor refuses an unknown basis, a degree that is not an int or
-    None, a term that is not a (MarkedTree, int or Fraction) pair and a tree
-    above the degree; it does not merge, sort or drop terms (``from_terms`` does).
+    ``ClassExpr(basis, degree, terms)`` sums the (tree, coefficient) pairs of
+    ``terms``: repeated trees add up, zero coefficients and vanishing trees are
+    dropped, and the terms are sorted by encoding.  It refuses an unknown
+    basis, a degree that is not an int or None, a pair that is not a
+    (MarkedTree, int or Fraction) tuple and a tree above the degree.
     """
 
     __slots__ = _fields = ("basis", "degree", "terms")
 
     def __init__(
-        self, basis: str, degree: int | None, terms: tuple[tuple[MarkedTree, Fraction], ...]
+        self, basis: str, degree: int | None, terms: Iterable[tuple[MarkedTree, Fraction]]
     ):
-        _check(basis, degree, terms)
-        _check_degree(degree, terms)
+        basis = _basis(basis)
+        if degree is not None:
+            _integer(degree, "a class degree")
+        pairs = _pairs(terms, _PAIRS)
+        if not {MarkedTree}.issuperset(map(type, map(itemgetter(0), pairs))):
+            raise ConstraintError(_PAIRS)
+        _exact(map(itemgetter(1), pairs), "class coefficients")
+        acc: dict[MarkedTree, Fraction] = {}
+        for t, c in pairs:
+            c = c if type(c) is Fraction else Fraction(c)
+            acc[t] = acc[t] + c if t in acc else c
+        terms = _terms(degree, acc.items())
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "degree", degree if terms else None)
         object.__setattr__(self, "terms", terms)
 
     @staticmethod
-    def from_terms(
-        basis: str, degree: int | None, pairs: Iterable[tuple[MarkedTree, Fraction]]
-    ) -> "ClassExpr":
-        """The degree-``degree`` sum of the (tree, coefficient) pairs: repeated
-        trees add up, and zero coefficients and vanishing trees are dropped.
-        Coefficients must be ints or Fractions."""
-        try:
-            pairs = tuple(pairs)
-        except TypeError:
-            raise ConstraintError("class terms must be (MarkedTree, coefficient) pairs") from None
-        _check(basis, degree, pairs)
-        return _merge(basis, degree, pairs)
-
-    @staticmethod
     def zero(basis: str) -> "ClassExpr":
-        return ClassExpr(basis, None, ())
+        return ClassExpr._make(_basis(basis), None, ())
 
     @staticmethod
     def unit(basis: str) -> "ClassExpr":
@@ -117,7 +99,9 @@ class ClassExpr(Record):
         """The class of one tree, with coefficient 1 and no xi power."""
         if not isinstance(t, MarkedTree):
             raise ConstraintError(f"a class is built from a marked tree, not {t!r}")
-        return ClassExpr.from_terms(basis, t.codim, [(t, Fraction(1))])
+        if t.vanishing:
+            return ClassExpr.zero(basis)
+        return ClassExpr._make(_basis(basis), t.codim, ((t, _ONE),))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -148,7 +132,7 @@ class ClassExpr(Record):
                 "inhomogeneous class expression: total degrees "
                 f"{sorted((self.degree, other.degree))}"
             )
-        return _merge(self.basis, self.degree, self.terms + other.terms)
+        return ClassExpr(self.basis, self.degree, self.terms + other.terms)
 
     def __sub__(self, other: "ClassExpr") -> "ClassExpr":
         return self + other.scale(-1)
@@ -158,14 +142,14 @@ class ClassExpr(Record):
         c = Fraction(c)
         if c == 0:
             return ClassExpr.zero(self.basis)
-        return _build(self.basis, self.degree, tuple((t, a * c) for t, a in self.terms))
+        return ClassExpr._make(self.basis, self.degree, tuple((t, a * c) for t, a in self.terms))
 
     def mul_xi(self, k: int = 1) -> "ClassExpr":
         if _integer(k, "xi exponent") < 0:
             raise ConstraintError("xi exponent must be nonnegative")
         if not self.terms:
             return self
-        return _build(self.basis, self.degree + k, self.terms)
+        return ClassExpr._make(self.basis, self.degree + k, self.terms)
 
     def mul_psi_top(self) -> "ClassExpr":
         """Increment the marking of the root-adjacent vertex of every term.
@@ -177,40 +161,23 @@ class ClassExpr(Record):
             raise ConstraintError("psi-multiplication is not defined on sticks")
         if not self.terms:
             return self
-        return _merge(
-            self.basis,
-            self.degree + 1,
-            ((tree(t.marking + 1, t.children), c) for t, c in self.terms),
-        )
+        pairs = ((tree(t.marking + 1, t.children), c) for t, c in self.terms)
+        return ClassExpr(self.basis, self.degree + 1, pairs)
 
 
-def _merge(basis: str, degree: int | None, pairs) -> ClassExpr:
-    """from_terms of pairs already checked: repeated trees add up, then _finish."""
-    acc: dict[MarkedTree, Fraction] = {}
-    for t, c in pairs:
-        acc[t] = acc[t] + c if t in acc else c
-    return _finish(basis, degree, acc.items())
-
-
-def _finish(basis: str, degree: int | None, items) -> ClassExpr:
-    """The expression of the (tree, coefficient) items, each tree once: drop zero
-    coefficients and vanishing trees, check the degree, sort by encoding."""
+def _terms(degree: int | None, items) -> tuple:
+    """The (tree, coefficient) items, each tree once, as the terms of a
+    degree-``degree`` expression: zero coefficients and vanishing trees
+    dropped, the degree checked, sorted by encoding."""
     items = [(t, c) for t, c in items if c and not t.vanishing]
-    if not items:
-        return ClassExpr(basis, None, ())
-    _check_degree(degree, items)
-    items.sort(key=lambda item: encoding(item[0]))
-    return _build(basis, degree, tuple(items))
-
-
-def _build(basis: str, degree: int | None, terms: tuple) -> ClassExpr:
-    """The ClassExpr of these fields without the constructor's checks, for
-    fields made from checked pairs or checked expressions only: from_terms,
-    the arithmetic methods and the kernels."""
-    e = object.__new__(ClassExpr)
-    for name, value in zip(ClassExpr._fields, (basis, degree, terms)):
-        object.__setattr__(e, name, value)
-    return e
+    if items:
+        top = max(t.codim for t, _ in items)
+        if degree is None or top > degree:
+            raise ConstraintError(
+                f"a tree of codim {top} in a class expression of degree {degree}"
+            )
+        items.sort(key=lambda item: encoding(item[0]))
+    return tuple(items)
 
 
 # The kernels below add and multiply integer numerators over one common
@@ -245,12 +212,13 @@ def _combination(basis: str, degree: int, parts: Iterable[tuple]) -> ClassExpr:
     """The _sum of the (c, integer form of e) parts as the expression of the
     given degree in ``basis``, the output basis: one Fraction per tree."""
     den, terms = _sum(parts)
-    return _finish(basis, degree, ((t, Fraction(n, den)) for t, n in terms))
+    terms = _terms(degree, ((t, Fraction(n, den)) for t, n in terms))
+    return ClassExpr._make(basis, degree if terms else None, terms)
 
 
 def _new_profile_layer(m: int) -> ClassExpr:
     """Sum over profiles with total m and >= 2 parts of (prod k / |Aut|) i_{k...}."""
-    return ClassExpr.from_terms(
+    return ClassExpr(
         SINGULARITY,
         m,
         (

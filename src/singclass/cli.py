@@ -222,6 +222,8 @@ def _cmd_coeff(args) -> int:
         profile = grammar.parse_profile(args.args[1])
         value = classes.point_coefficient_psi(m, profile, raw=args.raw)
     else:
+        if args.raw:
+            raise ConstraintError("--raw applies to coeff psi only")
         if len(args.args) != 2:
             raise ConstraintError("coeff delta expects: MS PROFILE")
         from . import cycles

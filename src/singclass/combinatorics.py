@@ -19,7 +19,7 @@ from itertools import combinations
 from math import factorial, perm, prod
 from operator import itemgetter
 
-from .errors import ConstraintError, Record, _exact, _integer
+from .errors import ConstraintError, Record, _exact, _integer, _pairs
 
 Profile = tuple[int, ...]
 Partition = tuple[int, ...]
@@ -84,7 +84,7 @@ def _character_partition(rows) -> Partition:
 
 def aut_count(p: Profile) -> int:
     """Number of permutations of the index set fixing the multiset: prod of multiplicity factorials."""
-    return prod(factorial(m) for m in Counter(p).values())
+    return prod(factorial(m) for m in Counter(make_profile(p)).values())
 
 
 def _ascending_splits(total: int, length: int, minimum: int) -> list[tuple[int, ...]]:
@@ -117,13 +117,15 @@ def profiles_with_sum(total: int, min_len: int = 1) -> list[Profile]:
 
 
 def profiles_with_sum_and_length(total: int, length: int) -> list[Profile]:
+    if min(_integer(total, "total"), _integer(length, "length")) < 0:
+        raise ConstraintError("total and length must be nonnegative")
     return _ascending_splits(total, length, 1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: True never reads the entry of 1
 def partitions_of(n: int) -> tuple[Partition, ...]:
     """Partitions of n in descending lexicographic order; partitions_of(0) = ((),)."""
-    if n < 0:
+    if _integer(n, "n") < 0:
         raise ConstraintError("n must be nonnegative")
 
     def gen(remaining: int, cap: int):
@@ -224,27 +226,22 @@ def profile_order(p: Profile) -> int:
 
 
 class _ProfileTerms(Record):
-    """Profile -> nonzero rational map, sorted by descending order, then length."""
+    """Profile -> nonzero rational map, sorted by descending order, then length.
+
+    The constructor takes (profile, coefficient) pairs, each profile made
+    canonical by make_profile and each coefficient an int or a Fraction:
+    repeated profiles add up, and zero coefficients are dropped."""
 
     __slots__ = _fields = ("terms",)
 
-    def __init__(self, terms: tuple[tuple[Profile, Fraction], ...]):
-        object.__setattr__(self, "terms", terms)
-
-    @classmethod
-    def from_terms(cls, pairs: Iterable[tuple[Profile, Fraction]]):
-        """The sum of the pairs, each profile made canonical by make_profile:
-        repeated profiles add up, and zero coefficients are dropped.
-        Coefficients must be ints or Fractions."""
-        pairs = list(pairs)
+    def __init__(self, terms: Iterable[tuple[Profile, Fraction]]):
+        pairs = _pairs(terms, "cycle terms must be (profile, coefficient) pairs")
         _exact(map(itemgetter(1), pairs), "cycle coefficients")
         acc: dict[Profile, Fraction] = {}
         for p, c in pairs:
             p = make_profile(p)
             acc[p] = acc.get(p, 0) + c
-        items = [(p, Fraction(c)) for p, c in acc.items() if c != 0]
-        items.sort(key=lambda item: (-profile_order(item[0]), len(item[0]), item[0]))
-        return cls(tuple(items))
+        object.__setattr__(self, "terms", _sorted_terms(acc.items()))
 
     def coefficient(self, p: Profile) -> Fraction:
         p = make_profile(p)
@@ -252,6 +249,14 @@ class _ProfileTerms(Record):
             if p2 == p:
                 return c
         return Fraction(0)
+
+
+def _sorted_terms(items) -> tuple[tuple[Profile, Fraction], ...]:
+    """The (canonical profile, coefficient) items, each profile once, as terms:
+    zero coefficients dropped, Fractions, sorted by descending order, then length."""
+    items = [(p, c if type(c) is Fraction else Fraction(c)) for p, c in items if c]
+    items.sort(key=lambda item: (-profile_order(item[0]), len(item[0]), item[0]))
+    return tuple(items)
 
 
 class CycleExpr(_ProfileTerms):
@@ -265,11 +270,11 @@ class CycleExpr(_ProfileTerms):
 
     @staticmethod
     def zero() -> "CycleExpr":
-        return CycleExpr(())
+        return CycleExpr._make(())
 
     @staticmethod
     def identity() -> "CycleExpr":
-        return CycleExpr((((), Fraction(1)),))
+        return CycleExpr._make((((), Fraction(1)),))
 
     def profiles(self) -> list[Profile]:
         return [p for p, _ in self.terms]
@@ -278,12 +283,14 @@ class CycleExpr(_ProfileTerms):
         return not self.terms
 
     def __add__(self, other: "CycleExpr") -> "CycleExpr":
-        return CycleExpr.from_terms(self.terms + other.terms)
+        return CycleExpr(self.terms + other.terms)
 
     def scale(self, c: Fraction | int) -> "CycleExpr":
         _exact((c,), "cycle coefficients")
+        if c == 0:
+            return CycleExpr.zero()
         c = Fraction(c)
-        return CycleExpr.from_terms((p, a * c) for p, a in self.terms)
+        return CycleExpr._make(tuple((p, a * c) for p, a in self.terms))
 
 
 class XPolynomial(_ProfileTerms):
@@ -292,7 +299,7 @@ class XPolynomial(_ProfileTerms):
     __slots__ = ()
 
     def __mul__(self, other: "XPolynomial") -> "XPolynomial":
-        return XPolynomial.from_terms(
+        return XPolynomial(
             (p1 + p2, c1 * c2)
             for p1, c1 in self.terms
             for p2, c2 in other.terms

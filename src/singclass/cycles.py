@@ -28,6 +28,7 @@ from .combinatorics import (  # the value types are defined beside the profiles
     _ints,
     _mn,
     _ProfileTerms,
+    _sorted_terms,
     aut_count,
     make_profile,
     profile_order,
@@ -54,11 +55,11 @@ def x_polynomial(m: int, normalized: bool = True) -> XPolynomial:
     if _integer(m, "m") < 0:
         raise ConstraintError("m must be nonnegative")
     norm = factorial(m) if normalized else 1
-    return XPolynomial.from_terms(
+    return XPolynomial._make(_sorted_terms(
         (p, Fraction(factorial(m) * prod(p), factorial(sum(p)) * aut_count(p) * norm))
         for length in range(1, (m + 2) // 2 + 1)
         for p in profiles_with_sum_and_length(m + 2 - length, length)
-    )
+    ))
 
 
 def point_coefficient_delta(ms: Iterable[int], p: Profile) -> Fraction:
@@ -135,19 +136,20 @@ def completed_cycle(m: int) -> CycleExpr:
 
 @lru_cache(maxsize=None)
 def _completed_cycle(m: int) -> CycleExpr:
-    return CycleExpr.from_terms(
+    return CycleExpr._make(_sorted_terms(
         (p, rho((m + 2 - length - total) // 2, p) / aut_count(p))
         for length in range(1, m + 2)
         for total in range(m + 2 - length, length - 1, -2)
         for p in profiles_with_sum_and_length(total, length)
-    )
+    ))
 
 
 def genus0_part(c: CycleExpr, m: int) -> CycleExpr:
     """Restriction to the maximal-order terms, those with l + sum(p) = m + 2."""
-    return CycleExpr.from_terms(
-        (p, coeff) for p, coeff in c.terms if profile_order(p) == m + 2
-    )
+    if not isinstance(c, CycleExpr):
+        raise ConstraintError(f"genus0_part needs a CycleExpr, not {c!r}")
+    order = _integer(m, "m") + 2
+    return CycleExpr._make(tuple((p, coeff) for p, coeff in c.terms if profile_order(p) == order))
 
 
 def _integer_row(c: CycleExpr) -> tuple[int, tuple[tuple[int, int, Partition], ...]]:
@@ -257,9 +259,9 @@ def multiply_central(p1: Profile, p2: Profile) -> CycleExpr:
     first = {x: x + 1 for x in range(sum(p1))} | {end - 1: end - k for end, k in zip(ends, p1)}
     tally = Counter(_product_type(first, b) for b in _cycle_tuples(p2, tuple(range(n))))
     scale = factorial(n - sum(p1)) * prod(p1)
-    return CycleExpr.from_terms(
+    return CycleExpr._make(_sorted_terms(
         (r, Fraction(t * factorial(n - sum(r)) * prod(r), scale)) for r, t in tally.items()
-    )
+    ))
 
 
 def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:

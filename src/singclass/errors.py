@@ -20,10 +20,22 @@ class Record:
     copies and pickles through its constructor, and refuses every write.
     ``trees.MarkedTree`` is the exception: it interns its instances in
     ``__new__``, so equal fields give one object, compared and hashed by identity.
+
+    The constructor of a value type checks its arguments and makes them
+    canonical, so equal values have equal fields.  ``_make`` is the one
+    unchecked way in, for code whose fields are canonical already.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    @classmethod
+    def _make(cls, *values):
+        """The instance with these field values, without the constructor."""
+        self = object.__new__(cls)
+        for name, value in zip(cls._fields, values):
+            object.__setattr__(self, name, value)
+        return self
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -98,3 +110,25 @@ def _exact(values, what: str) -> None:
     ConstraintError, saying that what must be int or Fraction."""
     if not _EXACT.issuperset(map(type, values)):
         raise ConstraintError(f"{what} must be int or Fraction")
+
+
+def _fractions(values, what: str) -> list[Fraction]:
+    """The values as a list of Fractions, each given as an int or a Fraction;
+    else ConstraintError."""
+    try:
+        values = list(values)
+    except TypeError:
+        raise ConstraintError(f"{what} must come as a sequence, not {values!r}") from None
+    _exact(values, what)
+    return [v if type(v) is Fraction else Fraction(v) for v in values]
+
+
+def _pairs(values, message: str) -> tuple:
+    """values as a tuple of 2-tuples; else ConstraintError(message)."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise ConstraintError(message) from None
+    if not ({tuple}.issuperset(map(type, values)) and {2}.issuperset(map(len, values))):
+        raise ConstraintError(message)
+    return values

@@ -8,11 +8,11 @@ shared freely between tasks.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable
 from fractions import Fraction
 from math import factorial
 
-from .errors import Record, TruncationError
+from .errors import ConstraintError, Record, TruncationError, _fractions, _integer
 
 __all__ = [
     "PowerSeries",
@@ -28,30 +28,28 @@ class PowerSeries(Record):
     exactly for n <= truncation_order and reading beyond that is an error,
     never a silent zero.  Arithmetic results carry the minimum truncation
     order of the operands.  Only what truncation changes lives here; exact
-    polynomials in z are ``local_models.Polynomial``.
+    polynomials in z are ``local_models.Polynomial``.  The constructor takes
+    int or Fraction coefficients and pads them with zeros, or cuts them, to
+    ``truncation_order + 1`` Fractions.
     """
 
     __slots__ = _fields = ("coeffs", "truncation_order")
 
-    def __init__(self, coeffs: tuple[Fraction, ...], truncation_order: int):
-        object.__setattr__(self, "coeffs", coeffs)
+    def __init__(self, coeffs: Iterable[Fraction | int], truncation_order: int):
+        if _integer(truncation_order, "a truncation order") < 0:
+            raise ConstraintError("truncation order must be nonnegative")
+        dense = _fractions(coeffs, "series coefficients")[: truncation_order + 1]
+        dense += [Fraction(0)] * (truncation_order + 1 - len(dense))
+        object.__setattr__(self, "coeffs", tuple(dense))
         object.__setattr__(self, "truncation_order", truncation_order)
 
     @staticmethod
-    def from_coeffs(coeffs: Sequence[Fraction | int], order: int) -> "PowerSeries":
-        if order < 0:
-            raise ValueError("truncation order must be nonnegative")
-        dense = [c if type(c) is Fraction else Fraction(c) for c in coeffs[: order + 1]]
-        dense += [Fraction(0)] * (order + 1 - len(dense))
-        return PowerSeries(tuple(dense), order)
-
-    @staticmethod
     def one(order: int) -> "PowerSeries":
-        return PowerSeries.from_coeffs([Fraction(1)], order)
+        return PowerSeries((1,), order)
 
     def coefficient(self, n: int) -> Fraction:
-        if n < 0:
-            raise ValueError("negative exponent")
+        if _integer(n, "an exponent") < 0:
+            raise ConstraintError("negative exponent")
         if n > self.truncation_order:
             raise TruncationError(
                 f"coefficient of z^{n} requested but series is truncated at z^{self.truncation_order}"
@@ -60,8 +58,8 @@ class PowerSeries(Record):
 
     def __add__(self, other: "PowerSeries") -> "PowerSeries":
         order = min(self.truncation_order, other.truncation_order)
-        return PowerSeries.from_coeffs(
-            [self.coeffs[n] + other.coeffs[n] for n in range(order + 1)], order
+        return PowerSeries._make(
+            tuple(self.coeffs[n] + other.coeffs[n] for n in range(order + 1)), order
         )
 
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
@@ -74,12 +72,12 @@ class PowerSeries(Record):
                 b = other.coeffs[j]
                 if b != 0:
                     out[i + j] += a * b
-        return PowerSeries(tuple(out), order)
+        return PowerSeries._make(tuple(out), order)
 
     def pow(self, exponent: int) -> "PowerSeries":
         """self**exponent by binary exponentiation."""
-        if exponent < 0:
-            raise ValueError("exponent must be nonnegative")
+        if _integer(exponent, "an exponent") < 0:
+            raise ConstraintError("exponent must be nonnegative")
         result, base = PowerSeries.one(self.truncation_order), self
         while exponent:
             if exponent & 1:
@@ -92,7 +90,7 @@ class PowerSeries(Record):
     def inverse(self) -> "PowerSeries":
         """Multiplicative inverse; requires a nonzero constant term."""
         if self.coeffs[0] == 0:
-            raise ValueError("series with zero constant term has no inverse")
+            raise ConstraintError("series with zero constant term has no inverse")
         order = self.truncation_order
         inv = [Fraction(0)] * (order + 1)
         inv[0] = 1 / self.coeffs[0]
@@ -101,23 +99,25 @@ class PowerSeries(Record):
             for k in range(1, n + 1):
                 acc += self.coeffs[k] * inv[n - k]
             inv[n] = -acc / self.coeffs[0]
-        return PowerSeries(tuple(inv), order)
+        return PowerSeries._make(tuple(inv), order)
 
 
 def s_series(order: int) -> PowerSeries:
     """The series sinh(z/2)/(z/2) = sum_{n>=0} (z/2)^{2n}/(2n+1)!, truncated at z^order."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    if _integer(order, "order") < 1:
+        raise ConstraintError("order must be >= 1")
     coeffs = [Fraction(0)] * (order + 1)
     for n in range(0, order // 2 + 1):
         coeffs[2 * n] = Fraction(1, 4**n * factorial(2 * n + 1))
-    return PowerSeries(tuple(coeffs), order)
+    return PowerSeries._make(tuple(coeffs), order)
 
 
 def series_scale_arg(s: PowerSeries, k: int) -> PowerSeries:
     """Substitute z -> k z: the z^n coefficient is scaled by k^n."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return PowerSeries(
+    if not isinstance(s, PowerSeries):
+        raise ConstraintError(f"series_scale_arg needs a PowerSeries, not {s!r}")
+    if _integer(k, "k") < 1:
+        raise ConstraintError("k must be >= 1")
+    return PowerSeries._make(
         tuple(c * k**n for n, c in enumerate(s.coeffs)), s.truncation_order
     )

@@ -107,6 +107,8 @@ def _join(terms: Iterable[tuple[Fraction, list[str]]], style: _Style) -> str:
 def ordered_monomials(e: ClassExpr) -> list[tuple[MarkedTree, int, Fraction]]:
     """Monomials ordered for display: ascending xi-degree, then descending
     tree weight, then canonical encoding."""
+    if not isinstance(e, ClassExpr):
+        raise ConstraintError(f"a class expression is rendered from a ClassExpr, not {e!r}")
     return sorted(
         e.monomials(), key=lambda m: (m[1], -m[0].weight, encoding(m[0]))
     )
@@ -432,6 +434,8 @@ def parse_class(text: str, default_basis: str = SINGULARITY) -> ClassExpr:
     is an error, and expressions built only from rationals, xi powers and
     ``a_0`` fall back to ``default_basis``.
     """
+    if not isinstance(text, str):
+        raise ConstraintError(f"parse_class reads a string, not {text!r}")
     if not text.strip():
         raise ParseError("empty expression", 0)
     if text.strip() == "0":
@@ -454,13 +458,15 @@ def parse_class(text: str, default_basis: str = SINGULARITY) -> ClassExpr:
     if len(degrees) > 1:
         raise ParseError(f"inhomogeneous class expression: total degrees {degrees}")
     degree = degrees[0] if degrees else None
-    return ClassExpr.from_terms(basis, degree, ((t, c) for t, _, c in kept))
+    return ClassExpr(basis, degree, ((t, c) for t, _, c in kept))
 
 
 # ---------------------------------------------------------------------------
 # cycle expressions and x-polynomials
 
 def _render_cycles(c: CycleExpr, style: _Style) -> str:
+    if not isinstance(c, CycleExpr):
+        raise ConstraintError(f"a cycle expression is rendered from a CycleExpr, not {c!r}")
     return _join(
         ((coeff, [style.atom("C", ",".join(map(str, p)))] if p else []) for p, coeff in c.terms),
         style,
@@ -487,6 +493,8 @@ def _profile_terms_to_json(terms: Iterable[tuple[tuple[int, ...], Fraction]], ke
 
 
 def cycles_to_json(c: CycleExpr) -> str:
+    if not isinstance(c, CycleExpr):
+        raise ConstraintError(f"a cycle expression is rendered from a CycleExpr, not {c!r}")
     return _profile_terms_to_json(c.terms, "profile")
 
 
@@ -504,6 +512,8 @@ def _cycle_factor(parser: _Parser) -> tuple[Profile, int]:
 
 def parse_cycles(text: str) -> CycleExpr:
     """Parse ``1/2*C[3] + 1/4*C[1,1] + 1/24*C[1]``; a bare rational is the identity."""
+    if not isinstance(text, str):
+        raise ConstraintError(f"parse_cycles reads a string, not {text!r}")
     if not text.strip():
         raise ParseError("empty expression", 0)
     if text.strip() == "0":
@@ -513,9 +523,7 @@ def parse_cycles(text: str) -> CycleExpr:
     for _, factors in terms:
         if len(factors) > 1:
             raise parser.error("a term may contain at most one C atom", factors[1][1])
-    return CycleExpr.from_terms(
-        (factors[0][0] if factors else (), coeff) for coeff, factors in terms
-    )
+    return CycleExpr((factors[0][0] if factors else (), coeff) for coeff, factors in terms)
 
 
 def _render_xpoly(x: XPolynomial, style: _Style) -> str:

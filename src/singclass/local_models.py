@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import lcm, prod
 
 from .combinatorics import Profile, _ints
-from .errors import ConstraintError, Record, SingclassError, _exact
+from .errors import ConstraintError, Record, SingclassError, _fractions
 from .exact import PowerSeries
 
 __all__ = [
@@ -35,35 +35,32 @@ _ZERO = Fraction(0)
 class Polynomial(Record):
     """Dense polynomial in z with rational coefficients.
 
-    ``coeffs[k]`` is the coefficient of z^k; trailing zeros are stripped, so
-    the zero polynomial is the empty tuple and its degree is None.
+    ``coeffs[k]`` is the coefficient of z^k.  The constructor takes int or
+    Fraction coefficients and strips trailing zeros, so the zero polynomial
+    is the empty tuple and its degree is None.
     """
 
     __slots__ = _fields = ("coeffs",)
 
-    def __init__(self, coeffs: tuple[Fraction, ...]):
-        object.__setattr__(self, "coeffs", coeffs)
-
-    @staticmethod
-    def from_coeffs(coeffs: Iterable[Fraction | int]) -> "Polynomial":
-        out = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
+    def __init__(self, coeffs: Iterable[Fraction | int]):
+        out = _fractions(coeffs, "polynomial coefficients")
         while out and not out[-1]:
             out.pop()
-        return Polynomial(tuple(out))
+        object.__setattr__(self, "coeffs", tuple(out))
 
     @staticmethod
     def zero() -> "Polynomial":
-        return Polynomial(())
+        return Polynomial._make(())
 
     @staticmethod
     def one() -> "Polynomial":
-        return Polynomial((Fraction(1),))
+        return Polynomial._make((Fraction(1),))
 
     @staticmethod
     def from_roots(pairs: Iterable[tuple[Fraction | int, int]]) -> "Polynomial":
         """prod (z - root)^mult over the (root, mult) pairs; the result is monic."""
         coeffs, scale = _linear_product(pairs)
-        return Polynomial(tuple(Fraction(c, scale) for c in coeffs))
+        return Polynomial._make(tuple(Fraction(c, scale) for c in coeffs))
 
     @property
     def degree(self) -> int | None:
@@ -85,11 +82,11 @@ class Polynomial(Record):
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         pairs = itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=_ZERO)
-        return Polynomial.from_coeffs(a + b for a, b in pairs)
+        return Polynomial(a + b for a, b in pairs)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         pairs = itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=_ZERO)
-        return Polynomial.from_coeffs(a - b for a, b in pairs)
+        return Polynomial(a - b for a, b in pairs)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         if not self.coeffs or not other.coeffs:
@@ -98,33 +95,24 @@ class Polynomial(Record):
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
-        return Polynomial.from_coeffs(out)
+        return Polynomial(out)
 
     def scale(self, c: Fraction | int) -> "Polynomial":
         c = Fraction(c)
         if c == 0:
             return Polynomial.zero()
-        return Polynomial(tuple(a * c if a else a for a in self.coeffs))
+        return Polynomial._make(tuple(a * c if a else a for a in self.coeffs))
 
     def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
         if not other.coeffs:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dlead = other.leading()
-        ddeg = other.degree
-        quot = [Fraction(0)] * max(len(self.coeffs) - len(other.coeffs) + 1, 0)
-        while len(rem) - 1 >= ddeg and any(c != 0 for c in rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < ddeg:
-                break
-            shift = len(rem) - 1 - ddeg
-            factor = rem[-1] / dlead
-            quot[shift] = factor
+        rem, ddeg = list(self.coeffs), other.degree
+        quot = [_ZERO] * max(len(rem) - ddeg, 0)
+        for shift in reversed(range(len(quot))):  # clear rem[shift + ddeg]
+            factor = quot[shift] = rem[shift + ddeg] / other.coeffs[-1]
             for i, c in enumerate(other.coeffs):
                 rem[shift + i] -= factor * c
-            rem.pop()
-        return Polynomial.from_coeffs(quot), Polynomial.from_coeffs(rem)
+        return Polynomial(quot), Polynomial(rem[:ddeg])
 
     def gcd(self, other: "Polynomial") -> "Polynomial":
         """A greatest common divisor, up to a rational factor: the last
@@ -135,9 +123,7 @@ class Polynomial(Record):
         return a
 
     def derivative(self) -> "Polynomial":
-        return Polynomial.from_coeffs(
-            k * c for k, c in enumerate(self.coeffs) if k >= 1
-        )
+        return Polynomial(k * c for k, c in enumerate(self.coeffs) if k >= 1)
 
     def __call__(self, x: Fraction | int) -> Fraction:
         x = Fraction(x)
@@ -163,7 +149,7 @@ class Polynomial(Record):
             out[0] = out[0] * r + c.numerator * (common // c.denominator) * s_power
             s_power *= s
         scale = common * s ** max(len(self.coeffs) - 1, 0)
-        return PowerSeries(tuple(Fraction(v, scale) for v in out), order)
+        return PowerSeries._make(tuple(Fraction(v, scale) for v in out), order)
 
 
 def _linear_product(pairs: Iterable[tuple[Fraction | int, int]]) -> tuple[list[int], int]:
@@ -193,26 +179,23 @@ def _divide_linear(coeffs: list[int], p: int, q: int) -> list[int]:
 
 
 class RationalFunction(Record):
-    """Quotient of two polynomials, stored reduced with a monic denominator."""
+    """Quotient of two polynomials, stored reduced with a monic denominator.
+
+    The constructor takes two Polynomials, divides out their gcd and makes
+    the denominator monic; a zero denominator raises ConstraintError."""
 
     __slots__ = _fields = ("numerator", "denominator")
 
     def __init__(self, numerator: Polynomial, denominator: Polynomial):
-        object.__setattr__(self, "numerator", numerator)
-        object.__setattr__(self, "denominator", denominator)
-
-    @staticmethod
-    def make(numerator: Polynomial, denominator: Polynomial) -> "RationalFunction":
+        if type(numerator) is not Polynomial or type(denominator) is not Polynomial:
+            raise ConstraintError("a rational function is a quotient of two Polynomials")
         if not denominator.coeffs:
-            raise ZeroDivisionError("zero denominator")
-        if not numerator.coeffs:
-            return RationalFunction(Polynomial.zero(), Polynomial.one())
+            raise ConstraintError("zero denominator")
+        # both divided by their gcd, scaled to leave a monic denominator
         common = numerator.gcd(denominator)
-        if common.degree and common.degree > 0:
-            numerator = numerator.divmod(common)[0]
-            denominator = denominator.divmod(common)[0]
-        lead = denominator.leading()
-        return RationalFunction(numerator.scale(1 / lead), denominator.scale(1 / lead))
+        common = common.scale(denominator.leading() / common.leading())
+        object.__setattr__(self, "numerator", numerator.divmod(common)[0])
+        object.__setattr__(self, "denominator", denominator.divmod(common)[0])
 
     def __call__(self, x: Fraction | int) -> Fraction:
         d = self.denominator(x)
@@ -222,9 +205,7 @@ class RationalFunction(Record):
 
     def derivative(self) -> "RationalFunction":
         n, d = self.numerator, self.denominator
-        return RationalFunction.make(
-            n.derivative() * d - n * d.derivative(), d * d
-        )
+        return RationalFunction(n.derivative() * d - n * d.derivative(), d * d)
 
 
 class BranchCoordinates(Record):
@@ -265,16 +246,6 @@ def _orders(p: Sequence[int]) -> list[int]:
     if any(k < 1 for k in orders):
         raise ConstraintError("orders must be positive")
     return orders
-
-
-def _points(values: Sequence[Fraction | int], what: str) -> list[Fraction]:
-    """The values as Fractions, each an int or a Fraction; else ConstraintError."""
-    try:
-        values = list(values)
-    except TypeError:
-        raise ConstraintError(f"{what} must come as a sequence, not {values!r}") from None
-    _exact(values, what)
-    return [Fraction(v) for v in values]
 
 
 def profile_constants(p: Profile) -> ProfileConstants:
@@ -333,17 +304,17 @@ def canonical_function(
     to cf+b) with the prescribed poles whose first m-1 derivatives vanish at x.
     An order sum over ORDER_SUM_BUDGET raises ConstraintError."""
     orders = _budgeted_orders(p)
-    points = _points(poles, "poles")
+    points = _fractions(poles, "poles")
     if len(points) != len(orders):
         raise ConstraintError("need exactly one pole per branch")
-    (x,) = _points((x,), "the point x")
+    (x,) = _fractions((x,), "the point x")
     if len(set(points)) != len(points) or x in points:
         raise ConstraintError("poles must be pairwise distinct and different from x")
     m = sum(orders)
     numerator = Polynomial.from_roots([(x, m)])
     denominator = Polynomial.from_roots(zip(points, orders))
     # already reduced: x is no pole, and a product of monic factors is monic
-    return RationalFunction(numerator, denominator)
+    return RationalFunction._make(numerator, denominator)
 
 
 def _integer_kth_root(value: int, k: int) -> int | None:
@@ -390,7 +361,7 @@ def _cofactor_series(pairs: list[tuple[Fraction, int]], i: int, order: int) -> P
             # times (p + q t): c_n becomes p c_n + q c_{n-1}
             coeffs = [p * c + q * b for c, b in zip(coeffs, [0, *coeffs])]
         scale *= q**k_j
-    return PowerSeries(tuple(Fraction(c, scale) for c in coeffs), order)
+    return PowerSeries._make(tuple(Fraction(c, scale) for c in coeffs), order)
 
 
 def hurwitz_coordinates(
@@ -408,7 +379,7 @@ def hurwitz_coordinates(
     if not isinstance(f, RationalFunction):
         raise ConstraintError(f"hurwitz_coordinates needs a RationalFunction, not {f!r}")
     orders = _budgeted_orders(p)
-    points = _points(poles, "poles")
+    points = _fractions(poles, "poles")
     if len(points) != len(orders) or len(set(points)) != len(points):
         raise ConstraintError("need pairwise distinct poles, one per branch")
     pairs = list(zip(points, orders))
@@ -428,10 +399,9 @@ def hurwitz_coordinates(
         others = _cofactor_series(pairs, i, k - 1)
         series = f.numerator.taylor(z_i, k - 1) * others.inverse()
         laurent = [series.coefficient(k - s) for s in range(1, k + 1)]
-        # laurent[s-1] is the coefficient of (z - z_i)^{-s}
+        # laurent[s-1] is the coefficient of (z - z_i)^{-s}; f is reduced, so
+        # its numerator, and with it lead, is nonzero at the pole
         lead = laurent[k - 1]
-        if lead == 0:
-            raise ConstraintError(f"pole at {z_i} has lower order than {k}")
         root = _rational_kth_root(lead, k)
         if root is None:
             raise ConstraintError(
@@ -457,6 +427,8 @@ def reassemble(coords: HurwitzCoordinates) -> RationalFunction:
     D / (q_i z - p_i)^m, an exact integer division.  So the numerator is one
     integer polynomial over one common denominator (the layout of FLINT's
     fmpq_poly), and every Fraction is made once, at the end."""
+    if not isinstance(coords, HurwitzCoordinates):
+        raise ConstraintError(f"reassemble needs HurwitzCoordinates, not {coords!r}")
     pairs = [(b.pole, b.order) for b in coords.branches]
     product, scale = _linear_product(pairs)
     # (scalar, integer polynomial) pairs whose sum is the numerator times scale
@@ -476,10 +448,10 @@ def reassemble(coords: HurwitzCoordinates) -> RationalFunction:
             times = c.numerator * (common // c.denominator)
             for k, v in enumerate(poly):
                 total[k] += times * v
-    numerator = Polynomial.from_coeffs(Fraction(v, scale * common) for v in total)
-    denominator = Polynomial(tuple(Fraction(v, scale) for v in product))
+    numerator = Polynomial(Fraction(v, scale * common) for v in total)
+    denominator = Polynomial._make(tuple(Fraction(v, scale) for v in product))
     poles = {b.pole for b in coords.branches}
     if len(poles) == len(coords.branches) and all(b.u for b in coords.branches):
         # the numerator is u^k * others != 0 at each pole, so nothing cancels
-        return RationalFunction(numerator, denominator)
-    return RationalFunction.make(numerator, denominator)
+        return RationalFunction._make(numerator, denominator)
+    return RationalFunction(numerator, denominator)

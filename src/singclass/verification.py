@@ -134,7 +134,7 @@ def check_basic_to_sing() -> list[CheckResult]:
                 nested_monomials.append((c, q))
             else:
                 scalar_part.append((t, c))
-        scalar_expr = ClassExpr.from_terms(SINGULARITY, computed.degree, scalar_part)
+        scalar_expr = ClassExpr(SINGULARITY, computed.degree, scalar_part)
         ok = scalar_expr == expected_scalar and (
             sorted((c, q) for c, q in nested_monomials)
             == [(c, q) for c, q in nested_specs]

@@ -32,7 +32,7 @@ def psi_power_sing(m: int) -> ClassExpr:
     if m < 0:
         raise ConstraintError("m must be nonnegative")
     pieces = [ClassExpr.unit(SINGULARITY)] + [product_expansion(j) for j in range(1, m + 1)]
-    return ClassExpr.from_terms(
+    return ClassExpr(
         SINGULARITY,
         m,
         (
@@ -58,7 +58,7 @@ def substitute(outer: MarkedTree, grafts: Iterable[ClassExpr]) -> ClassExpr:
 
     if any(not g.terms for g in grafts):
         return ClassExpr.zero(SINGULARITY)
-    return ClassExpr.from_terms(
+    return ClassExpr(
         SINGULARITY,
         outer.codim - outer.weight + sum(g.degree for g in grafts),
         (
@@ -80,7 +80,7 @@ def basic_to_sing(e: ClassExpr) -> ClassExpr:
     """Convert a basic-basis expression to the singularity basis."""
     if e.basis != BASIC:
         raise ConstraintError("basic_to_sing expects a basic-basis expression")
-    return ClassExpr.from_terms(
+    return ClassExpr(
         SINGULARITY,
         e.degree,
         (
@@ -116,4 +116,4 @@ def sing_to_basic(e: ClassExpr) -> ClassExpr:
                 updated = bucket.pop(t2, 0) - c2 * lead
                 if updated:
                     bucket[t2] = updated
-    return ClassExpr.from_terms(BASIC, e.degree, out)
+    return ClassExpr(BASIC, e.degree, out)

@@ -404,7 +404,7 @@ def parse_class(text: str, default_basis: str = SINGULARITY) -> ClassExpr:
     if len(degrees) > 1:
         raise ParseError(f"inhomogeneous class expression: total degrees {degrees}")
     degree = degrees[0] if degrees else None
-    return ClassExpr.from_terms(basis, degree, ((t, c) for t, _, c in kept))
+    return ClassExpr(basis, degree, ((t, c) for t, _, c in kept))
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +456,7 @@ def parse_cycles(text: str) -> CycleExpr:
     for _, factors in terms:
         if len(factors) > 1:
             raise ParseError("a term may contain at most one C atom", factors[1][1])
-    return CycleExpr.from_terms(
+    return CycleExpr(
         (factors[0][0] if factors else (), coeff) for coeff, factors in terms
     )
 

@@ -7,20 +7,22 @@ silently wrong answer, and ``True`` hashed like ``1`` into the memos of
 ``completed_cycle`` and ``psi_power_sing``.  Coefficients, points and poles
 must be exactly an ``int`` or a ``Fraction``, as ``ClassExpr`` already asks.
 A class expression must be a ``ClassExpr`` built from marked trees, and its
-constructor checks its basis, degree and terms.  The fuzz test calls each
-entry point with such values and accepts only a result or a
-``SingclassError``; ``TestArgvFuzz`` in ``test_cli.py`` does the same for the
-CLI.
+constructor checks its basis, degree and terms.  The fuzz tests call each
+entry point, and every callable public name of the package, with such values
+and accept only a result or a ``SingclassError``; ``TestArgvFuzz`` in
+``test_cli.py`` does the same for the CLI.
 """
 
 from __future__ import annotations
 
+import inspect
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import singclass
 from singclass import combinatorics, cycles, local_models, trees
 from singclass.classes import (
     BASIC,
@@ -40,7 +42,9 @@ from singclass.combinatorics import (
     make_partition,
     make_profile,
     mn_character,
+    partitions_of,
     profiles_with_sum,
+    profiles_with_sum_and_length,
     shifted_power_sum,
 )
 from singclass.cycles import (
@@ -102,7 +106,7 @@ class TestTheGate:
             make_profile(["2"])  # was (2,)
 
     def test_true_does_not_read_the_memo_of_one(self):
-        assert completed_cycle(1) == CycleExpr.from_terms([((2,), 1)])  # now memoised
+        assert completed_cycle(1) == CycleExpr([((2,), 1)])  # now memoised
         with pytest.raises(ConstraintError):
             completed_cycle(True)  # was the element for m = 1
         assert psi_power_sing(1).degree == 1
@@ -158,12 +162,12 @@ class TestExactCoefficients:
 
     @pytest.mark.parametrize("c", [0.1, 0.5, True, False, "1/2", None, 1 + 0j])
     @pytest.mark.parametrize("cls", [CycleExpr, XPolynomial], ids=lambda c: c.__name__)
-    def test_from_terms_takes_only_exact_coefficients(self, cls, c):
+    def test_the_constructor_takes_only_exact_coefficients(self, cls, c):
         with pytest.raises(ConstraintError, match="must be int or Fraction"):
-            cls.from_terms([((2,), c)])
+            cls([((2,), c)])
         # also beside an exact coefficient of the same profile
         with pytest.raises(ConstraintError, match="must be int or Fraction"):
-            cls.from_terms([((2,), Fraction(1, 3)), ((2,), c)])
+            cls([((2,), Fraction(1, 3)), ((2,), c)])
 
     @pytest.mark.parametrize("c", [0.1, True, "1/2", None])
     def test_scale_takes_only_exact_coefficients(self, c):
@@ -171,9 +175,9 @@ class TestExactCoefficients:
             completed_cycle(1).scale(c)
 
     def test_exact_coefficients_stay_exact(self):
-        e = CycleExpr.from_terms([((2,), Fraction(1, 10)), ((1,), 3)])
+        e = CycleExpr([((2,), Fraction(1, 10)), ((1,), 3)])
         assert e.terms == (((2,), Fraction(1, 10)), ((1,), Fraction(3)))
-        assert e.scale(2) == CycleExpr.from_terms([((2,), Fraction(1, 5)), ((1,), 6)])
+        assert e.scale(2) == CycleExpr([((2,), Fraction(1, 5)), ((1,), 6)])
 
 
 class TestClassSide:
@@ -193,16 +197,18 @@ class TestClassSide:
             lambda: ClassExpr("nope", 2, ()),
             lambda: ClassExpr(BASIC, 2.0, ()),
             lambda: ClassExpr(BASIC, True, ((stick(1), 1),)),
-            lambda: ClassExpr(BASIC, 2, [(stick(2), 1)]),
             lambda: ClassExpr(BASIC, 2, ((2, 1),)),
             lambda: ClassExpr(BASIC, 1, ((stick(2), 1),)),
             lambda: ClassExpr(BASIC, None, ((stick(2), 1),)),
             lambda: ClassExpr.single(BASIC, 3),
-            lambda: ClassExpr.from_terms(BASIC, 2, [(2.0, 1)]),
-            lambda: ClassExpr.from_terms(BASIC, 2, 5),
-            lambda: ClassExpr.from_terms(BASIC, 2, [(stick(2),)]),
-            lambda: ClassExpr.from_terms(BASIC, 2.0, [(stick(2), 1)]),
-            lambda: ClassExpr.from_terms(BASIC, 2.0, []),
+            lambda: ClassExpr(BASIC, 2, [(2.0, 1)]),
+            lambda: ClassExpr(BASIC, 2, 5),
+            lambda: ClassExpr(BASIC, 2, [(stick(2),)]),
+            lambda: ClassExpr(BASIC, 2, [[stick(2), 1]]),
+            lambda: ClassExpr(BASIC, 2.0, [(stick(2), 1)]),
+            lambda: ClassExpr(BASIC, 2.0, []),
+            lambda: ClassExpr.zero("nope"),
+            lambda: ClassExpr.single("nope", stick(2)),
             lambda: ClassExpr.single(BASIC, stick(2)).mul_xi(2.5),
             lambda: ClassExpr.single(BASIC, stick(2)).mul_xi(True),
         ],
@@ -213,9 +219,10 @@ class TestClassSide:
 
     def test_good_arguments_still_pass(self):
         e = ClassExpr(SINGULARITY, 3, ((stick(2), Fraction(1, 2)), (stick(0), 3)))
-        assert e.terms == ((stick(2), Fraction(1, 2)), (stick(0), 3))
+        assert e.terms == ((stick(0), Fraction(3)), (stick(2), Fraction(1, 2)))  # sorted by encoding
+        assert ClassExpr(BASIC, 2, [(stick(2), 1)]) == ClassExpr.single(BASIC, stick(2))
         assert ClassExpr.single(BASIC, stick(2)).mul_xi(2).degree == 4
-        assert ClassExpr.from_terms(BASIC, 2, []) == ClassExpr.zero(BASIC)
+        assert ClassExpr(BASIC, 2, []) == ClassExpr.zero(BASIC)
         assert sing_to_basic(ClassExpr.zero(SINGULARITY)) == ClassExpr.zero(BASIC)
 
 
@@ -231,13 +238,13 @@ _SCALARS = st.one_of(
 _VALUES = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=4).map(tuple), max_leaves=6)
 _ELEMENTS = st.lists(
     st.tuples(st.lists(st.integers(1, 4), max_size=3), st.integers(-3, 3)), max_size=3
-).map(CycleExpr.from_terms)
+).map(CycleExpr)
 
 _BASES = st.sampled_from([BASIC, SINGULARITY])
 _TREES = st.sampled_from(trees.enumerate_trees(3))
 _PAIRS = st.lists(st.tuples(_TREES, _SCALARS), max_size=3)
 _CLASSES = st.builds(
-    ClassExpr.from_terms,
+    ClassExpr,
     _BASES,
     st.integers(3, 4),
     st.lists(st.tuples(_TREES, st.integers(-3, 3)), max_size=3),
@@ -254,6 +261,8 @@ CALLS = {
     "make_profile": (make_profile, (_VALUES,)),
     "make_partition": (make_partition, (_VALUES,)),
     "profiles_with_sum": (profiles_with_sum, (_VALUES, _VALUES)),
+    "profiles_with_sum_and_length": (profiles_with_sum_and_length, (_VALUES, _VALUES)),
+    "partitions_of": (partitions_of, (_VALUES,)),
     "character_dimension": (character_dimension, (_VALUES,)),
     "mn_character": (mn_character, (_VALUES, _VALUES)),
     "central_character": (central_character, (_VALUES, _VALUES)),
@@ -279,8 +288,7 @@ CALLS = {
     "basic_to_sing": (basic_to_sing, (_CLASSES | _VALUES,)),
     "sing_to_basic": (sing_to_basic, (_CLASSES | _VALUES,)),
     "substitute": (substitute, (_TREES | _VALUES, st.lists(_CLASSES | _VALUES, max_size=3) | _VALUES)),
-    "ClassExpr": (ClassExpr, (_BASES | _VALUES, _VALUES, _PAIRS.map(tuple) | _VALUES)),
-    "ClassExpr.from_terms": (ClassExpr.from_terms, (_BASES | _VALUES, _VALUES, _PAIRS | _VALUES)),
+    "ClassExpr": (ClassExpr, (_BASES | _VALUES, _VALUES, _PAIRS | _VALUES)),
     "ClassExpr.single": (ClassExpr.single, (_BASES | _VALUES, _TREES | _VALUES)),
     "mul_xi": (ClassExpr.mul_xi, (_CLASSES, _VALUES)),
 }
@@ -292,6 +300,28 @@ CALLS = {
 def test_every_argument_ends_in_a_result_or_a_singclass_error(name, data):
     function, strategies = CALLS[name]
     args = [data.draw(strategy, label=f"argument {i}") for i, strategy in enumerate(strategies)]
+    _call_within_small_budgets(function, args)
+
+
+# every callable public name of the package, the classes included
+PUBLIC = {name: getattr(singclass, name) for name in singclass.__all__}
+PUBLIC = {name: value for name, value in PUBLIC.items() if callable(value)}
+
+
+@pytest.mark.parametrize("name", sorted(PUBLIC))
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_every_public_name_ends_in_a_result_or_a_singclass_error(name, data):
+    function = PUBLIC[name]
+    params = inspect.signature(function).parameters.values()
+    required = sum(param.default is param.empty for param in params)
+    count = data.draw(st.integers(required, len(params)), label="argument count")
+    args = [data.draw(_VALUES, label=f"argument {i}") for i in range(count)]
+    _call_within_small_budgets(function, args)
+
+
+def _call_within_small_budgets(function, args) -> None:
+    """function(*args), which must end in a result or a SingclassError."""
     # small budgets: a product or an oracle check stays under 20 000 point steps
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cycles, "PRODUCT_STEP_BUDGET", 20_000)
@@ -300,3 +330,39 @@ def test_every_argument_ends_in_a_result_or_a_singclass_error(name, data):
             function(*args)
         except SingclassError:
             pass
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: combinatorics.aut_count(0),
+        lambda: cycles.genus0_part(0, 0),
+        lambda: cycles.genus0_part(CycleExpr.identity(), 0.5),
+        lambda: singclass.parse_class(0),
+        lambda: singclass.parse_cycles(0),
+        lambda: singclass.render_class(0),
+        lambda: singclass.render_cycles(0),
+        lambda: singclass.reassemble(0),
+        lambda: singclass.s_series(0),
+        lambda: singclass.s_series(2.5),
+        lambda: singclass.series_scale_arg(0, 1),
+        lambda: singclass.series_scale_arg(singclass.s_series(2), 0),
+        lambda: singclass.series_scale_arg(singclass.s_series(2), "3"),
+        lambda: profiles_with_sum_and_length(2, Fraction(1, 2)),
+        lambda: profiles_with_sum_and_length(-2, -2),
+        lambda: partitions_of(2.5),
+        lambda: partitions_of(True),
+    ],
+    ids=[
+        "aut_count", "genus0_part", "genus0_part m", "parse_class", "parse_cycles",
+        "render_class", "render_cycles", "reassemble", "s_series 0", "s_series float",
+        "series_scale_arg", "series_scale_arg 0", "series_scale_arg str",
+        "profiles_with_sum_and_length", "profiles_with_sum_and_length negative",
+        "partitions_of float", "partitions_of bool",
+    ],
+)
+def test_the_public_names_that_raised_other_errors(call):
+    # each raised TypeError, AttributeError, ValueError or RecursionError
+    partitions_of(1)  # True once read this memo entry
+    with pytest.raises(ConstraintError):
+        call()

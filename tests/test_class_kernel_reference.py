@@ -45,7 +45,7 @@ def test_psi_powers(m):
 def from_ints(basis: str, t: MarkedTree, form: tuple) -> ClassExpr:
     """The expression of degree t.codim whose integer form is ``form``."""
     den, terms = form
-    return ClassExpr.from_terms(basis, t.codim, ((t2, Fraction(n, den)) for t2, n in terms))
+    return ClassExpr(basis, t.codim, ((t2, Fraction(n, den)) for t2, n in terms))
 
 
 def test_tree_basic_expansions():
@@ -92,7 +92,7 @@ def tree_sums(draw, basis: str) -> ClassExpr:
     chosen = draw(st.lists(st.sampled_from(fits), min_size=1, max_size=6))
     numerators = st.integers(-(10**12), 10**12)
     denominators = st.integers(1, 10**15)
-    return ClassExpr.from_terms(
+    return ClassExpr(
         basis,
         degree,
         [(t, Fraction(draw(numerators), draw(denominators))) for t in chosen],

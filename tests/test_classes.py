@@ -73,7 +73,7 @@ class TestProductExpansion:
             correction = product_expansion(m - 1) - a_prev
             rebuilt = (
                 a_m
-                + ClassExpr.from_terms(SINGULARITY, m, layer.items())
+                + ClassExpr(SINGULARITY, m, layer.items())
                 + correction.mul_psi_top().scale(m)
                 - correction.mul_xi(1)
             )
@@ -272,7 +272,7 @@ class TestPointCoefficients:
 class TestClassExpr:
     def test_rejects_inhomogeneous_terms(self):
         with pytest.raises(ConstraintError):
-            ClassExpr.from_terms(
+            ClassExpr(
                 SINGULARITY, 1, [(stick(1), Fraction(1)), (stick(2), Fraction(1))]
             )
         with pytest.raises(ConstraintError, match=r"total degrees \[1, 2\]"):
@@ -303,15 +303,15 @@ class TestClassExpr:
             e.scale(c)
 
     @pytest.mark.parametrize("c", [0.5, True, "1/2", None, 1 + 0j])
-    def test_from_terms_takes_only_exact_coefficients(self, c):
+    def test_the_constructor_takes_only_exact_coefficients(self, c):
         with pytest.raises(ConstraintError, match="must be int or Fraction"):
-            ClassExpr.from_terms(SINGULARITY, 2, [(stick(2), c)])
+            ClassExpr(SINGULARITY, 2, [(stick(2), c)])
         # also beside an exact coefficient of the same tree
         with pytest.raises(ConstraintError, match="must be int or Fraction"):
-            ClassExpr.from_terms(SINGULARITY, 2, [(stick(2), Fraction(1, 3)), (stick(2), c)])
+            ClassExpr(SINGULARITY, 2, [(stick(2), Fraction(1, 3)), (stick(2), c)])
 
     def test_exact_coefficients_stay_exact(self):
         e = ClassExpr.single(SINGULARITY, stick(2))
         assert e.scale(Fraction(1, 10)).terms == ((stick(2), Fraction(1, 10)),)
         assert e.scale(3).terms == ((stick(2), Fraction(3)),)
-        assert ClassExpr.from_terms(SINGULARITY, 2, [(stick(2), 2)]) == e.scale(2)
+        assert ClassExpr(SINGULARITY, 2, [(stick(2), 2)]) == e.scale(2)

@@ -106,6 +106,12 @@ class TestScalarCommands:
         code, out, _ = run(capsys, "coeff", "delta", "[0,2]", "{1,3}")
         assert out.strip() == "1/2"
 
+    def test_coeff_delta_refuses_raw(self, capsys):
+        # --raw scales the psi coefficient by m!; delta has no such variant
+        code, out, err = run(capsys, "coeff", "delta", "[0,2]", "{1,3}", "--raw")
+        assert (code, out) == (3, "")
+        assert "--raw applies to coeff psi only" in err
+
     def test_local_model(self, capsys):
         code, out, _ = run(capsys, "local-model", "{1,1}", "0", "1,-1")
         assert code == 0

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singclass.errors import TruncationError
+from singclass.errors import ConstraintError, TruncationError
 from singclass.exact import PowerSeries, s_series, series_scale_arg
 from singclass.local_models import Polynomial
 
@@ -48,7 +48,7 @@ class TestRational:
 
 
 # Coefficient lists with zeros inside and general ones; ints are mixed in,
-# since from_coeffs must convert them.
+# since the constructors must convert them.
 _COEFF = st.one_of(
     st.just(0),
     st.integers(-5, 5),
@@ -82,7 +82,7 @@ class TestCoefficientsStayFractions:
     @settings(deadline=None, max_examples=40)
     @given(_COEFFS, _COEFFS, _COEFF)
     def test_xi_polynomial_operations(self, a, b, c):
-        p, q = Polynomial.from_coeffs(a), Polynomial.from_coeffs(b)
+        p, q = Polynomial(a), Polynomial(b)
         pa, qa = list(_values(a)), list(_values(b))
         n = max(len(pa), len(qa))
 
@@ -122,7 +122,7 @@ class TestCoefficientsStayFractions:
     @settings(deadline=None, max_examples=40)
     @given(_COEFFS, _COEFFS, st.integers(0, 4))
     def test_power_series_operations(self, a, b, order):
-        s, t = PowerSeries.from_coeffs(a, order), PowerSeries.from_coeffs(b, order)
+        s, t = PowerSeries(a, order), PowerSeries(b, order)
 
         def dense(v):
             v = [Fraction(x) for x in v[: order + 1]]
@@ -137,7 +137,7 @@ class TestCoefficientsStayFractions:
         assert list(product.coeffs) == _reference_mul(dense(a), dense(b))[: order + 1]
         if s.coeffs[0] != 0:
             assert _all_fractions(s.inverse().coeffs)
-        taylor = Polynomial.from_coeffs(a).taylor(1, order)
+        taylor = Polynomial(a).taylor(1, order)
         assert _all_fractions(taylor.coeffs)
 
 
@@ -162,7 +162,7 @@ class TestSSeries:
             assert s.coefficient(n) == Fraction(1, 2**n) / factorial(n + 1)
 
     def test_order_must_be_positive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConstraintError):
             s_series(0)
 
 
@@ -194,8 +194,8 @@ class TestPowerSeries:
         rng = random.Random(99)
         for _ in range(25):
             order = rng.randint(0, 7)
-            a = PowerSeries.from_coeffs([rnd_fraction(rng) for _ in range(order + 1)], order)
-            b = PowerSeries.from_coeffs([rnd_fraction(rng) for _ in range(order + 1)], order)
+            a = PowerSeries([rnd_fraction(rng) for _ in range(order + 1)], order)
+            b = PowerSeries([rnd_fraction(rng) for _ in range(order + 1)], order)
             product = a * b
             for n in range(order + 1):
                 naive = sum(

@@ -84,7 +84,7 @@ class TestParseClass:
                 if coeff == 0:
                     continue
                 mapping[t] = coeff
-            e = ClassExpr.from_terms(basis, total, mapping.items())
+            e = ClassExpr(basis, total, mapping.items())
             if e.is_zero():
                 continue
             assert parse_class(render_class(e), default_basis=basis) == e
@@ -193,7 +193,7 @@ def class_exprs(draw):
     total = draw(st.integers(min_value=0, max_value=8))
     pool = [t for t in enumerate_trees(6) if t.codim <= total]
     picks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6, unique=True))
-    return ClassExpr.from_terms(basis, total, [(t, draw(_COEFFS)) for t in picks])
+    return ClassExpr(basis, total, [(t, draw(_COEFFS)) for t in picks])
 
 
 _PROFILES = st.lists(st.integers(min_value=1, max_value=6), max_size=4).map(
@@ -210,7 +210,7 @@ class TestParseRenderProperties:
     @settings(deadline=None)
     @given(st.dictionaries(_PROFILES, _COEFFS, max_size=6))
     def test_parse_inverts_render_on_cycles(self, mapping):
-        c = CycleExpr.from_terms(mapping.items())
+        c = CycleExpr(mapping.items())
         assert parse_cycles(render_cycles(c)) == c
 
 
@@ -392,7 +392,7 @@ def json_class_exprs(draw):
     degree = draw(st.integers(min_value=0, max_value=8))
     pool = [t for t in enumerate_trees(6) if t.codim <= degree]
     picks = draw(st.lists(st.sampled_from(pool), max_size=8, unique=True))
-    return ClassExpr.from_terms(basis, degree, [(t, draw(_JSON_COEFFS)) for t in picks])
+    return ClassExpr(basis, degree, [(t, draw(_JSON_COEFFS)) for t in picks])
 
 
 class TestJsonLayout:
@@ -409,8 +409,8 @@ class TestJsonLayout:
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.tuples(_JSON_PROFILES, _JSON_COEFFS), max_size=6))
     def test_cycle_and_x_polynomial_json_is_the_indent_2_dump(self, pairs):
-        c = CycleExpr.from_terms(pairs)
-        x = XPolynomial.from_terms(pairs)
+        c = CycleExpr(pairs)
+        x = XPolynomial(pairs)
         cycles = {"terms": [{"coeff": str(coeff), "profile": list(p)} for p, coeff in c.terms]}
         xpoly = {"terms": [{"coeff": str(coeff), "monomial": list(p)} for p, coeff in x.terms]}
         assert cycles_to_json(c) == json.dumps(cycles, indent=2)
@@ -420,11 +420,11 @@ class TestJsonLayout:
         assert class_to_json(ClassExpr.zero(BASIC)) == (
             '{\n  "basis": "basic",\n  "codim": null,\n  "terms": []\n}'
         )
-        unit = CycleExpr.from_terms([((), Fraction(1, 2))])
+        unit = CycleExpr([((), Fraction(1, 2))])
         assert cycles_to_json(unit) == (
             '{\n  "terms": [\n    {\n      "coeff": "1/2",\n      "profile": []\n    }\n  ]\n}'
         )
-        assert xpoly_to_json(XPolynomial.from_terms([])) == '{\n  "terms": []\n}'
+        assert xpoly_to_json(XPolynomial([])) == '{\n  "terms": []\n}'
 
 
 class TestXPolyRendering:

@@ -197,7 +197,7 @@ def class_exprs(draw):
     total = draw(st.integers(min_value=0, max_value=9))
     pool = [t for t in _TREES if t.codim <= total]
     picks = draw(st.lists(st.sampled_from(pool), max_size=7, unique=True))
-    return ClassExpr.from_terms(basis, total, [(t, draw(_COEFFS)) for t in picks])
+    return ClassExpr(basis, total, [(t, draw(_COEFFS)) for t in picks])
 
 
 _PROFILES = st.lists(st.integers(min_value=1, max_value=7), max_size=5).map(
@@ -215,7 +215,7 @@ def test_class_renders_are_unchanged(e):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(_PROFILES, _COEFFS), max_size=6))
 def test_cycle_and_x_polynomial_renders_are_unchanged(pairs):
-    values = ((CycleExpr.from_terms(pairs), "cycles"), (XPolynomial.from_terms(pairs), "xpoly"))
+    values = ((CycleExpr(pairs), "cycles"), (XPolynomial(pairs), "xpoly"))
     for value, kind in values:
         for name in (f"render_{kind}", f"render_{kind}_latex", f"{kind}_to_json"):
             assert getattr(grammar, name)(value) == getattr(reference, name)(value), name
@@ -224,7 +224,7 @@ def test_cycle_and_x_polynomial_renders_are_unchanged(pairs):
 @settings(max_examples=60, deadline=None)
 @given(st.lists(_COEFFS, max_size=6), st.lists(_COEFFS, min_size=1, max_size=4).filter(any))
 def test_polynomial_texts_are_unchanged(numerator, denominator):
-    f = RationalFunction(Polynomial.from_coeffs(numerator), Polynomial.from_coeffs(denominator))
+    f = RationalFunction(Polynomial(numerator), Polynomial(denominator))
     assert grammar.format_function(f) == reference.format_function(f)
 
 

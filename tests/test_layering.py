@@ -9,6 +9,10 @@ so that a CLI call loads just what its verb runs: each of cli's verb handlers
 imports its engine module, and the package root imports the home module of a
 public name on first access.  A library module that deferred an import would
 pay for it inside every timed call.
+
+The value types build their instances through their canonical constructors;
+``object.__new__`` appears only in ``errors.Record._make``, the one unchecked
+builder, and in the interning ``trees.MarkedTree.__new__``.
 """
 
 from __future__ import annotations
@@ -64,6 +68,10 @@ DEFERRED = {
 }
 
 
+# (module, function) pairs that may name object.__new__
+OBJECT_NEW = {("errors", "Record._make"), ("trees", "MarkedTree.__new__")}
+
+
 def _tree(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
 
@@ -97,6 +105,28 @@ def _function_imports(path: Path) -> set[tuple[str, str]]:
             for node in ast.walk(fn):
                 if isinstance(node, (ast.Import, ast.ImportFrom)):
                     out.update((fn.name, name) for name in _imported_names(node))
+    return out
+
+
+def _object_new_users(path: Path) -> set[str]:
+    """The dotted name of every class or function body that names object.__new__."""
+    out = set()
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if (
+                isinstance(child, ast.Attribute)
+                and child.attr == "__new__"
+                and isinstance(child.value, ast.Name)
+                and child.value.id == "object"
+            ):
+                out.add(".".join(scope))
+            visit(child, scope)
+
+    visit(_tree(path), ())
     return out
 
 
@@ -140,3 +170,8 @@ def test_the_package_root_loads_no_submodule():
         cwd=SRC, capture_output=True, text=True, check=True,
     ).stdout.split()
     assert loaded == ["singclass"]
+
+
+def test_values_are_built_without_their_constructor_in_two_places_only():
+    found = {(path.stem, name) for path in MODULES for name in _object_new_users(path)}
+    assert found == OBJECT_NEW

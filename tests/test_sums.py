@@ -1,18 +1,32 @@
-"""Property tests for the summing constructors, the degree of class
-expressions and the basis change on sums."""
+"""Property tests for the canonical constructors, the degree of class
+expressions and the basis change on sums.
+
+Each value type has one constructor, and it always builds the canonical
+value: shuffled, repeated or zero-padded input gives the value that
+canonical input gives, and rebuilding a value from its fields gives it back."""
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singclass.classes import BASIC, ClassExpr, basic_to_sing, sing_to_basic
+from singclass.classes import BASIC, SINGULARITY, ClassExpr, basic_to_sing, sing_to_basic
 from singclass.cycles import CycleExpr, XPolynomial
 from singclass.errors import ConstraintError
+from singclass.exact import PowerSeries
+from singclass.grammar import render_class, render_cycles
+from singclass.local_models import Polynomial, RationalFunction
+from singclass.trees import star, stick
 from test_grammar import _COEFFS, _PROFILES, class_exprs
 
 _SETTINGS = settings(deadline=None, max_examples=30)
+_EXACT = st.one_of(st.integers(-5, 5), st.fractions(min_value=-4, max_value=4, max_denominator=6))
+_POLYNOMIALS = st.lists(_EXACT, max_size=4).map(Polynomial)
+_Z = Polynomial([0, 1])
+_ONE = Polynomial.one()
 
 
 def _as_basic(e: ClassExpr) -> ClassExpr:
@@ -46,24 +60,119 @@ class TestBasisChangeOnSums:
         assert basic_to_sing(a + b) == basic_to_sing(a) + basic_to_sing(b)
 
 
-class TestFromTerms:
+class TestConstructors:
     @_SETTINGS
     @given(st.data(), class_exprs())
     def test_class_terms_sum(self, data, e):
         pairs = data.draw(_repeated(e.terms))
-        assert ClassExpr.from_terms(e.basis, e.degree, pairs) == e
+        assert ClassExpr(e.basis, e.degree, pairs) == e
         cancelled = data.draw(st.permutations(pairs + [(t, -p) for t, p in pairs]))
-        assert ClassExpr.from_terms(e.basis, e.degree, cancelled) == ClassExpr.zero(e.basis)
+        assert ClassExpr(e.basis, e.degree, cancelled) == ClassExpr.zero(e.basis)
 
     @_SETTINGS
     @given(st.data(), st.sampled_from([CycleExpr, XPolynomial]),
            st.dictionaries(_PROFILES, _COEFFS, max_size=6))
     def test_profile_terms_sum(self, data, kind, mapping):
-        expected = kind.from_terms(mapping.items())
+        expected = kind(mapping.items())
         assert dict(expected.terms) == mapping
-        assert kind.from_terms(data.draw(_repeated(mapping.items()))) == expected
+        assert kind(data.draw(_repeated(mapping.items()))) == expected
         cancelled = list(mapping.items()) + [(p, -c) for p, c in mapping.items()]
-        assert kind.from_terms(data.draw(st.permutations(cancelled))) == kind(())
+        assert kind(data.draw(st.permutations(cancelled))) == kind(())
+
+    @_SETTINGS
+    @given(st.data(), class_exprs())
+    def test_class_input_is_made_canonical(self, data, e):
+        assert ClassExpr(*e._values()) == e
+        # zero coefficients and a vanishing tree (a star marked above its valency) drop out
+        padded = list(e.terms) + [(t, 0) for t, _ in e.terms] + [(star(1, [0, 0]), 5)]
+        assert ClassExpr(e.basis, e.degree, data.draw(st.permutations(padded))) == e
+        ints = [(t, c.numerator) for t, c in e.terms if c.denominator == 1]
+        as_fractions = [(t, Fraction(c)) for t, c in ints]
+        assert ClassExpr(e.basis, e.degree, ints) == ClassExpr(e.basis, e.degree, as_fractions)
+
+    @_SETTINGS
+    @given(st.data(), st.sampled_from([CycleExpr, XPolynomial]),
+           st.dictionaries(_PROFILES, _COEFFS, max_size=6))
+    def test_profile_input_is_made_canonical(self, data, kind, mapping):
+        x = kind(mapping.items())
+        assert kind(*x._values()) == x
+        # profiles in any order, zero coefficients beside them
+        shuffled = [(tuple(data.draw(st.permutations(p))), c) for p, c in mapping.items()]
+        padded = shuffled + [(p, 0) for p in mapping] + [((7,), Fraction(0))]
+        assert kind(data.draw(st.permutations(padded))) == x
+
+    @_SETTINGS
+    @given(st.lists(_EXACT, max_size=6), st.integers(0, 3))
+    def test_polynomial_input_is_made_canonical(self, coeffs, zeros):
+        p = Polynomial(coeffs)
+        assert Polynomial(*p._values()) == p
+        assert Polynomial(coeffs + [0] * zeros) == p
+        assert Polynomial([Fraction(c) for c in coeffs]) == p
+        assert not p.coeffs or p.coeffs[-1] != 0
+        assert p.degree == (len(p.coeffs) - 1 if p.coeffs else None)
+
+    @_SETTINGS
+    @given(st.lists(_EXACT, max_size=6), st.integers(0, 6))
+    def test_power_series_input_is_made_canonical(self, coeffs, order):
+        s = PowerSeries(coeffs, order)
+        assert PowerSeries(*s._values()) == s
+        dense = [Fraction(c) for c in coeffs[: order + 1]]
+        dense += [Fraction(0)] * (order + 1 - len(dense))
+        assert s.coeffs == tuple(dense)
+        assert PowerSeries(dense + [1, 2], order) == s  # cut at the order
+        assert PowerSeries(coeffs[: order + 1], order) == s  # padded to it
+
+    @_SETTINGS
+    @given(_POLYNOMIALS, _POLYNOMIALS.filter(lambda p: p.coeffs),
+           _POLYNOMIALS.filter(lambda p: p.coeffs), _EXACT.filter(bool))
+    def test_rational_function_input_is_made_canonical(self, n, d, g, c):
+        f = RationalFunction(n, d)
+        assert RationalFunction(*f._values()) == f
+        assert RationalFunction(n * g, d * g) == f
+        assert RationalFunction(n.scale(c), d.scale(c)) == f
+        assert f.denominator.leading() == 1
+        assert f.numerator.gcd(f.denominator).degree == 0
+
+
+class TestTheExamplesThatDifferedByConstructor:
+    """Each of these held only for values built by the canonical factory
+    that the constructor has replaced; a directly built value differed."""
+
+    def test_a_repeated_tree_adds_up(self):
+        e = ClassExpr(SINGULARITY, 2, ((stick(2), 1), (stick(2), 1)))
+        assert render_class(e) == "2*a_2"
+        assert e == ClassExpr.single(SINGULARITY, stick(2)).scale(2)
+
+    def test_a_class_without_terms_is_zero(self):
+        assert ClassExpr(SINGULARITY, 2, ()) == ClassExpr.zero(SINGULARITY)
+        assert ClassExpr(SINGULARITY, 2, ((stick(2), 0),)).degree is None
+
+    def test_a_repeated_profile_adds_up(self):
+        c = CycleExpr((((2,), Fraction(1)), ((2,), Fraction(1))))
+        assert render_cycles(c) == "2*C[2]"
+        assert c == CycleExpr((((2,), 2),))
+
+    def test_a_zero_coefficient_drops_out(self):
+        assert CycleExpr((((2,), Fraction(0)),)).is_zero()
+        assert CycleExpr((((2,), Fraction(0)),)) == CycleExpr.zero()
+
+    def test_trailing_zeros_are_stripped(self):
+        assert Polynomial((Fraction(1), Fraction(0))).degree == 0
+        assert Polynomial((Fraction(1), Fraction(0))) == Polynomial.one()
+
+    def test_a_rational_function_is_reduced(self):
+        assert RationalFunction(_Z + _ONE, _Z + _ONE) == RationalFunction(_ONE, _ONE)
+        assert RationalFunction(_Z.scale(2), _Z.scale(4)).numerator == Polynomial([Fraction(1, 2)])
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: Polynomial([0.5]), lambda: PowerSeries([0.5], 1), lambda: RationalFunction(1, _ONE),
+         lambda: RationalFunction(_ONE, Polynomial.zero())],
+        ids=["polynomial float", "series float", "function of an int", "zero denominator"],
+    )
+    def test_inexact_or_malformed_input_is_refused(self, build):
+        with pytest.raises(ConstraintError):
+            build()
 
 
 class TestDegree:
@@ -96,8 +205,8 @@ class TestDegree:
 
     @_SETTINGS
     @given(class_exprs(), st.integers(min_value=1, max_value=3))
-    def test_from_terms_refuses_a_tree_above_the_degree(self, e, k):
+    def test_the_constructor_refuses_a_tree_above_the_degree(self, e, k):
         top = max(t.codim for t, _ in e.terms)
-        assert ClassExpr.from_terms(e.basis, e.degree, e.terms) == e
+        assert ClassExpr(e.basis, e.degree, e.terms) == e
         with pytest.raises(ConstraintError):
-            ClassExpr.from_terms(e.basis, top - k, e.terms)
+            ClassExpr(e.basis, top - k, e.terms)
