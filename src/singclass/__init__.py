@@ -32,7 +32,7 @@ _HOMES = {
          "profile_constants", "reassemble"),
         "local_models",
     ),
-    **dict.fromkeys(("MarkedTree", "canonicalize", "tree"), "trees"),
+    **dict.fromkeys(("MarkedTree", "canonicalize"), "trees"),
 }
 
 __version__ = "0.1.0"

@@ -21,7 +21,7 @@ from operator import itemgetter
 
 from .combinatorics import Profile, aut_count, make_profile, profiles_with_sum
 from .errors import ConstraintError, Record, _exact, _integer, _pairs
-from .trees import MarkedTree, encoding, graft, star, stick, tree
+from .trees import MarkedTree, encoding, graft, star, stick
 
 SINGULARITY = "singularity"
 BASIC = "basic"
@@ -161,7 +161,7 @@ class ClassExpr(Record):
             raise ConstraintError("psi-multiplication is not defined on sticks")
         if not self.terms:
             return self
-        pairs = ((tree(t.marking + 1, t.children), c) for t, c in self.terms)
+        pairs = ((MarkedTree(t.marking + 1, t.children), c) for t, c in self.terms)
         return ClassExpr(self.basis, self.degree + 1, pairs)
 
 

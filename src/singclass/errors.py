@@ -18,8 +18,9 @@ class Record:
     then equals only an instance of its own class with equal fields (never a
     tuple), hashes like the tuple of its fields, shows its fields in its repr,
     copies and pickles through its constructor, and refuses every write.
-    ``trees.MarkedTree`` is the exception: it interns its instances in
-    ``__new__``, so equal fields give one object, compared and hashed by identity.
+    ``trees.MarkedTree`` is the exception: its ``__new__`` is its one
+    constructor and hash-conses every tree in one table, so isomorphic trees
+    are one object, compared and hashed by identity.
 
     The constructor of a value type checks its arguments and makes them
     canonical, so equal values have equal fields.  ``_make`` is the one

@@ -19,7 +19,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 from .classes import BASIC, SINGULARITY, ClassExpr
 from .combinatorics import CycleExpr, Partition, Profile, XPolynomial, make_partition, make_profile
 from .errors import ConstraintError, ParseError, Record
-from .trees import MarkedTree, encoding, star, stick, tree
+from .trees import MarkedTree, encoding, star, stick
 
 __all__ = [
     "ordered_monomials",
@@ -299,7 +299,7 @@ class _Parser:
         self.expect_op(")")
         if len(children) < 2:
             raise self.error("internal vertex needs at least two children", start)
-        return tree(marking, children)
+        return MarkedTree(marking, tuple(children))
 
     def parse_ratio(self, signed: bool = False) -> tuple[int, int]:
         """A rational literal ``p`` or ``p/q`` with no spaces inside, as the
@@ -422,7 +422,7 @@ def _class_term(parser: _Parser, factors) -> tuple[MarkedTree, int, str | None]:
     if psi_power:
         if not parsed.children and tag == SINGULARITY:
             raise parser.error("psi * a_m is not a class atom", index)
-        parsed = tree(parsed.marking + psi_power, parsed.children)
+        parsed = MarkedTree(parsed.marking + psi_power, parsed.children)
     return parsed, xi_degree, tag
 
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import lcm, prod
 
 from .combinatorics import Profile, _ints
-from .errors import ConstraintError, Record, SingclassError, _fractions
+from .errors import _EXACT, ConstraintError, Record, SingclassError, _fractions
 from .exact import PowerSeries
 
 __all__ = [
@@ -68,7 +68,7 @@ class Polynomial(Record):
 
     def leading(self) -> Fraction:
         if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
+            raise ConstraintError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
     def coefficient(self, k: int) -> Fraction:
@@ -105,7 +105,7 @@ class Polynomial(Record):
 
     def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
         if not other.coeffs:
-            raise ZeroDivisionError("polynomial division by zero")
+            raise ConstraintError("polynomial division by zero")
         rem, ddeg = list(self.coeffs), other.degree
         quot = [_ZERO] * max(len(rem) - ddeg, 0)
         for shift in reversed(range(len(quot))):  # clear rem[shift + ddeg]
@@ -200,7 +200,7 @@ class RationalFunction(Record):
     def __call__(self, x: Fraction | int) -> Fraction:
         d = self.denominator(x)
         if d == 0:
-            raise ZeroDivisionError(f"pole at {x}")
+            raise ConstraintError(f"pole at {x}")
         return self.numerator(x) / d
 
     def derivative(self) -> "RationalFunction":
@@ -419,6 +419,19 @@ def hurwitz_coordinates(
     return coords
 
 
+def _is_branch(b) -> bool:
+    """Whether b is a BranchCoordinates of exact pole and u, an int order
+    k >= 1 and a tuple of k - 1 exact tail values."""
+    return (
+        type(b) is BranchCoordinates
+        and type(b.order) is int
+        and b.order >= 1
+        and type(b.tail) is tuple
+        and len(b.tail) == b.order - 1
+        and _EXACT.issuperset(map(type, (b.pole, b.u, *b.tail)))
+    )
+
+
 def reassemble(coords: HurwitzCoordinates) -> RationalFunction:
     """Rebuild the rational function from its Hurwitz coordinates.
 
@@ -426,9 +439,14 @@ def reassemble(coords: HurwitzCoordinates) -> RationalFunction:
     linear factors, (z - z_i)^{-m} is q_i^m E_{i,m} / D with E_{i,m} =
     D / (q_i z - p_i)^m, an exact integer division.  So the numerator is one
     integer polynomial over one common denominator (the layout of FLINT's
-    fmpq_poly), and every Fraction is made once, at the end."""
+    fmpq_poly), and every Fraction is made once, at the end.  Coordinates
+    whose fields are not of these types raise ConstraintError."""
     if not isinstance(coords, HurwitzCoordinates):
         raise ConstraintError(f"reassemble needs HurwitzCoordinates, not {coords!r}")
+    if type(coords.branches) is not tuple or not all(map(_is_branch, coords.branches)):
+        raise ConstraintError("branches must be a tuple of BranchCoordinates with exact fields")
+    if type(coords.constant) not in _EXACT:
+        raise ConstraintError("the constant must be int or Fraction")
     pairs = [(b.pole, b.order) for b in coords.branches]
     product, scale = _linear_product(pairs)
     # (scalar, integer polynomial) pairs whose sum is the numerator times scale

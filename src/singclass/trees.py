@@ -22,13 +22,16 @@ deterministic.
 
 Interning
 ---------
-Trees are hash-consed in :class:`MarkedTree` itself: it keeps one table of
-nodes keyed by ``(marking, children)`` and returns the stored node for equal
-fields, so equal trees are the same object, and equality and hash are
-identity.  Each node computes its codimension, weight, vanishing flag and
-leaf markings once, from its children, when it is first built.  Sets of trees
-therefore iterate in address order: anything shown or compared across runs
-is sorted by :func:`encoding` first.
+:class:`MarkedTree` is the one constructor, and it hash-conses its trees
+(Filliatre & Conchon, *Type-safe modular hash-consing*, 2006) in one table
+that maps ``(marking, children)``, both as a caller gave them and sorted, to
+the canonical node.  A repeated call is one lookup in that table; a new one
+checks its input, sorts and contracts, and allocates a node only when the
+canonical key is new.  So isomorphic trees are the same object, and equality
+and hash are identity.  Each node computes its codimension, weight, vanishing
+flag and leaf markings once, from its children, when it is built.  Sets of
+trees therefore iterate in address order: anything shown or compared across
+runs is sorted by :func:`encoding` first.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ from .errors import ConstraintError, Record, TreeStructureError, _integer
 
 __all__ = [
     "MarkedTree",
-    "tree",
     "stick",
     "star",
     "canonicalize",
@@ -51,13 +53,14 @@ __all__ = [
 
 
 class MarkedTree(Record):
-    """One vertex of a marked tree with its (canonically ordered) subtrees.
+    """One vertex of a marked tree with its canonically ordered subtrees.
 
-    ``MarkedTree(marking, children)`` returns the one node with these fields,
-    checking only that the marking is an ``int`` and the children a tuple of
-    trees; :func:`tree` / :func:`canonicalize` also sort, contract and check
-    valencies.  Equality and hash are identity.  Four attributes are
-    computed from the children when a node is built:
+    ``MarkedTree(marking, children)`` takes a nonnegative int marking and
+    any sequence of children other than a single one, and returns the one
+    node of the canonical tree: children sorted by :func:`encoding`, the
+    0-marked 3-valent pair contracted.  Anything else raises
+    TreeStructureError.  Equality and hash are identity.  Four attributes
+    are computed from the children when a node is built:
 
     - ``codim``, the codimension of the class the tree denotes (the same in
       both bases).  A stick has its marking as codimension; otherwise the
@@ -75,74 +78,54 @@ class MarkedTree(Record):
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __new__(cls, marking: int, children: tuple[MarkedTree, ...] = ()):
+    def __new__(cls, marking: int, children: Sequence[MarkedTree] = ()):
         if type(marking) is not int:
             raise TreeStructureError(f"a marking must be an int, not {marking!r}")
         try:
             return _NODES[marking, children]
         except (KeyError, TypeError):
             pass
-        if type(children) is not tuple or not all(isinstance(c, MarkedTree) for c in children):
-            raise TreeStructureError(f"children must be a tuple of marked trees, not {children!r}")
-        if children:
-            # each child branch also counts the edge up to its parent
-            codim = marking + sum(c.codim + 1 for c in children)
-            weight = sum(c.weight for c in children)
-            vanishing = marking > len(children) - 2 or any(c.vanishing for c in children)
-            leaves = tuple(m for c in children for m in c.leaves)
-        else:
-            codim = weight = marking
-            vanishing = False
-            leaves = (marking,)
-        self = _NODES[marking, children] = object.__new__(cls)
-        for name, value in zip(self.__slots__, (marking, children, codim, weight, vanishing, leaves)):
-            object.__setattr__(self, name, value)
+        try:
+            given = tuple(children)
+            if not all(isinstance(c, MarkedTree) for c in given):
+                raise TypeError
+        except TypeError:
+            raise TreeStructureError(f"children must be a sequence of marked trees, not {children!r}") from None
+        if marking < 0:
+            raise TreeStructureError("markings must be nonnegative")
+        if len(given) == 1:
+            raise TreeStructureError("internal vertex with a single child (valency 2) is not allowed")
+        kids = tuple(sorted(given, key=encoding))
+        self = _NODES.get((marking, kids))
+        if self is None and marking == 0 and len(kids) == 2:
+            for idx, child in enumerate(kids):
+                if child.marking == 0 and len(child.children) == 2:
+                    self = cls(1, (kids[1 - idx],) + child.children)
+                    break
+        if self is None:
+            self = object.__new__(cls)
+            if kids:
+                # each child branch also counts the edge up to its parent
+                codim = marking + sum(c.codim + 1 for c in kids)
+                weight = sum(c.weight for c in kids)
+                vanishing = marking > len(kids) - 2 or any(c.vanishing for c in kids)
+                leaves = tuple(m for c in kids for m in c.leaves)
+            else:
+                codim = weight = marking
+                vanishing = False
+                leaves = (marking,)
+            for name, value in zip(self.__slots__, (marking, kids, codim, weight, vanishing, leaves)):
+                object.__setattr__(self, name, value)
+        _NODES[marking, given] = _NODES[marking, kids] = self
         return self
 
 
-_NODES: dict = {}  # (marking, children) -> the one MarkedTree with these fields
-_CANONICAL: dict = {}  # (marking, children) as passed to tree() -> the canonical tree
-
-
-def tree(marking: int, children: Sequence[MarkedTree] = ()) -> MarkedTree:
-    """Canonical constructor: validates, sorts children, contracts 3-valent pairs.
-
-    Returns the one instance of the canonical tree.
-    """
-    if type(marking) is not int:
-        raise TreeStructureError(f"a marking must be an int, not {marking!r}")
-    try:
-        key = (marking, tuple(children))
-        return _CANONICAL[key]
-    except KeyError:
-        pass
-    except TypeError:
-        raise TreeStructureError(f"children must be marked trees, not {children!r}") from None
-    found = _CANONICAL[key] = _canonical(*key)
-    return found
-
-
-def _canonical(marking: int, kids: tuple[MarkedTree, ...]) -> MarkedTree:
-    if marking < 0:
-        raise TreeStructureError("markings must be nonnegative")
-    if not all(isinstance(c, MarkedTree) for c in kids):
-        raise TreeStructureError(f"children must be marked trees, not {kids!r}")
-    if len(kids) == 1:
-        raise TreeStructureError(
-            "internal vertex with a single child (valency 2) is not allowed"
-        )
-    kids = tuple(sorted(kids, key=encoding))
-    if marking == 0 and len(kids) == 2:
-        for idx, child in enumerate(kids):
-            if child.marking == 0 and len(child.children) == 2:
-                other = kids[1 - idx]
-                return tree(1, (other,) + child.children)
-    return MarkedTree(marking, kids)
+_NODES: dict = {}  # (marking, children) as given or sorted -> the one canonical tree
 
 
 def stick(marking: int) -> MarkedTree:
     """The one-leaf tree: a_m in the singularity basis, psi^m in the basic one."""
-    return tree(marking)
+    return MarkedTree(marking)
 
 
 def star(marking: int, leaf_marks: Sequence[int]) -> MarkedTree:
@@ -151,21 +134,21 @@ def star(marking: int, leaf_marks: Sequence[int]) -> MarkedTree:
         leaves = tuple(stick(m) for m in leaf_marks)
     except TypeError:
         raise TreeStructureError(f"leaf markings must be a sequence of ints, not {leaf_marks!r}") from None
-    return tree(marking, leaves)
+    return MarkedTree(marking, leaves)
 
 
 def canonicalize(raw) -> MarkedTree:
-    """Rebuild a tree (MarkedTree or nested (marking, children) data) in canonical form."""
+    """The canonical tree of a MarkedTree (itself) or of nested (marking, children) data."""
     if isinstance(raw, MarkedTree):
-        return tree(raw.marking, tuple(canonicalize(c) for c in raw.children))
+        return raw
     if type(raw) is int:
-        return stick(raw)
+        return MarkedTree(raw)
     try:
         marking, children = raw
         kids = tuple(canonicalize(c) for c in children)
     except (TypeError, ValueError):
         raise TreeStructureError(f"not a tree: {raw!r}") from None
-    return tree(marking, kids)
+    return MarkedTree(marking, kids)
 
 
 @lru_cache(maxsize=None)
@@ -200,9 +183,9 @@ def graft(outer: MarkedTree, replacements: Sequence[MarkedTree]) -> MarkedTree:
     def rebuild(node: MarkedTree) -> MarkedTree:
         if not node.children:
             return next(it)
-        return tree(node.marking, tuple(rebuild(c) for c in node.children))
+        return MarkedTree(node.marking, tuple(rebuild(c) for c in node.children))
 
-    return tree(outer.marking, tuple(rebuild(c) for c in outer.children))
+    return MarkedTree(outer.marking, tuple(rebuild(c) for c in outer.children))
 
 
 @lru_cache(maxsize=None)
@@ -216,7 +199,7 @@ def _branch_options(cost: int) -> tuple[MarkedTree, ...]:
         budget = cost - 1 - t_children  # left for the marking once each child costs >= 1
         for q in range(0, min(t_children - 2, budget) + 1):
             for combo in _branch_combos(cost - 1 - q, t_children):
-                candidate = tree(q, combo)
+                candidate = MarkedTree(q, combo)
                 if not candidate.vanishing and candidate.codim + 1 == cost:
                     out.add(candidate)
     return tuple(sorted(out, key=encoding))

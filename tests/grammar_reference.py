@@ -17,7 +17,7 @@ from singclass.combinatorics import Partition, Profile, make_partition, make_pro
 from singclass.cycles import CycleExpr, XPolynomial
 from singclass.errors import ConstraintError, ParseError, Record
 from singclass.local_models import Polynomial, RationalFunction
-from singclass.trees import MarkedTree, encoding, star, stick, tree
+from singclass.trees import MarkedTree, encoding, star, stick
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +262,7 @@ class _Parser:
         self.expect_op(")")
         if len(children) < 2:
             raise ParseError("internal vertex needs at least two children", pos)
-        return tree(marking, children)
+        return MarkedTree(marking, children)
 
     def parse_exponent(self) -> int:
         return self.parse_int("an integer exponent") if self.accept_op("^") else 1
@@ -370,7 +370,7 @@ def _class_term(factors) -> tuple[MarkedTree, int, str | None]:
     if psi_power:
         if not parsed.children and tag == SINGULARITY:
             raise ParseError("psi * a_m is not a class atom", pos)
-        parsed = tree(parsed.marking + psi_power, parsed.children)
+        parsed = MarkedTree(parsed.marking + psi_power, parsed.children)
     return parsed, xi_degree, tag
 
 

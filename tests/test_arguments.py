@@ -59,7 +59,15 @@ from singclass.cycles import (
 )
 from singclass.combinatorics import XPolynomial
 from singclass.errors import ConstraintError, SingclassError
-from singclass.local_models import canonical_function, hurwitz_coordinates, profile_constants
+from singclass.local_models import (
+    BranchCoordinates,
+    HurwitzCoordinates,
+    Polynomial,
+    RationalFunction,
+    canonical_function,
+    hurwitz_coordinates,
+    profile_constants,
+)
 from singclass.trees import star, stick
 
 _NOT_INTS = [True, False, 2.0, 2.5, float("nan"), Fraction(2), Fraction(5, 2), "2", None, (2,)]
@@ -352,17 +360,24 @@ def _call_within_small_budgets(function, args) -> None:
         lambda: profiles_with_sum_and_length(-2, -2),
         lambda: partitions_of(2.5),
         lambda: partitions_of(True),
+        lambda: Polynomial.zero().leading(),
+        lambda: Polynomial.one().divmod(Polynomial.zero()),
+        lambda: RationalFunction(Polynomial.one(), Polynomial([0, 1]))(0),
+        lambda: singclass.reassemble(HurwitzCoordinates(0, 0)),
+        lambda: singclass.reassemble(HurwitzCoordinates((BranchCoordinates(0.5, 2, 1, ()),), 0)),
     ],
     ids=[
         "aut_count", "genus0_part", "genus0_part m", "parse_class", "parse_cycles",
         "render_class", "render_cycles", "reassemble", "s_series 0", "s_series float",
         "series_scale_arg", "series_scale_arg 0", "series_scale_arg str",
         "profiles_with_sum_and_length", "profiles_with_sum_and_length negative",
-        "partitions_of float", "partitions_of bool",
+        "partitions_of float", "partitions_of bool", "Polynomial.leading zero",
+        "Polynomial.divmod zero", "RationalFunction at a pole", "reassemble branches",
+        "reassemble pole",
     ],
 )
 def test_the_public_names_that_raised_other_errors(call):
-    # each raised TypeError, AttributeError, ValueError or RecursionError
+    # each raised TypeError, AttributeError, ValueError, ZeroDivisionError or RecursionError
     partitions_of(1)  # True once read this memo entry
     with pytest.raises(ConstraintError):
         call()

@@ -40,7 +40,7 @@ from singclass.grammar import (
     render_xpoly,
     xpoly_to_json,
 )
-from singclass.trees import canonicalize, encoding, enumerate_trees, star, stick, tree
+from singclass.trees import MarkedTree, canonicalize, encoding, enumerate_trees, star, stick
 
 
 class TestRenderClass:
@@ -99,7 +99,7 @@ class TestParseClass:
 
     def test_tree_atom_in_basic_basis(self):
         e = parse_class("T{(0;1,2)}@basic")
-        assert e == ClassExpr.single(BASIC, tree(0, [stick(1), stick(2)]))
+        assert e == ClassExpr.single(BASIC, MarkedTree(0, [stick(1), stick(2)]))
         assert e.basis == BASIC
 
     def test_unordered_index_lists_are_sorted(self):

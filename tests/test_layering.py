@@ -12,7 +12,9 @@ pay for it inside every timed call.
 
 The value types build their instances through their canonical constructors;
 ``object.__new__`` appears only in ``errors.Record._make``, the one unchecked
-builder, and in the interning ``trees.MarkedTree.__new__``.
+builder, and in ``trees.MarkedTree.__new__``, the one constructor of trees,
+which hash-conses them in the one module-level table of ``trees``.  No
+module defines a second tree constructor beside it.
 """
 
 from __future__ import annotations
@@ -70,6 +72,9 @@ DEFERRED = {
 
 # (module, function) pairs that may name object.__new__
 OBJECT_NEW = {("errors", "Record._make"), ("trees", "MarkedTree.__new__")}
+
+# names of the canonical tree factory and its table, which MarkedTree replaced
+RETIRED_TREE_NAMES = {"tree", "_canonical", "_CANONICAL"}
 
 
 def _tree(path: Path) -> ast.Module:
@@ -130,6 +135,25 @@ def _object_new_users(path: Path) -> set[str]:
     return out
 
 
+def _module_bindings(path: Path) -> dict[str, ast.AST | None]:
+    """Each name the module binds at its top level: to the assigned value,
+    or to None for a function or a class."""
+    out: dict[str, ast.AST | None] = {}
+    for node in _tree(path).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out[node.name] = None
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out.update((t.id, node.value) for t in targets if isinstance(t, ast.Name))
+    return out
+
+
+def _is_dict(value: ast.AST | None) -> bool:
+    return isinstance(value, (ast.Dict, ast.DictComp)) or (
+        isinstance(value, ast.Call) and isinstance(value.func, ast.Name) and value.func.id == "dict"
+    )
+
+
 def test_every_module_is_in_the_layer_map():
     assert {path.stem for path in MODULES} == set(ALLOWED)
 
@@ -175,3 +199,13 @@ def test_the_package_root_loads_no_submodule():
 def test_values_are_built_without_their_constructor_in_two_places_only():
     found = {(path.stem, name) for path in MODULES for name in _object_new_users(path)}
     assert found == OBJECT_NEW
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_tree_factory_beside_the_constructor(path):
+    assert set(_module_bindings(path)) & RETIRED_TREE_NAMES == set()
+
+
+def test_trees_keep_one_node_table():
+    bindings = _module_bindings(SRC / "singclass" / "trees.py")
+    assert [name for name, value in bindings.items() if _is_dict(value)] == ["_NODES"]

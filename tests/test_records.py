@@ -191,6 +191,6 @@ def test_a_marked_tree_shows_only_marking_and_children():
     t = MarkedTree(0, (stick(1), stick(1), stick(0)))
     assert (t.codim, t.weight, t.vanishing) == (5, 2, False)
     assert repr(t) == (
-        "MarkedTree(marking=0, children=(MarkedTree(marking=1, children=()), "
-        "MarkedTree(marking=1, children=()), MarkedTree(marking=0, children=())))"
+        "MarkedTree(marking=0, children=(MarkedTree(marking=0, children=()), "
+        "MarkedTree(marking=1, children=()), MarkedTree(marking=1, children=())))"
     )

@@ -15,9 +15,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singclass.classes import BASIC, SINGULARITY, ClassExpr, psi_power_sing, substitute
-from singclass.errors import ConstraintError, TreeStructureError
-from singclass.grammar import parse_tree
+from singclass.classes import (
+    BASIC,
+    SINGULARITY,
+    ClassExpr,
+    basic_to_sing,
+    psi_power_sing,
+    sing_to_basic,
+    substitute,
+)
+from singclass.errors import ConstraintError, SingclassError, TreeStructureError
+from singclass.grammar import parse_tree, render_class
 from singclass.trees import (
     MarkedTree,
     canonicalize,
@@ -26,13 +34,12 @@ from singclass.trees import (
     graft,
     star,
     stick,
-    tree,
 )
 
 
 class TestCanonicalForm:
     def test_child_order_is_immaterial(self):
-        assert tree(0, [stick(1), stick(2)]) == tree(0, [stick(2), stick(1)])
+        assert MarkedTree(0, [stick(1), stick(2)]) == MarkedTree(0, [stick(2), stick(1)])
 
     def test_stick_is_itself(self):
         assert canonicalize(stick(3)) == stick(3)
@@ -60,7 +67,7 @@ class TestCanonicalForm:
 
     def test_single_child_is_a_valency_violation(self):
         with pytest.raises(TreeStructureError):
-            tree(0, [stick(1)])
+            MarkedTree(0, [stick(1)])
 
     def test_distinct_shapes_with_equal_leaf_multisets(self):
         a = canonicalize((0, [0, 1, (0, [0, 0])]))
@@ -77,7 +84,7 @@ class TestCanonicalForm:
 
     def test_four_leaf_nested_tree_stays_nested(self):
         t = canonicalize((0, [0, 0, (0, [0, 0])]))
-        assert t == MarkedTree(0, (tree(0, [stick(0), stick(0)]), stick(0), stick(0)))
+        assert t == MarkedTree(0, (MarkedTree(0, [stick(0), stick(0)]), stick(0), stick(0)))
         assert any(c.children for c in t.children)
 
 
@@ -87,7 +94,7 @@ class TestGrammar:
             assert parse_tree(encoding(t)) == t
 
     def test_whitespace_is_insignificant(self):
-        assert parse_tree(" ( 0 ; 1 , 2 ) ") == tree(0, [stick(1), stick(2)])
+        assert parse_tree(" ( 0 ; 1 , 2 ) ") == MarkedTree(0, [stick(1), stick(2)])
 
     def test_bare_integer_is_the_stick(self):
         assert parse_tree("4") == stick(4)
@@ -184,16 +191,16 @@ def _reference_leaves(t: MarkedTree) -> tuple[int, ...]:
 
 
 def _direct(t: MarkedTree) -> MarkedTree:
-    """A structural copy built with MarkedTree() alone, without tree()."""
-    return MarkedTree(t.marking, tuple(_direct(c) for c in t.children))
+    """A structural copy built with every vertex's children in reverse order."""
+    return MarkedTree(t.marking, tuple(_direct(c) for c in reversed(t.children)))
 
 
 class TestInterning:
     def test_equal_input_gives_the_same_instance(self):
-        assert tree(0, [stick(1), stick(2)]) is tree(0, [stick(2), stick(1)])
+        assert MarkedTree(0, [stick(1), stick(2)]) is MarkedTree(0, [stick(2), stick(1)])
         assert canonicalize((0, [0, (0, [0, 0])])) is star(1, [0, 0, 0])
         for t in enumerate_trees(6):
-            assert tree(t.marking, t.children) is t
+            assert MarkedTree(t.marking, t.children) is t
             assert canonicalize(t) is t
             assert canonicalize(_direct(t)) is t
             assert parse_tree(encoding(t)) is t
@@ -212,7 +219,7 @@ class TestInterning:
     def test_grading_and_vanishing_match_the_recursive_definitions(self):
         vanishing = MarkedTree(0, (stick(0), stick(0), MarkedTree(2, (stick(0), stick(0)))))
         # bumping the top marking reaches vanishing trees as well
-        bumped = [tree(t.marking + k, t.children) for t in enumerate_trees(6) for k in (1, 2)]
+        bumped = [MarkedTree(t.marking + k, t.children) for t in enumerate_trees(6) for k in (1, 2)]
         candidates = enumerate_trees(8) + bumped + [vanishing, _direct(vanishing)]
         assert any(_reference_vanishes(t) for t in candidates)
         for t in candidates:
@@ -225,7 +232,7 @@ class TestInterning:
         assert MarkedTree.__eq__ is object.__eq__
         assert MarkedTree.__hash__ is object.__hash__
         for t in enumerate_trees(8):
-            assert MarkedTree(t.marking, t.children) is tree(t.marking, t.children) is t
+            assert MarkedTree(t.marking, t.children) is MarkedTree(t.marking, t.children[::-1]) is t
 
     def test_copies_and_pickles_are_the_same_tree(self):
         for t in enumerate_trees(6):
@@ -234,23 +241,85 @@ class TestInterning:
             assert pickle.loads(pickle.dumps(t)) is t
 
 
+# nested (marking, children) data over small markings, two or three children a vertex
+_nested = st.recursive(
+    st.integers(0, 2),
+    lambda inner: st.tuples(st.integers(0, 2), st.lists(inner, min_size=2, max_size=3)),
+    max_leaves=5,
+)
+
+
+@st.composite
+def _built_in_random_order(draw):
+    """Nested data and the tree that nested MarkedTree calls build from it,
+    each vertex given its children in a drawn order."""
+    data = draw(_nested)
+
+    def build(node):
+        if type(node) is int:
+            return MarkedTree(node)
+        marking, children = node
+        return MarkedTree(marking, draw(st.permutations([build(c) for c in children])))
+
+    return data, build(data)
+
+
+class TestChildOrder:
+    def test_unsorted_children_give_the_sorted_tree(self):
+        t = MarkedTree(0, (stick(1), stick(0)))
+        assert t is MarkedTree(0, (stick(0), stick(1)))
+        assert encoding(t) == "(0;0,1)"
+
+        def expanded(children):
+            return sing_to_basic(ClassExpr.single(SINGULARITY, MarkedTree(0, children)))
+
+        assert expanded((stick(1), stick(0))) == expanded((stick(0), stick(1)))
+        assert render_class(expanded((stick(1), stick(0)))) == "d[0,1] - xi*d[0,0]"
+
+    def test_a_negative_marking_is_refused(self):
+        with pytest.raises(TreeStructureError, match="nonnegative"):
+            MarkedTree(-1)
+
+    def test_a_vertex_with_one_child_is_refused(self):
+        with pytest.raises(TreeStructureError, match="single child"):
+            MarkedTree(0, (stick(0),))
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=_built_in_random_order())
+    def test_any_child_order_builds_the_canonical_tree(self, case):
+        data, t = case
+        assert t is canonicalize(data)
+        if type(data) is int:
+            assert t is MarkedTree(data)
+        else:
+            marking, children = data
+            kids = sorted((canonicalize(c) for c in children), key=encoding)
+            assert t is MarkedTree(marking, tuple(kids))
+        for convert, basis in ((sing_to_basic, SINGULARITY), (basic_to_sing, BASIC)):
+            try:
+                out = convert(ClassExpr.single(basis, t))
+            except SingclassError:
+                continue
+            assert isinstance(out, ClassExpr)
+
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # each bad construction, then what it must not change, in a fresh process:
 # inside this test session stick(1) and stick(2) are interned already
 POISONING = [
-    ("tree(2.0)", "render_class(psi_power_sing(2))", "1/2*a_2 + 1/4*i[1,1] + 3/2*xi*a_1 + xi^2"),
-    ("tree(True)", "encoding(stick(1))", "1"),
-    ("MarkedTree(2.0)", "encoding(stick(2))", "2"),
-    ("MarkedTree(True, ())", "encoding(tree(1))", "1"),
+    ("MarkedTree(2.0)", "render_class(psi_power_sing(2))", "1/2*a_2 + 1/4*i[1,1] + 3/2*xi*a_1 + xi^2"),
+    ("MarkedTree(True)", "encoding(stick(1))", "1"),
+    ("MarkedTree(2.0, ())", "encoding(stick(2))", "2"),
+    ("MarkedTree(True, ())", "encoding(MarkedTree(1))", "1"),
     ("canonicalize((True, [0, 0]))", "encoding(star(1, [0, 0]))", "(1;0,0)"),
-    ("tree(0, (1, 2))", "encoding(star(0, [1, 2]))", "(0;1,2)"),
+    ("MarkedTree(0, (1, 2))", "encoding(star(0, [1, 2]))", "(0;1,2)"),
 ]
 
 _FRESH = """
 from singclass import psi_power_sing, render_class
 from singclass.errors import TreeStructureError
-from singclass.trees import MarkedTree, canonicalize, encoding, star, stick, tree
+from singclass.trees import MarkedTree, canonicalize, encoding, star, stick
 try:
     {bad}
 except TreeStructureError:
@@ -292,19 +361,17 @@ class TestMalformedInput:
             canonicalize(raw)
 
     def test_unhashable_children_are_refused(self):
-        for build in (tree, MarkedTree):
-            with pytest.raises(TreeStructureError):
-                build(0, ([1], stick(0)))
-            with pytest.raises(TreeStructureError):
-                build(0, 5)
         with pytest.raises(TreeStructureError):
-            MarkedTree(0, [stick(0), stick(1)])
+            MarkedTree(0, ([1], stick(0)))
+        with pytest.raises(TreeStructureError):
+            MarkedTree(0, 5)
+        # a list of trees is a sequence like any other
+        assert MarkedTree(0, [stick(1), stick(0)]) is MarkedTree(0, (stick(0), stick(1)))
 
     @settings(max_examples=150, deadline=None)
     @given(marking=_junk, children=_junk)
     def test_only_a_tree_or_a_tree_structure_error(self, marking, children):
         calls = [
-            lambda: tree(marking, children),
             lambda: MarkedTree(marking, children),
             lambda: canonicalize(marking),
             lambda: canonicalize((marking, children)),
