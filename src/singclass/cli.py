@@ -13,7 +13,7 @@ Each call is a fresh process, and with no bytecode cache every module it
 imports is compiled from source.  So the module top imports only grammar (and
 through it the class side's basis names), and each verb's handler imports the
 engine module it runs: only verify loads verification, only local-model loads
-local_models and exact, and the class verbs and char load no cycles.
+local_models, and the class verbs and char load no cycles.
 """
 
 from __future__ import annotations

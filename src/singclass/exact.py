@@ -1,9 +1,11 @@
 """Truncated power series in one variable over the rationals.
 
-Coefficients are :class:`fractions.Fraction`.  ``rho`` of the cycle side is
-defined by products of :func:`s_series`; the local models read Laurent
-coefficients from Taylor series.  Everything here is immutable and pure, so values can be
-shared freely between tasks.
+Coefficients are :class:`fractions.Fraction`.  No engine module uses these
+values: ``rho`` of the cycle side is an integer recursion on the coefficients
+of log S(z), and the local models read Laurent coefficients from integer
+Taylor rows.  The series S(z) (:func:`s_series`), whose products once defined
+``rho``, stays public and is the tests' reference for it.  Everything here is
+immutable and pure, so values can be shared freely between tasks.
 """
 
 from __future__ import annotations

@@ -12,8 +12,16 @@ from fractions import Fraction
 from math import lcm, prod
 
 from .combinatorics import Profile, _ints
-from .errors import _EXACT, ConstraintError, Record, SingclassError, _fractions
-from .exact import PowerSeries
+from .errors import (
+    _EXACT,
+    ConstraintError,
+    Record,
+    SingclassError,
+    _exact,
+    _fractions,
+    _integer,
+    _pairs,
+)
 
 __all__ = [
     "Polynomial",
@@ -32,12 +40,21 @@ __all__ = [
 _ZERO = Fraction(0)
 
 
+def _polynomial(value, what: str) -> "Polynomial":
+    """value if it is a Polynomial; else ConstraintError."""
+    if type(value) is not Polynomial:
+        raise ConstraintError(f"{what} takes a Polynomial, not {value!r}")
+    return value
+
+
 class Polynomial(Record):
     """Dense polynomial in z with rational coefficients.
 
     ``coeffs[k]`` is the coefficient of z^k.  The constructor takes int or
     Fraction coefficients and strips trailing zeros, so the zero polynomial
-    is the empty tuple and its degree is None.
+    is the empty tuple and its degree is None.  Each method checks the type
+    of each argument (a Polynomial, an int exponent, an int or Fraction
+    value) and refuses any other with ConstraintError.
     """
 
     __slots__ = _fields = ("coeffs",)
@@ -58,7 +75,11 @@ class Polynomial(Record):
 
     @staticmethod
     def from_roots(pairs: Iterable[tuple[Fraction | int, int]]) -> "Polynomial":
-        """prod (z - root)^mult over the (root, mult) pairs; the result is monic."""
+        """prod (z - root)^mult over the (root, mult) pairs, each an int or
+        Fraction root and an int mult >= 0; the result is monic."""
+        pairs = _pairs(pairs, "from_roots takes (root, multiplicity) pairs")
+        if not all(type(r) in _EXACT and type(m) is int and m >= 0 for r, m in pairs):
+            raise ConstraintError("from_roots takes (int or Fraction, int >= 0) pairs")
         coeffs, scale = _linear_product(pairs)
         return Polynomial._make(tuple(Fraction(c, scale) for c in coeffs))
 
@@ -72,7 +93,7 @@ class Polynomial(Record):
         return self.coeffs[-1]
 
     def coefficient(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
+        if 0 <= _integer(k, "an exponent") < len(self.coeffs):
             return self.coeffs[k]
         return _ZERO
 
@@ -81,15 +102,15 @@ class Polynomial(Record):
         return [(k, c) for k, c in enumerate(self.coeffs) if c]
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        pairs = itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=_ZERO)
+        pairs = itertools.zip_longest(self.coeffs, _polynomial(other, "+").coeffs, fillvalue=_ZERO)
         return Polynomial(a + b for a, b in pairs)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        pairs = itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=_ZERO)
+        pairs = itertools.zip_longest(self.coeffs, _polynomial(other, "-").coeffs, fillvalue=_ZERO)
         return Polynomial(a - b for a, b in pairs)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if not self.coeffs or not other.coeffs:
+        if not self.coeffs or not _polynomial(other, "*").coeffs:
             return Polynomial.zero()
         out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
@@ -98,13 +119,14 @@ class Polynomial(Record):
         return Polynomial(out)
 
     def scale(self, c: Fraction | int) -> "Polynomial":
+        _exact((c,), "a scale factor")
         c = Fraction(c)
         if c == 0:
             return Polynomial.zero()
         return Polynomial._make(tuple(a * c if a else a for a in self.coeffs))
 
     def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        if not other.coeffs:
+        if not _polynomial(other, "divmod").coeffs:
             raise ConstraintError("polynomial division by zero")
         rem, ddeg = list(self.coeffs), other.degree
         quot = [_ZERO] * max(len(rem) - ddeg, 0)
@@ -117,7 +139,7 @@ class Polynomial(Record):
     def gcd(self, other: "Polynomial") -> "Polynomial":
         """A greatest common divisor, up to a rational factor: the last
         nonzero remainder of Euclid's algorithm."""
-        a, b = self, other
+        a, b = self, _polynomial(other, "gcd")
         while b.coeffs:
             a, b = b, a.divmod(b)[1]
         return a
@@ -126,30 +148,12 @@ class Polynomial(Record):
         return Polynomial(k * c for k, c in enumerate(self.coeffs) if k >= 1)
 
     def __call__(self, x: Fraction | int) -> Fraction:
+        _exact((x,), "the point z")
         x = Fraction(x)
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def taylor(self, at: Fraction | int, order: int) -> PowerSeries:
-        """Coefficients of p(at + t) as a series in t, truncated at t^order.
-
-        With at = r/s and c_i = n_i / L over the common denominator L,
-        L s^deg p(at + t) = sum n_i s^(deg-i) (r + s t)^i is an integer
-        polynomial in t, summed by Horner's rule and divided out once."""
-        a = Fraction(at)
-        r, s = a.numerator, a.denominator
-        common = lcm(*(c.denominator for c in self.coeffs))
-        out, s_power = [0] * (order + 1), 1
-        for c in reversed(self.coeffs):
-            # out(t) becomes out(t) (r + s t) + n_i s^(deg-i), truncated at t^order
-            for j in range(order, 0, -1):
-                out[j] = out[j] * r + out[j - 1] * s
-            out[0] = out[0] * r + c.numerator * (common // c.denominator) * s_power
-            s_power *= s
-        scale = common * s ** max(len(self.coeffs) - 1, 0)
-        return PowerSeries._make(tuple(Fraction(v, scale) for v in out), order)
 
 
 def _linear_product(pairs: Iterable[tuple[Fraction | int, int]]) -> tuple[list[int], int]:
@@ -344,24 +348,23 @@ def _rational_kth_root(value: Fraction, k: int) -> Fraction | None:
     return Fraction(num, den)
 
 
-def _cofactor_series(pairs: list[tuple[Fraction, int]], i: int, order: int) -> PowerSeries:
-    """prod_{j != i} (z_i - z_j + t)^{k_j}, the other poles' factors at
-    z = z_i + t, as a series in t truncated at t^order.
+def _taylor_row(poly: Polynomial, at: Fraction, order: int) -> tuple[list[int], int]:
+    """The coefficients of poly(at + t) up to t^order, as integers over one
+    positive integer scale.
 
-    With z_i - z_j = p/q the factor is (p + q t) / q, so the product is an
-    integer series over the product of the q's, divided out once."""
-    z_i = pairs[i][0]
-    coeffs, scale = [1] + [0] * order, 1
-    for j, (z_j, k_j) in enumerate(pairs):
-        if j == i:
-            continue
-        diff = z_i - z_j
-        p, q = diff.numerator, diff.denominator
-        for _ in range(k_j):
-            # times (p + q t): c_n becomes p c_n + q c_{n-1}
-            coeffs = [p * c + q * b for c, b in zip(coeffs, [0, *coeffs])]
-        scale *= q**k_j
-    return PowerSeries._make(tuple(Fraction(c, scale) for c in coeffs), order)
+    With at = r/s and c_i = n_i / L over the common denominator L,
+    L s^deg p(at + t) = sum n_i s^(deg-i) (r + s t)^i is an integer
+    polynomial in t, summed by Horner's rule."""
+    r, s = at.numerator, at.denominator
+    common = lcm(*(c.denominator for c in poly.coeffs))
+    out, s_power = [0] * (order + 1), 1
+    for c in reversed(poly.coeffs):
+        # out(t) becomes out(t) (r + s t) + n_i s^(deg-i), truncated at t^order
+        for j in range(order, 0, -1):
+            out[j] = out[j] * r + out[j - 1] * s
+        out[0] = out[0] * r + c.numerator * (common // c.denominator) * s_power
+        s_power *= s
+    return out, common * s ** max(len(poly.coeffs) - 1, 0)
 
 
 def hurwitz_coordinates(
@@ -395,12 +398,22 @@ def hurwitz_coordinates(
     constant = f.numerator.coefficient(den_deg)
 
     branches = []
-    for i, (z_i, k) in enumerate(pairs):
-        others = _cofactor_series(pairs, i, k - 1)
-        series = f.numerator.taylor(z_i, k - 1) * others.inverse()
-        laurent = [series.coefficient(k - s) for s in range(1, k + 1)]
-        # laurent[s-1] is the coefficient of (z - z_i)^{-s}; f is reduced, so
-        # its numerator, and with it lead, is nonzero at the pole
+    for z_i, k in pairs:
+        # at z = z_i + t, f is n(t) / (t^k c(t)) with integer rows over their
+        # scales; the denominator is the pole divisor, so its first k entries
+        # are 0 and the next k are c's
+        n, n_scale = _taylor_row(f.numerator, z_i, k - 1)
+        d, d_scale = _taylor_row(f.denominator, z_i, 2 * k - 1)
+        c, lift = d[k:], d[k] ** k
+        # q[j] / c_0^k is [t^j] of n / c: truncated long division, exact in
+        # integers, since [t^j] has a denominator dividing c_0^(j+1)
+        q: list[int] = []
+        for j in range(k):
+            q.append((n[j] * lift - sum(c[i] * q[j - i] for i in range(1, j + 1))) // c[0])
+        # laurent[s-1] is the coefficient of (z - z_i)^{-s}, [t^(k-s)] of
+        # n / c; f is reduced, so its numerator, and with it lead, is nonzero
+        # at the pole
+        laurent = [Fraction(q[k - s] * d_scale, lift * n_scale) for s in range(1, k + 1)]
         lead = laurent[k - 1]
         root = _rational_kth_root(lead, k)
         if root is None:

@@ -8,7 +8,8 @@ silently wrong answer, and ``True`` hashed like ``1`` into the memos of
 must be exactly an ``int`` or a ``Fraction``, as ``ClassExpr`` already asks.
 A class expression must be a ``ClassExpr`` built from marked trees, and its
 constructor checks its basis, degree and terms.  The fuzz tests call each
-entry point, and every callable public name of the package, with such values
+entry point, every callable public name of the package and every public
+method of a small valid ``Polynomial`` or ``RationalFunction`` with such values
 and accept only a result or a ``SingclassError``; ``TestArgvFuzz`` in
 ``test_cli.py`` does the same for the CLI.
 """
@@ -328,6 +329,36 @@ def test_every_public_name_ends_in_a_result_or_a_singclass_error(name, data):
     _call_within_small_budgets(function, args)
 
 
+_COEFFICIENTS = st.integers(-3, 3) | st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_POLYNOMIALS = st.lists(_COEFFICIENTS, max_size=4).map(Polynomial)
+_RECEIVERS = {
+    Polynomial: _POLYNOMIALS,
+    RationalFunction: st.builds(
+        RationalFunction, _POLYNOMIALS, _POLYNOMIALS.filter(lambda p: p.coeffs)
+    ),
+}
+# the operators a receiver answers to, beside its public methods
+_OPERATORS = ("__call__", "__add__", "__sub__", "__mul__")
+METHODS = [
+    (cls, name)
+    for cls in _RECEIVERS
+    for name in dir(cls)
+    if (not name.startswith("_") or name in _OPERATORS) and callable(getattr(cls, name))
+]
+
+
+@pytest.mark.parametrize("cls, name", METHODS, ids=[f"{c.__name__}.{n}" for c, n in METHODS])
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_every_method_ends_in_a_result_or_a_singclass_error(cls, name, data):
+    method = getattr(data.draw(_RECEIVERS[cls], label="receiver"), name)
+    params = inspect.signature(method).parameters.values()
+    required = sum(param.default is param.empty for param in params)
+    count = data.draw(st.integers(required, len(params)), label="argument count")
+    args = [data.draw(_POLYNOMIALS | _VALUES, label=f"argument {i}") for i in range(count)]
+    _call_within_small_budgets(method, args)
+
+
 def _call_within_small_budgets(function, args) -> None:
     """function(*args), which must end in a result or a SingclassError."""
     # small budgets: a product or an oracle check stays under 20 000 point steps
@@ -365,6 +396,19 @@ def _call_within_small_budgets(function, args) -> None:
         lambda: RationalFunction(Polynomial.one(), Polynomial([0, 1]))(0),
         lambda: singclass.reassemble(HurwitzCoordinates(0, 0)),
         lambda: singclass.reassemble(HurwitzCoordinates((BranchCoordinates(0.5, 2, 1, ()),), 0)),
+        lambda: Polynomial([1, 2])("x"),
+        lambda: Polynomial([1]).scale("a"),
+        lambda: RationalFunction(Polynomial([1]), Polynomial([1, 1]))("a"),
+        lambda: Polynomial([1]) + 5,
+        lambda: Polynomial([1]) - 5,
+        lambda: Polynomial([1]) * 2,
+        lambda: Polynomial([1]).divmod(3),
+        lambda: Polynomial([1]).gcd(3),
+        lambda: Polynomial([1]).coefficient("a"),
+        lambda: Polynomial([1]).scale(0.5),
+        lambda: Polynomial([1, 2])(0.5),
+        lambda: Polynomial.from_roots([("x", 1)]),
+        lambda: Polynomial.from_roots([(1, -1)]),
     ],
     ids=[
         "aut_count", "genus0_part", "genus0_part m", "parse_class", "parse_cycles",
@@ -373,11 +417,16 @@ def _call_within_small_budgets(function, args) -> None:
         "profiles_with_sum_and_length", "profiles_with_sum_and_length negative",
         "partitions_of float", "partitions_of bool", "Polynomial.leading zero",
         "Polynomial.divmod zero", "RationalFunction at a pole", "reassemble branches",
-        "reassemble pole",
+        "reassemble pole", "Polynomial call str", "Polynomial.scale str",
+        "RationalFunction call str", "Polynomial +", "Polynomial -", "Polynomial *",
+        "Polynomial.divmod int", "Polynomial.gcd int", "Polynomial.coefficient str",
+        "Polynomial.scale float", "Polynomial call float", "Polynomial.from_roots str",
+        "Polynomial.from_roots negative",
     ],
 )
 def test_the_public_names_that_raised_other_errors(call):
-    # each raised TypeError, AttributeError, ValueError, ZeroDivisionError or RecursionError
+    # each raised TypeError, AttributeError, ValueError, ZeroDivisionError or
+    # RecursionError, or took a float that ClassExpr.scale refuses
     partitions_of(1)  # True once read this memo entry
     with pytest.raises(ConstraintError):
         call()

@@ -137,8 +137,6 @@ class TestCoefficientsStayFractions:
         assert list(product.coeffs) == _reference_mul(dense(a), dense(b))[: order + 1]
         if s.coeffs[0] != 0:
             assert _all_fractions(s.inverse().coeffs)
-        taylor = Polynomial(a).taylor(1, order)
-        assert _all_fractions(taylor.coeffs)
 
 
 class TestSSeries:

@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 from math import prod
 
+import hurwitz_reference
 import pytest
 
 from singclass.combinatorics import profiles_with_sum
@@ -87,9 +88,10 @@ class TestPolynomial:
 
     def test_taylor_shift(self):
         p = Polynomial([1, 0, 1])  # 1 + z^2
-        series = p.taylor(Fraction(2), 2)
-        # 1 + (2+t)^2 = 5 + 4t + t^2
-        assert [series.coefficient(j) for j in range(3)] == [5, 4, 1]
+        # 1 + (2+t)^2 = 5 + 4t + t^2, over 1
+        assert local_models._taylor_row(p, Fraction(2), 2) == ([5, 4, 1], 1)
+        # (1 + z^2) at 1/2 to order 1: 5/4 + t, which is (5 + 4t) / 4
+        assert local_models._taylor_row(p, Fraction(1, 2), 1) == ([5, 4], 4)
 
     def test_format(self):
         p = Polynomial([Fraction(-1), 0, 1])
@@ -277,16 +279,7 @@ def _rational_pairs(rng: random.Random) -> list[tuple[Fraction, int]]:
     return [(z, rng.randint(1, 4)) for z in rng.sample(values, rng.randint(2, 5))]
 
 
-class TestCofactorSeries:
-    def test_matches_the_taylor_series_of_the_full_cofactor(self):
-        rng = random.Random(20261020)
-        for _ in range(40):
-            pairs = _rational_pairs(rng)
-            for i, (z_i, k) in enumerate(pairs):
-                full = Polynomial.from_roots(pairs[:i] + pairs[i + 1:])
-                series = local_models._cofactor_series(pairs, i, k - 1)
-                assert series == full.taylor(z_i, k - 1)
-
+class TestRationalPoles:
     def test_rational_poles_round_trip(self):
         rng = random.Random(20261021)
         for _ in range(20):
@@ -302,6 +295,75 @@ class TestCofactorSeries:
             f = reassemble(coords)
             poles, orders = zip(*pairs)
             assert hurwitz_coordinates(f, orders, poles) == coords
+
+
+def _outcome(function, f, p, poles):
+    """function(f, p, poles), or the type and message of its SingclassError."""
+    try:
+        return function(f, p, poles)
+    except SingclassError as error:
+        return type(error), str(error)
+
+
+def _random_models(rng: random.Random, count: int):
+    """(f, orders, poles) triples: canonical functions, whose leading Laurent
+    coefficients mostly have no rational root, reassembled coordinates, which
+    decompose, and now and then a call that names the orders in reverse."""
+    for n in range(count):
+        if n % 2:
+            coords = _random_coordinates(rng)
+            f = reassemble(coords)
+            orders = [b.order for b in coords.branches]
+            poles = [b.pole for b in coords.branches]
+        else:
+            orders = [rng.randint(1, 5) for _ in range(rng.randint(1, 4))]
+            values = {Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(12)}
+            x, *poles = rng.sample(sorted(values), len(orders) + 1)
+            f = canonical_function(orders, x, poles)
+        if n % 10 == 4:
+            orders = orders[::-1]
+        yield f, orders, poles
+
+
+class TestAgainstTheSeriesRoute:
+    """hurwitz_coordinates reads the Laurent coefficients from two integer
+    Taylor rows; the series route it replaced (Taylor shift, cofactor series,
+    series inverse) stays in hurwitz_reference, and both must return the same
+    coordinates or refuse with the same message."""
+
+    def test_seeded_models(self):
+        outcomes = []
+        for f, orders, poles in _random_models(random.Random(20261019), 640):
+            got = _outcome(hurwitz_coordinates, f, orders, poles)
+            assert got == _outcome(hurwitz_reference.hurwitz_coordinates, f, orders, poles)
+            outcomes.append(type(got) is HurwitzCoordinates)
+        # both kinds of outcome are well represented
+        assert 200 < sum(outcomes) < 600
+
+    def test_models_at_the_budget(self):
+        budget = local_models.ORDER_SUM_BUDGET
+        rng = random.Random(20261022)
+        poles = [Fraction(v, 7) for v in rng.sample(range(1, 400), budget)]
+        branches = tuple(
+            BranchCoordinates(z, 1, Fraction(rng.randint(1, 9), rng.randint(1, 9)), ())
+            for z in poles
+        )
+        tail = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(budget - 3))
+        two_poles = (
+            BranchCoordinates(Fraction(1, 2), budget - 2, Fraction(-2, 3), tail),
+            BranchCoordinates(Fraction(-3), 2, Fraction(5), (Fraction(7, 4),)),
+        )
+        models = [
+            (reassemble(HurwitzCoordinates(two_poles, Fraction(1))), (budget - 2, 2), (Fraction(1, 2), -3)),
+            (canonical_function((budget,), 0, (1,)), (budget,), (1,)),
+            (canonical_function((budget,), Fraction(1, 3), (-2,)), (budget,), (-2,)),
+            (canonical_function((1,) * budget, 0, poles), (1,) * budget, poles),
+            (reassemble(HurwitzCoordinates(branches, Fraction(2))), (1,) * budget, poles),
+            (canonical_function((2, budget - 2), 0, (1, 2)), (2, budget - 2), (1, 2)),
+        ]
+        for f, orders, poles in models:
+            got = _outcome(hurwitz_coordinates, f, orders, poles)
+            assert got == _outcome(hurwitz_reference.hurwitz_coordinates, f, orders, poles)
 
 
 class TestSympyOracle:

@@ -76,7 +76,7 @@ VERB_MODULES = [
     (["x-poly", "3"], {"cycles"}),
     (["multiply-cycles", "{2}", "{2}"], {"cycles"}),
     (["coeff", "delta", "[1]", "{2}"], {"cycles"}),
-    (["local-model", "{2}", "0", "1"], {"local_models", "exact"}),
+    (["local-model", "{2}", "0", "1"], {"local_models"}),
     (["verify", "appendix"], {"verification", "cycles"}),
     (["verify", "nosuch"], set()),
 ]
