@@ -11,8 +11,7 @@ the modules its verb runs.
 _HOMES = {
     **dict.fromkeys(
         ("BASIC", "SINGULARITY", "ClassExpr", "basic_to_sing", "point_coefficient_psi",
-         "psi_decomposition", "psi_power_sing", "product_expansion", "sing_to_basic",
-         "substitute"),
+         "psi_power_sing", "product_expansion", "sing_to_basic", "substitute"),
         "classes",
     ),
     **dict.fromkeys(

@@ -20,7 +20,7 @@ from math import factorial, gcd, lcm, prod
 from operator import itemgetter
 
 from .combinatorics import Profile, aut_count, make_profile, profiles_with_sum
-from .errors import ConstraintError, Record, _exact, _integer, _pairs
+from .errors import ConstraintError, Record, _exact, _integer, _operand, _pairs
 from .trees import MarkedTree, encoding, graft, star, stick
 
 SINGULARITY = "singularity"
@@ -32,7 +32,6 @@ __all__ = [
     "ClassExpr",
     "substitute",
     "product_expansion",
-    "psi_decomposition",
     "psi_power_sing",
     "basic_to_sing",
     "sing_to_basic",
@@ -119,7 +118,7 @@ class ClassExpr(Record):
         return [(t, self.degree - t.codim, c) for t, c in self.terms]
 
     def __add__(self, other: "ClassExpr") -> "ClassExpr":
-        if self.basis != other.basis:
+        if self.basis != _operand(other, ClassExpr, "+").basis:
             raise ConstraintError(
                 f"basis mismatch: {self.basis} vs {other.basis}"
             )
@@ -135,7 +134,7 @@ class ClassExpr(Record):
         return ClassExpr(self.basis, self.degree, self.terms + other.terms)
 
     def __sub__(self, other: "ClassExpr") -> "ClassExpr":
-        return self + other.scale(-1)
+        return self + _operand(other, ClassExpr, "-").scale(-1)
 
     def scale(self, c: Fraction | int) -> "ClassExpr":
         _exact((c,), "class coefficients")
@@ -185,7 +184,8 @@ def _terms(degree: int | None, items) -> tuple:
 # of an expression is (den, ((tree, numerator), ...)), with den the lcm of
 # the reduced denominators.  Two memoised per-tree tables in this form hold
 # the basis change: _basic_ints(t) is [t]_basic in the singularity basis and
-# _sing_ints(t) is [t]_sing in the basic basis.
+# _sing_ints(t) is [t]_sing in the basic basis.  A third, per stick, holds the
+# one psi operator's rule for a_k: _psi_stick(k) is psi * a_k.
 
 def _ints(e: ClassExpr) -> tuple[int, tuple[tuple[MarkedTree, int], ...]]:
     """The terms of e as integer numerators over the lcm of their denominators."""
@@ -216,34 +216,40 @@ def _combination(basis: str, degree: int, parts: Iterable[tuple]) -> ClassExpr:
     return ClassExpr._make(basis, degree if terms else None, terms)
 
 
-def _new_profile_layer(m: int) -> ClassExpr:
-    """Sum over profiles with total m and >= 2 parts of (prod k / |Aut|) i_{k...}."""
-    return ClassExpr(
-        SINGULARITY,
-        m,
-        (
-            (star(0, [k - 1 for k in p]), Fraction(prod(p), aut_count(p)))
-            for p in profiles_with_sum(m, 2)
-        ),
-    )
-
-
 @lru_cache(maxsize=None)
-def _correction_part(m: int) -> ClassExpr:
-    """The non-stick part P_m of the product expansion, by the recursion
-    P_m = (new-profile layer) + (m psi - xi) P_{m-1}, P_1 = 0."""
-    if m <= 1:
-        return ClassExpr.zero(SINGULARITY)
-    prev = _correction_part(m - 1)
-    return (
-        _new_profile_layer(m)
-        + prev.mul_psi_top().scale(m)
-        - prev.mul_xi(1)
-    )
+def _psi_stick(k: int) -> tuple[int, tuple[tuple[MarkedTree, int], ...]]:
+    """psi * a_k in integer form: (a_{k+1} + xi a_k + sum_p prod(p)/|Aut p| i_p)
+    / (k+1) over the profiles p of k+1 with at least two parts.  This is the
+    product recursion ((k+1) psi - xi) a_k = a_{k+1} + (new-profile layer)
+    read backwards."""
+    layer = [(star(0, [j - 1 for j in p]), Fraction(prod(p), aut_count(p)))
+             for p in profiles_with_sum(k + 1, 2)]
+    terms = [(stick(k + 1), 1), (stick(k), 1), *layer]
+    return _sum((Fraction(c, k + 1), (1, ((t, 1),))) for t, c in terms)
+
+
+def _psi(form: tuple[int, tuple]) -> list[tuple[Fraction | int, tuple]]:
+    """psi times the singularity-basis expression of integer form ``form``, as
+    (c, integer form) parts for _sum or _combination, one degree up: a tree
+    with children has its top marking raised and is dropped if it then
+    vanishes, and a stick a_k becomes its _psi_stick row."""
+    den, terms = form
+    raised, sticks = [], []
+    for t, n in terms:
+        if t.children:
+            t = MarkedTree(t.marking + 1, t.children)
+            if not t.vanishing:
+                raised.append((t, n))
+        else:
+            sticks.append((Fraction(n, den), _psi_stick(t.marking)))
+    return [(1, (den, raised)), *sticks]
 
 
 def product_expansion(m: int) -> ClassExpr:
-    """Expansion of prod_{r=1}^m (r psi - xi) as a_m plus tree terms.  Memoised per m."""
+    """Expansion of prod_{r=1}^m (r psi - xi) as a_m plus tree terms, of
+    degree m.  It is m psi Pi_{m-1} - xi Pi_{m-1}, with Pi_0 the unit and psi
+    the one operator _psi; the xi factor is implicit in the degree.  Memoised
+    per m."""
     if _integer(m, "m") < 1:
         raise ConstraintError("m must be >= 1")
     return _product_expansion(m)
@@ -251,42 +257,16 @@ def product_expansion(m: int) -> ClassExpr:
 
 @lru_cache(maxsize=None)
 def _product_expansion(m: int) -> ClassExpr:
-    return ClassExpr.single(SINGULARITY, stick(m)) + _correction_part(m)
-
-
-def psi_decomposition(m: int) -> tuple[Fraction, ...]:
-    """Coefficients c_{m,0..m} with psi^m = sum_j c_{m,j} xi^{m-j} prod_{r=1}^j (r psi - xi).
-
-    Comparing psi^t coefficients gives a triangular system: the j-th product
-    has degree j in psi with leading coefficient j!, so c_{m,m} = 1/m! and
-    each lower c_{m,t} follows from the ones above it.  Memoised per m.
-    """
-    if _integer(m, "m") < 0:
-        raise ConstraintError("m must be nonnegative")
-    return _psi_decomposition(m)
-
-
-@lru_cache(maxsize=None)
-def _psi_decomposition(m: int) -> tuple[Fraction, ...]:
-    # products[j][t] = coefficient of psi^t (with xi^(j-t) implied) in prod_{r<=j}(r psi - xi)
-    products: list[list[Fraction]] = [[Fraction(1)]]
-    for j in range(1, m + 1):
-        prev = products[-1]
-        cur = [Fraction(0)] * (j + 1)
-        for t, c in enumerate(prev):
-            cur[t + 1] += j * c
-            cur[t] -= c
-        products.append(cur)
-    coeffs = [Fraction(0)] * (m + 1)
-    for t in range(m, -1, -1):
-        rest = sum(coeffs[j] * products[j][t] for j in range(t + 1, m + 1))
-        coeffs[t] = ((1 if t == m else 0) - rest) / products[t][t]
-    return tuple(coeffs)
+    if m == 0:
+        return ClassExpr.unit(SINGULARITY)
+    prev = _ints(_product_expansion(m - 1))
+    return _combination(SINGULARITY, m, [*((m * c, f) for c, f in _psi(prev)), (-1, prev)])
 
 
 def psi_power_sing(m: int) -> ClassExpr:
-    """psi^m expanded in the singularity basis; homogeneous of codimension m.
-    Memoised per m."""
+    """psi^m expanded in the singularity basis, of degree m: psi^0 is the
+    unit and psi^m is the one operator _psi applied to psi^(m-1).  Memoised
+    per m."""
     if _integer(m, "m") < 0:
         raise ConstraintError("m must be nonnegative")
     return _psi_power_sing(m)
@@ -294,8 +274,9 @@ def psi_power_sing(m: int) -> ClassExpr:
 
 @lru_cache(maxsize=None)
 def _psi_power_sing(m: int) -> ClassExpr:
-    pieces = [ClassExpr.unit(SINGULARITY)] + [product_expansion(j) for j in range(1, m + 1)]
-    return _combination(SINGULARITY, m, zip(psi_decomposition(m), map(_ints, pieces)))
+    if m == 0:
+        return ClassExpr.unit(SINGULARITY)
+    return _combination(SINGULARITY, m, _psi(_ints(_psi_power_sing(m - 1))))
 
 
 def _expect(e: ClassExpr, basis: str, message: str) -> None:

@@ -19,7 +19,7 @@ from itertools import combinations
 from math import factorial, perm, prod
 from operator import itemgetter
 
-from .errors import ConstraintError, Record, _exact, _integer, _pairs
+from .errors import ConstraintError, Record, _exact, _integer, _operand, _pairs
 
 Profile = tuple[int, ...]
 Partition = tuple[int, ...]
@@ -283,7 +283,7 @@ class CycleExpr(_ProfileTerms):
         return not self.terms
 
     def __add__(self, other: "CycleExpr") -> "CycleExpr":
-        return CycleExpr(self.terms + other.terms)
+        return CycleExpr(self.terms + _operand(other, CycleExpr, "+").terms)
 
     def scale(self, c: Fraction | int) -> "CycleExpr":
         _exact((c,), "cycle coefficients")
@@ -302,5 +302,5 @@ class XPolynomial(_ProfileTerms):
         return XPolynomial(
             (p1 + p2, c1 * c2)
             for p1, c1 in self.terms
-            for p2, c2 in other.terms
+            for p2, c2 in _operand(other, XPolynomial, "*").terms
         )

@@ -106,6 +106,14 @@ def _integer(value, what: str) -> int:
 _EXACT = frozenset((int, Fraction))  # coefficient types; bool, float, str and the rest are refused
 
 
+def _operand(value, cls: type, what: str):
+    """value if it is exactly a cls; else ConstraintError, saying that the
+    operation what takes a cls."""
+    if type(value) is not cls:
+        raise ConstraintError(f"{what} takes a {cls.__name__}, not {value!r}")
+    return value
+
+
 def _exact(values, what: str) -> None:
     """Nothing if every value is exactly an int or a Fraction; else
     ConstraintError, saying that what must be int or Fraction."""

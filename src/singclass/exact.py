@@ -14,7 +14,7 @@ from collections.abc import Iterable
 from fractions import Fraction
 from math import factorial
 
-from .errors import ConstraintError, Record, TruncationError, _fractions, _integer
+from .errors import ConstraintError, Record, TruncationError, _fractions, _integer, _operand
 
 __all__ = [
     "PowerSeries",
@@ -59,13 +59,13 @@ class PowerSeries(Record):
         return self.coeffs[n]
 
     def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        order = min(self.truncation_order, other.truncation_order)
+        order = min(self.truncation_order, _operand(other, PowerSeries, "+").truncation_order)
         return PowerSeries._make(
             tuple(self.coeffs[n] + other.coeffs[n] for n in range(order + 1)), order
         )
 
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
-        order = min(self.truncation_order, other.truncation_order)
+        order = min(self.truncation_order, _operand(other, PowerSeries, "*").truncation_order)
         out = [Fraction(0)] * (order + 1)
         for i, a in enumerate(self.coeffs[: order + 1]):
             if a == 0:

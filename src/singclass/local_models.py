@@ -20,6 +20,7 @@ from .errors import (
     _exact,
     _fractions,
     _integer,
+    _operand,
     _pairs,
 )
 
@@ -38,13 +39,6 @@ __all__ = [
 
 
 _ZERO = Fraction(0)
-
-
-def _polynomial(value, what: str) -> "Polynomial":
-    """value if it is a Polynomial; else ConstraintError."""
-    if type(value) is not Polynomial:
-        raise ConstraintError(f"{what} takes a Polynomial, not {value!r}")
-    return value
 
 
 class Polynomial(Record):
@@ -102,15 +96,17 @@ class Polynomial(Record):
         return [(k, c) for k, c in enumerate(self.coeffs) if c]
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        pairs = itertools.zip_longest(self.coeffs, _polynomial(other, "+").coeffs, fillvalue=_ZERO)
+        other = _operand(other, Polynomial, "+")
+        pairs = itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=_ZERO)
         return Polynomial(a + b for a, b in pairs)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        pairs = itertools.zip_longest(self.coeffs, _polynomial(other, "-").coeffs, fillvalue=_ZERO)
+        other = _operand(other, Polynomial, "-")
+        pairs = itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=_ZERO)
         return Polynomial(a - b for a, b in pairs)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if not self.coeffs or not _polynomial(other, "*").coeffs:
+        if not self.coeffs or not _operand(other, Polynomial, "*").coeffs:
             return Polynomial.zero()
         out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
@@ -126,7 +122,7 @@ class Polynomial(Record):
         return Polynomial._make(tuple(a * c if a else a for a in self.coeffs))
 
     def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        if not _polynomial(other, "divmod").coeffs:
+        if not _operand(other, Polynomial, "divmod").coeffs:
             raise ConstraintError("polynomial division by zero")
         rem, ddeg = list(self.coeffs), other.degree
         quot = [_ZERO] * max(len(rem) - ddeg, 0)
@@ -139,7 +135,7 @@ class Polynomial(Record):
     def gcd(self, other: "Polynomial") -> "Polynomial":
         """A greatest common divisor, up to a rational factor: the last
         nonzero remainder of Euclid's algorithm."""
-        a, b = self, _polynomial(other, "gcd")
+        a, b = self, _operand(other, Polynomial, "gcd")
         while b.coeffs:
             a, b = b, a.divmod(b)[1]
         return a

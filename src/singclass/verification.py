@@ -13,7 +13,7 @@ from fractions import Fraction
 from . import classes, cycles, grammar, trees
 from .classes import BASIC, SINGULARITY, ClassExpr, basic_to_sing, sing_to_basic
 from .combinatorics import partitions_of, shifted_power_sum
-from .errors import ConstraintError, ParseError, Record
+from .errors import ConstraintError, ParseError, Record, _integer
 
 __all__ = [
     "CheckResult",
@@ -54,6 +54,10 @@ _GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def load_fixture_rows(name: str) -> list[list[str]]:
+    """The rows of the golden table ``name``, each split at ``::``; a name
+    that is no golden table raises ConstraintError."""
+    if name not in os.listdir(_GOLDEN):
+        raise ConstraintError(f"no golden table named {name!r}")
     with open(os.path.join(_GOLDEN, name), encoding="utf-8") as f:
         source = f.read()
     rows = []
@@ -192,6 +196,8 @@ def _partitions_up_to(n: int):
 
 
 def check_shifted_power_sums(max_m: int = 5, max_size: int = 8) -> list[CheckResult]:
+    _integer(max_m, "max_m")
+    _integer(max_size, "max_size")
     out = []
     for m in range(0, max_m + 1):
         element = cycles.completed_cycle(m)
@@ -224,7 +230,7 @@ def genus0_equality_check(m: int) -> bool:
     point coefficient and the coefficient actually extracted from the expansion
     of psi^m at the point-class tree (the stick, for one-part profiles).
     """
-    if m < 1:
+    if _integer(m, "m") < 1:
         raise ConstraintError("m must be >= 1")
     g0 = cycles.genus0_part(cycles.completed_cycle(m), m)
     expansion = classes.psi_power_sing(m)
@@ -241,6 +247,7 @@ def genus0_equality_check(m: int) -> bool:
 
 
 def check_genus0_equality(max_m: int = 6) -> list[CheckResult]:
+    _integer(max_m, "max_m")
     return [
         CheckResult(f"genus-0 coefficients match psi^{m}", genus0_equality_check(m))
         for m in range(1, max_m + 1)
@@ -315,14 +322,14 @@ SUITES = {
 def run_suite(name: str, max_m: int | None = None) -> list[CheckResult]:
     """Run one suite; a ``max_m`` under which it would compare nothing, or
     one given to a suite that takes none, raises ConstraintError."""
-    if name not in SUITES:
+    if type(name) is not str or name not in SUITES:
         raise ParseError(f"unknown verify suite {name!r}")
     checks, smallest = SUITES[name]
     if max_m is None:
         return checks()
     if smallest is None:
         raise ConstraintError(f"verify {name} takes no --max-m")
-    if max_m < smallest:
+    if _integer(max_m, "max_m") < smallest:
         raise ConstraintError(
             f"verify {name} needs --max-m >= {smallest}, got {max_m}: it would compare nothing"
         )

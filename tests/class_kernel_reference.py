@@ -2,9 +2,11 @@
 numerators over one common denominator: a test-only reference.
 ``tests/test_class_kernel_reference.py`` checks that ``singclass.classes``
 returns the same expressions.  Every coefficient here is a ``Fraction`` and
-every product and sum is a ``Fraction`` operation.  The code below is kept as
-it was, but for the imports and for ``_tree_basic_expansion``, which calls
-this module's ``substitute`` and ``psi_power_sing``.
+every product and sum is a ``Fraction`` operation.  The product expansion is
+the recursion over ``ClassExpr`` operators, and psi^m the weighted sum of
+products given by the triangular solve ``psi_decomposition``.  The code below
+is kept as it was, but for the imports and for ``_tree_basic_expansion``,
+which calls this module's ``substitute`` and ``psi_power_sing``.
 """
 
 from __future__ import annotations
@@ -15,15 +17,70 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
 
-from singclass.classes import (
-    BASIC,
-    SINGULARITY,
-    ClassExpr,
-    product_expansion,
-    psi_decomposition,
-)
+from singclass.classes import BASIC, SINGULARITY, ClassExpr
+from singclass.combinatorics import aut_count, profiles_with_sum
 from singclass.errors import ConstraintError
-from singclass.trees import MarkedTree, encoding, graft
+from singclass.trees import MarkedTree, encoding, graft, star, stick
+
+
+def _new_profile_layer(m: int) -> ClassExpr:
+    """Sum over profiles with total m and >= 2 parts of (prod k / |Aut|) i_{k...}."""
+    return ClassExpr(
+        SINGULARITY,
+        m,
+        (
+            (star(0, [k - 1 for k in p]), Fraction(prod(p), aut_count(p)))
+            for p in profiles_with_sum(m, 2)
+        ),
+    )
+
+
+@lru_cache(maxsize=None)
+def _correction_part(m: int) -> ClassExpr:
+    """The non-stick part P_m of the product expansion, by the recursion
+    P_m = (new-profile layer) + (m psi - xi) P_{m-1}, P_1 = 0."""
+    if m <= 1:
+        return ClassExpr.zero(SINGULARITY)
+    prev = _correction_part(m - 1)
+    return (
+        _new_profile_layer(m)
+        + prev.mul_psi_top().scale(m)
+        - prev.mul_xi(1)
+    )
+
+
+@lru_cache(maxsize=None)
+def product_expansion(m: int) -> ClassExpr:
+    """Expansion of prod_{r=1}^m (r psi - xi) as a_m plus tree terms."""
+    if m < 1:
+        raise ConstraintError("m must be >= 1")
+    return ClassExpr.single(SINGULARITY, stick(m)) + _correction_part(m)
+
+
+@lru_cache(maxsize=None)
+def psi_decomposition(m: int) -> tuple[Fraction, ...]:
+    """Coefficients c_{m,0..m} with psi^m = sum_j c_{m,j} xi^{m-j} prod_{r=1}^j (r psi - xi).
+
+    Comparing psi^t coefficients gives a triangular system: the j-th product
+    has degree j in psi with leading coefficient j!, so c_{m,m} = 1/m! and
+    each lower c_{m,t} follows from the ones above it.
+    """
+    if m < 0:
+        raise ConstraintError("m must be nonnegative")
+    # products[j][t] = coefficient of psi^t (with xi^(j-t) implied) in prod_{r<=j}(r psi - xi)
+    products: list[list[Fraction]] = [[Fraction(1)]]
+    for j in range(1, m + 1):
+        prev = products[-1]
+        cur = [Fraction(0)] * (j + 1)
+        for t, c in enumerate(prev):
+            cur[t + 1] += j * c
+            cur[t] -= c
+        products.append(cur)
+    coeffs = [Fraction(0)] * (m + 1)
+    for t in range(m, -1, -1):
+        rest = sum(coeffs[j] * products[j][t] for j in range(t + 1, m + 1))
+        coeffs[t] = ((1 if t == m else 0) - rest) / products[t][t]
+    return tuple(coeffs)
 
 
 @lru_cache(maxsize=None)

@@ -8,10 +8,12 @@ silently wrong answer, and ``True`` hashed like ``1`` into the memos of
 must be exactly an ``int`` or a ``Fraction``, as ``ClassExpr`` already asks.
 A class expression must be a ``ClassExpr`` built from marked trees, and its
 constructor checks its basis, degree and terms.  The fuzz tests call each
-entry point, every callable public name of the package and every public
-method of a small valid ``Polynomial`` or ``RationalFunction`` with such values
-and accept only a result or a ``SingclassError``; ``TestArgvFuzz`` in
-``test_cli.py`` does the same for the CLI.
+entry point, every callable public name of the package, every public method
+and operator of a small valid ``Polynomial``, ``RationalFunction``,
+``ClassExpr``, ``CycleExpr``, ``XPolynomial``, ``PowerSeries`` or
+``MarkedTree``, and ``reassemble`` on coordinates built from fuzzed fields,
+with such values, and accept only a result or a ``SingclassError``;
+``TestArgvFuzz`` in ``test_cli.py`` does the same for the CLI.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import singclass
-from singclass import combinatorics, cycles, local_models, trees
+from singclass import combinatorics, cycles, local_models, trees, verification
 from singclass.classes import (
     BASIC,
     SINGULARITY,
@@ -32,7 +34,6 @@ from singclass.classes import (
     basic_to_sing,
     point_coefficient_psi,
     product_expansion,
-    psi_decomposition,
     psi_power_sing,
     sing_to_basic,
     substitute,
@@ -59,7 +60,7 @@ from singclass.cycles import (
     x_polynomial,
 )
 from singclass.combinatorics import XPolynomial
-from singclass.errors import ConstraintError, SingclassError
+from singclass.errors import ConstraintError, ParseError, SingclassError
 from singclass.local_models import (
     BranchCoordinates,
     HurwitzCoordinates,
@@ -94,7 +95,6 @@ class TestTheGate:
             lambda v: point_coefficient_delta([v], (1,)),
             product_expansion,
             psi_power_sing,
-            psi_decomposition,
             lambda v: point_coefficient_psi(v, (1,)),
             lambda v: profile_constants((v, 2)),
             lambda v: local_models.orbit_count((2, v)),
@@ -160,7 +160,6 @@ class TestTheGate:
         assert make_partition((1, 3)) == (3, 1)
         assert x_polynomial(0).terms == (((1,), 1),)
         assert rho(0, (1,)) == 1
-        assert psi_decomposition(1) == (1, 1)  # psi = xi + (psi - xi)
         assert profile_constants((2, 3)).lcm == 6
 
 
@@ -245,9 +244,10 @@ _SCALARS = st.one_of(
     st.none(),
 )
 _VALUES = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=4).map(tuple), max_leaves=6)
-_ELEMENTS = st.lists(
+_PROFILE_TERMS = st.lists(
     st.tuples(st.lists(st.integers(1, 4), max_size=3), st.integers(-3, 3)), max_size=3
-).map(CycleExpr)
+)
+_ELEMENTS = _PROFILE_TERMS.map(CycleExpr)
 
 _BASES = st.sampled_from([BASIC, SINGULARITY])
 _TREES = st.sampled_from(trees.enumerate_trees(3))
@@ -287,7 +287,6 @@ CALLS = {
     ),
     "product_expansion": (product_expansion, (_VALUES,)),
     "psi_power_sing": (psi_power_sing, (_VALUES,)),
-    "psi_decomposition": (psi_decomposition, (_VALUES,)),
     "point_coefficient_psi": (point_coefficient_psi, (_VALUES, _VALUES)),
     "profile_constants": (profile_constants, (_VALUES,)),
     "canonical_function": (canonical_function, (_VALUES, _VALUES, _VALUES)),
@@ -336,9 +335,18 @@ _RECEIVERS = {
     RationalFunction: st.builds(
         RationalFunction, _POLYNOMIALS, _POLYNOMIALS.filter(lambda p: p.coeffs)
     ),
+    ClassExpr: _CLASSES,
+    CycleExpr: _ELEMENTS,
+    XPolynomial: _PROFILE_TERMS.map(XPolynomial),
+    singclass.PowerSeries: st.builds(
+        singclass.PowerSeries, st.lists(_COEFFICIENTS, max_size=4), st.integers(0, 4)
+    ),
+    trees.MarkedTree: _TREES,
 }
+# an argument: a small valid value of any receiver class, or a fuzzed value
+_ARGUMENTS = st.one_of(*_RECEIVERS.values(), _VALUES)
 # the operators a receiver answers to, beside its public methods
-_OPERATORS = ("__call__", "__add__", "__sub__", "__mul__")
+_OPERATORS = ("__call__", "__add__", "__sub__", "__mul__", "__eq__")
 METHODS = [
     (cls, name)
     for cls in _RECEIVERS
@@ -355,8 +363,34 @@ def test_every_method_ends_in_a_result_or_a_singclass_error(cls, name, data):
     params = inspect.signature(method).parameters.values()
     required = sum(param.default is param.empty for param in params)
     count = data.draw(st.integers(required, len(params)), label="argument count")
-    args = [data.draw(_POLYNOMIALS | _VALUES, label=f"argument {i}") for i in range(count)]
+    args = [data.draw(_ARGUMENTS, label=f"argument {i}") for i in range(count)]
     _call_within_small_budgets(method, args)
+
+
+@st.composite
+def _coordinates(draw) -> HurwitzCoordinates:
+    """Hurwitz coordinates of up to three branches, each field valid (an
+    exact pole, u and tail, a tail of order - 1 values) or a fuzzed value."""
+
+    def field(valid):
+        return draw(st.just(valid) | _VALUES)
+
+    branches = []
+    for _ in range(draw(st.integers(0, 3))):
+        order = draw(st.integers(1, 3))
+        tail = tuple(draw(_COEFFICIENTS) for _ in range(order - 1))
+        branches.append(
+            BranchCoordinates(
+                field(draw(_COEFFICIENTS)), field(order), field(draw(_COEFFICIENTS)), field(tail)
+            )
+        )
+    return HurwitzCoordinates(field(tuple(branches)), field(draw(_COEFFICIENTS)))
+
+
+@settings(deadline=None, max_examples=200)
+@given(_coordinates())
+def test_reassemble_ends_in_a_result_or_a_singclass_error(coords):
+    _call_within_small_budgets(singclass.reassemble, [coords])
 
 
 def _call_within_small_budgets(function, args) -> None:
@@ -409,6 +443,16 @@ def _call_within_small_budgets(function, args) -> None:
         lambda: Polynomial([1, 2])(0.5),
         lambda: Polynomial.from_roots([("x", 1)]),
         lambda: Polynomial.from_roots([(1, -1)]),
+        lambda: ClassExpr(BASIC, 3, [(stick(3), 1)]) + 0.5,
+        lambda: ClassExpr(BASIC, 3, [(stick(3), 1)]) - 0.5,
+        lambda: CycleExpr([((2,), 1)]) + 0.5,
+        lambda: XPolynomial([((2,), 1)]) * 0.5,
+        lambda: singclass.s_series(4) + 0.5,
+        lambda: singclass.s_series(4) * 0.5,
+        lambda: verification.check_shifted_power_sums(2.5),
+        lambda: verification.check_genus0_equality(1.5),
+        lambda: verification.run_suite("ko", "1"),
+        lambda: verification.load_fixture_rows("nope.txt"),
     ],
     ids=[
         "aut_count", "genus0_part", "genus0_part m", "parse_class", "parse_cycles",
@@ -421,12 +465,22 @@ def _call_within_small_budgets(function, args) -> None:
         "RationalFunction call str", "Polynomial +", "Polynomial -", "Polynomial *",
         "Polynomial.divmod int", "Polynomial.gcd int", "Polynomial.coefficient str",
         "Polynomial.scale float", "Polynomial call float", "Polynomial.from_roots str",
-        "Polynomial.from_roots negative",
+        "Polynomial.from_roots negative", "ClassExpr +", "ClassExpr -", "CycleExpr +",
+        "XPolynomial *", "PowerSeries +", "PowerSeries *", "check_shifted_power_sums float",
+        "check_genus0_equality float", "run_suite str", "load_fixture_rows missing",
     ],
 )
 def test_the_public_names_that_raised_other_errors(call):
-    # each raised TypeError, AttributeError, ValueError, ZeroDivisionError or
-    # RecursionError, or took a float that ClassExpr.scale refuses
+    # each raised TypeError, AttributeError, ValueError, ZeroDivisionError,
+    # FileNotFoundError or RecursionError, or took a float that
+    # ClassExpr.scale refuses
     partitions_of(1)  # True once read this memo entry
     with pytest.raises(ConstraintError):
         call()
+
+
+@pytest.mark.parametrize("name", ["nope", [], None])
+def test_run_suite_refuses_an_unknown_suite(name):
+    # a list raised TypeError from the dict lookup
+    with pytest.raises(ParseError, match="unknown verify suite"):
+        verification.run_suite(name)

@@ -1,7 +1,9 @@
 """The integer kernels of the class engine against their ``Fraction``
 reference, ``class_kernel_reference``.
 
-``substitute``, ``psi_power_sing`` and both basis changes must return equal
+``product_expansion`` and ``psi_power_sing`` must return the expressions of
+the ``Fraction`` product recursion and of the triangular ``psi_decomposition``
+for every m <= 14.  ``substitute`` and both basis changes must return equal
 expressions, rendered to the same text, on every tree of codim <= 8 in both
 bases (and, for ``sing_to_basic``, of codim <= 10), on random sums of trees,
 and on grafts that carry xi powers.  The coefficients are negative, non-unit
@@ -20,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singclass import classes
-from singclass.classes import BASIC, SINGULARITY, ClassExpr, psi_power_sing
+from singclass.classes import BASIC, SINGULARITY, ClassExpr, product_expansion, psi_power_sing
 from singclass.grammar import render_class
 from singclass.trees import MarkedTree, canonicalize, enumerate_trees, star, stick
 
@@ -37,7 +39,12 @@ def assert_same(got: ClassExpr, want: ClassExpr):
     assert render_class(got) == render_class(want)
 
 
-@pytest.mark.parametrize("m", range(13))
+@pytest.mark.parametrize("m", range(1, 15))
+def test_product_expansions(m):
+    assert_same(product_expansion(m), reference.product_expansion(m))
+
+
+@pytest.mark.parametrize("m", range(15))
 def test_psi_powers(m):
     assert_same(psi_power_sing(m), reference.psi_power_sing(m))
 

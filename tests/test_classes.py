@@ -17,7 +17,6 @@ from singclass.classes import (
     basic_to_sing,
     point_class_tree,
     point_coefficient_psi,
-    psi_decomposition,
     psi_power_sing,
     sing_to_basic,
     product_expansion,
@@ -28,6 +27,8 @@ from singclass.cycles import point_coefficient_delta
 from singclass.errors import ConstraintError
 from singclass.grammar import parse_class
 from singclass.trees import enumerate_trees, star, stick
+
+from class_kernel_reference import psi_decomposition
 
 
 def sing(text: str) -> ClassExpr:
@@ -85,6 +86,9 @@ class TestProductExpansion:
 
 
 class TestPsiDecomposition:
+    """The triangular solve of the test reference, which psi_power_sing
+    no longer uses."""
+
     def test_degree_one(self):
         assert psi_decomposition(1) == (Fraction(1), Fraction(1))
 

@@ -17,6 +17,9 @@ The value types build their instances through their canonical constructors;
 builder, and in ``trees.MarkedTree.__new__``, the one constructor of trees,
 which hash-conses them in the one module-level table of ``trees``.  No
 module defines a second tree constructor beside it.
+
+Every memo table is named here: each ``lru_cache`` is unbounded and lives
+as long as the process, so a new one is a reviewed change.
 """
 
 from __future__ import annotations
@@ -74,6 +77,14 @@ DEFERRED = {
 
 # (module, function) pairs that may name object.__new__
 OBJECT_NEW = {("errors", "Record._make"), ("trees", "MarkedTree.__new__")}
+
+# module -> the functions it memoises with lru_cache, twelve tables in all
+MEMO_TABLES = {
+    "classes": {"_psi_stick", "_product_expansion", "_psi_power_sing", "_basic_ints", "_sing_ints"},
+    "combinatorics": {"partitions_of", "_mn", "_dimension"},
+    "cycles": {"_log_s", "_completed_cycle"},
+    "trees": {"encoding", "_branch_options"},
+}
 
 # names of the canonical tree factory and its table, which MarkedTree replaced
 RETIRED_TREE_NAMES = {"tree", "_canonical", "_CANONICAL"}
@@ -134,6 +145,19 @@ def _object_new_users(path: Path) -> set[str]:
             visit(child, scope)
 
     visit(_tree(path), ())
+    return out
+
+
+def _memoised(path: Path) -> set[str]:
+    """The name of every function the file decorates with lru_cache or cache."""
+    out = set()
+    for fn in ast.walk(_tree(path)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for decorator in fn.decorator_list:
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+                if name in ("lru_cache", "cache"):
+                    out.add(fn.name)
     return out
 
 
@@ -206,6 +230,11 @@ def test_values_are_built_without_their_constructor_in_two_places_only():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_tree_factory_beside_the_constructor(path):
     assert set(_module_bindings(path)) & RETIRED_TREE_NAMES == set()
+
+
+def test_every_memo_table_is_listed():
+    found = {path.stem: _memoised(path) for path in MODULES}
+    assert {module: names for module, names in found.items() if names} == MEMO_TABLES
 
 
 def test_trees_keep_one_node_table():
