@@ -107,11 +107,11 @@ class ClassExpr(Record):
 
     def coefficient_at(self, t: MarkedTree, q: int) -> Fraction:
         """The coefficient of xi^q * t: the term's rational when q is the xi
-        power t carries here, and 0 otherwise."""
-        for t2, c in self.terms:
-            if t2 == t:
-                return c if self.degree - t.codim == q else Fraction(0)
-        return Fraction(0)
+        power t carries here, and 0 otherwise.  A t that is no MarkedTree and
+        a q that is no int raise ConstraintError."""
+        t, q = _operand(t, MarkedTree, "coefficient_at"), _integer(q, "an xi power")
+        c = dict(self.terms).get(t)
+        return c if c is not None and self.degree - t.codim == q else Fraction(0)
 
     def monomials(self) -> list[tuple[MarkedTree, int, Fraction]]:
         """(tree, xi power, coefficient) for every term."""
@@ -181,11 +181,10 @@ def _terms(degree: int | None, items) -> tuple:
 
 # The kernels below add and multiply integer numerators over one common
 # denominator and build a single Fraction per output term.  The integer form
-# of an expression is (den, ((tree, numerator), ...)), with den the lcm of
-# the reduced denominators.  Two memoised per-tree tables in this form hold
-# the basis change: _basic_ints(t) is [t]_basic in the singularity basis and
-# _sing_ints(t) is [t]_sing in the basic basis.  A third, per stick, holds the
-# one psi operator's rule for a_k: _psi_stick(k) is psi * a_k.
+# of an expression is (den, ((tree, numerator), ...)), with den the lcm of the
+# reduced denominators.  Every memo below holds this form: _psi_stick(k) is
+# psi * a_k, _product_ints(m) and _psi_ints(m) the expansions, _basic_ints(t)
+# [t]_basic in the singularity basis and _sing_ints(t) [t]_sing in the basic one.
 
 def _ints(e: ClassExpr) -> tuple[int, tuple[tuple[MarkedTree, int], ...]]:
     """The terms of e as integer numerators over the lcm of their denominators."""
@@ -208,12 +207,22 @@ def _sum(parts: Iterable[tuple[Fraction | int, tuple]]) -> tuple[int, tuple]:
     return den // g, tuple((t, n // g) for t, n in acc.items() if n)
 
 
-def _combination(basis: str, degree: int, parts: Iterable[tuple]) -> ClassExpr:
-    """The _sum of the (c, integer form of e) parts as the expression of the
-    given degree in ``basis``, the output basis: one Fraction per tree."""
-    den, terms = _sum(parts)
+def _expr(basis: str, degree: int, form: tuple) -> ClassExpr:
+    """The expression of the given degree in ``basis`` whose integer form is
+    ``form``: one Fraction per tree."""
+    den, terms = form
     terms = _terms(degree, ((t, Fraction(n, den)) for t, n in terms))
     return ClassExpr._make(basis, degree if terms else None, terms)
+
+
+def _glue(outer: MarkedTree, forms: list[tuple]) -> tuple[int, tuple]:
+    """The integer forms ``forms`` substituted into the leaves of ``outer``:
+    every choice of one term per form grafted in, vanishing trees dropped,
+    numerators multiplied over the product of the dens."""
+    combos = (zip(*combo) for combo in itertools.product(*(terms for _, terms in forms)))
+    glued = ((graft(outer, trees), prod(nums)) for trees, nums in combos)
+    live = [(t, n) for t, n in glued if not t.vanishing]
+    return _sum([(1, (prod(den for den, _ in forms), live))])
 
 
 @lru_cache(maxsize=None)
@@ -230,9 +239,9 @@ def _psi_stick(k: int) -> tuple[int, tuple[tuple[MarkedTree, int], ...]]:
 
 def _psi(form: tuple[int, tuple]) -> list[tuple[Fraction | int, tuple]]:
     """psi times the singularity-basis expression of integer form ``form``, as
-    (c, integer form) parts for _sum or _combination, one degree up: a tree
-    with children has its top marking raised and is dropped if it then
-    vanishes, and a stick a_k becomes its _psi_stick row."""
+    (c, integer form) parts for _sum, one degree up: a tree with children has
+    its top marking raised and is dropped if it then vanishes, and a stick a_k
+    becomes its _psi_stick row."""
     den, terms = form
     raised, sticks = [], []
     for t, n in terms:
@@ -248,35 +257,31 @@ def _psi(form: tuple[int, tuple]) -> list[tuple[Fraction | int, tuple]]:
 def product_expansion(m: int) -> ClassExpr:
     """Expansion of prod_{r=1}^m (r psi - xi) as a_m plus tree terms, of
     degree m.  It is m psi Pi_{m-1} - xi Pi_{m-1}, with Pi_0 the unit and psi
-    the one operator _psi; the xi factor is implicit in the degree.  Memoised
-    per m."""
+    the one operator _psi; the xi factor is implicit in the degree.  Its
+    integer form is memoised per m."""
     if _integer(m, "m") < 1:
         raise ConstraintError("m must be >= 1")
-    return _product_expansion(m)
+    return _expr(SINGULARITY, m, _product_ints(m))
 
 
 @lru_cache(maxsize=None)
-def _product_expansion(m: int) -> ClassExpr:
-    if m == 0:
-        return ClassExpr.unit(SINGULARITY)
-    prev = _ints(_product_expansion(m - 1))
-    return _combination(SINGULARITY, m, [*((m * c, f) for c, f in _psi(prev)), (-1, prev)])
+def _product_ints(m: int) -> tuple[int, tuple[tuple[MarkedTree, int], ...]]:
+    prev = _product_ints(m - 1) if m > 1 else _psi_ints(0)  # Pi_0 is the unit, psi^0
+    return _sum([*((m * c, f) for c, f in _psi(prev)), (-1, prev)])
 
 
 def psi_power_sing(m: int) -> ClassExpr:
     """psi^m expanded in the singularity basis, of degree m: psi^0 is the
-    unit and psi^m is the one operator _psi applied to psi^(m-1).  Memoised
-    per m."""
+    unit and psi^m is the one operator _psi applied to psi^(m-1).  Its
+    integer form is memoised per m."""
     if _integer(m, "m") < 0:
         raise ConstraintError("m must be nonnegative")
-    return _psi_power_sing(m)
+    return _expr(SINGULARITY, m, _psi_ints(m))
 
 
 @lru_cache(maxsize=None)
-def _psi_power_sing(m: int) -> ClassExpr:
-    if m == 0:
-        return ClassExpr.unit(SINGULARITY)
-    return _combination(SINGULARITY, m, _psi(_ints(_psi_power_sing(m - 1))))
+def _psi_ints(m: int) -> tuple[int, tuple[tuple[MarkedTree, int], ...]]:
+    return (1, ((stick(0), 1),)) if m == 0 else _sum(_psi(_psi_ints(m - 1)))
 
 
 def _expect(e: ClassExpr, basis: str, message: str) -> None:
@@ -311,21 +316,18 @@ def substitute(outer: MarkedTree, grafts: Iterable[ClassExpr]) -> ClassExpr:
 
     if any(not g.terms for g in grafts):
         return ClassExpr.zero(SINGULARITY)
-    # one part: the glued trees, numerators multiplied, over the product of the dens
-    forms = [_ints(g) for g in grafts]
-    combos = (zip(*combo) for combo in itertools.product(*(terms for _, terms in forms)))
-    glued = ((graft(outer, trees), prod(nums)) for trees, nums in combos)
     degree = outer.codim - outer.weight + sum(g.degree for g in grafts)
-    return _combination(SINGULARITY, degree, [(1, (prod(den for den, _ in forms), glued))])
+    return _expr(SINGULARITY, degree, _glue(outer, [_ints(g) for g in grafts]))
 
 
 @lru_cache(maxsize=None)
 def _basic_ints(t: MarkedTree) -> tuple[int, tuple[tuple[MarkedTree, int], ...]]:
     """[t]_basic in the singularity basis: psi^m for a stick marked m, else
-    psi^m grafted into each leaf marked m, the internal markings unchanged."""
+    the _psi_ints row of m glued into each leaf marked m, the internal
+    markings unchanged."""
     if not t.children:
-        return _ints(psi_power_sing(t.marking))
-    return _ints(substitute(t, [psi_power_sing(m) for m in t.leaves]))
+        return _psi_ints(t.marking)
+    return _glue(t, [_psi_ints(m) for m in t.leaves])
 
 
 @lru_cache(maxsize=None)
@@ -340,10 +342,8 @@ def _sing_ints(t: MarkedTree) -> tuple[int, tuple[tuple[MarkedTree, int], ...]]:
     for t2, n in terms:
         if t2 is not t:
             if t2.weight >= t.weight:
-                raise RuntimeError(
-                    f"basic expansion of {encoding(t)} has a term of weight "
-                    f"{t2.weight} >= {t.weight}"
-                )
+                raise RuntimeError(f"basic expansion of {encoding(t)} has a term of weight "
+                                   f"{t2.weight} >= {t.weight}")
             parts.append((Fraction(-lead * n, den), _sing_ints(t2)))
     return _sum(parts)
 
@@ -352,14 +352,14 @@ def basic_to_sing(e: ClassExpr) -> ClassExpr:
     """Convert a basic-basis expression to the singularity basis: the sum of
     each term's coefficient times the memoised singularity-basis form of its tree."""
     _expect(e, BASIC, "basic_to_sing expects a basic-basis expression")
-    return _combination(SINGULARITY, e.degree, ((c, _basic_ints(t)) for t, c in e.terms))
+    return _expr(SINGULARITY, e.degree, _sum((c, _basic_ints(t)) for t, c in e.terms))
 
 
 def sing_to_basic(e: ClassExpr) -> ClassExpr:
     """Convert a singularity-basis expression to the basic basis: the sum of
     each term's coefficient times the memoised basic-basis form of its tree."""
     _expect(e, SINGULARITY, "sing_to_basic expects a singularity-basis expression")
-    return _combination(BASIC, e.degree, ((c, _sing_ints(t)) for t, c in e.terms))
+    return _expr(BASIC, e.degree, _sum((c, _sing_ints(t)) for t, c in e.terms))
 
 
 def point_class_tree(p: Profile) -> MarkedTree:

@@ -196,8 +196,9 @@ def _partitions_up_to(n: int):
 
 
 def check_shifted_power_sums(max_m: int = 5, max_size: int = 8) -> list[CheckResult]:
-    _integer(max_m, "max_m")
-    _integer(max_size, "max_size")
+    _floor("ko", max_m)
+    if _integer(max_size, "max_size") < 0:
+        raise ConstraintError(f"max_size must be >= 0, got {max_size}: it would compare nothing")
     out = []
     for m in range(0, max_m + 1):
         element = cycles.completed_cycle(m)
@@ -247,10 +248,9 @@ def genus0_equality_check(m: int) -> bool:
 
 
 def check_genus0_equality(max_m: int = 6) -> list[CheckResult]:
-    _integer(max_m, "max_m")
     return [
         CheckResult(f"genus-0 coefficients match psi^{m}", genus0_equality_check(m))
-        for m in range(1, max_m + 1)
+        for m in range(1, _floor("equality", max_m) + 1)
     ]
 
 
@@ -287,7 +287,7 @@ def check_cycle_products() -> list[CheckResult]:
 
 def check_roundtrip(max_codim: int = 6) -> list[CheckResult]:
     out = []
-    generators = trees.enumerate_trees(max_codim)
+    generators = trees.enumerate_trees(_floor("roundtrip", max_codim))
     for name, basis, there, back in (
         ("sing_to_basic(basic_to_sing)", BASIC, basic_to_sing, sing_to_basic),
         ("basic_to_sing(sing_to_basic)", SINGULARITY, sing_to_basic, basic_to_sing),
@@ -309,7 +309,7 @@ def check_roundtrip(max_codim: int = 6) -> list[CheckResult]:
 
 
 # suite -> (checks, smallest max_m under which it compares something, or
-# None when it takes no max_m)
+# None when it takes no max_m); each check refuses a smaller one through _floor
 SUITES = {
     "appendix": (check_appendix, None),
     "ko": (check_shifted_power_sums, 0),
@@ -317,6 +317,17 @@ SUITES = {
     "cycles": (check_cycle_products, None),
     "roundtrip": (check_roundtrip, 0),
 }
+
+
+def _floor(suite: str, max_m: int) -> int:
+    """max_m if it is an int at or above the suite's floor in SUITES, under
+    which the suite would compare nothing; else ConstraintError."""
+    smallest = SUITES[suite][1]
+    if _integer(max_m, "max_m") < smallest:
+        raise ConstraintError(
+            f"verify {suite} needs --max-m >= {smallest}, got {max_m}: it would compare nothing"
+        )
+    return max_m
 
 
 def run_suite(name: str, max_m: int | None = None) -> list[CheckResult]:
@@ -329,8 +340,4 @@ def run_suite(name: str, max_m: int | None = None) -> list[CheckResult]:
         return checks()
     if smallest is None:
         raise ConstraintError(f"verify {name} takes no --max-m")
-    if _integer(max_m, "max_m") < smallest:
-        raise ConstraintError(
-            f"verify {name} needs --max-m >= {smallest}, got {max_m}: it would compare nothing"
-        )
     return checks(max_m)

@@ -479,6 +479,22 @@ def test_the_public_names_that_raised_other_errors(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: verification.check_shifted_power_sums(1, -1), "max_size must be >= 0"),
+        (lambda: verification.check_shifted_power_sums(-1), "verify ko needs --max-m >= 0"),
+        (lambda: verification.check_genus0_equality(0), "verify equality needs --max-m >= 1"),
+        (lambda: verification.check_roundtrip(-1), "verify roundtrip needs --max-m >= 0"),
+    ],
+    ids=["ko max_size", "ko max_m", "equality", "roundtrip"],
+)
+def test_a_check_that_would_compare_nothing_is_refused(call, message):
+    # a PASS over 0 partitions, [], [] and a pass on 0 generators
+    with pytest.raises(ConstraintError, match=message):
+        call()
+
+
 @pytest.mark.parametrize("name", ["nope", [], None])
 def test_run_suite_refuses_an_unknown_suite(name):
     # a list raised TypeError from the dict lookup

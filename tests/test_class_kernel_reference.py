@@ -5,10 +5,10 @@ reference, ``class_kernel_reference``.
 the ``Fraction`` product recursion and of the triangular ``psi_decomposition``
 for every m <= 14.  ``substitute`` and both basis changes must return equal
 expressions, rendered to the same text, on every tree of codim <= 8 in both
-bases (and, for ``sing_to_basic``, of codim <= 10), on random sums of trees,
-and on grafts that carry xi powers.  The coefficients are negative, non-unit
-and have large denominators, so a lost common factor or a wrong rescaling of
-a common denominator shows.
+bases (and, for both per-tree tables, of codim <= 10), on random sums of
+trees, and on grafts that carry xi powers.  The coefficients are negative,
+non-unit and have large denominators, so a lost common factor or a wrong
+rescaling of a common denominator shows.
 """
 
 from __future__ import annotations
@@ -61,6 +61,21 @@ def test_tree_basic_expansions():
         assert_same(got, reference._tree_basic_expansion(t))
 
 
+def test_gluing_drops_vanishing_trees():
+    """Into a vanishing tree every graft vanishes: the row is empty."""
+    for t in (star(1, [0, 0]), star(2, [1, 0, 2])):
+        assert t.vanishing and classes._basic_ints(t) == (1, ())
+
+
+def test_every_tree_to_codim_10_to_the_singularity_basis():
+    """The integer psi rows grafted by _basic_ints, highest codim first from
+    an empty table, against the Fraction substitution of the reference."""
+    classes._basic_ints.cache_clear()
+    for t in sorted(enumerate_trees(10), key=lambda t: -t.codim):
+        got = from_ints(SINGULARITY, t, classes._basic_ints(t))
+        assert_same(got, reference._tree_basic_expansion(t))
+
+
 def test_every_tree_to_codim_10_to_the_basic_basis():
     """Highest codim first from an empty table, so each tall tree fills in
     the entries of the lower trees it needs."""
@@ -70,14 +85,25 @@ def test_every_tree_to_codim_10_to_the_basic_basis():
         assert_same(classes.sing_to_basic(e), reference.sing_to_basic(e))
 
 
-def test_the_table_keeps_each_denominator_reduced():
-    """Each entry of the sing -> basic table is held over the lcm of its
-    conversion's reduced denominators, never a product of denominators."""
+@pytest.mark.parametrize(
+    "table, basis, convert",
+    [
+        (classes._sing_ints, BASIC, classes.sing_to_basic),
+        (classes._basic_ints, SINGULARITY, classes.basic_to_sing),
+    ],
+    ids=["_sing_ints", "_basic_ints"],
+)
+def test_the_table_keeps_each_denominator_reduced(table, basis, convert):
+    """Each entry of a basis-change table is held over the lcm of its
+    conversion's reduced denominators, never a product of denominators, and
+    holds no term that the conversion drops."""
+    source = SINGULARITY if basis == BASIC else BASIC
     for t in enumerate_trees(10):
-        den, terms = classes._sing_ints(t)
-        out = classes.sing_to_basic(ClassExpr.single(SINGULARITY, t))
+        den, terms = table(t)
+        out = convert(ClassExpr.single(source, t))
         assert den == lcm(*(c.denominator for _, c in out.terms)), t
-        assert from_ints(BASIC, t, (den, terms)) == out
+        assert from_ints(basis, t, (den, terms)) == out
+        assert len(terms) == len(out.terms), t
 
 
 @pytest.mark.parametrize("basis", [BASIC, SINGULARITY])

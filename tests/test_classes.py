@@ -258,6 +258,22 @@ class TestPointCoefficients:
                     assert extracted == point_coefficient_psi(m, p)
 
     @pytest.mark.parametrize(
+        "t, q",
+        [(stick(1), True), (stick(1), 1.0), (stick(1), "1"), (5, 1)],
+        ids=["bool", "float", "str", "int tree"],
+    )
+    def test_coefficient_at_refuses_what_is_no_tree_or_no_int(self, t, q):
+        # gave 3/2, 3/2, 0 and 0
+        with pytest.raises(ConstraintError):
+            psi_power_sing(2).coefficient_at(t, q)
+
+    def test_coefficient_at_reads_the_xi_power(self):
+        e = psi_power_sing(2)
+        assert e.coefficient_at(stick(1), 1) == Fraction(3, 2)
+        assert e.coefficient_at(stick(1), 0) == 0
+        assert ClassExpr.zero(SINGULARITY).coefficient_at(stick(1), 1) == 0
+
+    @pytest.mark.parametrize(
         "ms,profile,expected",
         [
             ([1, 1], (2, 2), Fraction(1)),

@@ -80,7 +80,7 @@ OBJECT_NEW = {("errors", "Record._make"), ("trees", "MarkedTree.__new__")}
 
 # module -> the functions it memoises with lru_cache, twelve tables in all
 MEMO_TABLES = {
-    "classes": {"_psi_stick", "_product_expansion", "_psi_power_sing", "_basic_ints", "_sing_ints"},
+    "classes": {"_psi_stick", "_product_ints", "_psi_ints", "_basic_ints", "_sing_ints"},
     "combinatorics": {"partitions_of", "_mn", "_dimension"},
     "cycles": {"_log_s", "_completed_cycle"},
     "trees": {"encoding", "_branch_options"},
