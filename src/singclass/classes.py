@@ -150,19 +150,6 @@ class ClassExpr(Record):
             return self
         return ClassExpr._make(self.basis, self.degree + k, self.terms)
 
-    def mul_psi_top(self) -> "ClassExpr":
-        """Increment the marking of the root-adjacent vertex of every term.
-
-        Defined only for trees with at least two leaves; terms whose bumped
-        vertex exceeds the vanishing bound are dropped.
-        """
-        if any(not t.children for t, _ in self.terms):
-            raise ConstraintError("psi-multiplication is not defined on sticks")
-        if not self.terms:
-            return self
-        pairs = ((MarkedTree(t.marking + 1, t.children), c) for t, c in self.terms)
-        return ClassExpr(self.basis, self.degree + 1, pairs)
-
 
 def _terms(degree: int | None, items) -> tuple:
     """The (tree, coefficient) items, each tree once, as the terms of a
@@ -348,18 +335,26 @@ def _sing_ints(t: MarkedTree) -> tuple[int, tuple[tuple[MarkedTree, int], ...]]:
     return _sum(parts)
 
 
+def _convert(e: ClassExpr, table) -> tuple[int, tuple]:
+    """The integer form of the sum of each term's coefficient times the row
+    ``table(tree)``; one term with coefficient 1 is its row, reduced already."""
+    if len(e.terms) == 1 and e.terms[0][1] == 1:
+        return table(e.terms[0][0])
+    return _sum((c, table(t)) for t, c in e.terms)
+
+
 def basic_to_sing(e: ClassExpr) -> ClassExpr:
     """Convert a basic-basis expression to the singularity basis: the sum of
     each term's coefficient times the memoised singularity-basis form of its tree."""
     _expect(e, BASIC, "basic_to_sing expects a basic-basis expression")
-    return _expr(SINGULARITY, e.degree, _sum((c, _basic_ints(t)) for t, c in e.terms))
+    return _expr(SINGULARITY, e.degree, _convert(e, _basic_ints))
 
 
 def sing_to_basic(e: ClassExpr) -> ClassExpr:
     """Convert a singularity-basis expression to the basic basis: the sum of
     each term's coefficient times the memoised basic-basis form of its tree."""
     _expect(e, SINGULARITY, "sing_to_basic expects a singularity-basis expression")
-    return _expr(BASIC, e.degree, _sum((c, _sing_ints(t)) for t, c in e.terms))
+    return _expr(BASIC, e.degree, _convert(e, _sing_ints))
 
 
 def point_class_tree(p: Profile) -> MarkedTree:

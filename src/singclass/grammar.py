@@ -11,9 +11,10 @@ factors by ``*``, exponents by ``^``, coefficients are rationals ``p/q``.
 from __future__ import annotations
 
 import re
-from collections.abc import Callable, Iterable
+import sys
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from json.encoder import encode_basestring_ascii as _json_str
 
 from .classes import BASIC, SINGULARITY, ClassExpr
@@ -84,7 +85,7 @@ _LATEX = _Style("\\frac{{{}}}{{{}}}", " ", {
 })
 
 
-def _join(terms: Iterable[tuple[Fraction, list[str]]], style: _Style) -> str:
+def _join(terms: Iterable[tuple[Fraction, Sequence[str]]], style: _Style) -> str:
     """The signed sum ``a - b + c`` of coefficient-times-factors terms.
 
     A coefficient of magnitude 1 is left out unless the term has no other
@@ -114,19 +115,23 @@ def ordered_monomials(e: ClassExpr) -> list[tuple[MarkedTree, int, Fraction]]:
     )
 
 
-def _class_atom(t: MarkedTree, basis: str, style: _Style) -> list[str]:
-    """The factors naming a tree: none for the unit, one for a stick, a tree
-    literal or a star, plus a psi power for a star's marked vertex."""
+@lru_cache(maxsize=None)
+def _class_atom(t: MarkedTree, basis: str, latex: bool) -> tuple[str, ...]:
+    """The factors naming a tree in the LaTeX or the text style: none for the
+    unit, one for a stick, a tree literal or a star, plus a psi power for a
+    star's marked vertex.  Memoised: trees are interned, and the flag stands
+    for the style, whose dict of templates cannot be hashed."""
+    style = _LATEX if latex else _TEXT
     if not t.children:
         if t.marking == 0:
-            return []
+            return ()
         if basis == SINGULARITY:
-            return [style.atom("a", t.marking)]
-        return [style.power("psi", t.marking)]
+            return (style.atom("a", t.marking),)
+        return (style.power("psi", t.marking),)
     marks = []
     for c in t.children:
         if c.children:
-            return [style.atom("tree", encoding(t), style.spell[basis])]
+            return (style.atom("tree", encoding(t), style.spell[basis]),)
         marks.append(c.marking)
     marks.sort()
     if basis == SINGULARITY:
@@ -134,15 +139,17 @@ def _class_atom(t: MarkedTree, basis: str, style: _Style) -> list[str]:
     else:
         star_atom = style.atom("d", ",".join(map(str, marks)))
     if t.marking == 0:
-        return [star_atom]
-    return [style.power("psi", t.marking), star_atom]
+        return (star_atom,)
+    return (style.power("psi", t.marking), star_atom)
 
 
 def _render_class(e: ClassExpr, style: _Style) -> str:
+    monomials = ordered_monomials(e)
+    basis, latex = e.basis, style is _LATEX
     return _join(
         (
-            (coeff, ([style.power("xi", q)] if q else []) + _class_atom(t, e.basis, style))
-            for t, q, coeff in ordered_monomials(e)
+            (coeff, ((style.power("xi", q),) if q else ()) + _class_atom(t, basis, latex))
+            for t, q, coeff in monomials
         ),
         style,
     )
@@ -185,7 +192,9 @@ def class_to_json(e: ClassExpr) -> str:
 # parsing: one tokenizer, one coefficient literal, one signed-sum loop
 
 _TOKEN_RE = re.compile(
-    r"a_(?=\d)|\d+|[A-Za-z]+"  # a_m is the two tokens "a_" and "m"
+    r"a_(?=\d)|\d+"  # a_m is the two tokens "a_" and "m"
+    r"|[id]\[\d+(?:,\d+)*\]"  # a whole i[...] or d[...] atom with no spaces inside
+    r"|[A-Za-z]+"
     r"|(?<=\d)/\d+"  # the "/q" of a literal p/q with no spaces inside
     r"|[-+*/^\[\]{}();,@]"
     r"|\S[\s\S]*"  # an unexpected character, and the rest of the text with it
@@ -195,7 +204,8 @@ _TOKEN_STARTS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz-+*/^[]{}()
 
 def _tokenize(text: str) -> list[str]:
     """The token strings of ``text`` without its whitespace, then "" for the
-    end of input; a literal p/q is the two tokens "p" and "/q"."""
+    end of input; a literal p/q is the two tokens "p" and "/q", and an
+    ``i[...]`` or ``d[...]`` atom with no spaces inside is one token."""
     tokens = _TOKEN_RE.findall(text)
     if tokens and not (tokens[-1][0].isdecimal() or tokens[-1][0] in _TOKEN_STARTS):
         raise ParseError(f"unexpected character {tokens[-1][0]!r}", len(text) - len(tokens[-1]))
@@ -359,18 +369,31 @@ def parse_tree(text: str) -> MarkedTree:
     return t
 
 
+@lru_cache(maxsize=None)
+def _atom_ints(token: str) -> tuple[int, ...]:
+    """The integers of a whole-atom token such as ``i[1,2,2]``."""
+    return tuple(map(int, token[2:-1].split(",")))
+
+
 def _class_factor(parser: _Parser):
     """One non-rational factor of a class term as (kind, payload, token index)."""
     index = parser.index
     token = parser.tokens[index]
     parser.index += 1
+    if token[1:2] == "[":  # a whole i[...] or d[...] atom
+        try:
+            return token[0], _atom_ints(token), index
+        except ValueError:  # more digits than sys.get_int_max_str_digits() in a group
+            limit = sys.get_int_max_str_digits()
+            at = next(m.start() for m in re.finditer(r"\d+", token) if len(m.group()) > limit)
+            raise ParseError("integer literal too long", parser.pos(index) + at) from None
     if token == "xi" or token == "psi":
         return token, parser.parse_int("an integer exponent") if parser.accept_op("^") else 1, index
     if token == "a_":
         return "a", parser.parse_int("an integer"), index
     if token == "i" or token == "d":
         parser.expect_op("[")
-        return token, parser.parse_int_list(), index
+        return token, tuple(parser.parse_int_list()), index
     if token == "T":
         parser.expect_op("{")
         try:
@@ -386,6 +409,20 @@ def _class_factor(parser: _Parser):
             raise parser.error("basis tag must be sing or basic", parser.index - 1)
         return "tree", (parsed, SINGULARITY if tag == "sing" else BASIC), index
     raise parser.error("expected a factor", index)
+
+
+@lru_cache(maxsize=None)
+def _star_atom(kind: str, payload: tuple[int, ...], psi_power: int) -> MarkedTree:
+    """The star that ``psi^psi_power * i[payload]`` (kind "i") or
+    ``* d[payload]`` (kind "d") names; a payload that names no atom raises a
+    ParseError with no position, and nothing is stored for it."""
+    if kind == "i":
+        if len(payload) < 2 or any(k < 1 for k in payload):
+            raise ParseError("i[...] needs at least two ramification orders >= 1")
+        return star(psi_power, [k - 1 for k in payload])
+    if len(payload) < 2:
+        raise ParseError("d[...] needs at least two exponents")
+    return star(psi_power, payload)
 
 
 def _class_term(parser: _Parser, factors) -> tuple[MarkedTree, int, str | None]:
@@ -406,18 +443,16 @@ def _class_term(parser: _Parser, factors) -> tuple[MarkedTree, int, str | None]:
     if atom is None:  # psi powers alone are basic-basis classes
         return stick(psi_power), xi_degree, BASIC if psi_power > 0 else None
     kind, payload, index = atom
+    if kind == "i" or kind == "d":
+        try:
+            t = _star_atom(kind, payload, psi_power)
+        except ParseError as exc:
+            raise parser.error(exc.reason, index) from None
+        return t, xi_degree, SINGULARITY if kind == "i" else BASIC
     if kind == "a":
         if psi_power:
             raise parser.error("psi * a_m is not a class atom", index)
         return stick(payload), xi_degree, SINGULARITY if payload > 0 else None
-    if kind == "i":
-        if len(payload) < 2 or any(k < 1 for k in payload):
-            raise parser.error("i[...] needs at least two ramification orders >= 1", index)
-        return star(psi_power, [k - 1 for k in payload]), xi_degree, SINGULARITY
-    if kind == "d":
-        if len(payload) < 2:
-            raise parser.error("d[...] needs at least two exponents", index)
-        return star(psi_power, payload), xi_degree, BASIC
     parsed, tag = payload
     if psi_power:
         if not parsed.children and tag == SINGULARITY:

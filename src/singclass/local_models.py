@@ -31,7 +31,6 @@ __all__ = [
     "HurwitzCoordinates",
     "ProfileConstants",
     "profile_constants",
-    "orbit_count",
     "canonical_function",
     "hurwitz_coordinates",
     "reassemble",
@@ -256,27 +255,6 @@ def profile_constants(p: Profile) -> ProfileConstants:
     if rem:
         raise ConstraintError("product of orders is not divisible by their lcm")
     return ProfileConstants(big, tuple(big // k for k in p), d)
-
-
-def orbit_count(p: Profile) -> int:
-    """Orbits of the cyclic group of order lcm(p) acting on the product of
-    cyclic groups of orders k_i, the generator adding (lcm/k_i) in slot i."""
-    p = _orders(p)
-    constants = profile_constants(p)
-    seen: set[tuple[int, ...]] = set()
-    count = 0
-    for point in itertools.product(*(range(k) for k in p)):
-        if point in seen:
-            continue
-        count += 1
-        for t in range(constants.lcm):
-            seen.add(
-                tuple(
-                    (x + t * r) % k
-                    for x, r, k in zip(point, constants.exponents, p)
-                )
-            )
-    return count
 
 
 # Largest order sum (the degree of the pole divisor) that canonical_function

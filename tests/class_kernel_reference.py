@@ -5,8 +5,9 @@ returns the same expressions.  Every coefficient here is a ``Fraction`` and
 every product and sum is a ``Fraction`` operation.  The product expansion is
 the recursion over ``ClassExpr`` operators, and psi^m the weighted sum of
 products given by the triangular solve ``psi_decomposition``.  The code below
-is kept as it was, but for the imports and for ``_tree_basic_expansion``,
-which calls this module's ``substitute`` and ``psi_power_sing``.
+is kept as it was, but for the imports, for ``_tree_basic_expansion``, which
+calls this module's ``substitute`` and ``psi_power_sing``, and for
+``mul_psi_top``, which was a ``ClassExpr`` method and is a function here.
 """
 
 from __future__ import annotations
@@ -21,6 +22,20 @@ from singclass.classes import BASIC, SINGULARITY, ClassExpr
 from singclass.combinatorics import aut_count, profiles_with_sum
 from singclass.errors import ConstraintError
 from singclass.trees import MarkedTree, encoding, graft, star, stick
+
+
+def mul_psi_top(e: ClassExpr) -> ClassExpr:
+    """Increment the marking of the root-adjacent vertex of every term.
+
+    Defined only for trees with at least two leaves; terms whose bumped
+    vertex exceeds the vanishing bound are dropped.
+    """
+    if any(not t.children for t, _ in e.terms):
+        raise ConstraintError("psi-multiplication is not defined on sticks")
+    if not e.terms:
+        return e
+    pairs = ((MarkedTree(t.marking + 1, t.children), c) for t, c in e.terms)
+    return ClassExpr(e.basis, e.degree + 1, pairs)
 
 
 def _new_profile_layer(m: int) -> ClassExpr:
@@ -44,7 +59,7 @@ def _correction_part(m: int) -> ClassExpr:
     prev = _correction_part(m - 1)
     return (
         _new_profile_layer(m)
-        + prev.mul_psi_top().scale(m)
+        + mul_psi_top(prev).scale(m)
         - prev.mul_xi(1)
     )
 

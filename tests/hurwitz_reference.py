@@ -9,10 +9,15 @@ inverts that one and multiplies: the Laurent coefficient of t^-s is the
 t^(k-s) coefficient of the product.  Every series is a list of Fractions.
 The code follows the route step for step; only the series are plain lists
 here rather than ``PowerSeries`` values.
+
+``orbit_count`` is the brute-force count that ``profile_constants(p).components``
+is checked against: it was a public name of ``local_models`` that no engine
+code called, and it enumerates all prod(p) points.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Sequence
 from fractions import Fraction
 from math import lcm
@@ -25,6 +30,26 @@ from singclass.local_models import (
     Polynomial,
     RationalFunction,
 )
+
+
+def orbit_count(p: Sequence[int]) -> int:
+    """Orbits of the cyclic group of order lcm(p) acting on the product of
+    cyclic groups of orders k_i, the generator adding (lcm/k_i) in slot i."""
+    constants = local_models.profile_constants(p)
+    seen: set[tuple[int, ...]] = set()
+    count = 0
+    for point in itertools.product(*(range(k) for k in p)):
+        if point in seen:
+            continue
+        count += 1
+        for t in range(constants.lcm):
+            seen.add(
+                tuple(
+                    (x + t * r) % k
+                    for x, r, k in zip(point, constants.exponents, p)
+                )
+            )
+    return count
 
 
 def taylor(poly: Polynomial, at: Fraction, order: int) -> list[Fraction]:

@@ -26,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import singclass
-from singclass import combinatorics, cycles, local_models, trees, verification
+from singclass import combinatorics, cycles, trees, verification
 from singclass.classes import (
     BASIC,
     SINGULARITY,
@@ -97,7 +97,6 @@ class TestTheGate:
             psi_power_sing,
             lambda v: point_coefficient_psi(v, (1,)),
             lambda v: profile_constants((v, 2)),
-            lambda v: local_models.orbit_count((2, v)),
             lambda v: canonical_function((v,), 0, (1,)),
             lambda v: hurwitz_coordinates(canonical_function((2,), 0, (1,)), (v,), (1,)),
         ],

@@ -28,7 +28,7 @@ from singclass.errors import ConstraintError
 from singclass.grammar import parse_class
 from singclass.trees import enumerate_trees, star, stick
 
-from class_kernel_reference import psi_decomposition
+from class_kernel_reference import mul_psi_top, psi_decomposition
 
 
 def sing(text: str) -> ClassExpr:
@@ -75,7 +75,7 @@ class TestProductExpansion:
             rebuilt = (
                 a_m
                 + ClassExpr(SINGULARITY, m, layer.items())
-                + correction.mul_psi_top().scale(m)
+                + mul_psi_top(correction).scale(m)
                 - correction.mul_xi(1)
             )
             assert product_expansion(m) == rebuilt
@@ -194,6 +194,20 @@ class TestRoundTrips:
         e = basic("d[0,2] - 3*xi*d[0,1] + xi^2*d[0,0]")
         assert sing_to_basic(basic_to_sing(e)) == e
 
+    def test_one_term_conversions_equal_the_sum_route(self):
+        # a single tree with coefficient 1 takes its memoised row as it is;
+        # _sum of that row alone must give the same integer form and class
+        directions = (
+            (BASIC, SINGULARITY, basic_to_sing, classes._basic_ints),
+            (SINGULARITY, BASIC, sing_to_basic, classes._sing_ints),
+        )
+        for t in enumerate_trees(8):
+            for source, target, convert, table in directions:
+                for e in (ClassExpr.single(source, t), ClassExpr.single(source, t).mul_xi(1)):
+                    row = classes._convert(e, table)
+                    assert row == classes._sum([(1, table(t))])
+                    assert convert(e) == classes._expr(target, e.degree, row)
+
 
 class TestTriangularity:
     def test_basic_expansion_terms_below_the_tree_have_smaller_weight(self):
@@ -304,11 +318,11 @@ class TestClassExpr:
 
     def test_psi_multiplication_drops_dead_terms(self):
         e = ClassExpr.single(SINGULARITY, star(0, [0, 0]))
-        assert e.mul_psi_top().is_zero()
+        assert mul_psi_top(e).is_zero()
 
     def test_psi_multiplication_rejects_sticks(self):
         with pytest.raises(ConstraintError):
-            ClassExpr.single(SINGULARITY, stick(1)).mul_psi_top()
+            mul_psi_top(ClassExpr.single(SINGULARITY, stick(1)))
 
     def test_zero_handling(self):
         z = ClassExpr.zero(SINGULARITY)

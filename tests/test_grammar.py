@@ -18,6 +18,7 @@ from singclass.classes import (
     psi_power_sing,
 )
 from singclass.cycles import CycleExpr, XPolynomial, completed_cycle
+from singclass import grammar
 from singclass.errors import ParseError
 from singclass.grammar import (
     class_to_json,
@@ -199,6 +200,56 @@ def class_exprs(draw):
 _PROFILES = st.lists(st.integers(min_value=1, max_value=6), max_size=4).map(
     lambda parts: tuple(sorted(parts))
 )
+
+
+class TestAtomMemos:
+    """The grammar memoises each class atom it renders, each whole-atom token
+    it reads and each star it builds; the results must not depend on it."""
+
+    TEXT = "2*psi^2*d[0,1] - 1/3*xi*d[0,0] + d[ 0 , 1 ]*psi^2 + xi^3"
+
+    def test_parsing_and_rendering_twice_give_equal_results(self):
+        for memo in (grammar._class_atom, grammar._atom_ints, grammar._star_atom):
+            memo.cache_clear()
+        e = basic_to_sing(parse_class(self.TEXT))
+        outputs = [
+            (parse_class(render_class(e)), render_class(e), render_class_latex(e))
+            for _ in range(2)
+        ]
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == e
+        assert grammar._class_atom.cache_info().hits > 0
+        assert grammar._star_atom.cache_info().hits > 0
+
+    def test_memo_entries_are_immutable(self):
+        parse_class(self.TEXT)
+        payload = grammar._atom_ints("d[0,1]")
+        assert payload == (0, 1) and payload is grammar._atom_ints("d[0,1]")
+        for t in enumerate_trees(5):
+            for basis in (SINGULARITY, BASIC):
+                for latex in (False, True):
+                    atom = grammar._class_atom(t, basis, latex)
+                    assert type(atom) is tuple and all(type(f) is str for f in atom)
+                    assert atom is grammar._class_atom(t, basis, latex)
+        for entry in (payload, grammar._class_atom(star(1, [0, 0, 1]), BASIC, False)):
+            with pytest.raises(TypeError):
+                entry[0] = entry[0]
+        with pytest.raises(AttributeError):
+            grammar._star_atom("d", (0, 1), 2).marking = 0
+
+    def test_an_invalid_payload_is_refused_every_time(self):
+        for _ in range(2):
+            with pytest.raises(ParseError) as info:
+                parse_class("xi + psi*i[1]")
+            assert (info.value.reason, info.value.position) == (
+                "i[...] needs at least two ramification orders >= 1", 9,
+            )
+
+    def test_a_well_formed_atom_is_one_token(self):
+        assert grammar._tokenize("2*i[1,2] + d[ 0,1]*psi^2*d[1,2") == [
+            "2", "*", "i[1,2]", "+", "d", "[", "0", ",", "1", "]", "*",
+            "psi", "^", "2", "*", "d", "[", "1", ",", "2", "",
+        ]
 
 
 class TestParseRenderProperties:

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singclass import grammar
+from singclass import classes, grammar
 from singclass.classes import BASIC, SINGULARITY, ClassExpr, product_expansion, psi_power_sing
 from singclass.cycles import CycleExpr, XPolynomial, completed_cycle, x_polynomial
 from singclass.errors import ParseError, SingclassError
@@ -116,6 +116,62 @@ LITERALS = [
 @pytest.mark.parametrize("text", LITERALS, ids=[repr(t)[:40] for t in LITERALS])
 def test_literals_read_the_same(text):
     _assert_agree(text)
+
+
+# the errors of the i[...] and d[...] atoms, whole-atom tokens and others,
+# as (reason, position)
+ATOM_ERRORS = [
+    ("i[1]", ("i[...] needs at least two ramification orders >= 1", 0)),
+    ("d[4]", ("d[...] needs at least two exponents", 0)),
+    ("i[0,2]", ("i[...] needs at least two ramification orders >= 1", 0)),
+    ("i[1,2", ("expected ',' or ']'", 5)),
+    ("i[1,,2]", ("expected an integer", 4)),
+    ("i[1,2]*d[1,1]", ("a term may contain at most one class atom", 7)),
+    ("psi*a_2", ("psi * a_m is not a class atom", 4)),
+    ("xi*i[1," + "7" * 5000 + "]", ("integer literal too long", 7)),
+    ("d[" + "9" * 5000 + ",1]", ("integer literal too long", 2)),
+]
+
+
+@pytest.mark.parametrize("text, error", ATOM_ERRORS, ids=[t[:20] for t, _ in ATOM_ERRORS])
+def test_atom_errors_keep_their_reason_and_position(text, error):
+    for parse in (grammar.parse_class, reference.parse_class):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert (info.value.reason, info.value.position) == error
+    _assert_agree(text)
+
+
+_RENDERS = sorted(
+    {grammar.render_class(psi_power_sing(m)) for m in range(2, 8)}
+    | {grammar.render_class(product_expansion(m)) for m in range(2, 8)}
+    | {grammar.render_class(classes.sing_to_basic(product_expansion(m))) for m in range(2, 6)}
+)
+_ATOM = re.compile(r"[id]\[[^\]]*\]")
+
+
+@st.composite
+def spaced_atoms(draw):
+    """A rendered expansion, and the same text with whitespace drawn into
+    some of its i[...] and d[...] atoms, where it breaks the whole-atom token."""
+    text = draw(st.sampled_from(_RENDERS))
+    blanks = st.sampled_from(["", "", " ", "  ", "\t", "\n"])
+
+    def spaced(match: re.Match) -> str:
+        if not draw(st.booleans()):
+            return match.group()
+        pieces = re.findall(r"\d+|.", match.group())
+        return "".join(piece + draw(blanks) for piece in pieces[:-1]) + pieces[-1]
+
+    return text, _ATOM.sub(spaced, text)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spaced_atoms())
+def test_whitespace_inside_atoms_reads_the_same(texts):
+    plain, spaced = texts
+    assert grammar.parse_class(spaced) == grammar.parse_class(plain)
+    _assert_agree(spaced)
 
 
 def test_an_overlong_a_literal_is_a_parse_error_at_its_digits():
