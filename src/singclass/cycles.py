@@ -23,6 +23,7 @@ from .combinatorics import (  # the value types are defined beside the profiles
     Partition,
     Profile,
     XPolynomial,
+    _beta,
     _character_partition,
     _dimension,
     _ints,
@@ -180,9 +181,9 @@ def evaluate(c: CycleExpr, lam: Partition) -> Fraction:
             raise ConstraintError(f"evaluate needs a CycleExpr, not {c!r}") from None
         common, row = _integer_row(c)
     lam = _character_partition(lam)
-    n = sum(lam)
-    total = sum(weight * perm(n, k) * _mn(lam, mu) for weight, k, mu in row if k <= n)
-    return Fraction(total, common * _dimension(lam))
+    n, beta = sum(lam), _beta(lam)
+    total = sum(weight * perm(n, k) * _mn(beta, mu) for weight, k, mu in row if k <= n)
+    return Fraction(total, common * _dimension(beta))
 
 
 # Most point steps a product or a group-algebra check may take: a cycle tuple or

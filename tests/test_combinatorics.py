@@ -8,7 +8,10 @@ from functools import lru_cache
 from math import factorial, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from singclass import combinatorics
 from singclass.combinatorics import (
     CHARACTER_SIZE_BUDGET,
     _mn,
@@ -132,8 +135,35 @@ def _full_tail_mn(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
     return total
 
 
+def _full_tail_central(p: tuple[int, ...], lam: tuple[int, ...]) -> Fraction:
+    """central_character's formula N!/(N-K)! chi(mu) / (prod(p) dim), both
+    characters by the full-tail recursion."""
+    n = sum(lam)
+    mu = tuple(sorted(p, reverse=True)) + (1,) * (n - sum(p))
+    return Fraction(
+        factorial(n) // factorial(n - sum(p)) * _full_tail_mn(lam, mu),
+        prod(p) * _full_tail_mn(lam, (1,) * n),
+    )
+
+
 # the costliest dimension of 48 boxes that the full-tail recursion was sized on
 _WORST_48 = (13, 9, 6, 5, 4, 3, 2, 2, 1, 1, 1, 1)
+
+# the costliest 48-box character a hill-climb found (see CHARACTER_SIZE_BUDGET)
+_WORST_48_CHARACTER = ((14, 8, 8, 4, 4, 4) + (1,) * 6, (3, 3) + (2,) * 18 + (1,) * 6)
+
+# sizes past the exhaustive checks, up to 20 boxes
+_SIZES_PAST_EXHAUSTIVE = st.integers(min_value=13, max_value=20)
+
+
+def _partition_of(n: int):
+    return st.sampled_from(partitions_of(n))
+
+
+def _profile_up_to(n: int):
+    return st.integers(min_value=1, max_value=n).flatmap(
+        lambda total: st.sampled_from(profiles_with_sum(total))
+    )
 
 
 class TestCharactersWithoutTheOnesTail:
@@ -152,12 +182,34 @@ class TestCharactersWithoutTheOnesTail:
         for n in range(0, 10):
             for lam in partitions_of(n):
                 for p in [p for total in range(1, n + 1) for p in profiles_with_sum(total)]:
-                    mu = tuple(sorted(p, reverse=True)) + (1,) * (n - sum(p))
-                    want = Fraction(
-                        factorial(n) // factorial(n - sum(p)) * _full_tail_mn(lam, mu),
-                        prod(p) * _full_tail_mn(lam, (1,) * n),
-                    )
-                    assert central_character(p, lam) == want, (p, lam)
+                    assert central_character(p, lam) == _full_tail_central(p, lam), (p, lam)
+
+    @settings(deadline=None, max_examples=30)
+    @given(_SIZES_PAST_EXHAUSTIVE.flatmap(lambda n: st.tuples(_partition_of(n), _partition_of(n))))
+    def test_characters_of_13_to_20_boxes_match_the_full_tail_recursion(self, pair):
+        lam, mu = pair
+        assert mn_character(lam, mu) == _full_tail_mn(lam, mu)
+
+    @settings(deadline=None, max_examples=30)
+    @given(_SIZES_PAST_EXHAUSTIVE.flatmap(lambda n: st.tuples(_profile_up_to(n), _partition_of(n))))
+    def test_central_characters_of_13_to_20_boxes_match_the_full_tail_recursion(self, pair):
+        p, lam = pair
+        assert central_character(p, lam) == _full_tail_central(p, lam)
+
+    def test_the_worst_48_box_character_keeps_its_recursion_tree(self, monkeypatch):
+        # every key the recursion reaches, read through a wrapper on the memo
+        keys = set()
+
+        def recording(beta, mu):
+            keys.add((beta, mu))
+            return _mn(beta, mu)
+
+        monkeypatch.setattr(combinatorics, "_mn", recording)
+        _mn.cache_clear()
+        assert mn_character(*_WORST_48_CHARACTER) == 27921493600
+        assert len(keys) == _mn.cache_info().currsize == 9106
+        # bit 0 set would be a zero row: each shape is stored under one key
+        assert all(beta & 1 == 0 for beta, _ in keys)
 
     def test_the_worst_48_box_dimension_adds_no_memo_entries(self):
         before = _mn.cache_info().currsize
@@ -165,7 +217,8 @@ class TestCharactersWithoutTheOnesTail:
         assert _mn.cache_info().currsize == before
 
     def test_the_ones_of_a_cycle_type_take_no_recursion(self):
-        # chi at 1^48 is the one memo entry (lam, ()): the dimension itself
+        # chi at 1^48 is the one memo entry (beta, ()), beta the beta set of
+        # lam as an int: the dimension itself
         before = _mn.cache_info().currsize
         assert mn_character(_WORST_48, (1,) * 48) == character_dimension(_WORST_48)
         assert _mn.cache_info().currsize <= before + 1
