@@ -7,7 +7,10 @@ corresponding ramification locus; in the basic basis a stick denotes psi^m
 and leaf markings denote cotangent powers at the branch points.  A
 ClassExpr is a homogeneous finite sum of trees: xi-degree plus tree
 codimension is one fixed integer, its degree, stored once, so each tree
-carries a single rational coefficient.
+carries a single rational coefficient.  The coefficients are stored as
+integer numerators over one common denominator, the form every kernel
+below reads and writes; a Fraction is built only when a caller reads
+``terms``, ``monomials()`` or ``coefficient_at``.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ __all__ = [
 ]
 
 
-_ONE = Fraction(1)
 _PAIRS = "class terms must be (MarkedTree, coefficient) pairs"
 
 
@@ -62,9 +64,17 @@ class ClassExpr(Record):
     dropped, and the terms are sorted by encoding.  It refuses an unknown
     basis, a degree that is not an int or None, a pair that is not a
     (MarkedTree, int or Fraction) tuple and a tree above the degree.
+
+    The stored value is the canonical integer form ``(den, ((tree,
+    numerator), ...))``: den >= 1 with ``gcd(den, *numerators) == 1``, no
+    zero numerator, no vanishing tree, trees in encoding order.  ``terms`` is
+    its Fraction view, built each time it is read; equality compares the
+    form, and the hash, repr, copies and pickles are those of the fields
+    ``basis``, ``degree`` and ``terms``.
     """
 
-    __slots__ = _fields = ("basis", "degree", "terms")
+    __slots__ = ("basis", "degree", "_form")
+    _fields = ("basis", "degree", "terms")
 
     def __init__(
         self, basis: str, degree: int | None, terms: Iterable[tuple[MarkedTree, Fraction]]
@@ -76,18 +86,39 @@ class ClassExpr(Record):
         if not {MarkedTree}.issuperset(map(type, map(itemgetter(0), pairs))):
             raise ConstraintError(_PAIRS)
         _exact(map(itemgetter(1), pairs), "class coefficients")
-        acc: dict[MarkedTree, Fraction] = {}
-        for t, c in pairs:
-            c = c if type(c) is Fraction else Fraction(c)
-            acc[t] = acc[t] + c if t in acc else c
-        terms = _terms(degree, acc.items())
+        den = lcm(*(c.denominator for _, c in pairs))
+        items = [(t, c.numerator * (den // c.denominator)) for t, c in pairs]
+        form = _canonical_form(degree, (den, items))
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "degree", degree if terms else None)
-        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "degree", degree if form[1] else None)
+        object.__setattr__(self, "_form", form)
+
+    @classmethod
+    def _make(cls, basis: str, degree: int | None, form: tuple) -> "ClassExpr":
+        """The expression that stores ``form``, unchecked: a canonical integer
+        form, with ``degree`` None exactly when it has no term."""
+        self = super()._make()
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "_form", form)
+        return self
+
+    @property
+    def terms(self) -> tuple[tuple[MarkedTree, Fraction], ...]:
+        """The (tree, coefficient) pairs in encoding order, as Fractions."""
+        den, terms = self._form
+        return tuple((t, Fraction(n, den)) for t, n in terms)
+
+    def __eq__(self, other):
+        if other.__class__ is not ClassExpr:
+            return NotImplemented
+        return (self.basis, self.degree, self._form) == (other.basis, other.degree, other._form)
+
+    __hash__ = Record.__hash__
 
     @staticmethod
     def zero(basis: str) -> "ClassExpr":
-        return ClassExpr._make(_basis(basis), None, ())
+        return ClassExpr._make(_basis(basis), None, (1, ()))
 
     @staticmethod
     def unit(basis: str) -> "ClassExpr":
@@ -100,116 +131,107 @@ class ClassExpr(Record):
             raise ConstraintError(f"a class is built from a marked tree, not {t!r}")
         if t.vanishing:
             return ClassExpr.zero(basis)
-        return ClassExpr._make(_basis(basis), t.codim, ((t, _ONE),))
+        return ClassExpr._make(_basis(basis), t.codim, (1, ((t, 1),)))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._form[1]
 
     def coefficient_at(self, t: MarkedTree, q: int) -> Fraction:
         """The coefficient of xi^q * t: the term's rational when q is the xi
         power t carries here, and 0 otherwise.  A t that is no MarkedTree and
         a q that is no int raise ConstraintError."""
         t, q = _operand(t, MarkedTree, "coefficient_at"), _integer(q, "an xi power")
-        c = dict(self.terms).get(t)
-        return c if c is not None and self.degree - t.codim == q else Fraction(0)
+        den, terms = self._form
+        n = dict(terms).get(t)
+        return Fraction(n, den) if n is not None and self.degree - t.codim == q else Fraction(0)
 
     def monomials(self) -> list[tuple[MarkedTree, int, Fraction]]:
         """(tree, xi power, coefficient) for every term."""
-        return [(t, self.degree - t.codim, c) for t, c in self.terms]
+        den, terms = self._form
+        return [(t, self.degree - t.codim, Fraction(n, den)) for t, n in terms]
 
     def __add__(self, other: "ClassExpr") -> "ClassExpr":
         if self.basis != _operand(other, ClassExpr, "+").basis:
             raise ConstraintError(
                 f"basis mismatch: {self.basis} vs {other.basis}"
             )
-        if not other.terms:
+        if not other._form[1]:
             return self
-        if not self.terms:
+        if not self._form[1]:
             return other
         if self.degree != other.degree:
             raise ConstraintError(
                 "inhomogeneous class expression: total degrees "
                 f"{sorted((self.degree, other.degree))}"
             )
-        return ClassExpr(self.basis, self.degree, self.terms + other.terms)
+        return _expr(self.basis, self.degree, _sum([(1, 1, self._form), (1, 1, other._form)]))
 
     def __sub__(self, other: "ClassExpr") -> "ClassExpr":
         return self + _operand(other, ClassExpr, "-").scale(-1)
 
     def scale(self, c: Fraction | int) -> "ClassExpr":
         _exact((c,), "class coefficients")
-        c = Fraction(c)
-        if c == 0:
-            return ClassExpr.zero(self.basis)
-        return ClassExpr._make(self.basis, self.degree, tuple((t, a * c) for t, a in self.terms))
+        return _expr(self.basis, self.degree, _sum([(c.numerator, c.denominator, self._form)]))
 
     def mul_xi(self, k: int = 1) -> "ClassExpr":
         if _integer(k, "xi exponent") < 0:
             raise ConstraintError("xi exponent must be nonnegative")
-        if not self.terms:
+        if not self._form[1]:
             return self
-        return ClassExpr._make(self.basis, self.degree + k, self.terms)
+        return ClassExpr._make(self.basis, self.degree + k, self._form)
 
 
-def _terms(degree: int | None, items) -> tuple:
-    """The (tree, coefficient) items, each tree once, as the terms of a
-    degree-``degree`` expression: zero coefficients and vanishing trees
-    dropped, the degree checked, sorted by encoding."""
-    items = [(t, c) for t, c in items if c and not t.vanishing]
-    if items:
-        top = max(t.codim for t, _ in items)
+# The kernels below add and multiply integer numerators over one common
+# denominator and build no Fraction.  The integer form of an expression is
+# (den, ((tree, numerator), ...)); _sum returns it canonical, the form a
+# ClassExpr stores (see its docstring).  Every memo below holds this form:
+# _psi_stick(k) is psi * a_k, _product_ints(m) and _psi_ints(m) the
+# expansions, _basic_ints(t) [t]_basic in the singularity basis and
+# _sing_ints(t) [t]_sing in the basic one.
+
+def _sum(parts: Iterable[tuple[int, int, tuple]]) -> tuple[int, tuple]:
+    """The canonical integer form of the sum of p/q * e over the (p, q,
+    integer form of e) parts, q >= 1: numerators added up over the lcm of
+    the products q * den, zero sums and vanishing trees dropped, the rest
+    and the lcm divided by their gcd, and the trees sorted by encoding."""
+    parts = list(parts)
+    den = lcm(*(q * d for _, q, (d, _) in parts))
+    acc: dict[MarkedTree, int] = {}
+    for p, q, (d, terms) in parts:
+        factor = p * (den // (q * d))
+        for t, n in terms:
+            acc[t] = acc.get(t, 0) + n * factor
+    live = sorted((t for t, n in acc.items() if n and not t.vanishing), key=encoding)
+    g = gcd(den, *map(acc.__getitem__, live))
+    return den // g, tuple((t, acc[t] // g) for t in live)
+
+
+def _canonical_form(degree: int | None, form: tuple) -> tuple[int, tuple]:
+    """``form``, which may repeat trees and hold zeros and vanishing trees,
+    made canonical by _sum; ConstraintError if a tree is left above ``degree``."""
+    form = _sum([(1, 1, form)])
+    if form[1]:
+        top = max(t.codim for t, _ in form[1])
         if degree is None or top > degree:
             raise ConstraintError(
                 f"a tree of codim {top} in a class expression of degree {degree}"
             )
-        items.sort(key=lambda item: encoding(item[0]))
-    return tuple(items)
-
-
-# The kernels below add and multiply integer numerators over one common
-# denominator and build a single Fraction per output term.  The integer form
-# of an expression is (den, ((tree, numerator), ...)), with den the lcm of the
-# reduced denominators.  Every memo below holds this form: _psi_stick(k) is
-# psi * a_k, _product_ints(m) and _psi_ints(m) the expansions, _basic_ints(t)
-# [t]_basic in the singularity basis and _sing_ints(t) [t]_sing in the basic one.
-
-def _ints(e: ClassExpr) -> tuple[int, tuple[tuple[MarkedTree, int], ...]]:
-    """The terms of e as integer numerators over the lcm of their denominators."""
-    den = lcm(*(c.denominator for _, c in e.terms))
-    return den, tuple((t, c.numerator * (den // c.denominator)) for t, c in e.terms)
-
-
-def _sum(parts: Iterable[tuple[Fraction | int, tuple]]) -> tuple[int, tuple]:
-    """The integer form of the sum of c * e over the (c, integer form of e)
-    parts: numerators added up over the lcm of the products c.denominator *
-    den, then divided by their gcd with it."""
-    parts = list(parts)
-    den = lcm(*(c.denominator * d for c, (d, _) in parts))
-    acc: dict[MarkedTree, int] = {}
-    for c, (d, terms) in parts:
-        factor = c.numerator * (den // (c.denominator * d))
-        for t, n in terms:
-            acc[t] = acc.get(t, 0) + n * factor
-    g = gcd(den, *acc.values())
-    return den // g, tuple((t, n // g) for t, n in acc.items() if n)
+    return form
 
 
 def _expr(basis: str, degree: int, form: tuple) -> ClassExpr:
-    """The expression of the given degree in ``basis`` whose integer form is
-    ``form``: one Fraction per tree."""
-    den, terms = form
-    terms = _terms(degree, ((t, Fraction(n, den)) for t, n in terms))
-    return ClassExpr._make(basis, degree if terms else None, terms)
+    """The expression of the given degree in ``basis`` that stores the
+    canonical integer form ``form``; degree None if it has no term."""
+    return ClassExpr._make(basis, degree if form[1] else None, form)
 
 
 def _glue(outer: MarkedTree, forms: list[tuple]) -> tuple[int, tuple]:
     """The integer forms ``forms`` substituted into the leaves of ``outer``:
-    every choice of one term per form grafted in, vanishing trees dropped,
-    numerators multiplied over the product of the dens."""
+    every choice of one term per form grafted in, numerators multiplied over
+    the product of the dens (vanishing trees drop out in _sum)."""
     combos = (zip(*combo) for combo in itertools.product(*(terms for _, terms in forms)))
-    glued = ((graft(outer, trees), prod(nums)) for trees, nums in combos)
-    live = [(t, n) for t, n in glued if not t.vanishing]
-    return _sum([(1, (prod(den for den, _ in forms), live))])
+    glued = [(graft(outer, trees), prod(nums)) for trees, nums in combos]
+    return _sum([(1, 1, (prod(den for den, _ in forms), glued))])
 
 
 @lru_cache(maxsize=None)
@@ -218,27 +240,25 @@ def _psi_stick(k: int) -> tuple[int, tuple[tuple[MarkedTree, int], ...]]:
     / (k+1) over the profiles p of k+1 with at least two parts.  This is the
     product recursion ((k+1) psi - xi) a_k = a_{k+1} + (new-profile layer)
     read backwards."""
-    layer = [(star(0, [j - 1 for j in p]), Fraction(prod(p), aut_count(p)))
+    layer = [(star(0, [j - 1 for j in p]), prod(p), aut_count(p))
              for p in profiles_with_sum(k + 1, 2)]
-    terms = [(stick(k + 1), 1), (stick(k), 1), *layer]
-    return _sum((Fraction(c, k + 1), (1, ((t, 1),))) for t, c in terms)
+    terms = [(stick(k + 1), 1, 1), (stick(k), 1, 1), *layer]
+    return _sum((n, d * (k + 1), (1, ((t, 1),))) for t, n, d in terms)
 
 
-def _psi(form: tuple[int, tuple]) -> list[tuple[Fraction | int, tuple]]:
+def _psi(form: tuple[int, tuple]) -> list[tuple[int, int, tuple]]:
     """psi times the singularity-basis expression of integer form ``form``, as
-    (c, integer form) parts for _sum, one degree up: a tree with children has
-    its top marking raised and is dropped if it then vanishes, and a stick a_k
-    becomes its _psi_stick row."""
+    (p, q, integer form) parts for _sum, one degree up: a tree with children
+    has its top marking raised (_sum drops it if it then vanishes), and a
+    stick a_k becomes its _psi_stick row."""
     den, terms = form
     raised, sticks = [], []
     for t, n in terms:
         if t.children:
-            t = MarkedTree(t.marking + 1, t.children)
-            if not t.vanishing:
-                raised.append((t, n))
+            raised.append((MarkedTree(t.marking + 1, t.children), n))
         else:
-            sticks.append((Fraction(n, den), _psi_stick(t.marking)))
-    return [(1, (den, raised)), *sticks]
+            sticks.append((n, den, _psi_stick(t.marking)))
+    return [(1, 1, (den, raised)), *sticks]
 
 
 def product_expansion(m: int) -> ClassExpr:
@@ -254,7 +274,7 @@ def product_expansion(m: int) -> ClassExpr:
 @lru_cache(maxsize=None)
 def _product_ints(m: int) -> tuple[int, tuple[tuple[MarkedTree, int], ...]]:
     prev = _product_ints(m - 1) if m > 1 else _psi_ints(0)  # Pi_0 is the unit, psi^0
-    return _sum([*((m * c, f) for c, f in _psi(prev)), (-1, prev)])
+    return _sum([*((m * p, q, f) for p, q, f in _psi(prev)), (-1, 1, prev)])
 
 
 def psi_power_sing(m: int) -> ClassExpr:
@@ -301,10 +321,10 @@ def substitute(outer: MarkedTree, grafts: Iterable[ClassExpr]) -> ClassExpr:
     for g in grafts:
         _expect(g, SINGULARITY, "grafts must be in the singularity basis")
 
-    if any(not g.terms for g in grafts):
+    if any(not g._form[1] for g in grafts):
         return ClassExpr.zero(SINGULARITY)
     degree = outer.codim - outer.weight + sum(g.degree for g in grafts)
-    return _expr(SINGULARITY, degree, _glue(outer, [_ints(g) for g in grafts]))
+    return _expr(SINGULARITY, degree, _glue(outer, [g._form for g in grafts]))
 
 
 @lru_cache(maxsize=None)
@@ -325,22 +345,23 @@ def _sing_ints(t: MarkedTree) -> tuple[int, tuple[tuple[MarkedTree, int], ...]]:
     falls at each step, which ends the recursion."""
     den, terms = _basic_ints(t)
     lead = prod(factorial(m) for m in t.leaves)
-    parts = [(lead, (1, ((t, 1),)))]
+    parts = [(lead, 1, (1, ((t, 1),)))]
     for t2, n in terms:
         if t2 is not t:
             if t2.weight >= t.weight:
                 raise RuntimeError(f"basic expansion of {encoding(t)} has a term of weight "
                                    f"{t2.weight} >= {t.weight}")
-            parts.append((Fraction(-lead * n, den), _sing_ints(t2)))
+            parts.append((-lead * n, den, _sing_ints(t2)))
     return _sum(parts)
 
 
 def _convert(e: ClassExpr, table) -> tuple[int, tuple]:
     """The integer form of the sum of each term's coefficient times the row
-    ``table(tree)``; one term with coefficient 1 is its row, reduced already."""
-    if len(e.terms) == 1 and e.terms[0][1] == 1:
-        return table(e.terms[0][0])
-    return _sum((c, table(t)) for t, c in e.terms)
+    ``table(tree)``; one term with coefficient 1 is its row, canonical already."""
+    den, terms = e._form
+    if den == 1 and len(terms) == 1 and terms[0][1] == 1:
+        return table(terms[0][0])
+    return _sum((n, den, table(t)) for t, n in terms)
 
 
 def basic_to_sing(e: ClassExpr) -> ClassExpr:

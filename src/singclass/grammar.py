@@ -16,8 +16,9 @@ from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache, partial
 from json.encoder import encode_basestring_ascii as _json_str
+from math import gcd, lcm
 
-from .classes import BASIC, SINGULARITY, ClassExpr
+from .classes import BASIC, SINGULARITY, ClassExpr, _canonical_form, _expr
 from .combinatorics import CycleExpr, Partition, Profile, XPolynomial, make_partition, make_profile
 from .errors import ConstraintError, ParseError, Record
 from .trees import MarkedTree, encoding, star, stick
@@ -85,15 +86,14 @@ _LATEX = _Style("\\frac{{{}}}{{{}}}", " ", {
 })
 
 
-def _join(terms: Iterable[tuple[Fraction, Sequence[str]]], style: _Style) -> str:
-    """The signed sum ``a - b + c`` of coefficient-times-factors terms.
+def _join(terms: Iterable[tuple[int, int, Sequence[str]]], style: _Style) -> str:
+    """The signed sum ``a - b + c`` of coefficient-times-factors terms, each
+    given as its reduced coefficient n/d (d >= 1) and its other factors.
 
     A coefficient of magnitude 1 is left out unless the term has no other
-    factor; the empty sum is ``0``.  The magnitude is spelled from the
-    integer numerator and denominator, and the text is joined once."""
+    factor; the empty sum is ``0``.  The text is joined once."""
     parts = []
-    for coeff, factors in terms:
-        n, d = coeff.numerator, coeff.denominator
+    for n, d, factors in terms:
         if n < 0:
             parts.append(" - " if parts else "-")
             n = -n
@@ -105,14 +105,26 @@ def _join(terms: Iterable[tuple[Fraction, Sequence[str]]], style: _Style) -> str
     return "".join(parts) or "0"
 
 
+def _display_order(e: ClassExpr) -> list[tuple[MarkedTree, int, int, int]]:
+    """(tree, xi power, numerator, denominator) for each term of e, the
+    coefficient reduced from the stored integer form, in display order:
+    ascending xi power, then descending tree weight, then encoding (the
+    stored order, which the stable sort keeps)."""
+    if not isinstance(e, ClassExpr):
+        raise ConstraintError(f"a class expression is rendered from a ClassExpr, not {e!r}")
+    (den, terms), degree = e._form, e.degree
+    out = []
+    for t, n in terms:
+        g = gcd(n, den)
+        out.append((t, degree - t.codim, n // g, den // g))
+    out.sort(key=lambda m: (m[1], -m[0].weight))
+    return out
+
+
 def ordered_monomials(e: ClassExpr) -> list[tuple[MarkedTree, int, Fraction]]:
     """Monomials ordered for display: ascending xi-degree, then descending
     tree weight, then canonical encoding."""
-    if not isinstance(e, ClassExpr):
-        raise ConstraintError(f"a class expression is rendered from a ClassExpr, not {e!r}")
-    return sorted(
-        e.monomials(), key=lambda m: (m[1], -m[0].weight, encoding(m[0]))
-    )
+    return [(t, q, Fraction(n, d)) for t, q, n, d in _display_order(e)]
 
 
 @lru_cache(maxsize=None)
@@ -144,12 +156,12 @@ def _class_atom(t: MarkedTree, basis: str, latex: bool) -> tuple[str, ...]:
 
 
 def _render_class(e: ClassExpr, style: _Style) -> str:
-    monomials = ordered_monomials(e)
+    monomials = _display_order(e)
     basis, latex = e.basis, style is _LATEX
     return _join(
         (
-            (coeff, ((style.power("xi", q),) if q else ()) + _class_atom(t, basis, latex))
-            for t, q, coeff in monomials
+            (n, d, ((style.power("xi", q),) if q else ()) + _class_atom(t, basis, latex))
+            for t, q, n, d in monomials
         ),
         style,
     )
@@ -177,9 +189,9 @@ def _json_list(items: list[str], indent: str) -> str:
 
 def class_to_json(e: ClassExpr) -> str:
     terms = [
-        f'{{\n      "coeff": {_json_str(str(coeff))},\n      "xi_power": {q},\n'
+        f'{{\n      "coeff": "{n if d == 1 else _TEXT.coeff.format(n, d)}",\n      "xi_power": {q},\n'
         f'      "tree": {_json_str(encoding(t))}\n    }}'
-        for t, q, coeff in ordered_monomials(e)
+        for t, q, n, d in _display_order(e)
     ]
     codim = "null" if e.degree is None else e.degree
     return (
@@ -333,10 +345,10 @@ class _Parser:
             raise ParseError("zero denominator", self.pos(self.index - 1) + 1)
         return numerator, denominator
 
-    def parse_sum(self, parse_factor) -> list[tuple[Fraction, list]]:
-        """Every term as (signed coefficient, other factors): the term's
-        rational literals make one Fraction, and a factor that is not a
-        rational literal is read by ``parse_factor(self)``."""
+    def parse_sum(self, parse_factor) -> list[tuple[int, int, list]]:
+        """Every term as (numerator, denominator, other factors): the signed
+        product of the term's rational literals, not reduced, and the factors
+        that are none, each read by ``parse_factor(self)``."""
         tokens, terms = self.tokens, []
         sign = -1 if self.accept_op("-") else 1
         while True:
@@ -350,7 +362,7 @@ class _Parser:
                 if tokens[self.index] != "*":
                     break
                 self.index += 1
-            terms.append((Fraction(numerator, denominator), factors))
+            terms.append((numerator, denominator, factors))
             token = tokens[self.index]
             self.index += 1
             if not token:
@@ -476,24 +488,26 @@ def parse_class(text: str, default_basis: str = SINGULARITY) -> ClassExpr:
     if text.strip() == "0":
         return ClassExpr.zero(default_basis)
     parser = _Parser(text)
-    acc: dict[tuple[MarkedTree, int], Fraction] = {}
+    terms = parser.parse_sum(_class_factor)
+    den = lcm(*(d for _, d, _ in terms))  # every coefficient as a numerator over den
+    acc: dict[tuple[MarkedTree, int], int] = {}
     constraints: set[str] = set()
-    for coeff, factors in parser.parse_sum(_class_factor):
+    for n, d, factors in terms:
         t, q, constraint = _class_term(parser, factors)
         if constraint:
             constraints.add(constraint)
-        acc[t, q] = acc[t, q] + coeff if (t, q) in acc else coeff
+        acc[t, q] = acc.get((t, q), 0) + n * (den // d)
     if len(constraints) > 1:
         raise ParseError("expression mixes singularity-basis and basic-basis atoms")
     basis = constraints.pop() if constraints else default_basis
     # the only place that reads per-term xi powers: the monomials that survive
     # summing must share one total degree, which the expression then stores
-    kept = [(t, q, c) for (t, q), c in acc.items() if c and not t.vanishing]
+    kept = [(t, q, n) for (t, q), n in acc.items() if n and not t.vanishing]
     degrees = sorted({t.codim + q for t, q, _ in kept})
     if len(degrees) > 1:
         raise ParseError(f"inhomogeneous class expression: total degrees {degrees}")
     degree = degrees[0] if degrees else None
-    return ClassExpr(basis, degree, ((t, c) for t, _, c in kept))
+    return _expr(basis, degree, _canonical_form(degree, (den, [(t, n) for t, _, n in kept])))
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +517,10 @@ def _render_cycles(c: CycleExpr, style: _Style) -> str:
     if not isinstance(c, CycleExpr):
         raise ConstraintError(f"a cycle expression is rendered from a CycleExpr, not {c!r}")
     return _join(
-        ((coeff, [style.atom("C", ",".join(map(str, p)))] if p else []) for p, coeff in c.terms),
+        (
+            (a.numerator, a.denominator, [style.atom("C", ",".join(map(str, p)))] if p else [])
+            for p, a in c.terms
+        ),
         style,
     )
 
@@ -555,15 +572,19 @@ def parse_cycles(text: str) -> CycleExpr:
         return CycleExpr.zero()
     parser = _Parser(text)
     terms = parser.parse_sum(_cycle_factor)
-    for _, factors in terms:
+    for _, _, factors in terms:
         if len(factors) > 1:
             raise parser.error("a term may contain at most one C atom", factors[1][1])
-    return CycleExpr((factors[0][0] if factors else (), coeff) for coeff, factors in terms)
+    return CycleExpr((factors[0][0] if factors else (), Fraction(n, d)) for n, d, factors in terms)
 
 
 def _render_xpoly(x: XPolynomial, style: _Style) -> str:
     return _join(
-        ((c, [style.power("x", p.count(k), k) for k in sorted(set(p))]) for p, c in x.terms), style
+        (
+            (c.numerator, c.denominator, [style.power("x", p.count(k), k) for k in sorted(set(p))])
+            for p, c in x.terms
+        ),
+        style,
     )
 
 
@@ -586,7 +607,10 @@ def xpoly_to_json(x: XPolynomial) -> str:
 def format_polynomial(poly: Polynomial) -> str:
     """Low-to-high text form: 'c_0 + c_1*z + ...' with zero terms omitted."""
     return _join(
-        ((c, [_TEXT.power("z", k)] if k else []) for k, c in poly.monomials()),
+        (
+            (c.numerator, c.denominator, [_TEXT.power("z", k)] if k else [])
+            for k, c in poly.monomials()
+        ),
         _TEXT,
     )
 

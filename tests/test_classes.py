@@ -9,7 +9,7 @@ from math import factorial, prod
 
 import pytest
 
-from singclass import classes
+from singclass import classes, grammar
 from singclass.classes import (
     BASIC,
     SINGULARITY,
@@ -20,12 +20,13 @@ from singclass.classes import (
     psi_power_sing,
     sing_to_basic,
     product_expansion,
+    substitute,
     _basic_ints,
 )
 from singclass.combinatorics import aut_count, profiles_with_sum
 from singclass.cycles import point_coefficient_delta
 from singclass.errors import ConstraintError
-from singclass.grammar import parse_class
+from singclass.grammar import class_to_json, parse_class, render_class, render_class_latex
 from singclass.trees import enumerate_trees, star, stick
 
 from class_kernel_reference import mul_psi_top, psi_decomposition
@@ -205,7 +206,7 @@ class TestRoundTrips:
             for source, target, convert, table in directions:
                 for e in (ClassExpr.single(source, t), ClassExpr.single(source, t).mul_xi(1)):
                     row = classes._convert(e, table)
-                    assert row == classes._sum([(1, table(t))])
+                    assert row == classes._sum([(1, 1, table(t))])
                     assert convert(e) == classes._expr(target, e.degree, row)
 
 
@@ -349,3 +350,40 @@ class TestClassExpr:
         assert e.scale(Fraction(1, 10)).terms == ((stick(2), Fraction(1, 10)),)
         assert e.scale(3).terms == ((stick(2), Fraction(3)),)
         assert ClassExpr(SINGULARITY, 2, [(stick(2), 2)]) == e.scale(2)
+
+
+class TestIntegerFormOnly:
+    def test_the_class_kernels_build_no_fraction(self, monkeypatch):
+        # with Fraction a stub that raises in classes and grammar, and the
+        # class memos emptied, every kernel, parse_class and the three class
+        # renderers give what they gave with it
+        outer, text = star(0, [0, 1]), "2/4*a_2 - 1/3*xi*a_1 + 3/2*i[1,1] + 5*xi^2 + a_2"
+        grafts = [psi_power_sing(2), product_expansion(1) - product_expansion(1).scale(3)]
+
+        def run() -> list:
+            out = []
+            for m in range(1, 9):
+                out += [product_expansion(m), psi_power_sing(m)]
+            for t in enumerate_trees(6):
+                for source, there, back in (
+                    (BASIC, basic_to_sing, sing_to_basic),
+                    (SINGULARITY, sing_to_basic, basic_to_sing),
+                ):
+                    one = there(ClassExpr.single(source, t))  # the memoised row
+                    out += [one, back(one), there(ClassExpr.single(source, t).scale(3))]
+            out += [substitute(outer, grafts), parse_class(text)]
+            for e in out[:16] + out[-2:]:
+                out += [render_class(e), render_class_latex(e), class_to_json(e)]
+            return out
+
+        expected = run()
+
+        def refuse(*args):
+            raise AssertionError("a Fraction was built")
+
+        monkeypatch.setattr(classes, "Fraction", refuse)
+        monkeypatch.setattr(grammar, "Fraction", refuse)
+        for memo in (classes._psi_stick, classes._product_ints, classes._psi_ints,
+                     classes._basic_ints, classes._sing_ints):
+            memo.cache_clear()
+        assert run() == expected

@@ -8,6 +8,7 @@ canonical input gives, and rebuilding a value from its fields gives it back."""
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -17,9 +18,9 @@ from singclass.classes import BASIC, SINGULARITY, ClassExpr, basic_to_sing, sing
 from singclass.cycles import CycleExpr, XPolynomial
 from singclass.errors import ConstraintError
 from singclass.exact import PowerSeries
-from singclass.grammar import render_class, render_cycles
+from singclass.grammar import parse_class, render_class, render_cycles
 from singclass.local_models import Polynomial, RationalFunction
-from singclass.trees import star, stick
+from singclass.trees import encoding, star, stick
 from test_grammar import _COEFFS, _PROFILES, class_exprs
 
 _SETTINGS = settings(deadline=None, max_examples=30)
@@ -89,6 +90,28 @@ class TestConstructors:
         ints = [(t, c.numerator) for t, c in e.terms if c.denominator == 1]
         as_fractions = [(t, Fraction(c)) for t, c in ints]
         assert ClassExpr(e.basis, e.degree, ints) == ClassExpr(e.basis, e.degree, as_fractions)
+        # every way in stores the canonical integer form, and == and hash
+        # agree with comparing the Fraction terms
+        part = ClassExpr(e.basis, e.degree, [(t, data.draw(_COEFFS)) for t, _ in e.terms[::2]])
+        c = data.draw(_EXACT)
+        built = [
+            e, part, ClassExpr(e.basis, e.degree, padded), e + part, e - part, e - e,
+            e.scale(c), e.mul_xi(data.draw(st.integers(0, 3))),
+            parse_class(render_class(e), e.basis),
+            parse_class("2/4*a_2 - 1/4*a_2 + 3/6*xi*a_1 + 0*a_3 + 1/3*i[1,1]*xi^0 - 2/6*i[1,1]"),
+        ]
+        for x in built:
+            den, terms = x._form
+            assert den >= 1 and gcd(den, *(n for _, n in terms)) == 1
+            assert all(n and not t.vanishing for t, n in terms)
+            codes = [encoding(t) for t, _ in terms]
+            assert codes == sorted(set(codes))
+            assert x.terms == tuple((t, Fraction(n, den)) for t, n in terms)
+            assert (x.degree is None) is not bool(terms)
+        for x in built:
+            for y in built:
+                assert (x == y) is ((x.basis, x.degree, x.terms) == (y.basis, y.degree, y.terms))
+                assert x != y or hash(x) == hash(y)
 
     @_SETTINGS
     @given(st.data(), st.sampled_from([CycleExpr, XPolynomial]),
