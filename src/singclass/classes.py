@@ -23,7 +23,7 @@ from math import factorial, gcd, lcm, prod
 from operator import itemgetter
 
 from .combinatorics import Profile, aut_count, make_profile, profiles_with_sum
-from .errors import ConstraintError, Record, _exact, _integer, _operand, _pairs
+from .errors import ConstraintError, Record, _count, _exact, _integer, _operand, _pairs
 from .trees import MarkedTree, encoding, graft, star, stick
 
 SINGULARITY = "singularity"
@@ -127,9 +127,7 @@ class ClassExpr(Record):
     @staticmethod
     def single(basis: str, t: MarkedTree) -> "ClassExpr":
         """The class of one tree, with coefficient 1 and no xi power."""
-        if not isinstance(t, MarkedTree):
-            raise ConstraintError(f"a class is built from a marked tree, not {t!r}")
-        if t.vanishing:
+        if _operand(t, MarkedTree, "ClassExpr.single").vanishing:
             return ClassExpr.zero(basis)
         return ClassExpr._make(_basis(basis), t.codim, (1, ((t, 1),)))
 
@@ -174,8 +172,7 @@ class ClassExpr(Record):
         return _expr(self.basis, self.degree, _sum([(c.numerator, c.denominator, self._form)]))
 
     def mul_xi(self, k: int = 1) -> "ClassExpr":
-        if _integer(k, "xi exponent") < 0:
-            raise ConstraintError("xi exponent must be nonnegative")
+        _count(k, "xi exponent")
         if not self._form[1]:
             return self
         return ClassExpr._make(self.basis, self.degree + k, self._form)
@@ -266,9 +263,7 @@ def product_expansion(m: int) -> ClassExpr:
     degree m.  It is m psi Pi_{m-1} - xi Pi_{m-1}, with Pi_0 the unit and psi
     the one operator _psi; the xi factor is implicit in the degree.  Its
     integer form is memoised per m."""
-    if _integer(m, "m") < 1:
-        raise ConstraintError("m must be >= 1")
-    return _expr(SINGULARITY, m, _product_ints(m))
+    return _expr(SINGULARITY, m, _product_ints(_count(m, "m", 1)))
 
 
 @lru_cache(maxsize=None)
@@ -281,9 +276,7 @@ def psi_power_sing(m: int) -> ClassExpr:
     """psi^m expanded in the singularity basis, of degree m: psi^0 is the
     unit and psi^m is the one operator _psi applied to psi^(m-1).  Its
     integer form is memoised per m."""
-    if _integer(m, "m") < 0:
-        raise ConstraintError("m must be nonnegative")
-    return _expr(SINGULARITY, m, _psi_ints(m))
+    return _expr(SINGULARITY, m, _psi_ints(_count(m, "m")))
 
 
 @lru_cache(maxsize=None)
@@ -306,9 +299,7 @@ def substitute(outer: MarkedTree, grafts: Iterable[ClassExpr]) -> ClassExpr:
     markings) + (sum of the graft degrees): a leaf marked m adds m + 1 to the
     codim, and a glued tree t adds t.codim + 1.
     """
-    if not isinstance(outer, MarkedTree):
-        raise ConstraintError(f"substitution target must be a marked tree, not {outer!r}")
-    if not outer.children:
+    if not _operand(outer, MarkedTree, "substitute").children:
         raise ConstraintError("substitution target must have at least two leaves")
     try:
         grafts = list(grafts)
@@ -403,7 +394,8 @@ def point_coefficient_psi(m: int, p: Profile, raw: bool = False) -> Fraction:
     p = make_profile(p)
     if not p:
         raise ConstraintError("profile must be nonempty")
-    if _integer(m, "m") + 2 != len(p) + sum(p):
+    m = _integer(m, "m")
+    if m + 2 != len(p) + sum(p):
         raise ConstraintError(
             f"need m + 2 = l + sum(profile); got m={m}, profile={p}"
         )

@@ -20,7 +20,7 @@ from itertools import combinations
 from math import factorial, perm, prod
 from operator import itemgetter
 
-from .errors import ConstraintError, Record, _exact, _integer, _operand, _pairs
+from .errors import ConstraintError, Record, _count, _exact, _integer, _ints, _operand, _pairs
 
 Profile = tuple[int, ...]
 Partition = tuple[int, ...]
@@ -42,14 +42,6 @@ __all__ = [
     "CycleExpr",
     "XPolynomial",
 ]
-
-
-def _ints(values, what: str) -> list[int]:
-    """The values as a list of ints; anything else raises ConstraintError."""
-    try:
-        return [_integer(v, what) for v in values]
-    except TypeError:
-        raise ConstraintError(f"{what}s must come as a sequence of integers, not {values!r}") from None
 
 
 def make_profile(parts) -> Profile:
@@ -106,8 +98,7 @@ def profiles_with_sum(total: int, min_len: int = 1) -> list[Profile]:
     Deterministic order: by length, then lexicographically on the ascending
     tuples.
     """
-    if _integer(total, "total") < 0:
-        raise ConstraintError("total must be nonnegative")
+    _count(total, "total")
     _integer(min_len, "min_len")
     out: list[Profile] = []
     if total == 0:
@@ -118,16 +109,13 @@ def profiles_with_sum(total: int, min_len: int = 1) -> list[Profile]:
 
 
 def profiles_with_sum_and_length(total: int, length: int) -> list[Profile]:
-    if min(_integer(total, "total"), _integer(length, "length")) < 0:
-        raise ConstraintError("total and length must be nonnegative")
-    return _ascending_splits(total, length, 1)
+    return _ascending_splits(_count(total, "total"), _count(length, "length"), 1)
 
 
 @lru_cache(maxsize=None, typed=True)  # typed: True never reads the entry of 1
 def partitions_of(n: int) -> tuple[Partition, ...]:
     """Partitions of n in descending lexicographic order; partitions_of(0) = ((),)."""
-    if _integer(n, "n") < 0:
-        raise ConstraintError("n must be nonnegative")
+    _count(n, "n")
 
     def gen(remaining: int, cap: int):
         if remaining == 0:
@@ -216,10 +204,7 @@ def central_character(p: Profile, lam: Partition) -> Fraction:
 def shifted_power_sum(lam: Partition, m: int) -> Fraction:
     """(1/(m+1)!) sum_i [(lam_i - i + 1/2)^{m+1} - (-i + 1/2)^{m+1}], for lam
     made a partition."""
-    lam = make_partition(lam)
-    if _integer(m, "m") < 0:
-        raise ConstraintError("m must be nonnegative")
-    e = m + 1
+    lam, e = make_partition(lam), _count(m, "m") + 1
     total = sum(
         (2 * row - 2 * i + 1) ** e - (1 - 2 * i) ** e for i, row in enumerate(lam, start=1)
     )
@@ -230,8 +215,13 @@ def shifted_power_sum(lam: Partition, m: int) -> Fraction:
 # profile-keyed value types; the algorithms on them live in cycles
 
 def profile_order(p: Profile) -> int:
-    """Order of a stable central element: number of cycles plus their total length."""
-    return len(p) + sum(p)
+    """Order of a stable central element: number of cycles plus their total
+    length.  It is the sort key of every cycle kernel, so only a p that is no
+    sequence of numbers pays for its refusal."""
+    try:
+        return len(p) + sum(p)
+    except TypeError:
+        raise ConstraintError(f"a profile must be a sequence of integers, not {p!r}") from None
 
 
 class _ProfileTerms(Record):

@@ -26,7 +26,6 @@ from .combinatorics import (  # the value types are defined beside the profiles
     _beta,
     _character_partition,
     _dimension,
-    _ints,
     _mn,
     _ProfileTerms,
     _sorted_terms,
@@ -35,7 +34,7 @@ from .combinatorics import (  # the value types are defined beside the profiles
     profile_order,
     profiles_with_sum_and_length,
 )
-from .errors import ConstraintError, _integer
+from .errors import ConstraintError, _count, _integer, _ints, _operand
 
 __all__ = [
     "x_polynomial",
@@ -53,8 +52,7 @@ def x_polynomial(m: int, normalized: bool = True) -> XPolynomial:
     """The degree-tracking polynomial whose monomial prod x_{k_i} carries
     (1/|Aut|) (m!/(m-l+2)!) prod k_i; the normalized variant divides by m!
     and matches the genus-0 completed-cycle coefficients."""
-    if _integer(m, "m") < 0:
-        raise ConstraintError("m must be nonnegative")
+    _count(m, "m")
     norm = factorial(m) if normalized else 1
     return XPolynomial._make(_sorted_terms(
         (p, Fraction(factorial(m) * prod(p), factorial(sum(p)) * aut_count(p) * norm))
@@ -107,8 +105,7 @@ def rho(g: int, p: Profile) -> Fraction:
     j L_j = A_j / D, E_n = e_n / (n! D^n) and
     e_n = sum_j A_j P_j e_{n-j} (n-1)!/(n-j)! D^{j-1}, e_0 = 1.
     """
-    if _integer(g, "the genus") < 0:
-        raise ConstraintError("genus must be nonnegative")
+    _count(g, "the genus")
     p = make_profile(p)
     if not p:
         raise ConstraintError("profile must be nonempty")
@@ -130,9 +127,7 @@ def completed_cycle(m: int) -> CycleExpr:
     K + l + 2g - 2 = m; the ordered-tuple sum collapses on multisets to the
     coefficient rho(g, p) / |Aut(p)|.  Memoised per m.
     """
-    if _integer(m, "m") < 0:
-        raise ConstraintError("m must be nonnegative")
-    return _completed_cycle(m)
+    return _completed_cycle(_count(m, "m"))
 
 
 @lru_cache(maxsize=None)
@@ -147,10 +142,8 @@ def _completed_cycle(m: int) -> CycleExpr:
 
 def genus0_part(c: CycleExpr, m: int) -> CycleExpr:
     """Restriction to the maximal-order terms, those with l + sum(p) = m + 2."""
-    if not isinstance(c, CycleExpr):
-        raise ConstraintError(f"genus0_part needs a CycleExpr, not {c!r}")
-    order = _integer(m, "m") + 2
-    return CycleExpr._make(tuple((p, coeff) for p, coeff in c.terms if profile_order(p) == order))
+    terms, order = _operand(c, CycleExpr, "genus0_part").terms, _integer(m, "m") + 2
+    return CycleExpr._make(tuple((p, coeff) for p, coeff in terms if profile_order(p) == order))
 
 
 def _integer_row(c: CycleExpr) -> tuple[int, tuple[tuple[int, int, Partition], ...]]:
@@ -177,9 +170,7 @@ def evaluate(c: CycleExpr, lam: Partition) -> Fraction:
     try:
         common, row = c._row
     except AttributeError:
-        if not isinstance(c, CycleExpr):
-            raise ConstraintError(f"evaluate needs a CycleExpr, not {c!r}") from None
-        common, row = _integer_row(c)
+        common, row = _integer_row(_operand(c, CycleExpr, "evaluate"))
     lam = _character_partition(lam)
     n, beta = sum(lam), _beta(lam)
     total = sum(weight * perm(n, k) * _mn(beta, mu) for weight, k, mu in row if k <= n)
@@ -311,12 +302,8 @@ def verify_in_group_algebra(
     of the claimed terms, raise ConstraintError.
     """
     p1, p2 = make_profile(p1), make_profile(p2)
-    if not isinstance(claimed, CycleExpr):
-        raise ConstraintError(f"the claimed product must be a CycleExpr, not {claimed!r}")
-    if _integer(n, "n") < sum(p1) + sum(p2):
-        raise ConstraintError(
-            f"need n >= {sum(p1) + sum(p2)} to realize both factors in S_n"
-        )
+    _operand(claimed, CycleExpr, "verify_in_group_algebra")
+    _count(n, "n", sum(p1) + sum(p2))  # both factors must be realized in S_n
     cap = PRODUCT_STEP_BUDGET // max(n, 1)
     c1, c2 = _placements(p1, n, cap), _placements(p2, n, cap)
     if c1 * c2 > cap:

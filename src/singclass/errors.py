@@ -1,5 +1,6 @@
 """Exception hierarchy, the immutable record base and the argument gates
-(integers, exact coefficients) shared by all singclass modules.
+(integers, counts, operands, exact coefficients) shared by all singclass
+modules, so that each module refuses a count or an operand through one call.
 
 They live in this leaf module because every other module imports it already:
 none of them adds a module to the import graph.
@@ -105,14 +106,33 @@ def _integer(value, what: str) -> int:
     raise ConstraintError(f"{what} must be an integer, not {value!r}")
 
 
+def _count(value, what: str, least: int = 0) -> int:
+    """value if it is exactly an int and at least ``least``; else
+    ConstraintError, saying that what must be an integer, nonnegative or
+    at least ``least``."""
+    if _integer(value, what) < least:
+        floor = "nonnegative" if least == 0 else f">= {least}"
+        raise ConstraintError(f"{what} must be {floor}")
+    return value
+
+
+def _ints(values, what: str) -> list[int]:
+    """The values as a list of ints; anything else raises ConstraintError."""
+    try:
+        return [_integer(v, what) for v in values]
+    except TypeError:
+        raise ConstraintError(f"{what}s must come as a sequence of integers, not {values!r}") from None
+
+
 _EXACT = frozenset((int, Fraction))  # coefficient types; bool, float, str and the rest are refused
 
 
 def _operand(value, cls: type, what: str):
     """value if it is exactly a cls; else ConstraintError, saying that the
-    operation what takes a cls."""
+    operation what takes a cls, with no exception context (``evaluate``
+    gates on its except path)."""
     if type(value) is not cls:
-        raise ConstraintError(f"{what} takes a {cls.__name__}, not {value!r}")
+        raise ConstraintError(f"{what} takes a {cls.__name__}, not {value!r}") from None
     return value
 
 

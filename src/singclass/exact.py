@@ -14,7 +14,7 @@ from collections.abc import Iterable
 from fractions import Fraction
 from math import factorial
 
-from .errors import ConstraintError, Record, TruncationError, _fractions, _integer, _operand
+from .errors import ConstraintError, Record, TruncationError, _count, _fractions, _operand
 
 __all__ = [
     "PowerSeries",
@@ -38,8 +38,7 @@ class PowerSeries(Record):
     __slots__ = _fields = ("coeffs", "truncation_order")
 
     def __init__(self, coeffs: Iterable[Fraction | int], truncation_order: int):
-        if _integer(truncation_order, "a truncation order") < 0:
-            raise ConstraintError("truncation order must be nonnegative")
+        _count(truncation_order, "a truncation order")
         dense = _fractions(coeffs, "series coefficients")[: truncation_order + 1]
         dense += [Fraction(0)] * (truncation_order + 1 - len(dense))
         object.__setattr__(self, "coeffs", tuple(dense))
@@ -50,9 +49,7 @@ class PowerSeries(Record):
         return PowerSeries((1,), order)
 
     def coefficient(self, n: int) -> Fraction:
-        if _integer(n, "an exponent") < 0:
-            raise ConstraintError("negative exponent")
-        if n > self.truncation_order:
+        if _count(n, "an exponent") > self.truncation_order:
             raise TruncationError(
                 f"coefficient of z^{n} requested but series is truncated at z^{self.truncation_order}"
             )
@@ -78,8 +75,7 @@ class PowerSeries(Record):
 
     def pow(self, exponent: int) -> "PowerSeries":
         """self**exponent by binary exponentiation."""
-        if _integer(exponent, "an exponent") < 0:
-            raise ConstraintError("exponent must be nonnegative")
+        _count(exponent, "an exponent")
         result, base = PowerSeries.one(self.truncation_order), self
         while exponent:
             if exponent & 1:
@@ -106,9 +102,7 @@ class PowerSeries(Record):
 
 def s_series(order: int) -> PowerSeries:
     """The series sinh(z/2)/(z/2) = sum_{n>=0} (z/2)^{2n}/(2n+1)!, truncated at z^order."""
-    if _integer(order, "order") < 1:
-        raise ConstraintError("order must be >= 1")
-    coeffs = [Fraction(0)] * (order + 1)
+    coeffs = [Fraction(0)] * (_count(order, "order", 1) + 1)
     for n in range(0, order // 2 + 1):
         coeffs[2 * n] = Fraction(1, 4**n * factorial(2 * n + 1))
     return PowerSeries._make(tuple(coeffs), order)
@@ -116,10 +110,8 @@ def s_series(order: int) -> PowerSeries:
 
 def series_scale_arg(s: PowerSeries, k: int) -> PowerSeries:
     """Substitute z -> k z: the z^n coefficient is scaled by k^n."""
-    if not isinstance(s, PowerSeries):
-        raise ConstraintError(f"series_scale_arg needs a PowerSeries, not {s!r}")
-    if _integer(k, "k") < 1:
-        raise ConstraintError("k must be >= 1")
+    _operand(s, PowerSeries, "series_scale_arg")
+    _count(k, "k", 1)
     return PowerSeries._make(
         tuple(c * k**n for n, c in enumerate(s.coeffs)), s.truncation_order
     )

@@ -18,9 +18,9 @@ from functools import lru_cache, partial
 from json.encoder import encode_basestring_ascii as _json_str
 from math import gcd, lcm
 
-from .classes import BASIC, SINGULARITY, ClassExpr, _canonical_form, _expr
+from .classes import BASIC, SINGULARITY, ClassExpr, _basis, _canonical_form, _expr
 from .combinatorics import CycleExpr, Partition, Profile, XPolynomial, make_partition, make_profile
-from .errors import ConstraintError, ParseError, Record
+from .errors import ConstraintError, ParseError, Record, _operand
 from .trees import MarkedTree, encoding, star, stick
 
 __all__ = [
@@ -110,9 +110,7 @@ def _display_order(e: ClassExpr) -> list[tuple[MarkedTree, int, int, int]]:
     coefficient reduced from the stored integer form, in display order:
     ascending xi power, then descending tree weight, then encoding (the
     stored order, which the stable sort keeps)."""
-    if not isinstance(e, ClassExpr):
-        raise ConstraintError(f"a class expression is rendered from a ClassExpr, not {e!r}")
-    (den, terms), degree = e._form, e.degree
+    (den, terms), degree = _operand(e, ClassExpr, "a class renderer")._form, e.degree
     out = []
     for t, n in terms:
         g = gcd(n, den)
@@ -238,10 +236,12 @@ class _Parser:
     factor is the caller's.
 
     Token positions are found by scanning the text a second time, which only
-    an error report, or a sign that must touch its digits, pays for."""
+    an error report, or a sign that must touch its digits, pays for.  Every
+    parser reads its text through this class, which refuses a text that is
+    no str."""
 
     def __init__(self, text: str):
-        self.text = text
+        self.text = _operand(text, str, "a parser")
         self.tokens = _tokenize(text)
         self.index = 0
         self.starts: list[int] | None = None
@@ -348,8 +348,11 @@ class _Parser:
     def parse_sum(self, parse_factor) -> list[tuple[int, int, list]]:
         """Every term as (numerator, denominator, other factors): the signed
         product of the term's rational literals, not reduced, and the factors
-        that are none, each read by ``parse_factor(self)``."""
+        that are none, each read by ``parse_factor(self)``.  A text with no
+        token is an empty expression."""
         tokens, terms = self.tokens, []
+        if not tokens[0]:
+            raise ParseError("empty expression", 0)
         sign = -1 if self.accept_op("-") else 1
         while True:
             numerator, denominator, factors = sign, 1, []
@@ -481,12 +484,7 @@ def parse_class(text: str, default_basis: str = SINGULARITY) -> ClassExpr:
     is an error, and expressions built only from rationals, xi powers and
     ``a_0`` fall back to ``default_basis``.
     """
-    if not isinstance(text, str):
-        raise ConstraintError(f"parse_class reads a string, not {text!r}")
-    if not text.strip():
-        raise ParseError("empty expression", 0)
-    if text.strip() == "0":
-        return ClassExpr.zero(default_basis)
+    default_basis = _basis(default_basis)
     parser = _Parser(text)
     terms = parser.parse_sum(_class_factor)
     den = lcm(*(d for _, d, _ in terms))  # every coefficient as a numerator over den
@@ -514,12 +512,10 @@ def parse_class(text: str, default_basis: str = SINGULARITY) -> ClassExpr:
 # cycle expressions and x-polynomials
 
 def _render_cycles(c: CycleExpr, style: _Style) -> str:
-    if not isinstance(c, CycleExpr):
-        raise ConstraintError(f"a cycle expression is rendered from a CycleExpr, not {c!r}")
     return _join(
         (
             (a.numerator, a.denominator, [style.atom("C", ",".join(map(str, p)))] if p else [])
-            for p, a in c.terms
+            for p, a in _operand(c, CycleExpr, "a cycle renderer").terms
         ),
         style,
     )
@@ -545,9 +541,7 @@ def _profile_terms_to_json(terms: Iterable[tuple[tuple[int, ...], Fraction]], ke
 
 
 def cycles_to_json(c: CycleExpr) -> str:
-    if not isinstance(c, CycleExpr):
-        raise ConstraintError(f"a cycle expression is rendered from a CycleExpr, not {c!r}")
-    return _profile_terms_to_json(c.terms, "profile")
+    return _profile_terms_to_json(_operand(c, CycleExpr, "a cycle renderer").terms, "profile")
 
 
 def _cycle_factor(parser: _Parser) -> tuple[Profile, int]:
@@ -564,12 +558,6 @@ def _cycle_factor(parser: _Parser) -> tuple[Profile, int]:
 
 def parse_cycles(text: str) -> CycleExpr:
     """Parse ``1/2*C[3] + 1/4*C[1,1] + 1/24*C[1]``; a bare rational is the identity."""
-    if not isinstance(text, str):
-        raise ConstraintError(f"parse_cycles reads a string, not {text!r}")
-    if not text.strip():
-        raise ParseError("empty expression", 0)
-    if text.strip() == "0":
-        return CycleExpr.zero()
     parser = _Parser(text)
     terms = parser.parse_sum(_cycle_factor)
     for _, _, factors in terms:
@@ -582,7 +570,7 @@ def _render_xpoly(x: XPolynomial, style: _Style) -> str:
     return _join(
         (
             (c.numerator, c.denominator, [style.power("x", p.count(k), k) for k in sorted(set(p))])
-            for p, c in x.terms
+            for p, c in _operand(x, XPolynomial, "an x-polynomial renderer").terms
         ),
         style,
     )
@@ -597,33 +585,50 @@ def render_xpoly_latex(x: XPolynomial) -> str:
 
 
 def xpoly_to_json(x: XPolynomial) -> str:
+    x = _operand(x, XPolynomial, "an x-polynomial renderer")
     return _profile_terms_to_json(x.terms, "monomial")
 
 
 # ---------------------------------------------------------------------------
 # polynomials and rational functions in z (text only): local_models' types,
 # named in the annotations but not imported, since only their fields are read
+# (importing local_models would make every CLI call compile it); a value
+# without those fields is refused
 
 def format_polynomial(poly: Polynomial) -> str:
     """Low-to-high text form: 'c_0 + c_1*z + ...' with zero terms omitted."""
-    return _join(
-        (
+    try:
+        terms = [
             (c.numerator, c.denominator, [_TEXT.power("z", k)] if k else [])
             for k, c in poly.monomials()
-        ),
-        _TEXT,
-    )
+        ]
+    except (AttributeError, TypeError, ValueError):  # monomials that are no (k, rational) pairs
+        raise ConstraintError(f"format_polynomial takes a Polynomial, not {poly!r}") from None
+    return _join(terms, _TEXT)
 
 
 def format_function(f: RationalFunction) -> str:
-    return f"({format_polynomial(f.numerator)}) / ({format_polynomial(f.denominator)})"
+    try:
+        numerator, denominator = f.numerator, f.denominator
+    except AttributeError:
+        raise ConstraintError(f"format_function takes a RationalFunction, not {f!r}") from None
+    return f"({format_polynomial(numerator)}) / ({format_polynomial(denominator)})"
 
 
 # ---------------------------------------------------------------------------
 # profiles and partitions
 
+def _list_text(values, brackets: str) -> str:
+    """The items of values, each through str, comma-separated in the two
+    brackets; a values that is no sequence raises ConstraintError."""
+    try:
+        return brackets[0] + ",".join(map(str, values)) + brackets[1]
+    except TypeError:
+        raise ConstraintError(f"a list literal is written from a sequence, not {values!r}") from None
+
+
 def format_profile(p: Profile) -> str:
-    return "{" + ",".join(map(str, p)) + "}"
+    return _list_text(p, "{}")
 
 
 def _int_literal(text: str, brackets: str, what: str) -> list[int]:
@@ -652,7 +657,7 @@ def parse_profile(text: str) -> Profile:
 
 
 def format_partition(lam: Partition) -> str:
-    return "[" + ",".join(map(str, lam)) + "]"
+    return _list_text(lam, "[]")
 
 
 def parse_partition(text: str) -> Partition:

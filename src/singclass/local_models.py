@@ -11,7 +11,6 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import lcm, prod
 
-from .combinatorics import Profile, _ints
 from .errors import (
     _EXACT,
     ConstraintError,
@@ -20,6 +19,7 @@ from .errors import (
     _exact,
     _fractions,
     _integer,
+    _ints,
     _operand,
     _pairs,
 )
@@ -353,8 +353,7 @@ def hurwitz_coordinates(
     reproduces the input exactly.  An order sum over ORDER_SUM_BUDGET raises
     ConstraintError.
     """
-    if not isinstance(f, RationalFunction):
-        raise ConstraintError(f"hurwitz_coordinates needs a RationalFunction, not {f!r}")
+    _operand(f, RationalFunction, "hurwitz_coordinates")
     orders = _budgeted_orders(p)
     points = _fractions(poles, "poles")
     if len(points) != len(orders) or len(set(points)) != len(points):
@@ -428,9 +427,8 @@ def reassemble(coords: HurwitzCoordinates) -> RationalFunction:
     integer polynomial over one common denominator (the layout of FLINT's
     fmpq_poly), and every Fraction is made once, at the end.  Coordinates
     whose fields are not of these types raise ConstraintError."""
-    if not isinstance(coords, HurwitzCoordinates):
-        raise ConstraintError(f"reassemble needs HurwitzCoordinates, not {coords!r}")
-    if type(coords.branches) is not tuple or not all(map(_is_branch, coords.branches)):
+    branches = _operand(coords, HurwitzCoordinates, "reassemble").branches
+    if type(branches) is not tuple or not all(map(_is_branch, branches)):
         raise ConstraintError("branches must be a tuple of BranchCoordinates with exact fields")
     if type(coords.constant) not in _EXACT:
         raise ConstraintError("the constant must be int or Fraction")

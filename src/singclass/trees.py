@@ -39,7 +39,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from functools import lru_cache
 
-from .errors import ConstraintError, Record, TreeStructureError, _integer
+from .errors import ConstraintError, Record, TreeStructureError, _integer, _operand
 
 __all__ = [
     "MarkedTree",
@@ -153,8 +153,9 @@ def canonicalize(raw) -> MarkedTree:
 
 @lru_cache(maxsize=None)
 def encoding(t: MarkedTree) -> str:
-    """Canonical string form: '(marking;child,child,...)' with leaves as bare integers."""
-    if not t.children:
+    """Canonical string form: '(marking;child,child,...)' with leaves as bare
+    integers.  A t that is no MarkedTree is refused on the cache miss."""
+    if not _operand(t, MarkedTree, "encoding").children:
         return str(t.marking)
     return f"({t.marking};{','.join(encoding(c) for c in t.children)})"
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from . import classes, cycles, grammar, trees
 from .classes import BASIC, SINGULARITY, ClassExpr, basic_to_sing, sing_to_basic
 from .combinatorics import partitions_of, shifted_power_sum
-from .errors import ConstraintError, ParseError, Record, _integer
+from .errors import ConstraintError, ParseError, Record, _count, _integer
 
 __all__ = [
     "CheckResult",
@@ -195,16 +195,18 @@ def _partitions_up_to(n: int):
         yield from partitions_of(size)
 
 
-def check_shifted_power_sums(max_m: int = 5, max_size: int = 8) -> list[CheckResult]:
+# the ko suite evaluates each completed cycle on every partition of at most this size
+_KO_PARTITION_SIZE = 8
+
+
+def check_shifted_power_sums(max_m: int = 5) -> list[CheckResult]:
     _floor("ko", max_m)
-    if _integer(max_size, "max_size") < 0:
-        raise ConstraintError(f"max_size must be >= 0, got {max_size}: it would compare nothing")
     out = []
     for m in range(0, max_m + 1):
         element = cycles.completed_cycle(m)
         bad = None
         count = 0
-        for lam in _partitions_up_to(max_size):
+        for lam in _partitions_up_to(_KO_PARTITION_SIZE):
             count += 1
             left = cycles.evaluate(element, lam)
             right = shifted_power_sum(lam, m)
@@ -231,9 +233,7 @@ def genus0_equality_check(m: int) -> bool:
     point coefficient and the coefficient actually extracted from the expansion
     of psi^m at the point-class tree (the stick, for one-part profiles).
     """
-    if _integer(m, "m") < 1:
-        raise ConstraintError("m must be >= 1")
-    g0 = cycles.genus0_part(cycles.completed_cycle(m), m)
+    g0 = cycles.genus0_part(cycles.completed_cycle(_count(m, "m", 1)), m)
     expansion = classes.psi_power_sing(m)
     profiles = [p for p, _ in cycles.x_polynomial(m).terms]
     if sorted(g0.profiles()) != sorted(profiles):

@@ -19,7 +19,7 @@ from singclass.classes import (
 )
 from singclass.cycles import CycleExpr, XPolynomial, completed_cycle
 from singclass import grammar
-from singclass.errors import ParseError
+from singclass.errors import ConstraintError, ParseError
 from singclass.grammar import (
     class_to_json,
     cycles_to_json,
@@ -149,12 +149,25 @@ class TestParseClass:
             parse_class(text)
         assert text[info.value.position] == "x"
 
-    def test_zero_literal(self):
-        assert parse_class("0").is_zero()
+    @pytest.mark.parametrize("text", ["0", " 0 ", "-0", "0*xi", "0/3"])
+    @pytest.mark.parametrize("basis", [SINGULARITY, BASIC])
+    def test_zero_literal(self, text, basis):
+        # the parser itself reads a zero: no spelling of it takes a shortcut
+        assert parse_class(text, default_basis=basis) == ClassExpr.zero(basis)
 
-    def test_empty_input(self):
-        with pytest.raises(ParseError):
-            parse_class("   ")
+    @pytest.mark.parametrize("text", ["xi", "1/2", "a_0", "0"])
+    @pytest.mark.parametrize("basis", ["bogus", [], None])
+    def test_the_default_basis_is_checked_for_every_text(self, text, basis):
+        # "xi" once returned a ClassExpr of basis "bogus", and with [] one
+        # whose hash raised TypeError; only "0" checked the basis
+        with pytest.raises(ConstraintError, match="unknown basis"):
+            parse_class(text, default_basis=basis)
+
+    @pytest.mark.parametrize("parse", [parse_class, parse_cycles])
+    def test_empty_input(self, parse):
+        with pytest.raises(ParseError, match="empty expression") as info:
+            parse("   ")
+        assert info.value.position == 0
 
 
 class TestCycleGrammar:
@@ -162,6 +175,10 @@ class TestCycleGrammar:
         for m in range(0, 5):
             e = completed_cycle(m)
             assert parse_cycles(render_cycles(e)) == e
+
+    @pytest.mark.parametrize("text", ["0", " 0 ", "-0", "0*C[2]", "0/3*C[1,1]"])
+    def test_zero_literal(self, text):
+        assert parse_cycles(text) == CycleExpr.zero()
 
     def test_table_layout(self):
         assert render_cycles(completed_cycle(2)) == (

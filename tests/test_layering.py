@@ -20,6 +20,12 @@ module defines a second tree constructor beside it.
 
 Every memo table is named here: each ``lru_cache`` is unbounded and lives
 as long as the process, so a new one is a reviewed change.
+
+An argument is refused in ``errors``: a count through ``_count`` or
+``_integer``, an operand of the wrong type through ``_operand``.  No other
+module writes such a refusal by hand, an ``if`` that tests ``_integer(...)``
+or ``not isinstance(...)`` and raises ``ConstraintError``, but the floor of
+the verify suites, whose messages name the CLI option.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ ALLOWED = {
     "trees": {"errors"},
     "classes": _BOTTOM | {"trees"},
     "cycles": _BOTTOM,
-    "local_models": _BOTTOM,
+    "local_models": {"errors"},
     "grammar": _SIDES,
     "verification": _SIDES | {"grammar"},
     "cli": _SIDES | {"grammar", "verification"},
@@ -86,6 +92,9 @@ MEMO_TABLES = {
     "grammar": {"_class_atom", "_atom_ints", "_star_atom"},
     "trees": {"encoding", "_branch_options"},
 }
+
+# (module, function) pairs that may refuse an argument by hand
+HAND_GATES = {("verification", "_floor")}
 
 # names of the canonical tree factory and its table, which MarkedTree replaced
 RETIRED_TREE_NAMES = {"tree", "_canonical", "_CANONICAL"}
@@ -143,6 +152,42 @@ def _object_new_users(path: Path) -> set[str]:
                 and child.value.id == "object"
             ):
                 out.add(".".join(scope))
+            visit(child, scope)
+
+    visit(_tree(path), ())
+    return out
+
+
+def _mentions(node: ast.AST, name: str) -> bool:
+    """Whether node names the bare name ``name`` anywhere."""
+    return any(isinstance(n, ast.Name) and n.id == name for n in ast.walk(node))
+
+
+def _hand_gates(path: Path) -> set[str]:
+    """The dotted name of every function with an ``if`` whose test names
+    _integer or is ``not isinstance(...)``, and whose body raises
+    ConstraintError."""
+    out = set()
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.If):
+                test = child.test
+                gate = _mentions(test, "_integer") or (
+                    isinstance(test, ast.UnaryOp)
+                    and isinstance(test.op, ast.Not)
+                    and _mentions(test.operand, "isinstance")
+                )
+                raises = any(
+                    isinstance(n, ast.Raise) and n.exc is not None and _mentions(n.exc, "ConstraintError")
+                    for statement in child.body
+                    for n in ast.walk(statement)
+                )
+                if gate and raises:
+                    out.add(".".join(scope))
             visit(child, scope)
 
     visit(_tree(path), ())
@@ -231,6 +276,13 @@ def test_values_are_built_without_their_constructor_in_two_places_only():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_tree_factory_beside_the_constructor(path):
     assert set(_module_bindings(path)) & RETIRED_TREE_NAMES == set()
+
+
+def test_arguments_are_refused_in_errors_only():
+    found = {
+        (path.stem, name) for path in MODULES if path.stem != "errors" for name in _hand_gates(path)
+    }
+    assert found == HAND_GATES
 
 
 def test_every_memo_table_is_listed():
