@@ -24,7 +24,6 @@ _HOMES = {
          "point_coefficient_delta", "rho", "verify_in_group_algebra", "x_polynomial"),
         "cycles",
     ),
-    **dict.fromkeys(("PowerSeries", "s_series", "series_scale_arg"), "exact"),
     **dict.fromkeys(("parse_class", "parse_cycles", "render_class", "render_cycles"), "grammar"),
     **dict.fromkeys(
         ("HurwitzCoordinates", "RationalFunction", "canonical_function", "hurwitz_coordinates",

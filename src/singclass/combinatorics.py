@@ -20,7 +20,7 @@ from itertools import combinations
 from math import factorial, perm, prod
 from operator import itemgetter
 
-from .errors import ConstraintError, Record, _count, _exact, _integer, _ints, _operand, _pairs
+from .errors import ConstraintError, Record, _count, _exact, _ints, _operand, _pairs
 
 Profile = tuple[int, ...]
 Partition = tuple[int, ...]
@@ -99,10 +99,10 @@ def profiles_with_sum(total: int, min_len: int = 1) -> list[Profile]:
     tuples.
     """
     _count(total, "total")
-    _integer(min_len, "min_len")
+    _count(min_len, "min_len")
     out: list[Profile] = []
     if total == 0:
-        return [()] if min_len <= 0 else []
+        return [()] if min_len == 0 else []
     for length in range(max(min_len, 1), total + 1):
         out.extend(_ascending_splits(total, length, 1))
     return out
@@ -216,12 +216,9 @@ def shifted_power_sum(lam: Partition, m: int) -> Fraction:
 
 def profile_order(p: Profile) -> int:
     """Order of a stable central element: number of cycles plus their total
-    length.  It is the sort key of every cycle kernel, so only a p that is no
-    sequence of numbers pays for its refusal."""
-    try:
-        return len(p) + sum(p)
-    except TypeError:
-        raise ConstraintError(f"a profile must be a sequence of integers, not {p!r}") from None
+    length."""
+    p = make_profile(p)
+    return len(p) + sum(p)
 
 
 class _ProfileTerms(Record):
@@ -254,7 +251,7 @@ def _sorted_terms(items) -> tuple[tuple[Profile, Fraction], ...]:
     """The (canonical profile, coefficient) items, each profile once, as terms:
     zero coefficients dropped, Fractions, sorted by descending order, then length."""
     items = [(p, c if type(c) is Fraction else Fraction(c)) for p, c in items if c]
-    items.sort(key=lambda item: (-profile_order(item[0]), len(item[0]), item[0]))
+    items.sort(key=lambda item: (-len(item[0]) - sum(item[0]), len(item[0]), item[0]))
     return tuple(items)
 
 

@@ -27,11 +27,9 @@ from .combinatorics import (  # the value types are defined beside the profiles
     _character_partition,
     _dimension,
     _mn,
-    _ProfileTerms,
     _sorted_terms,
     aut_count,
     make_profile,
-    profile_order,
     profiles_with_sum_and_length,
 )
 from .errors import ConstraintError, _count, _integer, _ints, _operand
@@ -143,7 +141,7 @@ def _completed_cycle(m: int) -> CycleExpr:
 def genus0_part(c: CycleExpr, m: int) -> CycleExpr:
     """Restriction to the maximal-order terms, those with l + sum(p) = m + 2."""
     terms, order = _operand(c, CycleExpr, "genus0_part").terms, _integer(m, "m") + 2
-    return CycleExpr._make(tuple((p, coeff) for p, coeff in terms if profile_order(p) == order))
+    return CycleExpr._make(tuple((p, coeff) for p, coeff in terms if len(p) + sum(p) == order))
 
 
 def _integer_row(c: CycleExpr) -> tuple[int, tuple[tuple[int, int, Partition], ...]]:

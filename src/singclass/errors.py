@@ -95,10 +95,6 @@ class TreeStructureError(ConstraintError):
     """A raw tree violates the valency rules for marked trees."""
 
 
-class TruncationError(SingclassError):
-    """A power-series coefficient beyond the truncation order was requested."""
-
-
 def _integer(value, what: str) -> int:
     """value if it is exactly an int (no bool); else ConstraintError."""
     if type(value) is int:

@@ -39,7 +39,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from functools import lru_cache
 
-from .errors import ConstraintError, Record, TreeStructureError, _integer, _operand
+from .errors import ConstraintError, Record, TreeStructureError, _count, _operand
 
 __all__ = [
     "MarkedTree",
@@ -234,5 +234,5 @@ def enumerate_trees(max_codim: int) -> list[MarkedTree]:
     Includes the sticks (codimension = marking).  Deterministic order:
     by codimension, then canonical encoding.
     """
-    found = {t for k in range(_integer(max_codim, "max_codim") + 1) for t in _branch_options(k + 1)}
+    found = {t for k in range(_count(max_codim, "max_codim") + 1) for t in _branch_options(k + 1)}
     return sorted(found, key=lambda t: (t.codim, encoding(t)))

@@ -6,9 +6,10 @@ and refuses the same models with the same message.
 At each pole z_i of order k, this route shifts the numerator to z_i + t as a
 truncated series, builds the other poles' factors there as a second series,
 inverts that one and multiplies: the Laurent coefficient of t^-s is the
-t^(k-s) coefficient of the product.  Every series is a list of Fractions.
-The code follows the route step for step; only the series are plain lists
-here rather than ``PowerSeries`` values.
+t^(k-s) coefficient of the product.  Every series is a plain list of
+Fractions, and the code follows the route step for step.  ``product``, the
+truncated series product, also builds the series reference of ``rho`` in
+``tests/test_cycles.py``.
 
 ``orbit_count`` is the brute-force count that ``profile_constants(p).components``
 is checked against: it was a public name of ``local_models`` that no engine
@@ -104,7 +105,8 @@ def product(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     for i, x in enumerate(a):
         if x:
             for j in range(len(a) - i):
-                out[i + j] += x * b[j]
+                if b[j]:
+                    out[i + j] += x * b[j]
     return out
 
 

@@ -10,8 +10,7 @@ A class expression must be a ``ClassExpr`` built from marked trees, and its
 constructor checks its basis, degree and terms.  The fuzz tests call each
 entry point, every callable public name of every submodule, every public method
 and operator of a small valid ``Polynomial``, ``RationalFunction``,
-``ClassExpr``, ``CycleExpr``, ``XPolynomial``, ``PowerSeries`` or
-``MarkedTree``, and ``reassemble`` on coordinates built from fuzzed fields,
+``ClassExpr``, ``CycleExpr``, ``XPolynomial`` or ``MarkedTree``, and ``reassemble`` on coordinates built from fuzzed fields,
 with such values, and accept only a result or a ``SingclassError``;
 ``TestArgvFuzz`` in ``test_cli.py`` does the same for the CLI.
 """
@@ -316,8 +315,8 @@ def test_every_argument_ends_in_a_result_or_a_singclass_error(name, data):
 # not the type aliases Profile and Partition
 _SUBMODULES = [
     importlib.import_module(f"singclass.{name}")
-    for name in ("classes", "combinatorics", "cycles", "exact", "grammar", "local_models",
-                 "trees", "verification")
+    for name in ("classes", "combinatorics", "cycles", "grammar", "local_models", "trees",
+                 "verification")
 ]
 PUBLIC = {name: getattr(module, name) for module in _SUBMODULES for name in module.__all__}
 PUBLIC = {
@@ -348,9 +347,6 @@ _RECEIVERS = {
     ClassExpr: _CLASSES,
     CycleExpr: _ELEMENTS,
     XPolynomial: _PROFILE_TERMS.map(XPolynomial),
-    singclass.PowerSeries: st.builds(
-        singclass.PowerSeries, st.lists(_COEFFICIENTS, max_size=4), st.integers(0, 4)
-    ),
     trees.MarkedTree: _TREES,
 }
 # an argument: a small valid value of any receiver class, or a fuzzed value
@@ -426,11 +422,6 @@ def _call_within_small_budgets(function, args) -> None:
         lambda: singclass.render_class(0),
         lambda: singclass.render_cycles(0),
         lambda: singclass.reassemble(0),
-        lambda: singclass.s_series(0),
-        lambda: singclass.s_series(2.5),
-        lambda: singclass.series_scale_arg(0, 1),
-        lambda: singclass.series_scale_arg(singclass.s_series(2), 0),
-        lambda: singclass.series_scale_arg(singclass.s_series(2), "3"),
         lambda: profiles_with_sum_and_length(2, Fraction(1, 2)),
         lambda: profiles_with_sum_and_length(-2, -2),
         lambda: partitions_of(2.5),
@@ -457,8 +448,6 @@ def _call_within_small_budgets(function, args) -> None:
         lambda: ClassExpr(BASIC, 3, [(stick(3), 1)]) - 0.5,
         lambda: CycleExpr([((2,), 1)]) + 0.5,
         lambda: XPolynomial([((2,), 1)]) * 0.5,
-        lambda: singclass.s_series(4) + 0.5,
-        lambda: singclass.s_series(4) * 0.5,
         lambda: verification.check_shifted_power_sums(2.5),
         lambda: verification.check_genus0_equality(1.5),
         lambda: verification.run_suite("ko", "1"),
@@ -479,17 +468,16 @@ def _call_within_small_budgets(function, args) -> None:
     ],
     ids=[
         "aut_count", "genus0_part", "genus0_part m", "parse_class", "parse_cycles",
-        "render_class", "render_cycles", "reassemble", "s_series 0", "s_series float",
-        "series_scale_arg", "series_scale_arg 0", "series_scale_arg str",
-        "profiles_with_sum_and_length", "profiles_with_sum_and_length negative",
-        "partitions_of float", "partitions_of bool", "Polynomial.leading zero",
+        "render_class", "render_cycles", "reassemble", "profiles_with_sum_and_length",
+        "profiles_with_sum_and_length negative", "partitions_of float", "partitions_of bool",
+        "Polynomial.leading zero",
         "Polynomial.divmod zero", "RationalFunction at a pole", "reassemble branches",
         "reassemble pole", "Polynomial call str", "Polynomial.scale str",
         "RationalFunction call str", "Polynomial +", "Polynomial -", "Polynomial *",
         "Polynomial.divmod int", "Polynomial.gcd int", "Polynomial.coefficient str",
         "Polynomial.scale float", "Polynomial call float", "Polynomial.from_roots str",
         "Polynomial.from_roots negative", "ClassExpr +", "ClassExpr -", "CycleExpr +",
-        "XPolynomial *", "PowerSeries +", "PowerSeries *", "check_shifted_power_sums float",
+        "XPolynomial *", "check_shifted_power_sums float",
         "check_genus0_equality float", "run_suite str", "load_fixture_rows missing",
         "parse_profile", "parse_tree", "render_xpoly", "render_xpoly_latex", "xpoly_to_json",
         "format_profile", "format_partition", "format_polynomial",

@@ -21,6 +21,7 @@ from singclass.combinatorics import (
     make_profile,
     mn_character,
     partitions_of,
+    profile_order,
     profiles_with_sum,
     shifted_power_sum,
 )
@@ -59,6 +60,27 @@ class TestProfilesWithSum:
     def test_zero_total(self):
         assert profiles_with_sum(0, 0) == [()]
         assert profiles_with_sum(0, 2) == []
+
+    @pytest.mark.parametrize("total, min_len", [(3, -7), (0, -1)])
+    def test_negative_counts_are_refused(self, total, min_len):
+        # a negative min_len once read as min_len=1 (or 0 for a zero total)
+        with pytest.raises(ConstraintError, match="must be nonnegative"):
+            profiles_with_sum(total, min_len)
+
+
+class TestProfileOrder:
+    def test_cycles_plus_total_length(self):
+        assert profile_order(()) == 0
+        assert profile_order((2, 1)) == 5
+        assert profile_order([1, 3]) == 6
+
+    @pytest.mark.parametrize("p", [(1.5,), (0, -3), (0,), (2, True)])
+    def test_what_make_profile_refuses_is_refused(self, p):
+        # (1.5,) once had order 2.5 and (0, -3) order -1
+        with pytest.raises(ConstraintError):
+            make_profile(p)
+        with pytest.raises(ConstraintError):
+            profile_order(p)
 
 
 def _s3_standard_character(cycle_type):

@@ -8,6 +8,7 @@ from functools import lru_cache
 from math import factorial, prod
 
 import pytest
+from hurwitz_reference import product
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +16,7 @@ from singclass.combinatorics import (
     aut_count,
     central_character,
     partitions_of,
+    profile_order,
     profiles_with_sum,
     shifted_power_sum,
 )
@@ -26,13 +28,11 @@ from singclass.cycles import (
     evaluate,
     genus0_part,
     multiply_central,
-    profile_order,
     rho,
     verify_in_group_algebra,
     x_polynomial,
 )
 from singclass.errors import ConstraintError
-from singclass.exact import PowerSeries, s_series, series_scale_arg
 from singclass.grammar import parse_cycles
 from singclass.verification import genus0_equality_check
 
@@ -152,24 +152,64 @@ class TestEvaluate:
         assert evaluate(completed_cycle(2), (1,)) == Fraction(1, 24)
 
 
+def _s_series(order: int, k: int = 1) -> list[Fraction]:
+    """S(kz), S(z) = sinh(z/2)/(z/2) = sum_n (z/2)^2n/(2n+1)!, truncated at z^order."""
+    return [Fraction(k**i, 4 ** (i // 2) * factorial(i + 1)) if i % 2 == 0 else Fraction(0)
+            for i in range(order + 1)]
+
+
+@lru_cache(maxsize=None)
+def _series_product(order: int, e: int, p: tuple[int, ...]) -> list[Fraction]:
+    """S(z)^e prod_{k in p} S(kz), truncated at z^order and memoised, so
+    profiles share their powers of S and their prefixes; the caller must not
+    change the list."""
+    if p:
+        return product(_series_product(order, e, p[:-1]), _s_series(order, p[-1]))
+    if e:
+        return product(_series_product(order, e - 1, ()), _s_series(order))
+    return [Fraction(1)] + [Fraction(0)] * order
+
+
 def _rho_reference(g: int, p: tuple[int, ...]) -> Fraction:
-    """rho(g, p) from its definition, every series built afresh."""
-    order = max(2 * g, 1)
-    s = [Fraction(1, 4 ** (i // 2) * factorial(i + 1)) if i % 2 == 0 else Fraction(0)
-         for i in range(order + 1)]
+    """rho(g, p) from its definition by series products: (prod p / K!) times
+    the z^2g coefficient of S(z)^(K-1) prod S(k_i z), K = sum(p)."""
+    series = _series_product(max(2 * g, 1), sum(p) - 1, p)
+    return Fraction(prod(p), factorial(sum(p))) * series[2 * g]
 
-    def scaled(k: int) -> PowerSeries:
-        return PowerSeries([c * k**i for i, c in enumerate(s)], order)
 
-    series = PowerSeries.one(order)
-    for k in (1,) * (sum(p) - 1) + p:
-        series = series * scaled(k)
-    return Fraction(prod(p), factorial(sum(p))) * series.coefficient(2 * g)
+class TestSeriesReference:
+    def test_constant_term(self):
+        assert _s_series(4)[0] == 1
+
+    def test_quadratic_coefficient(self):
+        # Taylor expansion of sinh(z/2)/(z/2) has z^2 coefficient 1/24
+        assert _s_series(4)[2] == Fraction(1, 24)
+
+    def test_quartic_coefficient(self):
+        assert _s_series(6)[4] == Fraction(1, 1920)
+
+    def test_odd_coefficients_vanish(self):
+        s = _s_series(9)
+        assert all(s[n] == 0 for n in range(1, 10, 2))
+
+    def test_even_coefficient_closed_form(self):
+        s = _s_series(12)
+        for n in range(0, 13, 2):
+            assert s[n] == Fraction(1, 2**n) / factorial(n + 1)
+
+    def test_scale_identity(self):
+        assert _s_series(8, 1) == _s_series(8)
+
+    def test_scale_three(self):
+        assert _s_series(4, 3)[2] == Fraction(3, 8)
+
+    def test_scale_leaves_the_constant(self):
+        assert _s_series(4, 2)[0] == 1
 
 
 class TestCharacterKernel:
     """evaluate and rho against plain references: one Fraction per term, and
-    the S-series rebuilt on every call."""
+    the series products on Fraction lists."""
 
     @settings(deadline=None, max_examples=40)
     @given(st.lists(
@@ -195,22 +235,8 @@ class TestCharacterKernel:
         st.integers(min_value=0, max_value=5),
         st.sampled_from([p for total in range(1, 9) for p in profiles_with_sum(total)]),
     )
-    def test_rho_matches_an_unmemoised_series(self, g, p):
+    def test_rho_matches_the_series_reference(self, g, p):
         assert rho(g, p) == _rho_reference(g, p)
-
-
-@lru_cache(maxsize=None)
-def _s_power(order: int, e: int) -> PowerSeries:
-    return s_series(order).pow(e)
-
-
-def _rho_from_series(g: int, p: tuple[int, ...]) -> Fraction:
-    """rho(g, p) by series products: S(z)^(K-1) prod S(k_i z), truncated at z^2g."""
-    order = max(2 * g, 1)
-    series = _s_power(order, sum(p) - 1)
-    for k in p:
-        series = series * series_scale_arg(s_series(order), k)
-    return Fraction(prod(p), factorial(sum(p))) * series.coefficient(2 * g)
 
 
 class TestAgainstTheSeriesRoute:
@@ -222,7 +248,7 @@ class TestAgainstTheSeriesRoute:
         for g in range(0, 7):
             for total in range(1, 13):
                 for p in profiles_with_sum(total):
-                    assert rho(g, p) == _rho_from_series(g, p), (g, p)
+                    assert rho(g, p) == _rho_reference(g, p), (g, p)
 
     def test_completed_cycles_evaluate_to_shifted_power_sums(self):
         for m in range(0, 11):

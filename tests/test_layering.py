@@ -3,8 +3,11 @@
 The class side (trees, classes) and the cycle side (cycles) rest on a shared
 bottom layer and never import each other; grammar renders and parses both,
 verification is the only other module that uses both, and cli is on top.
-``exact`` (truncated power series) has no engine user: only the package root
-may import it, for its public names.
+``exact`` is an empty placeholder that no module imports: the truncated
+power series it held had no engine user and are gone, and the file stays
+only because the benchmark's tracer imports every module it names as a
+layer (``test_the_benchmark_tracer_installs`` fails once a layer it names is
+missing).
 Every import of a library module sits in its import block, so that block
 says what the module depends on.  Only the two entry points defer imports,
 so that a CLI call loads just what its verb runs: each of cli's verb handlers
@@ -31,6 +34,7 @@ the verify suites, whose messages name the CLI option.
 from __future__ import annotations
 
 import ast
+import importlib
 import subprocess
 import sys
 from pathlib import Path
@@ -46,7 +50,7 @@ _SIDES = _BOTTOM | {"trees", "classes", "cycles", "local_models"}
 # module -> the singclass modules it may import
 ALLOWED = {
     "errors": set(),
-    "exact": {"errors"},
+    "exact": set(),
     "combinatorics": {"errors"},
     "trees": {"errors"},
     "classes": _BOTTOM | {"trees"},
@@ -55,7 +59,7 @@ ALLOWED = {
     "grammar": _SIDES,
     "verification": _SIDES | {"grammar"},
     "cli": _SIDES | {"grammar", "verification"},
-    "__init__": _SIDES | {"grammar", "exact"},
+    "__init__": _SIDES | {"grammar"},
 }
 
 # module -> the (function, import) pairs allowed inside function bodies: the
@@ -293,3 +297,25 @@ def test_every_memo_table_is_listed():
 def test_trees_keep_one_node_table():
     bindings = _module_bindings(SRC / "singclass" / "trees.py")
     assert [name for name, value in bindings.items() if _is_dict(value)] == ["_NODES"]
+
+
+def test_exact_is_an_empty_placeholder():
+    exact = importlib.import_module("singclass.exact")
+    assert [name for name in vars(exact) if not name.startswith("_")] == []
+    errors = importlib.import_module("singclass.errors")
+    assert not hasattr(errors, "TruncationError")
+    singclass = importlib.import_module("singclass")
+    for name in ("PowerSeries", "s_series", "series_scale_arg"):
+        assert name not in singclass.__all__
+        with pytest.raises(AttributeError):
+            getattr(singclass, name)
+
+
+def test_the_benchmark_tracer_installs():
+    # the tracer of perfbench/ imports every module it names as a layer, so
+    # a module deleted before the benchmark's layer list drops it fails here
+    code = (
+        "import sys; sys.path[:0] = ['src', 'perfbench']; import tracing; "
+        "t = tracing.Tracer(); t.install(); t.uninstall()"
+    )
+    subprocess.run([sys.executable, "-S", "-c", code], cwd=SRC.parent, check=True)

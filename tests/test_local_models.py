@@ -9,6 +9,8 @@ from math import prod
 
 import hurwitz_reference
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from singclass.combinatorics import profiles_with_sum
 from singclass import local_models
@@ -97,6 +99,79 @@ class TestPolynomial:
         assert format_polynomial(p) == "-1 + z^2"
         assert format_polynomial(Polynomial.zero()) == "0"
         assert format_polynomial(Polynomial([0, Fraction(3, 2)])) == "3/2*z"
+
+
+# Coefficient lists with zeros inside and general ones; ints are mixed in,
+# since the constructors must convert them.
+_COEFF = st.one_of(
+    st.just(0),
+    st.integers(-5, 5),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+)
+_COEFFS = st.lists(_COEFF, max_size=5)
+# (root, multiplicity) pairs, repeated roots allowed
+_ROOTS = st.lists(st.tuples(_COEFF, st.integers(0, 3)), min_size=1, max_size=4)
+
+
+def _reference_mul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _values(coeffs):
+    out = [Fraction(c) for c in coeffs]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def _all_fractions(coeffs) -> bool:
+    return all(type(c) is Fraction for c in coeffs)
+
+
+class TestCoefficientsStayFractions:
+    @settings(deadline=None, max_examples=40)
+    @given(_COEFFS, _COEFFS, _COEFF)
+    def test_xi_polynomial_operations(self, a, b, c):
+        p, q = Polynomial(a), Polynomial(b)
+        pa, qa = list(_values(a)), list(_values(b))
+        n = max(len(pa), len(qa))
+
+        def pad(v):
+            return v + [Fraction(0)] * (n - len(v))
+
+        results = {
+            "+": (p + q, [x + y for x, y in zip(pad(pa), pad(qa))]),
+            "-": (p - q, [x - y for x, y in zip(pad(pa), pad(qa))]),
+            "*": (p * q, _reference_mul(pa, qa)),
+            "scale": (p.scale(c), [x * c for x in pa]),
+            "derivative": (p.derivative(), [i * x for i, x in enumerate(pa)][1:]),
+        }
+        if q.coeffs:
+            quot, rem = p.divmod(q)
+            results["divmod"] = (quot * q + rem, pa)
+            assert not rem.coeffs or rem.degree < q.degree
+            assert _all_fractions(quot.coeffs) and _all_fractions(rem.coeffs)
+        for name, (got, want) in results.items():
+            assert got.coeffs == _values(want), name
+            assert _all_fractions(got.coeffs), name
+
+    @settings(deadline=None, max_examples=25)
+    @given(_ROOTS, st.data())
+    def test_from_roots_splits_off_one_pole(self, pairs, data):
+        i = data.draw(st.integers(0, len(pairs) - 1))
+        whole = Polynomial.from_roots(pairs)
+        others = Polynomial.from_roots(pairs[:i] + pairs[i + 1:])
+        assert whole == Polynomial.from_roots([pairs[i]]) * others
+        assert _all_fractions(whole.coeffs)
+        reference = [Fraction(1)]
+        for root, mult in pairs:
+            for _ in range(mult):
+                reference = _reference_mul(reference, [-Fraction(root), Fraction(1)])
+        assert whole.coeffs == _values(reference)
 
 
 class TestCanonicalFunction:

@@ -17,8 +17,8 @@ from fractions import Fraction
 import pytest
 
 from singclass.classes import ClassExpr
-from singclass.cycles import CycleExpr, XPolynomial, _ProfileTerms, evaluate
-from singclass.exact import PowerSeries
+from singclass.combinatorics import _ProfileTerms
+from singclass.cycles import CycleExpr, XPolynomial, evaluate
 from singclass.grammar import _Style
 from singclass.local_models import (
     BranchCoordinates,
@@ -57,10 +57,6 @@ CASES = [
     (
         XPolynomial, ("terms",), ((((3,), _F(1, 6)),),),
         "XPolynomial(terms=(((3,), Fraction(1, 6)),))",
-    ),
-    (
-        PowerSeries, ("coeffs", "truncation_order"), ((_F(1), _F(1, 2)), 1),
-        "PowerSeries(coeffs=(Fraction(1, 1), Fraction(1, 2)), truncation_order=1)",
     ),
     (
         Polynomial, ("coeffs",), ((_F(-1), _F(1)),),

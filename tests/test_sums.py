@@ -7,6 +7,7 @@ canonical input gives, and rebuilding a value from its fields gives it back."""
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -17,7 +18,6 @@ from hypothesis import strategies as st
 from singclass.classes import BASIC, SINGULARITY, ClassExpr, basic_to_sing, sing_to_basic
 from singclass.cycles import CycleExpr, XPolynomial
 from singclass.errors import ConstraintError
-from singclass.exact import PowerSeries
 from singclass.grammar import parse_class, render_class, render_cycles
 from singclass.local_models import Polynomial, RationalFunction
 from singclass.trees import encoding, star, stick
@@ -135,17 +135,6 @@ class TestConstructors:
         assert p.degree == (len(p.coeffs) - 1 if p.coeffs else None)
 
     @_SETTINGS
-    @given(st.lists(_EXACT, max_size=6), st.integers(0, 6))
-    def test_power_series_input_is_made_canonical(self, coeffs, order):
-        s = PowerSeries(coeffs, order)
-        assert PowerSeries(*s._values()) == s
-        dense = [Fraction(c) for c in coeffs[: order + 1]]
-        dense += [Fraction(0)] * (order + 1 - len(dense))
-        assert s.coeffs == tuple(dense)
-        assert PowerSeries(dense + [1, 2], order) == s  # cut at the order
-        assert PowerSeries(coeffs[: order + 1], order) == s  # padded to it
-
-    @_SETTINGS
     @given(_POLYNOMIALS, _POLYNOMIALS.filter(lambda p: p.coeffs),
            _POLYNOMIALS.filter(lambda p: p.coeffs), _EXACT.filter(bool))
     def test_rational_function_input_is_made_canonical(self, n, d, g, c):
@@ -189,9 +178,9 @@ class TestTheExamplesThatDifferedByConstructor:
 
     @pytest.mark.parametrize(
         "build",
-        [lambda: Polynomial([0.5]), lambda: PowerSeries([0.5], 1), lambda: RationalFunction(1, _ONE),
+        [lambda: Polynomial([0.5]), lambda: RationalFunction(1, _ONE),
          lambda: RationalFunction(_ONE, Polynomial.zero())],
-        ids=["polynomial float", "series float", "function of an int", "zero denominator"],
+        ids=["polynomial float", "function of an int", "zero denominator"],
     )
     def test_inexact_or_malformed_input_is_refused(self, build):
         with pytest.raises(ConstraintError):
@@ -233,3 +222,34 @@ class TestDegree:
         assert ClassExpr(e.basis, e.degree, e.terms) == e
         with pytest.raises(ConstraintError):
             ClassExpr(e.basis, top - k, e.terms)
+
+
+def rnd_fraction(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+
+
+class TestRational:
+    def test_serialization(self):
+        assert str(Fraction(11, 48)) == "11/48"
+        assert str(Fraction(-3, 2)) == "-3/2"
+        assert str(Fraction(7)) == "7"
+
+    def test_field_laws_on_random_triples(self):
+        rng = random.Random(20240308)
+        for _ in range(200):
+            a, b, c = (rnd_fraction(rng) for _ in range(3))
+            assert (a + b) + c == a + (b + c)
+            assert (a * b) * c == a * (b * c)
+            assert a + b == b + a
+            assert a * b == b * a
+            assert a * (b + c) == a * b + a * c
+
+    def test_normalization_is_idempotent(self):
+        q = Fraction(6, -8)
+        assert q.denominator > 0
+        assert Fraction(q.numerator, q.denominator) == q
+        assert Fraction(0, 5) == Fraction(0, 1)
+
+    def test_division_by_zero_is_an_error(self):
+        with pytest.raises(ZeroDivisionError):
+            Fraction(1) / Fraction(0)

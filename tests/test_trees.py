@@ -404,6 +404,12 @@ class TestMalformedInput:
         with pytest.raises(ConstraintError, match="max_codim must be an integer"):
             enumerate_trees(bad)
 
+    @pytest.mark.parametrize("bad", [-1, -5])
+    def test_enumerate_trees_refuses_a_negative_codim(self, bad):
+        # it once returned [] for every negative codimension
+        with pytest.raises(ConstraintError, match="max_codim must be nonnegative"):
+            enumerate_trees(bad)
+
 
 class TestGraft:
     def test_sticks_graft_as_leaf_relabeling(self):
