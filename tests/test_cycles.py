@@ -96,6 +96,17 @@ class TestRho:
     def test_genus_two_one(self):
         assert rho(2, (1,)) == Fraction(1, 1920)
 
+    @pytest.mark.parametrize("p", [(1, 1), (1, 2), (2, 2), (1, 1, 3)])
+    def test_genus_zero_is_the_leading_factor(self, p):
+        # S(0) = 1, so only prod(p) / K! is left
+        assert rho(0, p) == _rho_reference(0, p) == Fraction(prod(p), factorial(sum(p)))
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_genus_one_single_part(self, k):
+        # the z^2 coefficient of S(z)^(k-1) S(kz) is (k - 1 + k^2) / 24
+        expected = Fraction(k, factorial(k)) * Fraction(k * k + k - 1, 24)
+        assert rho(1, (k,)) == _rho_reference(1, (k,)) == expected
+
     def test_empty_profile_rejected(self):
         with pytest.raises(ConstraintError):
             rho(0, ())
@@ -205,6 +216,13 @@ class TestSeriesReference:
 
     def test_scale_leaves_the_constant(self):
         assert _s_series(4, 2)[0] == 1
+
+    @pytest.mark.parametrize("e, p", [(0, (1,)), (3, ()), (2, (2, 3)), (5, (1, 1, 4))])
+    def test_quadratic_coefficient_of_a_product(self, e, p):
+        # each factor S(kz) adds k^2 / 24 to the z^2 coefficient
+        series = _series_product(4, e, p)
+        assert series[0] == 1
+        assert series[2] == Fraction(e + sum(k * k for k in p), 24)
 
 
 class TestCharacterKernel:
@@ -395,6 +413,33 @@ class TestEquality1:
     def test_rejects_degree_zero(self):
         with pytest.raises(ConstraintError):
             genus0_equality_check(0)
+
+
+class TestTermOrder:
+    """Terms come sorted by descending order l + sum(p), then by length,
+    then by profile, and genus0_part keeps those of order m + 2."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: completed_cycle(5),
+            lambda: x_polynomial(5),
+            lambda: multiply_central((2, 2), (2, 2)),
+            lambda: multiply_central((1, 2), (3,)),
+            lambda: parse_cycles("C[1] + C[1,1,1] + C[3] + C[1,2] + C[2,2] + C[4]"),
+        ],
+        ids=["completed_cycle", "x_polynomial", "product 22 22", "product 12 3", "parsed"],
+    )
+    def test_terms_are_sorted_by_order_then_length(self, make):
+        profiles = [p for p, _ in make().terms]
+        keys = [(-profile_order(p), len(p), p) for p in profiles]
+        assert len(profiles) > 1
+        assert keys == sorted(keys)
+
+    def test_genus0_part_keeps_the_terms_of_top_order(self):
+        for m in range(0, 7):
+            full, top = completed_cycle(m), genus0_part(completed_cycle(m), m)
+            assert top.profiles() == [p for p in full.profiles() if profile_order(p) == m + 2]
 
 
 class TestCycleExpr:

@@ -6,8 +6,8 @@ verification is the only other module that uses both, and cli is on top.
 ``exact`` is an empty placeholder that no module imports: the truncated
 power series it held had no engine user and are gone, and the file stays
 only because the benchmark's tracer imports every module it names as a
-layer (``test_the_benchmark_tracer_installs`` fails once a layer it names is
-missing).
+layer (``test_every_benchmark_layer_is_a_module`` and
+``test_the_benchmark_tracer_installs`` fail once a layer it names is missing).
 Every import of a library module sits in its import block, so that block
 says what the module depends on.  Only the two entry points defer imports,
 so that a CLI call loads just what its verb runs: each of cli's verb handlers
@@ -102,6 +102,18 @@ HAND_GATES = {("verification", "_floor")}
 
 # names of the canonical tree factory and its table, which MarkedTree replaced
 RETIRED_TREE_NAMES = {"tree", "_canonical", "_CANONICAL"}
+
+
+def _benchmark_layers() -> tuple[str, ...]:
+    """The LAYERS tuple of perfbench/tracing.py, read with ast: the modules
+    the benchmark's tracer imports."""
+    tracing = SRC.parent / "perfbench" / "tracing.py"
+    for node in _tree(tracing).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracing.py defines no LAYERS")
 
 
 def _tree(path: Path) -> ast.Module:
@@ -309,6 +321,12 @@ def test_exact_is_an_empty_placeholder():
         assert name not in singclass.__all__
         with pytest.raises(AttributeError):
             getattr(singclass, name)
+
+
+@pytest.mark.parametrize("layer", _benchmark_layers())
+def test_every_benchmark_layer_is_a_module(layer):
+    assert layer in ALLOWED
+    assert (SRC / "singclass" / f"{layer}.py").is_file()
 
 
 def test_the_benchmark_tracer_installs():
