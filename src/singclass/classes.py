@@ -70,10 +70,12 @@ class ClassExpr(Record):
     zero numerator, no vanishing tree, trees in encoding order.  ``terms`` is
     its Fraction view, built each time it is read; equality compares the
     form, and the hash, repr, copies and pickles are those of the fields
-    ``basis``, ``degree`` and ``terms``.
+    ``basis``, ``degree`` and ``terms``.  The slot ``_order`` caches the
+    display order of ``grammar``'s renderers; it is no field, so equality,
+    hash, repr and pickle ignore it, and a copy does not carry it.
     """
 
-    __slots__ = ("basis", "degree", "_form")
+    __slots__ = ("basis", "degree", "_form", "_order")
     _fields = ("basis", "degree", "terms")
 
     def __init__(

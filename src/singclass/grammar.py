@@ -6,6 +6,11 @@ polynomials and rational functions in z.  One token parser reads them all.
 Class-expression atoms: ``a_m``, ``i[k1,...,kl]``, ``d[m1,...,ms]``, ``psi``,
 ``xi``, ``T{tree}@sing`` / ``T{tree}@basic``; terms are joined by ``+``/``-``,
 factors by ``*``, exponents by ``^``, coefficients are rationals ``p/q``.
+
+``parse_class`` reads a text spelled as ``render_class`` spells it one term
+per pattern match, and hands any other text to the token parser, which
+gives every error its reason and position; no memo is keyed on a text.  The
+three class renderers share one display order, sorted once per expression.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ from .errors import ConstraintError, ParseError, Record, _operand
 from .trees import MarkedTree, encoding, star, stick
 
 __all__ = [
-    "ordered_monomials",
     "render_class",
     "render_class_latex",
     "class_to_json",
@@ -105,24 +109,25 @@ def _join(terms: Iterable[tuple[int, int, Sequence[str]]], style: _Style) -> str
     return "".join(parts) or "0"
 
 
-def _display_order(e: ClassExpr) -> list[tuple[MarkedTree, int, int, int]]:
+def _display_order(e: ClassExpr) -> tuple[tuple[MarkedTree, int, int, int], ...]:
     """(tree, xi power, numerator, denominator) for each term of e, the
     coefficient reduced from the stored integer form, in display order:
     ascending xi power, then descending tree weight, then encoding (the
-    stored order, which the stable sort keeps)."""
-    (den, terms), degree = _operand(e, ClassExpr, "a class renderer")._form, e.degree
+    stored order, which the stable sort keeps).  Sorted once per expression:
+    the first call stores the tuple in e's ``_order`` slot, and every class
+    renderer reads it from there."""
+    try:
+        return e._order
+    except AttributeError:
+        (den, terms), degree = _operand(e, ClassExpr, "a class renderer")._form, e.degree
     out = []
     for t, n in terms:
         g = gcd(n, den)
         out.append((t, degree - t.codim, n // g, den // g))
     out.sort(key=lambda m: (m[1], -m[0].weight))
-    return out
-
-
-def ordered_monomials(e: ClassExpr) -> list[tuple[MarkedTree, int, Fraction]]:
-    """Monomials ordered for display: ascending xi-degree, then descending
-    tree weight, then canonical encoding."""
-    return [(t, q, Fraction(n, d)) for t, q, n, d in _display_order(e)]
+    order = tuple(out)
+    object.__setattr__(e, "_order", order)
+    return order
 
 
 @lru_cache(maxsize=None)
@@ -154,15 +159,16 @@ def _class_atom(t: MarkedTree, basis: str, latex: bool) -> tuple[str, ...]:
 
 
 def _render_class(e: ClassExpr, style: _Style) -> str:
-    monomials = _display_order(e)
+    order = _display_order(e)  # first, since it refuses a value that is no ClassExpr
     basis, latex = e.basis, style is _LATEX
-    return _join(
-        (
-            (n, d, ((style.power("xi", q),) if q else ()) + _class_atom(t, basis, latex))
-            for t, q, n, d in monomials
-        ),
-        style,
-    )
+    xi = {0: ()}  # the xi factor of each power, spelled once per render
+    terms = []
+    for t, q, n, d in order:
+        factor = xi.get(q)
+        if factor is None:
+            factor = xi[q] = (style.power("xi", q),)
+        terms.append((n, d, factor + _class_atom(t, basis, latex)))
+    return _join(terms, style)
 
 
 def render_class(e: ClassExpr) -> str:
@@ -187,7 +193,7 @@ def _json_list(items: list[str], indent: str) -> str:
 
 def class_to_json(e: ClassExpr) -> str:
     terms = [
-        f'{{\n      "coeff": "{n if d == 1 else _TEXT.coeff.format(n, d)}",\n      "xi_power": {q},\n'
+        f'{{\n      "coeff": "{n if d == 1 else f"{n}/{d}"}",\n      "xi_power": {q},\n'
         f'      "tree": {_json_str(encoding(t))}\n    }}'
         for t, q, n, d in _display_order(e)
     ]
@@ -476,6 +482,89 @@ def _class_term(parser: _Parser, factors) -> tuple[MarkedTree, int, str | None]:
     return parsed, xi_degree, tag
 
 
+# One term of a class expression as render_class spells it: its sign ("-"
+# or none at the start of the text, " - " or " + " right after a term), then,
+# each optional and in this order, a coefficient p or p/q, a power of xi, a
+# power of psi, and an a_m, i[...] or d[...] atom, joined by "*".  Each
+# factor is followed by "*" or a word boundary, so no two factors touch, and
+# the term ends in a digit, "i" or "]" (so it is not empty and has no
+# trailing "*") right before the next sign or the end of the text.  A string,
+# which re compiles on the first parse_class call and caches: no import pays.
+_TERM = (
+    r"((?:\A(-?)|(?<=[0-9i\]]) ([-+]) )"
+    r"(?:([0-9]+)(?:/([0-9]+))?(?:\*|\b))?"
+    r"(?:(xi(?:\^[0-9]+)?)(?:\*|\b))?"
+    r"(?:(psi(?:\^[0-9]+)?)(?:\*|\b))?"
+    r"(?:a_([0-9]+)|([id]\[[0-9]+(?:,[0-9]+)*\]))?"
+    r"(?<=[0-9i\]])(?= [-+] |\Z))"
+)
+
+
+def _rendered_terms(text: str) -> list[tuple[int, int, MarkedTree, int, str | None]] | None:
+    """The terms of ``text`` as (numerator, denominator, tree, xi power,
+    basis constraint), the coefficient unreduced, when every term is spelled
+    as render_class spells it: one match of ``_TERM`` per term, the matches
+    tiling the text.  None for any other text, and for a term that
+    ``_Parser`` refuses or reads otherwise: a zero denominator, psi times
+    a_m, an atom payload that names no atom, or a literal too long for
+    ``int()``."""
+    terms, covered = [], 0
+    try:
+        for term, minus, sign, p, q, xi, psi, a, atom in re.findall(_TERM, text):
+            covered += len(term)
+            n = int(p) if p else 1
+            if minus or sign == "-":
+                n = -n
+            d = int(q) if q else 1
+            if d == 0:
+                return None
+            psi_power = (int(psi[4:]) if len(psi) > 3 else 1) if psi else 0
+            if atom:
+                t = _star_atom(atom[0], _atom_ints(atom), psi_power)
+                constraint = SINGULARITY if atom[0] == "i" else BASIC
+            elif a:
+                if psi:
+                    return None
+                t = stick(int(a))
+                constraint = SINGULARITY if t.marking > 0 else None
+            else:
+                t, constraint = stick(psi_power), BASIC if psi_power > 0 else None
+            terms.append((n, d, t, (int(xi[3:]) if len(xi) > 2 else 1) if xi else 0, constraint))
+    except (ParseError, ValueError):
+        return None
+    # non-overlapping matches that add up to the text's length tile it
+    return terms if terms and covered == len(text) else None
+
+
+def _class_sum(terms, default_basis: str) -> ClassExpr:
+    """The expression that the (numerator, denominator, tree, xi power,
+    basis constraint) terms add up to, over the lcm of the denominators;
+    its basis is the one the constraints name, else ``default_basis``."""
+    numerators, denominators, trees, xi_powers, constraints = zip(*terms)
+    constraints = set(constraints) - {None}
+    if len(constraints) > 1:
+        raise ParseError("expression mixes singularity-basis and basic-basis atoms")
+    basis = constraints.pop() if constraints else default_basis
+    den = lcm(*denominators)  # every coefficient as a numerator over den
+    if den > 1:
+        numerators = [n * (den // d) for n, d in zip(numerators, denominators)]
+    # the only place that reads per-term xi powers: the monomials that survive
+    # summing must share one total degree, which the expression then stores;
+    # when every term has one degree, summing need not be done here to know it
+    degrees = {t.codim + q for t, q in zip(trees, xi_powers)}
+    if len(degrees) > 1:
+        acc: dict[tuple[MarkedTree, int], int] = {}
+        for key, n in zip(zip(trees, xi_powers), numerators):
+            acc[key] = acc.get(key, 0) + n
+        degrees = {t.codim + q for (t, q), n in acc.items() if n and not t.vanishing}
+        if len(degrees) > 1:
+            raise ParseError(f"inhomogeneous class expression: total degrees {sorted(degrees)}")
+    degree = degrees.pop() if degrees else None
+    # _canonical_form sums by tree: the trees that survive have one xi power
+    # each, and zero sums and vanishing trees drop out
+    return _expr(basis, degree, _canonical_form(degree, (den, list(zip(trees, numerators)))))
+
+
 def parse_class(text: str, default_basis: str = SINGULARITY) -> ClassExpr:
     """Parse a class expression; the basis is inferred from the atoms.
 
@@ -483,29 +572,20 @@ def parse_class(text: str, default_basis: str = SINGULARITY) -> ClassExpr:
     bare psi powers and ``T{...}@basic`` force the basic one.  Mixing the two
     is an error, and expressions built only from rationals, xi powers and
     ``a_0`` fall back to ``default_basis``.
+
+    A text spelled as render_class spells it is read a term at a time
+    (``_rendered_terms``); any other text goes through ``_Parser``, token by
+    token, which reports every syntax error.
     """
     default_basis = _basis(default_basis)
-    parser = _Parser(text)
-    terms = parser.parse_sum(_class_factor)
-    den = lcm(*(d for _, d, _ in terms))  # every coefficient as a numerator over den
-    acc: dict[tuple[MarkedTree, int], int] = {}
-    constraints: set[str] = set()
-    for n, d, factors in terms:
-        t, q, constraint = _class_term(parser, factors)
-        if constraint:
-            constraints.add(constraint)
-        acc[t, q] = acc.get((t, q), 0) + n * (den // d)
-    if len(constraints) > 1:
-        raise ParseError("expression mixes singularity-basis and basic-basis atoms")
-    basis = constraints.pop() if constraints else default_basis
-    # the only place that reads per-term xi powers: the monomials that survive
-    # summing must share one total degree, which the expression then stores
-    kept = [(t, q, n) for (t, q), n in acc.items() if n and not t.vanishing]
-    degrees = sorted({t.codim + q for t, q, _ in kept})
-    if len(degrees) > 1:
-        raise ParseError(f"inhomogeneous class expression: total degrees {degrees}")
-    degree = degrees[0] if degrees else None
-    return _expr(basis, degree, _canonical_form(degree, (den, [(t, n) for t, _, n in kept])))
+    terms = _rendered_terms(text) if text.__class__ is str else None
+    if terms is None:
+        parser = _Parser(text)
+        terms = [
+            (n, d, *_class_term(parser, factors))
+            for n, d, factors in parser.parse_sum(_class_factor)
+        ]
+    return _class_sum(terms, default_basis)
 
 
 # ---------------------------------------------------------------------------

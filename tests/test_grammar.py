@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from grammar_reference import ordered_monomials
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +24,6 @@ from singclass.errors import ConstraintError, ParseError
 from singclass.grammar import (
     class_to_json,
     cycles_to_json,
-    ordered_monomials,
     format_partition,
     format_profile,
     parse_class,

@@ -2,9 +2,10 @@
 
 Every parser must return an equal value, or raise a ``ParseError`` with the
 same reason and position, on the CLI corpus, the benchmark texts, literals of
-every kind and mutated renders.  The one intended difference: the reference
-lets ``int()`` of an overlong ``a_m`` escape as ``ValueError``, where the
-grammar reports ``integer literal too long`` at the digits.  Every renderer
+every kind, mutated renders and the edges of ``parse_class``'s fast path.
+The one intended difference: the reference lets ``int()`` of an overlong
+``a_m`` escape as ``ValueError``, where the grammar reports ``integer literal
+too long`` at the digits.  Every renderer
 must give the same text, LaTeX and JSON on random expressions.
 """
 
@@ -172,6 +173,44 @@ def test_whitespace_inside_atoms_reads_the_same(texts):
     plain, spaced = texts
     assert grammar.parse_class(spaced) == grammar.parse_class(plain)
     _assert_agree(spaced)
+
+
+# texts at the edges of parse_class's fast path, each with whether the path
+# (_rendered_terms) reads it: every other text, and every term the path
+# cannot resolve, goes to _Parser, and both paths' terms meet the same
+# mixed-basis and degree checks
+_RENDER = grammar.render_class(product_expansion(3))
+FAST_PATH_EDGES = [
+    (" + xi", False), ("+a_1", False), ("1/0*a_1", False), ("psi*a_2", False),
+    ("i[1]", False), ("d[3]", False), ("a_1 + d[1,1]", True), ("a_1 + a_2", True),
+    ("1/2 *a_1", False), ("2*3*a_1", False), ("a_1*a_2", False), ("xi^0*a_2", True),
+    ("-0*a_3", True), (_RENDER, True), (_RENDER.replace(" + ", "\t+ ", 1), False),
+    (_RENDER + " ", False), ("9" * 5000 + "*a_1", False), ("1/" + "3" * 5000 + "*a_1", False),
+    ("xi^" + "9" * 5000 + "*a_1", False), ("psi^" + "9" * 5000 + "*d[0,1]", False),
+    ("i[1," + "7" * 5000 + "]", False),
+]
+
+
+@pytest.mark.parametrize("text, fast", FAST_PATH_EDGES, ids=[repr(t)[:30] for t, _ in FAST_PATH_EDGES])
+def test_the_fast_path_edges_read_as_the_reference_reads_them(text, fast):
+    assert (grammar._rendered_terms(text) is not None) == fast
+    for basis in (SINGULARITY, BASIC):
+        new = _outcome(grammar.parse_class, text, (basis,))
+        old = _outcome(reference.parse_class, text, (basis,))
+        assert new == old
+        if new[0] == "value":
+            assert new[1].basis == old[1].basis
+    _assert_agree(text)
+
+
+def test_every_benchmark_class_text_takes_the_fast_path():
+    texts = [t["text"] for t in EXPECTED["class_texts"]]
+    texts += [
+        field for row in EXPECTED["golden_rows"]
+        for field, basis in zip(row["fields"], row["bases"]) if basis != "cycle"
+    ]
+    assert len(texts) == 116
+    assert [t for t in texts if grammar._rendered_terms(t) is None] == []
 
 
 def test_an_overlong_a_literal_is_a_parse_error_at_its_digits():

@@ -22,7 +22,9 @@ which hash-conses them in the one module-level table of ``trees``.  No
 module defines a second tree constructor beside it.
 
 Every memo table is named here: each ``lru_cache`` is unbounded and lives
-as long as the process, so a new one is a reviewed change.
+as long as the process, so a new one is a reviewed change.  No memo of
+``grammar`` takes a parameter named ``text``: a memo keyed on a whole input
+would answer repeated texts from its table, not from the parser.
 
 An argument is refused in ``errors``: a count through ``_count`` or
 ``_integer``, an operand of the wrong type through ``_operand``.  No other
@@ -210,17 +212,22 @@ def _hand_gates(path: Path) -> set[str]:
     return out
 
 
-def _memoised(path: Path) -> set[str]:
-    """The name of every function the file decorates with lru_cache or cache."""
-    out = set()
+def _memoised_functions(path: Path) -> list[ast.FunctionDef | ast.AsyncFunctionDef]:
+    """Every function the file decorates with lru_cache or cache."""
+    out = []
     for fn in ast.walk(_tree(path)):
         if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
             for decorator in fn.decorator_list:
                 target = decorator.func if isinstance(decorator, ast.Call) else decorator
                 name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
                 if name in ("lru_cache", "cache"):
-                    out.add(fn.name)
+                    out.append(fn)
     return out
+
+
+def _memoised(path: Path) -> set[str]:
+    """The name of every function the file decorates with lru_cache or cache."""
+    return {fn.name for fn in _memoised_functions(path)}
 
 
 def _module_bindings(path: Path) -> dict[str, ast.AST | None]:
@@ -304,6 +311,18 @@ def test_arguments_are_refused_in_errors_only():
 def test_every_memo_table_is_listed():
     found = {path.stem: _memoised(path) for path in MODULES}
     assert {module: names for module, names in found.items() if names} == MEMO_TABLES
+
+
+def test_no_grammar_memo_is_keyed_on_a_text():
+    # a memo keyed on a whole input text would answer a repeated text from
+    # its table, so a benchmark that repeats texts would time the cache and
+    # not the parser, and the table would grow with every distinct input
+    found = {
+        fn.name
+        for fn in _memoised_functions(SRC / "singclass" / "grammar.py")
+        if "text" in {arg.arg for arg in ast.walk(fn.args) if isinstance(arg, ast.arg)}
+    }
+    assert found == set()
 
 
 def test_trees_keep_one_node_table():

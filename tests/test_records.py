@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import pytest
 
+from singclass import grammar
 from singclass.classes import ClassExpr
 from singclass.combinatorics import _ProfileTerms
 from singclass.cycles import CycleExpr, XPolynomial, evaluate
@@ -175,6 +176,30 @@ def test_a_cycle_expr_keeps_no_trace_of_evaluate():
         assert twin == fresh and not hasattr(twin, "_row")
     with pytest.raises(AttributeError):
         evaluated._row = None
+
+
+# every class renderer: each reads the display order the first one stores
+RENDERERS = (grammar.render_class, grammar.render_class_latex, grammar.class_to_json)
+
+
+def test_a_class_expr_keeps_no_trace_of_rendering():
+    # the renderers store the display order in a private slot; it is no field
+    terms = ((stick(3), _F(-1, 4)), (MarkedTree(0, (stick(1), stick(0))), _F(2, 3)))
+    rendered, fresh = ClassExpr("basic", 3, terms), ClassExpr("basic", 3, terms)
+    outputs = [render(rendered) for render in RENDERERS]
+    order = grammar._display_order(rendered)
+    assert order is grammar._display_order(rendered)  # sorted once, shared by all three
+    assert [render(rendered) for render in RENDERERS] == outputs
+    assert grammar._display_order(rendered) is order
+    assert hasattr(rendered, "_order") and not hasattr(fresh, "_order")
+    assert rendered == fresh and hash(rendered) == hash(fresh)
+    assert repr(rendered) == repr(fresh)
+    assert pickle.dumps(rendered) == pickle.dumps(fresh)
+    for twin in (copy.copy(rendered), copy.deepcopy(rendered), pickle.loads(pickle.dumps(rendered))):
+        assert twin == fresh and not hasattr(twin, "_order")
+        assert [render(twin) for render in RENDERERS] == outputs
+    with pytest.raises(AttributeError):
+        rendered._order = None
 
 
 def test_defaults():
