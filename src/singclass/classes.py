@@ -97,11 +97,12 @@ class ClassExpr(Record):
 
     @classmethod
     def _make(cls, basis: str, degree: int | None, form: tuple) -> "ClassExpr":
-        """The expression that stores ``form``, unchecked: a canonical integer
-        form, with ``degree`` None exactly when it has no term."""
+        """The expression of the given degree in ``basis`` that stores the
+        canonical integer form ``form``, unchecked; its degree is None when
+        the form has no term, whatever ``degree`` says."""
         self = super()._make()
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "degree", degree if form[1] else None)
         object.__setattr__(self, "_form", form)
         return self
 
@@ -164,14 +165,14 @@ class ClassExpr(Record):
                 "inhomogeneous class expression: total degrees "
                 f"{sorted((self.degree, other.degree))}"
             )
-        return _expr(self.basis, self.degree, _sum([(1, 1, self._form), (1, 1, other._form)]))
+        return ClassExpr._make(self.basis, self.degree, _sum([(1, 1, self._form), (1, 1, other._form)]))
 
     def __sub__(self, other: "ClassExpr") -> "ClassExpr":
         return self + _operand(other, ClassExpr, "-").scale(-1)
 
     def scale(self, c: Fraction | int) -> "ClassExpr":
         _exact((c,), "class coefficients")
-        return _expr(self.basis, self.degree, _sum([(c.numerator, c.denominator, self._form)]))
+        return ClassExpr._make(self.basis, self.degree, _sum([(c.numerator, c.denominator, self._form)]))
 
     def mul_xi(self, k: int = 1) -> "ClassExpr":
         _count(k, "xi exponent")
@@ -218,12 +219,6 @@ def _canonical_form(degree: int | None, form: tuple) -> tuple[int, tuple]:
     return form
 
 
-def _expr(basis: str, degree: int, form: tuple) -> ClassExpr:
-    """The expression of the given degree in ``basis`` that stores the
-    canonical integer form ``form``; degree None if it has no term."""
-    return ClassExpr._make(basis, degree if form[1] else None, form)
-
-
 def _glue(outer: MarkedTree, forms: list[tuple]) -> tuple[int, tuple]:
     """The integer forms ``forms`` substituted into the leaves of ``outer``:
     every choice of one term per form grafted in, numerators multiplied over
@@ -265,7 +260,7 @@ def product_expansion(m: int) -> ClassExpr:
     degree m.  It is m psi Pi_{m-1} - xi Pi_{m-1}, with Pi_0 the unit and psi
     the one operator _psi; the xi factor is implicit in the degree.  Its
     integer form is memoised per m."""
-    return _expr(SINGULARITY, m, _product_ints(_count(m, "m", 1)))
+    return ClassExpr._make(SINGULARITY, m, _product_ints(_count(m, "m", 1)))
 
 
 @lru_cache(maxsize=None)
@@ -278,7 +273,7 @@ def psi_power_sing(m: int) -> ClassExpr:
     """psi^m expanded in the singularity basis, of degree m: psi^0 is the
     unit and psi^m is the one operator _psi applied to psi^(m-1).  Its
     integer form is memoised per m."""
-    return _expr(SINGULARITY, m, _psi_ints(_count(m, "m")))
+    return ClassExpr._make(SINGULARITY, m, _psi_ints(_count(m, "m")))
 
 
 @lru_cache(maxsize=None)
@@ -317,7 +312,7 @@ def substitute(outer: MarkedTree, grafts: Iterable[ClassExpr]) -> ClassExpr:
     if any(not g._form[1] for g in grafts):
         return ClassExpr.zero(SINGULARITY)
     degree = outer.codim - outer.weight + sum(g.degree for g in grafts)
-    return _expr(SINGULARITY, degree, _glue(outer, [g._form for g in grafts]))
+    return ClassExpr._make(SINGULARITY, degree, _glue(outer, [g._form for g in grafts]))
 
 
 @lru_cache(maxsize=None)
@@ -361,14 +356,14 @@ def basic_to_sing(e: ClassExpr) -> ClassExpr:
     """Convert a basic-basis expression to the singularity basis: the sum of
     each term's coefficient times the memoised singularity-basis form of its tree."""
     _expect(e, BASIC, "basic_to_sing expects a basic-basis expression")
-    return _expr(SINGULARITY, e.degree, _convert(e, _basic_ints))
+    return ClassExpr._make(SINGULARITY, e.degree, _convert(e, _basic_ints))
 
 
 def sing_to_basic(e: ClassExpr) -> ClassExpr:
     """Convert a singularity-basis expression to the basic basis: the sum of
     each term's coefficient times the memoised basic-basis form of its tree."""
     _expect(e, SINGULARITY, "sing_to_basic expects a singularity-basis expression")
-    return _expr(BASIC, e.degree, _convert(e, _sing_ints))
+    return ClassExpr._make(BASIC, e.degree, _convert(e, _sing_ints))
 
 
 def point_class_tree(p: Profile) -> MarkedTree:

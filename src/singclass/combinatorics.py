@@ -38,7 +38,6 @@ __all__ = [
     "character_dimension",
     "central_character",
     "shifted_power_sum",
-    "profile_order",
     "CycleExpr",
     "XPolynomial",
 ]
@@ -213,13 +212,6 @@ def shifted_power_sum(lam: Partition, m: int) -> Fraction:
 
 # ---------------------------------------------------------------------------
 # profile-keyed value types; the algorithms on them live in cycles
-
-def profile_order(p: Profile) -> int:
-    """Order of a stable central element: number of cycles plus their total
-    length."""
-    p = make_profile(p)
-    return len(p) + sum(p)
-
 
 class _ProfileTerms(Record):
     """Profile -> nonzero rational map, sorted by descending order, then length.

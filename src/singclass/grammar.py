@@ -16,14 +16,13 @@ three class renderers share one display order, sorted once per expression.
 from __future__ import annotations
 
 import re
-import sys
 from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache, partial
 from json.encoder import encode_basestring_ascii as _json_str
 from math import gcd, lcm
 
-from .classes import BASIC, SINGULARITY, ClassExpr, _basis, _canonical_form, _expr
+from .classes import BASIC, SINGULARITY, ClassExpr, _basis, _canonical_form
 from .combinatorics import CycleExpr, Partition, Profile, XPolynomial, make_partition, make_profile
 from .errors import ConstraintError, ParseError, Record, _operand
 from .trees import MarkedTree, encoding, star, stick
@@ -209,7 +208,6 @@ def class_to_json(e: ClassExpr) -> str:
 
 _TOKEN_RE = re.compile(
     r"a_(?=\d)|\d+"  # a_m is the two tokens "a_" and "m"
-    r"|[id]\[\d+(?:,\d+)*\]"  # a whole i[...] or d[...] atom with no spaces inside
     r"|[A-Za-z]+"
     r"|(?<=\d)/\d+"  # the "/q" of a literal p/q with no spaces inside
     r"|[-+*/^\[\]{}();,@]"
@@ -220,8 +218,7 @@ _TOKEN_STARTS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz-+*/^[]{}()
 
 def _tokenize(text: str) -> list[str]:
     """The token strings of ``text`` without its whitespace, then "" for the
-    end of input; a literal p/q is the two tokens "p" and "/q", and an
-    ``i[...]`` or ``d[...]`` atom with no spaces inside is one token."""
+    end of input; a literal p/q is the two tokens "p" and "/q"."""
     tokens = _TOKEN_RE.findall(text)
     if tokens and not (tokens[-1][0].isdecimal() or tokens[-1][0] in _TOKEN_STARTS):
         raise ParseError(f"unexpected character {tokens[-1][0]!r}", len(text) - len(tokens[-1]))
@@ -390,24 +387,11 @@ def parse_tree(text: str) -> MarkedTree:
     return t
 
 
-@lru_cache(maxsize=None)
-def _atom_ints(token: str) -> tuple[int, ...]:
-    """The integers of a whole-atom token such as ``i[1,2,2]``."""
-    return tuple(map(int, token[2:-1].split(",")))
-
-
 def _class_factor(parser: _Parser):
     """One non-rational factor of a class term as (kind, payload, token index)."""
     index = parser.index
     token = parser.tokens[index]
     parser.index += 1
-    if token[1:2] == "[":  # a whole i[...] or d[...] atom
-        try:
-            return token[0], _atom_ints(token), index
-        except ValueError:  # more digits than sys.get_int_max_str_digits() in a group
-            limit = sys.get_int_max_str_digits()
-            at = next(m.start() for m in re.finditer(r"\d+", token) if len(m.group()) > limit)
-            raise ParseError("integer literal too long", parser.pos(index) + at) from None
     if token == "xi" or token == "psi":
         return token, parser.parse_int("an integer exponent") if parser.accept_op("^") else 1, index
     if token == "a_":
@@ -500,6 +484,13 @@ _TERM = (
 )
 
 
+@lru_cache(maxsize=None)
+def _atom_ints(token: str) -> tuple[int, ...]:
+    """The integers of an ``i[...]`` or ``d[...]`` atom that ``_TERM`` matched,
+    such as ``i[1,2,2]``."""
+    return tuple(map(int, token[2:-1].split(",")))
+
+
 def _rendered_terms(text: str) -> list[tuple[int, int, MarkedTree, int, str | None]] | None:
     """The terms of ``text`` as (numerator, denominator, tree, xi power,
     basis constraint), the coefficient unreduced, when every term is spelled
@@ -562,7 +553,7 @@ def _class_sum(terms, default_basis: str) -> ClassExpr:
     degree = degrees.pop() if degrees else None
     # _canonical_form sums by tree: the trees that survive have one xi power
     # each, and zero sums and vanishing trees drop out
-    return _expr(basis, degree, _canonical_form(degree, (den, list(zip(trees, numerators)))))
+    return ClassExpr._make(basis, degree, _canonical_form(degree, (den, list(zip(trees, numerators)))))
 
 
 def parse_class(text: str, default_basis: str = SINGULARITY) -> ClassExpr:

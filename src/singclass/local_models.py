@@ -6,7 +6,6 @@ are dense :class:`Polynomial` values over the rationals."""
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import lcm, prod
@@ -94,25 +93,6 @@ class Polynomial(Record):
         """Nonzero (exponent, coefficient) pairs, ascending in the exponent."""
         return [(k, c) for k, c in enumerate(self.coeffs) if c]
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        other = _operand(other, Polynomial, "+")
-        pairs = itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=_ZERO)
-        return Polynomial(a + b for a, b in pairs)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        other = _operand(other, Polynomial, "-")
-        pairs = itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=_ZERO)
-        return Polynomial(a - b for a, b in pairs)
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if not self.coeffs or not _operand(other, Polynomial, "*").coeffs:
-            return Polynomial.zero()
-        out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(out)
-
     def scale(self, c: Fraction | int) -> "Polynomial":
         _exact((c,), "a scale factor")
         c = Fraction(c)
@@ -138,9 +118,6 @@ class Polynomial(Record):
         while b.coeffs:
             a, b = b, a.divmod(b)[1]
         return a
-
-    def derivative(self) -> "Polynomial":
-        return Polynomial(k * c for k, c in enumerate(self.coeffs) if k >= 1)
 
     def __call__(self, x: Fraction | int) -> Fraction:
         _exact((x,), "the point z")
@@ -201,10 +178,6 @@ class RationalFunction(Record):
         if d == 0:
             raise ConstraintError(f"pole at {x}")
         return self.numerator(x) / d
-
-    def derivative(self) -> "RationalFunction":
-        n, d = self.numerator, self.denominator
-        return RationalFunction(n.derivative() * d - n * d.derivative(), d * d)
 
 
 class BranchCoordinates(Record):

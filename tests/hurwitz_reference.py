@@ -14,6 +14,12 @@ truncated series product, also builds the series reference of ``rho`` in
 ``orbit_count`` is the brute-force count that ``profile_constants(p).components``
 is checked against: it was a public name of ``local_models`` that no engine
 code called, and it enumerates all prod(p) points.
+
+``add``, ``sub``, ``mul`` and ``derivative`` of Polynomials, and
+``function_derivative`` of a RationalFunction by the quotient rule, are the
+polynomial algebra that ``local_models.Polynomial`` and ``RationalFunction``
+once carried as methods (``+``, ``-``, ``*`` and ``derivative``) and no
+engine code called; the tests build and differentiate functions with them.
 """
 
 from __future__ import annotations
@@ -51,6 +57,34 @@ def orbit_count(p: Sequence[int]) -> int:
                 )
             )
     return count
+
+
+def add(p: Polynomial, q: Polynomial) -> Polynomial:
+    pairs = itertools.zip_longest(p.coeffs, q.coeffs, fillvalue=Fraction(0))
+    return Polynomial(a + b for a, b in pairs)
+
+
+def sub(p: Polynomial, q: Polynomial) -> Polynomial:
+    pairs = itertools.zip_longest(p.coeffs, q.coeffs, fillvalue=Fraction(0))
+    return Polynomial(a - b for a, b in pairs)
+
+
+def mul(p: Polynomial, q: Polynomial) -> Polynomial:
+    out = [Fraction(0)] * max(len(p.coeffs) + len(q.coeffs) - 1, 0)
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j] += a * b
+    return Polynomial(out)
+
+
+def derivative(p: Polynomial) -> Polynomial:
+    return Polynomial(k * c for k, c in enumerate(p.coeffs) if k >= 1)
+
+
+def function_derivative(f: RationalFunction) -> RationalFunction:
+    """(n/d)' = (n' d - n d') / d^2."""
+    n, d = f.numerator, f.denominator
+    return RationalFunction(sub(mul(derivative(n), d), mul(n, derivative(d))), mul(d, d))
 
 
 def taylor(poly: Polynomial, at: Fraction, order: int) -> list[Fraction]:

@@ -207,7 +207,7 @@ class TestRoundTrips:
                 for e in (ClassExpr.single(source, t), ClassExpr.single(source, t).mul_xi(1)):
                     row = classes._convert(e, table)
                     assert row == classes._sum([(1, 1, table(t))])
-                    assert convert(e) == classes._expr(target, e.degree, row)
+                    assert convert(e) == classes.ClassExpr._make(target, e.degree, row)
 
 
 class TestTriangularity:

@@ -16,7 +16,6 @@ from singclass.combinatorics import (
     aut_count,
     central_character,
     partitions_of,
-    profile_order,
     profiles_with_sum,
     shifted_power_sum,
 )
@@ -35,6 +34,12 @@ from singclass.cycles import (
 from singclass.errors import ConstraintError
 from singclass.grammar import parse_cycles
 from singclass.verification import genus0_equality_check
+
+
+def profile_order(p: tuple[int, ...]) -> int:
+    """Order of a stable central element: number of cycles plus their total
+    length, the key ``CycleExpr`` sorts its terms by (descending)."""
+    return len(p) + sum(p)
 
 
 def _profiles_of_order_up_to(limit: int) -> list[tuple[int, ...]]:

@@ -220,8 +220,9 @@ _PROFILES = st.lists(st.integers(min_value=1, max_value=6), max_size=4).map(
 
 
 class TestAtomMemos:
-    """The grammar memoises each class atom it renders, each whole-atom token
-    it reads and each star it builds; the results must not depend on it."""
+    """The grammar memoises each class atom it renders, the integers of each
+    ``i[...]``/``d[...]`` atom its term pattern reads and each star it builds;
+    the results must not depend on it."""
 
     TEXT = "2*psi^2*d[0,1] - 1/3*xi*d[0,0] + d[ 0 , 1 ]*psi^2 + xi^3"
 
@@ -262,9 +263,11 @@ class TestAtomMemos:
                 "i[...] needs at least two ramification orders >= 1", 9,
             )
 
-    def test_a_well_formed_atom_is_one_token(self):
+    def test_an_atom_is_read_token_by_token(self):
+        # spaced or not, an i[...] or d[...] atom is its letter, brackets,
+        # integers and commas; only _TERM reads an atom whole
         assert grammar._tokenize("2*i[1,2] + d[ 0,1]*psi^2*d[1,2") == [
-            "2", "*", "i[1,2]", "+", "d", "[", "0", ",", "1", "]", "*",
+            "2", "*", "i", "[", "1", ",", "2", "]", "+", "d", "[", "0", ",", "1", "]", "*",
             "psi", "^", "2", "*", "d", "[", "1", ",", "2", "",
         ]
 

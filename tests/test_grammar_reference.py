@@ -119,8 +119,8 @@ def test_literals_read_the_same(text):
     _assert_agree(text)
 
 
-# the errors of the i[...] and d[...] atoms, whole-atom tokens and others,
-# as (reason, position)
+# the errors of the i[...] and d[...] atoms, spaced or not, as (reason,
+# position); the two 5 000-digit literals are too long for int()
 ATOM_ERRORS = [
     ("i[1]", ("i[...] needs at least two ramification orders >= 1", 0)),
     ("d[4]", ("d[...] needs at least two exponents", 0)),
@@ -154,7 +154,8 @@ _ATOM = re.compile(r"[id]\[[^\]]*\]")
 @st.composite
 def spaced_atoms(draw):
     """A rendered expansion, and the same text with whitespace drawn into
-    some of its i[...] and d[...] atoms, where it breaks the whole-atom token."""
+    some of its i[...] and d[...] atoms, where it breaks the term pattern
+    ``_TERM``, so the token parser reads the text."""
     text = draw(st.sampled_from(_RENDERS))
     blanks = st.sampled_from(["", "", " ", "  ", "\t", "\n"])
 

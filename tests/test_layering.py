@@ -9,7 +9,8 @@ only because the benchmark's tracer imports every module it names as a
 layer (``test_every_benchmark_layer_is_a_module`` and
 ``test_the_benchmark_tracer_installs`` fail once a layer it names is missing).
 Every import of a library module sits in its import block, so that block
-says what the module depends on.  Only the two entry points defer imports,
+says what the module depends on, and every name a module imports is read
+in it.  Only the two entry points defer imports,
 so that a CLI call loads just what its verb runs: each of cli's verb handlers
 imports its engine module, and the package root imports the home module of a
 public name on first access.  A library module that deferred an import would
@@ -243,6 +244,24 @@ def _module_bindings(path: Path) -> dict[str, ast.AST | None]:
     return out
 
 
+def _unused_imports(path: Path) -> set[str]:
+    """The names the file imports and never reads, ``from __future__``
+    imports aside; a name in ``__all__`` counts as read, since the module
+    exports it."""
+    imported, read = set(), set()
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+    exported = _module_bindings(path).get("__all__")
+    if isinstance(exported, (ast.List, ast.Tuple)):
+        read.update(ast.literal_eval(exported))
+    return imported - read
+
+
 def _is_dict(value: ast.AST | None) -> bool:
     return isinstance(value, (ast.Dict, ast.DictComp)) or (
         isinstance(value, ast.Call) and isinstance(value.func, ast.Name) and value.func.id == "dict"
@@ -265,6 +284,13 @@ def test_no_import_inside_a_function_body(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_imports_follow_the_layers(path):
     assert _singclass_imports(path) - ALLOWED[path.stem] == set()
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_imported_name_is_used(path):
+    # no linter is a test dependency: an import left behind by a deletion
+    # would otherwise only cost start-up time
+    assert _unused_imports(path) == set()
 
 
 def test_the_two_sides_never_import_each_other():

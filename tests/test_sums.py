@@ -12,6 +12,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hurwitz_reference import add, mul
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -140,7 +141,7 @@ class TestConstructors:
     def test_rational_function_input_is_made_canonical(self, n, d, g, c):
         f = RationalFunction(n, d)
         assert RationalFunction(*f._values()) == f
-        assert RationalFunction(n * g, d * g) == f
+        assert RationalFunction(mul(n, g), mul(d, g)) == f
         assert RationalFunction(n.scale(c), d.scale(c)) == f
         assert f.denominator.leading() == 1
         assert f.numerator.gcd(f.denominator).degree == 0
@@ -173,7 +174,7 @@ class TestTheExamplesThatDifferedByConstructor:
         assert Polynomial((Fraction(1), Fraction(0))) == Polynomial.one()
 
     def test_a_rational_function_is_reduced(self):
-        assert RationalFunction(_Z + _ONE, _Z + _ONE) == RationalFunction(_ONE, _ONE)
+        assert RationalFunction(add(_Z, _ONE), add(_Z, _ONE)) == RationalFunction(_ONE, _ONE)
         assert RationalFunction(_Z.scale(2), _Z.scale(4)).numerator == Polynomial([Fraction(1, 2)])
 
     @pytest.mark.parametrize(
