@@ -24,7 +24,8 @@ _HOMES = {
          "point_coefficient_delta", "rho", "verify_in_group_algebra", "x_polynomial"),
         "cycles",
     ),
-    **dict.fromkeys(("parse_class", "parse_cycles", "render_class", "render_cycles"), "grammar"),
+    **dict.fromkeys(("parse_class", "render_class"), "grammar"),
+    **dict.fromkeys(("parse_cycles", "render_cycles"), "notation"),
     **dict.fromkeys(
         ("HurwitzCoordinates", "RationalFunction", "canonical_function", "hurwitz_coordinates",
          "profile_constants", "reassemble"),

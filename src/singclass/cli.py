@@ -10,10 +10,14 @@ char over 48 boxes and multiply-cycles over 2 400 000 point steps (a cycle tuple
 or composition on N points is N steps) exit 3 as well.
 
 Each call is a fresh process, and with no bytecode cache every module it
-imports is compiled from source.  So the module top imports only grammar (and
-through it the class side's basis names), and each verb's handler imports the
-engine module it runs: only verify loads verification, only local-model loads
-local_models, and the class verbs and char load no cycles.
+imports is compiled from source.  So the module top imports only notation
+(the text of everything but class expressions) and errors, and each verb's
+handler imports what it runs: the class verbs (product, psi, to-sing,
+to-basic) load grammar and with it the class side, coeff psi loads classes,
+the cycle verbs load cycles, only local-model loads local_models and only
+verify loads verification; char loads nothing more.  The help formatters
+are given argparse's own terminal width, read without shutil, which
+argparse would otherwise import once per formatter it builds.
 """
 
 from __future__ import annotations
@@ -23,9 +27,9 @@ import itertools
 import json
 import os
 import sys
+from functools import partial
 
-from . import grammar
-from .classes import BASIC, SINGULARITY
+from . import notation
 from .errors import ConstraintError, ParseError, SingclassError
 
 EXIT_OK = 0
@@ -60,12 +64,13 @@ def _check_depth(n: int):
         )
 
 
-# grammar's emitter for each format, spelled for kind "class", "cycles" or "xpoly"
+# the emitter for each format, spelled for kind "class" (in grammar), "cycles"
+# or "xpoly" (in notation)
 _EMITTERS = {"text": "render_{}", "latex": "render_{}_latex", "json": "{}_to_json"}
 
 
-def _print_expr(kind: str, value, fmt: str):
-    print(getattr(grammar, _EMITTERS[fmt].format(kind))(value))
+def _print_expr(module, kind: str, value, fmt: str):
+    print(getattr(module, _EMITTERS[fmt].format(kind))(value))
 
 
 def _print_value(value, fmt: str):
@@ -75,15 +80,41 @@ def _print_value(value, fmt: str):
         print(value)
 
 
+def _terminal_width() -> int:
+    """The width that argparse reads through shutil.get_terminal_size: COLUMNS
+    if it is a positive int, else the columns of the terminal on stdout, else
+    80."""
+    try:
+        columns = int(os.environ["COLUMNS"])
+    except (KeyError, ValueError):
+        columns = 0
+    if columns > 0:
+        return columns
+    try:
+        return os.get_terminal_size(sys.__stdout__.fileno()).columns or 80
+    except (AttributeError, ValueError, OSError):  # stdout is None, closed or no terminal
+        return 80
+
+
+def _formatter():
+    """argparse's help formatter at the width argparse computes (the terminal
+    width minus 2), given up front: without a width, each of the formatters
+    that building the parser makes, one per argument, imports shutil and
+    with it fnmatch, zlib, bz2 and lzma."""
+    return partial(argparse.HelpFormatter, width=_terminal_width() - 2)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    formatter = _formatter()
     parser = argparse.ArgumentParser(
         prog="singclass",
         description="Exact singularity/basic class expansions and completed-cycle calculus",
+        formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def add(name, help_text):
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, formatter_class=formatter)
         p.add_argument("--format", choices=_FORMATS, default="text")
         return p
 
@@ -129,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("x")
     p.add_argument("poles", help="comma-separated pole locations, one per branch")
 
-    p = sub.add_parser("verify", help="run a verification suite")
+    p = sub.add_parser("verify", help="run a verification suite", formatter_class=formatter)
     p.add_argument("suite", choices=_SUITES)
     p.add_argument("--max-m", type=int, default=None)
 
@@ -137,32 +168,35 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_product(args) -> int:
-    from . import classes
+    from . import classes, grammar
 
     _check_depth(args.m)
-    _print_expr("class", classes.product_expansion(args.m), args.format)
+    _print_expr(grammar, "class", classes.product_expansion(args.m), args.format)
     return EXIT_OK
 
 
 def _cmd_psi(args) -> int:
-    from . import classes
+    from . import classes, grammar
 
     _check_depth(args.m)
-    _print_expr("class", classes.psi_power_sing(args.m), args.format)
+    _print_expr(grammar, "class", classes.psi_power_sing(args.m), args.format)
     return EXIT_OK
 
 
-def _cmd_convert(args, target: str) -> int:
-    from . import classes
+def _cmd_convert(args) -> int:
+    from . import classes, grammar
 
+    target = classes.SINGULARITY if args.verb == "to-sing" else classes.BASIC
     expr = grammar.parse_class(args.expression, default_basis=target)
     if expr.degree is not None:
         _check_depth(expr.degree)
-    if target == SINGULARITY:
-        out = classes.basic_to_sing(expr) if expr.basis == BASIC else expr
+    if expr.basis == target:
+        out = expr
+    elif target == classes.SINGULARITY:
+        out = classes.basic_to_sing(expr)
     else:
-        out = classes.sing_to_basic(expr) if expr.basis == SINGULARITY else expr
-    _print_expr("class", out, args.format)
+        out = classes.sing_to_basic(expr)
+    _print_expr(grammar, "class", out, args.format)
     return EXIT_OK
 
 
@@ -173,7 +207,7 @@ def _cmd_completed_cycle(args) -> int:
     element = cycles.completed_cycle(args.m)
     if args.genus0:
         element = cycles.genus0_part(element, args.m)
-    _print_expr("cycles", element, args.format)
+    _print_expr(notation, "cycles", element, args.format)
     return EXIT_OK
 
 
@@ -181,19 +215,20 @@ def _cmd_x_poly(args) -> int:
     from . import cycles
 
     _check_depth(args.m)
-    _print_expr("xpoly", cycles.x_polynomial(args.m, normalized=not args.raw), args.format)
+    x_poly = cycles.x_polynomial(args.m, normalized=not args.raw)
+    _print_expr(notation, "xpoly", x_poly, args.format)
     return EXIT_OK
 
 
 def _cmd_multiply_cycles(args) -> int:
     from . import cycles
 
-    p1 = grammar.parse_profile(args.p1)
-    p2 = grammar.parse_profile(args.p2)
+    p1 = notation.parse_profile(args.p1)
+    p2 = notation.parse_profile(args.p2)
     product = cycles.multiply_central(p1, p2)
     # check before printing, so that a refused check leaves stdout empty
     ok = args.verify_at is None or cycles.verify_in_group_algebra(p1, p2, product, args.verify_at)
-    _print_expr("cycles", product, args.format)
+    _print_expr(notation, "cycles", product, args.format)
     if args.verify_at is not None:
         print(f"group-algebra check at N={args.verify_at}: {'PASS' if ok else 'FAIL'}")
     return EXIT_OK if ok else EXIT_VERIFY
@@ -202,8 +237,8 @@ def _cmd_multiply_cycles(args) -> int:
 def _cmd_char(args) -> int:
     from .combinatorics import mn_character
 
-    lam = grammar.parse_partition(args.partition)
-    mu = grammar.parse_partition(args.cycle_type)
+    lam = notation.parse_partition(args.partition)
+    mu = notation.parse_partition(args.cycle_type)
     _print_value(mn_character(lam, mu), args.format)
     return EXIT_OK
 
@@ -219,7 +254,7 @@ def _cmd_coeff(args) -> int:
         except ValueError:
             raise ParseError(f"bad integer M: {args.args[0]!r}") from None
         _check_depth(m)
-        profile = grammar.parse_profile(args.args[1])
+        profile = notation.parse_profile(args.args[1])
         value = classes.point_coefficient_psi(m, profile, raw=args.raw)
     else:
         if args.raw:
@@ -228,9 +263,9 @@ def _cmd_coeff(args) -> int:
             raise ConstraintError("coeff delta expects: MS PROFILE")
         from . import cycles
 
-        ms = grammar.parse_exponents(args.args[0])
+        ms = notation.parse_exponents(args.args[0])
         _check_depth(2 * len(ms) + sum(ms) - 2)  # the codim of psi^(s-2) d[ms], as M of psi^M
-        profile = grammar.parse_profile(args.args[1])
+        profile = notation.parse_profile(args.args[1])
         value = cycles.point_coefficient_delta(ms, profile)
     _print_value(str(value), args.format)
     return EXIT_OK
@@ -239,9 +274,9 @@ def _cmd_coeff(args) -> int:
 def _cmd_local_model(args) -> int:
     from . import local_models
 
-    orders = grammar.parse_orders(args.profile)
-    x = grammar.parse_rational_value(args.x, "x value")
-    poles = grammar.parse_rational_list(args.poles, "pole list")
+    orders = notation.parse_orders(args.profile)
+    x = notation.parse_rational_value(args.x, "x value")
+    poles = notation.parse_rational_list(args.poles, "pole list")
     # each pole belongs to the order typed at its position; the branches are
     # then listed by order (a count mismatch is left to canonical_function)
     if len(orders) == len(poles):
@@ -256,7 +291,7 @@ def _cmd_local_model(args) -> int:
             "K": constants.lcm,
             "r": list(constants.exponents),
             "d": constants.components,
-            "function": grammar.format_function(f),
+            "function": notation.format_function(f),
             "constant": str(coords.constant),
             "branches": [
                 {
@@ -270,9 +305,9 @@ def _cmd_local_model(args) -> int:
         }
         print(json.dumps(payload, indent=2))
     else:
-        print(f"profile: {grammar.format_profile(profile)}")
+        print(f"profile: {notation.format_profile(profile)}")
         print(f"K = {constants.lcm}, r = {constants.exponents}, d = {constants.components}")
-        print(f"f = {grammar.format_function(f)}")
+        print(f"f = {notation.format_function(f)}")
         for b in coords.branches:
             tail = ", ".join(str(a) for a in b.tail) or "-"
             print(f"pole {b.pole}: k = {b.order}, u = {b.u}, a = {tail}")
@@ -330,8 +365,8 @@ def main(argv=None) -> int:
     handlers = {
         "product": _cmd_product,
         "psi": _cmd_psi,
-        "to-sing": lambda a: _cmd_convert(a, SINGULARITY),
-        "to-basic": lambda a: _cmd_convert(a, BASIC),
+        "to-sing": _cmd_convert,
+        "to-basic": _cmd_convert,
         "completed-cycle": _cmd_completed_cycle,
         "x-poly": _cmd_x_poly,
         "multiply-cycles": _cmd_multiply_cycles,

@@ -324,8 +324,8 @@ def test_every_argument_ends_in_a_result_or_a_singclass_error(name, data):
 # not the type aliases Profile and Partition
 _SUBMODULES = [
     importlib.import_module(f"singclass.{name}")
-    for name in ("classes", "combinatorics", "cycles", "grammar", "local_models", "trees",
-                 "verification")
+    for name in ("classes", "combinatorics", "cycles", "grammar", "local_models", "notation",
+                 "trees", "verification")
 ]
 PUBLIC = {name: getattr(module, name) for module in _SUBMODULES for name in module.__all__}
 PUBLIC = {

@@ -9,7 +9,7 @@ from math import factorial, prod
 
 import pytest
 
-from singclass import classes, grammar
+from singclass import classes, grammar, notation
 from singclass.classes import (
     BASIC,
     SINGULARITY,
@@ -354,9 +354,10 @@ class TestClassExpr:
 
 class TestIntegerFormOnly:
     def test_the_class_kernels_build_no_fraction(self, monkeypatch):
-        # with Fraction a stub that raises in classes and grammar, and the
-        # class memos emptied, every kernel, parse_class and the three class
-        # renderers give what they gave with it
+        # with Fraction a stub that raises in classes and in notation, whose
+        # parser and joiner the class text runs on (grammar imports no
+        # Fraction), and the class memos emptied, every kernel, parse_class
+        # and the three class renderers give what they gave with it
         outer, text = star(0, [0, 1]), "2/4*a_2 - 1/3*xi*a_1 + 3/2*i[1,1] + 5*xi^2 + a_2"
         grafts = [psi_power_sing(2), product_expansion(1) - product_expansion(1).scale(3)]
 
@@ -382,7 +383,8 @@ class TestIntegerFormOnly:
             raise AssertionError("a Fraction was built")
 
         monkeypatch.setattr(classes, "Fraction", refuse)
-        monkeypatch.setattr(grammar, "Fraction", refuse)
+        assert not hasattr(grammar, "Fraction")
+        monkeypatch.setattr(notation, "Fraction", refuse)
         for memo in (classes._psi_stick, classes._product_ints, classes._psi_ints,
                      classes._basic_ints, classes._sing_ints):
             memo.cache_clear()

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
+import os
 import time
 
 import pytest
@@ -19,6 +21,43 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _help_texts(parser: argparse.ArgumentParser) -> list[str]:
+    """format_help() of the parser and of every verb's subparser."""
+    verbs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [parser.format_help()] + [p.format_help() for p in verbs.choices.values()]
+
+
+class TestHelpText:
+    """cli gives each help formatter the width argparse computes, read without
+    shutil; help and usage text must be what argparse's formatter writes."""
+
+    @pytest.mark.parametrize("columns", [None, "40", "120", "0", "abc", " 120 ", "-5"])
+    @pytest.mark.parametrize("size", [None, (100, 30), (0, 0)], ids=["no-tty", "tty", "zero"])
+    def test_help_and_usage_match_argparse(self, monkeypatch, capsys, columns, size):
+        if columns is None:
+            monkeypatch.delenv("COLUMNS", raising=False)
+        else:
+            monkeypatch.setenv("COLUMNS", columns)
+        monkeypatch.delenv("LINES", raising=False)
+
+        def get_terminal_size(fd=None):  # the terminal on stdout, or none
+            if size is None:
+                raise OSError("not a terminal")
+            return os.terminal_size(size)
+
+        monkeypatch.setattr(os, "get_terminal_size", get_terminal_size)
+
+        def outputs() -> list[str]:
+            texts = _help_texts(cli.build_parser())
+            assert main(["char", "[2,1]"]) == 2  # a usage error, on stderr
+            return texts + [capsys.readouterr().err]
+
+        ours = outputs()
+        monkeypatch.setattr(cli, "_formatter", lambda: argparse.HelpFormatter)
+        assert outputs() == ours
+        assert "usage: singclass char" in ours[-1]
 
 
 class TestClassCommands:

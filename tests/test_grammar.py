@@ -19,7 +19,7 @@ from singclass.classes import (
     psi_power_sing,
 )
 from singclass.cycles import CycleExpr, XPolynomial, completed_cycle
-from singclass import grammar
+from singclass import grammar, notation
 from singclass.errors import ConstraintError, ParseError
 from singclass.grammar import (
     class_to_json,
@@ -266,7 +266,7 @@ class TestAtomMemos:
     def test_an_atom_is_read_token_by_token(self):
         # spaced or not, an i[...] or d[...] atom is its letter, brackets,
         # integers and commas; only _TERM reads an atom whole
-        assert grammar._tokenize("2*i[1,2] + d[ 0,1]*psi^2*d[1,2") == [
+        assert notation._tokenize("2*i[1,2] + d[ 0,1]*psi^2*d[1,2") == [
             "2", "*", "i", "[", "1", ",", "2", "]", "+", "d", "[", "0", ",", "1", "]", "*",
             "psi", "^", "2", "*", "d", "[", "1", ",", "2", "",
         ]

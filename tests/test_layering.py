@@ -1,8 +1,11 @@
 """The module graph of the package, read from the source with ``ast``.
 
 The class side (trees, classes) and the cycle side (cycles) rest on a shared
-bottom layer and never import each other; grammar renders and parses both,
-verification is the only other module that uses both, and cli is on top.
+bottom layer and never import each other.  The text layer is split the same
+way: notation, on the bottom layer alone, reads and writes everything but
+class expressions, and grammar, above the class side, reads and writes
+class expressions and tree literals.  Verification is the only other module
+that uses both sides, and cli is on top.
 ``exact`` is an empty placeholder that no module imports: the truncated
 power series it held had no engine user and are gone, and the file stays
 only because the benchmark's tracer imports every module it names as a
@@ -12,8 +15,8 @@ Every import of a library module sits in its import block, so that block
 says what the module depends on, and every name a module imports is read
 in it.  Only the two entry points defer imports,
 so that a CLI call loads just what its verb runs: each of cli's verb handlers
-imports its engine module, and the package root imports the home module of a
-public name on first access.  A library module that deferred an import would
+imports its engine module (and the class verbs grammar), and the package
+root imports the home module of a public name on first access.  A library module that deferred an import would
 pay for it inside every timed call.
 
 The value types build their instances through their canonical constructors;
@@ -25,7 +28,8 @@ module defines a second tree constructor beside it.
 Every memo table is named here: each ``lru_cache`` is unbounded and lives
 as long as the process, so a new one is a reviewed change.  No memo of
 ``grammar`` takes a parameter named ``text``: a memo keyed on a whole input
-would answer repeated texts from its table, not from the parser.
+would answer repeated texts from its table, not from the parser; nor does
+a memo of ``notation``.
 
 An argument is refused in ``errors``: a count through ``_count`` or
 ``_integer``, an operand of the wrong type through ``_operand``.  No other
@@ -59,22 +63,26 @@ ALLOWED = {
     "classes": _BOTTOM | {"trees"},
     "cycles": _BOTTOM,
     "local_models": {"errors"},
-    "grammar": _SIDES,
+    "notation": _BOTTOM,
+    "grammar": _BOTTOM | {"notation", "trees", "classes"},
     "verification": _SIDES | {"grammar"},
-    "cli": _SIDES | {"grammar", "verification"},
-    "__init__": _SIDES | {"grammar"},
+    "cli": _SIDES | {"notation", "grammar", "verification"},
+    "__init__": _SIDES | {"notation", "grammar"},
 }
 
 # module -> the (function, import) pairs allowed inside function bodies: the
-# CLI loads traceback only when it reports an internal error and each engine
-# module only in the verbs that run it, to keep start-up short; the package
-# root loads a name's home module on first access
+# CLI loads traceback only when it reports an internal error, and each engine
+# module and the class text only in the verbs that run them, to keep start-up
+# short; the package root loads a name's home module on first access
 DEFERRED = {
     "cli": {
         ("main", "traceback"),
         ("_cmd_product", ".classes"),
+        ("_cmd_product", ".grammar"),
         ("_cmd_psi", ".classes"),
+        ("_cmd_psi", ".grammar"),
         ("_cmd_convert", ".classes"),
+        ("_cmd_convert", ".grammar"),
         ("_cmd_completed_cycle", ".cycles"),
         ("_cmd_x_poly", ".cycles"),
         ("_cmd_multiply_cycles", ".cycles"),
@@ -300,6 +308,8 @@ def test_the_two_sides_never_import_each_other():
     assert "classes" not in imports["trees"]
     for module in ("cycles", "combinatorics"):
         assert imports[module].isdisjoint({"classes", "trees", "grammar"})
+    # the text below both sides compiles neither side, nor the class text
+    assert imports["notation"].isdisjoint({"classes", "trees", "cycles", "grammar"})
 
 
 def test_the_package_root_loads_no_submodule():
@@ -345,7 +355,8 @@ def test_no_grammar_memo_is_keyed_on_a_text():
     # not the parser, and the table would grow with every distinct input
     found = {
         fn.name
-        for fn in _memoised_functions(SRC / "singclass" / "grammar.py")
+        for module in ("grammar", "notation")
+        for fn in _memoised_functions(SRC / "singclass" / f"{module}.py")
         if "text" in {arg.arg for arg in ast.walk(fn.args) if isinstance(arg, ast.arg)}
     }
     assert found == set()

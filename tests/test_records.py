@@ -20,7 +20,6 @@ from singclass import grammar
 from singclass.classes import ClassExpr
 from singclass.combinatorics import _ProfileTerms
 from singclass.cycles import CycleExpr, XPolynomial, evaluate
-from singclass.grammar import _Style
 from singclass.local_models import (
     BranchCoordinates,
     HurwitzCoordinates,
@@ -28,6 +27,7 @@ from singclass.local_models import (
     ProfileConstants,
     RationalFunction,
 )
+from singclass.notation import _Style
 from singclass.trees import MarkedTree, stick
 from singclass.verification import CheckResult
 

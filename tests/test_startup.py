@@ -5,8 +5,11 @@ Every CLI call is a fresh process, so each module its import graph pulls in
 is start-up time paid on every call, and without a bytecode cache each
 singclass module is compiled from source.  ``dataclasses`` brings
 ``inspect``, ``ast`` and ``dis``; ``importlib.resources`` brings ``pathlib``
-and ``tempfile``; none of them is needed at run time.  The package root is
-lazy and cli imports each engine module in the verbs that run it.
+and ``tempfile``; none of them is needed at run time, and neither is
+``shutil``, which argparse imports to read the terminal width unless it is
+given one.  The package root is lazy, cli's top imports only ``notation``
+(the text of everything but class expressions), and cli imports ``grammar``
+and each engine module in the verbs that run them.
 """
 
 from __future__ import annotations
@@ -61,23 +64,26 @@ def test_verify_reads_the_golden_tables_without_importlib_resources():
     assert _loaded(code, {"importlib.resources", "pathlib"}) == []
 
 
-# the modules every call loads: cli, grammar and what grammar imports
-_BASE = {"cli", "grammar", "classes", "combinatorics", "trees", "errors"}
+# the modules every call loads: cli, notation and what notation imports
+_BASE = {"cli", "notation", "combinatorics", "errors"}
+
+# the class text and what it imports
+_CLASS_TEXT = {"grammar", "classes", "trees"}
 
 # argv of one call -> the singclass modules it loads beyond _BASE
 VERB_MODULES = [
-    (["product", "3"], set()),
-    (["psi", "2"], set()),
-    (["to-sing", "d[0,1]"], set()),
-    (["to-basic", "i[1,3]"], set()),
+    (["product", "3"], _CLASS_TEXT),
+    (["psi", "2"], _CLASS_TEXT),
+    (["to-sing", "d[0,1]"], _CLASS_TEXT),
+    (["to-basic", "i[1,3]"], _CLASS_TEXT),
     (["char", "[2,1]", "[3]"], set()),
-    (["coeff", "psi", "2", "{1,1}"], set()),
+    (["coeff", "psi", "2", "{1,1}"], {"classes", "trees"}),
     (["completed-cycle", "3"], {"cycles"}),
     (["x-poly", "3"], {"cycles"}),
     (["multiply-cycles", "{2}", "{2}"], {"cycles"}),
     (["coeff", "delta", "[1]", "{2}"], {"cycles"}),
     (["local-model", "{2}", "0", "1"], {"local_models"}),
-    (["verify", "appendix"], {"verification", "cycles"}),
+    (["verify", "appendix"], {"verification", "cycles"} | _CLASS_TEXT),
     (["verify", "nosuch"], set()),
 ]
 
@@ -87,8 +93,21 @@ _SUBMODULES = {path.stem for path in (SRC / "singclass").glob("*.py")} - {"__ini
 @pytest.mark.parametrize("argv, extra", VERB_MODULES, ids=[" ".join(a) for a, _ in VERB_MODULES])
 def test_a_verb_loads_only_the_modules_it_runs(argv, extra):
     code = f"from singclass import cli\ncli.main({argv!r})"
-    names = {f"singclass.{m}" for m in _SUBMODULES}
+    names = {f"singclass.{m}" for m in _SUBMODULES} | {"shutil"}
     assert set(_loaded(code, names)) == {f"singclass.{m}" for m in _BASE | extra}
+
+
+def test_a_full_call_loads_no_shutil():
+    # argparse imports shutil (and fnmatch, zlib, bz2 and lzma with it) in
+    # every help formatter that is given no width; cli gives each one
+    code = "from singclass import cli\nassert cli.main(['char', '[2,1]', '[3]']) == 0"
+    assert _loaded(code, {"shutil", "fnmatch", "zlib", "bz2", "lzma"}) == []
+
+
+def test_cycle_text_from_the_package_root_loads_no_class_side():
+    code = "import singclass\nsingclass.parse_cycles('C[2]')"
+    names = {"singclass.classes", "singclass.trees", "singclass.grammar", "singclass.notation"}
+    assert _loaded(code, names) == ["singclass.notation"]
 
 
 def test_an_unknown_suite_exits_2_with_empty_stdout(capsys):
