@@ -17,14 +17,15 @@ to-basic) load grammar and with it the class side, coeff psi loads classes,
 the cycle verbs load cycles, only local-model loads local_models and only
 verify loads verification; char loads nothing more.  The help formatters
 are given argparse's own terminal width, read without shutil, which
-argparse would otherwise import once per formatter it builds.
+argparse would otherwise import once per formatter it builds.  JSON is
+written through notation's string escaper, and only local-model's json
+format imports the json package, whose decoder no verb needs.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import os
 import sys
 from functools import partial
@@ -75,7 +76,7 @@ def _print_expr(module, kind: str, value, fmt: str):
 
 def _print_value(value, fmt: str):
     if fmt == "json":
-        print(json.dumps({"value": str(value)}))
+        print('{"value": ' + notation._json_str(str(value)) + "}")
     else:
         print(value)
 
@@ -286,6 +287,8 @@ def _cmd_local_model(args) -> int:
     f = local_models.canonical_function(profile, x, poles)
     coords = local_models.hurwitz_coordinates(f, profile, poles)
     if args.format == "json":
+        import json
+
         payload = {
             "profile": list(profile),
             "K": constants.lcm,

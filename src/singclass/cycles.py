@@ -19,6 +19,7 @@ from functools import lru_cache
 from math import factorial, lcm, perm, prod
 
 from .combinatorics import (  # the value types are defined beside the profiles
+    CHARACTER_SIZE_BUDGET,
     CycleExpr,
     Partition,
     Profile,
@@ -169,7 +170,16 @@ def evaluate(c: CycleExpr, lam: Partition) -> Fraction:
         common, row = c._row
     except AttributeError:
         common, row = _integer_row(_operand(c, CycleExpr, "evaluate"))
-    lam = _character_partition(lam)
+    # a canonical partition within the budget, as partitions_of yields it,
+    # passes one check; anything else is gated and made canonical
+    if not (
+        type(lam) is tuple
+        and {int}.issuperset(map(type, lam))
+        and lam == tuple(sorted(lam, reverse=True))
+        and (not lam or lam[-1] > 0)
+        and sum(lam) <= CHARACTER_SIZE_BUDGET
+    ):
+        lam = _character_partition(lam)
     n, beta = sum(lam), _beta(lam)
     total = sum(weight * perm(n, k) * _mn(beta, mu) for weight, k, mu in row if k <= n)
     return Fraction(total, common * _dimension(beta))

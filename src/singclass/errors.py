@@ -22,8 +22,9 @@ class Record:
     ``trees.MarkedTree`` is the exception: its ``__new__`` is its one
     constructor and hash-conses every tree in one table, so isomorphic trees
     are one object, compared and hashed by identity.  ``classes.ClassExpr``
-    stores its coefficients in an integer form, reads its ``terms`` field
-    off it, and compares that form.
+    and ``local_models.Polynomial`` store their coefficients in an integer
+    form, read their ``terms`` or ``coeffs`` field off it, and compare that
+    form.
 
     The constructor of a value type checks its arguments and makes them
     canonical, so equal values have equal fields.  ``_make`` is the one

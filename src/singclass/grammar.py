@@ -163,7 +163,7 @@ def render_class_latex(e: ClassExpr) -> str:
 def class_to_json(e: ClassExpr) -> str:
     terms = [
         f'{{\n      "coeff": "{n if d == 1 else f"{n}/{d}"}",\n      "xi_power": {q},\n'
-        f'      "tree": {_json_str(encoding(t))}\n    }}'
+        f'      "tree": "{encoding(t)}"\n    }}'
         for t, q, n, d in _display_order(e)
     ]
     codim = "null" if e.degree is None else e.degree

@@ -1,14 +1,22 @@
 """Local models of pole profiles: the canonical rational
 function with prescribed poles, its partial-fraction (Hurwitz) coordinates,
 and the numeric constants attached to a ramification profile (LCM, the
-per-branch exponents, and the stratum component count).  Polynomials in z
-are dense :class:`Polynomial` values over the rationals."""
+per-branch exponents, and the stratum component count).
+
+Polynomials in z are dense :class:`Polynomial` values over the rationals,
+each stored in integer form: one row of integer numerators over one positive
+denominator, the layout of FLINT's fmpq_poly.  ``from_roots``, evaluation,
+``divmod``, the Taylor rows of ``hurwitz_coordinates`` and ``reassemble``
+read and write these rows, so a Fraction is built only where one is handed
+out: the coefficients read through ``coeffs``, ``leading``, ``coefficient``
+and ``monomials``, a value of a call, and the Laurent coefficients, roots,
+tails and constant behind the HurwitzCoordinates returned."""
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 from .errors import (
     _EXACT,
@@ -47,23 +55,49 @@ class Polynomial(Record):
     is the empty tuple and its degree is None.  Each method checks the type
     of each argument (a Polynomial, an int exponent, an int or Fraction
     value) and refuses any other with ConstraintError.
+
+    The stored value is the canonical integer form ``(den, (n_0, ...,
+    n_d))``, the polynomial sum n_k z^k / den: den >= 1 with ``gcd(den,
+    *n) == 1`` and no trailing zero.  ``coeffs`` is its Fraction view, built
+    each time it is read; equality compares the form, and the hash, repr,
+    copies and pickles are those of the field ``coeffs``.
     """
 
-    __slots__ = _fields = ("coeffs",)
+    __slots__ = ("_form",)
+    _fields = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Fraction | int]):
-        out = _fractions(coeffs, "polynomial coefficients")
-        while out and not out[-1]:
-            out.pop()
-        object.__setattr__(self, "coeffs", tuple(out))
+        values = _fractions(coeffs, "polynomial coefficients")
+        den = lcm(*(c.denominator for c in values))
+        nums = [c.numerator * (den // c.denominator) for c in values]
+        object.__setattr__(self, "_form", _reduced_form(den, nums))
+
+    @classmethod
+    def _make(cls, form: tuple[int, tuple[int, ...]]) -> "Polynomial":
+        """The polynomial that stores the canonical integer form ``form``, unchecked."""
+        self = super()._make()
+        object.__setattr__(self, "_form", form)
+        return self
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        den, nums = self._form
+        return tuple(Fraction(n, den) for n in nums)
+
+    def __eq__(self, other):
+        if other.__class__ is not Polynomial:
+            return NotImplemented
+        return self._form == other._form
+
+    __hash__ = Record.__hash__
 
     @staticmethod
     def zero() -> "Polynomial":
-        return Polynomial._make(())
+        return Polynomial._make((1, ()))
 
     @staticmethod
     def one() -> "Polynomial":
-        return Polynomial._make((Fraction(1),))
+        return Polynomial._make((1, (1,)))
 
     @staticmethod
     def from_roots(pairs: Iterable[tuple[Fraction | int, int]]) -> "Polynomial":
@@ -72,80 +106,114 @@ class Polynomial(Record):
         pairs = _pairs(pairs, "from_roots takes (root, multiplicity) pairs")
         if not all(type(r) in _EXACT and type(m) is int and m >= 0 for r, m in pairs):
             raise ConstraintError("from_roots takes (int or Fraction, int >= 0) pairs")
-        coeffs, scale = _linear_product(pairs)
-        return Polynomial._make(tuple(Fraction(c, scale) for c in coeffs))
+        return Polynomial._make(_linear_product(pairs))
 
     @property
     def degree(self) -> int | None:
-        return len(self.coeffs) - 1 if self.coeffs else None
+        return len(self._form[1]) - 1 if self._form[1] else None
 
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        den, nums = self._form
+        if not nums:
             raise ConstraintError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(nums[-1], den)
 
     def coefficient(self, k: int) -> Fraction:
-        if 0 <= _integer(k, "an exponent") < len(self.coeffs):
-            return self.coeffs[k]
+        den, nums = self._form
+        if 0 <= _integer(k, "an exponent") < len(nums):
+            return Fraction(nums[k], den)
         return _ZERO
 
     def monomials(self) -> list[tuple[int, Fraction]]:
         """Nonzero (exponent, coefficient) pairs, ascending in the exponent."""
-        return [(k, c) for k, c in enumerate(self.coeffs) if c]
+        den, nums = self._form
+        return [(k, Fraction(n, den)) for k, n in enumerate(nums) if n]
 
     def scale(self, c: Fraction | int) -> "Polynomial":
         _exact((c,), "a scale factor")
-        c = Fraction(c)
-        if c == 0:
-            return Polynomial.zero()
-        return Polynomial._make(tuple(a * c if a else a for a in self.coeffs))
+        den, nums = self._form
+        return Polynomial._make(_reduced_form(den * c.denominator, [n * c.numerator for n in nums]))
 
     def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        if not _operand(other, Polynomial, "divmod").coeffs:
+        (a, top), (b, bottom) = self._form, _operand(other, Polynomial, "divmod")._form
+        if not bottom:
             raise ConstraintError("polynomial division by zero")
-        rem, ddeg = list(self.coeffs), other.degree
-        quot = [_ZERO] * max(len(rem) - ddeg, 0)
-        for shift in reversed(range(len(quot))):  # clear rem[shift + ddeg]
-            factor = quot[shift] = rem[shift + ddeg] / other.coeffs[-1]
-            for i, c in enumerate(other.coeffs):
-                rem[shift + i] -= factor * c
-        return Polynomial(quot), Polynomial(rem[:ddeg])
+        # top/a = (quot b / (d a)) (bottom/b) + rem / (d a)
+        quot, rem, d = _divide_rows(top, bottom)
+        return (
+            Polynomial._make(_reduced_form(d * a, [v * b for v in quot])),
+            Polynomial._make(_reduced_form(d * a, rem)),
+        )
 
     def gcd(self, other: "Polynomial") -> "Polynomial":
         """A greatest common divisor, up to a rational factor: the last
         nonzero remainder of Euclid's algorithm."""
         a, b = self, _operand(other, Polynomial, "gcd")
-        while b.coeffs:
+        while b._form[1]:
             a, b = b, a.divmod(b)[1]
         return a
 
     def __call__(self, x: Fraction | int) -> Fraction:
         _exact((x,), "the point z")
-        x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        row, scale = _taylor_row(self, x, 0)  # p(x + t) at t^0
+        return Fraction(row[0], scale)
 
 
-def _linear_product(pairs: Iterable[tuple[Fraction | int, int]]) -> tuple[list[int], int]:
-    """prod (z - root)^mult as an integer polynomial over a positive integer.
+def _reduced_form(den: int, nums: list[int]) -> tuple[int, tuple[int, ...]]:
+    """The canonical integer form of the polynomial sum nums[k] z^k / den,
+    for an int den >= 1: trailing zeros stripped, den and the numerators
+    divided by their gcd."""
+    while nums and not nums[-1]:
+        nums.pop()
+    if not nums:
+        return 1, ()
+    common = gcd(den, *nums)
+    if common == 1:
+        return den, tuple(nums)
+    return den // common, tuple(n // common for n in nums)
+
+
+def _divide_rows(top: tuple[int, ...], bottom: tuple[int, ...]) -> tuple[list[int], list[int], int]:
+    """Integer rows quot and rem and an int d >= 1 with d top = quot bottom +
+    rem, rem shorter than bottom: long division from the top, where each
+    step first scales rem (and quot) by the least d_step that makes the
+    quotient coefficient an integer, lead / gcd(rem's top, lead)."""
+    rem, db, lead = list(top), len(bottom) - 1, bottom[-1]
+    quot, d = [0] * max(len(rem) - db, 0), 1
+    for shift in reversed(range(len(quot))):  # clear rem[shift + db]
+        head = rem[shift + db]
+        if not head:
+            continue
+        common = gcd(head, lead) if lead > 0 else -gcd(head, lead)
+        step, factor = lead // common, head // common
+        if step != 1:
+            rem = [step * v for v in rem]
+            quot = [step * v for v in quot]
+            d *= step
+        quot[shift] = factor
+        for i, c in enumerate(bottom):
+            rem[shift + i] -= factor * c
+    return quot, rem[:db], d
+
+
+def _linear_product(pairs: Iterable[tuple[Fraction | int, int]]) -> tuple[int, tuple[int, ...]]:
+    """The canonical integer form of prod (z - root)^mult.
 
     With root = p/q the factor is (q z - p) / q, so the product is the
     integer polynomial prod (q z - p)^mult over prod q^mult, its leading
-    coefficient."""
+    coefficient.  Each q z - p is primitive, so their product is too
+    (Gauss's lemma): the form needs no gcd."""
     coeffs, scale = [1], 1
     for root, mult in pairs:
-        root = Fraction(root)
         p, q = root.numerator, root.denominator
         for _ in range(mult):
             # times (q z - p): c_k becomes q c_{k-1} - p c_k
             coeffs = [q * a - p * b for a, b in zip([0, *coeffs], [*coeffs, 0])]
         scale *= q**mult
-    return coeffs, scale
+    return scale, tuple(coeffs)
 
 
-def _divide_linear(coeffs: list[int], p: int, q: int) -> list[int]:
+def _divide_linear(coeffs: Sequence[int], p: int, q: int) -> list[int]:
     """The integer polynomial coeffs / (q z - p), which must divide exactly:
     from the top, r_{k-1} = (c_k + p r_k) / q."""
     out, carry = [0] * (len(coeffs) - 1), 0
@@ -165,7 +233,7 @@ class RationalFunction(Record):
     def __init__(self, numerator: Polynomial, denominator: Polynomial):
         if type(numerator) is not Polynomial or type(denominator) is not Polynomial:
             raise ConstraintError("a rational function is a quotient of two Polynomials")
-        if not denominator.coeffs:
+        if denominator.degree is None:
             raise ConstraintError("zero denominator")
         # both divided by their gcd, scaled to leave a monic denominator
         common = numerator.gcd(denominator)
@@ -295,23 +363,23 @@ def _rational_kth_root(value: Fraction, k: int) -> Fraction | None:
     return Fraction(num, den)
 
 
-def _taylor_row(poly: Polynomial, at: Fraction, order: int) -> tuple[list[int], int]:
+def _taylor_row(poly: Polynomial, at: Fraction | int, order: int) -> tuple[list[int], int]:
     """The coefficients of poly(at + t) up to t^order, as integers over one
     positive integer scale.
 
-    With at = r/s and c_i = n_i / L over the common denominator L,
+    With at = r/s and poly = sum n_i z^i / L in its integer form,
     L s^deg p(at + t) = sum n_i s^(deg-i) (r + s t)^i is an integer
     polynomial in t, summed by Horner's rule."""
     r, s = at.numerator, at.denominator
-    common = lcm(*(c.denominator for c in poly.coeffs))
+    common, nums = poly._form
     out, s_power = [0] * (order + 1), 1
-    for c in reversed(poly.coeffs):
+    for n in reversed(nums):
         # out(t) becomes out(t) (r + s t) + n_i s^(deg-i), truncated at t^order
         for j in range(order, 0, -1):
             out[j] = out[j] * r + out[j - 1] * s
-        out[0] = out[0] * r + c.numerator * (common // c.denominator) * s_power
+        out[0] = out[0] * r + n * s_power
         s_power *= s
-    return out, common * s ** max(len(poly.coeffs) - 1, 0)
+    return out, common * s ** max(len(nums) - 1, 0)
 
 
 def hurwitz_coordinates(
@@ -332,13 +400,12 @@ def hurwitz_coordinates(
     if len(points) != len(orders) or len(set(points)) != len(points):
         raise ConstraintError("need pairwise distinct poles, one per branch")
     pairs = list(zip(points, orders))
-    expected_den = Polynomial.from_roots(pairs)
-    if f.denominator != expected_den:
+    if f.denominator._form != _linear_product(pairs):
         raise ConstraintError(
             "pole-order mismatch: denominator is not the prescribed pole divisor"
         )
     num_deg = f.numerator.degree if f.numerator.degree is not None else -1
-    den_deg = expected_den.degree
+    den_deg = f.denominator.degree
     if num_deg > den_deg:
         raise ConstraintError("function has a pole at infinity beyond a constant")
     constant = f.numerator.coefficient(den_deg)
@@ -396,36 +463,40 @@ def reassemble(coords: HurwitzCoordinates) -> RationalFunction:
 
     Over D = prod (q_i z - p_i)^{k_i}, the poles z_i = p_i/q_i as integer
     linear factors, (z - z_i)^{-m} is q_i^m E_{i,m} / D with E_{i,m} =
-    D / (q_i z - p_i)^m, an exact integer division.  So the numerator is one
-    integer polynomial over one common denominator (the layout of FLINT's
-    fmpq_poly), and every Fraction is made once, at the end.  Coordinates
-    whose fields are not of these types raise ConstraintError."""
+    D / (q_i z - p_i)^m, an exact integer division, and each coefficient
+    a_{k-m} (q_i u_i)^m is one integer numerator over one integer
+    denominator.  So the numerator is one integer polynomial over one common
+    denominator, the integer form of a Polynomial, and no Fraction is made
+    unless a branch cancels and RationalFunction must reduce the quotient.
+    Coordinates whose fields are not of these types raise ConstraintError."""
     branches = _operand(coords, HurwitzCoordinates, "reassemble").branches
     if type(branches) is not tuple or not all(map(_is_branch, branches)):
         raise ConstraintError("branches must be a tuple of BranchCoordinates with exact fields")
     if type(coords.constant) not in _EXACT:
         raise ConstraintError("the constant must be int or Fraction")
-    pairs = [(b.pole, b.order) for b in coords.branches]
-    product, scale = _linear_product(pairs)
-    # (scalar, integer polynomial) pairs whose sum is the numerator times scale
-    parts = [(coords.constant, product)]
+    scale, product = _linear_product((b.pole, b.order) for b in coords.branches)
+    # (numerator, denominator, integer polynomial) triples whose sum is the
+    # numerator times scale
+    parts = [(coords.constant.numerator, coords.constant.denominator, product)]
     for b in coords.branches:
         p, q = b.pole.numerator, b.pole.denominator
-        factors = [Fraction(1), *b.tail]  # a_0 .. a_{k-1}
-        cofactor = product
+        factors = [(1, 1), *((a.numerator, a.denominator) for a in b.tail)]  # a_0 .. a_{k-1}
+        cofactor, power_num, power_den = product, 1, 1
         for m in range(1, b.order + 1):
             # a_{k-m} (u/(z-z_i))^m is a_{k-m} (q u)^m E_{i,m} / D
             cofactor = _divide_linear(cofactor, p, q)
-            parts.append((factors[b.order - m] * (q * b.u) ** m, cofactor))
-    common = lcm(*(c.denominator for c, _ in parts))
+            power_num, power_den = power_num * q * b.u.numerator, power_den * b.u.denominator
+            num, den = factors[b.order - m]
+            parts.append((num * power_num, den * power_den, cofactor))
+    common = lcm(*(den for _, den, _ in parts))
     total = [0] * len(product)
-    for c, poly in parts:
-        if c:
-            times = c.numerator * (common // c.denominator)
+    for num, den, poly in parts:
+        if num:
+            times = num * (common // den)
             for k, v in enumerate(poly):
                 total[k] += times * v
-    numerator = Polynomial(Fraction(v, scale * common) for v in total)
-    denominator = Polynomial._make(tuple(Fraction(v, scale) for v in product))
+    numerator = Polynomial._make(_reduced_form(scale * common, total))
+    denominator = Polynomial._make((scale, product))
     poles = {b.pole for b in coords.branches}
     if len(poles) == len(coords.branches) and all(b.u for b in coords.branches):
         # the numerator is u^k * others != 0 at each pole, so nothing cancels

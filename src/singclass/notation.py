@@ -16,7 +16,6 @@ import re
 from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from functools import partial
-from json.encoder import encode_basestring_ascii as _json_str
 
 from .combinatorics import CycleExpr, Partition, Profile, XPolynomial, make_partition, make_profile
 from .errors import ConstraintError, ParseError, Record, _operand
@@ -96,8 +95,32 @@ def _join(terms: Iterable[tuple[int, int, Sequence[str]]], style: _Style) -> str
 
 
 # JSON: the layout of json.dumps(payload, indent=2), written directly, since
-# with an indent the stdlib cannot use its C encoder.  Every string goes
-# through the stdlib's own escaper.
+# with an indent the stdlib cannot use its C encoder.  A coefficient or a
+# tree encoding is digits and ( ) ; , / -, written as it is; every other
+# string goes through _json_str, which escapes as json.dumps does by default:
+# importing the stdlib's escaper would load the whole json package, decoder
+# included, in every CLI call.
+
+_JSON_ESCAPE = re.compile(r'[\\"]|[^ -~]')
+_JSON_ESCAPES = {"\\": "\\\\", '"': '\\"', "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+
+
+def _json_escape(match: re.Match) -> str:
+    char = match.group()
+    if char in _JSON_ESCAPES:
+        return _JSON_ESCAPES[char]
+    code = ord(char)
+    if code < 0x10000:
+        return f"\\u{code:04x}"
+    code -= 0x10000  # a UTF-16 surrogate pair
+    return f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}"
+
+
+def _json_str(text: str) -> str:
+    """text as an ASCII JSON string literal, the output of
+    json.encoder.encode_basestring_ascii."""
+    return '"' + _JSON_ESCAPE.sub(_json_escape, text) + '"'
+
 
 def _json_list(items: list[str], indent: str) -> str:
     """A JSON list of written items, one per line, closed at ``indent``."""
@@ -282,7 +305,7 @@ def _profile_terms_to_json(terms: Iterable[tuple[tuple[int, ...], Fraction]], ke
     """``{"terms": [...]}`` with each term's coefficient and its profile under ``key``."""
     key = _json_str(key)
     rows = [
-        f'{{\n      "coeff": {_json_str(str(c))},\n'
+        f'{{\n      "coeff": "{c}",\n'
         f'      {key}: {_json_list([str(k) for k in p], "      ")}\n    }}'
         for p, c in terms
     ]

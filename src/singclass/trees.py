@@ -82,9 +82,11 @@ class MarkedTree(Record):
         if type(marking) is not int:
             raise TreeStructureError(f"a marking must be an int, not {marking!r}")
         try:
-            return _NODES[marking, children]
-        except (KeyError, TypeError):
-            pass
+            self = _NODES.get((marking, children))
+        except TypeError:  # unhashable children
+            self = None
+        if self is not None:
+            return self
         try:
             given = tuple(children)
             if not all(isinstance(c, MarkedTree) for c in given):
@@ -103,19 +105,27 @@ class MarkedTree(Record):
                     self = cls(1, (kids[1 - idx],) + child.children)
                     break
         if self is None:
-            self = object.__new__(cls)
             if kids:
                 # each child branch also counts the edge up to its parent
-                codim = marking + sum(c.codim + 1 for c in kids)
-                weight = sum(c.weight for c in kids)
-                vanishing = marking > len(kids) - 2 or any(c.vanishing for c in kids)
-                leaves = tuple(m for c in kids for m in c.leaves)
+                codim, weight, vanishing, leaves = marking, 0, marking > len(kids) - 2, []
+                for c in kids:
+                    codim += c.codim + 1
+                    weight += c.weight
+                    vanishing = vanishing or c.vanishing
+                    leaves += c.leaves
+                leaves = tuple(leaves)
             else:
                 codim = weight = marking
                 vanishing = False
                 leaves = (marking,)
-            for name, value in zip(self.__slots__, (marking, kids, codim, weight, vanishing, leaves)):
-                object.__setattr__(self, name, value)
+            self = object.__new__(cls)
+            setter = object.__setattr__
+            setter(self, "marking", marking)
+            setter(self, "children", kids)
+            setter(self, "codim", codim)
+            setter(self, "weight", weight)
+            setter(self, "vanishing", vanishing)
+            setter(self, "leaves", leaves)
         _NODES[marking, given] = _NODES[marking, kids] = self
         return self
 

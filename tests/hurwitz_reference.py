@@ -20,6 +20,10 @@ code called, and it enumerates all prod(p) points.
 polynomial algebra that ``local_models.Polynomial`` and ``RationalFunction``
 once carried as methods (``+``, ``-``, ``*`` and ``derivative``) and no
 engine code called; the tests build and differentiate functions with them.
+``divide`` and ``gcd`` are ``Polynomial.divmod`` and ``Polynomial.gcd`` as
+they were on Fraction coefficients, before ``Polynomial`` stored an integer
+row over one denominator: long division and Euclid's algorithm, one Fraction
+operation at a time.
 """
 
 from __future__ import annotations
@@ -85,6 +89,23 @@ def function_derivative(f: RationalFunction) -> RationalFunction:
     """(n/d)' = (n' d - n d') / d^2."""
     n, d = f.numerator, f.denominator
     return RationalFunction(sub(mul(derivative(n), d), mul(n, derivative(d))), mul(d, d))
+
+
+def divide(p: Polynomial, q: Polynomial) -> tuple[Polynomial, Polynomial]:
+    rem, ddeg = list(p.coeffs), q.degree
+    quot = [Fraction(0)] * max(len(rem) - ddeg, 0)
+    for shift in reversed(range(len(quot))):  # clear rem[shift + ddeg]
+        factor = quot[shift] = rem[shift + ddeg] / q.coeffs[-1]
+        for i, c in enumerate(q.coeffs):
+            rem[shift + i] -= factor * c
+    return Polynomial(quot), Polynomial(rem[:ddeg])
+
+
+def gcd(p: Polynomial, q: Polynomial) -> Polynomial:
+    """The last nonzero remainder of Euclid's algorithm."""
+    while q.coeffs:
+        p, q = q, divide(p, q)[1]
+    return p
 
 
 def taylor(poly: Polynomial, at: Fraction, order: int) -> list[Fraction]:

@@ -469,3 +469,39 @@ class TestCycleExpr:
             CycleExpr([((2, 0), 1)])
         with pytest.raises(ConstraintError):
             evaluate(CycleExpr([((2, 0), 1)]), (3,))
+
+
+class TestEvaluatePartitionGate:
+    """evaluate takes a canonical partition within the budget through one
+    cheap check, and every other argument through _character_partition: the
+    value and the refusals are those of the canonical partition."""
+
+    @pytest.mark.parametrize(
+        "lam, canonical",
+        [([3, 2, 1], (3, 2, 1)), ((1, 2, 3), (3, 2, 1)), ((1, 3, 1), (3, 1, 1)), ([], ()), ((48,), (48,))],
+        ids=["list", "unsorted tuple", "unsorted with repeats", "empty list", "48 boxes"],
+    )
+    def test_a_partition_in_another_form_has_the_canonical_value(self, lam, canonical):
+        for m in range(4):
+            assert evaluate(completed_cycle(m), lam) == shifted_power_sum(canonical, m)
+
+    @pytest.mark.parametrize(
+        "lam, message",
+        [
+            ((True, 1), "a partition row must be an integer, not True"),
+            ((2, 1.0), "a partition row must be an integer, not 1.0"),
+            ([2.0], "a partition row must be an integer, not 2.0"),
+            ((2, 0), "partition rows must be positive integers"),
+            ((0,), "partition rows must be positive integers"),
+            ((-1, 2), "partition rows must be positive integers"),
+            ((25, 24), "a partition of 49 boxes is over the character budget of 48"),
+            ([24, 25], "a partition of 49 boxes is over the character budget of 48"),
+            (None, "a partition rows must come as a sequence of integers, not None"),
+        ],
+        ids=["bool part", "float part", "float in a list", "zero part", "only a zero",
+             "negative part", "49 boxes", "49 boxes in a list", "no sequence"],
+    )
+    def test_a_refused_partition_keeps_its_message(self, lam, message):
+        with pytest.raises(ConstraintError) as caught:
+            evaluate(completed_cycle(2), lam)
+        assert str(caught.value) == message

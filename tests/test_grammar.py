@@ -487,6 +487,18 @@ class TestJsonLayout:
         assert cycles_to_json(c) == json.dumps(cycles, indent=2)
         assert xpoly_to_json(x) == json.dumps(xpoly, indent=2)
 
+    # arbitrary text, weighted towards the characters that are escaped: the
+    # two JSON specials, control characters, DEL, non-ASCII, lone surrogates
+    # and astral characters
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(st.one_of(
+        st.characters(),
+        st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\x80\u2028\ud800\udfff\uffff\U00010000\U0001f600\U0010ffff'),
+        st.characters(max_codepoint=0x7F),
+    )))
+    def test_the_string_escaper_is_the_stdlib_one(self, text):
+        assert notation._json_str(text) == json.encoder.encode_basestring_ascii(text)
+
     def test_the_empty_cases(self):
         assert class_to_json(ClassExpr.zero(BASIC)) == (
             '{\n  "basis": "basic",\n  "codim": null,\n  "terms": []\n}'

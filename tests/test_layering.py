@@ -71,8 +71,9 @@ ALLOWED = {
 }
 
 # module -> the (function, import) pairs allowed inside function bodies: the
-# CLI loads traceback only when it reports an internal error, and each engine
-# module and the class text only in the verbs that run them, to keep start-up
+# CLI loads traceback only when it reports an internal error, json only for
+# local-model's json format, and each engine module and the class text only
+# in the verbs that run them, to keep start-up
 # short; the package root loads a name's home module on first access
 DEFERRED = {
     "cli": {
@@ -90,6 +91,7 @@ DEFERRED = {
         ("_cmd_coeff", ".classes"),
         ("_cmd_coeff", ".cycles"),
         ("_cmd_local_model", ".local_models"),
+        ("_cmd_local_model", "json"),
         ("_cmd_verify", ".verification"),
     },
     "__init__": {("__getattr__", "importlib")},

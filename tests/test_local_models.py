@@ -3,9 +3,11 @@ partial-fraction (Hurwitz) coordinates."""
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 import hurwitz_reference
 import pytest
@@ -156,6 +158,12 @@ class TestCoefficientsStayFractions:
             results["divmod"] = (add(mul(quot, q), rem), pa)
             assert not rem.coeffs or rem.degree < q.degree
             assert _all_fractions(quot.coeffs) and _all_fractions(rem.coeffs)
+            # the integer rows divide as the Fraction algebra did
+            assert (quot, rem) == hurwitz_reference.divide(p, q)
+        if p.coeffs or q.coeffs:
+            # the same gcd up to a rational factor: the same monic polynomial
+            got, want = p.gcd(q), hurwitz_reference.gcd(p, q)
+            assert got.scale(1 / got.leading()) == want.scale(1 / want.leading())
         for name, (got, want) in results.items():
             assert got.coeffs == _values(want), name
             assert _all_fractions(got.coeffs), name
@@ -173,6 +181,83 @@ class TestCoefficientsStayFractions:
             for _ in range(mult):
                 reference = _reference_mul(reference, [-Fraction(root), Fraction(1)])
         assert whole.coeffs == _values(reference)
+
+
+_RATIONAL = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@st.composite
+def _coordinates(draw) -> HurwitzCoordinates:
+    """Hurwitz coordinates with exact fields; u may be 0 and poles may repeat,
+    so that reassemble also reduces through RationalFunction's constructor."""
+    orders = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    branches = tuple(
+        BranchCoordinates(draw(_RATIONAL), k, draw(_RATIONAL), tuple(draw(_RATIONAL) for _ in range(k - 1)))
+        for k in orders
+    )
+    return HurwitzCoordinates(branches, draw(_RATIONAL))
+
+
+def _check_integer_form(p: Polynomial) -> None:
+    """p stores the canonical integer form, and equals, hashes, shows,
+    copies and pickles as the Polynomial built from its coeffs."""
+    den, nums = p._form
+    assert type(den) is int and den >= 1
+    assert type(nums) is tuple and {int}.issuperset(map(type, nums))
+    assert not nums or nums[-1] != 0
+    assert gcd(den, *nums) == 1
+    twin = Polynomial(p.coeffs)
+    assert twin == p and hash(twin) == hash(p) and twin._form == p._form
+    assert repr(p) == f"Polynomial(coeffs={p.coeffs!r})"
+    for other in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert type(other) is Polynomial and other._form == p._form
+        assert other == p and hash(other) == hash(p)
+
+
+class TestIntegerForm:
+    """Polynomial stores one integer row over one denominator; every builder
+    leaves that form canonical, so equality can compare it."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(_COEFFS, _COEFFS, _ROOTS, _COEFF, _coordinates())
+    def test_every_builder_keeps_the_canonical_form(self, a, b, pairs, c, coords):
+        p, q = Polynomial(a), Polynomial(b)
+        built = [p, q, Polynomial.from_roots(pairs), p.scale(c), Polynomial.zero(), Polynomial.one()]
+        if q.coeffs:
+            built += p.divmod(q)
+        f = reassemble(coords)
+        built += [f.numerator, f.denominator]
+        for poly in built:
+            _check_integer_form(poly)
+
+    def test_a_polynomial_equals_no_other_type(self):
+        assert Polynomial([1, 2]) != ((1, (1, 2)),)
+        assert Polynomial([1, 2]) != (Fraction(1), Fraction(2))
+        assert Polynomial([Fraction(1, 2), 1]) == Polynomial([Fraction(2, 4), Fraction(3, 3)])
+
+    @settings(deadline=None, max_examples=60)
+    @given(_COEFFS, _COEFF, st.integers(0, 6))
+    def test_the_integer_rows_are_the_reference_series(self, a, at, order):
+        p, at = Polynomial(a), Fraction(at)
+        row, scale = local_models._taylor_row(p, at, order)
+        assert [Fraction(v, scale) for v in row] == hurwitz_reference.taylor(p, at, order)
+        assert p(at) == sum((c * at**k for k, c in enumerate(p.coeffs)), Fraction(0))
+
+    @pytest.mark.parametrize("orders", [(64,), (62, 2), (16, 16, 16, 16), (1,) * 64], ids=["64", "62 2", "16^4", "1^64"])
+    def test_round_trip_at_the_budget(self, orders):
+        assert sum(orders) == local_models.ORDER_SUM_BUDGET
+        rng = random.Random(20261023)
+
+        def value() -> Fraction:
+            return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+
+        poles = [Fraction(v, 7) for v in rng.sample(range(-200, 200), len(orders))]
+        branches = tuple(
+            BranchCoordinates(z, k, abs(value()) if k % 2 == 0 else value(), tuple(value() for _ in range(k - 1)))
+            for z, k in zip(poles, orders)
+        )
+        coords = HurwitzCoordinates(branches, value())
+        assert hurwitz_coordinates(reassemble(coords), orders, poles) == coords
 
 
 class TestCanonicalFunction:

@@ -7,7 +7,9 @@ singclass module is compiled from source.  ``dataclasses`` brings
 ``inspect``, ``ast`` and ``dis``; ``importlib.resources`` brings ``pathlib``
 and ``tempfile``; none of them is needed at run time, and neither is
 ``shutil``, which argparse imports to read the terminal width unless it is
-given one.  The package root is lazy, cli's top imports only ``notation``
+given one, nor the ``json`` package, decoder and all: ``notation`` escapes
+JSON strings itself, and only ``local-model --format json`` imports ``json``.
+The package root is lazy, cli's top imports only ``notation``
 (the text of everything but class expressions), and cli imports ``grammar``
 and each engine module in the verbs that run them.
 """
@@ -48,11 +50,16 @@ def _loaded(code: str, names: set[str]) -> list[str]:
     return result.stdout.splitlines()[-1].split()
 
 
+# the json package, which notation's own escaper replaces: no verb decodes
+# JSON, and only local-model's json format imports it
+_JSON = {"json", "json.decoder", "json.scanner"}
+
+
 def test_the_cli_import_loads_no_unused_stdlib():
     names = {
         "dataclasses", "inspect", "ast", "dis", "typing",
         "importlib.resources", "pathlib", "tempfile",
-    }
+    } | _JSON
     assert _loaded("import singclass.cli", names) == []
 
 
@@ -76,9 +83,12 @@ VERB_MODULES = [
     (["psi", "2"], _CLASS_TEXT),
     (["to-sing", "d[0,1]"], _CLASS_TEXT),
     (["to-basic", "i[1,3]"], _CLASS_TEXT),
+    (["product", "2", "--format", "json"], _CLASS_TEXT),
     (["char", "[2,1]", "[3]"], set()),
+    (["char", "[2,1]", "[3]", "--format", "json"], set()),
     (["coeff", "psi", "2", "{1,1}"], {"classes", "trees"}),
     (["completed-cycle", "3"], {"cycles"}),
+    (["completed-cycle", "3", "--format", "json"], {"cycles"}),
     (["x-poly", "3"], {"cycles"}),
     (["multiply-cycles", "{2}", "{2}"], {"cycles"}),
     (["coeff", "delta", "[1]", "{2}"], {"cycles"}),
@@ -93,7 +103,7 @@ _SUBMODULES = {path.stem for path in (SRC / "singclass").glob("*.py")} - {"__ini
 @pytest.mark.parametrize("argv, extra", VERB_MODULES, ids=[" ".join(a) for a, _ in VERB_MODULES])
 def test_a_verb_loads_only_the_modules_it_runs(argv, extra):
     code = f"from singclass import cli\ncli.main({argv!r})"
-    names = {f"singclass.{m}" for m in _SUBMODULES} | {"shutil"}
+    names = {f"singclass.{m}" for m in _SUBMODULES} | {"shutil"} | _JSON
     assert set(_loaded(code, names)) == {f"singclass.{m}" for m in _BASE | extra}
 
 
