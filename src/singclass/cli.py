@@ -20,11 +20,18 @@ are given argparse's own terminal width, read without shutil, which
 argparse would otherwise import once per formatter it builds.  JSON is
 written through notation's string escaper, and only local-model's json
 format imports the json package, whose decoder no verb needs.
+
+A process runs _entry (python -m and the installed script alike): it calls
+main and then freezes the heap with gc.freeze, so that the collection
+interpreter shutdown runs does not walk every object the call made.  main
+leaves the collector alone, because tests and library callers run it in a
+process that goes on.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import os
 import sys
@@ -397,5 +404,14 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
 
 
+def _entry() -> int:
+    """The exit code of one whole ``singclass`` process: main() on the
+    process's arguments, then the heap frozen before the interpreter shuts
+    down (see the module docstring)."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(_entry())

@@ -13,7 +13,7 @@ memo is keyed on that int and the parts above 1 of the cycle type.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -114,17 +114,18 @@ def profiles_with_sum_and_length(total: int, length: int) -> list[Profile]:
 @lru_cache(maxsize=None, typed=True)  # typed: True never reads the entry of 1
 def partitions_of(n: int) -> tuple[Partition, ...]:
     """Partitions of n in descending lexicographic order; partitions_of(0) = ((),)."""
-    _count(n, "n")
+    return tuple(_partitions_below(_count(n, "n"), n))
 
-    def gen(remaining: int, cap: int):
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(cap, remaining), 0, -1):
-            for rest in gen(remaining - first, first):
-                yield (first,) + rest
 
-    return tuple(gen(n, n))
+def _partitions_below(remaining: int, cap: int) -> Iterator[Partition]:
+    """The partitions of remaining with no part above cap, in descending
+    lexicographic order."""
+    if remaining == 0:
+        yield ()
+        return
+    for first in range(min(cap, remaining), 0, -1):
+        for rest in _partitions_below(remaining - first, first):
+            yield (first,) + rest
 
 
 @lru_cache(maxsize=None)  # called behind the partition gate: keys are tuples of exact ints

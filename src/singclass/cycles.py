@@ -279,24 +279,27 @@ def _central_vector(p: Profile, n: int) -> dict[tuple[int, ...], int]:
     if sum(p) > n:
         return out
     identity = tuple(range(n))
-
-    def place(slot: int, available: tuple[int, ...], perm: tuple[int, ...]):
-        if slot == len(p):
-            out[perm] = out.get(perm, 0) + 1
-            return
-        k = p[slot]
-        for support in itertools.combinations(available, k):
-            rest = tuple(x for x in available if x not in support)
-            anchor, others = support[0], support[1:]
-            for order in itertools.permutations(others):
-                cycle = (anchor,) + order
-                images = list(perm)
-                for i in range(k):
-                    images[cycle[i]] = cycle[(i + 1) % k]
-                place(slot + 1, rest, tuple(images))
-
-    place(0, identity, identity)
+    _place(p, 0, identity, identity, out)
     return out
+
+
+def _place(p: Profile, slot: int, available: tuple[int, ...], perm: tuple[int, ...],
+           out: dict[tuple[int, ...], int]):
+    """Count in out every perm extended by numbered cycles of the lengths
+    p[slot:] on disjoint supports drawn from available."""
+    if slot == len(p):
+        out[perm] = out.get(perm, 0) + 1
+        return
+    k = p[slot]
+    for support in itertools.combinations(available, k):
+        rest = tuple(x for x in available if x not in support)
+        anchor, others = support[0], support[1:]
+        for order in itertools.permutations(others):
+            cycle = (anchor,) + order
+            images = list(perm)
+            for i in range(k):
+                images[cycle[i]] = cycle[(i + 1) % k]
+            _place(p, slot + 1, rest, tuple(images), out)
 
 
 def verify_in_group_algebra(

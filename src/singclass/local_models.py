@@ -400,7 +400,8 @@ def hurwitz_coordinates(
     if len(points) != len(orders) or len(set(points)) != len(points):
         raise ConstraintError("need pairwise distinct poles, one per branch")
     pairs = list(zip(points, orders))
-    if f.denominator._form != _linear_product(pairs):
+    divisor = _linear_product(pairs)
+    if f.denominator._form != divisor:
         raise ConstraintError(
             "pole-order mismatch: denominator is not the prescribed pole divisor"
         )
@@ -440,7 +441,8 @@ def hurwitz_coordinates(
         branches.append(BranchCoordinates(z_i, k, root, tail))
 
     coords = HurwitzCoordinates(tuple(branches), constant)
-    if reassemble(coords) != f:
+    # the branches list the pairs in order, so their divisor is the one checked above
+    if _reassemble(coords, *divisor) != f:
         raise SingclassError("reassembly identity failed; decomposition is broken")
     return coords
 
@@ -474,7 +476,12 @@ def reassemble(coords: HurwitzCoordinates) -> RationalFunction:
         raise ConstraintError("branches must be a tuple of BranchCoordinates with exact fields")
     if type(coords.constant) not in _EXACT:
         raise ConstraintError("the constant must be int or Fraction")
-    scale, product = _linear_product((b.pole, b.order) for b in coords.branches)
+    return _reassemble(coords, *_linear_product((b.pole, b.order) for b in branches))
+
+
+def _reassemble(coords: HurwitzCoordinates, scale: int, product: tuple[int, ...]) -> RationalFunction:
+    """reassemble(coords) for coords past its gates, given the integer form
+    (scale, product) of their pole divisor prod (z - z_i)^{k_i}."""
     # (numerator, denominator, integer polynomial) triples whose sum is the
     # numerator times scale
     parts = [(coords.constant.numerator, coords.constant.denominator, product)]

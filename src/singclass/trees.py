@@ -36,7 +36,7 @@ runs is sorted by :func:`encoding` first.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from functools import lru_cache
 
 from .errors import ConstraintError, Record, TreeStructureError, _count, _operand
@@ -190,13 +190,17 @@ def graft(outer: MarkedTree, replacements: Sequence[MarkedTree]) -> MarkedTree:
             f"need one graft per leaf: tree has {len(outer.leaves)} leaves, got {len(reps)}"
         )
     it = iter(reps)
+    return MarkedTree(outer.marking, tuple([_rebuild(c, it) for c in outer.children]))
 
-    def rebuild(node: MarkedTree) -> MarkedTree:
-        if not node.children:
-            return next(it)
-        return MarkedTree(node.marking, tuple(rebuild(c) for c in node.children))
 
-    return MarkedTree(outer.marking, tuple(rebuild(c) for c in outer.children))
+def _rebuild(node: MarkedTree, it: Iterator[MarkedTree]) -> MarkedTree:
+    """node with each of its leaves, depth first, replaced by the next tree of it.
+
+    A module-level function, not a closure of graft: a nested function that
+    calls itself is a reference cycle that only the cyclic collector frees."""
+    if not node.children:
+        return next(it)
+    return MarkedTree(node.marking, tuple([_rebuild(c, it) for c in node.children]))
 
 
 @lru_cache(maxsize=None)
@@ -222,20 +226,23 @@ def _branch_combos(total: int, count: int) -> list[tuple[MarkedTree, ...]]:
         options.extend((c, b) for b in _branch_options(c))
 
     out: list[tuple[MarkedTree, ...]] = []
-
-    def pick(start: int, left: int, slots: int, acc: tuple[MarkedTree, ...]):
-        if slots == 0:
-            if left == 0:
-                out.append(acc)
-            return
-        for idx in range(start, len(options)):
-            c, b = options[idx]
-            if c > left - (slots - 1):
-                continue
-            pick(idx, left - c, slots - 1, acc + (b,))
-
-    pick(0, total, count, ())
+    _pick(options, 0, total, count, (), out)
     return out
+
+
+def _pick(options: list[tuple[int, MarkedTree]], start: int, left: int, slots: int,
+          acc: tuple[MarkedTree, ...], out: list[tuple[MarkedTree, ...]]):
+    """Append to out each acc extended by slots more branches of options, taken
+    from index start on in nondecreasing index order, whose costs sum to left."""
+    if slots == 0:
+        if left == 0:
+            out.append(acc)
+        return
+    for idx in range(start, len(options)):
+        c, b = options[idx]
+        if c > left - (slots - 1):
+            continue
+        _pick(options, idx, left - c, slots - 1, acc + (b,), out)
 
 
 def enumerate_trees(max_codim: int) -> list[MarkedTree]:

@@ -31,6 +31,12 @@ as long as the process, so a new one is a reviewed change.  No memo of
 would answer repeated texts from its table, not from the parser; nor does
 a memo of ``notation``.
 
+No function nested in another refers to its own name: a closure that calls
+itself holds a reference cycle (function -> cell -> function), which only
+the cyclic collector frees, on every call of the function that defines it.
+Recursion is written as a module-level function that takes its state as
+arguments.
+
 An argument is refused in ``errors``: a count through ``_count`` or
 ``_integer``, an operand of the wrong type through ``_operand``.  No other
 module writes such a refusal by hand, an ``if`` that tests ``_integer(...)``
@@ -187,6 +193,34 @@ def _object_new_users(path: Path) -> set[str]:
     return out
 
 
+def _nested_functions(tree: ast.AST) -> list[tuple[str, ast.FunctionDef | ast.AsyncFunctionDef]]:
+    """(dotted name, node) of every function defined inside another function's body."""
+    out = []
+
+    def visit(node: ast.AST, scope: tuple[str, ...], in_function: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if in_function:
+                    out.append((".".join(scope + (child.name,)), child))
+                visit(child, scope + (child.name,), True)
+            elif isinstance(child, ast.ClassDef):
+                visit(child, scope + (child.name,), in_function)
+            else:
+                visit(child, scope, in_function)
+
+    visit(tree, (), False)
+    return out
+
+
+def _self_referring_closures(tree: ast.AST) -> set[str]:
+    """The dotted name of every nested function whose body names itself."""
+    return {
+        name
+        for name, fn in _nested_functions(tree)
+        if any(_mentions(statement, fn.name) for statement in fn.body)
+    }
+
+
 def _mentions(node: ast.AST, name: str) -> bool:
     """Whether node names the bare name ``name`` anywhere."""
     return any(isinstance(n, ast.Name) and n.id == name for n in ast.walk(node))
@@ -337,6 +371,29 @@ def test_values_are_built_without_their_constructor_in_two_places_only():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_tree_factory_beside_the_constructor(path):
     assert set(_module_bindings(path)) & RETIRED_TREE_NAMES == set()
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_nested_function_refers_to_itself(path):
+    assert _self_referring_closures(_tree(path)) == set()
+
+
+def test_the_closure_guard_sees_nested_functions():
+    # cli.build_parser's add is a nested function that does not call itself
+    nested = {name for name, _ in _nested_functions(_tree(SRC / "singclass" / "cli.py"))}
+    assert "build_parser.add" in nested
+    recursive = ast.parse(
+        "def graft(outer):\n"
+        "    def rebuild(node):\n"
+        "        return [rebuild(c) for c in node]\n"
+        "    return rebuild(outer)\n"
+        "class K:\n"
+        "    def walk(self):\n"
+        "        def step(n):\n"
+        "            yield from step(n - 1)\n"
+        "        return step\n"
+    )
+    assert _self_referring_closures(recursive) == {"graft.rebuild", "K.walk.step"}
 
 
 def test_arguments_are_refused_in_errors_only():

@@ -385,7 +385,8 @@ class TestHurwitzCoordinates:
 
     def test_reassembly_failure_is_a_singclass_error(self, monkeypatch):
         f = canonical_function((1, 1), 0, (1, -1))
-        monkeypatch.setattr(local_models, "reassemble", lambda coords: function_derivative(f))
+        # the self-check reassembles through _reassemble, over the divisor it already built
+        monkeypatch.setattr(local_models, "_reassemble", lambda coords, scale, product: function_derivative(f))
         with pytest.raises(SingclassError):
             hurwitz_coordinates(f, (1, 1), (1, -1))
 
