@@ -9,17 +9,25 @@ the expansion depth of class-producing commands, of coeff and of verify --max-m;
 char over 48 boxes and multiply-cycles over 2 400 000 point steps (a cycle tuple
 or composition on N points is N steps) exit 3 as well.
 
+The verbs are spelled once, in _VERBS, and both argument readers come from
+it.  _read_fast reads an argv that is well formed for its verb: exact option
+spellings, each at most once, and the positionals in one run, of the right
+number, with every int and choice valid; to-sing, to-basic and local-model
+read a token that starts with a single "-" (not -h) as a value.  Any other
+argv (no verb, -h, an abbreviation, --opt=value, "--", a missing or extra
+argument, a bad int or choice) goes to argparse, which build_parser alone
+imports and which writes every help, usage and error text.  So a well-formed
+call loads no argparse, gettext, locale or shutil, and builds no parser.
+
 Each call is a fresh process, and with no bytecode cache every module it
 imports is compiled from source.  So the module top imports only notation
 (the text of everything but class expressions) and errors, and each verb's
 handler imports what it runs: the class verbs (product, psi, to-sing,
 to-basic) load grammar and with it the class side, coeff psi loads classes,
 the cycle verbs load cycles, only local-model loads local_models and only
-verify loads verification; char loads nothing more.  The help formatters
-are given argparse's own terminal width, read without shutil, which
-argparse would otherwise import once per formatter it builds.  JSON is
-written through notation's string escaper, and only local-model's json
-format imports the json package, whose decoder no verb needs.
+verify loads verification; char loads nothing more.  JSON is written through
+notation's string escaper, and only local-model's json format imports the
+json package, whose decoder no verb needs.
 
 A process runs _entry (python -m and the installed script alike): it calls
 main and then freezes the heap with gc.freeze, so that the collection
@@ -30,12 +38,11 @@ process that goes on.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import itertools
 import os
 import sys
-from functools import partial
+from types import SimpleNamespace
 
 from . import notation
 from .errors import ConstraintError, ParseError, SingclassError
@@ -86,93 +93,6 @@ def _print_value(value, fmt: str):
         print('{"value": ' + notation._json_str(str(value)) + "}")
     else:
         print(value)
-
-
-def _terminal_width() -> int:
-    """The width that argparse reads through shutil.get_terminal_size: COLUMNS
-    if it is a positive int, else the columns of the terminal on stdout, else
-    80."""
-    try:
-        columns = int(os.environ["COLUMNS"])
-    except (KeyError, ValueError):
-        columns = 0
-    if columns > 0:
-        return columns
-    try:
-        return os.get_terminal_size(sys.__stdout__.fileno()).columns or 80
-    except (AttributeError, ValueError, OSError):  # stdout is None, closed or no terminal
-        return 80
-
-
-def _formatter():
-    """argparse's help formatter at the width argparse computes (the terminal
-    width minus 2), given up front: without a width, each of the formatters
-    that building the parser makes, one per argument, imports shutil and
-    with it fnmatch, zlib, bz2 and lzma."""
-    return partial(argparse.HelpFormatter, width=_terminal_width() - 2)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    formatter = _formatter()
-    parser = argparse.ArgumentParser(
-        prog="singclass",
-        description="Exact singularity/basic class expansions and completed-cycle calculus",
-        formatter_class=formatter,
-    )
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    def add(name, help_text):
-        p = sub.add_parser(name, help=help_text, formatter_class=formatter)
-        p.add_argument("--format", choices=_FORMATS, default="text")
-        return p
-
-    p = add("product", "expansion of prod_{r=1}^m (r*psi - xi)")
-    p.add_argument("m", type=int)
-
-    p = add("psi", "expansion of psi^m in singularity classes")
-    p.add_argument("m", type=int)
-
-    p = add("to-sing", "convert a class expression to the singularity basis")
-    p.add_argument("expression")
-
-    p = add("to-basic", "convert a class expression to the basic basis")
-    p.add_argument("expression")
-
-    p = add("completed-cycle", "the completed (m+1)-cycle")
-    p.add_argument("m", type=int)
-    p.add_argument("--genus0", action="store_true", help="keep only the maximal-order terms")
-
-    p = add("x-poly", "the coefficient polynomial in the variables x_k")
-    p.add_argument("m", type=int)
-    p.add_argument("--raw", action="store_true", help="without the 1/m! normalization")
-
-    p = add("multiply-cycles", "product of two stable central elements")
-    p.add_argument("p1")
-    p.add_argument("p2")
-    p.add_argument("--verify-at", type=int, metavar="N", default=None,
-                   help="also verify the identity brute-force in S_N")
-
-    p = add("char", "irreducible character value chi^lambda(mu)")
-    p.add_argument("partition")
-    p.add_argument("cycle_type")
-
-    p = add("coeff", "point-class coefficient extractors")
-    p.add_argument("which", choices=("psi", "delta"))
-    p.add_argument("args", nargs="+",
-                   help="psi: M PROFILE [--raw via flag]; delta: MS PROFILE")
-    p.add_argument("--raw", action="store_true",
-                   help="psi only: the variant scaled by m!")
-
-    p = add("local-model", "Hurwitz coordinates of the canonical pole function")
-    p.add_argument("profile")
-    p.add_argument("x")
-    p.add_argument("poles", help="comma-separated pole locations, one per branch")
-
-    p = sub.add_parser("verify", help="run a verification suite", formatter_class=formatter)
-    p.add_argument("suite", choices=_SUITES)
-    p.add_argument("--max-m", type=int, default=None)
-
-    return parser
 
 
 def _cmd_product(args) -> int:
@@ -338,18 +258,65 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if failed == 0 else EXIT_VERIFY
 
 
-# Verbs whose values may start with "-": a negated class expression, a
-# negative point or pole.  argparse reads such a token as an option, but
-# singclass has no single-dash option besides -h, so every other token after
-# the verb that is not a "--" option (or the value of --format) is a value.
-_SIGNED_VALUE_VERBS = ("to-sing", "to-basic", "local-model")
+# verb -> (help, handler, whether its values may start with "-", arguments).
+# An argument is (name, reader[, help[, metavar]]), an option if its name
+# starts with "--".  The reader is int, str, a tuple of choices (the first is
+# an option's default), "+" (one or more strings) or None (a flag).
+_FORMAT = ("--format", _FORMATS)
+_M = ("m", int)
+_VERBS = {
+    "product": ("expansion of prod_{r=1}^m (r*psi - xi)", _cmd_product, False, _M, _FORMAT),
+    "psi": ("expansion of psi^m in singularity classes", _cmd_psi, False, _M, _FORMAT),
+    "to-sing": ("convert a class expression to the singularity basis", _cmd_convert, True,
+                ("expression", str), _FORMAT),
+    "to-basic": ("convert a class expression to the basic basis", _cmd_convert, True,
+                 ("expression", str), _FORMAT),
+    "completed-cycle": ("the completed (m+1)-cycle", _cmd_completed_cycle, False, _M, _FORMAT,
+                        ("--genus0", None, "keep only the maximal-order terms")),
+    "x-poly": ("the coefficient polynomial in the variables x_k", _cmd_x_poly, False, _M, _FORMAT,
+               ("--raw", None, "without the 1/m! normalization")),
+    "multiply-cycles": ("product of two stable central elements", _cmd_multiply_cycles, False,
+                        ("p1", str), ("p2", str), _FORMAT,
+                        ("--verify-at", int, "also verify the identity brute-force in S_N", "N")),
+    "char": ("irreducible character value chi^lambda(mu)", _cmd_char, False,
+             ("partition", str), ("cycle_type", str), _FORMAT),
+    "coeff": ("point-class coefficient extractors", _cmd_coeff, False, ("which", ("psi", "delta")),
+              ("args", "+", "psi: M PROFILE [--raw via flag]; delta: MS PROFILE"),
+              _FORMAT, ("--raw", None, "psi only: the variant scaled by m!")),
+    "local-model": ("Hurwitz coordinates of the canonical pole function", _cmd_local_model, True,
+                    ("profile", str), ("x", str),
+                    ("poles", str, "comma-separated pole locations, one per branch"), _FORMAT),
+    "verify": ("run a verification suite", _cmd_verify, False, ("suite", _SUITES), ("--max-m", int)),
+}
+
+
+# what argparse is told of each reader; a tuple of choices: those, the first the default
+_ARGPARSE = {None: {"action": "store_true"}, "+": {"nargs": "+"}, int: {"type": int}, str: {"type": str}}
+
+
+def build_parser():
+    """The argparse parser of every verb, made from _VERBS."""
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        prog="singclass",
+        description="Exact singularity/basic class expansions and completed-cycle calculus",
+    )
+    sub = parser.add_subparsers(dest="verb", required=True)
+    for verb, (help_text, _, _, *arguments) in _VERBS.items():
+        p = sub.add_parser(verb, help=help_text)
+        for name, reader, *more in arguments:
+            how = _ARGPARSE.get(reader) or {"choices": reader, "default": reader[0]}
+            p.add_argument(name, **how, **dict(zip(("help", "metavar"), more)))
+    return parser
 
 
 def _values_after_dashes(argv: list[str]) -> list[str]:
-    """Reorder a signed-value verb's arguments as ``VERB OPTIONS -- VALUES``,
-    keeping the values in the order typed, so argparse reads every value as
-    a positional and --format still works before or after them."""
-    if not argv or argv[0] not in _SIGNED_VALUE_VERBS:
+    """Reorder the arguments of a verb whose values may start with "-" as
+    ``VERB OPTIONS -- VALUES``, in the order typed, so that argparse reads
+    each value as a positional: every token but -h, a "--" option or the
+    value of --format is a value, as singclass has no other "-" option."""
+    if not argv or argv[0] not in _VERBS or not _VERBS[argv[0]][2]:
         return argv
     options, values = [], []
     rest = iter(argv[1:])
@@ -365,28 +332,60 @@ def _values_after_dashes(argv: list[str]) -> list[str]:
     return [argv[0], *options, "--", *values]
 
 
+def _read(reader, token: str):
+    """token as argparse reads it for reader str, int or a tuple of choices,
+    or ValueError where argparse may refuse it (it reads "-3_0" as an option)."""
+    if reader is str or type(reader) is tuple and token in reader:
+        return token
+    if reader is int and not token.startswith("-"):
+        return int(token)
+    raise ValueError(token)
+
+
+def _read_fast(argv: list[str]):
+    """The attributes argparse sets for an argv that is well formed for its
+    verb (see the module docstring), read without argparse; else None."""
+    row = _VERBS.get(argv[0]) if argv else None
+    if row is None:
+        return None
+    _, _, signed, *arguments = row
+    positionals = [a for a in arguments if not a[0].startswith("--")]
+    options = {a[0]: (a[0][2:].replace("-", "_"), a[1]) for a in arguments if a[0].startswith("--")}
+    args = {"verb": argv[0]}
+    for dest, reader in options.values():  # the defaults
+        args[dest] = None if reader is int else False if reader is None else reader[0]
+    values, ended, tokens = [], False, iter(argv[1:])  # ended: an option came after a value
+    try:
+        for token in tokens:
+            if token in options:  # popped, so that a second one is refused
+                (dest, reader), ended = options.pop(token), bool(values)
+                args[dest] = True if reader is None else _read(reader, next(tokens, "-"))
+            elif ended or token.startswith("-") and not (signed and token[1:2] != "-" and token != "-h"):
+                return None  # a second run of values, or a "-" token that is no value here
+            else:
+                values.append(token)
+        last = len(positionals) - 1
+        if positionals[last][1] == "+" and len(values) > last:  # it takes the rest
+            values[last:] = [values[last:]]
+        if len(values) != len(positionals):
+            return None
+        for (name, reader, *_), value in zip(positionals, values):
+            args[name] = value if reader == "+" else _read(reader, value)
+    except ValueError:
+        return None
+    return SimpleNamespace(**args)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_fast(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(_values_after_dashes(argv))
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else EXIT_PARSE
     try:
-        args = parser.parse_args(_values_after_dashes(argv))
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_PARSE
-    handlers = {
-        "product": _cmd_product,
-        "psi": _cmd_psi,
-        "to-sing": _cmd_convert,
-        "to-basic": _cmd_convert,
-        "completed-cycle": _cmd_completed_cycle,
-        "x-poly": _cmd_x_poly,
-        "multiply-cycles": _cmd_multiply_cycles,
-        "char": _cmd_char,
-        "coeff": _cmd_coeff,
-        "local-model": _cmd_local_model,
-        "verify": _cmd_verify,
-    }
-    try:
-        return handlers[args.verb](args)
+        return _VERBS[args.verb][1](args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

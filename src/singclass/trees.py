@@ -32,6 +32,19 @@ and hash are identity.  Each node computes its codimension, weight, vanishing
 flag and leaf markings once, from its children, when it is built.  Sets of
 trees therefore iterate in address order: anything shown or compared across
 runs is sorted by :func:`encoding` first.
+
+Threads
+-------
+A new node is published with one ``dict.setdefault`` per key, canonical key
+first.  Hashing and comparing a key (ints, tuples and identity-hashed trees)
+runs no Python code, so each ``setdefault`` is one step under the GIL: two
+threads that build the same new tree both return the node stored first,
+never two equal-looking trees that compare unequal.  (A free-threaded CPython
+has not been checked.)  The other state filled lazily is harmless once trees
+are unique: the slots ``classes.ClassExpr._order`` and
+``combinatorics.CycleExpr._row`` may be written twice, with the same value,
+and an ``lru_cache`` may compute an entry twice and keep one of two equal
+values.
 """
 
 from __future__ import annotations
@@ -126,7 +139,10 @@ class MarkedTree(Record):
             setter(self, "weight", weight)
             setter(self, "vanishing", vanishing)
             setter(self, "leaves", leaves)
-        _NODES[marking, given] = _NODES[marking, kids] = self
+        # published with one setdefault per key, so that of two threads that
+        # build the same new tree, both return the node stored first
+        self = _NODES.setdefault((marking, kids), self)
+        _NODES.setdefault((marking, given), self)
         return self
 
 

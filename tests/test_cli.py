@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import io
 import json
-import os
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -23,41 +23,31 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def _help_texts(parser: argparse.ArgumentParser) -> list[str]:
-    """format_help() of the parser and of every verb's subparser."""
-    verbs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return [parser.format_help()] + [p.format_help() for p in verbs.choices.values()]
+HERE = Path(__file__).resolve().parent
+ARGPARSE_TEXTS = json.loads((HERE / "cli_argparse_texts.json").read_text())
 
 
-class TestHelpText:
-    """cli gives each help formatter the width argparse computes, read without
-    shutil; help and usage text must be what argparse's formatter writes."""
+@pytest.mark.skipif(
+    list(sys.version_info[:2]) != ARGPARSE_TEXTS["python"],
+    reason="argparse words its help and errors differently in other Python versions",
+)
+class TestArgparseTexts:
+    """The calls that only argparse reads: help of the top parser and of every
+    verb, usage errors, and two abbreviated or --opt=value calls that succeed,
+    each with the stdout, stderr and exit code argparse gives it at COLUMNS=80."""
 
-    @pytest.mark.parametrize("columns", [None, "40", "120", "0", "abc", " 120 ", "-5"])
-    @pytest.mark.parametrize("size", [None, (100, 30), (0, 0)], ids=["no-tty", "tty", "zero"])
-    def test_help_and_usage_match_argparse(self, monkeypatch, capsys, columns, size):
-        if columns is None:
-            monkeypatch.delenv("COLUMNS", raising=False)
-        else:
-            monkeypatch.setenv("COLUMNS", columns)
+    @pytest.mark.parametrize(
+        "case", ARGPARSE_TEXTS["calls"], ids=[" ".join(c["argv"]) for c in ARGPARSE_TEXTS["calls"]]
+    )
+    def test_stdout_stderr_and_exit_are_unchanged(self, monkeypatch, capsys, case):
+        monkeypatch.setenv("COLUMNS", str(ARGPARSE_TEXTS["columns"]))
         monkeypatch.delenv("LINES", raising=False)
+        code = main(list(case["argv"]))
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err, code) == (case["stdout"], case["stderr"], case["exit"])
 
-        def get_terminal_size(fd=None):  # the terminal on stdout, or none
-            if size is None:
-                raise OSError("not a terminal")
-            return os.terminal_size(size)
-
-        monkeypatch.setattr(os, "get_terminal_size", get_terminal_size)
-
-        def outputs() -> list[str]:
-            texts = _help_texts(cli.build_parser())
-            assert main(["char", "[2,1]"]) == 2  # a usage error, on stderr
-            return texts + [capsys.readouterr().err]
-
-        ours = outputs()
-        monkeypatch.setattr(cli, "_formatter", lambda: argparse.HelpFormatter)
-        assert outputs() == ours
-        assert "usage: singclass char" in ours[-1]
+    def test_no_golden_call_is_read_without_argparse(self):
+        assert [c["argv"] for c in ARGPARSE_TEXTS["calls"] if cli._read_fast(c["argv"])] == []
 
 
 class TestClassCommands:
@@ -476,3 +466,91 @@ class TestArgvFuzz:
             with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
                 code = main([verb, *rest])
         assert code in (0, 1, 2, 3), sink.getvalue()
+
+
+# the stored calls: the CLI corpus and the benchmark's CLI calls
+_CORPUS_ARGVS = [c["argv"] for c in json.loads((HERE / "cli_corpus.json").read_text())]
+_BENCH_CALLS = HERE.parent / "perfbench" / "data" / "cli_calls.json"
+_BENCH_ARGVS = [c["argv"] for c in json.loads(_BENCH_CALLS.read_text())]
+_PARSER = cli.build_parser()
+# tokens a perturbation may insert
+_EXTRA = ["-h", "--", "-", "", "--format", "json", "--raw", "--genus0", "--verify-at", "--max-m",
+          "3", "-3", "-3_0", " 3", "psi", "delta", "appendix", "--form", "--format=json"]
+
+
+def _argparse_reads(argv: list[str]) -> dict | None:
+    """The attributes of argparse's namespace for argv, or None where it exits."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return vars(_PARSER.parse_args(cli._values_after_dashes(argv)))
+    except SystemExit:
+        return None
+
+
+def _read_as_argparse_reads(argv: list[str]) -> bool:
+    fast = cli._read_fast(list(argv))
+    return fast is None or vars(fast) == _argparse_reads(list(argv))
+
+
+@st.composite
+def _perturbed_argv(draw) -> list[str]:
+    """A stored call with up to three tokens dropped, duplicated, swapped,
+    abbreviated, joined with "=", negated or inserted."""
+    argv = list(draw(st.sampled_from(_CORPUS_ARGVS + _BENCH_ARGVS)))
+    for _ in range(draw(st.integers(0, 3))):
+        how = draw(st.sampled_from(("drop", "duplicate", "swap", "abbreviate", "equals", "negate", "insert")))
+        i = draw(st.integers(0, max(len(argv) - 1, 0)))
+        if how == "insert" or not argv:
+            argv.insert(i, draw(st.sampled_from(_EXTRA)))
+        elif how == "drop":
+            del argv[i]
+        elif how == "duplicate":
+            argv.insert(i, argv[i])
+        elif how == "swap":
+            j = draw(st.integers(0, len(argv) - 1))
+            argv[i], argv[j] = argv[j], argv[i]
+        elif how == "abbreviate":
+            argv[i] = argv[i][: draw(st.integers(0, len(argv[i])))]
+        elif how == "equals":
+            argv[i:i + 2] = ["=".join(argv[i:i + 2])]
+        else:
+            argv[i] = "-" + argv[i]
+    return argv
+
+
+class TestFastReader:
+    """main reads a well-formed argv without argparse; what it reads must be
+    what argparse reads, and anything else must be left to argparse."""
+
+    def test_every_benchmark_call_is_read_without_argparse(self):
+        assert [argv for argv in _BENCH_ARGVS if cli._read_fast(argv) is None] == []
+
+    def test_a_stored_call_reads_as_argparse_reads_it(self):
+        assert [argv for argv in _CORPUS_ARGVS + _BENCH_ARGVS if not _read_as_argparse_reads(argv)] == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["char", "[2,1]", "[3]", "--format", "json", "--format", "json"], ["product", "--", "3"],
+         ["coeff", "psi", "--raw", "4", "{1}"], ["char", "[2,1]", "--format", "json", "[3]"],
+         ["multiply-cycles", "{1}", "{1}", "--verify-at", "-3"], ["product", "-3"], ["to-sing", "-h"],
+         ["to-sing", "--format=json", "d[0,0]"], ["verify", "appendix", "--max-m", "3.5"]],
+    )
+    def test_argv_beyond_the_fast_reader_goes_to_argparse(self, argv):
+        assert cli._read_fast(argv) is None
+        assert _read_as_argparse_reads(argv)
+
+    @pytest.mark.parametrize(
+        "argv, attributes",
+        [(["to-sing", "-d[0,0]", "--format", "latex"], {"expression": "-d[0,0]", "format": "latex"}),
+         (["local-model", "{2}", "-1/2", "-"], {"profile": "{2}", "x": "-1/2", "poles": "-", "format": "text"}),
+         (["coeff", "delta", "[0,2]", "{1,3}", "--raw"],
+          {"which": "delta", "args": ["[0,2]", "{1,3}"], "raw": True, "format": "text"}),
+         (["verify", "ko", "--max-m", " 4_0"], {"suite": "ko", "max_m": 40})],
+    )
+    def test_the_fast_reader_sets_what_argparse_sets(self, argv, attributes):
+        assert vars(cli._read_fast(argv)) == {"verb": argv[0], **attributes} == _argparse_reads(argv)
+
+    @settings(deadline=None, max_examples=400)
+    @given(argv=_perturbed_argv())
+    def test_a_perturbed_call_reads_as_argparse_reads_it(self, argv):
+        assert _read_as_argparse_reads(argv)

@@ -6,7 +6,9 @@ is such a cycle (function -> cell -> function) on every call.  The check
 runs in a fresh interpreter, because ``gc.set_debug`` is process-wide: it
 imports every module, collects once, then runs the entry points with the
 collector off and ``DEBUG_SAVEALL`` on, so a cycle shows up as an object
-that the final collection finds.
+that the final collection finds.  The entry points include ``cli.main`` on
+well-formed calls, which build no argparse parser; a call that goes to
+argparse (help or a usage error) still leaves the parser's own cycles.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 SCRIPT = """
-import gc, importlib, pkgutil
+import contextlib, gc, importlib, io, pkgutil
 from collections import Counter
 from fractions import Fraction
 
@@ -27,7 +29,7 @@ import singclass
 
 for info in pkgutil.iter_modules(singclass.__path__):
     importlib.import_module("singclass." + info.name)
-from singclass import classes, combinatorics, cycles, grammar, local_models, trees, verification
+from singclass import classes, cli, combinatorics, cycles, grammar, local_models, trees, verification
 
 gc.collect()
 gc.disable()
@@ -59,6 +61,16 @@ f = local_models.reassemble(coords)
 assert local_models.hurwitz_coordinates(f, (2, 1), (0, 3)) == coords
 for suite in sorted(verification.SUITES):
     assert all(r.passed for r in verification.run_suite(suite))
+# well-formed calls, which cli reads without building argparse's parser
+for argv in (
+    ["product", "3", "--format", "json"],
+    ["completed-cycle", "4", "--genus0", "--format", "latex"],
+    ["char", "[2,1]", "[3]", "--format", "text"],
+    ["coeff", "psi", "4", "{1,1,1}", "--raw", "--format", "text"],
+    ["local-model", "{2,1}", "0", "1,-3", "--format", "text"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
 
 found = gc.collect()
 print(found, dict(Counter(type(o).__name__ for o in gc.garbage).most_common(8)))

@@ -5,13 +5,14 @@ Every CLI call is a fresh process, so each module its import graph pulls in
 is start-up time paid on every call, and without a bytecode cache each
 singclass module is compiled from source.  ``dataclasses`` brings
 ``inspect``, ``ast`` and ``dis``; ``importlib.resources`` brings ``pathlib``
-and ``tempfile``; none of them is needed at run time, and neither is
-``shutil``, which argparse imports to read the terminal width unless it is
-given one, nor the ``json`` package, decoder and all: ``notation`` escapes
-JSON strings itself, and only ``local-model --format json`` imports ``json``.
-The package root is lazy, cli's top imports only ``notation``
-(the text of everything but class expressions), and cli imports ``grammar``
-and each engine module in the verbs that run them.
+and ``tempfile``; none of them is needed at run time, and neither is the
+``json`` package, decoder and all: ``notation`` escapes JSON strings itself,
+and only ``local-model --format json`` imports ``json``.  A well-formed call
+does not load argparse either, nor ``gettext``, ``locale`` and ``shutil``
+with it: cli reads such an argv itself and builds argparse's parser only for
+help and usage errors.  The package root is lazy, cli's top imports only
+``notation`` (the text of everything but class expressions), and cli imports
+``grammar`` and each engine module in the verbs that run them.
 """
 
 from __future__ import annotations
@@ -77,6 +78,9 @@ _BASE = {"cli", "notation", "combinatorics", "errors"}
 # the class text and what it imports
 _CLASS_TEXT = {"grammar", "classes", "trees"}
 
+# the one call of VERB_MODULES that is not well formed, so argparse reads it
+MALFORMED = ["verify", "nosuch"]
+
 # argv of one call -> the singclass modules it loads beyond _BASE
 VERB_MODULES = [
     (["product", "3"], _CLASS_TEXT),
@@ -94,22 +98,28 @@ VERB_MODULES = [
     (["coeff", "delta", "[1]", "{2}"], {"cycles"}),
     (["local-model", "{2}", "0", "1"], {"local_models"}),
     (["verify", "appendix"], {"verification", "cycles"} | _CLASS_TEXT),
-    (["verify", "nosuch"], set()),
+    (MALFORMED, set()),
 ]
 
 _SUBMODULES = {path.stem for path in (SRC / "singclass").glob("*.py")} - {"__init__"}
 
+# argparse, what it imports and what its first message and help formatter load
+_ARGPARSE = {"argparse", "gettext", "locale", "shutil"}
+
 
 @pytest.mark.parametrize("argv, extra", VERB_MODULES, ids=[" ".join(a) for a, _ in VERB_MODULES])
 def test_a_verb_loads_only_the_modules_it_runs(argv, extra):
-    code = f"from singclass import cli\ncli.main({argv!r})"
-    names = {f"singclass.{m}" for m in _SUBMODULES} | {"shutil"} | _JSON
-    assert set(_loaded(code, names)) == {f"singclass.{m}" for m in _BASE | extra}
+    code = f"from singclass import cli\nassert cli.main({argv!r}) == {2 if argv == MALFORMED else 0}"
+    names = {f"singclass.{m}" for m in _SUBMODULES} | _ARGPARSE | _JSON
+    loaded = set(_loaded(code, names))
+    assert loaded - _ARGPARSE == {f"singclass.{m}" for m in _BASE | extra}
+    # only the malformed call goes through argparse, which reports it
+    assert loaded & _ARGPARSE == (_ARGPARSE if argv == MALFORMED else set())
 
 
 def test_a_full_call_loads_no_shutil():
     # argparse imports shutil (and fnmatch, zlib, bz2 and lzma with it) in
-    # every help formatter that is given no width; cli gives each one
+    # each help formatter; a well-formed call builds none
     code = "from singclass import cli\nassert cli.main(['char', '[2,1]', '[3]']) == 0"
     assert _loaded(code, {"shutil", "fnmatch", "zlib", "bz2", "lzma"}) == []
 

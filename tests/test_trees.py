@@ -8,6 +8,7 @@ import pickle
 import random
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from singclass import trees
 from singclass.classes import (
     BASIC,
     SINGULARITY,
@@ -239,6 +241,60 @@ class TestInterning:
             assert copy.copy(t) is t
             assert copy.deepcopy(t) is t
             assert pickle.loads(pickle.dumps(t)) is t
+
+    def test_two_threads_building_one_new_tree_get_one_node(self, monkeypatch):
+        # The threads meet after each lookup in the node table, so both miss
+        # the new tree before either stores it.  (Meeting in encoding, during
+        # the sort, is too early: the thread released last looks up, builds
+        # and stores without a thread switch.)
+        kids = (stick(9001), stick(9002))
+        assert (0, kids) not in trees._NODES
+        met = threading.Barrier(2, timeout=30)
+
+        class MeetingTable(dict):
+            def get(self, key, default=None):
+                found = dict.get(self, key, default)
+                met.wait()
+                return found
+
+        table = MeetingTable(trees._NODES)
+        monkeypatch.setattr(trees, "_NODES", table)
+        built = []
+        threads = [threading.Thread(target=lambda: built.append(MarkedTree(0, kids))) for _ in range(2)]
+        _run_all(threads)
+        monkeypatch.undo()
+        trees._NODES.update(table)
+        assert len(built) == 2 and built[0] is built[1]
+
+    def test_threads_that_build_the_same_new_trees_share_every_node(self):
+        # a stress run: more threads than cores, switching as often as the
+        # interpreter lets them, each building the same 200 new trees
+        def build(base: int) -> list[MarkedTree]:
+            return [
+                MarkedTree(k % 3, (stick(base + k), stick(base + k + 1), star(0, (base + k + 2, 0))))
+                for k in range(200)
+            ]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for trial in range(5):
+                base = 20000 + 1000 * trial
+                assert (base, ()) not in trees._NODES  # new trees, each trial
+                results: list[list[MarkedTree]] = []
+                _run_all([threading.Thread(target=lambda: results.append(build(base))) for _ in range(6)])
+                assert len(results) == 6
+                assert all(len({id(r[k]) for r in results}) == 1 for k in range(200))
+        finally:
+            sys.setswitchinterval(interval)
+
+
+def _run_all(threads: list[threading.Thread]):
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(60)
+        assert not thread.is_alive()
 
 
 # nested (marking, children) data over small markings, two or three children a vertex
