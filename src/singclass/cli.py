@@ -6,8 +6,8 @@ violation, 4 internal error (an exception that is not a SingclassError, so a
 defect of singclass, reported on stderr as ``internal error: ...`` followed by
 the traceback).  The environment variable SINGCLASS_MAX_CODIM (default 8) caps
 the expansion depth of class-producing commands, of coeff and of verify --max-m;
-char over 48 boxes and multiply-cycles over 2 400 000 point steps (a cycle tuple
-or composition on N points is N steps) exit 3 as well.
+char over 48 boxes and multiply-cycles over 4 000 000 point steps (an orbit
+representative or composition on N points is N steps) exit 3 as well.
 
 The verbs are spelled once, in _VERBS, and both argument readers come from
 it.  _read_fast reads an argv that is well formed for its verb: exact option
@@ -173,27 +173,23 @@ def _cmd_char(args) -> int:
 
 def _cmd_coeff(args) -> int:
     if args.which == "psi":
-        if len(args.args) != 2:
-            raise ConstraintError("coeff psi expects: M PROFILE")
         from . import classes
 
         try:
-            m = int(args.args[0])
+            m = int(args.m)
         except ValueError:
-            raise ParseError(f"bad integer M: {args.args[0]!r}") from None
+            raise ParseError(f"bad integer M: {args.m!r}") from None
         _check_depth(m)
-        profile = notation.parse_profile(args.args[1])
+        profile = notation.parse_profile(args.profile)
         value = classes.point_coefficient_psi(m, profile, raw=args.raw)
     else:
         if args.raw:
             raise ConstraintError("--raw applies to coeff psi only")
-        if len(args.args) != 2:
-            raise ConstraintError("coeff delta expects: MS PROFILE")
         from . import cycles
 
-        ms = notation.parse_exponents(args.args[0])
+        ms = notation.parse_exponents(args.m)
         _check_depth(2 * len(ms) + sum(ms) - 2)  # the codim of psi^(s-2) d[ms], as M of psi^M
-        profile = notation.parse_profile(args.args[1])
+        profile = notation.parse_profile(args.profile)
         value = cycles.point_coefficient_delta(ms, profile)
     _print_value(str(value), args.format)
     return EXIT_OK
@@ -261,7 +257,7 @@ def _cmd_verify(args) -> int:
 # verb -> (help, handler, whether its values may start with "-", arguments).
 # An argument is (name, reader[, help[, metavar]]), an option if its name
 # starts with "--".  The reader is int, str, a tuple of choices (the first is
-# an option's default), "+" (one or more strings) or None (a flag).
+# an option's default) or None (a flag).
 _FORMAT = ("--format", _FORMATS)
 _M = ("m", int)
 _VERBS = {
@@ -281,7 +277,8 @@ _VERBS = {
     "char": ("irreducible character value chi^lambda(mu)", _cmd_char, False,
              ("partition", str), ("cycle_type", str), _FORMAT),
     "coeff": ("point-class coefficient extractors", _cmd_coeff, False, ("which", ("psi", "delta")),
-              ("args", "+", "psi: M PROFILE [--raw via flag]; delta: MS PROFILE"),
+              ("m", str, "psi: the exponent M; delta: the exponent list MS", "M/MS"),
+              ("profile", str, "the profile, as {k1,k2,...}", "PROFILE"),
               _FORMAT, ("--raw", None, "psi only: the variant scaled by m!")),
     "local-model": ("Hurwitz coordinates of the canonical pole function", _cmd_local_model, True,
                     ("profile", str), ("x", str),
@@ -291,7 +288,7 @@ _VERBS = {
 
 
 # what argparse is told of each reader; a tuple of choices: those, the first the default
-_ARGPARSE = {None: {"action": "store_true"}, "+": {"nargs": "+"}, int: {"type": int}, str: {"type": str}}
+_ARGPARSE = {None: {"action": "store_true"}, int: {"type": int}, str: {"type": str}}
 
 
 def build_parser():
@@ -364,13 +361,10 @@ def _read_fast(argv: list[str]):
                 return None  # a second run of values, or a "-" token that is no value here
             else:
                 values.append(token)
-        last = len(positionals) - 1
-        if positionals[last][1] == "+" and len(values) > last:  # it takes the rest
-            values[last:] = [values[last:]]
         if len(values) != len(positionals):
             return None
         for (name, reader, *_), value in zip(positionals, values):
-            args[name] = value if reader == "+" else _read(reader, value)
+            args[name] = _read(reader, value)
     except ValueError:
         return None
     return SimpleNamespace(**args)

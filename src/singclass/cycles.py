@@ -12,11 +12,10 @@ the coefficients L_j = B_{2j} / (2j (2j)!) of log S (B the Bernoulli numbers).
 from __future__ import annotations
 
 import itertools
-from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm, perm, prod
+from math import comb, factorial, lcm, perm, prod
 
 from .combinatorics import (  # the value types are defined beside the profiles
     CHARACTER_SIZE_BUDGET,
@@ -185,10 +184,10 @@ def evaluate(c: CycleExpr, lam: Partition) -> Fraction:
     return Fraction(total, common * _dimension(beta))
 
 
-# Most point steps a product or a group-algebra check may take: a cycle tuple or
-# composition on n points is n steps, about 1 us each on CPython 3.11; {6}*{6}
-# (110 880 tuples on 12 points) takes 1.3 s, and {1,1,1,1,1,1}^2 is refused.
-PRODUCT_STEP_BUDGET = 2_400_000
+# Most point steps a product or a group-algebra check may take: an orbit representative
+# or a composition on n points is n steps, about 0.2 us each on CPython 3.11; {8}*{1,1,6}
+# (240 349 representatives on 16 points) takes 0.8 s, and {1^8}^2 and {5,5}^2 are refused.
+PRODUCT_STEP_BUDGET = 4_000_000
 
 
 def _placements(p: Profile, n: int, cap: int) -> int:
@@ -205,63 +204,85 @@ def _placements(p: Profile, n: int, cap: int) -> int:
     return min(count, cap + 1)
 
 
-def _cycle_tuples(lengths: Profile, points: tuple[int, ...]) -> Iterator[dict[int, int]]:
-    """Every ordered tuple of disjoint cycles with the given lengths on the
-    points, as a map point -> image; each cycle starts at its smallest point."""
-    if not lengths:
-        yield {}
-        return
-    for i, anchor in enumerate(points):
-        for rest in itertools.permutations(points[i + 1 :], lengths[0] - 1):
-            cycle = dict(zip((anchor,) + rest, rest + (anchor,)))
-            others = tuple(x for x in points if x not in cycle)
-            for tail in _cycle_tuples(lengths[1:], others):
-                yield {**cycle, **tail}
+def _orbit_count(p: Profile, support: int, cap: int) -> int:
+    """Number of representatives _orbit_tally visits for p beside that many support points,
+    or cap + 1 if over: counted cycle by cycle, it stops once over (none is a dead end)."""
+    counts, total = {0: 1}, 1
+    for k in p:
+        new, total = {}, 0
+        for used, count in counts.items():
+            for s in range(min(k, support - used) + 1):  # s support points, the least at the head
+                ways = count * perm(support - used, s) // s * comb(k - 1, s - 1) if s else count
+                new[used + s] = new.get(used + s, 0) + ways
+                total += ways
+                if total > cap:
+                    return cap + 1
+        counts = new
+    return total
 
 
-def _product_type(a: dict[int, int], b: dict[int, int]) -> Profile:
-    """Cycle type of the partial permutation "b, then a": it acts on the union
-    of the two supports, and its fixed points there count as 1-cycles."""
-    left = {x: a.get(b.get(x, x), b.get(x, x)) for x in a.keys() | b.keys()}
+def _orbit_tally(base: list[int], points: list[int], heads: list[int], succ: list[int],
+                 least: int, weight: int, tally: dict[Profile, int]):
+    """Add weight to tally[r], r the cycle type of "b, then a" for the cycles b that points
+    spells (the point at each place; the cycle of place t starts at place heads[t], and t is
+    followed by succ[t]), and recurse on each representative that puts a support point
+    >= least at a further place.  base is a, but -1 at the free points b leaves out."""
+    support = len(base) - len(points)
+    left = base[:]
+    for x, t in zip(points, succ):
+        left[x] = base[points[t]]
     lengths = []
-    while left:
-        x, length = next(iter(left)), 0
-        while x in left:
-            x = left.pop(x)
-            length += 1
-        lengths.append(length)
-    return tuple(sorted(lengths))
+    for x, y in enumerate(left):
+        if y >= 0:
+            length = 1
+            while y != x:
+                left[y], y = -1, left[y]
+                length += 1
+            lengths.append(length)
+    r = tuple(sorted(lengths))
+    tally[r] = tally.get(r, 0) + weight
+    for t, head in enumerate(heads):
+        free = support + t  # the free point of place t
+        if points[t] == free and (head == t or points[head] < support):
+            base[free], grown = -1, weight * heads.count(t) if head == t else weight
+            for x in range(least, support):
+                points[t] = x
+                _orbit_tally(base, points, heads, succ, x + 1, grown, tally)
+            points[t] = base[free] = free
 
 
 def multiply_central(p1: Profile, p2: Profile) -> CycleExpr:
     """Product of two stable central elements as a combination of stable elements.
 
-    A direct count of partial permutations (Ivanov-Kerov, arXiv:math/0302203).
-    C_p sums the ordered tuples of disjoint numbered cycles with lengths p, so
-    C_p = |Aut(p)| A_p with A_p the sum of the partial permutations of type p,
-    which compose on the union of their supports.  Fix the p1-cycles on the
-    points 0..K1-1 (K1 = sum(p1), n = K1 + sum(p2)) and compose them with every
-    tuple of p2-cycles on n points; if t_r tuples give type r, C_r has the
-    coefficient t_r (n-|r|)! prod(r) / ((n-K1)! prod(p1)).  The factor with
-    fewer tuples is enumerated; more than PRODUCT_STEP_BUDGET / n of them
-    raise ConstraintError.
+    A direct count of partial permutations (Ivanov-Kerov, arXiv:math/0302203).  C_p sums the
+    ordered tuples of disjoint numbered cycles with lengths p, so C_p = |Aut(p)| A_p with
+    A_p the sum of the partial permutations of type p, which compose on the union of their
+    supports.  Fix the p1-cycles on the points 0..K1-1 (K1 = sum(p1), n = K1 + sum(p2)) and
+    take the tuples of p2-cycles on n points by orbit under relabelling of the n - K1 free
+    points, which keeps the type r of the composition.  A representative starts each cycle
+    that meets the support at its least support point and takes the free points in
+    increasing order; with j free points it stands for perm(n-K1, j) / prod(its all-free
+    cycle lengths) tuples, and it adds prod(its other cycle lengths) prod(r) / (prod(p1)
+    prod(p2)) to the coefficient of C_r.  The factor with fewer points (the smaller profile
+    on a tie) is enumerated; over PRODUCT_STEP_BUDGET / n representatives raise ConstraintError.
     """
     p1, p2 = make_profile(p1), make_profile(p2)
     n = sum(p1) + sum(p2)
     cap = PRODUCT_STEP_BUDGET // max(n, 1)
-    p1, p2 = sorted((p1, p2), key=lambda p: _placements(p, n, cap), reverse=True)  # p2 has fewer tuples
-    if _placements(p2, n, cap) > cap:
+    p1, p2 = sorted((p1, p2), key=lambda p: (sum(p), p), reverse=True)
+    if _orbit_count(p2, sum(p1), cap) > cap:
         raise ConstraintError(
-            f"product needs more than {cap} cycle tuples on {n} points, over the step budget"
+            f"product needs more than {cap} orbit representatives on {n} points, over the step budget"
         )
-    # one tuple of p1-cycles on consecutive points: x -> x + 1, a cycle's last point to its first
-    ends = list(itertools.accumulate(p1))
-    first = {x: x + 1 for x in range(sum(p1))} | {end - 1: end - k for end, k in zip(ends, p1)}
-    tally = Counter(_product_type(first, b) for b in _cycle_tuples(p2, tuple(range(n))))
-    scale = factorial(n - sum(p1)) * prod(p1)
-    return CycleExpr._make(_sorted_terms(
-        (r, Fraction(t * factorial(n - sum(r)) * prod(r), scale)) for r, t in tally.items()
-    ))
+    # the p1-cycles on the points, the p2-cycles on the places: x -> x + 1 on a cycle, and back
+    a, succ = ([x + 1 if x + 1 < end else end - k for end, k in zip(itertools.accumulate(p), p)
+                for x in range(end - k, end)] for p in (p1, p2))
+    heads = [end - k for end, k in zip(itertools.accumulate(p2), p2) for _ in range(k)]
+    tally: dict[Profile, int] = {}
+    free = list(range(sum(p1), n))
+    _orbit_tally(a + free, free[:], heads, succ, 0, 1, tally)
+    scale = prod(p1) * prod(p2)
+    return CycleExpr._make(_sorted_terms((r, Fraction(t * prod(r), scale)) for r, t in tally.items()))
 
 
 def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:

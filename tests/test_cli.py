@@ -221,7 +221,7 @@ class TestExitCodes:
 
     def test_product_over_the_tuple_budget_is_exit_3(self, capsys):
         code, out, err = run(
-            capsys, "multiply-cycles", "{1,1,1,1,1,1}", "{1,1,1,1,1,1}"
+            capsys, "multiply-cycles", "{1,1,1,1,1,1,1,1}", "{1,1,1,1,1,1,1,1}"
         )
         assert code == 3
         assert out == ""
@@ -544,7 +544,7 @@ class TestFastReader:
         [(["to-sing", "-d[0,0]", "--format", "latex"], {"expression": "-d[0,0]", "format": "latex"}),
          (["local-model", "{2}", "-1/2", "-"], {"profile": "{2}", "x": "-1/2", "poles": "-", "format": "text"}),
          (["coeff", "delta", "[0,2]", "{1,3}", "--raw"],
-          {"which": "delta", "args": ["[0,2]", "{1,3}"], "raw": True, "format": "text"}),
+          {"which": "delta", "m": "[0,2]", "profile": "{1,3}", "raw": True, "format": "text"}),
          (["verify", "ko", "--max-m", " 4_0"], {"suite": "ko", "max_m": 40})],
     )
     def test_the_fast_reader_sets_what_argparse_sets(self, argv, attributes):

@@ -12,6 +12,7 @@ from hurwitz_reference import product
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from singclass import cycles
 from singclass.combinatorics import (
     aut_count,
     central_character,
@@ -22,6 +23,7 @@ from singclass.combinatorics import (
 from singclass.cycles import (
     PRODUCT_STEP_BUDGET,
     CycleExpr,
+    _orbit_count,
     _placements,
     completed_cycle,
     evaluate,
@@ -57,6 +59,31 @@ _PRODUCT_PAIRS = [
     for a in _profiles_of_order_up_to(7)
     for b in _profiles_of_order_up_to(7)
     if profile_order(a) + profile_order(b) <= 9
+]
+
+
+def steps(p1: tuple[int, ...], p2: tuple[int, ...]) -> int:
+    """Point steps of multiply_central(p1, p2): its orbit representatives
+    times the n points, for the factor it enumerates (the one with fewer
+    points; the smaller profile on a tie)."""
+    big, small = sorted((p1, p2), key=lambda p: (sum(p), p), reverse=True)
+    return _orbit_count(small, sum(big), 10**12) * (sum(p1) + sum(p2))
+
+
+def product_fits_the_characters(product: CycleExpr, p1, p2) -> bool:
+    """Whether the product evaluates to the product of the factors' central
+    characters on every partition of at most sum(p1) + sum(p2) boxes."""
+    return all(
+        evaluate(product, lam) == central_character(p1, lam) * central_character(p2, lam)
+        for size in range(sum(p1) + sum(p2) + 1)
+        for lam in partitions_of(size)
+    )
+
+
+# {6}^2, {3,3}^2, {4,4}^2, {3,3,3}*{3,3}, {8}*{1,1,6}, {1^6}^2 are admitted; {1^8}^2, {5,5}^2 not
+_DOCUMENTED_STEPS = [
+    ((6,), (6,)), ((3, 3), (3, 3)), ((4, 4), (4, 4)), ((3, 3, 3), (3, 3)), ((8,), (1, 1, 6)),
+    ((1,) * 6, (1,) * 6), ((1,) * 8, (1,) * 8), ((5, 5), (5, 5)),
 ]
 
 
@@ -325,7 +352,9 @@ class TestMultiplyCentral:
 
     def test_over_the_tuple_budget_is_refused(self):
         with pytest.raises(ConstraintError, match="budget"):
-            multiply_central((1,) * 6, (1,) * 6)
+            multiply_central((1,) * 8, (1,) * 8)
+        with pytest.raises(ConstraintError, match="budget"):
+            multiply_central((5, 5), (5, 5))
 
     def test_placements_stop_once_over_the_cap(self):
         def reference(p, n):
@@ -339,34 +368,75 @@ class TestMultiplyCentral:
                         assert _placements(p, n, cap) == (want if want <= cap else cap + 1)
 
     def test_the_step_budget_admits_and_refuses_the_documented_products(self):
-        def steps(p1, p2):
-            n = sum(p1) + sum(p2)
-            tuples = min(factorial(n) // (factorial(n - sum(p)) * prod(p)) for p in (p1, p2))
-            return tuples * n
-
-        assert steps((6,), (6,)) <= PRODUCT_STEP_BUDGET
-        assert steps((3, 3), (3, 3)) <= PRODUCT_STEP_BUDGET
-        assert steps((1,) * 6, (1,) * 6) > PRODUCT_STEP_BUDGET
+        assert [steps(p1, p2) for p1, p2 in _DOCUMENTED_STEPS] == [
+            26_664, 18_996, 1_462_096, 351_285, 3_845_584, 159_924, 23_067_664, 188_136_780,
+        ]
+        admitted = [steps(p1, p2) <= PRODUCT_STEP_BUDGET for p1, p2 in _DOCUMENTED_STEPS]
+        assert admitted == [True] * 6 + [False] * 2
         assert all(steps(a, b) <= PRODUCT_STEP_BUDGET for a, b in _PRODUCT_PAIRS)
 
-    def test_work_over_the_budget_is_refused_at_once(self):
+    @pytest.mark.parametrize("p1, p2", [((6,), (6,)), ((3, 3), (3, 3)), ((2, 3), (1, 2, 2)), ((1,), ())])
+    def test_a_product_visits_as_many_representatives_as_its_steps_count(self, monkeypatch, p1, p2):
+        visits = []
+        tally = cycles._orbit_tally
+
+        def counted(*args):
+            visits.append(1)
+            tally(*args)
+
+        monkeypatch.setattr(cycles, "_orbit_tally", counted)
+        multiply_central(p1, p2)
+        assert len(visits) * (sum(p1) + sum(p2)) == steps(p1, p2)
+
+    def test_one_step_over_the_budget_is_refused_at_once_and_a_call_at_it_answers(self, monkeypatch):
+        want = multiply_central((3, 3, 3), (3, 3))  # 351 285 steps
+        monkeypatch.setattr(cycles, "PRODUCT_STEP_BUDGET", 351_285 - 1)
+        start = time.perf_counter()
         with pytest.raises(ConstraintError, match="budget"):
-            multiply_central((20000,), (1,))  # 20 001 tuples of 20 001 points
+            multiply_central((3, 3, 3), (3, 3))
+        assert time.perf_counter() - start < 0.1
+        monkeypatch.setattr(cycles, "PRODUCT_STEP_BUDGET", 351_285)
+        assert multiply_central((3, 3), (3, 3, 3)) == want
+
+    def test_a_call_at_the_real_budget_answers(self):
+        # {8}*{1,1,6}: 240 349 representatives on 16 points, 96 % of the budget
+        assert 0.95 * PRODUCT_STEP_BUDGET < steps((8,), (1, 1, 6)) <= PRODUCT_STEP_BUDGET
+        product = multiply_central((8,), (1, 1, 6))
+        assert len(product.terms) == 125
+        assert product.coefficient((1, 1, 6, 8)) == 1
+        for lam in [(16,), (9, 7), (5, 4, 4, 3), (3,) * 5 + (1,), (1,) * 16, (2,), ()]:
+            want = central_character((8,), lam) * central_character((1, 1, 6), lam)
+            assert evaluate(product, lam) == want
+
+    def test_work_over_the_budget_is_refused_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(ConstraintError, match="budget"):
+            multiply_central((20000,), (1,))  # 20 001 representatives of 20 001 points
         with pytest.raises(ConstraintError, match="budget"):
             multiply_central((10**6,), (1,))  # was factorial(10**6), several times
         with pytest.raises(ConstraintError, match="budget"):
+            multiply_central((4, 4, 1), (4, 4))  # 4 918 967 steps
+        with pytest.raises(ConstraintError, match="budget"):
             verify_in_group_algebra((2,), (2,), multiply_central((2,), (2,)), 10**6)
+        assert time.perf_counter() - start < 0.1
 
     def test_a_long_factor_times_the_identity(self):
         assert multiply_central((1,) * 2000, ()) == CycleExpr([((1,) * 2000, 1)])
 
-    def test_square_of_three_three_matches_the_characters(self):
-        # 73 920 cycle tuples, within PRODUCT_STEP_BUDGET; S_12 is out of
-        # the oracle's reach, so the check is by characters
+    @pytest.mark.parametrize("p1, p2", [((4, 4), (4, 4)), ((3, 3, 3), (3, 3)), ((6,), (6,)), ((3, 3), (3, 3))])
+    def test_products_at_scale_match_the_characters(self, p1, p2):
+        # S_12 to S_16 are out of the oracle's reach, so the check is by the
+        # homomorphism evaluate(C_p1 C_p2, lam) = evaluate(C_p1, lam) evaluate(C_p2, lam)
+        # on every lam of at most n boxes, which determines the product
+        product = multiply_central(p1, p2)
+        assert product_fits_the_characters(product, p1, p2)
+
+    def test_a_changed_coefficient_breaks_the_character_identity(self):
         product = multiply_central((3, 3), (3, 3))
-        for size in range(0, 13):
-            for lam in partitions_of(size):
-                assert evaluate(product, lam) == central_character((3, 3), lam) ** 2
+        for i in (0, 7, len(product.terms) - 1):
+            terms = list(product.terms)
+            terms[i] = (terms[i][0], terms[i][1] + Fraction(1, 9))
+            assert not product_fits_the_characters(CycleExpr(terms), (3, 3), (3, 3))
 
     @settings(deadline=None, max_examples=60)
     @given(st.sampled_from(_PRODUCT_PAIRS))
