@@ -24,7 +24,7 @@ from operator import itemgetter
 
 from .combinatorics import Profile, aut_count, make_profile, profiles_with_sum
 from .errors import ConstraintError, Record, _count, _exact, _integer, _operand, _pairs
-from .trees import MarkedTree, encoding, graft, star, stick
+from .trees import MarkedTree, _encoding, graft, star, stick
 
 SINGULARITY = "singularity"
 BASIC = "basic"
@@ -201,7 +201,7 @@ def _sum(parts: Iterable[tuple[int, int, tuple]]) -> tuple[int, tuple]:
         factor = p * (den // (q * d))
         for t, n in terms:
             acc[t] = acc.get(t, 0) + n * factor
-    live = sorted((t for t, n in acc.items() if n and not t.vanishing), key=encoding)
+    live = sorted((t for t, n in acc.items() if n and not t.vanishing), key=_encoding)
     g = gcd(den, *map(acc.__getitem__, live))
     return den // g, tuple((t, acc[t] // g) for t in live)
 
@@ -337,7 +337,7 @@ def _sing_ints(t: MarkedTree) -> tuple[int, tuple[tuple[MarkedTree, int], ...]]:
     for t2, n in terms:
         if t2 is not t:
             if t2.weight >= t.weight:
-                raise RuntimeError(f"basic expansion of {encoding(t)} has a term of weight "
+                raise RuntimeError(f"basic expansion of {_encoding(t)} has a term of weight "
                                    f"{t2.weight} >= {t.weight}")
             parts.append((-lead * n, den, _sing_ints(t2)))
     return _sum(parts)

@@ -12,7 +12,6 @@ memo is keyed on that int and the parts above 1 of the cycle type.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from functools import lru_cache
@@ -76,7 +75,18 @@ def _character_partition(rows) -> Partition:
 
 def aut_count(p: Profile) -> int:
     """Number of permutations of the index set fixing the multiset: prod of multiplicity factorials."""
-    return prod(factorial(m) for m in Counter(make_profile(p)).values())
+    return _aut_count(make_profile(p))
+
+
+def _aut_count(p: Profile) -> int:
+    """aut_count of a canonical profile: each part equal to the one before it
+    extends a run of equal parts, and a run of r parts multiplies in r!, one
+    factor at a time."""
+    out = run = 1
+    for before, part in zip(p, p[1:]):
+        run = run + 1 if part == before else 1
+        out *= run
+    return out
 
 
 def _ascending_splits(total: int, length: int, minimum: int) -> list[tuple[int, ...]]:
@@ -111,10 +121,20 @@ def profiles_with_sum_and_length(total: int, length: int) -> list[Profile]:
     return _ascending_splits(_count(total, "total"), _count(length, "length"), 1)
 
 
-@lru_cache(maxsize=None, typed=True)  # typed: True never reads the entry of 1
 def partitions_of(n: int) -> tuple[Partition, ...]:
-    """Partitions of n in descending lexicographic order; partitions_of(0) = ((),)."""
-    return tuple(_partitions_below(_count(n, "n"), n))
+    """Partitions of n in descending lexicographic order; partitions_of(0) = ((),).
+
+    n is gated before the memo, so an unhashable n is refused like a float;
+    ``partitions_of.cache_info`` reads the memo."""
+    return _partitions_of(_count(n, "n"))
+
+
+@lru_cache(maxsize=None)
+def _partitions_of(n: int) -> tuple[Partition, ...]:
+    return tuple(_partitions_below(n, n))
+
+
+partitions_of.cache_info = _partitions_of.cache_info
 
 
 def _partitions_below(remaining: int, cap: int) -> Iterator[Partition]:
@@ -252,8 +272,13 @@ class CycleExpr(_ProfileTerms):
     """Finite rational combination of stable central elements.
 
     Products of central elements are not monomial products; they go through
-    ``cycles.multiply_central``.  The slot ``_row`` caches ``cycles.evaluate``'s
-    integer row; it is no field, so equality, hash, repr and pickle ignore it."""
+    ``cycles.multiply_central``.  The slot ``_row`` holds what
+    ``cycles.evaluate`` builds on its first call: ``(D, row, sizes)``, the
+    common denominator D, one integer row entry ``(weight, K, mu)`` per term,
+    and a dict that maps each size N evaluated so far to one integer weight
+    per cycle type mu, the terms with K <= N summed (at most one entry per
+    size up to CHARACTER_SIZE_BUDGET).  It is no field, so equality, hash,
+    repr and pickle ignore it."""
 
     __slots__ = ("_row",)
 

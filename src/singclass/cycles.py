@@ -23,6 +23,7 @@ from .combinatorics import (  # the value types are defined beside the profiles
     Partition,
     Profile,
     XPolynomial,
+    _aut_count,
     _beta,
     _character_partition,
     _dimension,
@@ -107,6 +108,11 @@ def rho(g: int, p: Profile) -> Fraction:
     p = make_profile(p)
     if not p:
         raise ConstraintError("profile must be nonempty")
+    return Fraction(*_rho(g, p))
+
+
+def _rho(g: int, p: Profile) -> tuple[int, int]:
+    """rho(g, p) as (numerator, denominator), unreduced, for a canonical nonempty p."""
     total = sum(p)
     d, a = _log_s(g)
     weights = [a_j * (total - 1 + sum(k ** (2 * j) for k in p)) for j, a_j in enumerate(a, 1)]
@@ -115,7 +121,7 @@ def rho(g: int, p: Profile) -> Fraction:
         e.append(sum(
             weights[j - 1] * e[n - j] * perm(n - 1, j - 1) * d ** (j - 1) for j in range(1, n + 1)
         ))
-    return Fraction(prod(p) * e[g], factorial(total) * factorial(g) * d**g)
+    return prod(p) * e[g], factorial(total) * factorial(g) * d**g
 
 
 def completed_cycle(m: int) -> CycleExpr:
@@ -130,12 +136,15 @@ def completed_cycle(m: int) -> CycleExpr:
 
 @lru_cache(maxsize=None)
 def _completed_cycle(m: int) -> CycleExpr:
-    return CycleExpr._make(_sorted_terms(
-        (p, rho((m + 2 - length - total) // 2, p) / aut_count(p))
-        for length in range(1, m + 2)
-        for total in range(m + 2 - length, length - 1, -2)
-        for p in profiles_with_sum_and_length(total, length)
-    ))
+    # the profiles come canonical and nonempty: one Fraction per term, no gate
+    terms = []
+    for length in range(1, m + 2):
+        for total in range(m + 2 - length, length - 1, -2):
+            g = (m + 2 - length - total) // 2
+            for p in profiles_with_sum_and_length(total, length):
+                numerator, denominator = _rho(g, p)
+                terms.append((p, Fraction(numerator, denominator * _aut_count(p))))
+    return CycleExpr._make(_sorted_terms(terms))
 
 
 def genus0_part(c: CycleExpr, m: int) -> CycleExpr:
@@ -144,31 +153,46 @@ def genus0_part(c: CycleExpr, m: int) -> CycleExpr:
     return CycleExpr._make(tuple((p, coeff) for p, coeff in terms if len(p) + sum(p) == order))
 
 
-def _integer_row(c: CycleExpr) -> tuple[int, tuple[tuple[int, int, Partition], ...]]:
-    """(D, ((coeff * D / prod(p), sum(p), parts of p above 1, descending), ...)),
-    D = lcm(den(coeff) * prod(p)), stored in c._row."""
+def _integer_row(c: CycleExpr) -> tuple[int, tuple[tuple[int, int, Partition], ...], dict]:
+    """(D, ((coeff * D / prod(p), sum(p), parts of p above 1, descending), ...),
+    {}), D = lcm(den(coeff) * prod(p)), stored in c._row; evaluate fills the
+    dict with _size_row per size."""
     scales = [coeff.denominator * prod(p) for p, coeff in c.terms]
     common = lcm(*scales)
     row = tuple(
         (coeff.numerator * (common // scale), sum(p), tuple(k for k in reversed(p) if k > 1))
         for (p, coeff), scale in zip(c.terms, scales)
     )
-    object.__setattr__(c, "_row", (common, row))
-    return common, row
+    stored = (common, row, {})
+    object.__setattr__(c, "_row", stored)
+    return stored
+
+
+def _size_row(row: tuple[tuple[int, int, Partition], ...], n: int) -> tuple[tuple[int, Partition], ...]:
+    """((sum of weight * n!/(n-K)! over the terms of row with K <= n and this mu,
+    mu), ...), one pair per cycle type mu, zero sums dropped: the terms whose
+    profiles differ only in parts 1 share their mu."""
+    grouped: dict[Partition, int] = {}
+    for weight, k, mu in row:
+        if k <= n:
+            grouped[mu] = grouped.get(mu, 0) + weight * perm(n, k)
+    return tuple((weight, mu) for mu, weight in grouped.items() if weight)
 
 
 def evaluate(c: CycleExpr, lam: Partition) -> Fraction:
     """Value of the central element on the irreducible representation lam.
 
-    The sum of coeff * central_character(p, lam) over the terms: one integer
-    sum over the row of c (see _integer_row) of weight * N!/(N-K)! * chi(mu),
-    divided by D * dim(lam).  Profiles are canonical, as every CycleExpr
-    builder makes them.  A partition over CHARACTER_SIZE_BUDGET boxes, or a
-    c that is no CycleExpr, raises ConstraintError."""
+    The sum of coeff * central_character(p, lam) over the terms: with N = |lam|,
+    one integer sum over the size-N row of c (see _integer_row and _size_row)
+    of weight * chi(mu), one term per cycle type mu, divided by D * dim(lam).
+    The size-N row is built on the first evaluation at size N and kept.
+    Profiles are canonical, as every CycleExpr builder makes them.  A
+    partition over CHARACTER_SIZE_BUDGET boxes, or a c that is no CycleExpr,
+    raises ConstraintError."""
     try:
-        common, row = c._row
+        common, row, sizes = c._row
     except AttributeError:
-        common, row = _integer_row(_operand(c, CycleExpr, "evaluate"))
+        common, row, sizes = _integer_row(_operand(c, CycleExpr, "evaluate"))
     # a canonical partition within the budget, as partitions_of yields it,
     # passes one check; anything else is gated and made canonical
     if not (
@@ -180,7 +204,13 @@ def evaluate(c: CycleExpr, lam: Partition) -> Fraction:
     ):
         lam = _character_partition(lam)
     n, beta = sum(lam), _beta(lam)
-    total = sum(weight * perm(n, k) * _mn(beta, mu) for weight, k, mu in row if k <= n)
+    try:
+        size_row = sizes[n]
+    except KeyError:
+        size_row = sizes[n] = _size_row(row, n)
+    total = 0
+    for weight, mu in size_row:  # a loop: the rows are short, a generator costs more
+        total += weight * _mn(beta, mu)
     return Fraction(total, common * _dimension(beta))
 
 

@@ -114,11 +114,14 @@ def _count(value, what: str, least: int = 0) -> int:
 
 
 def _ints(values, what: str) -> list[int]:
-    """The values as a list of ints; anything else raises ConstraintError."""
+    """The values as a list of ints; anything else raises ConstraintError.
+    what names one value with its article ("a partition row"); a refused
+    non-sequence is named in the plural without it ("partition rows")."""
     try:
         return [_integer(v, what) for v in values]
     except TypeError:
-        raise ConstraintError(f"{what}s must come as a sequence of integers, not {values!r}") from None
+        plural = what.split(" ", 1)[1] + "s"
+        raise ConstraintError(f"{plural} must come as a sequence of integers, not {values!r}") from None
 
 
 _EXACT = frozenset((int, Fraction))  # coefficient types; bool, float, str and the rest are refused

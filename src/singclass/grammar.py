@@ -52,7 +52,7 @@ from .notation import (
     render_xpoly_latex,
     xpoly_to_json,
 )
-from .trees import MarkedTree, encoding, star, stick
+from .trees import MarkedTree, _encoding, star, stick
 
 __all__ = [
     "render_class",
@@ -127,7 +127,7 @@ def _class_atom(t: MarkedTree, basis: str, latex: bool) -> tuple[str, ...]:
     marks = []
     for c in t.children:
         if c.children:
-            return (style.atom("tree", encoding(t), _TAGS[basis, latex]),)
+            return (style.atom("tree", _encoding(t), _TAGS[basis, latex]),)
         marks.append(c.marking)
     marks.sort()
     if basis == SINGULARITY:
@@ -163,7 +163,7 @@ def render_class_latex(e: ClassExpr) -> str:
 def class_to_json(e: ClassExpr) -> str:
     terms = [
         f'{{\n      "coeff": "{n if d == 1 else f"{n}/{d}"}",\n      "xi_power": {q},\n'
-        f'      "tree": "{encoding(t)}"\n    }}'
+        f'      "tree": "{_encoding(t)}"\n    }}'
         for t, q, n, d in _display_order(e)
     ]
     codim = "null" if e.degree is None else e.degree

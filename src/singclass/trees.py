@@ -44,7 +44,10 @@ has not been checked.)  The other state filled lazily is harmless once trees
 are unique: the slots ``classes.ClassExpr._order`` and
 ``combinatorics.CycleExpr._row`` may be written twice, with the same value,
 and an ``lru_cache`` may compute an entry twice and keep one of two equal
-values.
+values.  Likewise a race may fill an entry of the per-size table in
+``CycleExpr._row`` twice, or lose one entry when two threads write the slot
+itself, always with equal values: a lost entry is built again on the next
+evaluation at its size.
 """
 
 from __future__ import annotations
@@ -110,7 +113,7 @@ class MarkedTree(Record):
             raise TreeStructureError("markings must be nonnegative")
         if len(given) == 1:
             raise TreeStructureError("internal vertex with a single child (valency 2) is not allowed")
-        kids = tuple(sorted(given, key=encoding))
+        kids = tuple(sorted(given, key=_encoding))
         self = _NODES.get((marking, kids))
         if self is None and marking == 0 and len(kids) == 2:
             for idx, child in enumerate(kids):
@@ -177,13 +180,23 @@ def canonicalize(raw) -> MarkedTree:
     return MarkedTree(marking, kids)
 
 
-@lru_cache(maxsize=None)
 def encoding(t: MarkedTree) -> str:
     """Canonical string form: '(marking;child,child,...)' with leaves as bare
-    integers.  A t that is no MarkedTree is refused on the cache miss."""
-    if not _operand(t, MarkedTree, "encoding").children:
+    integers.  A t that is no MarkedTree is refused before the memo, so an
+    unhashable t is refused too; ``encoding.cache_info`` reads the memo."""
+    return _encoding(_operand(t, MarkedTree, "encoding"))
+
+
+@lru_cache(maxsize=None)
+def _encoding(t: MarkedTree) -> str:
+    """encoding of a tree, ungated: the sort key of the tree constructor and
+    of the class side, and what the class renderers spell."""
+    if not t.children:
         return str(t.marking)
-    return f"({t.marking};{','.join(encoding(c) for c in t.children)})"
+    return f"({t.marking};{','.join(_encoding(c) for c in t.children)})"
+
+
+encoding.cache_info = _encoding.cache_info
 
 
 def graft(outer: MarkedTree, replacements: Sequence[MarkedTree]) -> MarkedTree:
@@ -233,7 +246,7 @@ def _branch_options(cost: int) -> tuple[MarkedTree, ...]:
                 candidate = MarkedTree(q, combo)
                 if not candidate.vanishing and candidate.codim + 1 == cost:
                     out.add(candidate)
-    return tuple(sorted(out, key=encoding))
+    return tuple(sorted(out, key=_encoding))
 
 
 def _branch_combos(total: int, count: int) -> list[tuple[MarkedTree, ...]]:
@@ -268,4 +281,4 @@ def enumerate_trees(max_codim: int) -> list[MarkedTree]:
     by codimension, then canonical encoding.
     """
     found = {t for k in range(_count(max_codim, "max_codim") + 1) for t in _branch_options(k + 1)}
-    return sorted(found, key=lambda t: (t.codim, encoding(t)))
+    return sorted(found, key=lambda t: (t.codim, _encoding(t)))

@@ -435,6 +435,7 @@ def _call_within_small_budgets(function, args) -> None:
         lambda: profiles_with_sum_and_length(-2, -2),
         lambda: partitions_of(2.5),
         lambda: partitions_of(True),
+        lambda: partitions_of([3]),
         lambda: Polynomial.zero().leading(),
         lambda: Polynomial.one().divmod(Polynomial.zero()),
         lambda: RationalFunction(Polynomial.one(), Polynomial([0, 1]))(0),
@@ -469,11 +470,13 @@ def _call_within_small_budgets(function, args) -> None:
         lambda: grammar.format_polynomial(psi_power_sing(1)),
         lambda: grammar.format_function("1/z"),
         lambda: trees.encoding(5),
+        lambda: trees.encoding([]),
     ],
     ids=[
         "aut_count", "genus0_part", "genus0_part m", "parse_class", "parse_cycles",
         "render_class", "render_cycles", "reassemble", "profiles_with_sum_and_length",
         "profiles_with_sum_and_length negative", "partitions_of float", "partitions_of bool",
+        "partitions_of list",
         "Polynomial.leading zero",
         "Polynomial.divmod zero", "RationalFunction at a pole", "reassemble branches",
         "reassemble pole", "Polynomial call str", "Polynomial.scale str",
@@ -486,7 +489,7 @@ def _call_within_small_budgets(function, args) -> None:
         "parse_profile", "parse_tree", "render_xpoly", "render_xpoly_latex", "xpoly_to_json",
         "format_profile", "format_partition", "format_polynomial",
         "format_polynomial ClassExpr", "format_function",
-        "encoding",
+        "encoding", "encoding list",
     ],
 )
 def test_the_public_names_that_raised_other_errors(call):
@@ -496,6 +499,19 @@ def test_the_public_names_that_raised_other_errors(call):
     partitions_of(1)  # True once read this memo entry
     with pytest.raises(ConstraintError):
         call()
+
+
+def test_the_gated_memos_keep_their_cache_info():
+    # partitions_of and encoding gate before their memos (an unhashable
+    # argument raised TypeError from lru_cache); the public names still
+    # report the memo, whose hit ratio the benchmark reads
+    for public, memo in ((partitions_of, combinatorics._partitions_of), (trees.encoding, trees._encoding)):
+        assert public.cache_info == memo.cache_info
+    before = combinatorics._partitions_of.cache_info()
+    partitions_of(3)
+    partitions_of(3)
+    assert combinatorics._partitions_of.cache_info().hits >= before.hits + 1
+    assert trees.encoding(trees.star(0, [0, 1])) == "(0;0,1)"
 
 
 @pytest.mark.parametrize(

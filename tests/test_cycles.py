@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import time
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
+from math import factorial, perm, prod
 
 import pytest
 from hurwitz_reference import product
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from singclass import cycles
 from singclass.combinatorics import (
+    CHARACTER_SIZE_BUDGET,
     aut_count,
     central_character,
     partitions_of,
@@ -287,6 +289,84 @@ class TestCharacterKernel:
     )
     def test_rho_matches_the_series_reference(self, g, p):
         assert rho(g, p) == _rho_reference(g, p)
+
+
+_COEFFICIENTS = st.fractions(min_value=-20, max_value=20, max_denominator=30)
+
+
+@st.composite
+def _fixed_point_families(draw):
+    """(element, {cycle type: size at which its weight cancels}): for each of
+    a few distinct cycle types mu, profiles mu + 1^f for several f; either
+    each with a drawn coefficient, or two whose coefficients make the grouped
+    weight of mu vanish at one size n0."""
+    element, cancelled = CycleExpr.zero(), {}
+    for mu in draw(st.lists(st.lists(st.integers(2, 4), max_size=2).map(tuple), min_size=1,
+                            max_size=3, unique_by=lambda mu: tuple(sorted(mu)))):
+        fixed = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3, unique=True))
+        if len(fixed) >= 2 and draw(st.booleans()):
+            few, many = sorted(fixed[:2])
+            low, high = sum(mu) + few, sum(mu) + many
+            n0 = draw(st.integers(high, 11))
+            c = draw(_COEFFICIENTS.filter(bool))
+            pairs = [(mu + (1,) * many, c), (mu + (1,) * few, -c * perm(n0, high) / perm(n0, low))]
+            cancelled[tuple(sorted(mu, reverse=True))] = n0
+        else:
+            pairs = [(mu + (1,) * f, draw(_COEFFICIENTS)) for f in fixed]
+        element = element + CycleExpr(pairs)
+    return element, cancelled
+
+
+_SMALL_PARTITIONS = [lam for n in range(12) for lam in partitions_of(n)]
+
+
+class TestPerSizeTable:
+    """evaluate sums, per size, one integer weight per cycle type: the
+    profiles that differ only in fixed points share one character value.
+    The per-term route, one central character per term, is the reference."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(_fixed_point_families(), st.lists(st.sampled_from(_SMALL_PARTITIONS), min_size=1,
+                                             max_size=25), st.randoms(use_true_random=False))
+    def test_the_grouped_sums_equal_the_per_term_route(self, family, lams, rng):
+        element, cancelled = family
+        lams = lams + [(n0,) for n0 in cancelled.values()]  # each size where a weight cancels
+        rng.shuffle(lams)
+        want = {
+            lam: sum((coeff * central_character(p, lam) for p, coeff in element.terms), Fraction(0))
+            for lam in lams
+        }
+        assert [evaluate(element, lam) for lam in lams] == [want[lam] for lam in lams]
+        again = lams[:]
+        rng.shuffle(again)
+        assert [evaluate(element, lam) for lam in again] == [want[lam] for lam in again]
+        sizes = element._row[2]
+        assert set(sizes) == {sum(lam) for lam in lams}
+        for mu, n0 in cancelled.items():
+            assert mu not in {m for _, m in sizes[n0]}
+
+    def test_the_table_holds_one_entry_per_size_within_the_budget(self):
+        element = CycleExpr([((1, 1, 2), 3), ((2,), -1), ((), 1)])
+        for n in reversed(range(CHARACTER_SIZE_BUDGET + 1)):
+            for _ in range(2):
+                evaluate(element, (n,) if n else ())
+        with pytest.raises(ConstraintError):
+            evaluate(element, (CHARACTER_SIZE_BUDGET + 1,))
+        assert sorted(element._row[2]) == list(range(CHARACTER_SIZE_BUDGET + 1))
+
+    def test_completed_cycles_are_the_gated_rho_over_aut_count(self):
+        for m in range(15):
+            want = CycleExpr(
+                (p, rho((m + 2 - len(p) - sum(p)) // 2, p) / aut_count(p))
+                for p in _profiles_of_order_up_to(m + 2)
+                if (m + 2 - len(p) - sum(p)) % 2 == 0
+            )
+            assert completed_cycle(m) == want, m
+
+    def test_aut_count_is_the_product_of_multiplicity_factorials(self):
+        for p in _profiles_of_order_up_to(12):
+            want = prod(factorial(k) for k in Counter(p).values())
+            assert aut_count(p) == aut_count(p[::-1]) == want, p
 
 
 class TestAgainstTheSeriesRoute:
@@ -566,7 +646,7 @@ class TestEvaluatePartitionGate:
             ((-1, 2), "partition rows must be positive integers"),
             ((25, 24), "a partition of 49 boxes is over the character budget of 48"),
             ([24, 25], "a partition of 49 boxes is over the character budget of 48"),
-            (None, "a partition rows must come as a sequence of integers, not None"),
+            (None, "partition rows must come as a sequence of integers, not None"),
         ],
         ids=["bool part", "float part", "float in a list", "zero part", "only a zero",
              "negative part", "49 boxes", "49 boxes in a list", "no sequence"],

@@ -112,10 +112,10 @@ OBJECT_NEW = {("errors", "Record._make"), ("trees", "MarkedTree.__new__")}
 # module -> the functions it memoises with lru_cache, sixteen tables in all
 MEMO_TABLES = {
     "classes": {"_psi_stick", "_product_ints", "_psi_ints", "_basic_ints", "_sing_ints"},
-    "combinatorics": {"partitions_of", "_beta", "_mn", "_dimension"},
+    "combinatorics": {"_partitions_of", "_beta", "_mn", "_dimension"},
     "cycles": {"_log_s", "_completed_cycle"},
     "grammar": {"_class_atom", "_atom_ints", "_star_atom"},
-    "trees": {"encoding", "_branch_options"},
+    "trees": {"_encoding", "_branch_options"},
 }
 
 # (module, function) pairs that may refuse an argument by hand
