@@ -24,10 +24,16 @@ from operator import itemgetter
 
 from .combinatorics import Profile, aut_count, make_profile, profiles_with_sum
 from .errors import ConstraintError, Record, _count, _exact, _integer, _operand, _pairs
-from .trees import MarkedTree, _encoding, graft, star, stick
+from .trees import MarkedTree, _encoding, _rebuild, star, stick
 
 SINGULARITY = "singularity"
 BASIC = "basic"
+
+# The largest m that product_expansion and psi_power_sing take.  From empty
+# memos, in a fresh process, either expansion at m = 26 takes 0.9-1.4 s and
+# 57-63 MB of peak RSS on 2 vCPUs (Python 3.11); at 28 it takes 2.6-2.8 s and
+# 91-104 MB, and the cost grows about 1.4-fold per step.
+EXPANSION_DEGREE_BUDGET = 26
 
 __all__ = [
     "SINGULARITY",
@@ -193,7 +199,8 @@ def _sum(parts: Iterable[tuple[int, int, tuple]]) -> tuple[int, tuple]:
     """The canonical integer form of the sum of p/q * e over the (p, q,
     integer form of e) parts, q >= 1: numerators added up over the lcm of
     the products q * den, zero sums and vanishing trees dropped, the rest
-    and the lcm divided by their gcd, and the trees sorted by encoding."""
+    and the lcm divided by their gcd unless it is 1, and the trees sorted
+    by encoding."""
     parts = list(parts)
     den = lcm(*(q * d for _, q, (d, _) in parts))
     acc: dict[MarkedTree, int] = {}
@@ -203,6 +210,8 @@ def _sum(parts: Iterable[tuple[int, int, tuple]]) -> tuple[int, tuple]:
             acc[t] = acc.get(t, 0) + n * factor
     live = sorted((t for t, n in acc.items() if n and not t.vanishing), key=_encoding)
     g = gcd(den, *map(acc.__getitem__, live))
+    if g == 1:
+        return den, tuple((t, acc[t]) for t in live)
     return den // g, tuple((t, acc[t] // g) for t in live)
 
 
@@ -220,11 +229,14 @@ def _canonical_form(degree: int | None, form: tuple) -> tuple[int, tuple]:
 
 
 def _glue(outer: MarkedTree, forms: list[tuple]) -> tuple[int, tuple]:
-    """The integer forms ``forms`` substituted into the leaves of ``outer``:
-    every choice of one term per form grafted in, numerators multiplied over
-    the product of the dens (vanishing trees drop out in _sum)."""
+    """The integer forms ``forms`` substituted into the leaves of ``outer``, a
+    tree with one leaf per form: every choice of one term per form grafted
+    in, numerators multiplied over the product of the dens.  Each graft goes
+    through ``trees._rebuild``, graft's body without its gates, which the
+    callers have passed already.  A glued tree vanishes only when ``outer``
+    does (no form holds a vanishing tree), and _sum drops it then."""
     combos = (zip(*combo) for combo in itertools.product(*(terms for _, terms in forms)))
-    glued = [(graft(outer, trees), prod(nums)) for trees, nums in combos]
+    glued = [(_rebuild(outer, iter(trees)), prod(nums)) for trees, nums in combos]
     return _sum([(1, 1, (prod(den for den, _ in forms), glued))])
 
 
@@ -243,13 +255,16 @@ def _psi_stick(k: int) -> tuple[int, tuple[tuple[MarkedTree, int], ...]]:
 def _psi(form: tuple[int, tuple]) -> list[tuple[int, int, tuple]]:
     """psi times the singularity-basis expression of integer form ``form``, as
     (p, q, integer form) parts for _sum, one degree up: a tree with children
-    has its top marking raised (_sum drops it if it then vanishes), and a
-    stick a_k becomes its _psi_stick row."""
+    has its top marking raised, and a stick a_k becomes its _psi_stick row.
+    A tree whose top vertex would be marked above its valency minus 3 is not
+    raised at all: the raised tree vanishes (no contraction applies at a
+    marking >= 1), so it adds nothing, and no dead node is built."""
     den, terms = form
     raised, sticks = [], []
     for t, n in terms:
         if t.children:
-            raised.append((MarkedTree(t.marking + 1, t.children), n))
+            if t.marking + 1 <= len(t.children) - 2:
+                raised.append((MarkedTree(t.marking + 1, t.children), n))
         else:
             sticks.append((n, den, _psi_stick(t.marking)))
     return [(1, 1, (den, raised)), *sticks]
@@ -259,8 +274,10 @@ def product_expansion(m: int) -> ClassExpr:
     """Expansion of prod_{r=1}^m (r psi - xi) as a_m plus tree terms, of
     degree m.  It is m psi Pi_{m-1} - xi Pi_{m-1}, with Pi_0 the unit and psi
     the one operator _psi; the xi factor is implicit in the degree.  Its
-    integer form is memoised per m."""
-    return ClassExpr._make(SINGULARITY, m, _product_ints(_count(m, "m", 1)))
+    integer form is memoised per m.  An m over EXPANSION_DEGREE_BUDGET raises
+    ConstraintError before any memo is touched."""
+    m = _count(m, "m", 1, EXPANSION_DEGREE_BUDGET)
+    return ClassExpr._make(SINGULARITY, m, _product_ints(m))
 
 
 @lru_cache(maxsize=None)
@@ -272,8 +289,10 @@ def _product_ints(m: int) -> tuple[int, tuple[tuple[MarkedTree, int], ...]]:
 def psi_power_sing(m: int) -> ClassExpr:
     """psi^m expanded in the singularity basis, of degree m: psi^0 is the
     unit and psi^m is the one operator _psi applied to psi^(m-1).  Its
-    integer form is memoised per m."""
-    return ClassExpr._make(SINGULARITY, m, _psi_ints(_count(m, "m")))
+    integer form is memoised per m.  An m over EXPANSION_DEGREE_BUDGET raises
+    ConstraintError before any memo is touched."""
+    m = _count(m, "m", 0, EXPANSION_DEGREE_BUDGET)
+    return ClassExpr._make(SINGULARITY, m, _psi_ints(m))
 
 
 @lru_cache(maxsize=None)
@@ -315,11 +334,19 @@ def substitute(outer: MarkedTree, grafts: Iterable[ClassExpr]) -> ClassExpr:
     return ClassExpr._make(SINGULARITY, degree, _glue(outer, [g._form for g in grafts]))
 
 
+def _itself(t: MarkedTree) -> tuple[int, tuple[tuple[MarkedTree, int], ...]]:
+    """The integer form of t with coefficient 1: the empty form if t vanishes."""
+    return (1, ()) if t.vanishing else (1, ((t, 1),))
+
+
 @lru_cache(maxsize=None)
 def _basic_ints(t: MarkedTree) -> tuple[int, tuple[tuple[MarkedTree, int], ...]]:
     """[t]_basic in the singularity basis: psi^m for a stick marked m, else
     the _psi_ints row of m glued into each leaf marked m, the internal
-    markings unchanged."""
+    markings unchanged.  A tree of weight 0 is its own row (empty if it
+    vanishes): psi^0 is the unit, so the glue would give t back."""
+    if not t.weight:
+        return _itself(t)
     if not t.children:
         return _psi_ints(t.marking)
     return _glue(t, [_psi_ints(m) for m in t.leaves])
@@ -330,7 +357,10 @@ def _sing_ints(t: MarkedTree) -> tuple[int, tuple[tuple[MarkedTree, int], ...]]:
     """[t]_sing in the basic basis.  [t]_basic is [t]_sing / (m_1! ... m_l!)
     plus lower-weight terms c * [t2]_sing, so [t]_sing is m_1! ... m_l! times
     [t]_basic minus each c * [t2]_sing, read from this table; the weight
-    falls at each step, which ends the recursion."""
+    falls at each step, which ends the recursion.  A tree of weight 0 is its
+    own row (empty if it vanishes), as in _basic_ints."""
+    if not t.weight:
+        return _itself(t)
     den, terms = _basic_ints(t)
     lead = prod(factorial(m) for m in t.leaves)
     parts = [(lead, 1, (1, ((t, 1),)))]

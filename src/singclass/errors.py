@@ -103,13 +103,16 @@ def _integer(value, what: str) -> int:
     raise ConstraintError(f"{what} must be an integer, not {value!r}")
 
 
-def _count(value, what: str, least: int = 0) -> int:
-    """value if it is exactly an int and at least ``least``; else
-    ConstraintError, saying that what must be an integer, nonnegative or
-    at least ``least``."""
+def _count(value, what: str, least: int = 0, most: int | None = None) -> int:
+    """value if it is exactly an int, at least ``least`` and, when ``most``
+    is given, at most ``most``, a cost budget; else ConstraintError, saying
+    that what must be an integer, nonnegative or at least ``least``, or
+    that it is over the budget."""
     if _integer(value, what) < least:
         floor = "nonnegative" if least == 0 else f">= {least}"
         raise ConstraintError(f"{what} must be {floor}")
+    if most is not None and value > most:
+        raise ConstraintError(f"{what} = {value} is over the budget of {most}")
     return value
 
 

@@ -218,15 +218,16 @@ def graft(outer: MarkedTree, replacements: Sequence[MarkedTree]) -> MarkedTree:
         raise ConstraintError(
             f"need one graft per leaf: tree has {len(outer.leaves)} leaves, got {len(reps)}"
         )
-    it = iter(reps)
-    return MarkedTree(outer.marking, tuple([_rebuild(c, it) for c in outer.children]))
+    return _rebuild(outer, iter(reps))
 
 
 def _rebuild(node: MarkedTree, it: Iterator[MarkedTree]) -> MarkedTree:
     """node with each of its leaves, depth first, replaced by the next tree of it.
 
-    A module-level function, not a closure of graft: a nested function that
-    calls itself is a reference cycle that only the cyclic collector frees."""
+    The gate-free body of graft, which ``classes._glue`` calls directly on
+    arguments it has checked already.  A module-level function, not a
+    closure of graft: a nested function that calls itself is a reference
+    cycle that only the cyclic collector frees."""
     if not node.children:
         return next(it)
     return MarkedTree(node.marking, tuple([_rebuild(c, it) for c in node.children]))

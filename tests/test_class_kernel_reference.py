@@ -67,6 +67,18 @@ def test_gluing_drops_vanishing_trees():
         assert t.vanishing and classes._basic_ints(t) == (1, ())
 
 
+def test_a_weight_0_tree_is_its_own_row():
+    """Both tables give a tree with children and all leaves marked 0 as
+    itself, and a vanishing one as the empty row, as the generic routes do."""
+    weight_0 = [t for t in enumerate_trees(10) if t.children and not t.weight]
+    assert len(weight_0) > 100
+    for t in [*weight_0, star(1, [0, 0]), star(2, [0, 0, 0])]:
+        basic, sing = classes._basic_ints(t), classes._sing_ints(t)
+        assert basic == reference._tree_basic_expansion(t)._form, t
+        assert sing == reference.sing_to_basic(ClassExpr(SINGULARITY, t.codim, [(t, 1)]))._form, t
+        assert basic == sing == ((1, ()) if t.vanishing else (1, ((t, 1),))), t
+
+
 def test_every_tree_to_codim_10_to_the_singularity_basis():
     """The integer psi rows grafted by _basic_ints, highest codim first from
     an empty table, against the Fraction substitution of the reference."""

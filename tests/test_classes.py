@@ -4,8 +4,12 @@ and the point-class coefficient extractors."""
 from __future__ import annotations
 
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import factorial, prod
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +34,20 @@ from singclass.grammar import class_to_json, parse_class, render_class, render_c
 from singclass.trees import enumerate_trees, star, stick
 
 from class_kernel_reference import mul_psi_top, psi_decomposition
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_fresh(script: str) -> list[str]:
+    """The stdout lines of script run in a fresh ``python -S`` on ``src``."""
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()
 
 
 def sing(text: str) -> ClassExpr:
@@ -129,6 +147,53 @@ class TestPsiPowers:
     def test_homogeneity(self):
         for m in range(0, 8):
             assert psi_power_sing(m).degree == m
+
+
+class TestExpansionBudget:
+    @pytest.mark.parametrize("name", ["product_expansion", "psi_power_sing"])
+    def test_one_step_over_is_refused_at_once_and_the_budget_is_answered(self, name):
+        """From empty memos: m = budget + 1 is refused in under 0.1 s with
+        every memo untouched, and m = budget returns within 100 MB."""
+        lines = run_fresh(f"""
+import resource, time
+from singclass import classes
+from singclass.errors import ConstraintError
+memos = (classes._psi_stick, classes._product_ints, classes._psi_ints)
+expand, budget = classes.{name}, classes.EXPANSION_DEGREE_BUDGET
+start = time.perf_counter()
+try:
+    expand(budget + 1)
+except ConstraintError as exc:
+    print(time.perf_counter() - start, exc)
+print(sum(memo.cache_info().currsize for memo in memos))
+e = expand(budget)
+print(e.degree == budget and len(e.terms) > 1)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024)
+""")
+        refused, memo_entries, answered, peak_mb = lines
+        seconds, message = refused.split(" ", 1)
+        budget = classes.EXPANSION_DEGREE_BUDGET
+        assert float(seconds) < 0.1
+        assert message == f"m = {budget + 1} is over the budget of {budget}"
+        assert memo_entries == "0"
+        assert answered == "True"
+        assert int(peak_mb) < 100
+
+
+class TestNoWastedRaise:
+    def test_the_expansions_leave_no_vanishing_node(self):
+        """_psi raises only the trees that stay alive, so the expansions to
+        m = 12 intern no vanishing tree."""
+        lines = run_fresh("""
+from singclass import classes, trees
+for m in range(1, 13):
+    classes.product_expansion(m)
+    classes.psi_power_sing(m)
+nodes = set(trees._NODES.values())
+print(len(nodes), sum(t.vanishing for t in nodes))
+""")
+        nodes, dead = map(int, lines[0].split())
+        assert nodes > 500 and dead == 0
 
 
 class TestBasicToSing:

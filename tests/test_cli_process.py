@@ -17,6 +17,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -28,9 +29,10 @@ SRC = ROOT / "src"
 CORPUS = json.loads((Path(__file__).parent / "cli_corpus.json").read_text())
 
 
-def _spawn(argv: list[str]) -> subprocess.CompletedProcess:
+def _spawn(argv: list[str], **environ: str) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     env.pop("SINGCLASS_MAX_CODIM", None)
+    env.update(environ)
     return subprocess.run(
         [sys.executable, "-S", "-m", "singclass.cli", *argv],
         env=env, cwd=ROOT, capture_output=True, timeout=120,
@@ -62,6 +64,16 @@ def test_a_process_matches_the_corpus(argv):
 
 def test_the_rows_cover_exit_codes_0_2_and_3():
     assert {_corpus_row(*argv)["exit"] for argv in ROWS} == {0, 2, 3}
+
+
+def test_a_raised_cap_still_meets_the_library_budget():
+    # SINGCLASS_MAX_CODIM lets psi 40 through; psi_power_sing refuses it
+    start = time.perf_counter()
+    result = _spawn(["psi", "40"], SINGCLASS_MAX_CODIM="40")
+    elapsed = time.perf_counter() - start
+    assert (result.stdout, result.returncode) == (b"", 3)
+    assert b"over the budget" in result.stderr
+    assert elapsed < 1
 
 
 def test_a_process_writes_all_of_a_long_stdout(capsys):

@@ -537,6 +537,21 @@ class TestSubstitute:
         with pytest.raises(ConstraintError):
             substitute(star(0, [0, 0]), [psi_power_sing(1)])
 
+    @pytest.mark.parametrize(
+        "outer, grafts",
+        [
+            (stick(2), [ClassExpr.unit(SINGULARITY)]),
+            ((0, [0, 0]), [ClassExpr.unit(SINGULARITY)] * 2),
+            (star(0, [0, 0]), 5),
+            (star(0, [0, 0]), ClassExpr.unit(SINGULARITY)),
+        ],
+        ids=["a stick", "raw tree data", "an int", "one expression"],
+    )
+    def test_refuses_what_graft_would_refuse(self, outer, grafts):
+        # the glue kernel grafts through graft's body without its gates
+        with pytest.raises(ConstraintError):
+            substitute(outer, grafts)
+
     def test_rejects_basic_grafts(self):
         with pytest.raises(ConstraintError):
             substitute(
