@@ -22,7 +22,7 @@ from functools import lru_cache
 from math import factorial, gcd, lcm, prod
 from operator import itemgetter
 
-from .combinatorics import Profile, aut_count, make_profile, profiles_with_sum
+from .combinatorics import Profile, _aut_count, aut_count, make_profile, profiles_with_sum
 from .errors import ConstraintError, Record, _count, _exact, _integer, _operand, _pairs
 from .trees import MarkedTree, _encoding, _rebuild, star, stick
 
@@ -34,6 +34,16 @@ BASIC = "basic"
 # 57-63 MB of peak RSS on 2 vCPUs (Python 3.11); at 28 it takes 2.6-2.8 s and
 # 91-104 MB, and the cost grows about 1.4-fold per step.
 EXPANSION_DEGREE_BUDGET = 26
+
+# The largest degree of an expression that basic_to_sing and sing_to_basic
+# take.  From empty memos, in a fresh process, on 2 vCPUs (Python 3.11): the
+# dearest basic_to_sing at degree 23, of the stars over leaves (6, 7, 7) and
+# (4, 5, 5, 5), takes 0.9 s and 57-74 MB of peak RSS, and at 24 the stars over
+# (7, 7, 7) and (5, 5, 5, 5) take 1.4-1.6 s and 86-100 MB (psi^24 itself 0.6 s).
+# The dearest sing_to_basic is the stick: a_12 takes 0.8 s and 31 MB, a_13
+# 2.9 s and 65 MB.
+BASIC_TO_SING_BUDGET = 23
+SING_TO_BASIC_BUDGET = 12
 
 __all__ = [
     "SINGULARITY",
@@ -83,6 +93,7 @@ class ClassExpr(Record):
 
     __slots__ = ("basis", "degree", "_form", "_order")
     _fields = ("basis", "degree", "terms")
+    _stored = ("basis", "degree", "_form")
 
     def __init__(
         self, basis: str, degree: int | None, terms: Iterable[tuple[MarkedTree, Fraction]]
@@ -100,17 +111,6 @@ class ClassExpr(Record):
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "degree", degree if form[1] else None)
         object.__setattr__(self, "_form", form)
-
-    @classmethod
-    def _make(cls, basis: str, degree: int | None, form: tuple) -> "ClassExpr":
-        """The expression of the given degree in ``basis`` that stores the
-        canonical integer form ``form``, unchecked; its degree is None when
-        the form has no term, whatever ``degree`` says."""
-        self = super()._make()
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "degree", degree if form[1] else None)
-        object.__setattr__(self, "_form", form)
-        return self
 
     @property
     def terms(self) -> tuple[tuple[MarkedTree, Fraction], ...]:
@@ -136,9 +136,12 @@ class ClassExpr(Record):
     @staticmethod
     def single(basis: str, t: MarkedTree) -> "ClassExpr":
         """The class of one tree, with coefficient 1 and no xi power."""
-        if _operand(t, MarkedTree, "ClassExpr.single").vanishing:
-            return ClassExpr.zero(basis)
-        return ClassExpr._make(_basis(basis), t.codim, (1, ((t, 1),)))
+        if t.__class__ is not MarkedTree or basis not in (SINGULARITY, BASIC):
+            _operand(t, MarkedTree, "ClassExpr.single")
+            _basis(basis)
+        if t.vanishing:
+            return ClassExpr._make(basis, None, (1, ()))
+        return ClassExpr._make(basis, t.codim, (1, ((t, 1),)))
 
     def is_zero(self) -> bool:
         return not self._form[1]
@@ -171,14 +174,16 @@ class ClassExpr(Record):
                 "inhomogeneous class expression: total degrees "
                 f"{sorted((self.degree, other.degree))}"
             )
-        return ClassExpr._make(self.basis, self.degree, _sum([(1, 1, self._form), (1, 1, other._form)]))
+        form = _sum([(1, 1, self._form), (1, 1, other._form)])
+        return ClassExpr._make(self.basis, self.degree if form[1] else None, form)
 
     def __sub__(self, other: "ClassExpr") -> "ClassExpr":
         return self + _operand(other, ClassExpr, "-").scale(-1)
 
     def scale(self, c: Fraction | int) -> "ClassExpr":
         _exact((c,), "class coefficients")
-        return ClassExpr._make(self.basis, self.degree, _sum([(c.numerator, c.denominator, self._form)]))
+        form = _sum([(c.numerator, c.denominator, self._form)])
+        return ClassExpr._make(self.basis, self.degree if form[1] else None, form)
 
     def mul_xi(self, k: int = 1) -> "ClassExpr":
         _count(k, "xi exponent")
@@ -245,10 +250,12 @@ def _psi_stick(k: int) -> tuple[int, tuple[tuple[MarkedTree, int], ...]]:
     """psi * a_k in integer form: (a_{k+1} + xi a_k + sum_p prod(p)/|Aut p| i_p)
     / (k+1) over the profiles p of k+1 with at least two parts.  This is the
     product recursion ((k+1) psi - xi) a_k = a_{k+1} + (new-profile layer)
-    read backwards."""
-    layer = [(star(0, [j - 1 for j in p]), prod(p), aut_count(p))
+    read backwards.  The profiles come canonical, so each star is built
+    straight from the leaf sticks a_0, ..., a_k."""
+    sticks = list(map(MarkedTree, range(k + 1)))
+    layer = [(MarkedTree(0, tuple([sticks[j - 1] for j in p])), prod(p), _aut_count(p))
              for p in profiles_with_sum(k + 1, 2)]
-    terms = [(stick(k + 1), 1, 1), (stick(k), 1, 1), *layer]
+    terms = [(MarkedTree(k + 1), 1, 1), (sticks[k], 1, 1), *layer]
     return _sum((n, d * (k + 1), (1, ((t, 1),))) for t, n, d in terms)
 
 
@@ -330,8 +337,9 @@ def substitute(outer: MarkedTree, grafts: Iterable[ClassExpr]) -> ClassExpr:
 
     if any(not g._form[1] for g in grafts):
         return ClassExpr.zero(SINGULARITY)
-    degree = outer.codim - outer.weight + sum(g.degree for g in grafts)
-    return ClassExpr._make(SINGULARITY, degree, _glue(outer, [g._form for g in grafts]))
+    form = _glue(outer, [g._form for g in grafts])
+    degree = outer.codim - outer.weight + sum(g.degree for g in grafts) if form[1] else None
+    return ClassExpr._make(SINGULARITY, degree, form)
 
 
 def _itself(t: MarkedTree) -> tuple[int, tuple[tuple[MarkedTree, int], ...]]:
@@ -375,24 +383,38 @@ def _sing_ints(t: MarkedTree) -> tuple[int, tuple[tuple[MarkedTree, int], ...]]:
 
 def _convert(e: ClassExpr, table) -> tuple[int, tuple]:
     """The integer form of the sum of each term's coefficient times the row
-    ``table(tree)``; one term with coefficient 1 is its row, canonical already."""
+    ``table(tree)``."""
     den, terms = e._form
-    if den == 1 and len(terms) == 1 and terms[0][1] == 1:
-        return table(terms[0][0])
     return _sum((n, den, table(t)) for t, n in terms)
 
 
 def basic_to_sing(e: ClassExpr) -> ClassExpr:
     """Convert a basic-basis expression to the singularity basis: the sum of
-    each term's coefficient times the memoised singularity-basis form of its tree."""
-    _expect(e, BASIC, "basic_to_sing expects a basic-basis expression")
+    each term's coefficient times the memoised singularity-basis form of its
+    tree; one term with coefficient 1 is its row as it stands.  An expression
+    of degree over BASIC_TO_SING_BUDGET raises ConstraintError before any
+    memo is touched."""
+    if e.__class__ is not ClassExpr or e.basis != BASIC or (e.degree or 0) > BASIC_TO_SING_BUDGET:
+        _expect(e, BASIC, "basic_to_sing expects a basic-basis expression")
+        _count(e.degree, "degree", 0, BASIC_TO_SING_BUDGET)
+    den, terms = e._form
+    if len(terms) == 1 and terms[0][1] == den == 1:
+        return ClassExpr._make(SINGULARITY, e.degree, _basic_ints(terms[0][0]))
     return ClassExpr._make(SINGULARITY, e.degree, _convert(e, _basic_ints))
 
 
 def sing_to_basic(e: ClassExpr) -> ClassExpr:
     """Convert a singularity-basis expression to the basic basis: the sum of
-    each term's coefficient times the memoised basic-basis form of its tree."""
-    _expect(e, SINGULARITY, "sing_to_basic expects a singularity-basis expression")
+    each term's coefficient times the memoised basic-basis form of its tree;
+    one term with coefficient 1 is its row as it stands.  An expression of
+    degree over SING_TO_BASIC_BUDGET raises ConstraintError before any memo
+    is touched."""
+    if e.__class__ is not ClassExpr or e.basis != SINGULARITY or (e.degree or 0) > SING_TO_BASIC_BUDGET:
+        _expect(e, SINGULARITY, "sing_to_basic expects a singularity-basis expression")
+        _count(e.degree, "degree", 0, SING_TO_BASIC_BUDGET)
+    den, terms = e._form
+    if len(terms) == 1 and terms[0][1] == den == 1:
+        return ClassExpr._make(BASIC, e.degree, _sing_ints(terms[0][0]))
     return ClassExpr._make(BASIC, e.degree, _convert(e, _sing_ints))
 
 

@@ -24,22 +24,31 @@ class Record:
     are one object, compared and hashed by identity.  ``classes.ClassExpr``
     and ``local_models.Polynomial`` store their coefficients in an integer
     form, read their ``terms`` or ``coeffs`` field off it, and compare that
-    form.
+    form.  A class that stores other slots than its fields names them, in
+    order, in ``_stored``; it defaults to ``_fields``.
 
     The constructor of a value type checks its arguments and makes them
     canonical, so equal values have equal fields.  ``_make`` is the one
-    unchecked way in, for code whose fields are canonical already.
+    unchecked way in, for code whose values are canonical already.  When a
+    subclass is created it looks up the setter of each stored slot once, in
+    ``_setters``, so ``_make`` is one frame that sets each slot through its
+    setter, with no lookup by name and no ``__setattr__``.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._setters = tuple(getattr(cls, name).__set__ for name in getattr(cls, "_stored", cls._fields))
+
     @classmethod
     def _make(cls, *values):
-        """The instance with these field values, without the constructor."""
+        """The instance whose stored slots hold these values, in ``_stored``
+        order, without the constructor."""
         self = object.__new__(cls)
-        for name, value in zip(cls._fields, values):
-            object.__setattr__(self, name, value)
+        for setter, value in zip(cls._setters, values):
+            setter(self, value)
         return self
 
     def _values(self) -> tuple:

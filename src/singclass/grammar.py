@@ -376,8 +376,10 @@ def _class_sum(terms, default_basis: str) -> ClassExpr:
             raise ParseError(f"inhomogeneous class expression: total degrees {sorted(degrees)}")
     degree = degrees.pop() if degrees else None
     # _canonical_form sums by tree: the trees that survive have one xi power
-    # each, and zero sums and vanishing trees drop out
-    return ClassExpr._make(basis, degree, _canonical_form(degree, (den, list(zip(trees, numerators)))))
+    # each, and zero sums and vanishing trees drop out; a sum with no term
+    # left has degree None
+    form = _canonical_form(degree, (den, list(zip(trees, numerators))))
+    return ClassExpr._make(basis, degree if form[1] else None, form)
 
 
 def parse_class(text: str, default_basis: str = SINGULARITY) -> ClassExpr:

@@ -63,7 +63,7 @@ class Polynomial(Record):
     copies and pickles are those of the field ``coeffs``.
     """
 
-    __slots__ = ("_form",)
+    __slots__ = _stored = ("_form",)
     _fields = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Fraction | int]):
@@ -71,13 +71,6 @@ class Polynomial(Record):
         den = lcm(*(c.denominator for c in values))
         nums = [c.numerator * (den // c.denominator) for c in values]
         object.__setattr__(self, "_form", _reduced_form(den, nums))
-
-    @classmethod
-    def _make(cls, form: tuple[int, tuple[int, ...]]) -> "Polynomial":
-        """The polynomial that stores the canonical integer form ``form``, unchecked."""
-        self = super()._make()
-        object.__setattr__(self, "_form", form)
-        return self
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:

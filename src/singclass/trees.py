@@ -89,7 +89,7 @@ class MarkedTree(Record):
     - ``leaves``, the markings of the childless vertices, depth first.
     """
 
-    __slots__ = ("marking", "children", "codim", "weight", "vanishing", "leaves")
+    __slots__ = _stored = ("marking", "children", "codim", "weight", "vanishing", "leaves")
     _fields = ("marking", "children")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
@@ -135,13 +135,8 @@ class MarkedTree(Record):
                 vanishing = False
                 leaves = (marking,)
             self = object.__new__(cls)
-            setter = object.__setattr__
-            setter(self, "marking", marking)
-            setter(self, "children", kids)
-            setter(self, "codim", codim)
-            setter(self, "weight", weight)
-            setter(self, "vanishing", vanishing)
-            setter(self, "leaves", leaves)
+            for setter, value in zip(cls._setters, (marking, kids, codim, weight, vanishing, leaves)):
+                setter(self, value)
         # published with one setdefault per key, so that of two threads that
         # build the same new tree, both return the node stored first
         self = _NODES.setdefault((marking, kids), self)
@@ -160,7 +155,7 @@ def stick(marking: int) -> MarkedTree:
 def star(marking: int, leaf_marks: Sequence[int]) -> MarkedTree:
     """Single internal vertex with the given marking over plain leaves."""
     try:
-        leaves = tuple(stick(m) for m in leaf_marks)
+        leaves = tuple(map(MarkedTree, leaf_marks))
     except TypeError:
         raise TreeStructureError(f"leaf markings must be a sequence of ints, not {leaf_marks!r}") from None
     return MarkedTree(marking, leaves)
@@ -193,7 +188,7 @@ def _encoding(t: MarkedTree) -> str:
     of the class side, and what the class renderers spell."""
     if not t.children:
         return str(t.marking)
-    return f"({t.marking};{','.join(_encoding(c) for c in t.children)})"
+    return f"({t.marking};{','.join(map(_encoding, t.children))})"
 
 
 encoding.cache_info = _encoding.cache_info
@@ -222,15 +217,16 @@ def graft(outer: MarkedTree, replacements: Sequence[MarkedTree]) -> MarkedTree:
 
 
 def _rebuild(node: MarkedTree, it: Iterator[MarkedTree]) -> MarkedTree:
-    """node with each of its leaves, depth first, replaced by the next tree of it.
+    """node, a tree with children, with each of its leaves, depth first,
+    replaced by the next tree of it; a leaf takes its tree inside the
+    comprehension, with no call of its own.
 
     The gate-free body of graft, which ``classes._glue`` calls directly on
     arguments it has checked already.  A module-level function, not a
     closure of graft: a nested function that calls itself is a reference
     cycle that only the cyclic collector frees."""
-    if not node.children:
-        return next(it)
-    return MarkedTree(node.marking, tuple([_rebuild(c, it) for c in node.children]))
+    return MarkedTree(node.marking, tuple([_rebuild(c, it) if c.children else next(it)
+                                           for c in node.children]))
 
 
 @lru_cache(maxsize=None)

@@ -8,6 +8,9 @@ products given by the triangular solve ``psi_decomposition``.  The code below
 is kept as it was, but for the imports, for ``_tree_basic_expansion``, which
 calls this module's ``substitute`` and ``psi_power_sing``, and for
 ``mul_psi_top``, which was a ``ClassExpr`` method and is a function here.
+``psi_stick`` is the row psi * a_k of the integer kernel as it was built
+before its stars came straight from the leaf sticks: each star through
+``star`` and each automorphism count through ``aut_count``.
 """
 
 from __future__ import annotations
@@ -36,6 +39,15 @@ def mul_psi_top(e: ClassExpr) -> ClassExpr:
         return e
     pairs = ((MarkedTree(t.marking + 1, t.children), c) for t, c in e.terms)
     return ClassExpr(e.basis, e.degree + 1, pairs)
+
+
+def psi_stick(k: int) -> ClassExpr:
+    """psi * a_k = (a_{k+1} + xi a_k + sum_p prod(p)/|Aut p| i_p) / (k+1) over
+    the profiles p of k+1 with at least two parts, as Fractions."""
+    layer = [(star(0, [j - 1 for j in p]), Fraction(prod(p), aut_count(p)))
+             for p in profiles_with_sum(k + 1, 2)]
+    terms = [(stick(k + 1), Fraction(1)), (stick(k), Fraction(1)), *layer]
+    return ClassExpr(SINGULARITY, k + 1, ((t, c / (k + 1)) for t, c in terms))
 
 
 def _new_profile_layer(m: int) -> ClassExpr:

@@ -3,7 +3,8 @@ reference, ``class_kernel_reference``.
 
 ``product_expansion`` and ``psi_power_sing`` must return the expressions of
 the ``Fraction`` product recursion and of the triangular ``psi_decomposition``
-for every m <= 14.  ``substitute`` and both basis changes must return equal
+for every m <= 14, and the rows psi * a_k those of ``psi_stick`` for
+k <= 14.  ``substitute`` and both basis changes must return equal
 expressions, rendered to the same text, on every tree of codim <= 8 in both
 bases (and, for both per-tree tables, of codim <= 10), on random sums of
 trees, and on grafts that carry xi powers.  The coefficients are negative,
@@ -53,6 +54,16 @@ def from_ints(basis: str, t: MarkedTree, form: tuple) -> ClassExpr:
     """The expression of degree t.codim whose integer form is ``form``."""
     den, terms = form
     return ClassExpr(basis, t.codim, ((t2, Fraction(n, den)) for t2, n in terms))
+
+
+@pytest.mark.parametrize("k", range(15))
+def test_psi_stick_rows(k):
+    """_psi_stick builds each star of its row straight from the leaf sticks,
+    with the automorphism count of the canonical profile; the row is the one
+    built through star and aut_count."""
+    want = reference.psi_stick(k)
+    assert classes._psi_stick(k) == want._form
+    assert_same(from_ints(SINGULARITY, stick(k + 1), classes._psi_stick(k)), want)
 
 
 def test_tree_basic_expansions():

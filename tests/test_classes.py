@@ -180,6 +180,65 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024)
         assert int(peak_mb) < 100
 
 
+class TestBasisChangeBudget:
+    @pytest.mark.parametrize("name,basis,budget_name,dearest", [
+        ("basic_to_sing", "BASIC", "BASIC_TO_SING_BUDGET", "star(0, [6, 7, 7])"),
+        ("sing_to_basic", "SINGULARITY", "SING_TO_BASIC_BUDGET", "stick(budget)"),
+    ], ids=["basic_to_sing", "sing_to_basic"])
+    def test_one_step_over_is_refused_at_once_and_the_budget_is_answered(
+        self, name, basis, budget_name, dearest
+    ):
+        """From empty memos: a stick one degree over the budget is refused in
+        under 0.1 s with every class memo untouched, and the dearest tree
+        timed at the budget is answered within 100 MB."""
+        lines = run_fresh(f"""
+import resource, time
+from singclass import classes
+from singclass.classes import ClassExpr
+from singclass.errors import ConstraintError
+from singclass.trees import star, stick
+memos = (classes._psi_stick, classes._product_ints, classes._psi_ints,
+         classes._basic_ints, classes._sing_ints)
+convert, basis, budget = classes.{name}, classes.{basis}, classes.{budget_name}
+over = ClassExpr.single(basis, stick(budget + 1))
+start = time.perf_counter()
+try:
+    convert(over)
+except ConstraintError as exc:
+    print(time.perf_counter() - start, exc)
+print(sum(memo.cache_info().currsize for memo in memos))
+e = ClassExpr.single(basis, {dearest})
+print(e.degree == budget and len(convert(e).terms) > 1)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024)
+""")
+        refused, memo_entries, answered, peak_mb = lines
+        seconds, message = refused.split(" ", 1)
+        budget = getattr(classes, budget_name)
+        assert float(seconds) < 0.1
+        assert message == f"degree = {budget + 1} is over the budget of {budget}"
+        assert memo_entries == "0"
+        assert answered == "True"
+        assert int(peak_mb) < 100
+
+
+class TestCancellationHasNoDegree:
+    """The builders whose terms can cancel give an empty sum degree None."""
+
+    A = "a_2 - 1/3*xi*a_1 + 1/3*i[1,1]"
+
+    @pytest.mark.parametrize("build", [
+        lambda a: a + a.scale(-1),
+        lambda a: a - a,
+        lambda a: a.scale(0),
+        lambda a: substitute(star(1, [0, 0]), [a, sing("a_1")]),
+        lambda a: parse_class("a_1 - a_1"),
+    ], ids=["a + (-a)", "a - a", "a.scale(0)", "substitute into a vanishing tree", "parse a_1 - a_1"])
+    def test_an_empty_sum_has_degree_none(self, build):
+        e = build(sing(self.A))
+        assert e.is_zero() and e.degree is None
+        assert e == ClassExpr.zero(SINGULARITY)
+
+
 class TestNoWastedRaise:
     def test_the_expansions_leave_no_vanishing_node(self):
         """_psi raises only the trees that stay alive, so the expansions to

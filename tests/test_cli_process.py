@@ -76,6 +76,16 @@ def test_a_raised_cap_still_meets_the_library_budget():
     assert elapsed < 1
 
 
+def test_a_raised_cap_still_meets_the_basis_change_budget():
+    # SINGCLASS_MAX_CODIM lets a_16 through; sing_to_basic refuses its degree
+    start = time.perf_counter()
+    result = _spawn(["to-basic", "a_16"], SINGCLASS_MAX_CODIM="16")
+    elapsed = time.perf_counter() - start
+    assert (result.stdout, result.returncode) == (b"", 3)
+    assert b"over the budget" in result.stderr
+    assert elapsed < 1
+
+
 def test_a_process_writes_all_of_a_long_stdout(capsys):
     # over stdout's 8 KiB buffer, so its tail is written by the flush at
     # shutdown, after the heap is frozen

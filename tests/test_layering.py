@@ -24,7 +24,9 @@ The value types build their instances through their canonical constructors;
 ``object.__new__`` appears only in ``errors.Record._make``, the one unchecked
 builder, and in ``trees.MarkedTree.__new__``, the one constructor of trees,
 which hash-conses them in the one module-level table of ``trees``.  No
-module defines a second tree constructor beside it.
+module defines a second tree constructor beside it, and no ``_make`` calls
+``super()``: a class whose stored slots are not its fields names them in
+``_stored``, so every value is built in the one frame of ``Record._make``.
 
 Every memo table is named here: each ``lru_cache`` is unbounded and lives
 as long as the process, so a new one is a reviewed change.  No memo of
@@ -192,6 +194,25 @@ def _object_new_users(path: Path) -> set[str]:
             visit(child, scope)
 
     visit(_tree(path), ())
+    return out
+
+
+def _makes_calling_super(tree: ast.AST) -> set[str]:
+    """The dotted name of every function named _make whose body calls super()."""
+    out = set()
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = scope + (child.name,)
+                if child.name == "_make" and any(
+                    isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "super"
+                    for n in ast.walk(child)
+                ):
+                    out.add(".".join(name))
+                visit(child, name)
+
+    visit(tree, ())
     return out
 
 
@@ -368,6 +389,26 @@ def test_the_package_root_loads_no_submodule():
 def test_values_are_built_without_their_constructor_in_two_places_only():
     found = {(path.stem, name) for path in MODULES for name in _object_new_users(path)}
     assert found == OBJECT_NEW
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_make_calls_super(path):
+    # Record._make is the one builder: a subclass names its stored slots in
+    # _stored, and an override that chains to it is a second frame per value
+    assert _makes_calling_super(_tree(path)) == set()
+
+
+def test_the_super_guard_sees_an_override():
+    chained = ast.parse(
+        "class Polynomial(Record):\n"
+        "    @classmethod\n"
+        "    def _make(cls, form):\n"
+        "        self = super()._make()\n"
+        "        return self\n"
+        "    def scale(self, c):\n"
+        "        return super().scale(c)\n"
+    )
+    assert _makes_calling_super(chained) == {"Polynomial._make"}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)

@@ -11,6 +11,7 @@ fields give the same object, which hashes by identity.
 from __future__ import annotations
 
 import copy
+import importlib
 import pickle
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from singclass import grammar
 from singclass.classes import ClassExpr
 from singclass.combinatorics import _ProfileTerms
 from singclass.cycles import CycleExpr, XPolynomial, evaluate
+from singclass.errors import Record
 from singclass.local_models import (
     BranchCoordinates,
     HurwitzCoordinates,
@@ -117,6 +119,39 @@ def test_equality_is_by_class_and_fields(cls, names, values, text):
     assert record != values and values != record
     others = [cls2(*values2) for cls2, _, values2, _ in CASES if cls2 is not cls]
     assert all(record != other and other != record for other in others)
+
+
+def _record_classes() -> set[type]:
+    """Every subclass of Record defined in the singclass package."""
+    found, todo = set(), [Record]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            if sub.__module__.startswith("singclass.") and sub not in found:
+                found.add(sub)
+                todo.append(sub)
+    return found
+
+
+def test_every_record_class_has_a_case():
+    for name in ("classes", "combinatorics", "cycles", "local_models", "notation", "trees", "verification"):
+        importlib.import_module(f"singclass.{name}")
+    assert _record_classes() == {case[0] for case in CASES}
+
+
+@pytest.mark.parametrize("cls,names,values,text", CASES, ids=_IDS)
+def test_make_on_the_stored_values_builds_the_constructor_s_value(cls, names, values, text):
+    # _make sets the slots that _stored names (the fields unless the class
+    # names others) through the setters the class looked up once
+    record = cls(*values)
+    slots = getattr(cls, "_stored", names)
+    stored = tuple(getattr(record, name) for name in slots)
+    made = cls._make(*stored)
+    assert type(made) is cls
+    assert tuple(getattr(made, name) for name in slots) == stored
+    assert tuple(getattr(made, name) for name in names) == tuple(getattr(record, name) for name in names)
+    assert repr(made) == repr(record)
+    if cls is not MarkedTree:  # a tree is equal only to itself: _make builds no interned node
+        assert made == record
 
 
 def test_profile_term_classes_differ_on_equal_terms():
