@@ -7,7 +7,9 @@ Characters are evaluated with the Murnaghan-Nakayama recursion over beta
 numbers (first-column hook lengths), for at most CHARACTER_SIZE_BUDGET boxes:
 one rim hook per part above 1, then the hook-length formula.  A shape's beta
 set is the set bits of one int, so removing a hook is bit arithmetic, and the
-memo is keyed on that int and the parts above 1 of the cycle type.
+memo is keyed on that int and the parts above 1 of the cycle type.  Each
+partition a character is asked of gets one shape record, its size, beta set
+and dimension, made when it first passes the partition gate.
 """
 
 from __future__ import annotations
@@ -148,12 +150,32 @@ def _partitions_below(remaining: int, cap: int) -> Iterator[Partition]:
             yield (first,) + rest
 
 
-@lru_cache(maxsize=None)  # called behind the partition gate: keys are tuples of exact ints
-def _beta(lam: Partition) -> int:
-    """The beta set of a canonical partition, its first-column hook lengths
-    r + len(lam) - 1 - i, as the set bits of one int; bit 0 is clear."""
-    length = len(lam)
-    return sum(1 << (r + length - 1 - i) for i, r in enumerate(lam))
+def _shape(lam) -> tuple[Partition, int, int, int]:
+    """The shape record (partition, n, beta, dim) of lam made canonical by
+    _character_partition: n boxes, the first-column hook lengths
+    r + len - 1 - i as the set bits of beta (bit 0 clear), and the dimension.
+    The very partition object a record holds has passed the gate once and
+    gets its record back at once; any other argument is gated again, so an
+    equal float or bool row keeps its refusal."""
+    try:
+        record = _SHAPES[lam]
+        if record[0] is lam:
+            return record
+    except (KeyError, TypeError):  # no record yet, or unhashable
+        pass
+    rows = _character_partition(lam)
+    record = _SHAPES.get(rows)
+    if record is None:
+        length = len(rows)
+        beta = sum(1 << (r + length - 1 - i) for i, r in enumerate(rows))
+        # a canonical tuple is kept itself, so that the caller's object is the fast one
+        held = lam if type(lam) is tuple and lam == rows else rows
+        # published with one setdefault, as trees publishes its nodes
+        record = _SHAPES.setdefault(rows, (held, sum(rows), beta, _dimension(beta)))
+    return record
+
+
+_SHAPES: dict = {}  # canonical partition -> its one shape record (partition, n, beta, dim)
 
 
 @lru_cache(maxsize=None)
@@ -181,12 +203,13 @@ def _mn(beta: int, mu: Partition) -> int:
 
 def mn_character(lam: Partition, cycle_type: Partition) -> int:
     """Irreducible character chi^lam at the given cycle type, by rim-hook removal."""
-    lam, mu = _character_partition(lam), make_partition(cycle_type)
-    if sum(lam) != sum(mu):
+    _, n, beta, _ = _shape(lam)
+    mu = make_partition(cycle_type)
+    if n != sum(mu):
         raise ConstraintError(
-            f"size mismatch: |lambda| = {sum(lam)} but cycle type has size {sum(mu)}"
+            f"size mismatch: |lambda| = {n} but cycle type has size {sum(mu)}"
         )
-    return _mn(_beta(lam), tuple(k for k in mu if k > 1))
+    return _mn(beta, tuple(k for k in mu if k > 1))
 
 
 @lru_cache(maxsize=None)
@@ -202,7 +225,7 @@ def _dimension(beta: int) -> int:
 
 def character_dimension(lam: Partition) -> int:
     """Dimension of the irreducible representation: chi at the identity class."""
-    return _dimension(_beta(_character_partition(lam)))
+    return _shape(lam)[3]
 
 
 def central_character(p: Profile, lam: Partition) -> Fraction:
@@ -212,13 +235,13 @@ def central_character(p: Profile, lam: Partition) -> Fraction:
     and mu the profile padded with fixed points; vanishes when K exceeds N.
     A part below 1 in either argument raises ConstraintError.
     """
-    p, lam = make_profile(p), _character_partition(lam)
-    n, k = sum(lam), sum(p)
+    p = make_profile(p)
+    _, n, beta, dim = _shape(lam)
+    k = sum(p)
     if k > n:
         return Fraction(0)
-    beta = _beta(lam)
     numerator = perm(n, k) * _mn(beta, tuple(x for x in reversed(p) if x > 1))
-    return Fraction(numerator, prod(p) * _dimension(beta))
+    return Fraction(numerator, prod(p) * dim)
 
 
 def shifted_power_sum(lam: Partition, m: int) -> Fraction:

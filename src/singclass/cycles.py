@@ -18,16 +18,13 @@ from functools import lru_cache
 from math import comb, factorial, lcm, perm, prod
 
 from .combinatorics import (  # the value types are defined beside the profiles
-    CHARACTER_SIZE_BUDGET,
     CycleExpr,
     Partition,
     Profile,
     XPolynomial,
     _aut_count,
-    _beta,
-    _character_partition,
-    _dimension,
     _mn,
+    _shape,
     _sorted_terms,
     aut_count,
     make_profile,
@@ -185,7 +182,8 @@ def evaluate(c: CycleExpr, lam: Partition) -> Fraction:
     The sum of coeff * central_character(p, lam) over the terms: with N = |lam|,
     one integer sum over the size-N row of c (see _integer_row and _size_row)
     of weight * chi(mu), one term per cycle type mu, divided by D * dim(lam).
-    The size-N row is built on the first evaluation at size N and kept.
+    The size-N row is built on the first evaluation at size N and kept, and
+    N, the beta set and dim(lam) are read from the shape record of lam.
     Profiles are canonical, as every CycleExpr builder makes them.  A
     partition over CHARACTER_SIZE_BUDGET boxes, or a c that is no CycleExpr,
     raises ConstraintError."""
@@ -193,17 +191,7 @@ def evaluate(c: CycleExpr, lam: Partition) -> Fraction:
         common, row, sizes = c._row
     except AttributeError:
         common, row, sizes = _integer_row(_operand(c, CycleExpr, "evaluate"))
-    # a canonical partition within the budget, as partitions_of yields it,
-    # passes one check; anything else is gated and made canonical
-    if not (
-        type(lam) is tuple
-        and {int}.issuperset(map(type, lam))
-        and lam == tuple(sorted(lam, reverse=True))
-        and (not lam or lam[-1] > 0)
-        and sum(lam) <= CHARACTER_SIZE_BUDGET
-    ):
-        lam = _character_partition(lam)
-    n, beta = sum(lam), _beta(lam)
+    _, n, beta, dim = _shape(lam)
     try:
         size_row = sizes[n]
     except KeyError:
@@ -211,7 +199,7 @@ def evaluate(c: CycleExpr, lam: Partition) -> Fraction:
     total = 0
     for weight, mu in size_row:  # a loop: the rows are short, a generator costs more
         total += weight * _mn(beta, mu)
-    return Fraction(total, common * _dimension(beta))
+    return Fraction(total, common * dim)
 
 
 # Most point steps a product or a group-algebra check may take: an orbit representative

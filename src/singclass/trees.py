@@ -40,11 +40,11 @@ first.  Hashing and comparing a key (ints, tuples and identity-hashed trees)
 runs no Python code, so each ``setdefault`` is one step under the GIL: two
 threads that build the same new tree both return the node stored first,
 never two equal-looking trees that compare unequal.  (A free-threaded CPython
-has not been checked.)  The other state filled lazily is harmless once trees
-are unique: the slots ``classes.ClassExpr._order`` and
-``combinatorics.CycleExpr._row`` may be written twice, with the same value,
-and an ``lru_cache`` may compute an entry twice and keep one of two equal
-values.  Likewise a race may fill an entry of the per-size table in
+has not been checked.)  ``combinatorics`` publishes its shape records the
+same way.  The other state filled lazily is harmless once trees are unique:
+the slots ``classes.ClassExpr._order`` and ``combinatorics.CycleExpr._row``
+may be written twice, with the same value, and an ``lru_cache`` may compute
+an entry twice and keep one of two equal values.  Likewise a race may fill an entry of the per-size table in
 ``CycleExpr._row`` twice, or lose one entry when two threads write the slot
 itself, always with equal values: a lost entry is built again on the next
 evaluation at its size.
@@ -142,6 +142,12 @@ class MarkedTree(Record):
         self = _NODES.setdefault((marking, kids), self)
         _NODES.setdefault((marking, given), self)
         return self
+
+    @classmethod
+    def _make(cls, marking: int, children: Sequence[MarkedTree], *derived) -> MarkedTree:
+        """The interned node: the derived slots come from the children, so only
+        the fields are read, and the one tree with them is returned."""
+        return cls(marking, children)
 
 
 _NODES: dict = {}  # (marking, children) as given or sorted -> the one canonical tree

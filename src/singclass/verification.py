@@ -309,25 +309,28 @@ def check_roundtrip(max_codim: int = 6) -> list[CheckResult]:
 
 
 # suite -> (checks, smallest max_m under which it compares something, or
-# None when it takes no max_m); each check refuses a smaller one through _floor
+# None when it takes no max_m, and the largest its callees' budgets admit, or
+# None when they have none); each check refuses one outside through _floor,
+# before any work
 SUITES = {
-    "appendix": (check_appendix, None),
-    "ko": (check_shifted_power_sums, 0),
-    "equality": (check_genus0_equality, 1),
-    "cycles": (check_cycle_products, None),
-    "roundtrip": (check_roundtrip, 0),
+    "appendix": (check_appendix, None, None),
+    "ko": (check_shifted_power_sums, 0, None),
+    "equality": (check_genus0_equality, 1, classes.EXPANSION_DEGREE_BUDGET),
+    "cycles": (check_cycle_products, None, None),
+    "roundtrip": (check_roundtrip, 0, classes.SING_TO_BASIC_BUDGET),
 }
 
 
 def _floor(suite: str, max_m: int) -> int:
     """max_m if it is an int at or above the suite's floor in SUITES, under
-    which the suite would compare nothing; else ConstraintError."""
-    smallest = SUITES[suite][1]
+    which the suite would compare nothing, and within its ceiling; else
+    ConstraintError."""
+    _, smallest, most = SUITES[suite]
     if _integer(max_m, "max_m") < smallest:
         raise ConstraintError(
             f"verify {suite} needs --max-m >= {smallest}, got {max_m}: it would compare nothing"
         )
-    return max_m
+    return _count(max_m, f"verify {suite} --max-m", smallest, most)
 
 
 def run_suite(name: str, max_m: int | None = None) -> list[CheckResult]:
@@ -335,7 +338,7 @@ def run_suite(name: str, max_m: int | None = None) -> list[CheckResult]:
     one given to a suite that takes none, raises ConstraintError."""
     if type(name) is not str or name not in SUITES:
         raise ParseError(f"unknown verify suite {name!r}")
-    checks, smallest = SUITES[name]
+    checks, smallest, _ = SUITES[name]
     if max_m is None:
         return checks()
     if smallest is None:

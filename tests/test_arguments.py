@@ -19,7 +19,10 @@ from __future__ import annotations
 
 import importlib
 import inspect
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from types import GenericAlias
 
 import pytest
@@ -73,6 +76,7 @@ from singclass.local_models import (
 )
 from singclass.trees import star, stick
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 _NOT_INTS = [True, False, 2.0, 2.5, float("nan"), Fraction(2), Fraction(5, 2), "2", None, (2,)]
 
 
@@ -527,6 +531,43 @@ def test_a_check_that_would_compare_nothing_is_refused(call, message):
     # a PASS over 0 partitions, [], [] and a pass on 0 generators
     with pytest.raises(ConstraintError, match=message):
         call()
+
+
+_OVER_THE_CEILING = [
+    ("roundtrip", 13, "verify roundtrip --max-m = 13 is over the budget of 12"),
+    ("equality", 27, "verify equality --max-m = 27 is over the budget of 26"),
+]
+
+
+@pytest.mark.parametrize("suite, max_m, message", _OVER_THE_CEILING, ids=["roundtrip", "equality"])
+def test_a_suite_refuses_a_max_m_over_its_ceiling_before_any_work(suite, max_m, message):
+    # from empty memos in a fresh process: the callees' own budgets refused
+    # these only after 1.6 s and 6.2 s of work
+    code = (
+        "import time\n"
+        "from singclass import verification\n"
+        "from singclass.errors import ConstraintError\n"
+        "start = time.perf_counter()\n"
+        "try:\n"
+        f"    verification.run_suite({suite!r}, {max_m})\n"
+        "except ConstraintError as e:\n"
+        "    print(time.perf_counter() - start, e, sep='\\n')\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], cwd=SRC, capture_output=True, text=True, check=True
+    )
+    seconds, refusal = result.stdout.splitlines()
+    assert refusal == message
+    assert float(seconds) < 0.1
+
+
+def test_a_suite_admits_its_ceiling():
+    assert verification._floor("roundtrip", classes.SING_TO_BASIC_BUDGET) == 12
+    assert verification._floor("equality", classes.EXPANSION_DEGREE_BUDGET) == 26
+    with pytest.raises(ConstraintError, match=_OVER_THE_CEILING[0][2]):
+        verification.check_roundtrip(13)
+    with pytest.raises(ConstraintError, match=_OVER_THE_CEILING[1][2]):
+        verification.check_genus0_equality(27)
 
 
 @pytest.mark.parametrize("name", ["nope", [], None])

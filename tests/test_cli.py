@@ -290,6 +290,14 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert message in err
 
+    @pytest.mark.parametrize("suite, max_m, budget", [("roundtrip", "13", 12), ("equality", "27", 26)])
+    def test_a_suite_over_its_ceiling_is_exit_3(self, capsys, monkeypatch, suite, max_m, budget):
+        # the depth cap (8 unless the environment raises it) refuses these first
+        monkeypatch.setenv("SINGCLASS_MAX_CODIM", "30")
+        code, out, err = run(capsys, "verify", suite, "--max-m", max_m)
+        assert (code, out) == (3, "")
+        assert f"verify {suite} --max-m = {max_m} is over the budget of {budget}" in err
+
     @pytest.mark.parametrize(
         "argv",
         [

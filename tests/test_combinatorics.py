@@ -24,7 +24,7 @@ from singclass.combinatorics import (
     profiles_with_sum,
     shifted_power_sum,
 )
-from singclass.cycles import CycleExpr, evaluate
+from singclass.cycles import CycleExpr, completed_cycle, evaluate
 from singclass.errors import ConstraintError
 from test_cycles import profile_order
 
@@ -295,6 +295,92 @@ class TestCharacterBudget:
         assert mn_character(lam, (1,) * n) == character_dimension(lam) == 1
         assert central_character((2,), lam) == n * (n - 1) // 2
         assert evaluate(CycleExpr.identity(), lam) == 1
+
+
+def _spellings(lam: tuple[int, ...]) -> list:
+    """lam as partitions_of holds it, as a fresh equal tuple, reversed and as a list."""
+    return [lam, tuple(list(lam)), lam[::-1], list(lam)]
+
+
+def _characters(lam, canonical: tuple[int, ...]) -> list:
+    n = sum(canonical)
+    return [
+        *(evaluate(completed_cycle(m), lam) for m in range(7)),
+        central_character((2, 1), lam),
+        mn_character(lam, canonical),
+        mn_character(lam, (1,) * n),
+        character_dimension(lam),
+    ]
+
+
+# the four character functions, each on a partition alone
+_CHARACTER_CALLS = {
+    "evaluate": lambda lam: evaluate(completed_cycle(2), lam),
+    "central_character": lambda lam: central_character((2,), lam),
+    "mn_character": lambda lam: mn_character(lam, (1,)),
+    "character_dimension": character_dimension,
+}
+
+
+class TestShapeRecords:
+    """Each canonical partition has one shape record (partition, n, beta,
+    dim): the partition object the record holds reads it at once, and every
+    other spelling goes through the partition gate first."""
+
+    def test_every_spelling_of_a_partition_up_to_12_boxes_has_its_values(self):
+        for n in range(13):
+            for lam in partitions_of(n):
+                expected = _characters(lam, lam)
+                assert expected[:7] == [shifted_power_sum(lam, m) for m in range(7)], lam
+                for spelling in _spellings(lam)[1:]:
+                    assert _characters(spelling, lam) == expected, spelling
+
+    @pytest.mark.parametrize("name", sorted(_CHARACTER_CALLS))
+    @pytest.mark.parametrize(
+        "lam, message",
+        [
+            ((2, 1.0), "a partition row must be an integer, not 1.0"),
+            ((True, 1), "a partition row must be an integer, not True"),
+            ((1, True), "a partition row must be an integer, not True"),
+            ((2, 0), "partition rows must be positive integers"),
+            ((25, 24), "a partition of 49 boxes is over the character budget of 48"),
+            (([1],), "a partition row must be an integer, not [1]"),
+            (5, "partition rows must come as a sequence of integers, not 5"),
+            ((2.0, 1), "a partition row must be an integer, not 2.0"),
+        ],
+        ids=["float row", "bool row", "bool row equal to a record", "zero row", "49 boxes",
+             "unhashable row", "no sequence", "float row equal to a record"],
+    )
+    def test_a_refused_partition_keeps_its_message(self, name, lam, message):
+        # (2, 1) and (1, 1) have records, and (2.0, 1) and (1, True) are
+        # equal to them, with the same hash: they are still gated
+        for canonical in ((2, 1), (1, 1)):
+            _characters(canonical, canonical)
+        with pytest.raises(ConstraintError) as caught:
+            _CHARACTER_CALLS[name](lam)
+        assert type(caught.value) is ConstraintError
+        assert str(caught.value) == message
+
+    def test_a_literal_and_the_memoised_partition_share_one_record(self, monkeypatch):
+        monkeypatch.setattr(combinatorics, "_SHAPES", {})
+        literal = tuple([3, 2, 1])
+        first = _characters(literal, (3, 2, 1))
+        memoised = partitions_of(6)[partitions_of(6).index((3, 2, 1))]
+        assert memoised is not literal
+        assert _characters(memoised, (3, 2, 1)) == first
+        for lam in partitions_of(6):
+            _characters(lam, lam)
+        assert sorted(combinatorics._SHAPES) == sorted(partitions_of(6))
+        assert all(record[0] == lam for lam, record in combinatorics._SHAPES.items())
+
+    def test_the_memoised_partition_is_the_one_a_record_holds(self, monkeypatch):
+        monkeypatch.setattr(combinatorics, "_SHAPES", {})
+        for lam in partitions_of(7):
+            record = combinatorics._shape(lam)
+            assert record[0] is lam and combinatorics._shape(lam) is record
+            assert record[1:] == (sum(lam), combinatorics._shape(list(lam))[2], character_dimension(lam))
+        # a list makes a record that holds its canonical tuple
+        assert combinatorics._shape([9, 1])[0] == (9, 1)
 
 
 class TestShiftedPowerSum:

@@ -622,9 +622,9 @@ class TestCycleExpr:
 
 
 class TestEvaluatePartitionGate:
-    """evaluate takes a canonical partition within the budget through one
-    cheap check, and every other argument through _character_partition: the
-    value and the refusals are those of the canonical partition."""
+    """evaluate reads the partition object a shape record holds at once, and
+    takes every other argument through _character_partition: the value and
+    the refusals are those of the canonical partition."""
 
     @pytest.mark.parametrize(
         "lam, canonical",

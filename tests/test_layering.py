@@ -26,10 +26,14 @@ builder, and in ``trees.MarkedTree.__new__``, the one constructor of trees,
 which hash-conses them in the one module-level table of ``trees``.  No
 module defines a second tree constructor beside it, and no ``_make`` calls
 ``super()``: a class whose stored slots are not its fields names them in
-``_stored``, so every value is built in the one frame of ``Record._make``.
+``_stored``, so every value is built in the one frame of ``Record._make``,
+and ``MarkedTree._make`` is the tree constructor, so it returns the interned
+node.
 
 Every memo table is named here: each ``lru_cache`` is unbounded and lives
-as long as the process, so a new one is a reviewed change.  No memo of
+as long as the process, so a new one is a reviewed change.  So are the two
+module-level tables beside them, the node table of ``trees`` and the shape
+table of ``combinatorics``.  No memo of
 ``grammar`` takes a parameter named ``text``: a memo keyed on a whole input
 would answer repeated texts from its table, not from the parser; nor does
 a memo of ``notation``.
@@ -111,10 +115,12 @@ DEFERRED = {
 # (module, function) pairs that may name object.__new__
 OBJECT_NEW = {("errors", "Record._make"), ("trees", "MarkedTree.__new__")}
 
-# module -> the functions it memoises with lru_cache, sixteen tables in all
+# module -> the functions it memoises with lru_cache, fifteen tables in all
+# (the beta sets of the partitions asked about live in the shape records of
+# combinatorics, beside them)
 MEMO_TABLES = {
     "classes": {"_psi_stick", "_product_ints", "_psi_ints", "_basic_ints", "_sing_ints"},
-    "combinatorics": {"_partitions_of", "_beta", "_mn", "_dimension"},
+    "combinatorics": {"_partitions_of", "_mn", "_dimension"},
     "cycles": {"_log_s", "_completed_cycle"},
     "grammar": {"_class_atom", "_atom_ints", "_star_atom"},
     "trees": {"_encoding", "_branch_options"},
@@ -467,6 +473,12 @@ def test_no_grammar_memo_is_keyed_on_a_text():
 def test_trees_keep_one_node_table():
     bindings = _module_bindings(SRC / "singclass" / "trees.py")
     assert [name for name, value in bindings.items() if _is_dict(value)] == ["_NODES"]
+
+
+def test_combinatorics_keeps_one_shape_table():
+    # one shape record per canonical partition, in place of a beta-set memo
+    bindings = _module_bindings(SRC / "singclass" / "combinatorics.py")
+    assert [name for name, value in bindings.items() if _is_dict(value)] == ["_SHAPES"]
 
 
 def test_exact_is_an_empty_placeholder():

@@ -141,7 +141,8 @@ def test_every_record_class_has_a_case():
 @pytest.mark.parametrize("cls,names,values,text", CASES, ids=_IDS)
 def test_make_on_the_stored_values_builds_the_constructor_s_value(cls, names, values, text):
     # _make sets the slots that _stored names (the fields unless the class
-    # names others) through the setters the class looked up once
+    # names others) through the setters the class looked up once; a tree's
+    # _make is its constructor, so it returns the one interned node
     record = cls(*values)
     slots = getattr(cls, "_stored", names)
     stored = tuple(getattr(record, name) for name in slots)
@@ -150,8 +151,7 @@ def test_make_on_the_stored_values_builds_the_constructor_s_value(cls, names, va
     assert tuple(getattr(made, name) for name in slots) == stored
     assert tuple(getattr(made, name) for name in names) == tuple(getattr(record, name) for name in names)
     assert repr(made) == repr(record)
-    if cls is not MarkedTree:  # a tree is equal only to itself: _make builds no interned node
-        assert made == record
+    assert made == record
 
 
 def test_profile_term_classes_differ_on_equal_terms():
