@@ -85,10 +85,11 @@ class ClassExpr(Record):
     numerator), ...))``: den >= 1 with ``gcd(den, *numerators) == 1``, no
     zero numerator, no vanishing tree, trees in encoding order.  ``terms`` is
     its Fraction view, built each time it is read; equality compares the
-    form, and the hash, repr, copies and pickles are those of the fields
-    ``basis``, ``degree`` and ``terms``.  The slot ``_order`` caches the
-    display order of ``grammar``'s renderers; it is no field, so equality,
-    hash, repr and pickle ignore it, and a copy does not carry it.
+    stored ``basis``, ``degree`` and form, and the hash, repr, copies and
+    pickles are those of the fields ``basis``, ``degree`` and ``terms``.
+    The slot ``_order`` caches the display order of ``grammar``'s renderers;
+    it is neither field nor stored slot, so equality, hash, repr and pickle
+    ignore it, and a copy does not carry it.
     """
 
     __slots__ = ("basis", "degree", "_form", "_order")
@@ -117,13 +118,6 @@ class ClassExpr(Record):
         """The (tree, coefficient) pairs in encoding order, as Fractions."""
         den, terms = self._form
         return tuple((t, Fraction(n, den)) for t, n in terms)
-
-    def __eq__(self, other):
-        if other.__class__ is not ClassExpr:
-            return NotImplemented
-        return (self.basis, self.degree, self._form) == (other.basis, other.degree, other._form)
-
-    __hash__ = Record.__hash__
 
     @staticmethod
     def zero(basis: str) -> "ClassExpr":

@@ -25,9 +25,9 @@ imports is compiled from source.  So the module top imports only notation
 handler imports what it runs: the class verbs (product, psi, to-sing,
 to-basic) load grammar and with it the class side, coeff psi loads classes,
 the cycle verbs load cycles, only local-model loads local_models and only
-verify loads verification; char loads nothing more.  JSON is written through
-notation's string escaper, and only local-model's json format imports the
-json package, whose decoder no verb needs.
+verify loads verification; char loads nothing more.  Every verb writes its
+JSON through notation's list writer and string escaper, so no call loads the
+json package.
 
 A process runs _entry (python -m and the installed script alike): it calls
 main and then freezes the heap with gc.freeze, so that the collection
@@ -210,26 +210,18 @@ def _cmd_local_model(args) -> int:
     f = local_models.canonical_function(profile, x, poles)
     coords = local_models.hurwitz_coordinates(f, profile, poles)
     if args.format == "json":
-        import json
-
-        payload = {
-            "profile": list(profile),
-            "K": constants.lcm,
-            "r": list(constants.exponents),
-            "d": constants.components,
-            "function": notation.format_function(f),
-            "constant": str(coords.constant),
-            "branches": [
-                {
-                    "pole": str(b.pole),
-                    "order": b.order,
-                    "u": str(b.u),
-                    "a": [str(a) for a in b.tail],
-                }
-                for b in coords.branches
-            ],
-        }
-        print(json.dumps(payload, indent=2))
+        json_list = notation._json_list
+        rows = []
+        for b in coords.branches:
+            tail = json_list([f'"{a}"' for a in b.tail], "      ")
+            rows.append(f'{{\n      "pole": "{b.pole}",\n      "order": {b.order},\n'
+                        f'      "u": "{b.u}",\n      "a": {tail}\n    }}')
+        function = notation._json_str(notation.format_function(f))
+        print(f'{{\n  "profile": {json_list(list(map(str, profile)), "  ")},\n'
+              f'  "K": {constants.lcm},\n'
+              f'  "r": {json_list(list(map(str, constants.exponents)), "  ")},\n'
+              f'  "d": {constants.components},\n  "function": {function},\n'
+              f'  "constant": "{coords.constant}",\n  "branches": {json_list(rows, "  ")}\n}}')
     else:
         print(f"profile: {notation.format_profile(profile)}")
         print(f"K = {constants.lcm}, r = {constants.exponents}, d = {constants.components}")

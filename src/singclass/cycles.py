@@ -121,14 +121,22 @@ def _rho(g: int, p: Profile) -> tuple[int, int]:
     return prod(p) * e[g], factorial(total) * factorial(g) * d**g
 
 
+# The largest m that completed_cycle takes.  From an empty memo, in a fresh
+# process on 2 vCPUs (Python 3.11), m = 40 takes 0.5-0.8 s and 24 MB of peak
+# RSS for 29 006 terms, and m = 44 takes 1.0-1.8 s and 37 MB for 57 344
+# terms; the term count grows about 1.2-fold per step.
+COMPLETED_CYCLE_BUDGET = 40
+
+
 def completed_cycle(m: int) -> CycleExpr:
     """The completed (m+1)-cycle as a combination of stable central elements.
 
     A profile with l parts and total K contributes at genus g whenever
     K + l + 2g - 2 = m; the ordered-tuple sum collapses on multisets to the
-    coefficient rho(g, p) / |Aut(p)|.  Memoised per m.
+    coefficient rho(g, p) / |Aut(p)|.  Memoised per m.  An m over
+    COMPLETED_CYCLE_BUDGET raises ConstraintError before the memo is touched.
     """
-    return _completed_cycle(_count(m, "m"))
+    return _completed_cycle(_count(m, "m", 0, COMPLETED_CYCLE_BUDGET))
 
 
 @lru_cache(maxsize=None)

@@ -9,30 +9,33 @@ none of them adds a module to the import graph.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import attrgetter
 
 
 class Record:
     """Base of singclass's immutable value classes.
 
     A subclass names its fields in ``_fields``, holds them in ``__slots__``
-    and sets them in ``__init__`` through ``object.__setattr__``.  An instance
-    then equals only an instance of its own class with equal fields (never a
+    and sets them in ``__init__`` through ``object.__setattr__``.  A class
+    that stores other slots than its fields names them, in order, in
+    ``_stored``; it defaults to ``_fields``.  ``classes.ClassExpr`` and
+    ``local_models.Polynomial`` store their coefficients in an integer form
+    and read their ``terms`` or ``coeffs`` field off it.  An instance equals
+    only an instance of its own class with equal stored slots (never a
     tuple), hashes like the tuple of its fields, shows its fields in its repr,
     copies and pickles through its constructor, and refuses every write.
     ``trees.MarkedTree`` is the exception: its ``__new__`` is its one
     constructor and hash-conses every tree in one table, so isomorphic trees
-    are one object, compared and hashed by identity.  ``classes.ClassExpr``
-    and ``local_models.Polynomial`` store their coefficients in an integer
-    form, read their ``terms`` or ``coeffs`` field off it, and compare that
-    form.  A class that stores other slots than its fields names them, in
-    order, in ``_stored``; it defaults to ``_fields``.
+    are one object, compared and hashed by identity.
 
     The constructor of a value type checks its arguments and makes them
-    canonical, so equal values have equal fields.  ``_make`` is the one
-    unchecked way in, for code whose values are canonical already.  When a
-    subclass is created it looks up the setter of each stored slot once, in
-    ``_setters``, so ``_make`` is one frame that sets each slot through its
-    setter, with no lookup by name and no ``__setattr__``.
+    canonical, so equal values have equal fields and equal stored slots.
+    ``_make`` is the one unchecked way in, for code whose values are
+    canonical already.  When a subclass is created it looks up the setter of
+    each stored slot once, in ``_setters``, and builds ``_getter``, one
+    ``attrgetter`` of the stored slots, so ``_make`` is one frame that sets
+    each slot through its setter, with no lookup by name and no
+    ``__setattr__``, and equality reads the slots with no generator.
     """
 
     __slots__ = ()
@@ -40,7 +43,9 @@ class Record:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._setters = tuple(getattr(cls, name).__set__ for name in getattr(cls, "_stored", cls._fields))
+        stored = getattr(cls, "_stored", cls._fields)
+        cls._setters = tuple(getattr(cls, name).__set__ for name in stored)
+        cls._getter = attrgetter(*stored)
 
     @classmethod
     def _make(cls, *values):
@@ -57,7 +62,7 @@ class Record:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return self._getter(self) == self._getter(other)
 
     def __hash__(self) -> int:
         return hash(self._values())

@@ -11,11 +11,11 @@ per pattern match, and hands any other text to the token parser, which
 gives every error its reason and position; no memo is keyed on a text.  The
 three class renderers share one display order, sorted once per expression.
 
-The public names of ``notation`` (cycle expressions, x-polynomials,
-profiles, partitions, rationals, polynomials in z) are re-exported, so
-``grammar`` names every parser and renderer.  Code that writes or reads no
-class text imports ``notation`` instead and compiles nothing of the class
-side.
+Every other text form (cycle expressions, x-polynomials, profiles,
+partitions, rationals, polynomials in z) has its one home in ``notation``,
+which compiles nothing of the class side, and is imported from there.  Only
+the four cycle-text names that the benchmark reads through ``grammar`` are
+re-exported here.
 """
 
 from __future__ import annotations
@@ -35,22 +35,9 @@ from .notation import (
     _Parser,
     _Style,
     cycles_to_json,
-    format_function,
-    format_partition,
-    format_polynomial,
-    format_profile,
     parse_cycles,
-    parse_exponents,
-    parse_orders,
-    parse_partition,
-    parse_profile,
-    parse_rational_list,
-    parse_rational_value,
     render_cycles,
     render_cycles_latex,
-    render_xpoly,
-    render_xpoly_latex,
-    xpoly_to_json,
 )
 from .trees import MarkedTree, _encoding, star, stick
 
@@ -59,24 +46,13 @@ __all__ = [
     "render_class_latex",
     "class_to_json",
     "parse_class",
+    "parse_tree",
+    # notation's cycle text, read through grammar by the benchmark's
+    # perfbench/ops.py and make_data.py alone; ROADMAP item 1 deletes them
     "render_cycles",
     "render_cycles_latex",
     "cycles_to_json",
     "parse_cycles",
-    "render_xpoly",
-    "render_xpoly_latex",
-    "xpoly_to_json",
-    "format_polynomial",
-    "format_function",
-    "format_profile",
-    "parse_orders",
-    "parse_profile",
-    "format_partition",
-    "parse_partition",
-    "parse_exponents",
-    "parse_rational_value",
-    "parse_rational_list",
-    "parse_tree",
 ]
 
 

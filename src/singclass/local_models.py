@@ -77,13 +77,6 @@ class Polynomial(Record):
         den, nums = self._form
         return tuple(Fraction(n, den) for n in nums)
 
-    def __eq__(self, other):
-        if other.__class__ is not Polynomial:
-            return NotImplemented
-        return self._form == other._form
-
-    __hash__ = Record.__hash__
-
     @staticmethod
     def zero() -> "Polynomial":
         return Polynomial._make((1, ()))

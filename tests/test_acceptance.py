@@ -14,7 +14,7 @@ from math import prod
 
 import hurwitz_reference
 
-from singclass import classes, cycles, grammar, local_models, trees, verification
+from singclass import classes, cycles, grammar, local_models, notation, trees, verification
 from singclass.classes import (
     BASIC,
     basic_to_sing,
@@ -136,7 +136,7 @@ def test_criterion_8_class_algebra_product():
         8, "C_2 * C_2 identity, verified brute-force in S_4 and S_5", 30.0
     ):
         product = cycles.multiply_central((2,), (2,))
-        assert product == grammar.parse_cycles("C[2,2] + 3*C[3] + 1/2*C[1,1]")
+        assert product == notation.parse_cycles("C[2,2] + 3*C[3] + 1/2*C[1,1]")
         assert cycles.verify_in_group_algebra((2,), (2,), product, 4)
         assert cycles.verify_in_group_algebra((2,), (2,), product, 5)
 

@@ -30,7 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import singclass
-from singclass import classes, combinatorics, cycles, grammar, trees, verification
+from singclass import classes, combinatorics, cycles, grammar, notation, trees, verification
 from singclass.classes import (
     BASIC,
     SINGULARITY,
@@ -463,16 +463,16 @@ def _call_within_small_budgets(function, args) -> None:
         lambda: verification.check_genus0_equality(1.5),
         lambda: verification.run_suite("ko", "1"),
         lambda: verification.load_fixture_rows("nope.txt"),
-        lambda: grammar.parse_profile(5),
+        lambda: notation.parse_profile(5),
         lambda: grammar.parse_tree(5),
-        lambda: grammar.render_xpoly(5),
-        lambda: grammar.render_xpoly_latex(5),
-        lambda: grammar.xpoly_to_json(5),
-        lambda: grammar.format_profile(5),
-        lambda: grammar.format_partition(5),
-        lambda: grammar.format_polynomial(5),
-        lambda: grammar.format_polynomial(psi_power_sing(1)),
-        lambda: grammar.format_function("1/z"),
+        lambda: notation.render_xpoly(5),
+        lambda: notation.render_xpoly_latex(5),
+        lambda: notation.xpoly_to_json(5),
+        lambda: notation.format_profile(5),
+        lambda: notation.format_partition(5),
+        lambda: notation.format_polynomial(5),
+        lambda: notation.format_polynomial(psi_power_sing(1)),
+        lambda: notation.format_function("1/z"),
         lambda: trees.encoding(5),
         lambda: trees.encoding([]),
     ],
@@ -536,13 +536,17 @@ def test_a_check_that_would_compare_nothing_is_refused(call, message):
 _OVER_THE_CEILING = [
     ("roundtrip", 13, "verify roundtrip --max-m = 13 is over the budget of 12"),
     ("equality", 27, "verify equality --max-m = 27 is over the budget of 26"),
+    ("ko", 41, "verify ko --max-m = 41 is over the budget of 40"),
 ]
 
 
-@pytest.mark.parametrize("suite, max_m, message", _OVER_THE_CEILING, ids=["roundtrip", "equality"])
+@pytest.mark.parametrize(
+    "suite, max_m, message", _OVER_THE_CEILING, ids=[suite for suite, _, _ in _OVER_THE_CEILING]
+)
 def test_a_suite_refuses_a_max_m_over_its_ceiling_before_any_work(suite, max_m, message):
     # from empty memos in a fresh process: the callees' own budgets refused
-    # these only after 1.6 s and 6.2 s of work
+    # the first two only after 1.6 s and 6.2 s of work, and ko had no
+    # ceiling (at --max-m 60 it gave no answer in 40 s)
     code = (
         "import time\n"
         "from singclass import verification\n"
@@ -564,10 +568,13 @@ def test_a_suite_refuses_a_max_m_over_its_ceiling_before_any_work(suite, max_m, 
 def test_a_suite_admits_its_ceiling():
     assert verification._floor("roundtrip", classes.SING_TO_BASIC_BUDGET) == 12
     assert verification._floor("equality", classes.EXPANSION_DEGREE_BUDGET) == 26
+    assert verification._floor("ko", cycles.COMPLETED_CYCLE_BUDGET) == 40
     with pytest.raises(ConstraintError, match=_OVER_THE_CEILING[0][2]):
         verification.check_roundtrip(13)
     with pytest.raises(ConstraintError, match=_OVER_THE_CEILING[1][2]):
         verification.check_genus0_equality(27)
+    with pytest.raises(ConstraintError, match=_OVER_THE_CEILING[2][2]):
+        verification.check_shifted_power_sums(41)
 
 
 @pytest.mark.parametrize("name", ["nope", [], None])

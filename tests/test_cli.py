@@ -7,14 +7,17 @@ import io
 import json
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singclass import classes, cli
+from singclass import classes, cli, local_models
 from singclass.cli import main
+from singclass.local_models import BranchCoordinates, HurwitzCoordinates
+from singclass.notation import format_function
 
 
 def run(capsys, *argv):
@@ -409,6 +412,60 @@ class TestLocalModelLiterals:
         code, out, err = run(capsys, "to-basic", expression)
         assert (code, out) == (2, "")
         assert f"integer literal too long (at position {position})" in err
+
+
+_RATIONALS = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12))
+
+
+class TestLocalModelJson:
+    @settings(deadline=None, max_examples=80)
+    @given(data=st.data())
+    def test_stdout_is_the_layout_of_json_dumps(self, data):
+        """local-model --format json writes what json.dumps(payload, indent=2)
+        writes.  The profile, point and poles go through the CLI as typed;
+        hurwitz_coordinates is replaced by drawn coordinates for the poles it
+        is given, since most drawn functions have no rational roots: an
+        order-1 branch (empty tail) always, and negative and fractional
+        poles, points, u, tails and constants."""
+        orders = [1, *data.draw(st.lists(st.integers(1, 4), max_size=3), label="orders")]
+        points = data.draw(
+            st.lists(_RATIONALS, min_size=len(orders) + 1, max_size=len(orders) + 1, unique=True),
+            label="x and poles",
+        )
+        x, poles = points[0], points[1:]
+        tails = {k: data.draw(st.lists(_RATIONALS, min_size=k - 1, max_size=k - 1)) for k in orders}
+        u = data.draw(_RATIONALS.filter(bool), label="u")
+        constant = data.draw(_RATIONALS, label="constant")
+        calls = []
+
+        def coordinates(f, profile, points):
+            branches = [BranchCoordinates(z, k, u, tuple(tails[k])) for z, k in zip(points, profile)]
+            coords = HurwitzCoordinates(tuple(branches), constant)
+            calls.append((f, profile, coords))
+            return coords
+
+        argv = ["local-model", "{" + ",".join(map(str, orders)) + "}", str(x),
+                ",".join(map(str, poles)), "--format", "json"]
+        sink = io.StringIO()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(local_models, "hurwitz_coordinates", coordinates)
+            with contextlib.redirect_stdout(sink):
+                assert main(argv) == 0
+        (f, profile, coords), = calls
+        constants = local_models.profile_constants(profile)
+        payload = {
+            "profile": list(profile),
+            "K": constants.lcm,
+            "r": list(constants.exponents),
+            "d": constants.components,
+            "function": format_function(f),
+            "constant": str(coords.constant),
+            "branches": [
+                {"pole": str(b.pole), "order": b.order, "u": str(b.u), "a": [str(a) for a in b.tail]}
+                for b in coords.branches
+            ],
+        }
+        assert sink.getvalue() == json.dumps(payload, indent=2) + "\n"
 
 
 class TestValuesWithALeadingMinus:

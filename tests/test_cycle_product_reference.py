@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from singclass.combinatorics import profiles_with_sum
 from singclass.cycles import _orbit_count, multiply_central, verify_in_group_algebra
-from singclass.grammar import render_cycles
+from singclass.notation import render_cycles
 
 
 def order(p: tuple[int, ...]) -> int:

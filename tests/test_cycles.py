@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, perm, prod
+from pathlib import Path
 
 import pytest
 from hurwitz_reference import product
@@ -36,8 +40,10 @@ from singclass.cycles import (
     x_polynomial,
 )
 from singclass.errors import ConstraintError
-from singclass.grammar import parse_cycles
+from singclass.notation import parse_cycles, render_cycles
 from singclass.verification import genus0_equality_check
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def profile_order(p: tuple[int, ...]) -> int:
@@ -597,10 +603,42 @@ class TestTermOrder:
             assert top.profiles() == [p for p in full.profiles() if profile_order(p) == m + 2]
 
 
+class TestCompletedCycleBudget:
+    def test_one_step_over_is_refused_at_once_and_the_budget_is_answered(self):
+        """From an empty memo: m = budget + 1 is refused in under 0.1 s with
+        the memo untouched, and m = budget returns within 100 MB."""
+        script = """
+import resource, time
+from singclass import cycles
+from singclass.errors import ConstraintError
+budget = cycles.COMPLETED_CYCLE_BUDGET
+start = time.perf_counter()
+try:
+    cycles.completed_cycle(budget + 1)
+except ConstraintError as exc:
+    print(time.perf_counter() - start, exc)
+print(cycles._completed_cycle.cache_info().currsize)
+print(len(cycles.completed_cycle(budget).terms))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024)
+"""
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", script],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        refused, memo_entries, terms, peak_mb = result.stdout.splitlines()
+        seconds, message = refused.split(" ", 1)
+        budget = cycles.COMPLETED_CYCLE_BUDGET
+        assert float(seconds) < 0.1
+        assert message == f"m = {budget + 1} is over the budget of {budget}"
+        assert memo_entries == "0"
+        assert int(terms) == 29_006
+        assert int(peak_mb) < 100
+
+
 class TestCycleExpr:
     def test_parse_render_round_trip(self):
-        from singclass.grammar import render_cycles
-
         e = completed_cycle(4)
         assert parse_cycles(render_cycles(e)) == e
 

@@ -21,21 +21,17 @@ from singclass.classes import (
 from singclass.cycles import CycleExpr, XPolynomial, completed_cycle
 from singclass import grammar, notation
 from singclass.errors import ConstraintError, ParseError
-from singclass.grammar import (
-    class_to_json,
+from singclass.grammar import class_to_json, parse_class, parse_tree, render_class, render_class_latex
+from singclass.notation import (
     cycles_to_json,
     format_partition,
     format_profile,
-    parse_class,
     parse_cycles,
     parse_exponents,
     parse_orders,
     parse_partition,
     parse_profile,
     parse_rational_value,
-    parse_tree,
-    render_class,
-    render_class_latex,
     render_cycles,
     render_cycles_latex,
     render_xpoly,

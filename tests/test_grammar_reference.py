@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singclass import classes, grammar
+from singclass import classes, grammar, notation
 from singclass.classes import BASIC, SINGULARITY, ClassExpr, product_expansion, psi_power_sing
 from singclass.cycles import CycleExpr, XPolynomial, completed_cycle, x_polynomial
 from singclass.errors import ParseError, SingclassError
@@ -47,6 +47,12 @@ PARSERS = [
 ]
 
 
+def _home(name: str):
+    """The singclass function ``name`` from its one home: notation, or
+    grammar for the class text."""
+    return getattr(notation if name in notation.__all__ else grammar, name)
+
+
 def _outcome(parse, text: str, args: tuple):
     try:
         return "value", parse(text, *args)
@@ -61,7 +67,7 @@ def _outcome(parse, text: str, args: tuple):
 def _assert_agree(text: str):
     for name, args in PARSERS:
         old = _outcome(getattr(reference, name), text, args)
-        new = _outcome(getattr(grammar, name), text, args)
+        new = _outcome(_home(name), text, args)
         if old[0] == "ValueError":
             assert re.search(r"a_\d{4000}", text), (name, text[:80], old)
             assert new[:2] == ("ParseError", "integer literal too long"), (name, text[:80])
@@ -226,7 +232,7 @@ _PIECES = re.compile(r"\s+|a_\d+|\d+|[A-Za-z]+|.", re.DOTALL)
 _SEEDS = sorted(
     {grammar.render_class(psi_power_sing(m)) for m in range(5)}
     | {grammar.render_class(product_expansion(m)) for m in range(1, 5)}
-    | {grammar.render_cycles(completed_cycle(m)) for m in range(4)}
+    | {notation.render_cycles(completed_cycle(m)) for m in range(4)}
     | {
         "1/4*T{(0;(0;0,0),0,0)}@sing - 3/2*xi^2*i[1,2]",
         "-2*psi^2*d[0,1] + 1/3*xi*T{(1;0,0,1)}@basic",
@@ -314,14 +320,14 @@ def test_cycle_and_x_polynomial_renders_are_unchanged(pairs):
     values = ((CycleExpr(pairs), "cycles"), (XPolynomial(pairs), "xpoly"))
     for value, kind in values:
         for name in (f"render_{kind}", f"render_{kind}_latex", f"{kind}_to_json"):
-            assert getattr(grammar, name)(value) == getattr(reference, name)(value), name
+            assert getattr(notation, name)(value) == getattr(reference, name)(value), name
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(_COEFFS, max_size=6), st.lists(_COEFFS, min_size=1, max_size=4).filter(any))
 def test_polynomial_texts_are_unchanged(numerator, denominator):
     f = RationalFunction(Polynomial(numerator), Polynomial(denominator))
-    assert grammar.format_function(f) == reference.format_function(f)
+    assert notation.format_function(f) == reference.format_function(f)
 
 
 def test_engine_outputs_render_the_same():
@@ -331,4 +337,4 @@ def test_engine_outputs_render_the_same():
     for values, kind in ((classes, "class"), (cycles, "cycles"), (xpolys, "xpoly")):
         for name in (f"render_{kind}", f"render_{kind}_latex", f"{kind}_to_json"):
             for value in values:
-                assert getattr(grammar, name)(value) == getattr(reference, name)(value), name
+                assert _home(name)(value) == getattr(reference, name)(value), name

@@ -4,8 +4,11 @@ The class side (trees, classes) and the cycle side (cycles) rest on a shared
 bottom layer and never import each other.  The text layer is split the same
 way: notation, on the bottom layer alone, reads and writes everything but
 class expressions, and grammar, above the class side, reads and writes
-class expressions and tree literals.  Verification is the only other module
-that uses both sides, and cli is on top.
+class expressions and tree literals.  Each text form has one home: grammar
+re-exports no public name of notation but the four cycle-text names that the
+benchmark reads through it, and no module, in ``src`` or among the tests,
+reads a notation name through grammar.  Verification is the only other
+module that uses both sides, and cli is on top.
 ``exact`` is an empty placeholder that no module imports: the truncated
 power series it held had no engine user and are gone, and the file stays
 only because the benchmark's tracer imports every module it names as a
@@ -78,15 +81,14 @@ ALLOWED = {
     "local_models": {"errors"},
     "notation": _BOTTOM,
     "grammar": _BOTTOM | {"notation", "trees", "classes"},
-    "verification": _SIDES | {"grammar"},
+    "verification": _SIDES | {"notation", "grammar"},
     "cli": _SIDES | {"notation", "grammar", "verification"},
     "__init__": _SIDES | {"notation", "grammar"},
 }
 
 # module -> the (function, import) pairs allowed inside function bodies: the
-# CLI loads traceback only when it reports an internal error, json only for
-# local-model's json format, and each engine module and the class text only
-# in the verbs that run them, to keep start-up
+# CLI loads traceback only when it reports an internal error, and each engine
+# module and the class text only in the verbs that run them, to keep start-up
 # short; the package root loads a name's home module on first access
 DEFERRED = {
     "cli": {
@@ -105,7 +107,6 @@ DEFERRED = {
         ("_cmd_coeff", ".classes"),
         ("_cmd_coeff", ".cycles"),
         ("_cmd_local_model", ".local_models"),
-        ("_cmd_local_model", "json"),
         ("_cmd_verify", ".verification"),
     },
     "__init__": {("__getattr__", "importlib")},
@@ -339,6 +340,41 @@ def _is_dict(value: ast.AST | None) -> bool:
     return isinstance(value, (ast.Dict, ast.DictComp)) or (
         isinstance(value, ast.Call) and isinstance(value.func, ast.Name) and value.func.id == "dict"
     )
+
+
+def _grammar_reads(path: Path) -> set[str]:
+    """The public names of notation that the file reads through grammar:
+    ``grammar.X`` or ``from .grammar import X`` (``singclass.grammar`` alike)."""
+    public = set(importlib.import_module("singclass.notation").__all__)
+    out = set()
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "grammar":
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "grammar":
+            out.add(node.attr)
+    return out & public
+
+
+def test_grammar_re_exports_only_what_the_benchmark_reads_through_it():
+    # ROADMAP item 1 moves these reads of perfbench/ to notation, and then
+    # the four re-exports go
+    notation = importlib.import_module("singclass.notation")
+    grammar = importlib.import_module("singclass.grammar")
+    bench = set().union(*(_grammar_reads(SRC.parent / "perfbench" / f"{name}.py")
+                          for name in ("ops", "make_data")))
+    assert bench == {"parse_cycles", "render_cycles", "render_cycles_latex", "cycles_to_json"}
+    assert set(grammar.__all__) & set(notation.__all__) == bench
+    assert {name for name in notation.__all__ if hasattr(grammar, name)} == bench
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_module_reads_notation_through_grammar(path):
+    assert _grammar_reads(path) == set()
+
+
+@pytest.mark.parametrize("path", sorted(Path(__file__).parent.glob("*.py")), ids=lambda p: p.stem)
+def test_no_test_reads_notation_through_grammar(path):
+    assert _grammar_reads(path) == set()
 
 
 def test_every_module_is_in_the_layer_map():

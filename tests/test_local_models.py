@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from singclass.combinatorics import profiles_with_sum
 from singclass import local_models
 from singclass.errors import ConstraintError, SingclassError
-from singclass.grammar import format_function, format_polynomial
 from singclass.local_models import (
     BranchCoordinates,
     HurwitzCoordinates,
@@ -29,6 +28,7 @@ from singclass.local_models import (
     profile_constants,
     reassemble,
 )
+from singclass.notation import format_function, format_polynomial
 
 
 class TestProfileConstants:

@@ -6,13 +6,14 @@ is start-up time paid on every call, and without a bytecode cache each
 singclass module is compiled from source.  ``dataclasses`` brings
 ``inspect``, ``ast`` and ``dis``; ``importlib.resources`` brings ``pathlib``
 and ``tempfile``; none of them is needed at run time, and neither is the
-``json`` package, decoder and all: ``notation`` escapes JSON strings itself,
-and only ``local-model --format json`` imports ``json``.  A well-formed call
-does not load argparse either, nor ``gettext``, ``locale`` and ``shutil``
-with it: cli reads such an argv itself and builds argparse's parser only for
-help and usage errors.  The package root is lazy, cli's top imports only
-``notation`` (the text of everything but class expressions), and cli imports
-``grammar`` and each engine module in the verbs that run them.
+``json`` package, decoder and all: every verb writes its JSON through
+``notation``'s list writer and string escaper, so no call imports ``json``.
+A well-formed call does not load argparse either, nor ``gettext``,
+``locale`` and ``shutil`` with it: cli reads such an argv itself and builds
+argparse's parser only for help and usage errors.  The package root is
+lazy, cli's top imports only ``notation`` (the text of everything but class
+expressions), and cli imports ``grammar`` and each engine module in the
+verbs that run them.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ def _loaded(code: str, names: set[str]) -> list[str]:
     return result.stdout.splitlines()[-1].split()
 
 
-# the json package, which notation's own escaper replaces: no verb decodes
-# JSON, and only local-model's json format imports it
+# the json package, which notation's own list writer and escaper replace: no
+# verb decodes JSON, and none imports it
 _JSON = {"json", "json.decoder", "json.scanner"}
 
 
@@ -97,6 +98,7 @@ VERB_MODULES = [
     (["multiply-cycles", "{2}", "{2}"], {"cycles"}),
     (["coeff", "delta", "[1]", "{2}"], {"cycles"}),
     (["local-model", "{2}", "0", "1"], {"local_models"}),
+    (["local-model", "{2}", "0", "1", "--format", "json"], {"local_models"}),
     (["verify", "appendix"], {"verification", "cycles"} | _CLASS_TEXT),
     (MALFORMED, set()),
 ]

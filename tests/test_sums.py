@@ -19,8 +19,9 @@ from hypothesis import strategies as st
 from singclass.classes import BASIC, SINGULARITY, ClassExpr, basic_to_sing, sing_to_basic
 from singclass.cycles import CycleExpr, XPolynomial
 from singclass.errors import ConstraintError
-from singclass.grammar import parse_class, render_class, render_cycles
+from singclass.grammar import parse_class, render_class
 from singclass.local_models import Polynomial, RationalFunction
+from singclass.notation import render_cycles
 from singclass.trees import encoding, star, stick
 from test_grammar import _COEFFS, _PROFILES, class_exprs
 
